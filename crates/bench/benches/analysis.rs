@@ -7,7 +7,7 @@ use wavefront_core::index::Offset;
 use wavefront_core::loops::find_structure;
 use wavefront_core::prelude::compile;
 use wavefront_machine::cray_t3e;
-use wavefront_pipeline::{BlockPolicy, WavefrontPlan};
+use wavefront_pipeline::{BlockPolicy, JobTopology, WavefrontPlan};
 
 fn main() {
     let mut h = Harness::from_args();
@@ -40,11 +40,12 @@ fn main() {
         let nest = compiled.nests().find(|x| x.is_scan).unwrap().clone();
         let params = cray_t3e();
         h.bench("analysis/wavefront_plan_model2", || {
-            WavefrontPlan::build(&nest, 16, None, &BlockPolicy::Model2, &params).unwrap()
+            WavefrontPlan::build(&nest, JobTopology::line(16), &BlockPolicy::Model2, &params)
+                .unwrap()
         });
         let probe = BlockPolicy::default_probe(256);
         h.bench("analysis/wavefront_plan_probe", || {
-            WavefrontPlan::build(&nest, 16, None, &probe, &params).unwrap()
+            WavefrontPlan::build(&nest, JobTopology::line(16), &probe, &params).unwrap()
         });
     }
 

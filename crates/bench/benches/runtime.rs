@@ -10,7 +10,7 @@
 use wavefront_bench::micro::Harness;
 use wavefront_core::prelude::*;
 use wavefront_machine::cray_t3e;
-use wavefront_pipeline::{BlockPolicy, EngineKind, Session, Session2D};
+use wavefront_pipeline::{BlockPolicy, EngineKind, Session};
 
 fn setup() -> (wavefront_lang::Lowered<2>, CompiledNest<2>, Store<2>) {
     let lo = wavefront_kernels::tomcatv::build(130).unwrap();
@@ -81,7 +81,7 @@ fn main() {
         let compiled = compile(&lo.program).unwrap();
         let nest = compiled.nest(0).clone();
         h.bench("runtime/mesh2d_dag_build_and_simulate", || {
-            Session2D::new(&lo.program, &nest)
+            Session::new(&lo.program, &nest)
                 .mesh([4, 4])
                 .block(BlockPolicy::Fixed(2))
                 .machine(params)
@@ -95,7 +95,7 @@ fn main() {
             "runtime/mesh2d_threaded_4x4",
             || store.clone(),
             |mut s| {
-                Session2D::new(&lo.program, &nest)
+                Session::new(&lo.program, &nest)
                     .mesh([4, 4])
                     .block(BlockPolicy::Fixed(2))
                     .machine(params)

@@ -11,7 +11,7 @@ use wavefront_bench::{f2, Table};
 use wavefront_core::prelude::compile;
 use wavefront_kernels::sweep3d;
 use wavefront_machine::{cray_t3e, sgi_power_challenge};
-use wavefront_pipeline::{BlockPolicy, EngineKind, Session2D, WavefrontPlan2D};
+use wavefront_pipeline::{BlockPolicy, EngineKind, JobTopology, Session, WavefrontPlan};
 
 fn main() {
     let n = 64i64;
@@ -33,7 +33,7 @@ fn main() {
             "b",
         ]);
         let sim = |mesh: [usize; 2], policy: BlockPolicy| {
-            Session2D::new(&lo.program, nest)
+            Session::new(&lo.program, nest)
                 .mesh(mesh)
                 .block(policy)
                 .machine(params)
@@ -70,7 +70,7 @@ fn main() {
     let nest = compiled.nest(0);
     let params = cray_t3e();
     let sim = |mesh: [usize; 2], policy: BlockPolicy| {
-        Session2D::new(&lo.program, nest)
+        Session::new(&lo.program, nest)
             .mesh(mesh)
             .wave_dims([1, 2])
             .block(policy)
@@ -81,8 +81,12 @@ fn main() {
     let serial = sim([1, 1], BlockPolicy::FullPortion).makespan;
     let mut table = Table::new(&["mesh", "angle block", "speedup", "efficiency"]);
     for mesh in [[2usize, 2usize], [4, 4], [8, 8]] {
-        let plan = WavefrontPlan2D::build(nest, mesh, Some([1, 2]), &BlockPolicy::Model2, &params)
-            .expect("plan");
+        let topology = JobTopology::Mesh {
+            mesh,
+            wave_dims: Some([1, 2]),
+        };
+        let plan =
+            WavefrontPlan::build(nest, topology, &BlockPolicy::Model2, &params).expect("plan");
         assert_eq!(plan.tile_dim, Some(0), "angle dimension must be tiled");
         let t = sim(mesh, BlockPolicy::Model2).makespan;
         let p = mesh[0] * mesh[1];

@@ -10,7 +10,7 @@ use wavefront_bench::{f2, Table};
 use wavefront_core::prelude::compile;
 use wavefront_kernels::tomcatv;
 use wavefront_machine::{cray_t3e, fig5a_t3e, sgi_power_challenge};
-use wavefront_pipeline::{BlockPolicy, Session, WavefrontPlan};
+use wavefront_pipeline::{BlockPolicy, JobTopology, Session, WavefrontPlan};
 
 fn main() {
     println!("## Block-size policy ablation (Tomcatv forward wavefront)\n");
@@ -44,8 +44,8 @@ fn main() {
         let results: Vec<(String, usize, f64)> = policies
             .iter()
             .map(|(name, policy)| {
-                let plan =
-                    WavefrontPlan::build(nest, p, None, policy, &params).expect("plan builds");
+                let plan = WavefrontPlan::build(nest, JobTopology::line(p), policy, &params)
+                    .expect("plan builds");
                 let t = Session::new(&lo.program, nest)
                     .procs(p)
                     .block(policy.clone())

@@ -13,7 +13,9 @@ use wavefront_bench::{f1, json_object, json_str, write_artifact, Table};
 use wavefront_core::prelude::*;
 use wavefront_kernels::{simple, sweep3d, tomcatv};
 use wavefront_machine::MachineParams;
-use wavefront_pipeline::{calibrate_host, BlockPolicy, EngineKind, Session, WavefrontPlan};
+use wavefront_pipeline::{
+    calibrate_host, BlockPolicy, EngineKind, JobTopology, Session, WavefrontPlan,
+};
 
 const PROCS: usize = 4;
 
@@ -37,8 +39,9 @@ fn report_kernel<const R: usize>(
             .estimate()
             .time
     };
-    let model_plan = WavefrontPlan::build(nest, PROCS, None, &BlockPolicy::Model2, &machine)
-        .expect("model plan builds");
+    let model_plan =
+        WavefrontPlan::build(nest, JobTopology::line(PROCS), &BlockPolicy::Model2, &machine)
+            .expect("model plan builds");
     let model_b = model_plan.block;
     let model_t = estimate(BlockPolicy::Model2);
 

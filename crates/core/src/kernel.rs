@@ -81,16 +81,6 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// The historical boolean switch: `true` enables the full kernel
-    /// tiering (up to lanes), `false` forces the interpreter.
-    pub fn from_flag(kernels: bool) -> Self {
-        if kernels {
-            KernelMode::Lanes
-        } else {
-            KernelMode::Interpreted
-        }
-    }
-
     /// Stable lowercase name (metrics labels, CLI output).
     pub fn name(self) -> &'static str {
         match self {

@@ -8,75 +8,49 @@
 
 use std::time::Instant;
 
-use wavefront_core::exec::{run_nest_region_with_sink, CompiledNest};
-use wavefront_core::kernel::{KernelMode, NestRunner};
+use wavefront_core::exec::CompiledNest;
+use wavefront_core::kernel::NestRunner;
 use wavefront_core::program::Store;
-use wavefront_core::trace::AccessSink;
 
 use crate::plan::WavefrontPlan;
 use crate::telemetry::{BlockEvent, Collector, EngineKind, Prediction, RunMeta, TimeUnit};
 
-/// Execute `nest` under `plan` against `store`, visiting processors in
-/// wave order and tiles in tile order, reporting telemetry to
-/// `collector`: one block event per (processor, tile) pair, timed on
-/// the wall clock.
+/// Execute `nest` under `plan` against `store` with a caller-provided
+/// (possibly cached) nest runner, visiting active cells in wave order
+/// and tiles in tile order, reporting telemetry to `collector`: one
+/// block event per (processor, tile) pair, timed on the wall clock.
 ///
 /// The sequential engine works against a single shared store and sends
 /// no boundary messages, so its predicted traffic is zero by
 /// construction (the decomposition's traffic prediction belongs to the
 /// simulator and the threaded engine).
-/// `kernels` selects compiled tile kernels (`true`, the default) or
-/// forces the reference interpreter (`false`).
-pub(crate) fn execute_plan_sequential_collected_opts<const R: usize>(
-    nest: &CompiledNest<R>,
-    plan: &WavefrontPlan<R>,
-    store: &mut Store<R>,
-    collector: &mut dyn Collector,
-    kernel_mode: KernelMode,
-) {
-    let runner = NestRunner::with_mode(nest, kernel_mode);
-    execute_plan_sequential_prepared(nest, plan, &runner, store, collector);
-}
-
-/// [`execute_plan_sequential_collected_opts`] with a caller-provided
-/// (possibly cached) nest runner, so warm service jobs skip the kernel
-/// lowering.
-pub(crate) fn execute_plan_sequential_prepared<const R: usize>(
+pub(crate) fn execute_plan_sequential<const R: usize>(
     nest: &CompiledNest<R>,
     plan: &WavefrontPlan<R>,
     runner: &NestRunner<R>,
     store: &mut Store<R>,
     collector: &mut dyn Collector,
 ) {
-    let bound = runner.bind(store, &plan.order);
-    if !collector.enabled() {
-        for rank in plan.ranks_in_wave_order() {
-            let owned = plan.dist.owned(rank);
-            if owned.is_empty() {
-                continue;
-            }
-            for tile in &plan.tiles {
-                let sub = owned.intersect(tile);
-                if sub.is_empty() {
-                    continue;
-                }
-                runner.run_tile(nest, bound.as_ref(), sub, &plan.order, store);
-            }
-        }
-        return;
+    debug_assert!(
+        nest.buffered.is_empty(),
+        "buffered nests carry no wavefront and are never planned"
+    );
+    let enabled = collector.enabled();
+    let active = plan.active_cells();
+    if enabled {
+        collector.begin(&RunMeta {
+            engine: EngineKind::Seq,
+            procs: plan.procs(),
+            active: active.clone(),
+            tiles: plan.tiles.len(),
+            block: plan.block,
+            pipelined: plan.is_pipelined(),
+            machine: "host".to_string(),
+            time_unit: TimeUnit::Seconds,
+            predicted: Prediction::default(),
+        });
     }
-    let active = plan.active_ranks();
-    collector.begin(&RunMeta {
-        engine: EngineKind::Seq,
-        procs: plan.p,
-        active: active.clone(),
-        tiles: plan.tiles.len(),
-        block: plan.block,
-        pipelined: plan.is_pipelined(),
-        machine: "host".to_string(),
-        time_unit: TimeUnit::Seconds,
-        predicted: Prediction::default(),
-    });
+    let bound = runner.bind(store, &plan.order);
     let epoch = Instant::now();
     for rank in active {
         let owned = plan.dist.owned(rank);
@@ -85,54 +59,37 @@ pub(crate) fn execute_plan_sequential_prepared<const R: usize>(
             if sub.is_empty() {
                 continue;
             }
-            let start = epoch.elapsed().as_secs_f64();
+            let start = enabled.then(|| epoch.elapsed().as_secs_f64());
             runner.run_tile(nest, bound.as_ref(), sub, &plan.order, store);
-            collector.block(BlockEvent {
-                proc: rank,
-                tile: ti,
-                start,
-                end: epoch.elapsed().as_secs_f64(),
-                elems: sub.len(),
-            });
+            if let Some(start) = start {
+                collector.block(BlockEvent {
+                    proc: rank,
+                    tile: ti,
+                    start,
+                    end: epoch.elapsed().as_secs_f64(),
+                    elems: sub.len(),
+                });
+            }
         }
     }
-    collector.end(epoch.elapsed().as_secs_f64());
-}
-
-/// [`execute_plan_sequential_collected`] with an access sink instead of
-/// a collector (and no timing).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn execute_plan_sequential_with_sink<const R: usize, S: AccessSink>(
-    nest: &CompiledNest<R>,
-    plan: &WavefrontPlan<R>,
-    store: &mut Store<R>,
-    sink: &mut S,
-) {
-    debug_assert!(
-        nest.buffered.is_empty(),
-        "buffered nests carry no wavefront and are never planned"
-    );
-    for rank in plan.ranks_in_wave_order() {
-        let owned = plan.dist.owned(rank);
-        if owned.is_empty() {
-            continue;
-        }
-        for tile in &plan.tiles {
-            let sub = owned.intersect(tile);
-            if sub.is_empty() {
-                continue;
-            }
-            run_nest_region_with_sink(nest, sub, &plan.order, store, sink);
-        }
+    if enabled {
+        collector.end(epoch.elapsed().as_secs_f64());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::tests::tomcatv_nest;
+    use crate::plan::tests::{init_sweep, mesh_plan, sweep_nest, tomcatv_nest};
+    use crate::plan::JobTopology;
     use crate::schedule::BlockPolicy;
+    use crate::telemetry::NoopCollector;
     use wavefront_core::prelude::*;
+
+    fn run<const R: usize>(nest: &CompiledNest<R>, plan: &WavefrontPlan<R>, store: &mut Store<R>) {
+        let runner = NestRunner::with_mode(nest, KernelMode::Interpreted);
+        execute_plan_sequential(nest, plan, &runner, store, &mut NoopCollector);
+    }
 
     fn t3e() -> wavefront_machine::MachineParams {
         wavefront_machine::cray_t3e()
@@ -160,9 +117,9 @@ mod tests {
         for p in [1usize, 2, 3, 5, 8] {
             for b in [1usize, 3, 7, 16, 64] {
                 let plan =
-                    WavefrontPlan::build(&nest, p, None, &BlockPolicy::Fixed(b), &t3e()).unwrap();
+                    WavefrontPlan::build(&nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &t3e()).unwrap();
                 let mut store = init_tomcatv(&program);
-                execute_plan_sequential_with_sink(&nest, &plan, &mut store, &mut NoSink);
+                run(&nest, &plan, &mut store);
                 for id in 0..store.len() {
                     assert!(
                         store.get(id).region_eq(reference.get(id), nest.region),
@@ -193,10 +150,10 @@ mod tests {
         run_nest_with_sink(nest, &mut reference, &mut NoSink);
 
         for (p, b) in [(2usize, 4usize), (4, 3), (3, 20)] {
-            let plan = WavefrontPlan::build(nest, p, None, &BlockPolicy::Fixed(b), &t3e()).unwrap();
+            let plan = WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &t3e()).unwrap();
             let mut store = Store::new(&prog);
             init(&mut store);
-            execute_plan_sequential_with_sink(nest, &plan, &mut store, &mut NoSink);
+            run(nest, &plan, &mut store);
             assert!(
                 store.get(a).region_eq(reference.get(a), region),
                 "p={p} b={b}"
@@ -210,11 +167,29 @@ mod tests {
         let (program, nest) = tomcatv_nest(n);
         let mut reference = init_tomcatv(&program);
         run_nest_with_sink(&nest, &mut reference, &mut NoSink);
-        let plan = WavefrontPlan::build(&nest, 16, None, &BlockPolicy::Fixed(2), &t3e()).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(16), &BlockPolicy::Fixed(2), &t3e()).unwrap();
         let mut store = init_tomcatv(&program);
-        execute_plan_sequential_with_sink(&nest, &plan, &mut store, &mut NoSink);
+        run(&nest, &plan, &mut store);
         for id in 0..store.len() {
             assert!(store.get(id).region_eq(reference.get(id), nest.region));
+        }
+    }
+
+    #[test]
+    fn mesh_decomposition_matches_reference() {
+        let (program, nest) = sweep_nest(13);
+        let mut reference = init_sweep(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        for (p1, p2, b) in [(1usize, 1usize, 3usize), (2, 2, 2), (3, 2, 4), (2, 4, 12)] {
+            let plan = mesh_plan(&nest, [p1, p2], b);
+            let mut store = init_sweep(&program);
+            run(&nest, &plan, &mut store);
+            for id in 0..store.len() {
+                assert!(
+                    store.get(id).region_eq(reference.get(id), nest.region),
+                    "array {id} differs at mesh {p1}x{p2} b={b}"
+                );
+            }
         }
     }
 }

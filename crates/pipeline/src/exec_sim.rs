@@ -13,29 +13,33 @@ use wavefront_machine::{
 };
 
 use crate::error::PipelineError;
-use crate::plan::WavefrontPlan;
+use crate::plan::{JobTopology, WavefrontPlan};
 use crate::schedule::BlockPolicy;
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
 };
 
-/// Build the task DAG of a plan: task `(i, j)` is processor `i` (wave
-/// order) computing tile `j` of its portion; it depends on its own tile
-/// `j−1` and on the upstream processor's tile `j` (a boundary message).
+/// Build the task DAG of a plan: task `(i, j)` is cell `i` (wave order)
+/// computing tile `j` of its portion; it depends on its own tile `j−1`
+/// and on tile `j` of its upstream neighbour along every axis (each a
+/// boundary message).
 ///
 /// Message edges carry exactly the elements the threaded engine
-/// serializes ([`WavefrontPlan::msg_elems_from`] of the sender's owned
+/// serializes ([`WavefrontPlan::msg_elems`] of the sender's owned
 /// region); edges touching a rank that owns no data degrade to pure
 /// ordering edges, since such ranks neither compute nor relay in the
 /// real runtimes.
 pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>) -> Vec<SimTask> {
-    let ranks = plan.ranks_in_wave_order();
+    let cells = plan.cells_in_wave_order();
     let nt = plan.tiles.len();
-    let mut tasks = Vec::with_capacity(ranks.len() * nt);
-    for (i, &rank) in ranks.iter().enumerate() {
+    let mut position = vec![0usize; cells.len()];
+    for (i, &rank) in cells.iter().enumerate() {
+        position[rank] = i;
+    }
+    let mut tasks = Vec::with_capacity(cells.len() * nt);
+    for (i, &rank) in cells.iter().enumerate() {
         let owned = plan.dist.owned(rank);
         for (j, tile) in plan.tiles.iter().enumerate() {
-            let sub = owned.intersect(tile);
             let mut deps = Vec::new();
             if j > 0 {
                 deps.push(Dep {
@@ -43,24 +47,26 @@ pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>) -> Vec<SimTask> 
                     elems: 0,
                 });
             }
-            if i > 0 {
-                let up_owned = plan.dist.owned(ranks[i - 1]);
-                let elems = if owned.is_empty() || up_owned.is_empty() {
-                    0
-                } else {
-                    plan.msg_elems_from(up_owned, tile)
-                };
-                deps.push(Dep {
-                    task: (i - 1) * nt + j,
-                    elems,
-                });
+            for axis in 0..plan.axes.len() {
+                if let Some(up) = plan.upstream(rank, axis) {
+                    // An empty sender's slab is empty already.
+                    let elems = if owned.is_empty() {
+                        0
+                    } else {
+                        plan.msg_elems(plan.dist.owned(up), tile, axis)
+                    };
+                    deps.push(Dep {
+                        task: position[up] * nt + j,
+                        elems,
+                    });
+                }
             }
             // The task runs on the actual grid rank (not the wave-order
             // position), so processor identities line up across stages
             // when plans with different wave directions are fused.
             tasks.push(SimTask {
                 proc: rank,
-                cost: sub.len() as f64 * plan.work,
+                cost: owned.intersect(tile).len() as f64 * plan.work,
                 deps,
             });
         }
@@ -130,13 +136,13 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
     collector: &mut dyn Collector,
 ) -> SimResult {
     let tasks = plan_dag(plan);
+    let procs = plan.procs();
     if !collector.enabled() {
-        return simulate(&tasks, params, plan.p);
+        return simulate(&tasks, params, procs);
     }
-    let ranks = plan.ranks_in_wave_order();
     let nt = plan.tiles.len();
     let mut elems = Vec::with_capacity(tasks.len());
-    for &rank in &ranks {
+    for rank in plan.cells_in_wave_order() {
         let owned = plan.dist.owned(rank);
         for tile in &plan.tiles {
             elems.push(owned.intersect(tile).len());
@@ -144,8 +150,8 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
     }
     collector.begin(&RunMeta {
         engine: EngineKind::Sim,
-        procs: plan.p,
-        active: plan.active_ranks(),
+        procs,
+        active: plan.active_cells(),
         tiles: nt,
         block: plan.block,
         pipelined: plan.is_pipelined(),
@@ -158,9 +164,17 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
         elems,
         nt,
     };
-    let result = simulate_observed(&tasks, params, plan.p, CommMode::Blocking, &mut adapter);
+    let result = simulate_observed(&tasks, params, procs, CommMode::Blocking, &mut adapter);
     collector.end(result.makespan);
     result
+}
+
+/// A line of `p` processors forced along `dist_dim`.
+fn along(p: usize, dist_dim: usize) -> JobTopology {
+    JobTopology::Line {
+        procs: p,
+        dist_dim: Some(dist_dim),
+    }
 }
 
 /// Outcome of simulating one nest of a program.
@@ -190,9 +204,9 @@ pub(crate) fn simulate_nest<const R: usize>(
     policy: &BlockPolicy,
     params: &MachineParams,
 ) -> NestSim {
-    match WavefrontPlan::build(nest, p, Some(dist_dim), policy, params) {
+    match WavefrontPlan::build(nest, along(p, dist_dim), policy, params) {
         Ok(plan) => {
-            let r = simulate(&plan_dag(&plan), params, plan.p);
+            let r = simulate(&plan_dag(&plan), params, p);
             NestSim {
                 time: r.makespan,
                 pipelined: plan.is_pipelined(),
@@ -416,8 +430,7 @@ pub(crate) fn simulate_program_fused<const R: usize>(
         match op {
             wavefront_core::exec::CompiledOp::Block(b) => {
                 for nest in &b.nests {
-                    let stage = match WavefrontPlan::build(nest, p, Some(dist_dim), policy, params)
-                    {
+                    let stage = match WavefrontPlan::build(nest, along(p, dist_dim), policy, params) {
                         Ok(plan) => plan_dag(&plan),
                         Err(_) => parallel_stage(nest, p, dist_dim),
                     };
@@ -530,7 +543,7 @@ pub(crate) fn simulate_reduce<const R: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::tests::tomcatv_nest;
+    use crate::plan::tests::{sweep_nest, tomcatv_nest};
     use wavefront_core::prelude::*;
     use wavefront_model::PipeModel;
 
@@ -557,8 +570,9 @@ mod tests {
         let nest = compiled.nest(0);
         for b in [4usize, 16, 64] {
             let plan =
-                WavefrontPlan::build(nest, p, None, &BlockPolicy::Fixed(b), &params).unwrap();
-            let sim = simulate(&plan_dag(&plan), &params, plan.p).makespan;
+                WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &params)
+                    .unwrap();
+            let sim = simulate(&plan_dag(&plan), &params, p).makespan;
             let model = PipeModel::new(n - 1, p, params.alpha, params.beta).t_pipe(b as f64);
             // The closed-form model serializes the whole message chain
             // with the computation, while the simulator overlaps them, so
@@ -679,6 +693,28 @@ mod tests {
         assert!((sim.total - (sim.nests[0].time + sim.nests[1].time)).abs() < 1e-12);
         assert!(!sim.nests[0].wavefront);
         assert!(sim.nests[1].wavefront);
+    }
+
+    #[test]
+    fn simulated_mesh_pipelining_beats_naive() {
+        let (_program, nest) = sweep_nest(33);
+        let params = t3e();
+        let makespan = |mesh, policy: &BlockPolicy| {
+            let plan = WavefrontPlan::build(&nest, JobTopology::mesh(mesh), policy, &params).unwrap();
+            simulate(&plan_dag(&plan), &params, plan.procs()).makespan
+        };
+        let t_pipe = makespan([4, 4], &BlockPolicy::Model2);
+        let t_naive = makespan([4, 4], &BlockPolicy::FullPortion);
+        assert!(
+            t_pipe < t_naive,
+            "pipelined {t_pipe} should beat naive {t_naive}"
+        );
+        // And it must scale: one big mesh beats one cell.
+        let t_single = makespan([1, 1], &BlockPolicy::Model2);
+        assert!(
+            t_pipe < t_single / 4.0,
+            "mesh {t_pipe} vs single {t_single}"
+        );
     }
 }
 

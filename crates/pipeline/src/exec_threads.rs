@@ -23,16 +23,11 @@ use wavefront_core::kernel::{KernelMode, NestRunner};
 use wavefront_core::program::{Program, Store};
 use wavefront_core::region::Region;
 
-use crate::plan::WavefrontPlan;
+use crate::plan::{read_margins, WavefrontPlan};
 use crate::service::pool::WorkerPool;
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
 };
-
-/// What each worker hands back at the join barrier: its local store
-/// slice, messages sent, fresh buffer allocations, and buffered
-/// telemetry.
-type WorkerResult<const R: usize> = (Store<R>, usize, usize, Vec<WorkerEv>);
 
 /// One worker-side telemetry record, stamped in seconds since the run's
 /// epoch. Workers buffer these locally (only when a collector is
@@ -47,48 +42,34 @@ enum WorkerEv {
         elems: usize,
     },
     Sent {
+        axis: usize,
         tile: usize,
         elems: usize,
         at: f64,
     },
     Recv {
+        axis: usize,
         wait_start: f64,
         at: f64,
     },
 }
 
 /// Outcome of a threaded execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadReport {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ThreadReport {
     /// Wall-clock time of the parallel section (excluding the initial
     /// scatter and final gather).
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
     /// Number of boundary messages exchanged.
-    pub messages: usize,
+    pub(crate) messages: usize,
     /// Number of message buffers freshly allocated (as opposed to reused
     /// from the recycle pool). Bounded by the per-link channel depth, not
     /// by the tile count: steady-state exchange allocates nothing.
-    pub buffer_allocs: usize,
-}
-
-/// Read-ghost margins per array: the maximum absolute shift used on each
-/// dimension.
-fn margins<const R: usize>(nest: &CompiledNest<R>) -> Vec<[i64; R]> {
-    let max_id = nest
-        .stmts
-        .iter()
-        .flat_map(|s| s.rhs.reads().into_iter().map(|r| r.id).chain([s.lhs]))
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut out = vec![[0i64; R]; max_id];
-    for s in &nest.stmts {
-        for r in s.rhs.reads() {
-            for k in 0..R {
-                out[r.id][k] = out[r.id][k].max(r.shift[k].abs());
-            }
-        }
-    }
-    out
+    pub(crate) buffer_allocs: usize,
+    /// `spans[cell][iteration] = (start, end)`: per-cell busy spans in
+    /// seconds since the run's epoch, from which the loop runner derives
+    /// the cross-iteration overlap.
+    pub(crate) spans: Vec<Vec<(f64, f64)>>,
 }
 
 /// Facts about a nest every worker needs, computed once on the main
@@ -121,29 +102,30 @@ pub(crate) fn prepare<const R: usize>(
     written.sort_unstable();
     written.dedup();
     NestPrep {
-        margins: margins(nest),
+        margins: read_margins(nest),
         referenced,
         written,
         runner: NestRunner::with_mode(nest, kernel_mode),
     }
 }
 
-/// Serialize the per-array boundary slabs of `sender_owned` for `tile`
-/// into `out` (cleared first; reusing the buffer keeps the steady-state
-/// exchange allocation-free). A processor owning fewer indices than an
-/// array's thickness relays the ghost values it received from further
-/// upstream (the slab is clamped to the covering region, not to the
-/// owner).
+/// Serialize the per-array boundary slabs `owner` sends along `axis` for
+/// `tile` into `out` (cleared first; reusing the buffer keeps the
+/// steady-state exchange allocation-free). A processor owning fewer
+/// indices than an array's thickness relays the ghost values it received
+/// from further upstream (the slab is clamped to the covering region,
+/// not to the owner).
 fn encode_into<const R: usize>(
     plan: &WavefrontPlan<R>,
     local: &Store<R>,
-    sender_owned: Region<R>,
+    owner: Region<R>,
     tile: &Region<R>,
+    axis: usize,
     out: &mut Vec<f64>,
 ) {
     out.clear();
-    for &(id, t) in &plan.comm_arrays {
-        let region = plan.boundary_slab(sender_owned, tile, t);
+    for &(id, t) in &plan.axes[axis].comm {
+        let region = plan.boundary_slab(owner, tile, axis, t, plan.margins[id]);
         let arr = local.get(id);
         for p in region.iter() {
             out.push(arr.get(p));
@@ -151,18 +133,19 @@ fn encode_into<const R: usize>(
     }
 }
 
-/// Inverse of [`encode`]: write the boundary slabs (computed from the
-/// upstream neighbour's owned region) into the local ghost margins.
+/// Inverse of [`encode_into`]: write the boundary slabs (computed from
+/// the upstream neighbour's owned region) into the local ghost margins.
 fn decode<const R: usize>(
     plan: &WavefrontPlan<R>,
     local: &mut Store<R>,
     upstream_owned: Region<R>,
     tile: &Region<R>,
+    axis: usize,
     data: &[f64],
 ) {
     let mut it = data.iter();
-    for &(id, t) in &plan.comm_arrays {
-        let region = plan.boundary_slab(upstream_owned, tile, t);
+    for &(id, t) in &plan.axes[axis].comm {
+        let region = plan.boundary_slab(upstream_owned, tile, axis, t, plan.margins[id]);
         let arr = local.get_mut(id);
         for p in region.iter() {
             arr.set(p, *it.next().expect("message shorter than its region"));
@@ -204,26 +187,6 @@ fn build_local<const R: usize>(
     Store::from_arrays(arrays)
 }
 
-/// Execute `nest` under `plan` with real threads and channels, updating
-/// `store` in place, reporting telemetry to `collector`. Results are
-/// bit-identical to the sequential executor.
-///
-/// Workers buffer events in thread-local vectors (timestamps relative to
-/// a shared epoch) and the stream is replayed into the collector after
-/// the join; with a disabled collector the workers do exactly what the
-/// uninstrumented engine did — in particular, no extra messages and no
-/// timer reads.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn execute_plan_threaded_collected<const R: usize>(
-    program: &Program<R>,
-    nest: &CompiledNest<R>,
-    plan: &WavefrontPlan<R>,
-    store: &mut Store<R>,
-    collector: &mut dyn Collector,
-) -> ThreadReport {
-    execute_plan_threaded_collected_opts(program, nest, plan, store, collector, KernelMode::Lanes)
-}
-
 /// Depth of each inter-rank data channel. Bounding the in-flight message
 /// count is what makes buffer recycling effective: a sender can be at
 /// most `LINK_DEPTH` tiles ahead of its receiver, so at most
@@ -233,29 +196,27 @@ pub(crate) fn execute_plan_threaded_collected<const R: usize>(
 /// downstream ranks, and the last rank never sends.
 pub(crate) const LINK_DEPTH: usize = 4;
 
-/// [`execute_plan_threaded_collected`] with explicit options: `kernels`
-/// selects compiled tile kernels (`true`, the default) or forces the
-/// reference interpreter (`false` — the baseline `kernel_bench`
-/// measures against). Spins up a throwaway worker pool; repeated runs
-/// should go through [`crate::service::WavefrontService`] (or a shared
-/// pool via [`execute_plan_threaded_pooled_opts`]) instead.
-pub(crate) fn execute_plan_threaded_collected_opts<const R: usize>(
-    program: &Program<R>,
-    nest: &CompiledNest<R>,
-    plan: &WavefrontPlan<R>,
-    store: &mut Store<R>,
-    collector: &mut dyn Collector,
-    kernel_mode: KernelMode,
-) -> ThreadReport {
-    let workers = WorkerPool::new();
-    execute_plan_threaded_pooled_opts(&workers, program, nest, plan, store, collector, kernel_mode)
+/// One cell's channel endpoints along one axis. Data flows downstream
+/// through a bounded channel; drained buffers flow back upstream through
+/// an unbounded recycle channel, so the steady state reuses a fixed pool
+/// instead of allocating a fresh `Vec` per tile message.
+#[derive(Default)]
+struct Port<const R: usize> {
+    /// Boundary data from the upstream neighbour, with its owned region.
+    rx: Option<(Receiver<Vec<f64>>, Region<R>)>,
+    /// Drained buffers back to the upstream neighbour.
+    ret: Option<Sender<Vec<f64>>>,
+    /// Boundary data to the downstream neighbour.
+    tx: Option<SyncSender<Vec<f64>>>,
+    /// Recycled buffers from the downstream neighbour.
+    pool: Option<Receiver<Vec<f64>>>,
 }
 
-/// [`execute_plan_threaded_collected_opts`] on a caller-provided worker
-/// pool: the nest/plan are cloned into `Arc`s and the kernel prep is
-/// built fresh. The adaptive tuner uses this to share one pool across
-/// its probe and remainder phases.
-pub(crate) fn execute_plan_threaded_pooled_opts<const R: usize>(
+/// [`execute_threaded`] for one sweep with the kernel prep built fresh:
+/// the convenience the adaptive tuner uses to share one pool across its
+/// probe and remainder phases. Repeated runs should go through
+/// [`crate::service::WavefrontService`], which caches the prep.
+pub(crate) fn execute_plan_threaded<const R: usize>(
     workers: &WorkerPool,
     program: &Program<R>,
     nest: &CompiledNest<R>,
@@ -267,216 +228,7 @@ pub(crate) fn execute_plan_threaded_pooled_opts<const R: usize>(
     let nest = Arc::new(nest.clone());
     let plan = Arc::new(plan.clone());
     let prep = Arc::new(prepare(program, &nest, kernel_mode));
-    execute_prepared_threaded(workers, program, &nest, &plan, &prep, store, collector)
-}
-
-/// The threaded engine core: dispatch one task per active rank onto a
-/// persistent [`WorkerPool`] and join on a result channel. Tasks capture
-/// only `Arc`-shared immutable state (nest, plan, prep), their moved
-/// local store, and owned channel endpoints, so they are `'static` and
-/// need no scoped spawn; the pool's threads are parked between runs
-/// instead of re-created. A panicking task cascades through the data
-/// channels (disconnect → neighbours panic) until every result sender
-/// is dropped, which surfaces here as a `recv` failure — the same
-/// observable failure the old scoped `join()` produced.
-pub(crate) fn execute_prepared_threaded<const R: usize>(
-    workers: &WorkerPool,
-    program: &Program<R>,
-    nest: &Arc<CompiledNest<R>>,
-    plan: &Arc<WavefrontPlan<R>>,
-    prep: &Arc<NestPrep<R>>,
-    store: &mut Store<R>,
-    collector: &mut dyn Collector,
-) -> ThreadReport {
-    assert!(
-        nest.buffered.is_empty(),
-        "buffered nests carry no wavefront and are never planned"
-    );
-    let enabled = collector.enabled();
-    // Only ranks owning data participate; they form a contiguous chain in
-    // wave order (block_split puts empty blocks at the end).
-    let ranks: Vec<usize> = plan.active_ranks();
-    if enabled {
-        collector.begin(&RunMeta {
-            engine: EngineKind::Threads,
-            procs: plan.p,
-            active: ranks.clone(),
-            tiles: plan.tiles.len(),
-            block: plan.block,
-            pipelined: plan.is_pipelined(),
-            machine: "host".to_string(),
-            time_unit: TimeUnit::Seconds,
-            predicted: plan.predicted_traffic(),
-        });
-    }
-    if ranks.is_empty() {
-        if enabled {
-            collector.end(0.0);
-        }
-        return ThreadReport {
-            elapsed: Duration::ZERO,
-            messages: 0,
-            buffer_allocs: 0,
-        };
-    }
-
-    // Scatter: build each rank's local store up front, on this thread —
-    // workers receive everything they need by value or behind an `Arc`.
-    let mut locals: Vec<Store<R>> = ranks
-        .iter()
-        .map(|&r| build_local(program, prep, store, plan.dist.owned(r)))
-        .collect();
-
-    // One bounded data channel per adjacent pair in wave order, plus an
-    // unbounded recycle channel flowing the other way: receivers return
-    // drained buffers upstream so the steady state reuses a fixed pool
-    // instead of allocating a fresh `Vec` per tile message.
-    let n = ranks.len();
-    let mut senders: Vec<Option<SyncSender<Vec<f64>>>> = vec![None; n];
-    let mut receivers: Vec<Option<Receiver<Vec<f64>>>> = (0..n).map(|_| None).collect();
-    let mut recycle_tx: Vec<Option<Sender<Vec<f64>>>> = vec![None; n];
-    let mut recycle_rx: Vec<Option<Receiver<Vec<f64>>>> = (0..n).map(|_| None).collect();
-    for i in 0..n.saturating_sub(1) {
-        let (tx, rx) = sync_channel(LINK_DEPTH);
-        senders[i] = Some(tx);
-        receivers[i + 1] = Some(rx);
-        let (rtx, rrx) = channel();
-        recycle_tx[i + 1] = Some(rtx);
-        recycle_rx[i] = Some(rrx);
-    }
-
-    // All ranks of one run rendezvous through bounded channels, so the
-    // pool must hold at least one worker per rank before dispatch.
-    workers.ensure_workers(n);
-
-    let mut message_count = 0usize;
-    let mut buffer_allocs = 0usize;
-    let (res_tx, res_rx) = channel::<(usize, Store<R>, usize, usize, Vec<WorkerEv>)>();
-    let epoch = Instant::now();
-    for (i, (&rank, mut local)) in ranks.iter().zip(locals.drain(..)).enumerate() {
-        let tx = senders[i].take();
-        let rx = receivers[i].take();
-        let pool = recycle_rx[i].take();
-        let ret = recycle_tx[i].take();
-        let upstream_owned = plan.upstream(rank).map(|u| plan.dist.owned(u));
-        let owned = plan.dist.owned(rank);
-        let plan = Arc::clone(plan);
-        let nest = Arc::clone(nest);
-        let prep = Arc::clone(prep);
-        let res_tx = res_tx.clone();
-        workers.execute(Box::new(move || {
-            let mut sent = 0usize;
-            let mut fresh = 0usize;
-            let mut evs: Vec<WorkerEv> = Vec::new();
-            // Resolve the kernel against this rank's local geometry
-            // once; every tile reuses the binding.
-            let bound = prep.runner.bind(&local, &plan.order);
-            for (ti, tile) in plan.tiles.iter().enumerate() {
-                let sub = owned.intersect(tile);
-                if let (Some(rx), Some(up)) = (&rx, upstream_owned) {
-                    if !plan.comm_arrays.is_empty() {
-                        let wait_start = enabled.then(|| epoch.elapsed().as_secs_f64());
-                        let data = rx.recv().expect("upstream hung up mid-wave");
-                        if let Some(ws) = wait_start {
-                            evs.push(WorkerEv::Recv {
-                                wait_start: ws,
-                                at: epoch.elapsed().as_secs_f64(),
-                            });
-                        }
-                        decode(&plan, &mut local, up, tile, &data);
-                        // Hand the drained buffer back upstream; the
-                        // sender may already be gone at the tail.
-                        if let Some(ret) = &ret {
-                            let _ = ret.send(data);
-                        }
-                    }
-                }
-                if !sub.is_empty() {
-                    let t0 = enabled.then(|| epoch.elapsed().as_secs_f64());
-                    prep.runner
-                        .run_tile(&nest, bound.as_ref(), sub, &plan.order, &mut local);
-                    if let Some(t0) = t0 {
-                        evs.push(WorkerEv::Block {
-                            tile: ti,
-                            start: t0,
-                            end: epoch.elapsed().as_secs_f64(),
-                            elems: sub.len(),
-                        });
-                    }
-                }
-                if let Some(tx) = &tx {
-                    if !plan.comm_arrays.is_empty() {
-                        let mut data = match pool.as_ref().and_then(|p| p.try_recv().ok()) {
-                            Some(buf) => buf,
-                            None => {
-                                fresh += 1;
-                                Vec::new()
-                            }
-                        };
-                        encode_into(&plan, &local, owned, tile, &mut data);
-                        if enabled {
-                            evs.push(WorkerEv::Sent {
-                                tile: ti,
-                                elems: data.len(),
-                                at: epoch.elapsed().as_secs_f64(),
-                            });
-                        }
-                        tx.send(data).expect("downstream hung up mid-wave");
-                        sent += 1;
-                    }
-                }
-            }
-            let _ = res_tx.send((i, local, sent, fresh, evs));
-        }));
-    }
-    drop(res_tx);
-    // Join barrier: exactly one result per rank, arriving in completion
-    // order. A dropped sender before all n arrive means a worker died.
-    let mut slots: Vec<Option<WorkerResult<R>>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let (i, local, sent, fresh, evs) = res_rx.recv().expect("worker panicked");
-        message_count += sent;
-        buffer_allocs += fresh;
-        slots[i] = Some((local, sent, fresh, evs));
-    }
-    let mut events: Vec<Vec<WorkerEv>> = Vec::with_capacity(n);
-    locals = slots
-        .into_iter()
-        .map(|s| {
-            let (local, _, _, evs) = s.expect("every rank reports exactly once");
-            events.push(evs);
-            local
-        })
-        .collect();
-    let elapsed = epoch.elapsed();
-
-    if enabled {
-        replay(collector, &ranks, &events, elapsed.as_secs_f64());
-    }
-
-    // Gather: copy each rank's owned portion of every written array back.
-    for (&rank, local) in ranks.iter().zip(&locals) {
-        let owned = plan.dist.owned(rank);
-        for &id in &prep.written {
-            store.get_mut(id).copy_region_from(local.get(id), owned);
-        }
-    }
-
-    ThreadReport {
-        elapsed,
-        messages: message_count,
-        buffer_allocs,
-    }
-}
-
-/// Outcome of a fused multi-iteration (time-stepping) execution: the
-/// usual [`ThreadReport`] plus per-rank, per-iteration busy spans in
-/// seconds since the run's epoch, from which the caller derives the
-/// cross-iteration overlap metric.
-pub(crate) struct LoopReport {
-    pub(crate) report: ThreadReport,
-    /// `spans[rank_index][iteration] = (start, end)`.
-    pub(crate) spans: Vec<Vec<(f64, f64)>>,
+    execute_threaded(workers, program, &nest, &plan, &prep, store, 1, &[], true, collector)
 }
 
 /// [`prepare`] for a fused loop with slot rotation: buffers physically
@@ -580,27 +332,42 @@ fn rotate_slots<const R: usize>(local: &mut Store<R>, rotate: &[(ArrayId, ArrayI
     }
 }
 
-/// The fused time-stepping core: run `iters` whole sweeps of `nest`
-/// inside **one** engine invocation — scatter once, iterate, gather
-/// once — with the paper's fill/steady/drain staircase lifted one level
-/// up. A rank that has drained its tiles of iteration *k* immediately
-/// starts iteration *k+1*: the bounded per-link channels carry the
-/// next iteration's boundary slabs right behind the current one (same
-/// order both ends, so no tagging is needed), waits still point only
-/// upstream, and `LINK_DEPTH` keeps memory bounded, so the schedule is
-/// deadlock-free for any `iters`.
-///
+/// The threaded engine: run `iters` whole sweeps of `nest` under `plan`
+/// with real threads and channels inside **one** invocation — scatter
+/// once, iterate, gather once — updating `store` in place and reporting
+/// telemetry to `collector`. A one-shot run is `iters = 1`, no rotation.
 /// Results are bit-identical to running the sweeps back to back
-/// sequentially: every cross-rank read of a written array is a primed
-/// (this-sweep) read along the distributed dimension — decomposability
-/// guarantees that — and each iteration's own messages re-deliver the
-/// boundary, so no extra inter-iteration halo exchange exists to get
-/// wrong. `rotate` swaps local buffers behind array ids between
-/// iterations (use [`prepare_rotated`] for the prep); `pipelined:
-/// false` inserts a full barrier between iterations, the ablation the
-/// timestep bench's overlap gate catches.
+/// sequentially.
+///
+/// One task per active cell is dispatched onto a persistent
+/// [`WorkerPool`] and joined on a result channel. Tasks capture only
+/// `Arc`-shared immutable state (nest, plan, prep), their moved local
+/// store, and owned channel endpoints, so they are `'static` and need no
+/// scoped spawn; the pool's threads are parked between runs instead of
+/// re-created. A panicking task cascades through the data channels
+/// (disconnect → neighbours panic) until every result sender is dropped,
+/// which surfaces here as a `recv` failure.
+///
+/// Across iterations the paper's fill/steady/drain staircase is lifted
+/// one level up: a cell that has drained its tiles of iteration *k*
+/// immediately starts iteration *k+1*. The bounded per-link channels
+/// carry the next iteration's boundary slabs right behind the current
+/// one (same order both ends, so no tagging is needed), waits still
+/// point only upstream, and `LINK_DEPTH` keeps memory bounded, so the
+/// schedule is deadlock-free for any `iters`. Every cross-rank read of a
+/// written array is a primed (this-sweep) read along a distributed
+/// dimension — decomposability guarantees that — and each iteration's
+/// own messages re-deliver the boundary, so no extra inter-iteration
+/// halo exchange exists to get wrong. `rotate` swaps local buffers
+/// behind array ids between iterations (use [`prepare_rotated`] for the
+/// prep); `pipelined: false` inserts a full barrier between iterations,
+/// the ablation the timestep bench's overlap gate catches.
+///
+/// Workers buffer telemetry in thread-local vectors (timestamps relative
+/// to a shared epoch) and the stream is replayed into the collector
+/// after the join; with a disabled collector they read no timers.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_loop_threaded<const R: usize>(
+pub(crate) fn execute_threaded<const R: usize>(
     workers: &WorkerPool,
     program: &Program<R>,
     nest: &Arc<CompiledNest<R>>,
@@ -611,19 +378,20 @@ pub(crate) fn execute_loop_threaded<const R: usize>(
     rotate: &[(ArrayId, ArrayId)],
     pipelined: bool,
     collector: &mut dyn Collector,
-) -> LoopReport {
+) -> ThreadReport {
     assert!(
         nest.buffered.is_empty(),
         "buffered nests carry no wavefront and are never planned"
     );
-    assert!(iters >= 1, "a loop runs at least one iteration");
+    assert!(iters >= 1, "a run sweeps at least once");
     let enabled = collector.enabled();
-    let ranks: Vec<usize> = plan.active_ranks();
+    // Only cells owning data participate.
+    let cells: Vec<usize> = plan.active_cells();
     if enabled {
         collector.begin(&RunMeta {
             engine: EngineKind::Threads,
-            procs: plan.p,
-            active: ranks.clone(),
+            procs: plan.procs(),
+            active: cells.clone(),
             tiles: plan.tiles.len(),
             block: plan.block,
             pipelined: plan.is_pipelined(),
@@ -632,55 +400,67 @@ pub(crate) fn execute_loop_threaded<const R: usize>(
             predicted: plan.predicted_traffic(),
         });
     }
-    if ranks.is_empty() {
+    let n = cells.len();
+    if n == 0 {
         if enabled {
             collector.end(0.0);
         }
-        return LoopReport {
-            report: ThreadReport {
-                elapsed: Duration::ZERO,
-                messages: 0,
-                buffer_allocs: 0,
-            },
+        return ThreadReport {
+            elapsed: Duration::ZERO,
+            messages: 0,
+            buffer_allocs: 0,
             spans: Vec::new(),
         };
     }
 
-    // Scatter once; the locals stay resident across all iterations.
-    let mut locals: Vec<Store<R>> = ranks
+    // Scatter once, on this thread — workers receive everything they
+    // need by value or behind an `Arc`; the locals stay resident across
+    // all iterations.
+    let mut locals: Vec<Store<R>> = cells
         .iter()
         .map(|&r| build_local(program, prep, store, plan.dist.owned(r)))
         .collect();
 
-    let n = ranks.len();
-    let mut senders: Vec<Option<SyncSender<Vec<f64>>>> = vec![None; n];
-    let mut receivers: Vec<Option<Receiver<Vec<f64>>>> = (0..n).map(|_| None).collect();
-    let mut recycle_tx: Vec<Option<Sender<Vec<f64>>>> = vec![None; n];
-    let mut recycle_rx: Vec<Option<Receiver<Vec<f64>>>> = (0..n).map(|_| None).collect();
-    for i in 0..n.saturating_sub(1) {
-        let (tx, rx) = sync_channel(LINK_DEPTH);
-        senders[i] = Some(tx);
-        receivers[i + 1] = Some(rx);
-        let (rtx, rrx) = channel();
-        recycle_tx[i + 1] = Some(rtx);
-        recycle_rx[i] = Some(rrx);
+    // One link per axis with communicated arrays and per adjacent pair
+    // of active cells, wired by active-cell index.
+    let mut index: Vec<Option<usize>> = vec![None; plan.procs()];
+    for (i, &rank) in cells.iter().enumerate() {
+        index[rank] = Some(i);
     }
+    let mut ports: Vec<Vec<Port<R>>> = (0..n)
+        .map(|_| plan.axes.iter().map(|_| Port::default()).collect())
+        .collect();
+    for (i, &rank) in cells.iter().enumerate() {
+        for (axis, a) in plan.axes.iter().enumerate() {
+            let Some(d) = plan.downstream(rank, axis).and_then(|d| index[d]) else {
+                continue;
+            };
+            if a.comm.is_empty() {
+                continue;
+            }
+            let (tx, rx) = sync_channel(LINK_DEPTH);
+            let (rtx, rrx) = channel();
+            ports[i][axis].tx = Some(tx);
+            ports[i][axis].pool = Some(rrx);
+            ports[d][axis].rx = Some((rx, plan.dist.owned(rank)));
+            ports[d][axis].ret = Some(rtx);
+        }
+    }
+
+    // All cells of one run rendezvous through bounded channels, so the
+    // pool must hold at least one worker per cell before dispatch.
     workers.ensure_workers(n);
-    // The no-overlap ablation: every rank waits here after each
+    // The no-overlap ablation: every cell waits here after each
     // iteration, flattening the staircase back to lock-step.
     let barrier = (!pipelined).then(|| Arc::new(std::sync::Barrier::new(n)));
 
-    let mut message_count = 0usize;
-    let mut buffer_allocs = 0usize;
-    type LoopResult<const R: usize> = (usize, Store<R>, usize, usize, Vec<WorkerEv>, Vec<(f64, f64)>);
-    let (res_tx, res_rx) = channel::<LoopResult<R>>();
+    // (local store, messages sent, fresh buffers, events, busy spans).
+    type CellResult<const R: usize> = (Store<R>, usize, usize, Vec<WorkerEv>, Vec<(f64, f64)>);
+    let (res_tx, res_rx) = channel::<(usize, CellResult<R>)>();
     let epoch = Instant::now();
-    for (i, (&rank, mut local)) in ranks.iter().zip(locals.drain(..)).enumerate() {
-        let tx = senders[i].take();
-        let rx = receivers[i].take();
-        let pool = recycle_rx[i].take();
-        let ret = recycle_tx[i].take();
-        let upstream_owned = plan.upstream(rank).map(|u| plan.dist.owned(u));
+    for (i, ((&rank, mut local), ports)) in
+        cells.iter().zip(locals.drain(..)).zip(ports).enumerate()
+    {
         let owned = plan.dist.owned(rank);
         let plan = Arc::clone(plan);
         let nest = Arc::clone(nest);
@@ -689,6 +469,7 @@ pub(crate) fn execute_loop_threaded<const R: usize>(
         let barrier = barrier.clone();
         let res_tx = res_tx.clone();
         workers.execute(Box::new(move || {
+            let now = || epoch.elapsed().as_secs_f64();
             let mut sent = 0usize;
             let mut fresh = 0usize;
             let mut evs: Vec<WorkerEv> = Vec::new();
@@ -700,95 +481,102 @@ pub(crate) fn execute_loop_threaded<const R: usize>(
                     }
                     rotate_slots(&mut local, &rotate);
                 }
-                // Buffers may have moved between slots, so re-resolve
-                // the kernel binding each iteration (shapes within a
-                // rotation class are identical, but base addresses are
-                // not).
+                // Resolve the kernel against this cell's local geometry
+                // once per sweep; every tile reuses the binding. Buffers
+                // may have moved between slots since the last sweep
+                // (shapes within a rotation class are identical, but
+                // base addresses are not).
                 let bound = prep.runner.bind(&local, &plan.order);
-                let span_start = epoch.elapsed().as_secs_f64();
+                let span_start = now();
                 for (ti, tile) in plan.tiles.iter().enumerate() {
-                    let sub = owned.intersect(tile);
-                    if let (Some(rx), Some(up)) = (&rx, upstream_owned) {
-                        if !plan.comm_arrays.is_empty() {
-                            let wait_start = enabled.then(|| epoch.elapsed().as_secs_f64());
-                            let data = rx.recv().expect("upstream hung up mid-loop");
-                            if let Some(ws) = wait_start {
-                                evs.push(WorkerEv::Recv {
-                                    wait_start: ws,
-                                    at: epoch.elapsed().as_secs_f64(),
-                                });
-                            }
-                            decode(&plan, &mut local, up, tile, &data);
-                            if let Some(ret) = &ret {
-                                let _ = ret.send(data);
-                            }
+                    for (axis, port) in ports.iter().enumerate() {
+                        let Some((rx, upstream_owned)) = &port.rx else {
+                            continue;
+                        };
+                        let wait_start = enabled.then(now);
+                        let data = rx.recv().expect("upstream hung up mid-wave");
+                        if let Some(wait_start) = wait_start {
+                            evs.push(WorkerEv::Recv {
+                                axis,
+                                wait_start,
+                                at: now(),
+                            });
+                        }
+                        decode(&plan, &mut local, *upstream_owned, tile, axis, &data);
+                        // Hand the drained buffer back upstream; the
+                        // sender may already be gone at the tail.
+                        if let Some(ret) = &port.ret {
+                            let _ = ret.send(data);
                         }
                     }
+                    let sub = owned.intersect(tile);
                     if !sub.is_empty() {
-                        let t0 = enabled.then(|| epoch.elapsed().as_secs_f64());
+                        let start = enabled.then(now);
                         prep.runner
                             .run_tile(&nest, bound.as_ref(), sub, &plan.order, &mut local);
-                        if let Some(t0) = t0 {
+                        if let Some(start) = start {
                             evs.push(WorkerEv::Block {
                                 tile: ti,
-                                start: t0,
-                                end: epoch.elapsed().as_secs_f64(),
+                                start,
+                                end: now(),
                                 elems: sub.len(),
                             });
                         }
                     }
-                    if let Some(tx) = &tx {
-                        if !plan.comm_arrays.is_empty() {
-                            let mut data = match pool.as_ref().and_then(|p| p.try_recv().ok()) {
-                                Some(buf) => buf,
-                                None => {
-                                    fresh += 1;
-                                    Vec::new()
-                                }
-                            };
-                            encode_into(&plan, &local, owned, tile, &mut data);
-                            if enabled {
-                                evs.push(WorkerEv::Sent {
-                                    tile: ti,
-                                    elems: data.len(),
-                                    at: epoch.elapsed().as_secs_f64(),
-                                });
+                    for (axis, port) in ports.iter().enumerate() {
+                        let Some(tx) = &port.tx else { continue };
+                        let mut data = match port.pool.as_ref().and_then(|p| p.try_recv().ok()) {
+                            Some(buf) => buf,
+                            None => {
+                                fresh += 1;
+                                Vec::new()
                             }
-                            tx.send(data).expect("downstream hung up mid-loop");
-                            sent += 1;
+                        };
+                        encode_into(&plan, &local, owned, tile, axis, &mut data);
+                        if enabled {
+                            evs.push(WorkerEv::Sent {
+                                axis,
+                                tile: ti,
+                                elems: data.len(),
+                                at: now(),
+                            });
                         }
+                        tx.send(data).expect("downstream hung up mid-wave");
+                        sent += 1;
                     }
                 }
-                spans.push((span_start, epoch.elapsed().as_secs_f64()));
+                spans.push((span_start, now()));
             }
-            let _ = res_tx.send((i, local, sent, fresh, evs, spans));
+            let _ = res_tx.send((i, (local, sent, fresh, evs, spans)));
         }));
     }
     drop(res_tx);
-    // (local store, messages sent, fresh buffers, events, busy spans).
-    type RankReport<const R: usize> = (Store<R>, usize, usize, Vec<WorkerEv>, Vec<(f64, f64)>);
-    let mut slots: Vec<Option<RankReport<R>>> = (0..n).map(|_| None).collect();
+    // Join barrier: exactly one result per cell, arriving in completion
+    // order. A dropped sender before all n arrive means a worker died.
+    let mut slots: Vec<Option<CellResult<R>>> = (0..n).map(|_| None).collect();
     for _ in 0..n {
-        let (i, local, sent, fresh, evs, spans) = res_rx.recv().expect("worker panicked");
-        message_count += sent;
-        buffer_allocs += fresh;
-        slots[i] = Some((local, sent, fresh, evs, spans));
+        let (i, result) = res_rx.recv().expect("worker panicked");
+        slots[i] = Some(result);
     }
-    let mut events: Vec<Vec<WorkerEv>> = Vec::with_capacity(n);
-    let mut all_spans: Vec<Vec<(f64, f64)>> = Vec::with_capacity(n);
-    locals = slots
-        .into_iter()
-        .map(|s| {
-            let (local, _, _, evs, spans) = s.expect("every rank reports exactly once");
-            events.push(evs);
-            all_spans.push(spans);
-            local
-        })
-        .collect();
     let elapsed = epoch.elapsed();
+    let mut report = ThreadReport {
+        elapsed,
+        messages: 0,
+        buffer_allocs: 0,
+        spans: Vec::with_capacity(n),
+    };
+    let mut events: Vec<Vec<WorkerEv>> = Vec::with_capacity(n);
+    for slot in slots {
+        let (local, sent, fresh, evs, spans) = slot.expect("every cell reports exactly once");
+        report.messages += sent;
+        report.buffer_allocs += fresh;
+        report.spans.push(spans);
+        events.push(evs);
+        locals.push(local);
+    }
 
     if enabled {
-        replay(collector, &ranks, &events, elapsed.as_secs_f64());
+        replay(collector, plan, &cells, &index, &events, elapsed.as_secs_f64());
     }
 
     // A rotation renames *whole buffers* — border cells the sweep never
@@ -800,32 +588,31 @@ pub(crate) fn execute_loop_threaded<const R: usize>(
         rotate_slots(store, rotate);
     }
 
-    // Gather once. `prep.written` includes every rotation-class member
-    // (see `prepare_rotated`), so the buffer that rotated into a
-    // read-only slot is published too.
-    for (&rank, local) in ranks.iter().zip(&locals) {
+    // Gather once: copy each cell's owned portion of every written array
+    // back. `prep.written` includes every rotation-class member (see
+    // `prepare_rotated`), so the buffer that rotated into a read-only
+    // slot is published too.
+    for (&rank, local) in cells.iter().zip(&locals) {
         let owned = plan.dist.owned(rank);
         for &id in &prep.written {
             store.get_mut(id).copy_region_from(local.get(id), owned);
         }
     }
-
-    LoopReport {
-        report: ThreadReport {
-            elapsed,
-            messages: message_count,
-            buffer_allocs,
-        },
-        spans: all_spans,
-    }
+    report
 }
 
 /// Replay buffered worker events into the collector: blocks and waits
-/// directly, messages by pairing each link's sends with the downstream
-/// worker's receives (both are in tile order).
-fn replay(collector: &mut dyn Collector, ranks: &[usize], events: &[Vec<WorkerEv>], makespan: f64) {
-    for (i, evs) in events.iter().enumerate() {
-        let rank = ranks[i];
+/// directly, messages by pairing each (cell, axis) send stream with the
+/// downstream cell's same-axis receive stream (both are in tile order).
+fn replay<const R: usize>(
+    collector: &mut dyn Collector,
+    plan: &WavefrontPlan<R>,
+    cells: &[usize],
+    index: &[Option<usize>],
+    events: &[Vec<WorkerEv>],
+    makespan: f64,
+) {
+    for (&rank, evs) in cells.iter().zip(events) {
         for ev in evs {
             match *ev {
                 WorkerEv::Block {
@@ -842,7 +629,7 @@ fn replay(collector: &mut dyn Collector, ranks: &[usize], events: &[Vec<WorkerEv
                         elems,
                     });
                 }
-                WorkerEv::Recv { wait_start, at } => {
+                WorkerEv::Recv { wait_start, at, .. } => {
                     collector.wait(WaitEvent {
                         proc: rank,
                         start: wait_start,
@@ -853,24 +640,37 @@ fn replay(collector: &mut dyn Collector, ranks: &[usize], events: &[Vec<WorkerEv
             }
         }
     }
-    for i in 0..ranks.len().saturating_sub(1) {
-        let sends = events[i].iter().filter_map(|e| match *e {
-            WorkerEv::Sent { tile, elems, at } => Some((tile, elems, at)),
-            _ => None,
-        });
-        let recvs = events[i + 1].iter().filter_map(|e| match *e {
-            WorkerEv::Recv { at, .. } => Some(at),
-            _ => None,
-        });
-        for ((tile, elems, sent_at), recv_at) in sends.zip(recvs) {
-            collector.message(MessageEvent {
-                from: ranks[i],
-                to: ranks[i + 1],
-                tile,
-                elems,
-                sent_at,
-                recv_at,
+    for (&rank, evs) in cells.iter().zip(events) {
+        for axis in 0..plan.axes.len() {
+            let Some((to, to_events)) = plan
+                .downstream(rank, axis)
+                .and_then(|d| Some((d, &events[index[d]?])))
+            else {
+                continue;
+            };
+            let sends = evs.iter().filter_map(|e| match *e {
+                WorkerEv::Sent {
+                    axis: a,
+                    tile,
+                    elems,
+                    at,
+                } if a == axis => Some((tile, elems, at)),
+                _ => None,
             });
+            let recvs = to_events.iter().filter_map(|e| match *e {
+                WorkerEv::Recv { axis: a, at, .. } if a == axis => Some(at),
+                _ => None,
+            });
+            for ((tile, elems, sent_at), recv_at) in sends.zip(recvs) {
+                collector.message(MessageEvent {
+                    from: rank,
+                    to,
+                    tile,
+                    elems,
+                    sent_at,
+                    recv_at,
+                });
+            }
         }
     }
     collector.end(makespan);
@@ -879,7 +679,8 @@ fn replay(collector: &mut dyn Collector, ranks: &[usize], events: &[Vec<WorkerEv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::tests::tomcatv_nest;
+    use crate::plan::tests::{init_sweep, mesh_plan, sweep_nest, tomcatv_nest};
+    use crate::plan::JobTopology;
     use crate::schedule::BlockPolicy;
     use crate::telemetry::NoopCollector;
     use wavefront_core::exec::run_nest_with_sink;
@@ -889,14 +690,26 @@ mod tests {
         wavefront_machine::cray_t3e()
     }
 
-    fn run(
-        program: &Program<2>,
-        nest: &CompiledNest<2>,
-        plan: &WavefrontPlan<2>,
-        store: &mut Store<2>,
+    fn run_mode<const R: usize>(
+        program: &Program<R>,
+        nest: &CompiledNest<R>,
+        plan: &WavefrontPlan<R>,
+        store: &mut Store<R>,
+        kernel_mode: KernelMode,
     ) -> ThreadReport {
-        execute_plan_threaded_collected(program, nest, plan, store, &mut NoopCollector)
+        let workers = WorkerPool::new();
+        execute_plan_threaded(&workers, program, nest, plan, store, &mut NoopCollector, kernel_mode)
     }
+
+    fn run<const R: usize>(
+        program: &Program<R>,
+        nest: &CompiledNest<R>,
+        plan: &WavefrontPlan<R>,
+        store: &mut Store<R>,
+    ) -> ThreadReport {
+        run_mode(program, nest, plan, store, KernelMode::Lanes)
+    }
+
 
     fn init_tomcatv(program: &Program<2>) -> Store<2> {
         let mut store = Store::new(program);
@@ -919,7 +732,7 @@ mod tests {
         for p in [1usize, 2, 4, 7] {
             for b in [1usize, 5, 16, 58] {
                 let plan =
-                    WavefrontPlan::build(&nest, p, None, &BlockPolicy::Fixed(b), &t3e()).unwrap();
+                    WavefrontPlan::build(&nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &t3e()).unwrap();
                 let mut store = init_tomcatv(&program);
                 let report = run(&program, &nest, &plan, &mut store);
                 for id in 0..store.len() {
@@ -938,7 +751,7 @@ mod tests {
     #[test]
     fn message_count_matches_tiles_times_links() {
         let (program, nest) = tomcatv_nest(40);
-        let plan = WavefrontPlan::build(&nest, 4, None, &BlockPolicy::Fixed(10), &t3e()).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(10), &t3e()).unwrap();
         let mut store = init_tomcatv(&program);
         let report = run(&program, &nest, &plan, &mut store);
         // 39 columns of covering region in tiles of 10 → 4 tiles; 3 links.
@@ -950,7 +763,7 @@ mod tests {
         // b = 1 maximizes message count; the buffer pool must stay
         // bounded by the channel depth, not grow with the tile count.
         let (program, nest) = tomcatv_nest(120);
-        let plan = WavefrontPlan::build(&nest, 4, None, &BlockPolicy::Fixed(1), &t3e()).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(1), &t3e()).unwrap();
         let mut store = init_tomcatv(&program);
         let report = run(&program, &nest, &plan, &mut store);
         assert!(report.messages >= 100 * 3, "messages = {}", report.messages);
@@ -968,16 +781,9 @@ mod tests {
         let (program, nest) = tomcatv_nest(n);
         let mut reference = init_tomcatv(&program);
         run_nest_with_sink(&nest, &mut reference, &mut NoSink);
-        let plan = WavefrontPlan::build(&nest, 3, None, &BlockPolicy::Fixed(8), &t3e()).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(3), &BlockPolicy::Fixed(8), &t3e()).unwrap();
         let mut store = init_tomcatv(&program);
-        execute_plan_threaded_collected_opts(
-            &program,
-            &nest,
-            &plan,
-            &mut store,
-            &mut NoopCollector,
-            KernelMode::Interpreted,
-        );
+        run_mode(&program, &nest, &plan, &mut store, KernelMode::Interpreted);
         for id in 0..store.len() {
             assert!(store.get(id).region_eq(reference.get(id), nest.region));
         }
@@ -986,7 +792,7 @@ mod tests {
     #[test]
     fn naive_schedule_sends_one_message_per_link() {
         let (program, nest) = tomcatv_nest(40);
-        let plan = WavefrontPlan::build(&nest, 4, None, &BlockPolicy::FullPortion, &t3e()).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::FullPortion, &t3e()).unwrap();
         let mut store = init_tomcatv(&program);
         let report = run(&program, &nest, &plan, &mut store);
         assert_eq!(report.messages, 3);
@@ -1011,7 +817,7 @@ mod tests {
         run_nest_with_sink(nest, &mut reference, &mut NoSink);
 
         for (p, b) in [(2usize, 6usize), (3, 4), (5, 24)] {
-            let plan = WavefrontPlan::build(nest, p, None, &BlockPolicy::Fixed(b), &t3e()).unwrap();
+            let plan = WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &t3e()).unwrap();
             let mut store = Store::new(&prog);
             init(&mut store);
             run(&prog, nest, &plan, &mut store);
@@ -1025,7 +831,7 @@ mod tests {
     #[test]
     fn more_threads_than_rows_is_safe() {
         let (program, nest) = tomcatv_nest(10);
-        let plan = WavefrontPlan::build(&nest, 32, None, &BlockPolicy::Fixed(3), &t3e()).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(32), &BlockPolicy::Fixed(3), &t3e()).unwrap();
         let mut reference = init_tomcatv(&program);
         run_nest_with_sink(&nest, &mut reference, &mut NoSink);
         let mut store = init_tomcatv(&program);
@@ -1051,11 +857,115 @@ mod tests {
         let mut reference = Store::new(&prog);
         init(&mut reference);
         run_nest_with_sink(nest, &mut reference, &mut NoSink);
-        let plan = WavefrontPlan::build(nest, 3, None, &BlockPolicy::Fixed(7), &t3e()).unwrap();
-        assert!(!plan.wave_ascending);
+        let plan = WavefrontPlan::build(nest, JobTopology::line(3), &BlockPolicy::Fixed(7), &t3e()).unwrap();
+        assert!(!plan.axes[0].ascending);
         let mut store = Store::new(&prog);
         init(&mut store);
         run(&prog, nest, &plan, &mut store);
         assert!(store.get(a).region_eq(reference.get(a), region));
+    }
+
+    #[test]
+    fn threaded_mesh_matches_reference_bitwise() {
+        let (program, nest) = sweep_nest(13);
+        let mut reference = init_sweep(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        for (p1, p2, b) in [(2usize, 2usize, 3usize), (3, 2, 2), (2, 3, 12), (4, 4, 1)] {
+            let plan = mesh_plan(&nest, [p1, p2], b);
+            let mut store = init_sweep(&program);
+            let report = run(&program, &nest, &plan, &mut store);
+            for id in 0..store.len() {
+                assert!(
+                    store.get(id).region_eq(reference.get(id), nest.region),
+                    "array {id} differs at mesh {p1}x{p2} b={b}"
+                );
+            }
+            assert!(report.messages > 0);
+        }
+    }
+
+    #[test]
+    fn steady_state_mesh_exchange_reuses_buffers() {
+        // Long pipeline (many tiles per link) on a 2x2 mesh: the recycle
+        // loop must cap fresh allocations per link regardless of tile
+        // count. 4 links exist (two per axis).
+        let (program, nest) = sweep_nest(48);
+        let plan = mesh_plan(&nest, [2, 2], 1);
+        let mut store = init_sweep(&program);
+        let report = run(&program, &nest, &plan, &mut store);
+        assert!(report.messages >= 150, "messages = {}", report.messages);
+        assert!(
+            report.buffer_allocs <= (LINK_DEPTH + 2) * 4,
+            "buffer_allocs = {} for {} messages",
+            report.buffer_allocs,
+            report.messages
+        );
+    }
+
+    #[test]
+    fn kernels_disabled_mesh_still_matches_sequential() {
+        let (program, nest) = sweep_nest(13);
+        let mut reference = init_sweep(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        let plan = mesh_plan(&nest, [2, 3], 3);
+        let mut store = init_sweep(&program);
+        run_mode(&program, &nest, &plan, &mut store, KernelMode::Interpreted);
+        for id in 0..store.len() {
+            assert!(store.get(id).region_eq(reference.get(id), nest.region));
+        }
+    }
+
+    #[test]
+    fn threaded_mesh_with_corner_dependence() {
+        // A diagonal (northwest-in-3D) primed read exercises the corner
+        // relay through the axis-0 message widening.
+        let mut p = Program::<3>::new();
+        let bounds = Region::rect([0, 0, 0], [12, 12, 5]);
+        let a = p.array("a", bounds);
+        let cells = Region::rect([1, 1, 0], [12, 12, 5]);
+        p.scan(
+            cells,
+            vec![Statement::new(
+                a,
+                Expr::lit(0.5) * Expr::read_primed_at(a, [-1, -1, 0])
+                    + Expr::lit(0.25) * Expr::read_primed_at(a, [-1, 0, 0])
+                    + Expr::lit(0.125) * Expr::read_primed_at(a, [0, -1, 0])
+                    + Expr::lit(1.0),
+            )],
+        );
+        let compiled = compile(&p).unwrap();
+        let nest = compiled.nest(0).clone();
+        let mut reference = init_sweep(&p);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        for (p1, p2, b) in [(2usize, 2usize, 2usize), (3, 4, 1), (2, 3, 5)] {
+            let plan = WavefrontPlan::build(
+                &nest,
+                JobTopology::Mesh {
+                    mesh: [p1, p2],
+                    wave_dims: Some([0, 1]),
+                },
+                &BlockPolicy::Fixed(b),
+                &t3e(),
+            )
+            .unwrap();
+            let mut store = init_sweep(&p);
+            run(&p, &nest, &plan, &mut store);
+            assert!(
+                store.get(a).region_eq(reference.get(a), cells),
+                "corner relay failed at {p1}x{p2} b={b}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_mesh_cells_than_rows_is_safe() {
+        let (program, nest) = sweep_nest(7);
+        let mut reference = init_sweep(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        let plan = mesh_plan(&nest, [9, 9], 2);
+        let mut store = init_sweep(&program);
+        run(&program, &nest, &plan, &mut store);
+        let flux = 0;
+        assert!(store.get(flux).region_eq(reference.get(flux), nest.region));
     }
 }

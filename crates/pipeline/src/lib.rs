@@ -6,9 +6,9 @@
 //! # wavefront-pipeline
 //!
 //! The parallel runtime of the reproduction: turns a compiled scan-block
-//! nest into a [`plan::WavefrontPlan`] (wavefront dimension distributed,
-//! orthogonal dimension tiled with block size `b`) and executes it three
-//! ways:
+//! nest into a [`plan::WavefrontPlan`] (one or two wavefront dimensions
+//! distributed over a processor line or mesh, orthogonal dimension tiled
+//! with block size `b`) and executes it three ways:
 //!
 //! * a deterministic cost simulation on the machine model (the
 //!   "experimental" curves of the figure harnesses);
@@ -23,21 +23,18 @@
 //! [`schedule::BlockPolicy::Adaptive`] policy backed by the [`tune`]
 //! subsystem (host calibration plus online re-blocking).
 //!
-//! Two front doors share one execution core: [`session::Session`] /
-//! [`session::Session2D`] for one-shot runs, and
-//! [`service::WavefrontService`] for repeated traffic — a long-lived
-//! job API with a persistent worker pool, a compiled-plan cache, and
-//! bounded-queue backpressure. The engine internals (`exec_*` modules)
+//! Two front doors share one execution core: [`session::Session`] for
+//! one-shot runs, and [`service::WavefrontService`] for repeated
+//! traffic — a long-lived job API with a persistent worker pool, a
+//! compiled-plan cache, and bounded-queue backpressure. The engine internals (`exec_*` modules)
 //! are crate-private; there is no way to run a plan except through a
 //! session, a program session, or the service.
 
 pub mod error;
-pub(crate) mod exec2d;
 pub(crate) mod exec_seq;
 pub(crate) mod exec_sim;
 pub(crate) mod exec_threads;
 pub mod plan;
-pub mod plan2d;
 pub mod schedule;
 pub mod service;
 pub mod session;
@@ -46,8 +43,7 @@ pub mod tune;
 
 pub use error::{AdmissionReason, PipelineError};
 pub use exec_sim::{NestSim, ProgramSim};
-pub use plan::WavefrontPlan;
-pub use plan2d::WavefrontPlan2D;
+pub use plan::{Axis, WavefrontPlan};
 pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy, BlockSizer};
 pub use service::{
     ArrayHandle, Counter, CriticalPathScheduler, DagHandle, DagOutcome, DagSpec, DagSpecBuilder,
@@ -60,10 +56,7 @@ pub use service::{
     WireDagResponse, WireHandle, WireLoopRequest, WireLoopResponse, WireProgram, WireRequest,
     WireResponse, WireServer, WireTopology, DEFAULT_TENANT, PROTOCOL_VERSION,
 };
-pub use session::{
-    Engine, EngineCtx, ProgramSession, RunOutcome, SeqEngine, Session, Session2D, SessionConfig,
-    SimEngine, ThreadsEngine,
-};
+pub use session::{ProgramSession, RunOutcome, Session, Session2D, SessionConfig};
 pub use telemetry::{
     ascii_timeline, chrome_trace, CacheEvent, CausalGraph, ChromeTraceBuilder, Collector,
     CriticalPath, EngineKind, ExecutionReport, Histogram, JsonObj, JsonValue, NoopCollector,

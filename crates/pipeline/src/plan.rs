@@ -1,11 +1,15 @@
 //! Wavefront execution plans.
 //!
 //! A [`WavefrontPlan`] fixes everything the runtimes need to execute one
-//! compiled scan-block nest in parallel: the wavefront dimension (block
-//! distributed across `p` processors), the orthogonal *tile* dimension
-//! (cut into blocks of `b` indices — the pipelining of Section 4), the
-//! ghost thickness, and which arrays must flow between neighbouring
-//! processors.
+//! compiled scan-block nest in parallel: the wavefront dimension(s),
+//! block distributed over a processor grid; the orthogonal *tile*
+//! dimension, cut into blocks of `b` indices (the pipelining of
+//! Section 4); and which arrays must flow between neighbouring
+//! processors, how thick. The paper has one such scheme and two
+//! placements of it: Tomcatv on a processor line is a plan with one
+//! [`Axis`], SWEEP3D on a `p1 × p2` mesh a plan with two, where the
+//! wave enters at one corner and every processor forwards boundary
+//! faces along both axes as it finishes each block.
 
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::expr::ArrayId;
@@ -30,36 +34,108 @@ pub(crate) fn nest_work<const R: usize>(nest: &CompiledNest<R>) -> f64 {
     flops.max(1) as f64
 }
 
-/// A fully resolved plan for one nest.
+/// The processor topology a plan distributes over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobTopology {
+    /// A processor line along one wavefront dimension.
+    Line {
+        /// Number of processors on the line.
+        procs: usize,
+        /// Forced distribution dimension, or `None` to let the planner
+        /// choose.
+        dist_dim: Option<usize>,
+    },
+    /// A 2-D processor mesh over two wavefront dimensions (the SWEEP3D
+    /// decomposition). A mesh side of one processor is no axis at all:
+    /// `[p, 1]` plans exactly as `Line { procs: p, .. }`.
+    Mesh {
+        /// Mesh shape (`[rows, cols]`).
+        mesh: [usize; 2],
+        /// Forced distributed dimensions, or `None` to let the planner
+        /// choose.
+        wave_dims: Option<[usize; 2]>,
+    },
+}
+
+impl JobTopology {
+    /// A line of `procs` processors, planner-chosen dimension.
+    pub fn line(procs: usize) -> Self {
+        JobTopology::Line {
+            procs,
+            dist_dim: None,
+        }
+    }
+
+    /// A mesh of shape `mesh`, planner-chosen dimensions.
+    pub fn mesh(mesh: [usize; 2]) -> Self {
+        JobTopology::Mesh {
+            mesh,
+            wave_dims: None,
+        }
+    }
+}
+
+/// One distributed wavefront dimension of a plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Axis {
+    /// The dimension the wavefront travels along (block distributed).
+    pub dim: usize,
+    /// Direction of travel along `dim`.
+    pub ascending: bool,
+    /// Processor count along `dim`.
+    pub procs: usize,
+    /// Arrays whose boundary values must flow downstream along this
+    /// axis, each with its own boundary thickness (the largest upstream
+    /// shift it is read with along `dim`).
+    pub comm: Vec<(ArrayId, i64)>,
+}
+
+/// Read-ghost margins per array: the maximum absolute shift used on each
+/// dimension.
+pub(crate) fn read_margins<const R: usize>(nest: &CompiledNest<R>) -> Vec<[i64; R]> {
+    let max_id = nest
+        .stmts
+        .iter()
+        .flat_map(|s| s.rhs.reads().into_iter().map(|r| r.id).chain([s.lhs]))
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut out = vec![[0i64; R]; max_id];
+    for s in &nest.stmts {
+        for r in s.rhs.reads() {
+            for k in 0..R {
+                out[r.id][k] = out[r.id][k].max(r.shift[k].abs());
+            }
+        }
+    }
+    out
+}
+
+/// A fully resolved plan for one nest: one or two distributed wavefront
+/// axes (a line, or the SWEEP3D mesh whose wave enters at one corner and
+/// sweeps diagonally across it) plus the pipelined tile dimension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WavefrontPlan<const R: usize> {
     /// The covering region.
     pub region: Region<R>,
-    /// The dimension the wavefront travels along (block distributed).
-    pub wave_dim: usize,
-    /// Direction of travel along `wave_dim`.
-    pub wave_ascending: bool,
+    /// The distributed wavefront axes — one for a line, two for a mesh.
+    pub axes: Vec<Axis>,
     /// The tiled orthogonal dimension, or `None` when the nest cannot be
-    /// pipelined (rank 1, or tiling would violate a dependence).
+    /// pipelined (no dimension left, or tiling would violate a
+    /// dependence).
     pub tile_dim: Option<usize>,
     /// Iteration direction along the tile dimension (may differ from the
     /// sequential structure when flipping it is what makes tiling legal).
     pub tile_ascending: bool,
     /// Resolved block size `b` (indices of `tile_dim` per tile).
     pub block: usize,
-    /// Processor count along the wavefront dimension.
-    pub p: usize,
-    /// The block distribution of the region.
+    /// The block distribution of the region over the processor grid.
+    /// Processors are identified by their grid rank throughout.
     pub dist: Distribution<R>,
     /// Per-element computation cost (scalar flops, at least 1).
     pub work: f64,
-    /// Arrays whose boundary values must flow downstream, each with its
-    /// own boundary thickness (the largest upstream shift it is read
-    /// with along the wavefront dimension).
-    pub comm_arrays: Vec<(ArrayId, i64)>,
-    /// Maximum ghost depth along the wavefront dimension over all
-    /// communicated arrays.
-    pub thickness: i64,
+    /// Ghost margins of every referenced array (per dimension), used to
+    /// extend the first axis' messages so corner values relay correctly.
+    pub margins: Vec<[i64; R]>,
     /// Global tile slabs in execution order (whole-region slabs along
     /// `tile_dim`; single entry when `tile_dim` is `None`).
     pub tiles: Vec<Region<R>>,
@@ -68,25 +144,19 @@ pub struct WavefrontPlan<const R: usize> {
 }
 
 impl<const R: usize> WavefrontPlan<R> {
-    /// Build a plan for `nest` distributed along one of its wavefront
-    /// dimensions over `p` processors.
+    /// Build a plan for `nest` distributed over `topology`.
     ///
-    /// * `dist_dim` — the dimension to distribute; `None` picks the
-    ///   nest's first wavefront dimension.
-    /// * `policy` — how to choose the block size; [`BlockPolicy::FullPortion`]
-    ///   yields the naive schedule.
+    /// Every axis with more than one processor (and the single axis of a
+    /// line) needs a block-decomposable wavefront dimension. `policy`
+    /// chooses the block size; [`BlockPolicy::FullPortion`] yields the
+    /// naive schedule.
     pub fn build(
         nest: &CompiledNest<R>,
-        p: usize,
-        dist_dim: Option<usize>,
+        topology: JobTopology,
         policy: &BlockPolicy,
         params: &MachineParams,
     ) -> Result<Self, PipelineError> {
-        assert!(p >= 1, "need at least one processor");
         let wave_dims = &nest.structure.wavefront_dims;
-        if wave_dims.is_empty() {
-            return Err(PipelineError::NoWavefrontDim);
-        }
         // A dimension can be block-distributed only when every dependence
         // points downstream along it (the staircase task DAG orders chunk
         // (i', j') before (i, j) only when i' ≤ i AND j' ≤ j).
@@ -94,25 +164,73 @@ impl<const R: usize> WavefrontPlan<R> {
             let sign = if nest.structure.order.ascending[k] { 1 } else { -1 };
             nest.constraints.iter().all(|c| sign * c.vector[k] >= 0)
         };
-        let wave_dim = match dist_dim {
-            Some(d) if wave_dims.contains(&d) && decomposable(d) => d,
-            Some(d) if wave_dims.contains(&d) => {
-                return Err(PipelineError::ConflictingDependences { dim: d })
-            }
-            Some(d) => {
-                return Err(PipelineError::WaveNotDistributed {
+        let check = |d: usize| -> Result<usize, PipelineError> {
+            if !wave_dims.contains(&d) {
+                Err(PipelineError::WaveNotDistributed {
                     wave_dims: wave_dims.clone(),
                     dist_dim: d,
                 })
+            } else if !decomposable(d) {
+                Err(PipelineError::ConflictingDependences { dim: d })
+            } else {
+                Ok(d)
             }
-            None => *wave_dims
-                .iter()
-                .find(|&&d| decomposable(d))
-                .ok_or(PipelineError::ConflictingDependences { dim: wave_dims[0] })?,
         };
+        // (dimension, processors) per axis.
+        let placed: Vec<(usize, usize)> = match topology {
+            JobTopology::Line { procs, dist_dim } => {
+                assert!(procs >= 1, "need at least one processor");
+                if wave_dims.is_empty() {
+                    return Err(PipelineError::NoWavefrontDim);
+                }
+                let dim = match dist_dim {
+                    Some(d) => check(d)?,
+                    None => *wave_dims
+                        .iter()
+                        .find(|&&d| decomposable(d))
+                        .ok_or(PipelineError::ConflictingDependences { dim: wave_dims[0] })?,
+                };
+                vec![(dim, procs)]
+            }
+            JobTopology::Mesh { mesh, wave_dims: forced } => {
+                assert!(mesh[0] >= 1 && mesh[1] >= 1, "need at least one processor");
+                // A side of one processor distributes nothing and needs
+                // no dimension; a 1x1 mesh is a one-processor line.
+                let sides: Vec<usize> = match mesh {
+                    [1, 1] => vec![0],
+                    _ => (0..2).filter(|&a| mesh[a] > 1).collect(),
+                };
+                let dims: Vec<usize> = match forced {
+                    Some(w) => {
+                        let dims: Vec<usize> =
+                            sides.iter().map(|&a| check(w[a])).collect::<Result<_, _>>()?;
+                        if dims.len() == 2 && dims[0] == dims[1] {
+                            return Err(PipelineError::WaveNotDistributed {
+                                wave_dims: wave_dims.clone(),
+                                dist_dim: dims[1],
+                            });
+                        }
+                        dims
+                    }
+                    None => {
+                        let ok: Vec<usize> =
+                            wave_dims.iter().copied().filter(|&d| decomposable(d)).collect();
+                        sides
+                            .iter()
+                            .map(|&a| ok.get(a).copied().ok_or(PipelineError::NoWavefrontDim))
+                            .collect::<Result<_, _>>()?
+                    }
+                };
+                dims.into_iter().zip(sides.iter().map(|&a| mesh[a])).collect()
+            }
+        };
+
         let region = nest.region;
-        let wave_ascending = nest.structure.order.ascending[wave_dim];
-        let dist = Distribution::block(region, ProcGrid::<R>::along(wave_dim, p));
+        let mut grid_dims = [1usize; R];
+        for &(dim, procs) in &placed {
+            grid_dims[dim] = procs;
+        }
+        let dist = Distribution::block(region, ProcGrid::<R>::new(grid_dims));
 
         // Pick the tile dimension: the non-wave dimension with the largest
         // extent for which strip-mining is legal (the tile loop becomes the
@@ -121,7 +239,9 @@ impl<const R: usize> WavefrontPlan<R> {
         let mut tile_dim = None;
         let mut tile_ascending = true;
         let mut base_order = nest.structure.order.clone();
-        let mut candidates: Vec<usize> = (0..R).filter(|&k| k != wave_dim).collect();
+        let mut candidates: Vec<usize> = (0..R)
+            .filter(|k| placed.iter().all(|(dim, _)| dim != k))
+            .collect();
         candidates.sort_by_key(|&k| std::cmp::Reverse(region.extent(k)));
         'outer: for k in candidates {
             for asc in [nest.structure.order.ascending[k], !nest.structure.order.ascending[k]] {
@@ -143,147 +263,189 @@ impl<const R: usize> WavefrontPlan<R> {
             }
         }
 
-        let work = nest_work(nest);
-
-        // Arrays whose values must flow from the upstream neighbour: they
-        // are written in the nest and read with a shift pointing upstream
-        // along the wavefront dimension. Each carries its own thickness
-        // (the deepest such shift).
+        // Arrays whose values must flow from the upstream neighbour along
+        // an axis: they are written in the nest and read with a shift
+        // pointing upstream along its dimension. Each carries its own
+        // thickness (the deepest such shift).
         let written = {
             let mut w: Vec<ArrayId> = nest.stmts.iter().map(|s| s.lhs).collect();
             w.sort_unstable();
             w.dedup();
             w
         };
-        let upstream_sign = if wave_ascending { -1 } else { 1 };
-        let mut comm_arrays: Vec<(ArrayId, i64)> = Vec::new();
-        for r in nest.stmts.iter().flat_map(|s| s.rhs.reads()) {
-            if written.contains(&r.id) && r.shift[wave_dim].signum() == upstream_sign {
-                let t = r.shift[wave_dim].abs();
-                match comm_arrays.iter_mut().find(|(id, _)| *id == r.id) {
-                    Some((_, t0)) => *t0 = (*t0).max(t),
-                    None => comm_arrays.push((r.id, t)),
+        let axes: Vec<Axis> = placed
+            .into_iter()
+            .map(|(dim, procs)| {
+                let ascending = nest.structure.order.ascending[dim];
+                let upstream_sign = if ascending { -1 } else { 1 };
+                let mut comm: Vec<(ArrayId, i64)> = Vec::new();
+                for r in nest.stmts.iter().flat_map(|s| s.rhs.reads()) {
+                    if written.contains(&r.id) && r.shift[dim].signum() == upstream_sign {
+                        let t = r.shift[dim].abs();
+                        match comm.iter_mut().find(|(id, _)| *id == r.id) {
+                            Some((_, t0)) => *t0 = (*t0).max(t),
+                            None => comm.push((r.id, t)),
+                        }
+                    }
                 }
-            }
-        }
-        comm_arrays.sort_unstable();
-        let thickness = comm_arrays.iter().map(|&(_, t)| t).max().unwrap_or(1).max(1);
-
-        let (block, tiles) = match tile_dim {
-            Some(k) => {
-                let n_orth = region.extent(k) as usize;
-                let n_wave = region.extent(wave_dim) as usize;
-                let ctx = BlockCtx::new(n_wave, n_orth, p, work, *params);
-                let b = policy.resolve(&ctx).max(1);
-                let mut tiles = region.chunks(k, b as i64);
-                if !tile_ascending {
-                    tiles.reverse();
+                comm.sort_unstable();
+                Axis {
+                    dim,
+                    ascending,
+                    procs,
+                    comm,
                 }
-                (b, tiles)
-            }
-            None => (region.extent(wave_dim).max(1) as usize, vec![region]),
-        };
+            })
+            .collect();
 
-        Ok(WavefrontPlan {
+        let mut plan = WavefrontPlan {
             region,
-            wave_dim,
-            wave_ascending,
+            axes,
             tile_dim,
             tile_ascending,
-            block,
-            p,
+            block: 0,
             dist,
-            work,
-            comm_arrays,
-            thickness,
-            tiles,
+            work: nest_work(nest),
+            margins: read_margins(nest),
+            tiles: vec![region],
             order: base_order,
-        })
-    }
-
-    /// Processor ranks in wavefront order (upstream first).
-    pub fn ranks_in_wave_order(&self) -> Vec<usize> {
-        let ranks: Vec<usize> = self.dist.grid().ranks().collect();
-        if self.wave_ascending {
-            ranks
-        } else {
-            ranks.into_iter().rev().collect()
+        };
+        match tile_dim.zip(plan.block_ctx(*params)) {
+            Some((k, ctx)) => {
+                plan.block = policy.resolve(&ctx).max(1);
+                plan.tiles = region.chunks(k, plan.block as i64);
+                if !tile_ascending {
+                    plan.tiles.reverse();
+                }
+            }
+            None => plan.block = plan.wave_extent().max(1),
         }
+        Ok(plan)
     }
 
-    /// The upstream neighbour of `rank` in wave order (the rank whose
-    /// values `rank` consumes), if any.
-    pub fn upstream(&self, rank: usize) -> Option<usize> {
-        let step = if self.wave_ascending { -1 } else { 1 };
-        self.dist.grid().neighbor(rank, self.wave_dim, step)
-    }
-
-    /// The downstream neighbour of `rank` in wave order, if any.
-    pub fn downstream(&self, rank: usize) -> Option<usize> {
-        let step = if self.wave_ascending { 1 } else { -1 };
-        self.dist.grid().neighbor(rank, self.wave_dim, step)
-    }
-
-    /// Number of elements one boundary message for `tile` carries: the
-    /// tile's cross-section times each communicated array's thickness.
-    pub fn msg_elems(&self, tile: &Region<R>) -> usize {
-        if self.comm_arrays.is_empty() {
-            return 0;
-        }
-        let cross: usize = (0..R)
-            .filter(|&k| k != self.wave_dim)
-            .map(|k| tile.extent(k).max(0) as usize)
-            .product();
-        cross * self.comm_arrays.iter().map(|&(_, t)| t as usize).sum::<usize>()
-    }
-
-    /// Exact elements of the boundary message `sender_owned` emits for
-    /// `tile`: the sum of every communicated array's
-    /// [`Self::boundary_slab`]. This is precisely what the threaded
-    /// engine serializes, so it can be smaller than [`Self::msg_elems`]
-    /// when the sender owns fewer wavefront indices than an array's
-    /// thickness.
-    pub fn msg_elems_from(&self, sender_owned: Region<R>, tile: &Region<R>) -> usize {
-        self.comm_arrays
+    /// Product of the extents of the distributed dimensions.
+    fn wave_extent(&self) -> usize {
+        self.axes
             .iter()
-            .map(|&(_, t)| self.boundary_slab(sender_owned, tile, t).len())
-            .sum()
+            .map(|a| self.region.extent(a.dim).max(0) as usize)
+            .product()
     }
 
-    /// The slab an array's boundary message covers when `owner` sends
-    /// downstream for `tile`: the `t` indices of the wavefront dimension
-    /// ending at `owner`'s downstream edge, clamped to the covering
-    /// region (NOT to `owner` — a processor owning fewer than `t` indices
-    /// relays ghost values it received from further upstream), restricted
-    /// to the tile's other dimensions.
-    pub fn boundary_slab(&self, owner: Region<R>, tile: &Region<R>, t: i64) -> Region<R> {
+    /// Total number of processors on the grid.
+    pub fn procs(&self) -> usize {
+        self.dist.grid().len()
+    }
+
+    /// Grid ranks in wavefront order: a processor on diagonal `d` (the
+    /// sum of its per-axis distances from the upstream corner) comes
+    /// after everything on diagonals `< d`. For a line this is simply
+    /// upstream first.
+    pub fn cells_in_wave_order(&self) -> Vec<usize> {
+        let grid = self.dist.grid();
+        let key = |&rank: &usize| {
+            let c = grid.coord_of(rank);
+            let along = |a: &Axis| if a.ascending { c[a.dim] } else { a.procs - 1 - c[a.dim] };
+            (self.axes.iter().map(along).sum::<usize>(), along(&self.axes[0]))
+        };
+        let mut cells: Vec<usize> = grid.ranks().collect();
+        cells.sort_by_key(key);
+        cells
+    }
+
+    /// The ranks that own data, in wave order. These are the processors
+    /// that participate in execution; empty ranks neither compute nor
+    /// relay.
+    pub fn active_cells(&self) -> Vec<usize> {
+        self.cells_in_wave_order()
+            .into_iter()
+            .filter(|&r| !self.dist.owned(r).is_empty())
+            .collect()
+    }
+
+    /// The upstream neighbour of `rank` along axis `axis` (the rank whose
+    /// values `rank` consumes), if any.
+    pub fn upstream(&self, rank: usize, axis: usize) -> Option<usize> {
+        let a = &self.axes[axis];
+        self.dist.grid().neighbor(rank, a.dim, if a.ascending { -1 } else { 1 })
+    }
+
+    /// The downstream neighbour of `rank` along axis `axis`, if any.
+    pub fn downstream(&self, rank: usize, axis: usize) -> Option<usize> {
+        let a = &self.axes[axis];
+        self.dist.grid().neighbor(rank, a.dim, if a.ascending { 1 } else { -1 })
+    }
+
+    /// The slab one boundary message covers when `owner` sends
+    /// downstream along `axis` for `tile`, for an array of thickness `t`
+    /// and margins `m`: the `t` indices of the axis' dimension ending at
+    /// `owner`'s downstream edge, clamped to the covering region (NOT to
+    /// `owner` — a processor owning fewer than `t` indices relays ghost
+    /// values it received from further upstream).
+    ///
+    /// Along the *other* axis' dimension, first-axis messages are widened
+    /// by the array's margin (clamped to the region) so corner ghost
+    /// values relay through the first-axis path, and second-axis messages
+    /// stay within the owner's extent; every remaining dimension is
+    /// restricted to the tile.
+    pub fn boundary_slab(
+        &self,
+        owner: Region<R>,
+        tile: &Region<R>,
+        axis: usize,
+        t: i64,
+        m: [i64; R],
+    ) -> Region<R> {
         if owner.is_empty() || t <= 0 {
             return Region::empty();
         }
-        let w = self.wave_dim;
-        let slab = if self.wave_ascending {
+        let a = &self.axes[axis];
+        let w = a.dim;
+        let mut slab = if a.ascending {
             self.region.slab(w, owner.hi()[w] - t + 1, owner.hi()[w])
         } else {
             self.region.slab(w, owner.lo()[w], owner.lo()[w] + t - 1)
         };
-        let mut clipped = slab;
         for k in 0..R {
-            if k != w {
-                clipped = clipped.slab(k, tile.lo()[k], tile.hi()[k]);
+            if k == w {
+                continue;
             }
+            slab = if self.axes.iter().all(|o| o.dim != k) {
+                slab.slab(k, tile.lo()[k], tile.hi()[k])
+            } else if axis == 0 {
+                // The sender's ghost columns are current, so corners
+                // flow with the first-axis message.
+                slab.slab(k, owner.lo()[k] - m[k], owner.hi()[k] + m[k])
+            } else {
+                slab.slab(k, owner.lo()[k], owner.hi()[k])
+            };
         }
-        clipped
+        slab
+    }
+
+    /// Exact elements of the boundary message `owner` emits along `axis`
+    /// for `tile`: the sum of every communicated array's
+    /// [`Self::boundary_slab`]. This is precisely what the threaded
+    /// engine serializes.
+    pub fn msg_elems(&self, owner: Region<R>, tile: &Region<R>, axis: usize) -> usize {
+        self.axes[axis]
+            .comm
+            .iter()
+            .map(|&(id, t)| self.boundary_slab(owner, tile, axis, t, self.margins[id]).len())
+            .sum()
     }
 
     /// The sizing context this plan was (or would be) blocked with —
-    /// what any [`crate::BlockSizer`] consumes. `None` when the nest has
-    /// no tile dimension (nothing to size).
+    /// what any [`crate::BlockSizer`] consumes: `n_wave` is the product
+    /// of the distributed extents and `p` the pipeline depth driving the
+    /// fill, `p1 + p2 − 1` on a mesh. `None` when the nest has no tile
+    /// dimension (nothing to size).
     pub fn block_ctx(&self, machine: MachineParams) -> Option<BlockCtx> {
         let k = self.tile_dim?;
+        let depth = self.axes.iter().map(|a| a.procs).sum::<usize>() + 1 - self.axes.len();
         Some(BlockCtx::new(
-            self.region.extent(self.wave_dim) as usize,
+            self.wave_extent(),
             self.region.extent(k) as usize,
-            self.p,
+            depth,
             self.work,
             machine,
         ))
@@ -329,35 +491,31 @@ impl<const R: usize> WavefrontPlan<R> {
         self.tiles.len() > 1
     }
 
-    /// The ranks that own data, in wave order (most upstream first).
-    /// These are the processors that participate in execution; empty
-    /// ranks neither compute nor relay.
-    pub fn active_ranks(&self) -> Vec<usize> {
-        self.ranks_in_wave_order()
-            .into_iter()
-            .filter(|&r| !self.dist.owned(r).is_empty())
-            .collect()
-    }
-
-    /// The boundary traffic this plan predicts: one message per tile per
-    /// adjacent active pair, carrying exactly the elements of each
-    /// communicated array's [`Self::boundary_slab`]. The engines must
-    /// observe precisely these counts.
+    /// The boundary traffic this plan predicts: per tile, one message
+    /// along each axis with communicated arrays from every active cell
+    /// whose downstream neighbour on that axis is also active, carrying
+    /// exactly [`Self::msg_elems`]. The engines must observe precisely
+    /// these counts.
     pub fn predicted_traffic(&self) -> crate::telemetry::Prediction {
-        let active = self.active_ranks();
-        if active.len() < 2 || self.comm_arrays.is_empty() {
-            return crate::telemetry::Prediction::default();
-        }
-        let links = active.len() - 1;
+        let active = self.active_cells();
+        let mut messages = 0usize;
         let mut elements = 0usize;
-        for &rank in &active[..links] {
+        for &rank in &active {
             let owned = self.dist.owned(rank);
-            for tile in &self.tiles {
-                elements += self.msg_elems_from(owned, tile);
+            for (axis, a) in self.axes.iter().enumerate() {
+                if a.comm.is_empty()
+                    || !self.downstream(rank, axis).is_some_and(|d| active.contains(&d))
+                {
+                    continue;
+                }
+                messages += self.tiles.len();
+                for tile in &self.tiles {
+                    elements += self.msg_elems(owned, tile, axis);
+                }
             }
         }
         crate::telemetry::Prediction {
-            messages: links * self.tiles.len(),
+            messages,
             elements,
             bytes: elements * std::mem::size_of::<f64>(),
         }
@@ -430,14 +588,15 @@ pub(crate) mod tests {
     fn tomcatv_plan_basics() {
         let (_p, nest) = tomcatv_nest(66);
         let plan =
-            WavefrontPlan::build(&nest, 4, None, &BlockPolicy::Fixed(8), &t3e()).unwrap();
-        assert_eq!(plan.wave_dim, 0);
-        assert!(plan.wave_ascending);
+            WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(8), &t3e()).unwrap();
+        assert_eq!(plan.axes.len(), 1);
+        assert_eq!(plan.axes[0].dim, 0);
+        assert!(plan.axes[0].ascending);
         assert_eq!(plan.tile_dim, Some(1));
         assert_eq!(plan.block, 8);
-        assert_eq!(plan.thickness, 1);
-        // d, rx, ry flow downstream; r and aa do not.
-        assert_eq!(plan.comm_arrays.len(), 3);
+        // d, rx, ry flow downstream, one row thick; r and aa do not.
+        assert_eq!(plan.axes[0].comm.len(), 3);
+        assert!(plan.axes[0].comm.iter().all(|&(_, t)| t == 1));
         assert!(plan.is_pipelined());
         // 64 columns in tiles of 8.
         assert_eq!(plan.tiles.len(), 8);
@@ -449,16 +608,16 @@ pub(crate) mod tests {
     fn msg_elems_counts_arrays_and_cross_section() {
         let (_p, nest) = tomcatv_nest(66);
         let plan =
-            WavefrontPlan::build(&nest, 4, None, &BlockPolicy::Fixed(8), &t3e()).unwrap();
+            WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(8), &t3e()).unwrap();
         let tile = &plan.tiles[0];
-        assert_eq!(plan.msg_elems(tile), 8 * 3);
+        assert_eq!(plan.msg_elems(plan.dist.owned(0), tile, 0), 8 * 3);
     }
 
     #[test]
     fn full_portion_policy_gives_single_tile() {
         let (_p, nest) = tomcatv_nest(66);
         let plan =
-            WavefrontPlan::build(&nest, 4, None, &BlockPolicy::FullPortion, &t3e()).unwrap();
+            WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::FullPortion, &t3e()).unwrap();
         assert_eq!(plan.tiles.len(), 1);
         assert!(!plan.is_pipelined());
     }
@@ -470,10 +629,7 @@ pub(crate) mod tests {
         let a = p.array("a", bounds);
         p.stmt(bounds, a, Expr::read(a) * Expr::lit(2.0));
         let compiled = compile(&p).unwrap();
-        let err = WavefrontPlan::build(
-            compiled.nest(0),
-            4,
-            None,
+        let err = WavefrontPlan::build(compiled.nest(0), JobTopology::line(4),
             &BlockPolicy::Fixed(4),
             &t3e(),
         )
@@ -485,7 +641,7 @@ pub(crate) mod tests {
     fn wrong_dist_dim_is_an_error() {
         let (_p, nest) = tomcatv_nest(34);
         let err =
-            WavefrontPlan::build(&nest, 4, Some(1), &BlockPolicy::Fixed(4), &t3e()).unwrap_err();
+            WavefrontPlan::build(&nest, JobTopology::Line { procs: 4, dist_dim: Some(1) }, &BlockPolicy::Fixed(4), &t3e()).unwrap_err();
         assert!(matches!(err, PipelineError::WaveNotDistributed { .. }));
     }
 
@@ -493,7 +649,7 @@ pub(crate) mod tests {
     fn retile_covers_region_with_heterogeneous_widths() {
         let (_p, nest) = tomcatv_nest(66);
         let plan =
-            WavefrontPlan::build(&nest, 4, None, &BlockPolicy::Fixed(8), &t3e()).unwrap();
+            WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(8), &t3e()).unwrap();
         // 64 columns cut as [2, 4, 10, 10, ...]: probe tiles then steady b.
         let re = plan.retile(&[2, 4, 10]);
         assert_eq!(re.block, 10);
@@ -503,7 +659,7 @@ pub(crate) mod tests {
         assert_eq!(covered, re.region.len());
         // Execution order and all other plan fields are preserved.
         assert_eq!(re.tiles[0].lo()[1], plan.region.lo()[1]);
-        assert_eq!(re.wave_dim, plan.wave_dim);
+        assert_eq!(re.axes, plan.axes);
     }
 
     #[test]
@@ -517,7 +673,7 @@ pub(crate) mod tests {
             Expr::read_primed_at(a, [-1, 1]) + Expr::lit(1.0),
         );
         let compiled = compile(&p).unwrap();
-        let plan = WavefrontPlan::build(compiled.nest(0), 2, Some(0), &BlockPolicy::Fixed(4), &t3e())
+        let plan = WavefrontPlan::build(compiled.nest(0), JobTopology::Line { procs: 2, dist_dim: Some(0) }, &BlockPolicy::Fixed(4), &t3e())
             .unwrap();
         assert!(!plan.tile_ascending);
         let re = plan.retile(&[3, 5]);
@@ -531,15 +687,15 @@ pub(crate) mod tests {
     fn upstream_downstream_chain() {
         let (_p, nest) = tomcatv_nest(34);
         let plan =
-            WavefrontPlan::build(&nest, 4, None, &BlockPolicy::Fixed(4), &t3e()).unwrap();
-        let order = plan.ranks_in_wave_order();
+            WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(4), &t3e()).unwrap();
+        let order = plan.cells_in_wave_order();
         assert_eq!(order.len(), 4);
-        assert_eq!(plan.upstream(order[0]), None);
+        assert_eq!(plan.upstream(order[0], 0), None);
         for w in order.windows(2) {
-            assert_eq!(plan.upstream(w[1]), Some(w[0]));
-            assert_eq!(plan.downstream(w[0]), Some(w[1]));
+            assert_eq!(plan.upstream(w[1], 0), Some(w[0]));
+            assert_eq!(plan.downstream(w[0], 0), Some(w[1]));
         }
-        assert_eq!(plan.downstream(*order.last().unwrap()), None);
+        assert_eq!(plan.downstream(*order.last().unwrap(), 0), None);
     }
 
     #[test]
@@ -554,16 +710,13 @@ pub(crate) mod tests {
             Expr::read_primed_at(a, [1, 0]) + Expr::lit(1.0),
         );
         let compiled = compile(&p).unwrap();
-        let plan = WavefrontPlan::build(
-            compiled.nest(0),
-            4,
-            None,
+        let plan = WavefrontPlan::build(compiled.nest(0), JobTopology::line(4),
             &BlockPolicy::Fixed(4),
             &t3e(),
         )
         .unwrap();
-        assert!(!plan.wave_ascending);
-        let order = plan.ranks_in_wave_order();
+        assert!(!plan.axes[0].ascending);
+        let order = plan.cells_in_wave_order();
         assert_eq!(order, vec![3, 2, 1, 0]);
     }
 
@@ -583,7 +736,7 @@ pub(crate) mod tests {
         let compiled = compile(&p).unwrap();
         let nest = compiled.nest(0);
         let plan =
-            WavefrontPlan::build(nest, 2, Some(0), &BlockPolicy::Fixed(4), &t3e()).unwrap();
+            WavefrontPlan::build(nest, JobTopology::Line { procs: 2, dist_dim: Some(0) }, &BlockPolicy::Fixed(4), &t3e()).unwrap();
         assert_eq!(plan.tile_dim, Some(1));
         assert!(!plan.tile_ascending);
         // Tiles must run from high columns to low.
@@ -603,10 +756,7 @@ pub(crate) mod tests {
             Expr::read_primed_at(a, [-1]) + Expr::lit(1.0),
         );
         let compiled = compile(&p).unwrap();
-        let plan = WavefrontPlan::build(
-            compiled.nest(0),
-            4,
-            None,
+        let plan = WavefrontPlan::build(compiled.nest(0), JobTopology::line(4),
             &BlockPolicy::Model2,
             &t3e(),
         )
@@ -614,5 +764,169 @@ pub(crate) mod tests {
         assert_eq!(plan.tile_dim, None);
         assert_eq!(plan.tiles.len(), 1);
         assert!(!plan.is_pipelined());
+    }
+
+    /// A SWEEP3D-like octant nest: flux from three upwind neighbours.
+    pub fn sweep_nest(n: i64) -> (Program<3>, CompiledNest<3>) {
+        let mut p = Program::<3>::new();
+        let bounds = Region::rect([1, 1, 1], [n, n, n]);
+        let flux = p.array("flux", bounds);
+        let src = p.array("src", bounds);
+        let cells = Region::rect([2, 2, 2], [n, n, n]);
+        p.scan(
+            cells,
+            vec![Statement::new(
+                flux,
+                Expr::read(src)
+                    + Expr::lit(0.3) * Expr::read_primed_at(flux, [-1, 0, 0])
+                    + Expr::lit(0.3) * Expr::read_primed_at(flux, [0, -1, 0])
+                    + Expr::lit(0.3) * Expr::read_primed_at(flux, [0, 0, -1]),
+            )],
+        );
+        let compiled = compile(&p).unwrap();
+        let nest = compiled.nest(0).clone();
+        (p, nest)
+    }
+
+    /// A mesh plan of [`sweep_nest`] at a fixed block size.
+    pub fn mesh_plan(nest: &CompiledNest<3>, mesh: [usize; 2], b: usize) -> WavefrontPlan<3> {
+        WavefrontPlan::build(nest, JobTopology::mesh(mesh), &BlockPolicy::Fixed(b), &t3e()).unwrap()
+    }
+
+    /// Deterministic non-trivial initial values for [`sweep_nest`]-shaped
+    /// programs.
+    pub fn init_sweep(program: &Program<3>) -> Store<3> {
+        let mut store = Store::new(program);
+        for id in 0..store.len() {
+            let bounds = store.get(id).bounds();
+            *store.get_mut(id) = DenseArray::from_fn(bounds, |q| {
+                ((q[0] * 31 + q[1] * 17 + q[2] * 7 + id as i64 * 3) % 23) as f64 / 23.0
+            });
+        }
+        store
+    }
+
+    #[test]
+    fn sweep_plan_basics() {
+        let (_p, nest) = sweep_nest(17);
+        let plan = mesh_plan(&nest, [2, 3], 4);
+        assert_eq!([plan.axes[0].dim, plan.axes[1].dim], [0, 1]);
+        assert_eq!([plan.axes[0].procs, plan.axes[1].procs], [2, 3]);
+        assert_eq!(plan.tile_dim, Some(2));
+        assert_eq!(plan.block, 4);
+        assert_eq!(plan.tiles.len(), 4);
+        assert!(plan.is_pipelined());
+        assert_eq!(plan.axes[0].comm.len(), 1); // flux crosses both axes
+        assert_eq!(plan.axes[1].comm.len(), 1);
+        // All 6 mesh cells partition the region.
+        let total: usize = (0..plan.procs()).map(|r| plan.dist.owned(r).len()).sum();
+        assert_eq!(plan.procs(), 6);
+        assert_eq!(total, plan.region.len());
+    }
+
+    #[test]
+    fn mesh_wave_order_respects_diagonals() {
+        let (_p, nest) = sweep_nest(9);
+        let plan = mesh_plan(&nest, [3, 3], 2);
+        let grid = plan.dist.grid();
+        let order = plan.cells_in_wave_order();
+        assert_eq!(order[0], grid.rank_of([0, 0, 0]));
+        assert_eq!(*order.last().unwrap(), grid.rank_of([2, 2, 0]));
+        // Every cell appears after both its upstreams.
+        for (pos, &c) in order.iter().enumerate() {
+            for axis in 0..2 {
+                if let Some(u) = plan.upstream(c, axis) {
+                    let upos = order.iter().position(|&x| x == u).unwrap();
+                    assert!(upos < pos, "{u} must precede {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_slabs_cover_corners_via_axis0() {
+        let (_p, nest) = sweep_nest(17);
+        let plan = mesh_plan(&nest, [2, 2], 16);
+        let owner = plan.dist.owned(0);
+        let tile = plan.tiles[0];
+        let flux = 0;
+        let slab = plan.boundary_slab(owner, &tile, 0, 1, plan.margins[flux]);
+        // Widened by margin 1 along dim 1 (but clamped to the region).
+        assert_eq!(slab.lo()[1], plan.region.lo()[1]);
+        assert_eq!(slab.hi()[1], owner.hi()[1] + 1);
+        // Axis-1 slabs stay within the owner's rows.
+        let slab = plan.boundary_slab(owner, &tile, 1, 1, plan.margins[flux]);
+        assert_eq!(slab.lo()[0], owner.lo()[0]);
+        assert_eq!(slab.hi()[0], owner.hi()[0]);
+    }
+
+    #[test]
+    fn conflicting_dimension_is_rejected() {
+        // Dependences (1,0,0), (0,1,0) make both dims wavefront dims, but
+        // (1,-1,0) points against dimension 1, defeating its block
+        // decomposition.
+        let mut p = Program::<3>::new();
+        let bounds = Region::rect([0, 0, 0], [9, 9, 9]);
+        let a = p.array("a", bounds);
+        p.stmt(
+            Region::rect([1, 1, 0], [9, 8, 9]),
+            a,
+            Expr::read_primed_at(a, [-1, 0, 0])
+                + Expr::read_primed_at(a, [0, -1, 0])
+                + Expr::read_primed_at(a, [-1, 1, 0]),
+        );
+        let compiled = compile(&p).unwrap();
+        let nest = compiled.nest(0);
+        assert!(nest.structure.wavefront_dims.contains(&1));
+        let forced = |mesh| JobTopology::Mesh {
+            mesh,
+            wave_dims: Some([0, 1]),
+        };
+        let err =
+            WavefrontPlan::build(nest, forced([2, 2]), &BlockPolicy::Fixed(2), &t3e()).unwrap_err();
+        assert!(matches!(err, PipelineError::ConflictingDependences { dim: 1 }));
+        // A one-processor side distributes nothing, so nothing conflicts.
+        assert!(WavefrontPlan::build(nest, forced([2, 1]), &BlockPolicy::Fixed(2), &t3e()).is_ok());
+    }
+
+    #[test]
+    fn a_mesh_axis_of_one_processor_is_dropped() {
+        // One wavefront dimension: no 2x2 mesh exists, but p x 1 is the
+        // line along that dimension — same plan, field for field.
+        let mut p = Program::<3>::new();
+        let bounds = Region::rect([0, 0, 0], [9, 9, 9]);
+        let a = p.array("a", bounds);
+        p.stmt(
+            Region::rect([1, 0, 0], [9, 9, 9]),
+            a,
+            Expr::read_primed_at(a, [-1, 0, 0]),
+        );
+        let compiled = compile(&p).unwrap();
+        let nest = compiled.nest(0);
+        let build = |t| WavefrontPlan::build(nest, t, &BlockPolicy::Fixed(2), &t3e());
+        assert_eq!(
+            build(JobTopology::mesh([2, 2])).unwrap_err(),
+            PipelineError::NoWavefrontDim
+        );
+        assert_eq!(
+            build(JobTopology::mesh([1, 2])).unwrap_err(),
+            PipelineError::NoWavefrontDim
+        );
+        let line = build(JobTopology::line(3)).unwrap();
+        assert_eq!(build(JobTopology::mesh([3, 1])).unwrap(), line);
+        assert_eq!(
+            build(JobTopology::mesh([1, 1])).unwrap(),
+            build(JobTopology::line(1)).unwrap()
+        );
+        // With two wavefront dimensions, [1, p] is the line along the
+        // second one.
+        let (_p, sweep) = sweep_nest(9);
+        let along = |d| JobTopology::Line {
+            procs: 3,
+            dist_dim: Some(d),
+        };
+        let build = |t| WavefrontPlan::build(&sweep, t, &BlockPolicy::Fixed(2), &t3e()).unwrap();
+        assert_eq!(build(JobTopology::mesh([1, 3])), build(along(1)));
+        assert_eq!(build(JobTopology::mesh([3, 1])), build(along(0)));
     }
 }

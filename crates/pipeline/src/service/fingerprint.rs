@@ -16,6 +16,7 @@
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::program::Program;
 
+use crate::plan::JobTopology;
 use crate::session::SessionConfig;
 
 /// 64-bit FNV-1a over `bytes` — the compact display form of a key.
@@ -28,16 +29,14 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Cache key for a 1-D line-topology job. `hsig` is the handle-shape
-/// signature: the *names* bound to resident handles (sorted in/out
-/// sets), never the handle ids — ids rotate every loop chunk and keying
-/// on them would turn the cache into a miss machine. Sessions pass
-/// `""`.
-pub(crate) fn line_key<const R: usize>(
+/// Cache key for a job. `hsig` is the handle-shape signature: the
+/// *names* bound to resident handles (sorted in/out sets), never the
+/// handle ids — ids rotate every loop chunk and keying on them would
+/// turn the cache into a miss machine. Sessions pass `""`.
+pub(crate) fn plan_key<const R: usize>(
     program: &Program<R>,
     nest: &CompiledNest<R>,
-    procs: usize,
-    dist_dim: Option<usize>,
+    topology: JobTopology,
     cfg: &SessionConfig,
     hsig: &str,
 ) -> String {
@@ -45,30 +44,7 @@ pub(crate) fn line_key<const R: usize>(
     let mut s = String::with_capacity(256);
     let _ = write!(
         s,
-        "line;R={R};p={procs};d={dist_dim:?};h={hsig};k={:?};{:?};{:?};{:?};{:?}",
-        cfg.kernel_mode,
-        cfg.block,
-        cfg.machine,
-        program.arrays(),
-        nest,
-    );
-    s
-}
-
-/// Cache key for a 2-D mesh-topology job. See [`line_key`] for `hsig`.
-pub(crate) fn mesh_key<const R: usize>(
-    program: &Program<R>,
-    nest: &CompiledNest<R>,
-    mesh: [usize; 2],
-    wave_dims: Option<[usize; 2]>,
-    cfg: &SessionConfig,
-    hsig: &str,
-) -> String {
-    use std::fmt::Write;
-    let mut s = String::with_capacity(256);
-    let _ = write!(
-        s,
-        "mesh;R={R};m={mesh:?};w={wave_dims:?};h={hsig};k={:?};{:?};{:?};{:?};{:?}",
+        "R={R};{topology:?};h={hsig};k={:?};{:?};{:?};{:?};{:?}",
         cfg.kernel_mode,
         cfg.block,
         cfg.machine,

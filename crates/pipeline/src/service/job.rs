@@ -28,26 +28,7 @@ use crate::service::output::{JobOutput, JobOutputs};
 use crate::session::{RunOutcome, SessionConfig};
 use crate::telemetry::{EngineKind, ExecutionReport};
 
-/// The processor topology a job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobTopology {
-    /// A 1-D processor line (a [`crate::plan::WavefrontPlan`]).
-    Line {
-        /// Number of processors on the line.
-        procs: usize,
-        /// Forced distribution dimension, or `None` to let the planner
-        /// choose.
-        dist_dim: Option<usize>,
-    },
-    /// A 2-D processor mesh (a [`crate::plan2d::WavefrontPlan2D`]).
-    Mesh {
-        /// Mesh shape (`[rows, cols]`).
-        mesh: [usize; 2],
-        /// Forced distributed dimensions, or `None` to let the planner
-        /// choose.
-        wave_dims: Option<[usize; 2]>,
-    },
-}
+pub use crate::plan::JobTopology;
 
 /// Everything one service job needs, by value: the service outlives any
 /// borrow a `Session` could hold, so program, nest, and store are owned
@@ -68,7 +49,7 @@ pub struct JobSpec<const R: usize> {
     pub(crate) handle_inputs: Vec<(String, u64)>,
     pub(crate) handle_outputs: Vec<HandleBinding>,
     /// Set only by the loop runner: execute the nest `iters` times in
-    /// one fused engine invocation (threads/line only).
+    /// one fused engine invocation (threads engine only).
     pub(crate) loop_exec: Option<LoopExec<R>>,
     pub(crate) trace_id: Option<u64>,
     /// Stamped by the submission doors when the spec enters the
@@ -222,10 +203,7 @@ impl<const R: usize> JobSpecBuilder<R> {
         JobSpecBuilder {
             program,
             nest,
-            topology: JobTopology::Line {
-                procs: 1,
-                dist_dim: None,
-            },
+            topology: JobTopology::line(1),
             cfg: SessionConfig::default(),
             engine: EngineKind::Threads,
             store: None,
@@ -243,20 +221,14 @@ impl<const R: usize> JobSpecBuilder<R> {
     /// Run on a 1-D line of `procs` processors (planner-chosen
     /// distribution dimension).
     pub fn line(mut self, procs: usize) -> Self {
-        self.topology = JobTopology::Line {
-            procs,
-            dist_dim: None,
-        };
+        self.topology = JobTopology::line(procs);
         self
     }
 
     /// Run on a 2-D mesh of shape `[rows, cols]` (planner-chosen wave
     /// dimensions).
     pub fn mesh(mut self, mesh: [usize; 2]) -> Self {
-        self.topology = JobTopology::Mesh {
-            mesh,
-            wave_dims: None,
-        };
+        self.topology = JobTopology::mesh(mesh);
         self
     }
 
@@ -283,17 +255,6 @@ impl<const R: usize> JobSpecBuilder<R> {
     /// Machine cost parameters.
     pub fn machine(mut self, params: wavefront_machine::MachineParams) -> Self {
         self.cfg.machine = params;
-        self
-    }
-
-    /// Select compiled tile kernels (`true`, the default, up to the
-    /// lane tier) or the reference interpreter.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use kernel_mode(KernelMode): false maps to Interpreted, true to Lanes"
-    )]
-    pub fn kernels(mut self, on: bool) -> Self {
-        self.cfg.kernel_mode = wavefront_core::kernel::KernelMode::from_flag(on);
         self
     }
 

@@ -11,9 +11,9 @@
 //!
 //! ## Cross-iteration pipelining
 //!
-//! Eligible bodies — a single job on the threads engine over a line
-//! topology — run **fused**: many iterations inside one engine
-//! invocation (see `execute_loop_threaded`), where a worker whose
+//! Eligible bodies — a single job on the threads engine, line or mesh
+//! — run **fused**: many iterations inside one engine invocation (see
+//! `exec_threads::execute_threaded`), where a worker whose
 //! blocks have drained iteration *k* immediately starts iteration
 //! *k+1*'s fill. That lifts the paper's fill/steady/drain staircase one
 //! level up: the drain of one sweep overlaps the fill of the next, and
@@ -22,8 +22,8 @@
 //! rotated arrays are read pointwise (no ghost margins along any
 //! dimension — a rotated-in buffer's halo would otherwise be stale) and
 //! every rotated name is bound as an *output* handle; anything else
-//! falls back to the always-correct per-step path, as do DAG bodies,
-//! other engines, and mesh topologies.
+//! falls back to the always-correct per-step path, as do DAG bodies
+//! and other engines.
 //!
 //! ## Equivalence guarantee
 //!
@@ -47,7 +47,7 @@ use crate::exec_threads::{prepare_rotated, rotation_fusible};
 use crate::schedule::BlockPolicy;
 use crate::service::dag::{run_dag_real, DagSpec, SchedulerChoice};
 use crate::service::handle::{ArrayHandle, HandleTable};
-use crate::service::job::{JobSpec, JobTopology, LoopExec};
+use crate::service::job::{JobSpec, LoopExec};
 use crate::service::{panic_message, submit_on, Shared};
 use crate::telemetry::EngineKind;
 
@@ -56,7 +56,7 @@ use crate::telemetry::EngineKind;
 // boxing the big `JobSpec` variant would buy nothing.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum LoopBody<const R: usize> {
-    /// One job (fusible when it runs threads over a line).
+    /// One job (fusible when it runs on the threads engine).
     Job(JobSpec<R>),
     /// A whole DAG per step (always the per-step path; nodes run in
     /// scheduler order, sharing the loop's resident handles safely
@@ -548,7 +548,7 @@ fn run_loop<const R: usize>(
     let mut fused = false;
     match body {
         LoopBody::Job(spec0) => {
-            // Fused eligibility: threads engine over a line with a fixed
+            // Fused eligibility: threads engine with a fixed
             // block policy, and — when rotating — pointwise rotation
             // classes whose every name is output-handle-bound (see the
             // module docs for why both are required for correctness).
@@ -562,7 +562,6 @@ fn run_loop<const R: usize>(
                 })
                 .collect();
             fused = matches!(spec0.engine, EngineKind::Threads)
-                && matches!(spec0.topology, JobTopology::Line { .. })
                 && !matches!(spec0.cfg.block, BlockPolicy::Adaptive(_))
                 && spec0.nest.buffered.is_empty()
                 && rotation_fusible(&spec0.nest, &rot_ids);

@@ -8,9 +8,9 @@
 //! * a persistent [`pool::WorkerPool`] keeps engine threads parked on a
 //!   condvar between jobs instead of re-spawning them;
 //! * a fingerprint-keyed LRU [`cache::PlanCache`] holds compiled
-//!   [`crate::plan::WavefrontPlan`]s / [`crate::plan2d::WavefrontPlan2D`]s
-//!   together with their lowered kernel preparation, so warm jobs skip
-//!   planning and kernel compilation entirely;
+//!   [`crate::plan::WavefrontPlan`]s together with their lowered kernel
+//!   preparation, so warm jobs skip planning and kernel compilation
+//!   entirely;
 //! * every job belongs to a **tenant** with its own bounded queue,
 //!   admission limits ([`TenantConfig`]), and fair-share weight. The
 //!   dispatcher drains tenant queues by stride scheduling, so dispatch
@@ -35,13 +35,13 @@
 //! ```
 //!
 //! Jobs of one tenant run in priority-then-submission order; between
-//! tenants the stride scheduler arbitrates. `Session` and `Session2D`
-//! remain the one-shot front doors, but they execute through the same
-//! [`ExecCore`] (with caching disabled), so every engine, kernel
-//! binding, and telemetry path in the crate is exercised by one
-//! execution core. Remote callers reach the same queues through the
-//! wire protocol in [`wire`]. See `docs/SERVICE.md` for the lifecycle,
-//! fingerprinting, admission, and fair-share details.
+//! tenants the stride scheduler arbitrates. `Session` remains the
+//! one-shot front door, but it executes through the same [`ExecCore`]
+//! (with caching disabled), so every engine, kernel binding, and
+//! telemetry path in the crate is exercised by one execution core.
+//! Remote callers reach the same queues through the wire protocol in
+//! [`wire`]. See `docs/SERVICE.md` for the lifecycle, fingerprinting,
+//! admission, and fair-share details.
 
 pub mod admission;
 pub(crate) mod cache;
@@ -76,17 +76,12 @@ use wavefront_core::program::{Program, Store};
 use wavefront_core::region::Region;
 
 use crate::error::{AdmissionReason, PipelineError};
-use crate::exec2d::{
-    execute_plan2d_sequential_prepared, execute_prepared2d_threaded, prepare2d,
-    simulate_plan2d_collected, MeshPrep,
-};
-use crate::exec_seq::execute_plan_sequential_prepared;
+use crate::exec_seq::execute_plan_sequential;
 use crate::exec_sim::simulate_plan_collected;
-use crate::exec_threads::{execute_loop_threaded, execute_prepared_threaded, prepare, NestPrep};
+use crate::exec_threads::{execute_threaded, prepare, NestPrep};
 use crate::plan::WavefrontPlan;
-use crate::plan2d::WavefrontPlan2D;
 use crate::schedule::BlockPolicy;
-use crate::session::{RunOutcome, Session, Session2D, SessionConfig};
+use crate::session::{RunOutcome, Session, SessionConfig};
 use crate::telemetry::json::JsonObj;
 use crate::telemetry::report::jstr;
 use crate::telemetry::{
@@ -155,16 +150,16 @@ impl<const R: usize> NestSource<'_, R> {
     }
 }
 
-/// One cached 1-D compilation: the nest it was compiled against, the
-/// plan, and the lazily-built kernel preparation (simulator jobs never
-/// force the kernel lowering).
-struct Entry1D<const R: usize> {
+/// One cached compilation: the nest it was compiled against, the plan,
+/// and the lazily-built kernel preparation (simulator jobs never force
+/// the kernel lowering).
+struct Entry<const R: usize> {
     nest: Arc<CompiledNest<R>>,
     plan: Arc<WavefrontPlan<R>>,
     prep: OnceLock<Arc<NestPrep<R>>>,
 }
 
-impl<const R: usize> Entry1D<R> {
+impl<const R: usize> Entry<R> {
     /// The kernel preparation, lowered on first use. The kernel-tier
     /// ceiling is part of the cache fingerprint, so it is constant per
     /// entry — a cached plan compiled at one tier never executes at
@@ -173,22 +168,6 @@ impl<const R: usize> Entry1D<R> {
         Arc::clone(
             self.prep
                 .get_or_init(|| Arc::new(prepare(program, &self.nest, kernel_mode))),
-        )
-    }
-}
-
-/// One cached 2-D (mesh) compilation; see [`Entry1D`].
-struct Entry2D<const R: usize> {
-    nest: Arc<CompiledNest<R>>,
-    plan: Arc<WavefrontPlan2D<R>>,
-    prep: OnceLock<Arc<MeshPrep<R>>>,
-}
-
-impl<const R: usize> Entry2D<R> {
-    fn prep(&self, program: &Program<R>, kernel_mode: KernelMode) -> Arc<MeshPrep<R>> {
-        Arc::clone(
-            self.prep
-                .get_or_init(|| Arc::new(prepare2d(program, &self.nest, kernel_mode))),
         )
     }
 }
@@ -279,26 +258,24 @@ impl ExecCore {
         }
     }
 
-    /// Resolve the compiled entry for a 1-D job: cache lookup when
-    /// caching is on, fresh build otherwise (or on miss).
-    fn entry_line<const R: usize>(
+    /// Resolve the compiled entry for a job: cache lookup when caching
+    /// is on, fresh build otherwise (or on miss).
+    fn entry<const R: usize>(
         &self,
         program: &Program<R>,
         nest: &NestSource<'_, R>,
-        procs: usize,
-        dist_dim: Option<usize>,
+        topology: JobTopology,
         cfg: &SessionConfig,
         hsig: &str,
-    ) -> Result<(Arc<Entry1D<R>>, Option<CacheEvent>), PipelineError> {
-        let build = |nest: Arc<CompiledNest<R>>| -> Result<Arc<Entry1D<R>>, PipelineError> {
+    ) -> Result<(Arc<Entry<R>>, Option<CacheEvent>), PipelineError> {
+        let build = |nest: Arc<CompiledNest<R>>| -> Result<Arc<Entry<R>>, PipelineError> {
             let plan = Arc::new(WavefrontPlan::build(
                 &nest,
-                procs,
-                dist_dim,
+                topology,
                 &cfg.block,
                 &cfg.machine,
             )?);
-            Ok(Arc::new(Entry1D {
+            Ok(Arc::new(Entry {
                 nest,
                 plan,
                 prep: OnceLock::new(),
@@ -307,13 +284,13 @@ impl ExecCore {
         if !self.caching {
             return Ok((build(nest.to_arc())?, None));
         }
-        let key = fingerprint::line_key(program, nest.get(), procs, dist_dim, cfg, hsig);
+        let key = fingerprint::plan_key(program, nest.get(), topology, cfg, hsig);
         let cached = self
             .cache
             .lock()
             .unwrap()
             .get(&key)
-            .and_then(|v| v.downcast::<Entry1D<R>>().ok());
+            .and_then(|v| v.downcast::<Entry<R>>().ok());
         match cached {
             Some(entry) => {
                 let ev = self.cache_event(true, &key);
@@ -331,82 +308,39 @@ impl ExecCore {
         }
     }
 
-    /// Resolve the compiled entry for a 2-D mesh job; see
-    /// [`ExecCore::entry_line`].
-    fn entry_mesh<const R: usize>(
-        &self,
-        program: &Program<R>,
-        nest: &NestSource<'_, R>,
-        mesh: [usize; 2],
-        wave_dims: Option<[usize; 2]>,
-        cfg: &SessionConfig,
-        hsig: &str,
-    ) -> Result<(Arc<Entry2D<R>>, Option<CacheEvent>), PipelineError> {
-        let build = |nest: Arc<CompiledNest<R>>| -> Result<Arc<Entry2D<R>>, PipelineError> {
-            let plan = Arc::new(WavefrontPlan2D::build(
-                &nest,
-                mesh,
-                wave_dims,
-                &cfg.block,
-                &cfg.machine,
-            )?);
-            Ok(Arc::new(Entry2D {
-                nest,
-                plan,
-                prep: OnceLock::new(),
-            }))
-        };
-        if !self.caching {
-            return Ok((build(nest.to_arc())?, None));
-        }
-        let key = fingerprint::mesh_key(program, nest.get(), mesh, wave_dims, cfg, hsig);
-        let cached = self
-            .cache
-            .lock()
-            .unwrap()
-            .get(&key)
-            .and_then(|v| v.downcast::<Entry2D<R>>().ok());
-        match cached {
-            Some(entry) => {
-                let ev = self.cache_event(true, &key);
-                Ok((entry, Some(ev)))
-            }
-            None => {
-                let entry = build(nest.to_arc())?;
-                self.cache.lock().unwrap().insert(
-                    key.clone(),
-                    Arc::clone(&entry) as Arc<dyn Any + Send + Sync>,
-                );
-                let ev = self.cache_event(false, &key);
-                Ok((entry, Some(ev)))
-            }
-        }
-    }
-
-    /// Plan (or fetch) and execute one 1-D line job. The cache event, if
-    /// any, is reported *after* the engine's stream completes, because
-    /// collectors reset their buffers at `begin`.
+    /// Plan (or fetch) and execute one job on `kind`. With `lx`, the
+    /// threads engine runs a fused multi-iteration loop chunk —
+    /// `lx.iters` whole sweeps inside one invocation, scatter once,
+    /// iterate with cross-iteration pipelining, gather once (see
+    /// [`execute_threaded`]) — and the chunk's overlap stats come back
+    /// beside the outcome. The cache event, if any, is reported *after*
+    /// the engine's stream completes, because collectors reset their
+    /// buffers at `begin`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_line<const R: usize>(
+    pub(crate) fn run<const R: usize>(
         &self,
         program: &Program<R>,
         nest: NestSource<'_, R>,
-        procs: usize,
-        dist_dim: Option<usize>,
+        topology: JobTopology,
         cfg: &SessionConfig,
         hsig: &str,
         store: Option<&mut Store<R>>,
         collector: &mut dyn Collector,
         kind: EngineKind,
-    ) -> Result<RunOutcome, PipelineError> {
+        lx: Option<&LoopExec<R>>,
+    ) -> Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> {
         debug_assert!(
             !matches!(cfg.block, BlockPolicy::Adaptive(_)),
             "adaptive runs route through the tuner, never the core"
         );
+        debug_assert!(
+            lx.is_none() || kind == EngineKind::Threads,
+            "only the threads engine fuses loop chunks"
+        );
         let prep_start = Instant::now();
-        let (entry, cache_ev) = self.entry_line(program, &nest, procs, dist_dim, cfg, hsig)?;
+        let (entry, cache_ev) = self.entry(program, &nest, topology, cfg, hsig)?;
         let plan = &entry.plan;
-        let base = RunOutcome {
+        let mut outcome = RunOutcome {
             engine: kind,
             makespan: 0.0,
             time_unit: TimeUnit::Seconds,
@@ -419,288 +353,98 @@ impl ExecCore {
             kernel_tier: None,
             kernel_fallback: None,
         };
-        let outcome = match kind {
-            EngineKind::Sim => {
-                let prep_seconds = prep_start.elapsed().as_secs_f64();
-                let run_start = Instant::now();
-                let r = simulate_plan_collected(plan, &cfg.machine, collector);
-                RunOutcome {
-                    makespan: r.makespan,
-                    time_unit: TimeUnit::ModelUnits,
-                    messages: r.messages,
-                    prep_seconds,
-                    run_seconds: run_start.elapsed().as_secs_f64(),
-                    ..base
-                }
-            }
-            EngineKind::Seq => {
-                let store = store.ok_or(PipelineError::MissingStore)?;
-                let prep = entry.prep(program, cfg.kernel_mode);
-                self.count_kernel(&prep.runner);
-                let kernel_tier = Some(prep.runner.tier());
-                let kernel_fallback = prep.runner.fallback();
-                let prep_seconds = prep_start.elapsed().as_secs_f64();
-                let run_start = Instant::now();
-                execute_plan_sequential_prepared(&entry.nest, plan, &prep.runner, store, collector);
-                let run_seconds = run_start.elapsed().as_secs_f64();
-                RunOutcome {
-                    makespan: run_seconds,
-                    prep_seconds,
-                    run_seconds,
-                    kernel_tier,
-                    kernel_fallback,
-                    ..base
-                }
-            }
-            EngineKind::Threads => {
-                let store = store.ok_or(PipelineError::MissingStore)?;
-                let prep = entry.prep(program, cfg.kernel_mode);
-                self.count_kernel(&prep.runner);
-                let kernel_tier = Some(prep.runner.tier());
-                let kernel_fallback = prep.runner.fallback();
-                let prep_seconds = prep_start.elapsed().as_secs_f64();
-                let run_start = Instant::now();
-                let r = execute_prepared_threaded(
+        let mut loop_stats = None;
+        if kind == EngineKind::Sim {
+            outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
+            let run_start = Instant::now();
+            let r = simulate_plan_collected(plan, &cfg.machine, collector);
+            outcome.makespan = r.makespan;
+            outcome.time_unit = TimeUnit::ModelUnits;
+            outcome.messages = r.messages;
+            outcome.run_seconds = run_start.elapsed().as_secs_f64();
+        } else {
+            let store = store.ok_or(PipelineError::MissingStore)?;
+            // Rotating loops carry their own prep (margins unified
+            // across each rotation class by `prepare_rotated`);
+            // everything else uses the cache entry's.
+            let prep = match lx.and_then(|lx| lx.prep.as_ref()) {
+                Some(p) => Arc::clone(p),
+                None => entry.prep(program, cfg.kernel_mode),
+            };
+            self.count_kernel(&prep.runner);
+            outcome.kernel_tier = Some(prep.runner.tier());
+            outcome.kernel_fallback = prep.runner.fallback();
+            outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
+            let run_start = Instant::now();
+            if kind == EngineKind::Seq {
+                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, collector);
+                outcome.run_seconds = run_start.elapsed().as_secs_f64();
+                outcome.makespan = outcome.run_seconds;
+            } else {
+                let (iters, rotate, pipelined) = match lx {
+                    Some(lx) => (lx.iters, &lx.rotate[..], lx.pipelined),
+                    None => (1, &[][..], true),
+                };
+                let r = execute_threaded(
                     &self.pool,
                     program,
                     &entry.nest,
                     plan,
                     &prep,
                     store,
+                    iters,
+                    rotate,
+                    pipelined,
                     collector,
                 );
-                RunOutcome {
-                    makespan: r.elapsed.as_secs_f64(),
-                    messages: r.messages,
-                    prep_seconds,
-                    run_seconds: run_start.elapsed().as_secs_f64(),
-                    kernel_tier,
-                    kernel_fallback,
-                    ..base
-                }
+                outcome.run_seconds = run_start.elapsed().as_secs_f64();
+                outcome.makespan = r.elapsed.as_secs_f64();
+                outcome.messages = r.messages;
+                loop_stats = lx.map(|lx| overlap_stats(lx, &r.spans));
             }
-        };
+        }
         if let Some(ev) = cache_ev {
             if collector.enabled() {
                 collector.cache(ev);
             }
         }
-        Ok(outcome)
+        Ok((outcome, loop_stats))
     }
+}
 
-    /// Plan (or fetch) and execute one 2-D mesh job; see
-    /// [`ExecCore::run_line`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_mesh<const R: usize>(
-        &self,
-        program: &Program<R>,
-        nest: NestSource<'_, R>,
-        mesh: [usize; 2],
-        wave_dims: Option<[usize; 2]>,
-        cfg: &SessionConfig,
-        hsig: &str,
-        store: Option<&mut Store<R>>,
-        collector: &mut dyn Collector,
-        kind: EngineKind,
-    ) -> Result<RunOutcome, PipelineError> {
-        debug_assert!(
-            !matches!(cfg.block, BlockPolicy::Adaptive(_)),
-            "adaptive runs route through the tuner, never the core"
-        );
-        let prep_start = Instant::now();
-        let (entry, cache_ev) = self.entry_mesh(program, &nest, mesh, wave_dims, cfg, hsig)?;
-        let plan = &entry.plan;
-        let base = RunOutcome {
-            engine: kind,
-            makespan: 0.0,
-            time_unit: TimeUnit::Seconds,
-            messages: 0,
-            block: plan.block,
-            tiles: plan.tiles.len(),
-            pipelined: plan.is_pipelined(),
-            prep_seconds: 0.0,
-            run_seconds: 0.0,
-            kernel_tier: None,
-            kernel_fallback: None,
-        };
-        let outcome = match kind {
-            EngineKind::Sim => {
-                let prep_seconds = prep_start.elapsed().as_secs_f64();
-                let run_start = Instant::now();
-                let r = simulate_plan2d_collected(plan, &cfg.machine, collector);
-                RunOutcome {
-                    makespan: r.makespan,
-                    time_unit: TimeUnit::ModelUnits,
-                    messages: r.messages,
-                    prep_seconds,
-                    run_seconds: run_start.elapsed().as_secs_f64(),
-                    ..base
-                }
-            }
-            EngineKind::Seq => {
-                let store = store.ok_or(PipelineError::MissingStore)?;
-                let prep = entry.prep(program, cfg.kernel_mode);
-                self.count_kernel(&prep.runner);
-                let kernel_tier = Some(prep.runner.tier());
-                let kernel_fallback = prep.runner.fallback();
-                let prep_seconds = prep_start.elapsed().as_secs_f64();
-                let run_start = Instant::now();
-                execute_plan2d_sequential_prepared(
-                    &entry.nest,
-                    plan,
-                    &prep.runner,
-                    store,
-                    collector,
-                );
-                let run_seconds = run_start.elapsed().as_secs_f64();
-                RunOutcome {
-                    makespan: run_seconds,
-                    prep_seconds,
-                    run_seconds,
-                    kernel_tier,
-                    kernel_fallback,
-                    ..base
-                }
-            }
-            EngineKind::Threads => {
-                let store = store.ok_or(PipelineError::MissingStore)?;
-                let prep = entry.prep(program, cfg.kernel_mode);
-                self.count_kernel(&prep.runner);
-                let kernel_tier = Some(prep.runner.tier());
-                let kernel_fallback = prep.runner.fallback();
-                let prep_seconds = prep_start.elapsed().as_secs_f64();
-                let run_start = Instant::now();
-                let r = execute_prepared2d_threaded(
-                    &self.pool,
-                    program,
-                    &entry.nest,
-                    plan,
-                    &prep,
-                    store,
-                    collector,
-                );
-                RunOutcome {
-                    makespan: r.elapsed.as_secs_f64(),
-                    messages: r.messages,
-                    prep_seconds,
-                    run_seconds: run_start.elapsed().as_secs_f64(),
-                    kernel_tier,
-                    kernel_fallback,
-                    ..base
-                }
-            }
-        };
-        if let Some(ev) = cache_ev {
-            if collector.enabled() {
-                collector.cache(ev);
+/// Cross-iteration overlap of one fused chunk: per iteration, the global
+/// span is [min start, max end] across cells; overlap is how far each
+/// iteration's global start precedes its predecessor's global end. The
+/// barrier ablation yields exactly zero (every span starts after the
+/// previous iteration's last cell finished).
+fn overlap_stats<const R: usize>(lx: &LoopExec<R>, spans: &[Vec<(f64, f64)>]) -> LoopChunkStats {
+    let mut overlap = 0.0f64;
+    let mut busy = 0.0f64;
+    let mut prev_end: Option<f64> = None;
+    for k in 0..lx.iters {
+        let mut s = f64::INFINITY;
+        let mut e = f64::NEG_INFINITY;
+        for cell_spans in spans {
+            if let Some(&(a, b)) = cell_spans.get(k) {
+                s = s.min(a);
+                e = e.max(b);
             }
         }
-        Ok(outcome)
+        if !s.is_finite() || !e.is_finite() {
+            continue;
+        }
+        busy += e - s;
+        if let Some(pe) = prev_end {
+            overlap += (pe - s).max(0.0);
+        }
+        prev_end = Some(e);
     }
-
-    /// Plan (or fetch) and execute one fused multi-iteration loop chunk:
-    /// `lx.iters` whole sweeps inside one threads-engine invocation —
-    /// scatter once, iterate with cross-iteration pipelining (see
-    /// [`execute_loop_threaded`]), gather once. Only the threads engine
-    /// over a line topology fuses; the loop runner routes everything
-    /// else through per-step jobs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_line_loop<const R: usize>(
-        &self,
-        program: &Program<R>,
-        nest: NestSource<'_, R>,
-        procs: usize,
-        dist_dim: Option<usize>,
-        cfg: &SessionConfig,
-        hsig: &str,
-        store: &mut Store<R>,
-        lx: &LoopExec<R>,
-        collector: &mut dyn Collector,
-    ) -> Result<(RunOutcome, LoopChunkStats), PipelineError> {
-        debug_assert!(
-            !matches!(cfg.block, BlockPolicy::Adaptive(_)),
-            "adaptive runs route through the tuner, never the core"
-        );
-        let prep_start = Instant::now();
-        let (entry, cache_ev) = self.entry_line(program, &nest, procs, dist_dim, cfg, hsig)?;
-        let plan = &entry.plan;
-        // Rotating loops carry their own prep (margins unified across
-        // each rotation class by `prepare_rotated`); rotation-free loops
-        // use the cache entry's.
-        let prep = match &lx.prep {
-            Some(p) => Arc::clone(p),
-            None => entry.prep(program, cfg.kernel_mode),
-        };
-        self.count_kernel(&prep.runner);
-        let kernel_tier = Some(prep.runner.tier());
-        let kernel_fallback = prep.runner.fallback();
-        let prep_seconds = prep_start.elapsed().as_secs_f64();
-        let run_start = Instant::now();
-        let r = execute_loop_threaded(
-            &self.pool,
-            program,
-            &entry.nest,
-            plan,
-            &prep,
-            store,
-            lx.iters,
-            &lx.rotate,
-            lx.pipelined,
-            collector,
-        );
-        let run_seconds = run_start.elapsed().as_secs_f64();
-        // Cross-iteration overlap: per iteration, the global span is
-        // [min start, max end] across ranks; overlap is how far each
-        // iteration's global start precedes its predecessor's global
-        // end. The barrier ablation yields exactly zero (every span
-        // starts after the previous iteration's last rank finished).
-        let mut overlap = 0.0f64;
-        let mut busy = 0.0f64;
-        let mut prev_end: Option<f64> = None;
-        for k in 0..lx.iters {
-            let mut s = f64::INFINITY;
-            let mut e = f64::NEG_INFINITY;
-            for rank_spans in &r.spans {
-                if let Some(&(a, b)) = rank_spans.get(k) {
-                    s = s.min(a);
-                    e = e.max(b);
-                }
-            }
-            if !s.is_finite() || !e.is_finite() {
-                continue;
-            }
-            busy += e - s;
-            if let Some(pe) = prev_end {
-                overlap += (pe - s).max(0.0);
-            }
-            prev_end = Some(e);
-        }
-        let stats = LoopChunkStats {
-            iters: lx.iters,
-            overlap_seconds: overlap,
-            busy_seconds: busy,
-            overlap_efficiency: if busy > 0.0 { overlap / busy } else { 0.0 },
-            pipelined: lx.pipelined,
-        };
-        let outcome = RunOutcome {
-            engine: EngineKind::Threads,
-            makespan: r.report.elapsed.as_secs_f64(),
-            time_unit: TimeUnit::Seconds,
-            messages: r.report.messages,
-            block: plan.block,
-            tiles: plan.tiles.len(),
-            pipelined: plan.is_pipelined(),
-            prep_seconds,
-            run_seconds,
-            kernel_tier,
-            kernel_fallback,
-        };
-        if let Some(ev) = cache_ev {
-            if collector.enabled() {
-                collector.cache(ev);
-            }
-        }
-        Ok((outcome, stats))
+    LoopChunkStats {
+        iters: lx.iters,
+        overlap_seconds: overlap,
+        busy_seconds: busy,
+        overlap_efficiency: if busy > 0.0 { overlap / busy } else { 0.0 },
+        pipelined: lx.pipelined,
     }
 }
 
@@ -1859,100 +1603,41 @@ fn run_job<const R: usize>(
 
     let mut trace_collector = trace.then(TraceCollector::new);
     let run_result: Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> = (|| {
-        if let Some(lx) = &loop_exec {
-            if !matches!(engine, EngineKind::Threads)
-                || matches!(cfg.block, BlockPolicy::Adaptive(_))
-            {
-                return Err(PipelineError::InvalidLoop {
-                    reason: "fused loop chunks run only on the threads engine with a \
-                             fixed block policy"
-                        .into(),
-                });
-            }
-            let JobTopology::Line { procs, dist_dim } = topology else {
-                return Err(PipelineError::InvalidLoop {
-                    reason: "fused loop chunks run only on a line topology".into(),
-                });
-            };
-            let st = store.as_mut().ok_or(PipelineError::MissingStore)?;
+        let adaptive = matches!(cfg.block, BlockPolicy::Adaptive(_));
+        if loop_exec.is_some() && (engine != EngineKind::Threads || adaptive) {
+            return Err(PipelineError::InvalidLoop {
+                reason: "fused loop chunks run only on the threads engine with a \
+                         fixed block policy"
+                    .into(),
+            });
+        }
+        if !adaptive {
             let mut noop = NoopCollector;
             let collector: &mut dyn Collector = match trace_collector.as_mut() {
                 Some(tc) => tc,
                 None => &mut noop,
             };
-            let (outcome, stats) = core.run_line_loop(
+            return core.run(
                 &program,
                 NestSource::Shared(&nest),
-                procs,
-                dist_dim,
+                topology,
                 &cfg,
                 &hsig,
-                st,
-                lx,
+                store.as_mut(),
                 collector,
-            )?;
-            return Ok((outcome, Some(stats)));
+                engine,
+                loop_exec.as_ref(),
+            );
         }
-        let outcome = if matches!(cfg.block, BlockPolicy::Adaptive(_)) {
-            match topology {
-                JobTopology::Line { procs, dist_dim } => {
-                    let mut session = Session::new(&program, &nest).procs(procs).config(cfg);
-                    if let Some(d) = dist_dim {
-                        session = session.dist_dim(d);
-                    }
-                    if let Some(st) = store.as_mut() {
-                        session = session.store(st);
-                    }
-                    if let Some(tc) = trace_collector.as_mut() {
-                        session = session.collector(tc);
-                    }
-                    session.run(engine)?
-                }
-                JobTopology::Mesh { mesh, wave_dims } => {
-                    let mut session = Session2D::new(&program, &nest).mesh(mesh).config(cfg);
-                    if let Some(w) = wave_dims {
-                        session = session.wave_dims(w);
-                    }
-                    if let Some(st) = store.as_mut() {
-                        session = session.store(st);
-                    }
-                    if let Some(tc) = trace_collector.as_mut() {
-                        session = session.collector(tc);
-                    }
-                    session.run(engine)?
-                }
-            }
-        } else {
-            let mut noop = NoopCollector;
-            let collector: &mut dyn Collector = match trace_collector.as_mut() {
-                Some(tc) => tc,
-                None => &mut noop,
-            };
-            match topology {
-                JobTopology::Line { procs, dist_dim } => core.run_line(
-                    &program,
-                    NestSource::Shared(&nest),
-                    procs,
-                    dist_dim,
-                    &cfg,
-                    &hsig,
-                    store.as_mut(),
-                    collector,
-                    engine,
-                )?,
-                JobTopology::Mesh { mesh, wave_dims } => core.run_mesh(
-                    &program,
-                    NestSource::Shared(&nest),
-                    mesh,
-                    wave_dims,
-                    &cfg,
-                    &hsig,
-                    store.as_mut(),
-                    collector,
-                    engine,
-                )?,
-            }
-        };
+        let mut session = Session::new(&program, &nest).config(cfg);
+        session.topology = topology;
+        if let Some(st) = store.as_mut() {
+            session = session.store(st);
+        }
+        if let Some(tc) = trace_collector.as_mut() {
+            session = session.collector(tc);
+        }
+        let outcome = session.run(engine)?;
         Ok((outcome, None))
     })();
 

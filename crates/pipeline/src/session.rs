@@ -17,9 +17,10 @@
 //!     .run(EngineKind::Threads)?;
 //! ```
 //!
-//! [`Session2D`] is the analogue for 2-D processor meshes. Custom
-//! runtimes can implement [`Engine`] and run through
-//! [`Session::run_engine`], receiving the same prepared [`EngineCtx`].
+//! The topology is one more knob on the same builder: `.procs(p)` (and
+//! `.dist_dim(d)`) for a processor line, `.mesh([p1, p2])` (and
+//! `.wave_dims([d1, d2])`) for a 2-D mesh; a mesh side of one processor
+//! is no axis at all, so `.mesh([p, 1])` plans exactly as `.procs(p)`.
 //! For heavy repeated traffic, [`crate::service::WavefrontService`]
 //! wraps the same execution core in a long-lived job API with a
 //! persistent worker pool and a compiled-plan cache; a `Session` is the
@@ -30,8 +31,6 @@
 //! pipeline efficiency, latency histograms) or the exporters in
 //! [`crate::telemetry::export`] (Perfetto / ASCII timeline).
 
-use std::time::Instant;
-
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::kernel::{FallbackReason, KernelMode, KernelTier};
 use wavefront_core::program::{Program, Store};
@@ -40,18 +39,15 @@ use wavefront_machine::{cray_t3e, MachineParams};
 use wavefront_core::exec::CompiledProgram;
 
 use crate::error::PipelineError;
-use crate::exec_seq::execute_plan_sequential_collected_opts;
-use crate::exec_sim::{simulate_nest, simulate_plan_collected, simulate_program_fused};
+use crate::exec_sim::{simulate_nest, simulate_program_fused};
 use crate::exec_sim::{simulate_program, NestSim, ProgramSim};
-use crate::exec_threads::execute_plan_threaded_collected_opts;
-use crate::plan::WavefrontPlan;
-use crate::plan2d::WavefrontPlan2D;
+use crate::plan::{JobTopology, WavefrontPlan};
 use crate::schedule::BlockPolicy;
 use crate::service::{ExecCore, NestSource};
 use crate::telemetry::{Collector, EngineKind, NoopCollector, TimeUnit};
 
-/// The engine-independent knobs shared by [`Session`], [`Session2D`],
-/// and [`crate::service::JobSpec`]: block-size policy, machine cost
+/// The engine-independent knobs shared by [`Session`] and
+/// [`crate::service::JobSpec`]: block-size policy, machine cost
 /// parameters, and the kernel-tier switch.
 ///
 /// Collector and store attachments stay on the individual builders —
@@ -93,17 +89,6 @@ impl SessionConfig {
         self
     }
 
-    /// Select compiled tile kernels (`true`, up to the lane tier) or
-    /// the interpreter (`false`) — the historical boolean switch.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use kernel_mode(KernelMode): false maps to Interpreted, true to Lanes"
-    )]
-    pub fn kernels(mut self, on: bool) -> Self {
-        self.kernel_mode = KernelMode::from_flag(on);
-        self
-    }
-
     /// Set the kernel-tier ceiling explicitly.
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
@@ -128,8 +113,7 @@ pub struct RunOutcome {
     pub block: usize,
     /// Number of tiles along the orthogonal dimension.
     pub tiles: usize,
-    /// Whether the plan pipelines (more than one tile and more than one
-    /// active processor).
+    /// Whether the plan pipelines (more than one tile).
     pub pipelined: bool,
     /// Wall-clock seconds spent preparing the run before the engine
     /// started: plan construction (or a cache lookup when the run went
@@ -151,135 +135,20 @@ pub struct RunOutcome {
     pub kernel_fallback: Option<FallbackReason>,
 }
 
-/// Everything an [`Engine`] needs, prepared by the session: the plan is
-/// already built and the collector defaulted to a no-op if none was
-/// attached.
-pub struct EngineCtx<'s, const R: usize> {
-    /// The source program (array declarations).
-    pub program: &'s Program<R>,
-    /// The compiled scan-block nest being executed.
-    pub nest: &'s CompiledNest<R>,
-    /// The wavefront decomposition.
-    pub plan: &'s WavefrontPlan<R>,
-    /// Machine cost parameters (simulator only; executing engines run
-    /// on the host).
-    pub params: &'s MachineParams,
-    /// Data store, when the caller attached one.
-    pub store: Option<&'s mut Store<R>>,
-    /// Telemetry sink (a [`NoopCollector`] when none was attached).
-    pub collector: &'s mut dyn Collector,
-    /// The kernel-tier ceiling executing engines lower nests under
-    /// (lane kernels by default).
-    pub kernel_mode: KernelMode,
-}
-
-/// A wavefront runtime that can execute a prepared plan. The three
-/// built-in engines are selected by [`EngineKind`]; implement this to
-/// run a custom runtime through the same [`Session`] front end.
-pub trait Engine<const R: usize> {
-    /// Which kind this engine reports as.
-    fn kind(&self) -> EngineKind;
-    /// Execute the plan in `ctx`.
-    fn run(&self, ctx: EngineCtx<'_, R>) -> Result<RunOutcome, PipelineError>;
-}
-
-fn outcome_base<const R: usize>(engine: EngineKind, plan: &WavefrontPlan<R>) -> RunOutcome {
-    RunOutcome {
-        engine,
-        makespan: 0.0,
-        time_unit: TimeUnit::Seconds,
-        messages: 0,
-        block: plan.block,
-        tiles: plan.tiles.len(),
-        pipelined: plan.is_pipelined(),
-        prep_seconds: 0.0,
-        run_seconds: 0.0,
-        kernel_tier: None,
-        kernel_fallback: None,
-    }
-}
-
-/// The deterministic cost simulator ([`EngineKind::Sim`]).
-pub struct SimEngine;
-
-impl<const R: usize> Engine<R> for SimEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Sim
-    }
-
-    fn run(&self, ctx: EngineCtx<'_, R>) -> Result<RunOutcome, PipelineError> {
-        let r = simulate_plan_collected(ctx.plan, ctx.params, ctx.collector);
-        Ok(RunOutcome {
-            makespan: r.makespan,
-            time_unit: TimeUnit::ModelUnits,
-            messages: r.messages,
-            ..outcome_base(EngineKind::Sim, ctx.plan)
-        })
-    }
-}
-
-/// The dependency-order sequential reference ([`EngineKind::Seq`]).
-pub struct SeqEngine;
-
-impl<const R: usize> Engine<R> for SeqEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Seq
-    }
-
-    fn run(&self, ctx: EngineCtx<'_, R>) -> Result<RunOutcome, PipelineError> {
-        let store = ctx.store.ok_or(PipelineError::MissingStore)?;
-        let start = Instant::now();
-        execute_plan_sequential_collected_opts(
-            ctx.nest,
-            ctx.plan,
-            store,
-            ctx.collector,
-            ctx.kernel_mode,
-        );
-        Ok(RunOutcome {
-            makespan: start.elapsed().as_secs_f64(),
-            ..outcome_base(EngineKind::Seq, ctx.plan)
-        })
-    }
-}
-
-/// The OS-thread runtime with channel messaging ([`EngineKind::Threads`]).
-pub struct ThreadsEngine;
-
-impl<const R: usize> Engine<R> for ThreadsEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Threads
-    }
-
-    fn run(&self, ctx: EngineCtx<'_, R>) -> Result<RunOutcome, PipelineError> {
-        let store = ctx.store.ok_or(PipelineError::MissingStore)?;
-        let r = execute_plan_threaded_collected_opts(
-            ctx.program,
-            ctx.nest,
-            ctx.plan,
-            store,
-            ctx.collector,
-            ctx.kernel_mode,
-        );
-        Ok(RunOutcome {
-            makespan: r.elapsed.as_secs_f64(),
-            messages: r.messages,
-            ..outcome_base(EngineKind::Threads, ctx.plan)
-        })
-    }
-}
-
-/// Builder bundling everything needed to plan and run one nest on a 1-D
-/// processor line. See the module docs for the idiom.
+/// Builder bundling everything needed to plan and run one nest on a
+/// processor line or mesh. See the module docs for the idiom.
 pub struct Session<'a, const R: usize> {
     pub(crate) program: &'a Program<R>,
     pub(crate) nest: &'a CompiledNest<R>,
-    pub(crate) procs: usize,
-    pub(crate) dist_dim: Option<usize>,
+    pub(crate) topology: JobTopology,
     pub(crate) cfg: SessionConfig,
     pub(crate) collector: Option<&'a mut dyn Collector>,
     pub(crate) store: Option<&'a mut Store<R>>,
 }
+
+/// The mesh spelling of [`Session`], kept for callers that name it; the
+/// topology is a builder knob of the one session type.
+pub type Session2D<'a, const R: usize> = Session<'a, R>;
 
 impl<'a, const R: usize> Session<'a, R> {
     /// Start a session for `nest` of `program`. Defaults: 1 processor,
@@ -289,24 +158,55 @@ impl<'a, const R: usize> Session<'a, R> {
         Session {
             program,
             nest,
-            procs: 1,
-            dist_dim: None,
+            topology: JobTopology::line(1),
             cfg: SessionConfig::default(),
             collector: None,
             store: None,
         }
     }
 
-    /// Number of processors on the line.
+    /// Run on a line of `p` processors.
     pub fn procs(mut self, p: usize) -> Self {
-        self.procs = p;
+        self.topology = match self.topology {
+            JobTopology::Line { dist_dim, .. } => JobTopology::Line { procs: p, dist_dim },
+            JobTopology::Mesh { .. } => JobTopology::line(p),
+        };
         self
     }
 
-    /// Force the distributed dimension instead of letting the planner
-    /// choose.
+    /// Force the line's distributed dimension instead of letting the
+    /// planner choose.
     pub fn dist_dim(mut self, dim: usize) -> Self {
-        self.dist_dim = Some(dim);
+        let procs = match self.topology {
+            JobTopology::Line { procs, .. } => procs,
+            JobTopology::Mesh { .. } => 1,
+        };
+        self.topology = JobTopology::Line {
+            procs,
+            dist_dim: Some(dim),
+        };
+        self
+    }
+
+    /// Run on a processor mesh of shape `[rows, cols]`.
+    pub fn mesh(mut self, mesh: [usize; 2]) -> Self {
+        self.topology = match self.topology {
+            JobTopology::Mesh { wave_dims, .. } => JobTopology::Mesh { mesh, wave_dims },
+            JobTopology::Line { .. } => JobTopology::mesh(mesh),
+        };
+        self
+    }
+
+    /// Force the mesh's two distributed dimensions.
+    pub fn wave_dims(mut self, dims: [usize; 2]) -> Self {
+        let mesh = match self.topology {
+            JobTopology::Mesh { mesh, .. } => mesh,
+            JobTopology::Line { .. } => [1, 1],
+        };
+        self.topology = JobTopology::Mesh {
+            mesh,
+            wave_dims: Some(dims),
+        };
         self
     }
 
@@ -340,18 +240,6 @@ impl<'a, const R: usize> Session<'a, R> {
         self
     }
 
-    /// Select compiled tile kernels (`true`, the default, up to the
-    /// lane tier) or force the reference interpreter (`false`) in the
-    /// executing engines.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use kernel_mode(KernelMode): false maps to Interpreted, true to Lanes"
-    )]
-    pub fn kernels(mut self, on: bool) -> Self {
-        self.cfg.kernel_mode = KernelMode::from_flag(on);
-        self
-    }
-
     /// Set the kernel-tier ceiling explicitly (see [`KernelMode`]).
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.cfg.kernel_mode = mode;
@@ -360,25 +248,25 @@ impl<'a, const R: usize> Session<'a, R> {
 
     /// Build the wavefront plan this session would run.
     pub fn plan(&self) -> Result<WavefrontPlan<R>, PipelineError> {
-        WavefrontPlan::build(
-            self.nest,
-            self.procs,
-            self.dist_dim,
-            &self.cfg.block,
-            &self.cfg.machine,
-        )
+        WavefrontPlan::build(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)
     }
 
     /// Estimate this session's nest on the closed-form/DES cost model
-    /// without touching any data: wavefront nests are planned and
-    /// simulated under the session's policy; non-wavefront nests fall
-    /// back to the fully parallel estimate. Distribution defaults to
-    /// dimension 0 unless [`Session::dist_dim`] was set.
+    /// without touching any data, on a processor line: wavefront nests
+    /// are planned and simulated under the session's policy;
+    /// non-wavefront nests fall back to the fully parallel estimate.
+    /// Distribution defaults to dimension 0 unless
+    /// [`Session::dist_dim`] was set; a mesh session is estimated as the
+    /// line of its first side.
     pub fn estimate(&self) -> NestSim {
+        let (procs, dist_dim) = match self.topology {
+            JobTopology::Line { procs, dist_dim } => (procs, dist_dim),
+            JobTopology::Mesh { mesh, wave_dims } => (mesh[0], wave_dims.map(|w| w[0])),
+        };
         simulate_nest(
             self.nest,
-            self.procs,
-            self.dist_dim.unwrap_or(0),
+            procs,
+            dist_dim.unwrap_or(0),
             &self.cfg.block,
             &self.cfg.machine,
         )
@@ -399,8 +287,7 @@ impl<'a, const R: usize> Session<'a, R> {
         let Session {
             program,
             nest,
-            procs,
-            dist_dim,
+            topology,
             cfg,
             collector,
             store,
@@ -411,44 +298,18 @@ impl<'a, const R: usize> Session<'a, R> {
             None => &mut noop,
         };
         let core = ExecCore::new(0);
-        core.run_line(
+        let (outcome, _) = core.run(
             program,
             NestSource::Borrowed(nest),
-            procs,
-            dist_dim,
+            topology,
             &cfg,
             "",
             store,
             collector,
             kind,
-        )
-    }
-
-    /// Plan and run on a caller-provided engine.
-    pub fn run_engine(self, engine: &dyn Engine<R>) -> Result<RunOutcome, PipelineError> {
-        let prep_start = Instant::now();
-        let plan = self.plan()?;
-        let prep_seconds = prep_start.elapsed().as_secs_f64();
-        let mut noop = NoopCollector;
-        let collector: &mut dyn Collector = match self.collector {
-            Some(c) => c,
-            None => &mut noop,
-        };
-        let run_start = Instant::now();
-        let out = engine.run(EngineCtx {
-            program: self.program,
-            nest: self.nest,
-            plan: &plan,
-            params: &self.cfg.machine,
-            store: self.store,
-            collector,
-            kernel_mode: self.cfg.kernel_mode,
-        })?;
-        Ok(RunOutcome {
-            prep_seconds,
-            run_seconds: run_start.elapsed().as_secs_f64(),
-            ..out
-        })
+            None,
+        )?;
+        Ok(outcome)
     }
 }
 
@@ -534,142 +395,6 @@ impl<'a, const R: usize> ProgramSession<'a, R> {
             &self.cfg.block,
             &self.cfg.machine,
             overlap,
-        )
-    }
-}
-
-/// [`Session`] for 2-D processor meshes: plans with
-/// [`WavefrontPlan2D`] and dispatches to the mesh variants of the same
-/// three engines.
-pub struct Session2D<'a, const R: usize> {
-    pub(crate) program: &'a Program<R>,
-    pub(crate) nest: &'a CompiledNest<R>,
-    pub(crate) mesh: [usize; 2],
-    pub(crate) wave_dims: Option<[usize; 2]>,
-    pub(crate) cfg: SessionConfig,
-    pub(crate) collector: Option<&'a mut dyn Collector>,
-    pub(crate) store: Option<&'a mut Store<R>>,
-}
-
-impl<'a, const R: usize> Session2D<'a, R> {
-    /// Start a mesh session with a 1×1 mesh and the same defaults as
-    /// [`Session::new`].
-    pub fn new(program: &'a Program<R>, nest: &'a CompiledNest<R>) -> Self {
-        Session2D {
-            program,
-            nest,
-            mesh: [1, 1],
-            wave_dims: None,
-            cfg: SessionConfig::default(),
-            collector: None,
-            store: None,
-        }
-    }
-
-    /// Processor mesh shape (`[rows, cols]`).
-    pub fn mesh(mut self, mesh: [usize; 2]) -> Self {
-        self.mesh = mesh;
-        self
-    }
-
-    /// Force the two distributed dimensions.
-    pub fn wave_dims(mut self, dims: [usize; 2]) -> Self {
-        self.wave_dims = Some(dims);
-        self
-    }
-
-    /// Replace the whole [`SessionConfig`] at once.
-    pub fn config(mut self, cfg: SessionConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Block-size policy.
-    pub fn block(mut self, policy: BlockPolicy) -> Self {
-        self.cfg.block = policy;
-        self
-    }
-
-    /// Machine cost parameters.
-    pub fn machine(mut self, params: MachineParams) -> Self {
-        self.cfg.machine = params;
-        self
-    }
-
-    /// Attach a telemetry collector.
-    pub fn collector(mut self, c: &'a mut dyn Collector) -> Self {
-        self.collector = Some(c);
-        self
-    }
-
-    /// Attach the data store.
-    pub fn store(mut self, store: &'a mut Store<R>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Select compiled tile kernels (`true`, the default, up to the
-    /// lane tier) or force the reference interpreter (`false`) in the
-    /// executing engines.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use kernel_mode(KernelMode): false maps to Interpreted, true to Lanes"
-    )]
-    pub fn kernels(mut self, on: bool) -> Self {
-        self.cfg.kernel_mode = KernelMode::from_flag(on);
-        self
-    }
-
-    /// Set the kernel-tier ceiling explicitly (see [`KernelMode`]).
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.cfg.kernel_mode = mode;
-        self
-    }
-
-    /// Build the 2-D wavefront plan this session would run.
-    pub fn plan(&self) -> Result<WavefrontPlan2D<R>, PipelineError> {
-        WavefrontPlan2D::build(
-            self.nest,
-            self.mesh,
-            self.wave_dims,
-            &self.cfg.block,
-            &self.cfg.machine,
-        )
-    }
-
-    /// Plan and run on one of the built-in mesh engines. As with
-    /// [`Session::run`], [`BlockPolicy::Adaptive`] routes through the
-    /// closed-loop tuner, and everything else goes through the shared
-    /// execution core.
-    pub fn run(self, kind: EngineKind) -> Result<RunOutcome, PipelineError> {
-        if let BlockPolicy::Adaptive(acfg) = self.cfg.block.clone() {
-            return crate::tune::run_session2d_adaptive(self, kind, &acfg);
-        }
-        let Session2D {
-            program,
-            nest,
-            mesh,
-            wave_dims,
-            cfg,
-            collector,
-            store,
-        } = self;
-        let mut noop = NoopCollector;
-        let collector: &mut dyn Collector = match collector {
-            Some(c) => c,
-            None => &mut noop,
-        };
-        let core = ExecCore::new(0);
-        core.run_mesh(
-            program,
-            NestSource::Borrowed(nest),
-            mesh,
-            wave_dims,
-            &cfg,
-            "",
-            store,
-            collector,
-            kind,
         )
     }
 }
@@ -783,12 +508,12 @@ mod tests {
     #[test]
     fn mesh_session_runs_and_matches_reference() {
         let n = 12;
-        let (program, nest) = crate::plan2d::tests::sweep_nest(n);
+        let (program, nest) = crate::plan::tests::sweep_nest(n);
         let mut reference = Store::new(&program);
         run_nest_with_sink(&nest, &mut reference, &mut NoSink);
 
         let mut store = Store::new(&program);
-        let out = Session2D::new(&program, &nest)
+        let out = Session::new(&program, &nest)
             .mesh([2, 2])
             .block(BlockPolicy::Fixed(4))
             .store(&mut store)
@@ -799,56 +524,11 @@ mod tests {
             assert!(store.get(id).region_eq(reference.get(id), nest.region));
         }
 
-        let sim = Session2D::new(&program, &nest)
+        let sim = Session::new(&program, &nest)
             .mesh([2, 2])
             .block(BlockPolicy::Fixed(4))
             .run(EngineKind::Sim)
             .unwrap();
         assert_eq!(sim.messages, out.messages);
-    }
-
-    /// Pins the historical boolean switch's mapping while the
-    /// deprecated shims remain: `kernels(false)` is the interpreter,
-    /// `kernels(true)` the lane tier — on the config, both session
-    /// builders, and the job builder.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_kernels_flag_maps_to_interpreted_and_lanes() {
-        use wavefront_core::kernel::KernelMode;
-        assert_eq!(
-            SessionConfig::default().kernels(false).kernel_mode,
-            KernelMode::Interpreted
-        );
-        assert_eq!(
-            SessionConfig::default().kernels(true).kernel_mode,
-            KernelMode::Lanes
-        );
-
-        let n = 8;
-        let (program, nest) = tomcatv_nest(n);
-        assert_eq!(
-            Session::new(&program, &nest).kernels(false).cfg.kernel_mode,
-            KernelMode::Interpreted
-        );
-        assert_eq!(
-            Session::new(&program, &nest).kernels(true).cfg.kernel_mode,
-            KernelMode::Lanes
-        );
-
-        let (program2, nest2) = crate::plan2d::tests::sweep_nest(n);
-        assert_eq!(
-            Session2D::new(&program2, &nest2)
-                .kernels(false)
-                .cfg
-                .kernel_mode,
-            KernelMode::Interpreted
-        );
-        assert_eq!(
-            Session2D::new(&program2, &nest2)
-                .kernels(true)
-                .cfg
-                .kernel_mode,
-            KernelMode::Lanes
-        );
     }
 }

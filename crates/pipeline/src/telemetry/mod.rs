@@ -4,8 +4,8 @@
 //! fill/drain pipeline overhead, communication-vs-computation balance —
 //! so every runtime in this crate (the machine-cost simulator, the
 //! dependency-order sequential executor, and the threaded
-//! message-passing runtime, plus their 2-D mesh twins) reports the same
-//! event stream: per-block compute windows, boundary messages with
+//! message-passing runtime, each over a processor line or mesh) reports
+//! the same event stream: per-block compute windows, boundary messages with
 //! element counts, and receive stalls. A [`NoopCollector`] is the
 //! default and costs nothing: engines check [`Collector::enabled`] once
 //! and skip all instrumentation when it is `false`.

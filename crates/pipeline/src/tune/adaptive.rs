@@ -43,18 +43,15 @@ use wavefront_machine::MachineParams;
 use wavefront_model::{optimal_block_rect, OnlineEstimator};
 
 use crate::error::PipelineError;
-use crate::exec2d::{
-    execute_plan2d_sequential_collected_opts, execute_plan2d_threaded_pooled_opts,
-    simulate_plan2d_collected,
-};
-use crate::exec_seq::execute_plan_sequential_collected_opts;
+use wavefront_core::kernel::NestRunner;
+
+use crate::exec_seq::execute_plan_sequential;
 use crate::exec_sim::simulate_plan_collected;
-use crate::exec_threads::execute_plan_threaded_pooled_opts;
+use crate::exec_threads::execute_plan_threaded;
 use crate::plan::WavefrontPlan;
-use crate::plan2d::WavefrontPlan2D;
 use crate::schedule::{AdaptiveConfig, BlockCtx};
 use crate::service::pool::WorkerPool;
-use crate::session::{RunOutcome, Session, Session2D};
+use crate::session::{RunOutcome, Session};
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, NoopCollector, Prediction, RunMeta, TimeUnit,
     TraceCollector, WaitEvent,
@@ -92,59 +89,6 @@ impl AdaptiveReport {
             work_hat: None,
             adapted: false,
         }
-    }
-}
-
-/// The slice of plan behaviour the adaptive loop needs, shared by the
-/// 1-D and mesh plan types.
-trait Tileable: Clone {
-    fn steady_block(&self) -> usize;
-    fn tile_count(&self) -> usize;
-    fn retile_widths(&self, widths: &[usize]) -> Self;
-    fn keep_first_tiles(&mut self, k: usize);
-    fn drop_first_tiles(&mut self, k: usize);
-    fn sizing_ctx(&self, machine: MachineParams) -> Option<BlockCtx>;
-}
-
-impl<const R: usize> Tileable for WavefrontPlan<R> {
-    fn steady_block(&self) -> usize {
-        self.block
-    }
-    fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
-    fn retile_widths(&self, widths: &[usize]) -> Self {
-        self.retile(widths)
-    }
-    fn keep_first_tiles(&mut self, k: usize) {
-        self.tiles.truncate(k);
-    }
-    fn drop_first_tiles(&mut self, k: usize) {
-        self.tiles.drain(..k.min(self.tiles.len()));
-    }
-    fn sizing_ctx(&self, machine: MachineParams) -> Option<BlockCtx> {
-        self.block_ctx(machine)
-    }
-}
-
-impl<const R: usize> Tileable for WavefrontPlan2D<R> {
-    fn steady_block(&self) -> usize {
-        self.block
-    }
-    fn tile_count(&self) -> usize {
-        self.tiles.len()
-    }
-    fn retile_widths(&self, widths: &[usize]) -> Self {
-        self.retile(widths)
-    }
-    fn keep_first_tiles(&mut self, k: usize) {
-        self.tiles.truncate(k);
-    }
-    fn drop_first_tiles(&mut self, k: usize) {
-        self.tiles.drain(..k.min(self.tiles.len()));
-    }
-    fn sizing_ctx(&self, machine: MachineParams) -> Option<BlockCtx> {
-        self.block_ctx(machine)
     }
 }
 
@@ -285,16 +229,16 @@ fn merge_phases(
 /// probe tiles out of it would add pipeline handoffs (each worth about
 /// one message latency during the fill) while leaving at most one
 /// steady tile for the refit to re-block — all cost, no control.
-fn probe_gate<P: Tileable>(
-    plan: &P,
+fn probe_gate<const R: usize>(
+    plan: &WavefrontPlan<R>,
     machine: MachineParams,
     cfg: &AdaptiveConfig,
 ) -> Option<(BlockCtx, usize, usize)> {
-    if plan.tile_count() <= 3 {
+    if plan.tiles.len() <= 3 {
         return None;
     }
-    let ctx = plan.sizing_ctx(machine)?;
-    let (w1, w2) = cfg.probe_widths(ctx.n_orth, plan.steady_block())?;
+    let ctx = plan.block_ctx(machine)?;
+    let (w1, w2) = cfg.probe_widths(ctx.n_orth, plan.block)?;
     Some((ctx, w1, w2))
 }
 
@@ -303,24 +247,24 @@ fn probe_gate<P: Tileable>(
 /// simulator's event order makes the prefix timings independent of the
 /// suffix, so this single run is exactly what an online re-blocker
 /// would have executed.
-fn adapt_des<P: Tileable>(
-    plan: &P,
+fn adapt_des<const R: usize>(
+    plan: &WavefrontPlan<R>,
     machine: MachineParams,
     cfg: &AdaptiveConfig,
     collector: &mut dyn Collector,
-    mut sim: impl FnMut(&P, &mut dyn Collector) -> (f64, usize),
+    mut sim: impl FnMut(&WavefrontPlan<R>, &mut dyn Collector) -> (f64, usize),
 ) -> (f64, usize, usize, AdaptiveReport) {
-    let b0 = plan.steady_block();
+    let b0 = plan.block;
     let Some((ctx, w1, w2)) = probe_gate(plan, machine, cfg) else {
         let (mk, msgs) = sim(plan, collector);
-        return (mk, msgs, plan.tile_count(), AdaptiveReport::unadapted(b0));
+        return (mk, msgs, plan.tiles.len(), AdaptiveReport::unadapted(b0));
     };
-    let probe = plan.retile_widths(&[w1, w2, b0]);
+    let probe = plan.retile(&[w1, w2, b0]);
     let mut trace = TraceCollector::new();
     sim(&probe, &mut trace);
     let (fitted, work) = fit_probe(&trace, w1, w2, &ctx);
     let (b_star, adapted) = choose_block(&ctx, fitted, work, b0);
-    let fin = plan.retile_widths(&[w1, w2, b_star]);
+    let fin = plan.retile(&[w1, w2, b_star]);
     let (mk, msgs) = sim(&fin, collector);
     let report = AdaptiveReport {
         initial_block: b0,
@@ -329,35 +273,35 @@ fn adapt_des<P: Tileable>(
         work_hat: work,
         adapted,
     };
-    (mk, msgs, fin.tile_count(), report)
+    (mk, msgs, fin.tiles.len(), report)
 }
 
 /// Closed loop on a host engine: phase 1 executes the two probe tiles,
 /// phase 2 executes the re-blocked remainder; the shared store carries
 /// the boundary values across the phase barrier.
-fn adapt_host<P: Tileable>(
-    plan: &P,
+fn adapt_host<const R: usize>(
+    plan: &WavefrontPlan<R>,
     machine: MachineParams,
     cfg: &AdaptiveConfig,
     collector: &mut dyn Collector,
-    mut run: impl FnMut(&P, &mut dyn Collector) -> (f64, usize),
+    mut run: impl FnMut(&WavefrontPlan<R>, &mut dyn Collector) -> (f64, usize),
 ) -> (f64, usize, usize, AdaptiveReport) {
-    let b0 = plan.steady_block();
+    let b0 = plan.block;
     let Some((ctx, w1, w2)) = probe_gate(plan, machine, cfg) else {
         let (t, m) = run(plan, collector);
-        return (t, m, plan.tile_count(), AdaptiveReport::unadapted(b0));
+        return (t, m, plan.tiles.len(), AdaptiveReport::unadapted(b0));
     };
-    let mut probe = plan.retile_widths(&[w1, w2, b0]);
-    probe.keep_first_tiles(PROBE_TILES);
+    let mut probe = plan.retile(&[w1, w2, b0]);
+    probe.tiles.truncate(PROBE_TILES);
     let mut trace1 = TraceCollector::new();
     let (t1, m1) = run(&probe, &mut trace1);
     let (fitted, work) = fit_probe(&trace1, w1, w2, &ctx);
     let (b_star, adapted) = choose_block(&ctx, fitted, work, b0);
-    let mut rest = plan.retile_widths(&[w1, w2, b_star]);
-    rest.drop_first_tiles(PROBE_TILES);
+    let mut rest = plan.retile(&[w1, w2, b_star]);
+    rest.tiles.drain(..PROBE_TILES.min(rest.tiles.len()));
     let mut trace2 = TraceCollector::new();
     let (t2, m2) = run(&rest, &mut trace2);
-    let tiles = PROBE_TILES + rest.tile_count();
+    let tiles = PROBE_TILES + rest.tiles.len();
     if collector.enabled() {
         merge_phases(collector, &trace1, &trace2, t1, t1 + t2, b_star, tiles);
     }
@@ -369,32 +313,6 @@ fn adapt_host<P: Tileable>(
         adapted,
     };
     (t1 + t2, m1 + m2, tiles, report)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn outcome(
-    kind: EngineKind,
-    time_unit: TimeUnit,
-    makespan: f64,
-    messages: usize,
-    tiles: usize,
-    report: &AdaptiveReport,
-    prep_seconds: f64,
-    run_seconds: f64,
-) -> RunOutcome {
-    RunOutcome {
-        engine: kind,
-        makespan,
-        time_unit,
-        messages,
-        block: report.chosen_block,
-        tiles,
-        pipelined: tiles > 1,
-        prep_seconds,
-        run_seconds,
-        kernel_tier: None,
-        kernel_fallback: None,
-    }
 }
 
 /// [`Session::run`] with [`crate::BlockPolicy::Adaptive`] lands here.
@@ -421,42 +339,19 @@ pub(crate) fn run_session_adaptive<const R: usize>(
         None => &mut noop,
     };
     let run_start = Instant::now();
-    match kind {
-        EngineKind::Sim => {
-            let (mk, msgs, tiles, rep) = adapt_des(&plan, machine, cfg, collector, |p, c| {
-                let r = simulate_plan_collected(p, &machine, c);
-                (r.makespan, r.messages)
-            });
-            let run_seconds = run_start.elapsed().as_secs_f64();
-            Ok(outcome(
-                kind,
-                TimeUnit::ModelUnits,
-                mk,
-                msgs,
-                tiles,
-                &rep,
-                prep_seconds,
-                run_seconds,
-            ))
-        }
+    let (makespan, messages, tiles, report) = match kind {
+        EngineKind::Sim => adapt_des(&plan, machine, cfg, collector, |p, c| {
+            let r = simulate_plan_collected(p, &machine, c);
+            (r.makespan, r.messages)
+        }),
         EngineKind::Seq => {
             let store = store.ok_or(PipelineError::MissingStore)?;
-            let (mk, msgs, tiles, rep) = adapt_host(&plan, machine, cfg, collector, |p, c| {
+            let runner = NestRunner::with_mode(nest, kernel_mode);
+            adapt_host(&plan, machine, cfg, collector, |p, c| {
                 let t0 = Instant::now();
-                execute_plan_sequential_collected_opts(nest, p, store, c, kernel_mode);
+                execute_plan_sequential(nest, p, &runner, store, c);
                 (t0.elapsed().as_secs_f64(), 0)
-            });
-            let run_seconds = run_start.elapsed().as_secs_f64();
-            Ok(outcome(
-                kind,
-                TimeUnit::Seconds,
-                mk,
-                msgs,
-                tiles,
-                &rep,
-                prep_seconds,
-                run_seconds,
-            ))
+            })
         }
         EngineKind::Threads => {
             let store = store.ok_or(PipelineError::MissingStore)?;
@@ -464,110 +359,28 @@ pub(crate) fn run_session_adaptive<const R: usize>(
             // phases: the second engine invocation reuses the threads the
             // first one spawned.
             let workers = WorkerPool::new();
-            let (mk, msgs, tiles, rep) = adapt_host(&plan, machine, cfg, collector, |p, c| {
-                let r = execute_plan_threaded_pooled_opts(
-                    &workers, program, nest, p, store, c, kernel_mode,
-                );
+            adapt_host(&plan, machine, cfg, collector, |p, c| {
+                let r = execute_plan_threaded(&workers, program, nest, p, store, c, kernel_mode);
                 (r.elapsed.as_secs_f64(), r.messages)
-            });
-            let run_seconds = run_start.elapsed().as_secs_f64();
-            Ok(outcome(
-                kind,
-                TimeUnit::Seconds,
-                mk,
-                msgs,
-                tiles,
-                &rep,
-                prep_seconds,
-                run_seconds,
-            ))
+            })
         }
-    }
-}
-
-/// [`Session2D::run`] with [`crate::BlockPolicy::Adaptive`] lands here.
-pub(crate) fn run_session2d_adaptive<const R: usize>(
-    s: Session2D<'_, R>,
-    kind: EngineKind,
-    cfg: &AdaptiveConfig,
-) -> Result<RunOutcome, PipelineError> {
-    let prep_start = Instant::now();
-    let plan = s.plan()?;
-    let prep_seconds = prep_start.elapsed().as_secs_f64();
-    let Session2D {
-        program,
-        nest,
-        cfg: scfg,
-        collector,
-        store,
-        ..
-    } = s;
-    let (machine, kernel_mode) = (scfg.machine, scfg.kernel_mode);
-    let mut noop = NoopCollector;
-    let collector: &mut dyn Collector = match collector {
-        Some(c) => c,
-        None => &mut noop,
     };
-    let run_start = Instant::now();
-    match kind {
-        EngineKind::Sim => {
-            let (mk, msgs, tiles, rep) = adapt_des(&plan, machine, cfg, collector, |p, c| {
-                let r = simulate_plan2d_collected(p, &machine, c);
-                (r.makespan, r.messages)
-            });
-            let run_seconds = run_start.elapsed().as_secs_f64();
-            Ok(outcome(
-                kind,
-                TimeUnit::ModelUnits,
-                mk,
-                msgs,
-                tiles,
-                &rep,
-                prep_seconds,
-                run_seconds,
-            ))
-        }
-        EngineKind::Seq => {
-            let store = store.ok_or(PipelineError::MissingStore)?;
-            let (mk, msgs, tiles, rep) = adapt_host(&plan, machine, cfg, collector, |p, c| {
-                let t0 = Instant::now();
-                execute_plan2d_sequential_collected_opts(nest, p, store, c, kernel_mode);
-                (t0.elapsed().as_secs_f64(), 0)
-            });
-            let run_seconds = run_start.elapsed().as_secs_f64();
-            Ok(outcome(
-                kind,
-                TimeUnit::Seconds,
-                mk,
-                msgs,
-                tiles,
-                &rep,
-                prep_seconds,
-                run_seconds,
-            ))
-        }
-        EngineKind::Threads => {
-            let store = store.ok_or(PipelineError::MissingStore)?;
-            let workers = WorkerPool::new();
-            let (mk, msgs, tiles, rep) = adapt_host(&plan, machine, cfg, collector, |p, c| {
-                let r = execute_plan2d_threaded_pooled_opts(
-                    &workers, program, nest, p, store, c, kernel_mode,
-                );
-                (r.elapsed.as_secs_f64(), r.messages)
-            });
-            let run_seconds = run_start.elapsed().as_secs_f64();
-            Ok(outcome(
-                kind,
-                TimeUnit::Seconds,
-                mk,
-                msgs,
-                tiles,
-                &rep,
-                prep_seconds,
-                run_seconds,
-            ))
-        }
-    }
+    Ok(RunOutcome {
+        engine: kind,
+        makespan,
+        time_unit: match kind {
+            EngineKind::Sim => TimeUnit::ModelUnits,
+            _ => TimeUnit::Seconds,
+        },
+        messages,
+        block: report.chosen_block,
+        tiles,
+        pipelined: tiles > 1,
+        prep_seconds,
+        run_seconds: run_start.elapsed().as_secs_f64(),
+        kernel_tier: None,
+        kernel_fallback: None,
+    })
 }
 
 #[cfg(test)]
@@ -674,11 +487,11 @@ mod tests {
     #[test]
     fn mesh_adaptive_runs_on_all_engines() {
         let n = 20;
-        let (program, nest) = crate::plan2d::tests::sweep_nest(n);
+        let (program, nest) = crate::plan::tests::sweep_nest(n);
         let mut reference = Store::new(&program);
         run_nest_with_sink(&nest, &mut reference, &mut NoSink);
 
-        let sim = Session2D::new(&program, &nest)
+        let sim = Session::new(&program, &nest)
             .mesh([2, 2])
             .block(BlockPolicy::adaptive())
             .run(EngineKind::Sim)
@@ -687,7 +500,7 @@ mod tests {
 
         for kind in [EngineKind::Seq, EngineKind::Threads] {
             let mut store = Store::new(&program);
-            let out = Session2D::new(&program, &nest)
+            let out = Session::new(&program, &nest)
                 .mesh([2, 2])
                 .block(BlockPolicy::adaptive())
                 .store(&mut store)

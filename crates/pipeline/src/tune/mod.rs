@@ -25,4 +25,4 @@ pub mod calibrate;
 pub use adaptive::AdaptiveReport;
 pub use calibrate::{calibrate_host, calibrate_with, CalibrationConfig};
 
-pub(crate) use adaptive::{run_session2d_adaptive, run_session_adaptive};
+pub(crate) use adaptive::run_session_adaptive;

@@ -10,7 +10,9 @@
 use wavefront::core::prelude::*;
 use wavefront::kernels::tomcatv;
 use wavefront::machine::cray_t3e;
-use wavefront::pipeline::{BlockPolicy, EngineKind, Session, TraceCollector, WavefrontPlan};
+use wavefront::pipeline::{
+    BlockPolicy, EngineKind, JobTopology, Session, TraceCollector, WavefrontPlan,
+};
 
 /// Run program ops up to (but not including) the first scan block — the
 /// residual phase that feeds the wavefront its coefficients.
@@ -54,17 +56,18 @@ fn main() {
 
     // Take the forward wavefront and plan it across p processors.
     let nest = compiled.nests().find(|x| x.is_scan).expect("has wavefront");
-    let plan =
-        WavefrontPlan::build(nest, p, None, &BlockPolicy::Model2, &params).expect("plan builds");
+    let plan = WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Model2, &params)
+        .expect("plan builds");
+    let axis = &plan.axes[0];
     println!(
         "\nPlan: wave dim {}, tile dim {:?}, block b = {} ({} tiles), ghost thickness {}, \
          {} arrays flow downstream",
-        plan.wave_dim,
+        axis.dim,
         plan.tile_dim,
         plan.block,
         plan.tiles.len(),
-        plan.thickness,
-        plan.comm_arrays.len()
+        axis.comm.iter().map(|&(_, t)| t).max().unwrap_or(1),
+        axis.comm.len()
     );
 
     // Reference: residual phase then the sweep, sequentially.

@@ -8,8 +8,9 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo
-echo "== tests (offline) =="
-cargo test -q --offline
+echo "== tests (offline): every workspace member, then the benchmark package =="
+cargo test -q --offline --workspace
+cargo test -q --offline --manifest-path bench/Cargo.toml
 
 echo
 echo "== clippy (all targets, warnings are errors) =="

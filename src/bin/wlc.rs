@@ -123,7 +123,7 @@ use wavefront::lang::{compile_str, Lowered};
 use wavefront::machine::{cray_t3e, sgi_power_challenge, MachineParams};
 use wavefront::pipeline::{
     ascii_timeline, calibrate_host, BlockPolicy, ChromeTraceBuilder, DagSpec, EngineKind,
-    JobSpec, LoopSpec, NodeRef, SchedulerKind, ServeConfig, ServiceConfig, Session,
+    JobSpec, JobTopology, LoopSpec, NodeRef, SchedulerKind, ServeConfig, ServiceConfig, Session,
     TenantConfig, TraceAnalysis, TraceCollector, WavefrontPlan, WavefrontService, WireServer,
 };
 use wavefront::serve::LangCompiler;
@@ -1260,7 +1260,8 @@ fn plan<const R: usize>(
             continue;
         }
         any = true;
-        match WavefrontPlan::build(nest, opts.procs, None, &opts.block, &opts.machine) {
+        let line = JobTopology::line(opts.procs);
+        match WavefrontPlan::build(nest, line, &opts.block, &opts.machine) {
             Ok(plan) => {
                 let pipe = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
@@ -1277,10 +1278,10 @@ fn plan<const R: usize>(
                 println!(
                     "nest {k}: wave dim {}, b = {} ({} tiles), {} arrays downstream; \
                      simulated {}: pipelined {:.0} vs naive {:.0} ({:.2}x)",
-                    plan.wave_dim,
+                    plan.axes[0].dim,
                     plan.block,
                     plan.tiles.len(),
-                    plan.comm_arrays.len(),
+                    plan.axes[0].comm.len(),
                     opts.machine.name,
                     pipe,
                     naive,
@@ -1519,15 +1520,15 @@ fn tune<const R: usize>(
         }
         any = true;
         // The model's pick, simulated on the calibrated machine.
-        let model_plan =
-            match WavefrontPlan::build(nest, opts.procs, None, &BlockPolicy::Model2, &machine) {
-                Ok(p) => p,
-                Err(e) => {
-                    diag(&format!("nest {k}"), format!("not plannable: {e}"));
-                    failed = true;
-                    continue;
-                }
-            };
+        let line = JobTopology::line(opts.procs);
+        let model_plan = match WavefrontPlan::build(nest, line, &BlockPolicy::Model2, &machine) {
+            Ok(p) => p,
+            Err(e) => {
+                diag(&format!("nest {k}"), format!("not plannable: {e}"));
+                failed = true;
+                continue;
+            }
+        };
         let model_b = model_plan.block;
         let model_t = Session::new(&lowered.program, nest)
             .procs(opts.procs)

@@ -44,10 +44,10 @@
 //! assert_eq!(store.get(a).get(Point([5, 1])), 16.0); // rows 1,2,4,8,16
 //! ```
 //!
-//! Parallel execution goes through [`pipeline::Session`] (or
-//! [`pipeline::Session2D`] for processor meshes) — the one public way
-//! to run any engine — and a [`pipeline::TraceCollector`] records the
-//! run for analysis:
+//! Parallel execution goes through [`pipeline::Session`] — the one
+//! public way to run any engine, on a processor line (`.procs(p)`) or
+//! a mesh (`.mesh([p1, p2])`) — and a [`pipeline::TraceCollector`]
+//! records the run for analysis:
 //!
 //! ```
 //! use wavefront::core::prelude::*;

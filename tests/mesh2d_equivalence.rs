@@ -9,7 +9,7 @@
 use wavefront::core::prelude::*;
 use wavefront::kernels::rng::SplitMix64;
 use wavefront::machine::cray_t3e;
-use wavefront::pipeline::{BlockPolicy, EngineKind, Session2D, WavefrontPlan2D};
+use wavefront::pipeline::{BlockPolicy, EngineKind, JobTopology, Session2D, WavefrontPlan};
 
 const DIRS: [[i64; 3]; 5] = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [-1, -1, 0], [-2, 0, 0]];
 
@@ -53,15 +53,17 @@ fn rank4_angle_blocks_on_spatial_mesh() {
     let compiled = compile(&lo.program).unwrap();
     let nest = compiled.nest(0);
 
-    let plan = WavefrontPlan2D::build(
+    let plan = WavefrontPlan::build(
         nest,
-        [2, 2],
-        Some([1, 2]),
+        JobTopology::Mesh {
+            mesh: [2, 2],
+            wave_dims: Some([1, 2]),
+        },
         &BlockPolicy::Fixed(2),
         &cray_t3e(),
     )
     .unwrap();
-    assert_eq!(plan.wave_dims, [1, 2]);
+    assert_eq!([plan.axes[0].dim, plan.axes[1].dim], [1, 2]);
     assert_eq!(plan.tile_dim, Some(0), "must pipeline angle blocks");
     assert_eq!(plan.tiles.len(), 4); // 8 angles in blocks of 2
 
@@ -132,9 +134,8 @@ fn mesh_decomposition_matches_sequential() {
             Err(e) => panic!("case {case}: {e}"),
         };
         let nest = compiled.nest(0);
-        if WavefrontPlan2D::build(nest, [p1, p2], None, &BlockPolicy::Fixed(b), &cray_t3e())
-            .is_err()
-        {
+        let mesh = JobTopology::mesh([p1, p2]);
+        if WavefrontPlan::build(nest, mesh, &BlockPolicy::Fixed(b), &cray_t3e()).is_err() {
             continue; // undecomposable direction mix
         }
 

@@ -5,7 +5,7 @@
 use wavefront::core::prelude::*;
 use wavefront::kernels::{simple, tomcatv};
 use wavefront::machine::cray_t3e;
-use wavefront::pipeline::{BlockPolicy, EngineKind, Session, WavefrontPlan};
+use wavefront::pipeline::{BlockPolicy, EngineKind, JobTopology, Session, WavefrontPlan};
 
 #[test]
 fn tomcatv_contracts_exactly_r() {
@@ -72,13 +72,14 @@ fn contracted_nest_still_decomposes_and_pipelines() {
     let mut reference = seed.clone();
     run_nest_with_sink(plain_nest, &mut reference, &mut NoSink);
 
-    let plan = WavefrontPlan::build(nest, 3, None, &BlockPolicy::Fixed(7), &cray_t3e())
-        .expect("plan builds");
+    let plan =
+        WavefrontPlan::build(nest, JobTopology::line(3), &BlockPolicy::Fixed(7), &cray_t3e())
+            .expect("plan builds");
     // `r` is contracted, so it no longer flows between processors even
     // though it is written in the nest.
     assert!(
-        !plan
-            .comm_arrays
+        !plan.axes[0]
+            .comm
             .iter()
             .any(|&(id, _)| id == lo.array("r").unwrap()),
         "contracted arrays must not be communicated"

@@ -7,8 +7,8 @@ use wavefront::core::prelude::*;
 use wavefront::kernels::{sweep3d, tomcatv};
 use wavefront::machine::cray_t3e;
 use wavefront::pipeline::{
-    chrome_trace, BlockPolicy, EngineKind, JsonValue, Session, Session2D, TraceCollector,
-    WavefrontPlan, WavefrontPlan2D,
+    chrome_trace, BlockPolicy, EngineKind, JobTopology, JsonValue, Session, Session2D,
+    TraceCollector, WavefrontPlan,
 };
 
 fn tomcatv_scan(n: i64) -> (wavefront::lang::Lowered<2>, CompiledNest<2>) {
@@ -39,7 +39,7 @@ fn threaded_observed_messages_match_plan_prediction() {
     ] {
         let (lo, nest) = tomcatv_scan(64);
         let params = cray_t3e();
-        let plan = WavefrontPlan::build(&nest, p, None, &policy, &params).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(p), &policy, &params).unwrap();
         let predicted = plan.predicted_traffic();
 
         let mut trace = TraceCollector::default();
@@ -197,7 +197,7 @@ fn mesh_observed_traffic_matches_plan_prediction() {
         ([2, 3], BlockPolicy::Fixed(3)),
         ([2, 2], BlockPolicy::FullPortion),
     ] {
-        let plan = WavefrontPlan2D::build(&nest, mesh, None, &policy, &params).unwrap();
+        let plan = WavefrontPlan::build(&nest, JobTopology::mesh(mesh), &policy, &params).unwrap();
         let predicted = plan.predicted_traffic();
         for kind in [EngineKind::Sim, EngineKind::Threads] {
             let mut store = Store::new(&lo.program);

@@ -5,7 +5,8 @@
 //! sequential `Session` runs on a private store: the fused Tomcatv
 //! loop across all three kernel tiers, a double-buffered relaxation
 //! (fused rotation, the per-step fallback, and the barrier ablation),
-//! and a SWEEP3D two-octant DAG chain across every scheduler. Misuse
+//! the same three regimes on 2x2 and 2x1 processor meshes, and a
+//! SWEEP3D two-octant DAG chain across every scheduler. Misuse
 //! — freed handles, aliased rotations, written arrays left out of the
 //! handle table — draws typed errors, never silent corruption.
 
@@ -404,6 +405,194 @@ fn convergence_callback_stops_the_loop_at_chunk_granularity() {
     assert_eq!(out.stats.chunks, 2, "iterations chunk to the check cadence");
     for name in ["next", "curr"] {
         assert_eq!(service.handle_epoch(&handles[name]).unwrap(), 2);
+    }
+}
+
+// --- mesh bodies: the same regimes on a 2-D processor mesh -------------
+
+/// One loop body for the mesh harness: the nest, its initial state, how
+/// its arrays bind to resident handles, and the between-step swap.
+struct MeshBody<const R: usize> {
+    label: &'static str,
+    program: Arc<Program<R>>,
+    nest: Arc<CompiledNest<R>>,
+    initial: Store<R>,
+    outputs: &'static [&'static str],
+    inputs: &'static [&'static str],
+    swap: Option<(&'static str, &'static str)>,
+}
+
+/// One SWEEP3D octant (rank 3, wavefront dimensions 0 and 1 on the
+/// mesh, k-blocks pipelined): a rotation-free body.
+fn octant_body(n: i64) -> MeshBody<3> {
+    let lo = sweep3d::build_octant(n, sweep3d::OCTANTS[0]).expect("octant builds");
+    let mut initial = Store::new(&lo.program);
+    sweep3d::init(&lo, &mut initial);
+    let nest = scan_nest(&compile(&lo.program).expect("octant compiles"));
+    MeshBody {
+        label: "sweep3d octant",
+        program: Arc::new(lo.program),
+        nest: Arc::new(nest),
+        initial,
+        outputs: &["flux", "phi"],
+        inputs: &["src", "sigt"],
+        swap: None,
+    }
+}
+
+/// The double-buffered relaxation with two wavefront dimensions and a
+/// corner (`[-1, -1]`) primed read — rank 2, so a 2x2 mesh leaves no
+/// tile dimension and the corner value relays through the first axis.
+/// `pointwise_curr` as in [`diffuse_case`].
+fn corner_body(n: i64, pointwise_curr: bool) -> MeshBody<2> {
+    let bounds = Region::rect([0, 0], [n + 1, n + 1]);
+    let mut prog = Program::<2>::new();
+    let next = prog.array("next", bounds);
+    let curr = prog.array("curr", bounds);
+    let load = prog.array("load", bounds);
+    let curr_read = Expr::read_at(curr, if pointwise_curr { [0, 0] } else { [0, 1] });
+    prog.stmt(
+        Region::rect([2, 2], [n - 1, n - 1]),
+        next,
+        Expr::lit(0.25) * Expr::read_primed_at(next, [-1, -1])
+            + Expr::lit(0.25) * Expr::read_primed_at(next, [-1, 0])
+            + Expr::lit(0.125) * Expr::read_primed_at(next, [0, -1])
+            + Expr::lit(0.25) * curr_read
+            + Expr::lit(0.125) * Expr::read_at(load, [0, 1]),
+    );
+    let compiled = compile(&prog).expect("corner relaxation compiles");
+    let nest = Arc::new(compiled.nest(0).clone());
+    let mut initial = Store::new(&prog);
+    for id in 0..initial.len() {
+        let b = initial.get(id).bounds();
+        *initial.get_mut(id) =
+            DenseArray::from_fn(b, |q| ((q[0] * 31 + q[1] * 17 + id as i64 * 5) % 97) as f64 / 97.0);
+    }
+    MeshBody {
+        label: if pointwise_curr { "corner" } else { "corner, offset curr" },
+        program: Arc::new(prog),
+        nest,
+        initial,
+        outputs: &["next", "curr"],
+        inputs: &["load"],
+        swap: Some(("next", "curr")),
+    }
+}
+
+/// The reference: one sequential-engine `Session` per step on the same
+/// mesh, buffers swapped between steps only.
+fn mesh_reference<const R: usize>(body: &MeshBody<R>, mesh: [usize; 2], steps: usize) -> Store<R> {
+    let mut store = body.initial.clone();
+    for step in 0..steps {
+        Session::new(&body.program, &body.nest)
+            .mesh(mesh)
+            .block(BlockPolicy::Fixed(2))
+            .machine(cray_t3e())
+            .store(&mut store)
+            .run(EngineKind::Seq)
+            .expect("reference step runs");
+        if let Some((a, b)) = body.swap.filter(|_| step + 1 < steps) {
+            let (a, b) = (body.program.find(a).unwrap(), body.program.find(b).unwrap());
+            store.arrays_mut().swap(a, b);
+        }
+    }
+    store
+}
+
+/// Run `body` as a resident loop on `mesh` and check every bound array
+/// against the reference through the loop's final bindings.
+fn mesh_loop_matches<const R: usize>(
+    body: &MeshBody<R>,
+    mesh: [usize; 2],
+    steps: usize,
+    pipelined: bool,
+) -> LoopOutcome<R> {
+    let ctx = format!("{} on {}x{} pipelined={pipelined}", body.label, mesh[0], mesh[1]);
+    let want = mesh_reference(body, mesh, steps);
+    let service: WavefrontService<R> = WavefrontService::new();
+    let handles: HashMap<String, ArrayHandle<R>> = service
+        .import_store(&body.program, body.initial.clone())
+        .into_iter()
+        .collect();
+    let mut job = JobSpec::builder(Arc::clone(&body.program), Arc::clone(&body.nest))
+        .mesh(mesh)
+        .block(BlockPolicy::Fixed(2))
+        .machine(cray_t3e())
+        .engine(EngineKind::Threads);
+    for name in body.outputs {
+        job = job.output_handle(*name, &handles[*name]);
+    }
+    for name in body.inputs {
+        job = job.input_handle(*name, &handles[*name]);
+    }
+    let mut spec = LoopSpec::builder()
+        .job(job.build().expect("valid body"))
+        .steps(steps)
+        .pipelined(pipelined);
+    if let Some((a, b)) = body.swap {
+        spec = spec.swap(a, b);
+    }
+    let mut out = service
+        .submit_loop(spec.build().expect("valid loop"))
+        .wait()
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert_eq!(out.steps_run, steps, "{ctx}");
+    let fb: HashMap<String, ArrayHandle<R>> =
+        std::mem::take(&mut out.final_bindings).into_iter().collect();
+    for name in body.outputs {
+        let got = service.read(&fb[*name]).expect("final binding readable");
+        assert_bits(&ctx, name, &got, want.get(body.program.find(name).unwrap()));
+    }
+    out
+}
+
+/// Cross-iteration fusion is a property of the one threaded engine, not
+/// of the line: mesh bodies fuse into one chunk, with and without the
+/// iteration barrier, and a 2x1 mesh — a line by another name — does
+/// too, on a nest that has two wavefront dimensions and on one (the
+/// single-dimension relaxation) that a mesh plan used to refuse.
+#[test]
+fn mesh_bodies_fuse_and_match_sequential_sessions() {
+    fn check<const R: usize>(body: &MeshBody<R>, mesh: [usize; 2]) {
+        for steps in [4, 5] {
+            let out = mesh_loop_matches(body, mesh, steps, true);
+            assert!(out.stats.fused, "{}: mesh bodies fuse", body.label);
+            assert_eq!(out.stats.chunks, 1, "{}", body.label);
+        }
+        let out = mesh_loop_matches(body, mesh, 5, false);
+        assert!(out.stats.fused && !out.stats.pipelined, "{}", body.label);
+        assert_eq!(
+            out.stats.overlap_seconds, 0.0,
+            "{}: an iteration barrier admits no cross-iteration overlap",
+            body.label
+        );
+    }
+    for mesh in [[2, 2], [2, 1]] {
+        check(&octant_body(8), mesh);
+        check(&corner_body(14, true), mesh);
+    }
+    let case = diffuse_case(14, true);
+    let single_dim = MeshBody {
+        label: "relaxation",
+        program: case.program,
+        nest: case.nest,
+        initial: case.initial,
+        outputs: &["next", "curr"],
+        inputs: &["load"],
+        swap: Some(("next", "curr")),
+    };
+    check(&single_dim, [2, 1]);
+}
+
+/// The per-step fallback on a mesh: a rotated buffer read at an offset
+/// must not fuse, and one mesh job per step still matches.
+#[test]
+fn mesh_ghost_margin_rotation_falls_back_per_step_and_still_matches() {
+    let steps = 4;
+    for mesh in [[2, 2], [2, 1]] {
+        let out = mesh_loop_matches(&corner_body(12, false), mesh, steps, true);
+        assert!(!out.stats.fused);
+        assert_eq!(out.stats.chunks, steps, "one job per step on the fallback path");
     }
 }
 

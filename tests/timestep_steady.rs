@@ -13,23 +13,33 @@ use std::sync::Arc;
 
 use wavefront::core::prelude::*;
 use wavefront::machine::cray_t3e;
-use wavefront::pipeline::{ArrayHandle, BlockPolicy, EngineKind, JobSpec, LoopSpec, WavefrontService};
+use wavefront::pipeline::{
+    ArrayHandle, BlockPolicy, EngineKind, JobSpec, JobTopology, LoopSpec, WavefrontService,
+};
 
+/// One test, two topologies in sequence (see the module docs for why
+/// they must not run in parallel): the relaxation on a line of four,
+/// and its two-wavefront-dimension variant on a 2x2 mesh.
 #[test]
 fn steady_state_loops_copy_nothing_spawn_nothing_allocate_nothing() {
+    steady_state(JobTopology::line(4), false);
+    steady_state(JobTopology::mesh([2, 2]), true);
+}
+
+fn steady_state(topology: JobTopology, west_too: bool) {
     let n = 16;
     let bounds = Region::rect([0, 0], [n + 1, n + 1]);
     let mut prog = Program::<2>::new();
     let next = prog.array("next", bounds);
     let curr = prog.array("curr", bounds);
     let load = prog.array("load", bounds);
-    prog.stmt(
-        Region::rect([2, 2], [n - 1, n - 1]),
-        next,
-        Expr::lit(0.5) * Expr::read_primed_at(next, [-1, 0])
-            + Expr::lit(0.4) * Expr::read_at(curr, [0, 0])
-            + Expr::lit(0.1) * Expr::read_at(load, [0, 1]),
-    );
+    let mut rhs = Expr::lit(0.5) * Expr::read_primed_at(next, [-1, 0])
+        + Expr::lit(0.4) * Expr::read_at(curr, [0, 0])
+        + Expr::lit(0.1) * Expr::read_at(load, [0, 1]);
+    if west_too {
+        rhs = rhs + Expr::lit(0.25) * Expr::read_primed_at(next, [0, -1]);
+    }
+    prog.stmt(Region::rect([2, 2], [n - 1, n - 1]), next, rhs);
     let compiled = compile(&prog).expect("program compiles");
     let nest = Arc::new(compiled.nest(0).clone());
     let mut store = Store::new(&prog);
@@ -45,7 +55,7 @@ fn steady_state_loops_copy_nothing_spawn_nothing_allocate_nothing() {
         service.import_store(&program, store).into_iter().collect();
     let run = |steps: usize| {
         let body = JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
-            .line(4)
+            .topology(topology)
             .block(BlockPolicy::Fixed(4))
             .machine(cray_t3e())
             .engine(EngineKind::Threads)

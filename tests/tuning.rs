@@ -12,8 +12,8 @@ use wavefront::kernels::{simple, sweep3d, tomcatv};
 use wavefront::machine::{cray_t3e, MachineParams};
 use wavefront::model::PipeModel;
 use wavefront::pipeline::{
-    calibrate_with, AdaptiveConfig, BlockPolicy, CalibrationConfig, EngineKind, Session,
-    WavefrontPlan,
+    calibrate_with, AdaptiveConfig, BlockPolicy, CalibrationConfig, EngineKind, JobTopology,
+    Session, WavefrontPlan,
 };
 
 /// A square n×n unit-work scan: row i depends on row i−1.
@@ -110,7 +110,8 @@ fn exhaustive_best<const R: usize>(
     p: usize,
     machine: &MachineParams,
 ) -> f64 {
-    let probe = WavefrontPlan::build(nest, p, None, &BlockPolicy::Model2, machine).unwrap();
+    let probe =
+        WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Model2, machine).unwrap();
     let n_orth = probe.block_ctx(*machine).map_or(1, |c| c.n_orth);
     (1..=n_orth)
         .filter_map(|b| {
