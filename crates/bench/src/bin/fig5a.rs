@@ -7,7 +7,7 @@
 //! simulated) speedup far better. Run with
 //! `cargo run --release -p wavefront-bench --bin fig5a`.
 
-use wavefront_bench::{f2, json_object, json_str, write_artifact, Table};
+use wavefront_bench::{f2, Table};
 use wavefront_core::prelude::compile;
 use wavefront_kernels::tomcatv;
 use wavefront_machine::{fig5a_problem, fig5a_t3e};
@@ -57,7 +57,6 @@ fn main() {
         1usize, 2, 4, 8, 12, 16, 20, 23, 28, 32, 39, 48, 64, 96, 128, 192, 256,
     ];
     let mut best_sim = (0usize, 0.0f64);
-    let mut points = Vec::new();
     for b in bs {
         let t_sim = t_at_policy(BlockPolicy::Fixed(b));
         let s_sim = t_naive_sim / t_sim;
@@ -68,9 +67,6 @@ fn main() {
             model1.speedup_vs_naive(b as f64),
             model2.speedup_vs_naive(b as f64),
         );
-        points.push(format!(
-            "{{\"b\":{b},\"model1\":{s1},\"model2\":{s2},\"simulated\":{s_sim}}}"
-        ));
         table.row(&[b.to_string(), f2(s1), f2(s2), f2(s_sim)]);
     }
     table.print();
@@ -93,21 +89,5 @@ fn main() {
         } else {
             "LOSES (mismatch!)"
         }
-    );
-
-    write_artifact(
-        "fig5a",
-        &json_object(&[
-            ("figure", json_str("5a")),
-            ("machine", json_str(params.name)),
-            ("n", n.to_string()),
-            ("p", p.to_string()),
-            ("model1_optimal_b", b1.to_string()),
-            ("model2_optimal_b", b2.to_string()),
-            ("simulator_best_b", best_sim.0.to_string()),
-            ("time_at_model1_b", format!("{t1}")),
-            ("time_at_model2_b", format!("{t2}")),
-            ("points", format!("[{}]", points.join(","))),
-        ]),
     );
 }

@@ -6,7 +6,7 @@
 //! block size of 20 versus 3 to be considerably less". Run with
 //! `cargo run --release -p wavefront-bench --bin fig5b`.
 
-use wavefront_bench::{f2, json_object, json_str, write_artifact, Table};
+use wavefront_bench::{f2, Table};
 use wavefront_machine::{fig5b_hypothetical, fig5b_problem};
 use wavefront_model::PipeModel;
 
@@ -23,10 +23,8 @@ fn main() {
     let model1 = model2.model1();
 
     let mut table = Table::new(&["b", "Model1 speedup", "Model2 speedup"]);
-    let mut points = Vec::new();
     for b in [1usize, 2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64] {
         let (s1, s2) = (model1.speedup_vs_naive(b as f64), model2.speedup_vs_naive(b as f64));
-        points.push(format!("{{\"b\":{b},\"model1\":{s1},\"model2\":{s2}}}"));
         table.row(&[b.to_string(), f2(s1), f2(s2)]);
     }
     table.print();
@@ -43,19 +41,5 @@ fn main() {
         at(b1),
         at(b2),
         at(b1) / at(b2)
-    );
-
-    write_artifact(
-        "fig5b",
-        &json_object(&[
-            ("figure", json_str("5b")),
-            ("machine", json_str(params.name)),
-            ("n", n.to_string()),
-            ("p", p.to_string()),
-            ("model1_suggested_b", b1.to_string()),
-            ("model2_suggested_b", b2.to_string()),
-            ("model1_penalty", format!("{}", at(b1) / at(b2))),
-            ("points", format!("[{}]", points.join(","))),
-        ]),
     );
 }

@@ -9,7 +9,7 @@
 //! but "still greater than 5 to 8%"). Run with
 //! `cargo run --release -p wavefront-bench --bin fig7`.
 
-use wavefront_bench::{f2, json_object, json_str, write_artifact, Table};
+use wavefront_bench::{f2, Table};
 use wavefront_core::exec::CompiledProgram;
 use wavefront_core::prelude::compile;
 use wavefront_lang::Lowered;
@@ -77,7 +77,6 @@ fn main() {
         "   n = {n}, block size from Model2, arrays distributed along the wavefront dimension\n"
     );
 
-    let mut points = Vec::new();
     for params in [cray_t3e(), sgi_power_challenge()] {
         println!(
             "  --- {} (alpha = {}, beta = {}) ---",
@@ -113,17 +112,6 @@ fn main() {
                     .map(|b| b.to_string())
                     .collect();
                 let wf_str = wf.iter().map(|s| f2(*s)).collect::<Vec<_>>().join(" / ");
-                let wf_json: Vec<String> = wf.iter().map(|s| format!("{s}")).collect();
-                points.push(format!(
-                    "{{\"machine\":{},\"benchmark\":{},\"p\":{p},\
-                     \"wavefront_speedups\":[{}],\"whole_program\":{},\
-                     \"blocks\":[{}]}}",
-                    json_str(params.name),
-                    json_str(bench.name),
-                    wf_json.join(","),
-                    naive.total / pipe.total,
-                    blocks.join(","),
-                ));
                 table.row(&[
                     bench.name.into(),
                     p.to_string(),
@@ -139,14 +127,4 @@ fn main() {
     println!("  (wavefront-segment speedup is vs the serialized naive schedule and");
     println!("   should approach p; whole-program speedup is over an already-parallel");
     println!("   non-pipelined program)");
-
-    write_artifact(
-        "fig7",
-        &json_object(&[
-            ("figure", json_str("7")),
-            ("n", n.to_string()),
-            ("block_policy", json_str("model2")),
-            ("points", format!("[{}]", points.join(","))),
-        ]),
-    );
 }

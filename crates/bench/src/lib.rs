@@ -11,127 +11,22 @@
 //! | `fig6`            | Figure 6: uniprocessor cache speedup of scan blocks (Tomcatv & SIMPLE on T3E / PowerChallenge hierarchies) |
 //! | `fig7`            | Figure 7: pipelined vs non-pipelined speedup over processor counts |
 //! | `fig_sweep`       | extension: SWEEP3D-style octant sweep scaling |
+//! | `fig_sweep2d`     | extension: SWEEP3D on a 2-D processor mesh with pipelined k-blocks |
 //! | `table_optb`      | Equation (1) closed forms vs numeric vs simulator-probed optima |
 //! | `table_dynamic_b` | ablation of block-size policies (incl. the future-work dynamic probe) |
 //! | `table_loc`       | language-based vs explicit formulation code sizes |
-//! | `tune_report`     | calibrated α/β plus adaptive-vs-model-vs-exhaustive block sizes (`BENCH_tune.json`) |
+//! | `table_contraction` | ablation: contracting Tomcatv's promoted scalar `r` |
+//! | `table_cyclic`    | ablation: block vs block-cyclic ownership of the wavefront dimension |
+//! | `table_fusion`    | barrier vs fused execution of whole programs |
+//! | `table_overlap`   | blocking receives vs ideal communication/computation overlap |
+//! | `table_transpose` | transpose vs pipeline for programs with wavefronts along both dimensions |
 //!
-//! Micro-benchmarks (under `benches/`, plain `main` harnesses so the
-//! build stays dependency-free and offline) measure the real executor:
-//! sequential interpretation, compilation/analysis, cache simulation, and
-//! the threaded message-passing runtime.
-//!
-//! Figure harnesses also drop machine-readable artifacts
-//! (`BENCH_<name>.json`) via [`write_artifact`], so runs can be diffed
-//! and plotted without scraping stdout.
-
-pub mod diff;
-pub mod micro;
-
-use std::io::Write as _;
-use std::path::PathBuf;
-
-/// The build/host facts stamped into every artifact, as one JSON
-/// object: git SHA (`$GIT_SHA` if set, else `git rev-parse`), cargo
-/// profile, thread count, and the host OS/architecture. `bench_diff`
-/// refuses to compare artifacts whose stamps disagree on
-/// profile/threads/arch — those runs measured different machines.
-pub fn run_meta_json() -> String {
-    let git_sha = std::env::var("GIT_SHA")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "--short=12", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .and_then(|o| String::from_utf8(o.stdout).ok())
-                .map(|s| s.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let threads = std::thread::available_parallelism().map_or(0, |n| n.get());
-    format!(
-        "{{\"git_sha\": {}, \"profile\": {}, \"threads\": {threads}, \
-         \"os\": {}, \"arch\": {}}}",
-        json_str(&git_sha),
-        json_str(profile),
-        json_str(std::env::consts::OS),
-        json_str(std::env::consts::ARCH),
-    )
-}
-
-/// Inject the [`run_meta_json`] stamp as a leading `"meta"` member of a
-/// JSON object document (non-objects and already-stamped documents pass
-/// through unchanged).
-fn stamp_meta(json: &str) -> String {
-    let trimmed = json.trim_start();
-    let Some(rest) = trimmed.strip_prefix('{') else {
-        return json.to_string();
-    };
-    if trimmed.contains("\"meta\"") {
-        return json.to_string();
-    }
-    let sep = if rest.trim_start().starts_with('}') { "" } else { "," };
-    format!("{{\n  \"meta\": {}{sep}{rest}", run_meta_json())
-}
-
-/// Write a JSON artifact as `BENCH_<name>.json` under `$BENCH_OUT`
-/// (default `results/`), creating the directory if needed. Object
-/// documents are stamped with a `"meta"` member ([`run_meta_json`]) so
-/// `bench_diff` can refuse incomparable runs. Returns the path written,
-/// or `None` (with a note on stderr) if the filesystem refused —
-/// harnesses still print their tables either way.
-pub fn write_artifact(name: &str, json: &str) -> Option<PathBuf> {
-    let dir = std::env::var_os("BENCH_OUT").map_or_else(|| PathBuf::from("results"), PathBuf::from);
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let json = stamp_meta(json);
-    let attempt = std::fs::create_dir_all(&dir).and_then(|_| {
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(json.as_bytes())?;
-        if !json.ends_with('\n') {
-            f.write_all(b"\n")?;
-        }
-        Ok(())
-    });
-    match attempt {
-        Ok(()) => {
-            eprintln!("wrote {}", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("note: could not write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// Render `(key, value)` rows as one flat JSON object (keys must be
-/// unique). Values are emitted verbatim, so pass already-valid JSON
-/// fragments (numbers, strings with quotes, arrays).
-pub fn json_object(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> =
-        fields.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect();
-    format!("{{\n{}\n}}", body.join(",\n"))
-}
-
-/// Quote and escape a string for embedding in JSON.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+//! Every bin prints simulated or modelled quantities only, so its
+//! output is reproducible to the byte; `tests/golden.rs` runs each one
+//! and compares stdout with the committed `results/<name>.txt`
+//! (`table_loc` excepted — it counts this repository's own source).
+//! Nothing here reads a clock: wall-clock figures are `perfbench`'s job
+//! (`bench/`, `BENCHMARK.json`).
 
 /// Minimal fixed-width table printer for harness output.
 pub struct Table {

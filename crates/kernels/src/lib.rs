@@ -18,10 +18,10 @@
 //! `sqrt`, shifted and primed reads — no snapshots or contracted
 //! scalars in the sweeps), so all of them execute via fused
 //! stride-resolved kernels rather than the per-element expression
-//! interpreter. This is load-bearing for the performance figures:
-//! `kernel_bench --check-fastpath` and the `kernel_differential`
-//! integration suite both fail if an edit knocks a benchmark nest back
-//! onto the interpreter. See `docs/PERF.md` for the coverage rules and
+//! interpreter. This is load-bearing for the performance figures: the
+//! `kernel_differential` integration suite
+//! (`all_five_benchmarks_hit_the_fast_path`) fails if an edit knocks a
+//! benchmark nest back onto the interpreter. See `docs/PERF.md` for the coverage rules and
 //! the fallback contract.
 
 pub mod jacobi;

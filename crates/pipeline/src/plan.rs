@@ -73,6 +73,24 @@ impl JobTopology {
             wave_dims: None,
         }
     }
+
+    /// Reject a topology with no processors on a side.
+    pub(crate) fn check(&self) -> Result<(), PipelineError> {
+        match *self {
+            JobTopology::Line { procs: 0, .. } => Err(PipelineError::InvalidJob {
+                reason: "a line topology needs at least one processor".into(),
+            }),
+            JobTopology::Mesh { mesh, .. } if mesh[0] == 0 || mesh[1] == 0 => {
+                Err(PipelineError::InvalidJob {
+                    reason: format!(
+                        "a mesh topology needs non-empty dimensions (got {}x{})",
+                        mesh[0], mesh[1]
+                    ),
+                })
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// One distributed wavefront dimension of a plan.
@@ -156,6 +174,7 @@ impl<const R: usize> WavefrontPlan<R> {
         policy: &BlockPolicy,
         params: &MachineParams,
     ) -> Result<Self, PipelineError> {
+        topology.check()?;
         let wave_dims = &nest.structure.wavefront_dims;
         // A dimension can be block-distributed only when every dependence
         // points downstream along it (the staircase task DAG orders chunk
@@ -179,7 +198,6 @@ impl<const R: usize> WavefrontPlan<R> {
         // (dimension, processors) per axis.
         let placed: Vec<(usize, usize)> = match topology {
             JobTopology::Line { procs, dist_dim } => {
-                assert!(procs >= 1, "need at least one processor");
                 if wave_dims.is_empty() {
                     return Err(PipelineError::NoWavefrontDim);
                 }
@@ -193,7 +211,6 @@ impl<const R: usize> WavefrontPlan<R> {
                 vec![(dim, procs)]
             }
             JobTopology::Mesh { mesh, wave_dims: forced } => {
-                assert!(mesh[0] >= 1 && mesh[1] >= 1, "need at least one processor");
                 // A side of one processor distributes nothing and needs
                 // no dimension; a 1x1 mesh is a one-processor line.
                 let sides: Vec<usize> = match mesh {
@@ -912,6 +929,10 @@ pub(crate) mod tests {
             build(JobTopology::mesh([1, 2])).unwrap_err(),
             PipelineError::NoWavefrontDim
         );
+        // A side of zero processors is a typed error, not a panic.
+        for empty in [JobTopology::mesh([0, 2]), JobTopology::line(0)] {
+            assert!(matches!(build(empty).unwrap_err(), PipelineError::InvalidJob { .. }));
+        }
         let line = build(JobTopology::line(3)).unwrap();
         assert_eq!(build(JobTopology::mesh([3, 1])).unwrap(), line);
         assert_eq!(

@@ -102,8 +102,9 @@ mod tests {
             admit(&cfg, 0, 2),
             Err(AdmissionReason::InFlightLimit { limit: 2 })
         );
-        // Limit 0 denies everything — the verify.sh injected-rejection
-        // self-check relies on this failing loudly.
+        // Limit 0 denies everything — what
+        // `tests/serve.rs::typed_errors_round_trip_the_wire` drives
+        // over the wire.
         let zero = TenantConfig {
             max_in_flight: 0,
             ..Default::default()

@@ -77,7 +77,7 @@ pub(crate) struct LoopExec<const R: usize> {
     /// resolved `(from, to)` array-id pairs (a permutation).
     pub(crate) rotate: Vec<(usize, usize)>,
     /// `false` inserts an inter-iteration barrier (the overlap
-    /// ablation `timestep_bench --no-overlap` measures).
+    /// ablation, `LoopSpecBuilder::pipelined`).
     pub(crate) pipelined: bool,
     /// Rotation-aware kernel prep built once per loop (margins unified
     /// across each rotation class); `None` uses the plan cache's prep.
@@ -371,22 +371,7 @@ impl<const R: usize> JobSpecBuilder<R> {
 
     /// Validate the combination and produce the [`JobSpec`].
     pub fn build(self) -> Result<JobSpec<R>, PipelineError> {
-        match self.topology {
-            JobTopology::Line { procs: 0, .. } => {
-                return Err(PipelineError::InvalidJob {
-                    reason: "a line topology needs at least one processor".into(),
-                });
-            }
-            JobTopology::Mesh { mesh, .. } if mesh[0] == 0 || mesh[1] == 0 => {
-                return Err(PipelineError::InvalidJob {
-                    reason: format!(
-                        "a mesh topology needs non-empty dimensions (got {}x{})",
-                        mesh[0], mesh[1]
-                    ),
-                });
-            }
-            _ => {}
-        }
+        self.topology.check()?;
         if let Some(t) = &self.tenant {
             if t.is_empty() {
                 return Err(PipelineError::InvalidJob {

@@ -205,9 +205,9 @@ impl<const R: usize> LoopSpecBuilder<R> {
     }
 
     /// `false` disables cross-iteration overlap: fused bodies insert a
-    /// full barrier between iterations. The ablation
-    /// `timestep_bench --no-overlap` measures (results are identical
-    /// either way; only the staircase overlap disappears).
+    /// full barrier between iterations. The ablation `perfbench`
+    /// reports as `pipeline.service.loop.fused_over_barrier` (results
+    /// are identical either way; only the staircase overlap disappears).
     pub fn pipelined(mut self, on: bool) -> Self {
         self.pipelined = on;
         self

@@ -21,8 +21,9 @@
 //! (one atomic add for counters/gauges, two adds for a histogram
 //! sample). The registry mutex is taken only to *register* a new name or
 //! to scrape. A registry built disabled hands out no-op handles, so the
-//! metrics-off path costs one branch per observation — `obs_bench`
-//! gates the enabled path at <2% overhead over that.
+//! metrics-off path costs one branch per observation; `perfbench`
+//! reports the enabled path against it as
+//! `pipeline.service.metrics_overhead_ratio`.
 //!
 //! Histograms bucket by powers of two of nanoseconds (64 buckets cover
 //! 1 ns to ~584 years), so a percentile query returns the *bounds* of
@@ -146,12 +147,7 @@ impl Gauge {
 /// A latency histogram handle (power-of-two nanosecond buckets). No-op
 /// when the registry is disabled.
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle {
-    core: Option<Arc<HistogramCore>>,
-    /// Shared injected-delay knob of the owning registry (the
-    /// `obs_bench --inject-overhead` self-check).
-    delay_ns: Option<Arc<AtomicU64>>,
-}
+pub struct HistogramHandle(Option<Arc<HistogramCore>>);
 
 impl HistogramHandle {
     /// Record one latency in seconds (negative values clamp to 0).
@@ -161,33 +157,19 @@ impl HistogramHandle {
 
     /// Record one latency in nanoseconds.
     pub fn observe_ns(&self, ns: u64) {
-        let Some(core) = &self.core else {
-            return;
-        };
-        if let Some(delay) = &self.delay_ns {
-            let d = delay.load(Ordering::Relaxed);
-            if d > 0 {
-                // Busy-wait: the self-check must slow the *observe path*
-                // itself, exactly what the <2% gate watches.
-                let until = std::time::Instant::now() + std::time::Duration::from_nanos(d);
-                while std::time::Instant::now() < until {
-                    std::hint::spin_loop();
-                }
-            }
+        if let Some(core) = &self.0 {
+            core.record_ns(ns);
         }
-        core.record_ns(ns);
     }
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
-        self.core
-            .as_ref()
-            .map_or(0, |c| c.count.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.count.load(Ordering::Relaxed))
     }
 
     /// Sum of all recorded latencies, seconds.
     pub fn sum_seconds(&self) -> f64 {
-        self.core
+        self.0
             .as_ref()
             .map_or(0.0, |c| c.sum_ns.load(Ordering::Relaxed) as f64 / 1e9)
     }
@@ -197,7 +179,7 @@ impl HistogramHandle {
     /// (or exactly 0 for the zero bucket). `None` when empty or
     /// disabled.
     pub fn quantile_bounds(&self, q: f64) -> Option<(f64, f64)> {
-        self.core.as_ref()?.quantile_bounds(q)
+        self.0.as_ref()?.quantile_bounds(q)
     }
 }
 
@@ -218,7 +200,6 @@ struct Registry {
 #[derive(Debug)]
 pub struct Metrics {
     enabled: bool,
-    inject_delay_ns: Arc<AtomicU64>,
     inner: Mutex<Registry>,
 }
 
@@ -226,11 +207,7 @@ impl Metrics {
     /// A registry. When `enabled` is false every handle it hands out is
     /// a no-op and the exports are empty.
     pub fn new(enabled: bool) -> Metrics {
-        Metrics {
-            enabled,
-            inject_delay_ns: Arc::new(AtomicU64::new(0)),
-            inner: Mutex::new(Registry::default()),
-        }
+        Metrics { enabled, inner: Mutex::new(Registry::default()) }
     }
 
     /// Whether this registry records anything.
@@ -279,10 +256,7 @@ impl Metrics {
             r.histograms.push((name.to_string(), Arc::clone(&h)));
             h
         };
-        HistogramHandle {
-            core: Some(core),
-            delay_ns: Some(Arc::clone(&self.inject_delay_ns)),
-        }
+        HistogramHandle(Some(core))
     }
 
     /// Set a counter to an externally tracked value (scrape-time sync of
@@ -291,13 +265,6 @@ impl Metrics {
         if let Counter(Some(c)) = self.counter(name) {
             c.store(v, Ordering::Relaxed);
         }
-    }
-
-    /// Artificial per-observation delay, nanoseconds — the
-    /// `obs_bench --inject-overhead` hook proving the <2% gate trips
-    /// when the registry gets slow. 0 (the default) disables it.
-    pub fn set_injected_delay_ns(&self, ns: u64) {
-        self.inject_delay_ns.store(ns, Ordering::Relaxed);
     }
 
     /// Prometheus-style text exposition: one `name value` line per
@@ -480,15 +447,5 @@ mod tests {
         assert_eq!(hists.len(), 1);
         assert!(hists[0].get("p50").unwrap().as_f64().unwrap() > 0.0);
         assert_eq!(hists[0].get("count").unwrap().as_f64(), Some(1.0));
-    }
-
-    #[test]
-    fn injected_delay_slows_the_observe_path() {
-        let m = Metrics::new(true);
-        let h = m.histogram("slow");
-        m.set_injected_delay_ns(2_000_000);
-        let t0 = std::time::Instant::now();
-        h.observe_ns(1);
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(1));
     }
 }

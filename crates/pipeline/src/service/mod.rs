@@ -471,8 +471,8 @@ pub struct ServiceConfig {
     pub auto_register: bool,
     /// Whether the [`Metrics`] registry records (counters, per-stage
     /// latency histograms, the recent-trace ring). Off, every handle is
-    /// a no-op and jobs skip all registry work — the `obs_bench` bin
-    /// measures the difference and gates it under 2%.
+    /// a no-op and jobs skip all registry work — `perfbench` reports
+    /// the difference as `pipeline.service.metrics_overhead_ratio`.
     pub metrics: bool,
 }
 
@@ -515,7 +515,7 @@ pub struct ServiceStats {
     /// Plans currently resident in the cache.
     pub cache_entries: usize,
     /// Total OS threads the worker pool ever spawned — flat under steady
-    /// traffic (the soak test's invariant).
+    /// traffic (`tests/service.rs::steady_jobs_spawn_no_new_threads`).
     pub pool_spawns: u64,
     /// Worker threads currently alive (parked or busy).
     pub pool_workers: usize,

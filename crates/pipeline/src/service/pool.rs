@@ -42,7 +42,7 @@ pub(crate) struct WorkerPool {
     inner: Arc<PoolInner>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Total OS threads ever spawned by this pool — the observable the
-    /// service soak asserts on ("no per-job thread spawn").
+    /// service tests assert on ("no per-job thread spawn").
     spawned: AtomicU64,
 }
 

@@ -1,10 +1,10 @@
 //! A minimal, dependency-free JSON reader and object writer.
 //!
-//! The repository emits all of its JSON by hand (reports, benchmark
-//! artifacts, Chrome traces) and stays `std`-only, so this module
+//! The repository emits all of its JSON by hand (reports, stats
+//! exports, Chrome traces) and stays `std`-only, so this module
 //! provides the matching *reader*: a small recursive-descent parser into
 //! a [`JsonValue`] tree with the handful of accessors the trace
-//! validator and the `bench_diff` regression gate need. It is not a
+//! validator and the `wlc top` dashboard need. It is not a
 //! general-purpose JSON library — numbers are `f64`, object key order is
 //! preserved, and duplicate keys keep their first occurrence.
 //!

@@ -21,7 +21,7 @@
 //! simulator), [`histogram`] buckets per-event latencies, [`export`]
 //! renders Chrome trace-event JSON for Perfetto and an ASCII Gantt
 //! chart for `wlc timeline`, and [`json`] is the dependency-free JSON
-//! reader the validators and `bench_diff` share.
+//! reader the validators and `wlc top` share.
 
 pub mod critical;
 pub mod export;

@@ -301,7 +301,15 @@ fn parse_args() -> std::result::Result<Opts, ExitCode> {
             }
             "--fill-coords" => opts.fill_coords.push(need("--fill-coords")?),
             "--print" => opts.prints.push(need("--print")?),
-            "--procs" => opts.procs = need("--procs")?.parse().map_err(|_| usage())?,
+            "--procs" => {
+                opts.procs = need("--procs")?.parse().map_err(|_| usage())?;
+                if opts.procs == 0 {
+                    // `WavefrontPlan::build` would say so once per nest
+                    // (`PipelineError::InvalidJob`); say it once, up front.
+                    eprintln!("wlc: --procs needs at least one processor");
+                    return Err(ExitCode::from(2));
+                }
+            }
             "--repeat" => opts.repeat = need("--repeat")?.parse().map_err(|_| usage())?,
             "--block" => {
                 let v = need("--block")?;

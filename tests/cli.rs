@@ -223,6 +223,17 @@ fn unknown_options_exit_2() {
         .output()
         .expect("wlc runs");
     assert_eq!(out.status.code(), Some(2));
+    // An empty processor line is a usage error too, on every
+    // subcommand that plans (a panic would exit 101).
+    for cmd in ["plan", "trace", "timeline", "tune", "dag"] {
+        let out = wlc()
+            .args([cmd, &programs("tomcatv.wf"), "--procs", "0"])
+            .output()
+            .expect("wlc runs");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("needs at least one processor"), "{cmd}: {stderr}");
+    }
 }
 
 #[test]

@@ -1,29 +1,81 @@
 //! The steady-state contract of resident-array time-stepping: after
 //! one warm-up loop, further loops copy nothing (copy-on-write bytes),
-//! spawn no worker threads, and allocate no resident arrays.
+//! spawn no worker threads, and allocate no resident arrays. The same
+//! counter pins the DAG runner's contract: a warm chain hands every
+//! edge over by refcount.
 //!
 //! This lives alone in its own test binary because
 //! [`cow_bytes_copied`] is a process-global counter and cargo runs the
 //! tests *within* a binary in parallel — isolation keeps the global
-//! deltas attributable to this loop alone (test binaries themselves
+//! deltas attributable to one case alone (test binaries themselves
 //! run sequentially).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use wavefront::core::prelude::*;
+use wavefront::kernels::sweep3d::{self, OCTANTS};
 use wavefront::machine::cray_t3e;
 use wavefront::pipeline::{
-    ArrayHandle, BlockPolicy, EngineKind, JobSpec, JobTopology, LoopSpec, WavefrontService,
+    ArrayHandle, BlockPolicy, DagSpec, EngineKind, JobSpec, JobTopology, LoopSpec,
+    WavefrontService,
 };
 
-/// One test, two topologies in sequence (see the module docs for why
-/// they must not run in parallel): the relaxation on a line of four,
-/// and its two-wavefront-dimension variant on a 2x2 mesh.
+/// One test, three cases in sequence (see the module docs for why they
+/// must not run in parallel): the relaxation on a line of four, its
+/// two-wavefront-dimension variant on a 2x2 mesh, and a SWEEP3D octant
+/// chain through the DAG runner.
 #[test]
 fn steady_state_loops_copy_nothing_spawn_nothing_allocate_nothing() {
     steady_state(JobTopology::line(4), false);
     steady_state(JobTopology::mesh([2, 2]), true);
+    warm_dag_edges_copy_nothing();
+}
+
+/// The eight SWEEP3D octants as one dependent chain: every edge hands
+/// `phi`, `src` and `sigt` to the next octant. Once the service is
+/// warm, a whole DAG run shares those arrays and copies none of them.
+fn warm_dag_edges_copy_nothing() {
+    let n = 8;
+    let service: WavefrontService<3> = WavefrontService::new();
+    let run = || {
+        let mut dag = DagSpec::builder();
+        let mut prev = None;
+        for (k, octant) in OCTANTS.iter().enumerate() {
+            let lo = sweep3d::build_octant(n, *octant).expect("sweep builds");
+            let compiled = compile(&lo.program).expect("sweep compiles");
+            let nest = Arc::new(compiled.nest(0).clone());
+            // The head's store is built per run, never cloned: no
+            // outside `Arc` forces a copy when the head job writes.
+            let head_store = prev.is_none().then(|| {
+                let mut store = Store::new(&lo.program);
+                sweep3d::init(&lo, &mut store);
+                store
+            });
+            let spec = JobSpec::builder(Arc::new(lo.program), nest)
+                .line(4)
+                .block(BlockPolicy::Model2)
+                .machine(cray_t3e())
+                .engine(EngineKind::Threads);
+            let spec = match (prev, head_store) {
+                (Some(p), _) => ["phi", "src", "sigt"]
+                    .iter()
+                    .fold(spec, |s, name| s.input_from(p, *name)),
+                (None, store) => spec.store(store.expect("the head builds its store")),
+            };
+            prev = Some(dag.add_labeled(format!("o{k}"), spec.build().expect("valid spec")));
+        }
+        let out = service.submit_dag(dag.build().expect("acyclic")).wait();
+        assert!(out.all_ok(), "all octant nodes complete");
+        out.stats
+    };
+    run();
+    let warm = run();
+    assert_eq!(
+        warm.cow_bytes_copied, 0,
+        "a warm DAG run must hand every edge over by refcount, not copy"
+    );
+    assert!(warm.bytes_shared > 0, "chained inputs are shared, not re-marshalled");
 }
 
 fn steady_state(topology: JobTopology, west_too: bool) {
