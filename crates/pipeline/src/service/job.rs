@@ -303,7 +303,7 @@ impl<const R: usize> JobSpecBuilder<R> {
 
     /// Attach a client-supplied trace ID. It rides through the service
     /// untouched and comes back inside the job's [`JobTrace`], so a
-    /// caller (or a wire client, protocol v3) can correlate its own
+    /// caller (or a wire client) can correlate its own
     /// request with the service-side phase breakdown.
     pub fn trace_id(mut self, id: u64) -> Self {
         self.trace_id = Some(id);

@@ -11,7 +11,7 @@
 //! it at scrape time so one export carries everything. Two formats come
 //! out of the same snapshot: a Prometheus-style text exposition
 //! ([`Metrics::prometheus`]) and a JSON dump ([`Metrics::to_json`]) —
-//! both are served over the wire by the `METRICS` frame (protocol v3)
+//! both are served over the wire by the `METRICS` frame
 //! and rendered by `wlc top`.
 //!
 //! ## Cost model

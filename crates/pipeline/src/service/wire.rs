@@ -16,7 +16,9 @@
 //! the first payload byte is the opcode. Integers are little-endian,
 //! floats IEEE-754 `f64` bits, strings length-prefixed UTF-8. See
 //! `docs/SERVICE.md` ("Serving over the wire") for the field-by-field
-//! layout of each opcode.
+//! layout of each opcode; in this file each frame's fields are listed
+//! once, in wire order, by the `wire_structs!`/`wire_enum!` tables below,
+//! and both directions of the codec are generated from that one list.
 //!
 //! | opcode | direction | meaning |
 //! |-------:|-----------|---------|
@@ -29,10 +31,10 @@
 //! | 7 | server → client | `OK` acknowledgement |
 //! | 8 | client → server | `SUBMIT_DAG`: a job graph in one frame |
 //! | 9 | server → client | `DAG_RESULT`: per-node results + stats |
-//! | 10 | both | `HELLO` version handshake |
-//! | 11 | client → server | `METRICS` request (protocol v3) |
+//! | 10 | both | `HELLO` version check |
+//! | 11 | client → server | `METRICS` request |
 //! | 12 | server → client | `METRICS` reply: Prometheus text + JSON |
-//! | 13 | client → server | `ALLOC` a server-resident array (protocol v4) |
+//! | 13 | client → server | `ALLOC` a server-resident array |
 //! | 14 | server → client | `HANDLE`: resident-array id, epoch, values |
 //! | 15 | client → server | `SUBMIT_LOOP`: a time-stepping loop over handles |
 //! | 16 | server → client | `LOOP_RESULT`: steps run + overlap stats |
@@ -40,34 +42,14 @@
 //!
 //! ## Protocol version
 //!
-//! The protocol is versioned by [`PROTOCOL_VERSION`]. Version 1 is
-//! opcodes 1–7; version 2 added the DAG opcodes (8–9) and the `HELLO`
-//! handshake (10). Version 3 adds observability: `SUBMIT`/`SUBMIT_DAG`
-//! carry an optional client trace ID, `RESULT`/`DAG_RESULT` append the
-//! job's lifecycle span breakdown ([`crate::service::JobTrace`]), and
-//! the `METRICS` opcodes (11–12) scrape the server's registry. A client
-//! opens with `HELLO` carrying its version as a `u16`; the server
-//! echoes a `HELLO` with its own version and both sides proceed at the
-//! smaller of the two. The handshake is optional — pre-v3 frames work
-//! without it, and a connection that never handshakes is treated as v2,
-//! so the version-gated fields stay off the wire. A v1 server answers
-//! `HELLO` with a typed "unknown opcode" `ERROR`, which a newer client
-//! treats as "server speaks version 1" (see [`WireClient::hello`]);
-//! likewise a v2 server answers `METRICS` with that typed error, so
-//! mixed-version pairs degrade gracefully instead of desyncing.
-//!
-//! Version 4 adds resident arrays and time-stepping loops: `ALLOC`
-//! (13) parks an array server-side and `HANDLE` (14) returns its id,
-//! `SUBMIT_LOOP` (15) runs a job body for N steps over handle-bound
-//! arrays with optional buffer rotation and `LOOP_RESULT` (16) reports
-//! the steps run, the cross-iteration overlap stats, and the final
-//! name → handle bindings, and `FREE` (17) retires a handle, returning
-//! the buffer's values in the `HANDLE` reply. Three error codes (6–8)
-//! round-trip the new typed failures ([`PipelineError::UnknownHandle`],
-//! [`PipelineError::HandleConflict`], [`PipelineError::InvalidLoop`]);
-//! only v4 opcodes can produce them, so old clients never see an
-//! unknown code. Convergence callbacks are host-side closures and do
-//! not travel the wire — a wire loop always runs a fixed step count.
+//! There is one layout, numbered [`PROTOCOL_VERSION`]. `HELLO` carries
+//! the sender's number as a `u16` and is an equality check: the server
+//! echoes its own number to a peer that matches and answers any other
+//! with a typed [`PipelineError::ProtocolError`] naming both, after
+//! which the connection stays usable. The handshake is optional — a
+//! connection that never sends it is decoded at the same layout.
+//! Convergence callbacks are host-side closures and do not travel the
+//! wire — a wire loop always runs a fixed step count.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -76,8 +58,8 @@ use std::sync::{Arc, Mutex};
 
 use wavefront_core::array::{DenseArray, Layout};
 use wavefront_core::exec::CompiledNest;
-use wavefront_core::kernel::KernelMode;
 use wavefront_core::expr::ArrayId;
+use wavefront_core::kernel::KernelMode;
 use wavefront_core::program::{Program, Store};
 use wavefront_core::region::Region;
 
@@ -86,42 +68,14 @@ use crate::schedule::BlockPolicy;
 use crate::service::cache::PlanCache;
 use crate::service::dag::{DagSpec, NodeRef};
 use crate::service::fingerprint::fnv1a;
-use crate::service::job::JobSpec;
+use crate::service::job::{JobSpec, JobSpecBuilder};
 use crate::service::looping::LoopSpec;
 use crate::service::scheduler::SchedulerKind;
 use crate::service::{JobTopology, JobTrace, WavefrontService};
 use crate::telemetry::{EngineKind, TimeUnit};
 
-/// Version of the wire protocol this build speaks (see the module docs
-/// for the per-version opcode history).
+/// The one wire layout this build speaks; `HELLO` refuses any other.
 pub const PROTOCOL_VERSION: u16 = 4;
-
-const OP_SUBMIT: u8 = 1;
-const OP_RESULT: u8 = 2;
-const OP_ERROR: u8 = 3;
-const OP_STATS_REQ: u8 = 4;
-const OP_STATS: u8 = 5;
-const OP_SHUTDOWN: u8 = 6;
-const OP_OK: u8 = 7;
-const OP_SUBMIT_DAG: u8 = 8;
-const OP_DAG_RESULT: u8 = 9;
-const OP_HELLO: u8 = 10;
-const OP_METRICS_REQ: u8 = 11;
-const OP_METRICS: u8 = 12;
-const OP_ALLOC: u8 = 13;
-const OP_HANDLE: u8 = 14;
-const OP_SUBMIT_LOOP: u8 = 15;
-const OP_LOOP_RESULT: u8 = 16;
-const OP_FREE: u8 = 17;
-
-const ERR_ADMISSION: u8 = 1;
-const ERR_PROTOCOL: u8 = 2;
-const ERR_COMPILE: u8 = 3;
-const ERR_EXECUTION: u8 = 4;
-const ERR_INVALID_JOB: u8 = 5;
-const ERR_UNKNOWN_HANDLE: u8 = 6;
-const ERR_HANDLE_CONFLICT: u8 = 7;
-const ERR_INVALID_LOOP: u8 = 8;
 
 /// Sentinel nest index meaning "largest scan nest" (the common case for
 /// one-scan programs).
@@ -131,7 +85,9 @@ pub const NEST_AUTO: u16 = u16::MAX;
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Largest frame either side accepts; oversized frames are a
-    /// [`PipelineError::ProtocolError`], not an allocation.
+    /// [`PipelineError::ProtocolError`], not an allocation. It also
+    /// bounds `ALLOC`: a resident array too large to come home in one
+    /// frame is refused.
     pub max_frame: u32,
     /// Whether a `SHUTDOWN` frame stops the accept loop (off by
     /// default; the bench harness turns it on for loopback runs).
@@ -140,11 +96,6 @@ pub struct ServeConfig {
     /// text + constant bindings) so repeated submissions skip the
     /// front end.
     pub program_cache: usize,
-    /// Highest protocol version this server speaks (capped at
-    /// [`PROTOCOL_VERSION`]). Lowering it to 2 makes the server behave
-    /// exactly like a pre-observability build — the compat tests use
-    /// this to pin the mixed-version degradation paths.
-    pub protocol_version: u16,
 }
 
 impl Default for ServeConfig {
@@ -153,11 +104,9 @@ impl Default for ServeConfig {
             max_frame: 64 << 20,
             allow_shutdown: false,
             program_cache: 32,
-            protocol_version: PROTOCOL_VERSION,
         }
     }
 }
-
 /// A compiled wire program: what a [`WireCompiler`] hands back to the
 /// server for one `SUBMIT` source.
 pub struct WireProgram<const R: usize> {
@@ -177,11 +126,7 @@ pub trait WireCompiler<const R: usize>: Send + Sync {
     /// Compile `source` with the given constant bindings. Errors are
     /// returned as the front end's diagnostic string and surface to the
     /// client as [`PipelineError::CompileRejected`].
-    fn compile(
-        &self,
-        source: &str,
-        consts: &[(String, i64)],
-    ) -> Result<WireProgram<R>, String>;
+    fn compile(&self, source: &str, consts: &[(String, i64)]) -> Result<WireProgram<R>, String>;
 }
 
 /// The topology field of a [`WireRequest`].
@@ -209,9 +154,7 @@ pub struct WireRequest {
     /// Engine to run on.
     pub engine: EngineKind,
     /// Requested kernel tier ceiling (interpreter, scalar tape, or
-    /// lane-parallel tape). Travels as a u8: 0 = interpreted, 1 = lanes,
-    /// 2 = scalar — tag 1 doubles as the legacy `kernels = true` flag, so
-    /// old clients land on the fastest tier.
+    /// lane-parallel tape).
     pub kernel_mode: KernelMode,
     /// Block policy; only `Fixed`/`Model1`/`Model2`/`FullPortion`
     /// travel the wire (probe and adaptive are host-side policies).
@@ -227,7 +170,7 @@ pub struct WireRequest {
     /// Names of the arrays to return after the run.
     pub returns: Vec<String>,
     /// Client-supplied trace ID, echoed back inside the reply's span
-    /// breakdown (protocol v3; dropped silently on a v2 connection).
+    /// breakdown.
     pub trace_id: Option<u64>,
 }
 
@@ -274,7 +217,7 @@ pub struct WireResponse {
     /// The requested output arrays, values in canonical bounds order.
     pub arrays: Vec<(String, Vec<f64>)>,
     /// The job's lifecycle span breakdown, carrying the client-supplied
-    /// trace ID (protocol v3; `None` on a v2 connection).
+    /// trace ID.
     pub spans: Option<JobTrace>,
 }
 
@@ -293,7 +236,7 @@ pub struct WireDagNode {
     pub inputs: Vec<(u32, String)>,
 }
 
-/// One `SUBMIT_DAG` request (protocol version 2).
+/// One `SUBMIT_DAG` request.
 #[derive(Debug, Clone)]
 pub struct WireDagRequest {
     /// Tenant the whole DAG is billed to (empty = per-node tenants).
@@ -304,7 +247,7 @@ pub struct WireDagRequest {
     /// The nodes, in index order.
     pub nodes: Vec<WireDagNode>,
     /// Client-supplied trace ID applied to every node that carries no
-    /// trace ID of its own (protocol v3).
+    /// trace ID of its own.
     pub trace_id: Option<u64>,
 }
 
@@ -319,7 +262,7 @@ pub struct WireDagResponse {
     pub stats_json: String,
 }
 
-/// One `ALLOC` request (protocol version 4): park an array server-side
+/// One `ALLOC` request: park an array server-side
 /// and get back a resident handle for zero-copy loop bindings.
 #[derive(Debug, Clone)]
 pub struct WireAllocRequest {
@@ -347,13 +290,13 @@ impl WireAllocRequest {
             rank: lo.len() as u8,
             lo,
             hi,
-            layout: 1,
+            layout: tag_of(&Layout::ColMajor),
             values,
         }
     }
 }
 
-/// One `HANDLE` reply (protocol version 4): the resident array's id and
+/// One `HANDLE` reply: the resident array's id and
 /// epoch, plus its values when the request retires the buffer (`FREE`).
 /// `ALLOC` replies carry no values — the client just sent them.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,7 +310,7 @@ pub struct WireHandle {
     pub values: Vec<f64>,
 }
 
-/// One `SUBMIT_LOOP` request (protocol version 4): run `request` as the
+/// One `SUBMIT_LOOP` request: run `request` as the
 /// body of a time-stepping loop over server-resident arrays.
 #[derive(Debug, Clone)]
 pub struct WireLoopRequest {
@@ -392,7 +335,7 @@ pub struct WireLoopRequest {
     pub pipelined: bool,
 }
 
-/// One `LOOP_RESULT` reply (protocol version 4).
+/// One `LOOP_RESULT` reply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireLoopResponse {
     /// Steps actually run.
@@ -466,117 +409,59 @@ fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, Pipe
 }
 
 // ---------------------------------------------------------------------
-// Payload encoding/decoding
+// The codec: every wire type describes itself once
 // ---------------------------------------------------------------------
 
+/// A payload under construction. Encoding never stops half-way; a value
+/// that cannot travel records why in `rejected` and [`encode`] reports it.
+#[derive(Default)]
 struct Enc {
     buf: Vec<u8>,
+    rejected: Option<PipelineError>,
 }
 
-impl Enc {
-    fn new(op: u8) -> Self {
-        Enc { buf: vec![op] }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    /// Length-prefixed UTF-8 (u32 length — sources can be long).
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn floats(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-}
-
+/// A cursor over one received payload. `what` names the field being
+/// read, for the error a short or malformed frame draws.
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    what: &'static str,
 }
 
 impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn short(&self, what: &str) -> PipelineError {
-        PipelineError::ProtocolError {
-            reason: format!("malformed frame: ran out of bytes reading {what}"),
+        Dec {
+            buf,
+            pos: 0,
+            what: "opcode",
         }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], PipelineError> {
-        if self.pos + n > self.buf.len() {
-            return Err(self.short(what));
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn short(&self) -> PipelineError {
+        PipelineError::ProtocolError {
+            reason: format!("malformed frame: ran out of bytes reading {}", self.what),
+        }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PipelineError> {
+        if n > self.remaining() {
+            return Err(self.short());
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, PipelineError> {
-        Ok(self.take(1, what)?[0])
-    }
-    fn u16(&mut self, what: &str) -> Result<u16, PipelineError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-    fn u32(&mut self, what: &str) -> Result<u32, PipelineError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-    fn u64(&mut self, what: &str) -> Result<u64, PipelineError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-    fn i64(&mut self, what: &str) -> Result<i64, PipelineError> {
-        Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-    fn f64(&mut self, what: &str) -> Result<f64, PipelineError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-    fn str(&mut self, what: &str) -> Result<String, PipelineError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| PipelineError::ProtocolError {
-            reason: format!("malformed frame: {what} is not valid UTF-8"),
-        })
-    }
-    fn floats(&mut self, what: &str) -> Result<Vec<f64>, PipelineError> {
-        let n = self.u64(what)? as usize;
-        // Guard against a length claiming more floats than the frame
-        // holds before allocating.
-        if self.pos + n.saturating_mul(8) > self.buf.len() {
-            return Err(self.short(what));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64(what)?);
-        }
-        Ok(out)
-    }
     fn done(&self) -> Result<(), PipelineError> {
-        if self.pos != self.buf.len() {
+        if self.remaining() != 0 {
             return Err(PipelineError::ProtocolError {
                 reason: format!(
                     "malformed frame: {} trailing bytes after the payload",
-                    self.buf.len() - self.pos
+                    self.remaining()
                 ),
             });
         }
@@ -584,686 +469,440 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn encode_submit(req: &WireRequest, version: u16) -> Result<Vec<u8>, PipelineError> {
-    let mut e = Enc::new(OP_SUBMIT);
-    encode_submit_body(&mut e, req, version)?;
-    Ok(e.buf)
+/// A value with one wire form: `put` appends it, `get` reads it back.
+/// Lengths read from the peer are checked against the bytes actually
+/// present before anything is allocated for them.
+trait Wire: Sized {
+    fn put(&self, e: &mut Enc);
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError>;
 }
 
-/// Append a version-3 optional `u64` (presence flag, then the value).
-fn enc_opt_u64(e: &mut Enc, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            e.u8(1);
-            e.u64(v);
-        }
-        None => e.u8(0),
-    }
+/// A [`Wire`] type that is a whole frame: its opcode leads the payload.
+trait Frame: Wire {
+    const OP: u8;
 }
 
-/// Read a version-3 optional `u64`.
-fn dec_opt_u64(d: &mut Dec<'_>, what: &str) -> Result<Option<u64>, PipelineError> {
-    Ok(match d.u8(what)? {
-        0 => None,
-        _ => Some(d.u64(what)?),
-    })
-}
-
-/// The `SUBMIT` payload minus the opcode — shared verbatim by
-/// `SUBMIT_DAG` nodes. Fields added by protocol v3 are appended only
-/// when the negotiated `version` allows, so a v2 peer never sees them.
-fn encode_submit_body(e: &mut Enc, req: &WireRequest, version: u16) -> Result<(), PipelineError> {
-    e.str(&req.tenant);
-    e.u8(req.priority);
-    e.u8(req.rank);
-    e.u16(req.nest);
-    match req.topology {
-        WireTopology::Line(procs) => {
-            e.u8(0);
-            e.u32(procs as u32);
-        }
-        WireTopology::Mesh([r, c]) => {
-            e.u8(1);
-            e.u32(r as u32);
-            e.u32(c as u32);
-        }
-    }
-    e.u8(match req.engine {
-        EngineKind::Sim => 0,
-        EngineKind::Seq => 1,
-        EngineKind::Threads => 2,
-    });
-    e.u8(match req.kernel_mode {
-        KernelMode::Interpreted => 0,
-        KernelMode::Lanes => 1,
-        KernelMode::Scalar => 2,
-    });
-    match &req.block {
-        BlockPolicy::Fixed(b) => {
-            e.u8(0);
-            e.u32(*b as u32);
-        }
-        BlockPolicy::Model1 => e.u8(1),
-        BlockPolicy::Model2 => e.u8(2),
-        BlockPolicy::FullPortion => e.u8(3),
-        other => {
-            return Err(PipelineError::InvalidJob {
-                reason: format!(
-                    "block policy {other:?} is host-side only and cannot travel the wire"
-                ),
-            })
-        }
-    }
-    e.u8(req.machine);
-    e.u16(req.consts.len() as u16);
-    for (name, v) in &req.consts {
-        e.str(name);
-        e.i64(*v);
-    }
-    e.str(&req.source);
-    e.u16(req.arrays.len() as u16);
-    for (name, values) in &req.arrays {
-        e.str(name);
-        e.floats(values);
-    }
-    e.u16(req.returns.len() as u16);
-    for name in &req.returns {
-        e.str(name);
-    }
-    if version >= 3 {
-        enc_opt_u64(e, req.trace_id);
-    }
-    Ok(())
-}
-
-fn decode_submit(d: &mut Dec<'_>, version: u16) -> Result<WireRequest, PipelineError> {
-    let req = decode_submit_body(d, version)?;
-    d.done()?;
-    Ok(req)
-}
-
-fn decode_submit_body(d: &mut Dec<'_>, version: u16) -> Result<WireRequest, PipelineError> {
-    let tenant = d.str("tenant")?;
-    let priority = d.u8("priority")?;
-    let rank = d.u8("rank")?;
-    let nest = d.u16("nest index")?;
-    let topology = match d.u8("topology tag")? {
-        0 => WireTopology::Line(d.u32("line procs")? as usize),
-        1 => WireTopology::Mesh([d.u32("mesh rows")? as usize, d.u32("mesh cols")? as usize]),
-        t => {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("unknown topology tag {t}"),
-            })
-        }
-    };
-    let engine = match d.u8("engine")? {
-        0 => EngineKind::Sim,
-        1 => EngineKind::Seq,
-        2 => EngineKind::Threads,
-        t => {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("unknown engine tag {t}"),
-            })
-        }
-    };
-    let kernel_mode = match d.u8("kernel mode")? {
-        0 => KernelMode::Interpreted,
-        1 => KernelMode::Lanes,
-        2 => KernelMode::Scalar,
-        t => {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("unknown kernel-mode tag {t}"),
-            })
-        }
-    };
-    let block = match d.u8("block tag")? {
-        0 => BlockPolicy::Fixed(d.u32("fixed block")? as usize),
-        1 => BlockPolicy::Model1,
-        2 => BlockPolicy::Model2,
-        3 => BlockPolicy::FullPortion,
-        t => {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("unknown block-policy tag {t}"),
-            })
-        }
-    };
-    let machine = d.u8("machine preset")?;
-    if machine > 1 {
-        return Err(PipelineError::ProtocolError {
-            reason: format!("unknown machine preset {machine}"),
-        });
-    }
-    let n_consts = d.u16("const count")?;
-    let mut consts = Vec::with_capacity(n_consts as usize);
-    for _ in 0..n_consts {
-        let name = d.str("const name")?;
-        let v = d.i64("const value")?;
-        consts.push((name, v));
-    }
-    let source = d.str("source")?;
-    let n_arrays = d.u16("array count")?;
-    let mut arrays = Vec::with_capacity(n_arrays as usize);
-    for _ in 0..n_arrays {
-        let name = d.str("array name")?;
-        let values = d.floats("array values")?;
-        arrays.push((name, values));
-    }
-    let n_returns = d.u16("return count")?;
-    let mut returns = Vec::with_capacity(n_returns as usize);
-    for _ in 0..n_returns {
-        returns.push(d.str("return name")?);
-    }
-    let trace_id = if version >= 3 {
-        dec_opt_u64(d, "trace id")?
-    } else {
-        None
-    };
-    Ok(WireRequest {
-        tenant,
-        priority,
-        rank,
-        nest,
-        topology,
-        engine,
-        kernel_mode,
-        block,
-        machine,
-        consts,
-        source,
-        arrays,
-        returns,
-        trace_id,
-    })
-}
-
-fn encode_result(resp: &WireResponse, version: u16) -> Vec<u8> {
-    let mut e = Enc::new(OP_RESULT);
-    encode_result_body(&mut e, resp, version);
-    e.buf
-}
-
-/// The `RESULT` payload minus the opcode — shared by `DAG_RESULT`
-/// node entries. Protocol v3 appends the span breakdown.
-fn encode_result_body(e: &mut Enc, resp: &WireResponse, version: u16) {
-    e.f64(resp.makespan);
-    e.u8(match resp.time_unit {
-        TimeUnit::ModelUnits => 0,
-        TimeUnit::Seconds => 1,
-    });
-    e.f64(resp.prep_seconds);
-    e.f64(resp.run_seconds);
-    e.u64(resp.messages);
-    e.u32(resp.block);
-    e.u16(resp.arrays.len() as u16);
-    for (name, values) in &resp.arrays {
-        e.str(name);
-        e.floats(values);
-    }
-    if version >= 3 {
-        match &resp.spans {
-            Some(t) => {
-                e.u8(1);
-                enc_opt_u64(e, t.trace_id);
-                e.str(&t.tenant);
-                for v in [
-                    t.start_seconds,
-                    t.admit_seconds,
-                    t.queue_seconds,
-                    t.exec_seconds,
-                    t.prep_seconds,
-                    t.run_seconds,
-                    t.drain_seconds,
-                    t.total_seconds,
-                ] {
-                    e.f64(v);
-                }
+macro_rules! wire_ints {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, e: &mut Enc) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
             }
-            None => e.u8(0),
+            fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returns the length asked for")))
+            }
         }
+    )*};
+}
+wire_ints!(u8, u16, u32, u64, i64);
+
+impl Wire for f64 {
+    fn put(&self, e: &mut Enc) {
+        self.to_bits().put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        Ok(f64::from_bits(u64::get(d)?))
     }
 }
 
-fn decode_result(d: &mut Dec<'_>, version: u16) -> Result<WireResponse, PipelineError> {
-    let resp = decode_result_body(d, version)?;
-    d.done()?;
-    Ok(resp)
+impl Wire for bool {
+    fn put(&self, e: &mut Enc) {
+        (*self as u8).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        Ok(u8::get(d)? != 0)
+    }
 }
 
-fn decode_result_body(d: &mut Dec<'_>, version: u16) -> Result<WireResponse, PipelineError> {
-    let makespan = d.f64("makespan")?;
-    let time_unit = match d.u8("time unit")? {
-        0 => TimeUnit::ModelUnits,
-        1 => TimeUnit::Seconds,
-        t => {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("unknown time-unit tag {t}"),
-            })
-        }
-    };
-    let prep_seconds = d.f64("prep seconds")?;
-    let run_seconds = d.f64("run seconds")?;
-    let messages = d.u64("messages")?;
-    let block = d.u32("block")?;
-    let n = d.u16("array count")?;
-    let mut arrays = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let name = d.str("array name")?;
-        let values = d.floats("array values")?;
-        arrays.push((name, values));
+/// Length-prefixed UTF-8 (u32 length — sources can be long).
+impl Wire for String {
+    fn put(&self, e: &mut Enc) {
+        (self.len() as u32).put(e);
+        e.buf.extend_from_slice(self.as_bytes());
     }
-    let spans = if version >= 3 && d.u8("spans flag")? != 0 {
-        let trace_id = dec_opt_u64(d, "span trace id")?;
-        let tenant = d.str("span tenant")?;
-        let mut f = [0.0f64; 8];
-        for (v, what) in f.iter_mut().zip([
-            "span start", "span admit", "span queue", "span exec", "span prep", "span run",
-            "span drain", "span total",
-        ]) {
-            *v = d.f64(what)?;
-        }
-        Some(JobTrace {
-            trace_id,
-            tenant,
-            start_seconds: f[0],
-            admit_seconds: f[1],
-            queue_seconds: f[2],
-            exec_seconds: f[3],
-            prep_seconds: f[4],
-            run_seconds: f[5],
-            drain_seconds: f[6],
-            total_seconds: f[7],
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        let len = u32::get(d)? as usize;
+        let bytes = d.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| PipelineError::ProtocolError {
+            reason: format!("malformed frame: {} is not valid UTF-8", d.what),
         })
-    } else {
-        None
-    };
-    Ok(WireResponse {
-        makespan,
-        time_unit,
-        prep_seconds,
-        run_seconds,
-        messages,
-        block,
-        arrays,
-        spans,
-    })
+    }
 }
 
-/// Encode a service-path error into an `ERROR` frame such that the
-/// client can reconstruct the same [`PipelineError`] value — admission
-/// rejections round-trip exactly (tenant, reason, and limit).
-fn encode_error(err: &PipelineError) -> Vec<u8> {
-    let mut e = Enc::new(OP_ERROR);
-    encode_error_body(&mut e, err);
-    e.buf
+/// An array payload: u64 count, then the values.
+impl Wire for Vec<f64> {
+    fn put(&self, e: &mut Enc) {
+        (self.len() as u64).put(e);
+        for &v in self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        let n = u64::get(d)?;
+        // A count claiming more floats than the frame holds is refused
+        // before allocating; dividing keeps a hostile count from
+        // overflowing the comparison.
+        if n > (d.remaining() / 8) as u64 {
+            return Err(d.short());
+        }
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            out.push(f64::get(d)?);
+        }
+        Ok(out)
+    }
 }
 
-/// The `ERROR` payload minus the opcode — shared by `DAG_RESULT` node
-/// entries so per-node failures round-trip the same typed values.
-fn encode_error_body(e: &mut Enc, err: &PipelineError) {
-    match err {
-        PipelineError::AdmissionDenied { tenant, reason } => {
-            e.u8(ERR_ADMISSION);
-            e.str(tenant);
-            match reason {
-                AdmissionReason::QueueFull { capacity } => {
-                    e.u8(0);
-                    e.u64(*capacity as u64);
-                }
-                AdmissionReason::InFlightLimit { limit } => {
-                    e.u8(1);
-                    e.u64(*limit as u64);
-                }
-                AdmissionReason::UnknownTenant => {
-                    e.u8(2);
-                    e.u64(0);
-                }
+/// Presence flag, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        bool::get(d)?.then(|| T::get(d)).transpose()
+    }
+}
+
+/// Success flag, then the value or the error (a `DAG_RESULT` node).
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    fn put(&self, e: &mut Enc) {
+        self.is_ok().put(e);
+        match self {
+            Ok(v) => v.put(e),
+            Err(err) => err.put(e),
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        Ok(if bool::get(d)? {
+            Ok(T::get(d)?)
+        } else {
+            Err(E::get(d)?)
+        })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// What a counted list may hold (everything but the bare `f64` of an
+/// array payload, which has its own wider count).
+trait Item: Wire {}
+impl Item for String {}
+impl<A: Wire, B: Wire> Item for (A, B) {}
+impl Item for WireDagNode {}
+
+/// A counted list: u16 count, then the items.
+impl<T: Item> Wire for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        (self.len() as u16).put(e);
+        for item in self {
+            item.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+        let n = u16::get(d)? as usize;
+        // Reserve no more than the frame's remaining bytes, whatever the
+        // count claims.
+        let fits = d.remaining() / std::mem::size_of::<T>();
+        let mut out = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            out.push(T::get(d)?);
+        }
+        Ok(out)
+    }
+}
+
+/// The coordinates of one `ALLOC` corner: as many as the frame's rank
+/// byte says, with no count of their own.
+struct Corner<'a>(&'a u8);
+
+impl Corner<'_> {
+    fn put(&self, coords: &[i64], e: &mut Enc) {
+        for c in coords {
+            c.put(e);
+        }
+    }
+    fn get(&self, d: &mut Dec<'_>) -> Result<Vec<i64>, PipelineError> {
+        (0..*self.0).map(|_| i64::get(d)).collect()
+    }
+}
+
+/// Implements [`Wire`] for each struct by listing its fields once, in
+/// wire order; a field travels as its own type's wire form, or through
+/// the codec a `field: codec` entry names (which may mention the fields
+/// listed before it). A leading `op =>` also makes the struct the
+/// [`Frame`] of that opcode.
+macro_rules! wire_structs {
+    (@put $e:ident, $f:ident) => { $f.put($e) };
+    (@put $e:ident, $f:ident, $codec:expr) => { $codec.put($f, $e) };
+    (@get $d:ident) => { Wire::get($d)? };
+    (@get $d:ident, $codec:expr) => { $codec.get($d)? };
+    ($($($op:literal =>)? $ty:ident { $($f:ident $(: $codec:expr)?),* $(,)? })*) => {$(
+        // A frame with no body touches neither `e` nor `d`; a codec's
+        // `&field` is a `&&T` in `put`, where fields are borrowed already.
+        #[allow(unused_variables, clippy::needless_borrow)]
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc) {
+                let $ty { $($f),* } = self;
+                $(wire_structs!(@put e, $f $(, $codec)?);)*
             }
-            e.str(&err.to_string());
-        }
-        PipelineError::ProtocolError { .. } => {
-            e.u8(ERR_PROTOCOL);
-            e.str(&err.to_string());
-        }
-        PipelineError::CompileRejected { reason } => {
-            e.u8(ERR_COMPILE);
-            e.str(reason);
-        }
-        PipelineError::InvalidJob { reason } => {
-            e.u8(ERR_INVALID_JOB);
-            e.str(reason);
-        }
-        // Codes 6–8 only arise from v4 opcodes (handles cannot exist on
-        // older connections), so pre-v4 clients never see them.
-        PipelineError::UnknownHandle { id } => {
-            e.u8(ERR_UNKNOWN_HANDLE);
-            e.u64(*id);
-        }
-        PipelineError::HandleConflict { reason } => {
-            e.u8(ERR_HANDLE_CONFLICT);
-            e.str(reason);
-        }
-        PipelineError::InvalidLoop { reason } => {
-            e.u8(ERR_INVALID_LOOP);
-            e.str(reason);
-        }
-        other => {
-            e.u8(ERR_EXECUTION);
-            e.str(&other.to_string());
-        }
-    }
-}
-
-fn decode_error(d: &mut Dec<'_>) -> Result<PipelineError, PipelineError> {
-    let code = d.u8("error code")?;
-    Ok(match code {
-        ERR_ADMISSION => {
-            let tenant = d.str("tenant")?;
-            let reason_tag = d.u8("admission reason")?;
-            let limit = d.u64("admission limit")? as usize;
-            let _message = d.str("error message")?;
-            let reason = match reason_tag {
-                0 => AdmissionReason::QueueFull { capacity: limit },
-                1 => AdmissionReason::InFlightLimit { limit },
-                2 => AdmissionReason::UnknownTenant,
-                t => {
-                    return Err(PipelineError::ProtocolError {
-                        reason: format!("unknown admission-reason tag {t}"),
-                    })
-                }
-            };
-            PipelineError::AdmissionDenied { tenant, reason }
-        }
-        ERR_PROTOCOL => PipelineError::ProtocolError {
-            reason: d.str("error message")?,
-        },
-        ERR_COMPILE => PipelineError::CompileRejected {
-            reason: d.str("error message")?,
-        },
-        ERR_INVALID_JOB => PipelineError::InvalidJob {
-            reason: d.str("error message")?,
-        },
-        ERR_EXECUTION => PipelineError::Remote {
-            message: d.str("error message")?,
-        },
-        ERR_UNKNOWN_HANDLE => PipelineError::UnknownHandle {
-            id: d.u64("handle id")?,
-        },
-        ERR_HANDLE_CONFLICT => PipelineError::HandleConflict {
-            reason: d.str("error message")?,
-        },
-        ERR_INVALID_LOOP => PipelineError::InvalidLoop {
-            reason: d.str("error message")?,
-        },
-        t => {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("unknown error code {t}"),
-            })
-        }
-    })
-}
-
-fn encode_submit_dag(req: &WireDagRequest, version: u16) -> Result<Vec<u8>, PipelineError> {
-    let mut e = Enc::new(OP_SUBMIT_DAG);
-    e.str(&req.tenant);
-    e.str(&req.scheduler);
-    e.u16(req.nodes.len() as u16);
-    for node in &req.nodes {
-        e.str(&node.label);
-        e.u16(node.inputs.len() as u16);
-        for (from, name) in &node.inputs {
-            e.u32(*from);
-            e.str(name);
-        }
-        encode_submit_body(&mut e, &node.request, version)?;
-    }
-    if version >= 3 {
-        enc_opt_u64(&mut e, req.trace_id);
-    }
-    Ok(e.buf)
-}
-
-fn decode_submit_dag(d: &mut Dec<'_>, version: u16) -> Result<WireDagRequest, PipelineError> {
-    let tenant = d.str("dag tenant")?;
-    let scheduler = d.str("dag scheduler")?;
-    let n = d.u16("dag node count")?;
-    let mut nodes = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let label = d.str("node label")?;
-        let n_inputs = d.u16("node input count")?;
-        let mut inputs = Vec::with_capacity(n_inputs as usize);
-        for _ in 0..n_inputs {
-            let from = d.u32("input producer index")?;
-            let name = d.str("input array name")?;
-            inputs.push((from, name));
-        }
-        let request = decode_submit_body(d, version)?;
-        nodes.push(WireDagNode {
-            label,
-            request,
-            inputs,
-        });
-    }
-    let trace_id = if version >= 3 {
-        dec_opt_u64(d, "dag trace id")?
-    } else {
-        None
-    };
-    d.done()?;
-    Ok(WireDagRequest {
-        tenant,
-        scheduler,
-        nodes,
-        trace_id,
-    })
-}
-
-fn encode_dag_result(resp: &WireDagResponse, version: u16) -> Vec<u8> {
-    let mut e = Enc::new(OP_DAG_RESULT);
-    e.str(&resp.stats_json);
-    e.u16(resp.nodes.len() as u16);
-    for (label, result) in &resp.nodes {
-        e.str(label);
-        match result {
-            Ok(r) => {
-                e.u8(1);
-                encode_result_body(&mut e, r, version);
-            }
-            Err(err) => {
-                e.u8(0);
-                encode_error_body(&mut e, err);
+            fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+                $(
+                    d.what = stringify!($f);
+                    let $f = wire_structs!(@get d $(, $codec)?);
+                )*
+                Ok($ty { $($f),* })
             }
         }
-    }
-    e.buf
+        $(impl Frame for $ty {
+            const OP: u8 = $op;
+        })?
+    )*};
 }
 
-fn decode_dag_result(d: &mut Dec<'_>, version: u16) -> Result<WireDagResponse, PipelineError> {
-    let stats_json = d.str("dag stats json")?;
-    let n = d.u16("dag node count")?;
-    let mut nodes = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let label = d.str("node label")?;
-        let result = match d.u8("node ok flag")? {
-            0 => Err(decode_error(d)?),
-            _ => Ok(decode_result_body(d, version)?),
-        };
-        nodes.push((label, result));
-    }
-    d.done()?;
-    Ok(WireDagResponse { stats_json, nodes })
-}
-
-fn encode_alloc(req: &WireAllocRequest) -> Vec<u8> {
-    let mut e = Enc::new(OP_ALLOC);
-    e.u8(req.rank);
-    for v in req.lo.iter().chain(req.hi.iter()) {
-        e.i64(*v);
-    }
-    e.u8(req.layout);
-    e.floats(&req.values);
-    e.buf
-}
-
-fn decode_alloc(d: &mut Dec<'_>) -> Result<WireAllocRequest, PipelineError> {
-    let rank = d.u8("alloc rank")?;
-    let mut corner = |what| -> Result<Vec<i64>, PipelineError> {
-        (0..rank).map(|_| d.i64(what)).collect()
+/// `wire_enum!(Type, "what"; tag => { Variant shape } (fields), ..)`
+/// implements [`Wire`] for a tagged enum from one two-way table: a `u8`
+/// tag, then the variant's fields in wire order. `{ shape }` is both
+/// the pattern `put` matches and the expression `get` builds (an
+/// `or { pattern }` widens the `put` side only). A field is
+/// `name: Type`, or `name as Int` for a `usize` narrowed on the wire;
+/// `= expr` makes `put` send `expr` in its place (`Type as this` names
+/// the whole value for it), so a name the shape does not bind is a
+/// field `get` reads and drops. A closing `; else v => err` refuses to
+/// encode the variants not listed.
+macro_rules! wire_enum {
+    (@pat { $($shape:tt)+ }) => { $($shape)+ };
+    (@pat { $($shape:tt)+ } { $($pat:tt)+ }) => { $($pat)+ };
+    (@put $e:ident, $f:ident : $t:ty) => { $f.put($e) };
+    (@put $e:ident, $f:ident : $t:ty = $v:expr) => { <$t as Wire>::put(&$v, $e) };
+    (@put $e:ident, $f:ident as $t:ty) => { (*$f as $t).put($e) };
+    (@get $d:ident, : $t:ty) => { <$t as Wire>::get($d)? };
+    (@get $d:ident, as $t:ty) => { <$t as Wire>::get($d)? as _ };
+    ($ty:ty $(as $this:ident)?, $what:literal;
+     $($tag:literal => { $($shape:tt)+ } $(or { $($pat:tt)+ })?
+        ($($f:ident $k:tt $t:ty $(= $v:expr)?),*)),+ $(,)?
+     $(; else $other:ident => $refusal:expr)?) => {
+        impl Wire for $ty {
+            #[allow(unused_variables)]
+            fn put(&self, e: &mut Enc) {
+                $(let $this = self;)?
+                match self {
+                    $(wire_enum!(@pat { $($shape)+ } $({ $($pat)+ })?) => {
+                        e.buf.push($tag);
+                        $(wire_enum!(@put e, $f $k $t $(= $v)?);)*
+                    })+
+                    $($other => {
+                        e.rejected.get_or_insert($refusal);
+                    })?
+                }
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
+                d.what = $what;
+                match u8::get(d)? {
+                    $($tag => {
+                        $(let $f = wire_enum!(@get d, $k $t);)*
+                        Ok($($shape)+)
+                    })+
+                    tag => Err(PipelineError::ProtocolError {
+                        reason: format!("unknown {} {tag}", $what),
+                    }),
+                }
+            }
+        }
     };
-    let lo = corner("alloc lower corner")?;
-    let hi = corner("alloc upper corner")?;
-    let layout = d.u8("alloc layout")?;
-    if layout > 1 {
-        return Err(PipelineError::ProtocolError {
-            reason: format!("unknown layout tag {layout}"),
-        });
+}
+
+wire_enum! { WireTopology, "topology tag";
+    0 => { WireTopology::Line(procs) } (procs as u32),
+    1 => { WireTopology::Mesh([rows, cols]) } (rows as u32, cols as u32),
+}
+
+wire_enum! { EngineKind, "engine tag";
+    0 => { EngineKind::Sim } (),
+    1 => { EngineKind::Seq } (),
+    2 => { EngineKind::Threads } (),
+}
+
+wire_enum! { KernelMode, "kernel-mode tag";
+    0 => { KernelMode::Interpreted } (),
+    1 => { KernelMode::Lanes } (),
+    2 => { KernelMode::Scalar } (),
+}
+
+wire_enum! { BlockPolicy, "block-policy tag";
+    0 => { BlockPolicy::Fixed(b) } (b as u32),
+    1 => { BlockPolicy::Model1 } (),
+    2 => { BlockPolicy::Model2 } (),
+    3 => { BlockPolicy::FullPortion } ()
+    ; else other => PipelineError::InvalidJob {
+        reason: format!("block policy {other:?} is host-side only and cannot travel the wire"),
     }
-    let values = d.floats("alloc values")?;
-    d.done()?;
-    Ok(WireAllocRequest {
-        rank,
-        lo,
-        hi,
-        layout,
-        values,
-    })
 }
 
-fn encode_handle(h: &WireHandle) -> Vec<u8> {
-    let mut e = Enc::new(OP_HANDLE);
-    e.u64(h.id);
-    e.u64(h.epoch);
-    e.floats(&h.values);
-    e.buf
+wire_enum! { TimeUnit, "time-unit tag";
+    0 => { TimeUnit::ModelUnits } (),
+    1 => { TimeUnit::Seconds } (),
 }
 
-fn decode_handle(d: &mut Dec<'_>) -> Result<WireHandle, PipelineError> {
-    let id = d.u64("handle id")?;
-    let epoch = d.u64("handle epoch")?;
-    let values = d.floats("handle values")?;
-    d.done()?;
-    Ok(WireHandle { id, epoch, values })
+wire_enum! { Layout, "layout tag";
+    0 => { Layout::RowMajor } (),
+    1 => { Layout::ColMajor } (),
 }
 
-fn encode_free(id: u64) -> Vec<u8> {
-    let mut e = Enc::new(OP_FREE);
-    e.u64(id);
-    e.buf
+wire_enum! { AdmissionReason, "admission-reason tag";
+    0 => { AdmissionReason::QueueFull { capacity } } (capacity as u64),
+    1 => { AdmissionReason::InFlightLimit { limit } } (limit as u64),
+    2 => { AdmissionReason::UnknownTenant } (_limit: u64 = 0),
 }
 
-fn encode_submit_loop(
-    req: &WireLoopRequest,
+// The `ERROR` body. Admission rejections round-trip exactly (tenant,
+// reason and limit), as do the compile, job, handle and loop errors; a
+// protocol error travels as its full text, and every error not listed
+// travels as code 4 with its text and comes back as `Remote` — the one
+// lossy catch-all.
+wire_enum! { PipelineError as err, "error code";
+    1 => { PipelineError::AdmissionDenied { tenant, reason } }
+        (tenant: String, reason: AdmissionReason, _text: String = err.to_string()),
+    2 => { PipelineError::ProtocolError { reason } } (reason: String = err.to_string()),
+    3 => { PipelineError::CompileRejected { reason } } (reason: String),
+    5 => { PipelineError::InvalidJob { reason } } (reason: String),
+    6 => { PipelineError::UnknownHandle { id } } (id: u64),
+    7 => { PipelineError::HandleConflict { reason } } (reason: String),
+    8 => { PipelineError::InvalidLoop { reason } } (reason: String),
+    4 => { PipelineError::Remote { message } } or { _ } (message: String = err.to_string()),
+}
+
+impl Frame for PipelineError {
+    const OP: u8 = 3;
+}
+
+/// The frames with no public value type of their own.
+struct Hello {
     version: u16,
-) -> Result<Vec<u8>, PipelineError> {
-    let mut e = Enc::new(OP_SUBMIT_LOOP);
-    encode_submit_body(&mut e, &req.request, version)?;
-    for list in [&req.input_handles, &req.output_handles] {
-        e.u16(list.len() as u16);
-        for (name, id) in list {
-            e.str(name);
-            e.u64(*id);
-        }
-    }
-    e.u64(req.steps);
-    e.u16(req.rotate.len() as u16);
-    for (from, to) in &req.rotate {
-        e.str(from);
-        e.str(to);
-    }
-    e.u8(req.pipelined as u8);
-    Ok(e.buf)
+}
+struct StatsReq {}
+struct Stats {
+    json: String,
+}
+struct Shutdown {}
+struct Ack {}
+struct MetricsReq {}
+struct Metrics {
+    prometheus: String,
+    json: String,
+}
+struct Free {
+    id: u64,
 }
 
-fn decode_submit_loop(
-    d: &mut Dec<'_>,
-    version: u16,
-) -> Result<WireLoopRequest, PipelineError> {
-    let request = decode_submit_body(d, version)?;
-    let mut handles = |what| -> Result<Vec<(String, u64)>, PipelineError> {
-        let n = d.u16(what)?;
-        (0..n)
-            .map(|_| Ok((d.str(what)?, d.u64(what)?)))
-            .collect()
-    };
-    let input_handles = handles("loop input handles")?;
-    let output_handles = handles("loop output handles")?;
-    let steps = d.u64("loop steps")?;
-    let n = d.u16("loop rotation count")?;
-    let mut rotate = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let from = d.str("rotation source")?;
-        let to = d.str("rotation target")?;
-        rotate.push((from, to));
+wire_structs! {
+    1 => WireRequest {
+        tenant, priority, rank, nest, topology, engine, kernel_mode, block, machine, consts,
+        source, arrays, returns, trace_id,
     }
-    let pipelined = d.u8("loop pipelined flag")? != 0;
-    d.done()?;
-    Ok(WireLoopRequest {
-        request,
-        input_handles,
-        output_handles,
-        steps,
-        rotate,
-        pipelined,
-    })
-}
-
-fn encode_loop_result(resp: &WireLoopResponse) -> Vec<u8> {
-    let mut e = Enc::new(OP_LOOP_RESULT);
-    e.u64(resp.steps_run);
-    e.u8(resp.fused as u8);
-    e.u64(resp.chunks);
-    e.f64(resp.overlap_seconds);
-    e.f64(resp.busy_seconds);
-    e.f64(resp.overlap_efficiency);
-    e.u16(resp.final_bindings.len() as u16);
-    for (name, id) in &resp.final_bindings {
-        e.str(name);
-        e.u64(*id);
+    2 => WireResponse {
+        makespan, time_unit, prep_seconds, run_seconds, messages, block, arrays, spans,
     }
-    e.buf
-}
-
-fn decode_loop_result(d: &mut Dec<'_>) -> Result<WireLoopResponse, PipelineError> {
-    let steps_run = d.u64("loop steps run")?;
-    let fused = d.u8("loop fused flag")? != 0;
-    let chunks = d.u64("loop chunks")?;
-    let overlap_seconds = d.f64("loop overlap seconds")?;
-    let busy_seconds = d.f64("loop busy seconds")?;
-    let overlap_efficiency = d.f64("loop overlap efficiency")?;
-    let n = d.u16("loop binding count")?;
-    let mut final_bindings = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let name = d.str("binding name")?;
-        let id = d.u64("binding handle id")?;
-        final_bindings.push((name, id));
+    JobTrace {
+        trace_id, tenant, start_seconds, admit_seconds, queue_seconds, exec_seconds,
+        prep_seconds, run_seconds, drain_seconds, total_seconds,
     }
-    d.done()?;
-    Ok(WireLoopResponse {
-        steps_run,
-        fused,
-        chunks,
-        overlap_seconds,
-        busy_seconds,
-        overlap_efficiency,
+    4 => StatsReq {}
+    5 => Stats { json }
+    6 => Shutdown {}
+    7 => Ack {}
+    8 => WireDagRequest { tenant, scheduler, nodes, trace_id }
+    WireDagNode { label, inputs, request }
+    9 => WireDagResponse { stats_json, nodes }
+    10 => Hello { version }
+    11 => MetricsReq {}
+    12 => Metrics { prometheus, json }
+    13 => WireAllocRequest { rank, lo: Corner(&rank), hi: Corner(&rank), layout, values }
+    14 => WireHandle { id, epoch, values }
+    15 => WireLoopRequest { request, input_handles, output_handles, steps, rotate, pipelined }
+    16 => WireLoopResponse {
+        steps_run, fused, chunks, overlap_seconds, busy_seconds, overlap_efficiency,
         final_bindings,
-    })
+    }
+    17 => Free { id }
+}
+
+/// A whole frame: the opcode, then the value — or why it cannot travel.
+fn encode<F: Frame>(frame: &F) -> Result<Vec<u8>, PipelineError> {
+    let mut e = Enc::default();
+    e.buf.push(F::OP);
+    frame.put(&mut e);
+    e.rejected.map_or(Ok(e.buf), Err)
+}
+
+/// The rest of a frame whose opcode has been read: the value, and
+/// nothing after it.
+fn decode<F: Frame>(d: &mut Dec<'_>) -> Result<F, PipelineError> {
+    let frame = F::get(d)?;
+    d.done()?;
+    Ok(frame)
+}
+
+fn error_frame(err: &PipelineError) -> Vec<u8> {
+    encode(err).expect("every error has a wire form")
+}
+
+/// The one-byte tag a tagged enum travels as, and back — for the public
+/// structs that carry such an enum as a raw `u8`.
+fn tag_of(v: &impl Wire) -> u8 {
+    let mut e = Enc::default();
+    v.put(&mut e);
+    e.buf[0]
+}
+
+fn from_tag<T: Wire>(tag: u8) -> Result<T, PipelineError> {
+    T::get(&mut Dec::new(&[tag]))
+}
+
+// ---------------------------------------------------------------------
+// Canonical order: how an array's values travel
+// ---------------------------------------------------------------------
+
+/// An array's values in canonical bounds order, whatever its layout.
+fn to_canonical<const R: usize>(arr: &DenseArray<R>) -> Vec<f64> {
+    arr.bounds().iter().map(|p| arr.get(p)).collect()
+}
+
+/// Write canonical-order `values` into `arr`; callers check the count
+/// (a shorter list leaves the tail as it was).
+fn fill_canonical<const R: usize>(arr: &mut DenseArray<R>, values: &[f64]) {
+    for (p, &v) in arr.bounds().iter().zip(values.iter()) {
+        arr.set(p, v);
+    }
 }
 
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
 
-/// The resident-array bindings of a loop body, borrowed from the
-/// decoded request; the plain `SUBMIT`/`SUBMIT_DAG` paths pass
-/// [`NO_HANDLES`].
-struct WireLoopHandles<'a> {
-    inputs: &'a [(String, u64)],
-    outputs: &'a [(String, u64)],
+/// One request answered: decode the rest of the frame as `Q`, run it,
+/// encode the `A` it returns — a failure at any step is the typed
+/// `ERROR` reply instead.
+fn answer<Q: Frame, A: Frame>(
+    d: &mut Dec<'_>,
+    run: impl FnOnce(Q) -> Result<A, PipelineError>,
+) -> Vec<u8> {
+    decode(d)
+        .and_then(run)
+        .and_then(|reply| encode(&reply))
+        .unwrap_or_else(|e| error_frame(&e))
 }
-
-const NO_HANDLES: WireLoopHandles<'static> = WireLoopHandles {
-    inputs: &[],
-    outputs: &[],
-};
 
 /// A TCP front end over a [`WavefrontService`]: thread-per-connection,
 /// non-blocking admission via [`WavefrontService::try_submit`], and a
@@ -1301,11 +940,6 @@ impl<const R: usize> WireServer<R> {
             programs: Mutex::new(PlanCache::new(cfg.program_cache)),
             conns: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The service behind this server (for stats polling).
-    pub fn service(&self) -> &WavefrontService<R> {
-        &self.service
     }
 
     /// Accept connections on `listener` until a `SHUTDOWN` frame
@@ -1350,17 +984,7 @@ impl<const R: usize> WireServer<R> {
         }
     }
 
-    /// The highest version this server instance speaks: the configured
-    /// cap, never above what the build knows.
-    fn served_version(&self) -> u16 {
-        self.cfg.protocol_version.min(PROTOCOL_VERSION)
-    }
-
     fn drive_connection(&self, mut stream: TcpStream, local: std::net::SocketAddr) {
-        // Until a HELLO negotiates otherwise, the connection runs at v2:
-        // pre-v3 clients never handshake, and their frames must keep
-        // decoding without the v3 tail fields.
-        let mut version: u16 = self.served_version().min(2);
         loop {
             let payload = match read_frame(&mut stream, self.cfg.max_frame) {
                 Ok(Some(p)) => p,
@@ -1369,126 +993,75 @@ impl<const R: usize> WireServer<R> {
                 Err(e) => {
                     // Typed rejection for protocol violations, then drop
                     // the connection — framing is unrecoverable.
-                    let _ = write_frame(&mut stream, &encode_error(&e));
+                    let _ = write_frame(&mut stream, &error_frame(&e));
                     return;
                 }
             };
             let mut d = Dec::new(&payload);
-            let reply = match d.u8("opcode") {
-                Ok(OP_SUBMIT) => match decode_submit(&mut d, version) {
-                    Ok(req) => match self.run_submit(req) {
-                        Ok(resp) => encode_result(&resp, version),
-                        Err(e) => encode_error(&e),
-                    },
-                    Err(e) => encode_error(&e),
-                },
-                Ok(OP_SUBMIT_DAG) => match decode_submit_dag(&mut d, version) {
-                    Ok(req) => match self.run_submit_dag(req) {
-                        Ok(resp) => encode_dag_result(&resp, version),
-                        Err(e) => encode_error(&e),
-                    },
-                    Err(e) => encode_error(&e),
-                },
-                Ok(OP_HELLO) => {
-                    // Accept any client version; reply with ours, and run
-                    // the rest of the connection at the smaller of the
-                    // two (module docs).
-                    match d.u16("client protocol version") {
-                        Ok(client) => {
-                            version = client.min(self.served_version());
-                            let mut e = Enc::new(OP_HELLO);
-                            e.u16(self.served_version());
-                            e.buf
-                        }
-                        Err(e) => encode_error(&e),
-                    }
-                }
-                Ok(OP_METRICS_REQ) if self.served_version() >= 3 => {
-                    let mut e = Enc::new(OP_METRICS);
-                    e.str(&self.service.metrics_prometheus());
-                    e.str(&self.service.metrics_json());
-                    e.buf
-                }
-                Ok(OP_ALLOC) if self.served_version() >= 4 => match decode_alloc(&mut d) {
-                    Ok(req) => match self.run_alloc(req) {
-                        Ok(h) => encode_handle(&h),
-                        Err(e) => encode_error(&e),
-                    },
-                    Err(e) => encode_error(&e),
-                },
-                Ok(OP_FREE) if self.served_version() >= 4 => {
-                    match d.u64("handle id").and_then(|id| {
-                        d.done()?;
-                        Ok(id)
-                    }) {
-                        Ok(id) => match self.run_free(id) {
-                            Ok(h) => encode_handle(&h),
-                            Err(e) => encode_error(&e),
-                        },
-                        Err(e) => encode_error(&e),
-                    }
-                }
-                Ok(OP_SUBMIT_LOOP) if self.served_version() >= 4 => {
-                    match decode_submit_loop(&mut d, version) {
-                        Ok(req) => match self.run_submit_loop(req) {
-                            Ok(resp) => encode_loop_result(&resp),
-                            Err(e) => encode_error(&e),
-                        },
-                        Err(e) => encode_error(&e),
-                    }
-                }
-                Ok(OP_STATS_REQ) => {
-                    let mut e = Enc::new(OP_STATS);
-                    e.str(&self.service.stats_json());
-                    e.buf
-                }
-                Ok(OP_SHUTDOWN) => {
-                    if self.cfg.allow_shutdown {
-                        self.shutdown.store(true, Ordering::SeqCst);
-                        let _ = write_frame(&mut stream, &[OP_OK]);
-                        // Close every live connection — the accept loop
-                        // joins all handlers before returning, and an
-                        // idle client must not be able to hold the
-                        // server open.
-                        for c in self.conns.lock().unwrap().drain(..) {
-                            let _ = c.shutdown(std::net::Shutdown::Both);
-                        }
-                        // Unblock the accept loop with a self-connection.
-                        let _ = TcpStream::connect(local);
-                        return;
-                    }
-                    encode_error(&PipelineError::ProtocolError {
-                        reason: "shutdown is not enabled on this server".into(),
+            let mut stopping = false;
+            let reply = match u8::get(&mut d) {
+                Ok(WireRequest::OP) => answer(&mut d, |q| self.run_submit(q)),
+                Ok(WireDagRequest::OP) => answer(&mut d, |q| self.run_submit_dag(q)),
+                Ok(WireLoopRequest::OP) => answer(&mut d, |q| self.run_submit_loop(q)),
+                Ok(WireAllocRequest::OP) => answer(&mut d, |q| self.run_alloc(q)),
+                Ok(Free::OP) => answer(&mut d, |q: Free| self.run_free(q.id)),
+                // An equality check: a matching `HELLO` is echoed.
+                Ok(Hello::OP) => answer(&mut d, |peer: Hello| match peer.version {
+                    PROTOCOL_VERSION => Ok(peer),
+                    v => Err(PipelineError::ProtocolError {
+                        reason: format!(
+                            "client speaks protocol v{v}, this server speaks v{PROTOCOL_VERSION}"
+                        ),
+                    }),
+                }),
+                Ok(StatsReq::OP) => answer(&mut d, |StatsReq {}| {
+                    Ok(Stats {
+                        json: self.service.stats_json(),
                     })
-                }
-                Ok(op) => encode_error(&PipelineError::ProtocolError {
+                }),
+                Ok(MetricsReq::OP) => answer(&mut d, |MetricsReq {}| {
+                    Ok(Metrics {
+                        prometheus: self.service.metrics_prometheus(),
+                        json: self.service.metrics_json(),
+                    })
+                }),
+                Ok(Shutdown::OP) => answer(&mut d, |Shutdown {}| {
+                    if !self.cfg.allow_shutdown {
+                        return Err(PipelineError::ProtocolError {
+                            reason: "shutdown is not enabled on this server".into(),
+                        });
+                    }
+                    self.shutdown.store(true, Ordering::SeqCst);
+                    stopping = true;
+                    Ok(Ack {})
+                }),
+                Ok(op) => error_frame(&PipelineError::ProtocolError {
                     reason: format!("unknown opcode {op}"),
                 }),
-                Err(e) => encode_error(&e),
+                Err(e) => error_frame(&e),
             };
-            if write_frame(&mut stream, &reply).is_err() {
+            let sent = write_frame(&mut stream, &reply);
+            if stopping {
+                // Close every live connection — the accept loop joins
+                // all handlers before returning, and an idle client
+                // must not be able to hold the server open.
+                for c in self.conns.lock().unwrap().drain(..) {
+                    let _ = c.shutdown(std::net::Shutdown::Both);
+                }
+                // Unblock the accept loop with a self-connection.
+                let _ = TcpStream::connect(local);
+                return;
+            }
+            if sent.is_err() {
                 return;
             }
         }
     }
 
-    /// Compile and bind one request into a [`JobSpec`] (shared by
-    /// `SUBMIT`, each `SUBMIT_DAG` node, and the `SUBMIT_LOOP` body).
-    /// `tenant_override` (non-empty) replaces the request's own tenant;
-    /// `inputs` become node-indexed bindings resolved by the DAG
-    /// runner; `trace_id` (already resolved against any DAG-level
-    /// fallback) tags the job's lifecycle spans; `handles` are the
-    /// loop body's resident-array bindings, resolved against the
-    /// service's live handle table (a stale id is a typed
-    /// [`PipelineError::UnknownHandle`]).
-    fn prepare_spec(
-        &self,
-        req: &WireRequest,
-        tenant_override: &str,
-        inputs: &[(u32, String)],
-        trace_id: Option<u64>,
-        handles: &WireLoopHandles<'_>,
-    ) -> Result<JobSpec<R>, PipelineError> {
+    /// Compile and bind one submit body into a job under construction
+    /// (shared by `SUBMIT`, each `SUBMIT_DAG` node, and the
+    /// `SUBMIT_LOOP` body, which add their own edges and handles).
+    fn job(&self, req: &WireRequest) -> Result<JobSpecBuilder<R>, PipelineError> {
         if req.rank as usize != R {
             return Err(PipelineError::ProtocolError {
                 reason: format!("server serves rank {R}, request is rank {}", req.rank),
@@ -1510,10 +1083,7 @@ impl<const R: usize> WireServer<R> {
                     ),
                 });
             }
-            let arr = store.get_mut(id);
-            for (p, &v) in bounds.iter().zip(values.iter()) {
-                arr.set(p, v);
-            }
+            fill_canonical(store.get_mut(id), values);
         }
         // Resolve returns up front so an unknown name fails before the
         // job runs.
@@ -1535,40 +1105,24 @@ impl<const R: usize> WireServer<R> {
             .block(req.block.clone())
             .machine(match req.machine {
                 0 => wavefront_machine::cray_t3e(),
-                _ => wavefront_machine::sgi_power_challenge(),
+                1 => wavefront_machine::sgi_power_challenge(),
+                m => {
+                    return Err(PipelineError::ProtocolError {
+                        reason: format!("unknown machine preset {m}"),
+                    })
+                }
             })
             .kernel_mode(req.kernel_mode)
             .engine(req.engine)
             .priority(req.priority)
             .store(store);
-        let tenant = if tenant_override.is_empty() {
-            req.tenant.as_str()
-        } else {
-            tenant_override
-        };
-        if !tenant.is_empty() {
-            builder = builder.tenant(tenant.to_string());
+        if !req.tenant.is_empty() {
+            builder = builder.tenant(req.tenant.clone());
         }
-        if let Some(id) = trace_id {
+        if let Some(id) = req.trace_id {
             builder = builder.trace_id(id);
         }
-        for (from, name) in inputs {
-            builder = builder.input_from(
-                NodeRef {
-                    index: *from as usize,
-                },
-                name.clone(),
-            );
-        }
-        for (name, id) in handles.inputs {
-            let h = self.service.lookup_handle(*id)?;
-            builder = builder.input_handle(name.clone(), &h);
-        }
-        for (name, id) in handles.outputs {
-            let h = self.service.lookup_handle(*id)?;
-            builder = builder.output_handle(name.clone(), &h);
-        }
-        builder.build()
+        Ok(builder)
     }
 
     /// Allocate (or import, when the payload carries values) one
@@ -1581,6 +1135,21 @@ impl<const R: usize> WireServer<R> {
         }
         let lo: [i64; R] = req.lo.as_slice().try_into().expect("rank just checked");
         let hi: [i64; R] = req.hi.as_slice().try_into().expect("rank just checked");
+        // The buffer comes home in the `HANDLE` reply to `FREE`, so one
+        // no frame could carry is refused before it is allocated (the
+        // wide product cannot overflow on client-chosen corners).
+        let limit = (self.cfg.max_frame / 8) as u128;
+        let cells = lo.iter().zip(&hi).fold(1u128, |n, (&l, &h)| {
+            n.saturating_mul((h as i128 - l as i128 + 1).max(0) as u128)
+        });
+        if cells > limit {
+            return Err(PipelineError::InvalidJob {
+                reason: format!(
+                    "alloc of {cells} elements exceeds the {limit} that fit a {}-byte frame",
+                    self.cfg.max_frame
+                ),
+            });
+        }
         let bounds = Region::rect(lo, hi);
         if !req.values.is_empty() && req.values.len() != bounds.len() {
             return Err(PipelineError::InvalidJob {
@@ -1591,15 +1160,8 @@ impl<const R: usize> WireServer<R> {
                 ),
             });
         }
-        let layout = if req.layout == 0 {
-            Layout::RowMajor
-        } else {
-            Layout::ColMajor
-        };
-        let mut arr = DenseArray::with_layout(bounds, layout, 0.0);
-        for (p, &v) in bounds.iter().zip(req.values.iter()) {
-            arr.set(p, v);
-        }
+        let mut arr = DenseArray::with_layout(bounds, from_tag(req.layout)?, 0.0);
+        fill_canonical(&mut arr, &req.values);
         let handle = self.service.import(arr);
         Ok(WireHandle {
             id: handle.id(),
@@ -1616,28 +1178,26 @@ impl<const R: usize> WireServer<R> {
         let handle = self.service.lookup_handle(id)?;
         let epoch = self.service.handle_epoch(&handle)?;
         let array = self.service.free(&handle)?;
-        let values = array.bounds().iter().map(|p| array.get(p)).collect();
-        Ok(WireHandle { id, epoch, values })
+        Ok(WireHandle {
+            id,
+            epoch,
+            values: to_canonical(&array),
+        })
     }
 
-    /// Build the body spec over live handles, run the loop through the
+    /// Build the body spec over live handles (a stale id is a typed
+    /// [`PipelineError::UnknownHandle`]), run the loop through the
     /// service's dispatcher, and marshal the stats + final bindings.
-    fn run_submit_loop(
-        &self,
-        req: WireLoopRequest,
-    ) -> Result<WireLoopResponse, PipelineError> {
-        let spec = self.prepare_spec(
-            &req.request,
-            "",
-            &[],
-            req.request.trace_id,
-            &WireLoopHandles {
-                inputs: &req.input_handles,
-                outputs: &req.output_handles,
-            },
-        )?;
+    fn run_submit_loop(&self, req: WireLoopRequest) -> Result<WireLoopResponse, PipelineError> {
+        let mut job = self.job(&req.request)?;
+        for (name, id) in &req.input_handles {
+            job = job.input_handle(name.clone(), &self.service.lookup_handle(*id)?);
+        }
+        for (name, id) in &req.output_handles {
+            job = job.output_handle(name.clone(), &self.service.lookup_handle(*id)?);
+        }
         let mut builder = LoopSpec::builder()
-            .job(spec)
+            .job(job.build()?)
             .steps(req.steps as usize)
             .pipelined(req.pipelined);
         for (from, to) in &req.rotate {
@@ -1668,9 +1228,7 @@ impl<const R: usize> WireServer<R> {
             .iter()
             .map(|name| {
                 let published = out.take_output(name)?;
-                let arr = published.to_array();
-                let values = arr.bounds().iter().map(|p| arr.get(p)).collect();
-                Ok((name.clone(), values))
+                Ok((name.clone(), to_canonical(&published.to_array())))
             })
             .collect::<Result<_, PipelineError>>()?;
         Ok(WireResponse {
@@ -1688,8 +1246,7 @@ impl<const R: usize> WireServer<R> {
     /// Compile (with the source cache), bind arrays, submit through
     /// admission, and wait for the outcome.
     fn run_submit(&self, req: WireRequest) -> Result<WireResponse, PipelineError> {
-        let spec = self.prepare_spec(&req, "", &[], req.trace_id, &NO_HANDLES)?;
-        let out = self.service.try_submit(spec).wait()?;
+        let out = self.service.try_submit(self.job(&req)?.build()?).wait()?;
         Self::marshal_response(out, &req.returns)
     }
 
@@ -1698,23 +1255,32 @@ impl<const R: usize> WireServer<R> {
     /// failures (unknown scheduler, cycle, bad edge) reject the whole
     /// frame; per-node execution failures travel inside the reply.
     fn run_submit_dag(&self, req: WireDagRequest) -> Result<WireDagResponse, PipelineError> {
-        let kind = SchedulerKind::from_name(&req.scheduler).ok_or_else(|| {
-            PipelineError::InvalidJob {
+        let kind =
+            SchedulerKind::from_name(&req.scheduler).ok_or_else(|| PipelineError::InvalidJob {
                 reason: format!(
                     "unknown scheduler `{}` (expected fifo, critical-path, or locality)",
                     req.scheduler
                 ),
-            }
-        })?;
+            })?;
         let mut builder = DagSpec::builder();
         builder.scheduler(kind);
         for node in &req.nodes {
+            let mut job = self.job(&node.request)?;
+            if !req.tenant.is_empty() {
+                job = job.tenant(req.tenant.clone());
+            }
             // A node without its own trace ID inherits the DAG-level one,
             // so one client ID tags every span in the graph.
-            let trace = node.request.trace_id.or(req.trace_id);
-            let spec =
-                self.prepare_spec(&node.request, &req.tenant, &node.inputs, trace, &NO_HANDLES)?;
-            builder.add_labeled(node.label.clone(), spec);
+            if let (None, Some(id)) = (node.request.trace_id, req.trace_id) {
+                job = job.trace_id(id);
+            }
+            for (from, name) in &node.inputs {
+                let from = NodeRef {
+                    index: *from as usize,
+                };
+                job = job.input_from(from, name.clone());
+            }
+            builder.add_labeled(node.label.clone(), job.build()?);
         }
         let outcome = self.service.submit_dag(builder.build()?).wait();
         let stats_json = outcome.stats.to_json();
@@ -1735,13 +1301,11 @@ impl<const R: usize> WireServer<R> {
     /// Fetch or compile the request's source (LRU keyed by source text
     /// plus constant bindings).
     fn compiled(&self, req: &WireRequest) -> Result<Arc<WireProgram<R>>, PipelineError> {
-        let mut key = String::with_capacity(req.source.len() + 32);
-        for (name, v) in &req.consts {
-            key.push_str(name);
-            key.push('=');
-            key.push_str(&v.to_string());
-            key.push(';');
-        }
+        let mut key: String = req
+            .consts
+            .iter()
+            .map(|(name, v)| format!("{name}={v};"))
+            .collect();
         key.push_str(&req.source);
         // A digest prefix keeps the LRU's key comparisons cheap for
         // long sources.
@@ -1756,10 +1320,10 @@ impl<const R: usize> WireServer<R> {
                 .compile(&req.source, &req.consts)
                 .map_err(|reason| PipelineError::CompileRejected { reason })?,
         );
-        self.programs
-            .lock()
-            .unwrap()
-            .insert(key, Arc::clone(&prog) as Arc<dyn std::any::Any + Send + Sync>);
+        self.programs.lock().unwrap().insert(
+            key,
+            Arc::clone(&prog) as Arc<dyn std::any::Any + Send + Sync>,
+        );
         Ok(prog)
     }
 
@@ -1812,11 +1376,6 @@ fn lookup_array<const R: usize>(
 /// connection.
 pub struct WireClient<S: Read + Write> {
     stream: S,
-    max_frame: u32,
-    /// The negotiated protocol version, `None` until the first
-    /// handshake. Submissions trigger one lazily so v3 fields are only
-    /// sent to servers that understand them.
-    version: Option<u16>,
 }
 
 impl WireClient<TcpStream> {
@@ -1824,11 +1383,7 @@ impl WireClient<TcpStream> {
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> Result<Self, PipelineError> {
         let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
         stream.set_nodelay(true).ok();
-        Ok(WireClient {
-            stream,
-            max_frame: ServeConfig::default().max_frame,
-            version: None,
-        })
+        Ok(Self::over(stream))
     }
 }
 
@@ -1836,52 +1391,37 @@ impl<S: Read + Write> WireClient<S> {
     /// A client over any transport (used by the tests to run the
     /// protocol over in-memory streams).
     pub fn over(stream: S) -> Self {
-        WireClient {
-            stream,
-            max_frame: ServeConfig::default().max_frame,
-            version: None,
-        }
+        WireClient { stream }
     }
 
     fn roundtrip(&mut self, frame: &[u8]) -> Result<Vec<u8>, PipelineError> {
         write_frame(&mut self.stream, frame)?;
-        read_frame(&mut self.stream, self.max_frame)?.ok_or_else(|| PipelineError::Io {
+        let max_frame = ServeConfig::default().max_frame;
+        read_frame(&mut self.stream, max_frame)?.ok_or_else(|| PipelineError::Io {
             context: "server closed the connection before replying".into(),
         })
     }
 
-    /// Pin the codec version without a handshake — the tests' hook for
-    /// emulating an old client against a new server (and vice versa).
-    pub fn force_version(&mut self, version: u16) {
-        self.version = Some(version.min(PROTOCOL_VERSION));
-    }
-
-    /// Negotiate once and cache the result: the smaller of our
-    /// [`PROTOCOL_VERSION`] and the server's.
-    fn ensure_hello(&mut self) -> Result<u16, PipelineError> {
-        if let Some(v) = self.version {
-            return Ok(v);
+    /// One request, one reply: send `request`, then the reply is the
+    /// expected frame `A`, or the typed error an `ERROR` frame carries
+    /// — the same [`PipelineError`] the in-process API produces.
+    fn call<Q: Frame, A: Frame>(&mut self, request: &Q) -> Result<A, PipelineError> {
+        let reply = self.roundtrip(&encode(request)?)?;
+        let mut d = Dec::new(&reply);
+        match u8::get(&mut d)? {
+            op if op == A::OP => decode(&mut d),
+            PipelineError::OP => Err(decode(&mut d)?),
+            op => Err(PipelineError::ProtocolError {
+                reason: format!("unexpected reply opcode {op}"),
+            }),
         }
-        let server = self.hello()?;
-        let v = server.min(PROTOCOL_VERSION);
-        self.version = Some(v);
-        Ok(v)
     }
 
     /// Submit one job and wait for its result. Server-side failures
     /// come back as the same typed [`PipelineError`] values the
     /// in-process API produces.
     pub fn submit(&mut self, req: &WireRequest) -> Result<WireResponse, PipelineError> {
-        let version = self.ensure_hello()?;
-        let reply = self.roundtrip(&encode_submit(req, version)?)?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_RESULT => decode_result(&mut d, version),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(req)
     }
 
     /// Submit a whole job graph in one frame and wait for every node.
@@ -1889,158 +1429,60 @@ impl<S: Read + Write> WireClient<S> {
     /// surface as this call's error; per-node failures come back typed
     /// inside [`WireDagResponse::nodes`].
     pub fn submit_dag(&mut self, req: &WireDagRequest) -> Result<WireDagResponse, PipelineError> {
-        let version = self.ensure_hello()?;
-        let reply = self.roundtrip(&encode_submit_dag(req, version)?)?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_DAG_RESULT => decode_dag_result(&mut d, version),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(req)
     }
 
-    /// Handshake: send our [`PROTOCOL_VERSION`], return the server's.
-    /// A version-1 server (no `HELLO` opcode) answers with a typed
-    /// protocol error — that maps to `Ok(1)` here, so callers can
-    /// always branch on the returned version.
+    /// Check that both ends speak [`PROTOCOL_VERSION`] and return it; a
+    /// server on another version answers with a typed protocol error
+    /// naming both. Optional: every other call works without it.
     pub fn hello(&mut self) -> Result<u16, PipelineError> {
-        let mut e = Enc::new(OP_HELLO);
-        e.u16(PROTOCOL_VERSION);
-        let reply = self.roundtrip(&e.buf)?;
-        let mut d = Dec::new(&reply);
-        let server = match d.u8("opcode")? {
-            OP_HELLO => d.u16("server protocol version")?,
-            OP_ERROR => match decode_error(&mut d)? {
-                PipelineError::ProtocolError { reason }
-                    if reason.contains("unknown opcode") =>
-                {
-                    1
-                }
-                e => return Err(e),
-            },
-            op => {
-                return Err(PipelineError::ProtocolError {
-                    reason: format!("unexpected reply opcode {op}"),
-                })
-            }
+        let ours = Hello {
+            version: PROTOCOL_VERSION,
         };
-        self.version = Some(server.min(PROTOCOL_VERSION));
-        Ok(server)
-    }
-
-    /// Negotiate (once) and require at least `min` — the client-side
-    /// gate for opcodes an older server would reject anyway, so the
-    /// failure is a typed error naming the missing version instead of
-    /// an "unknown opcode" round trip.
-    fn need_version(&mut self, min: u16, what: &str) -> Result<u16, PipelineError> {
-        let version = self.ensure_hello()?;
-        if version < min {
-            return Err(PipelineError::ProtocolError {
-                reason: format!("server speaks protocol v{version}; {what} needs v{min}"),
-            });
-        }
-        Ok(version)
+        self.call(&ours).map(|server: Hello| server.version)
     }
 
     /// Fetch the server's metrics registry as a
-    /// `(prometheus_text, json)` pair. Requires a protocol-version-3
-    /// server; older servers answer with a typed protocol error.
+    /// `(prometheus_text, json)` pair.
     pub fn metrics(&mut self) -> Result<(String, String), PipelineError> {
-        self.need_version(3, "METRICS")?;
-        let reply = self.roundtrip(&[OP_METRICS_REQ])?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_METRICS => {
-                let prom = d.str("metrics prometheus text")?;
-                let json = d.str("metrics json")?;
-                Ok((prom, json))
-            }
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(&MetricsReq {})
+            .map(|m: Metrics| (m.prometheus, m.json))
     }
 
     /// Fetch the server's stats JSON (`{"service": .., "tenants": ..}`).
     pub fn stats(&mut self) -> Result<String, PipelineError> {
-        let reply = self.roundtrip(&[OP_STATS_REQ])?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_STATS => d.str("stats json"),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(&StatsReq {}).map(|s: Stats| s.json)
     }
 
     /// Ask the server to stop accepting connections (requires
     /// [`ServeConfig::allow_shutdown`]).
     pub fn shutdown(&mut self) -> Result<(), PipelineError> {
-        let reply = self.roundtrip(&[OP_SHUTDOWN])?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_OK => Ok(()),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(&Shutdown {}).map(|Ack {}| ())
     }
 
-    /// Park an array server-side and get back its resident handle
-    /// (protocol v4). Empty `values` allocate zeros. The handle id
-    /// plugs into [`WireLoopRequest`] bindings and [`WireClient::free`].
+    /// Park an array server-side and get back its resident handle.
+    /// Empty `values` allocate zeros. The handle id plugs into
+    /// [`WireLoopRequest`] bindings and [`WireClient::free`].
     pub fn alloc(&mut self, req: &WireAllocRequest) -> Result<WireHandle, PipelineError> {
-        self.need_version(4, "ALLOC")?;
-        let reply = self.roundtrip(&encode_alloc(req))?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_HANDLE => decode_handle(&mut d),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(req)
     }
 
-    /// Retire a resident array (protocol v4). The reply carries the
-    /// buffer's final values and epoch — this is how loop results come
-    /// home, since `LOOP_RESULT` frames carry bindings, not data.
+    /// Retire a resident array. The reply carries the buffer's final
+    /// values and epoch — this is how loop results come home, since
+    /// `LOOP_RESULT` frames carry bindings, not data.
     pub fn free(&mut self, id: u64) -> Result<WireHandle, PipelineError> {
-        self.need_version(4, "FREE")?;
-        let reply = self.roundtrip(&encode_free(id))?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_HANDLE => decode_handle(&mut d),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(&Free { id })
     }
 
-    /// Run a time-stepping loop over server-resident arrays (protocol
-    /// v4) and wait for its stats. Server-side failures — a stale
-    /// handle, an invalid loop shape, a conflict — come back as the
-    /// same typed [`PipelineError`] values the in-process API produces.
+    /// Run a time-stepping loop over server-resident arrays and wait
+    /// for its stats. Server-side failures — a stale handle, an invalid
+    /// loop shape, a conflict — come back as the same typed
+    /// [`PipelineError`] values the in-process API produces.
     pub fn submit_loop(
         &mut self,
         req: &WireLoopRequest,
     ) -> Result<WireLoopResponse, PipelineError> {
-        let version = self.need_version(4, "SUBMIT_LOOP")?;
-        let reply = self.roundtrip(&encode_submit_loop(req, version)?)?;
-        let mut d = Dec::new(&reply);
-        match d.u8("opcode")? {
-            OP_LOOP_RESULT => decode_loop_result(&mut d),
-            OP_ERROR => Err(decode_error(&mut d)?),
-            op => Err(PipelineError::ProtocolError {
-                reason: format!("unexpected reply opcode {op}"),
-            }),
-        }
+        self.call(req)
     }
 
     /// Send raw bytes as one frame and read back one frame — the tests'
@@ -2052,7 +1494,40 @@ impl<S: Read + Write> WireClient<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, System};
+    use std::cell::Cell;
+    use std::fmt::Debug;
+
+    use wavefront_kernels::rng::SplitMix64;
+
     use super::*;
+
+    thread_local! {
+        /// Bytes this thread has asked the allocator for.
+        static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting per thread what is asked of it, so
+    /// the fuzz test can bound what one decode allocates.
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to `System`, which
+    // upholds the `GlobalAlloc` contract; the counter is a plain
+    // thread-local `Cell` with no destructor and never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+            // SAFETY: the caller's obligations are passed through as given.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this layout.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
 
     fn sample_request() -> WireRequest {
         WireRequest {
@@ -2073,6 +1548,15 @@ mod tests {
         }
     }
 
+    /// The defaults, no trace ID, and the tags `sample_request` leaves out.
+    fn plain_request() -> WireRequest {
+        let mut req = WireRequest::new(2, "[1..n] a := a'@north;");
+        req.engine = EngineKind::Sim;
+        req.kernel_mode = KernelMode::Interpreted;
+        req.block = BlockPolicy::Model1;
+        req
+    }
+
     fn sample_trace() -> JobTrace {
         JobTrace {
             trace_id: Some(0xDEAD_BEEF_CAFE),
@@ -2088,61 +1572,330 @@ mod tests {
         }
     }
 
-    #[test]
-    fn submit_roundtrips_through_the_codec() {
-        let frame = encode_submit(&sample_request(), PROTOCOL_VERSION).unwrap();
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_SUBMIT);
-        let got = decode_submit(&mut d, PROTOCOL_VERSION).unwrap();
-        let want = sample_request();
-        assert_eq!(got.trace_id, want.trace_id);
-        assert_eq!(got.tenant, want.tenant);
-        assert_eq!(got.priority, want.priority);
-        assert_eq!(got.rank, want.rank);
-        assert_eq!(got.topology, want.topology);
-        assert_eq!(got.engine, want.engine);
-        assert_eq!(got.kernel_mode, want.kernel_mode);
-        assert_eq!(got.block, want.block);
-        assert_eq!(got.machine, want.machine);
-        assert_eq!(got.consts, want.consts);
-        assert_eq!(got.source, want.source);
-        assert_eq!(got.returns, want.returns);
-        assert_eq!(got.arrays[0].0, "a");
-        assert_eq!(got.arrays[0].1[1], -2.5);
-        assert!(got.arrays[0].1[2].is_nan(), "NaN payloads survive the wire");
+    fn sample_response(spans: Option<JobTrace>) -> WireResponse {
+        WireResponse {
+            makespan: 12.5,
+            time_unit: TimeUnit::Seconds,
+            prep_seconds: 0.1,
+            run_seconds: 0.4,
+            messages: 9,
+            block: 4,
+            arrays: vec![("phi".into(), vec![1.0, 2.0])],
+            spans,
+        }
     }
 
-    #[test]
-    fn v2_submit_frames_drop_the_trace_id() {
-        // A v3 client talking to a v2 server encodes at the negotiated
-        // version, so the trace ID never reaches the wire.
-        let frame = encode_submit(&sample_request(), 2).unwrap();
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_SUBMIT);
-        let got = decode_submit(&mut d, 2).unwrap();
-        assert_eq!(got.trace_id, None);
-        assert_eq!(got.tenant, "acme");
+    fn dependency_failed() -> PipelineError {
+        PipelineError::DependencyFailed {
+            producer: "first".into(),
+            error: Box::new(PipelineError::InvalidJob {
+                reason: "boom".into(),
+            }),
+        }
     }
 
-    #[test]
-    fn v3_submit_frames_reject_a_v2_decoder() {
-        // The trace-ID tail is trailing garbage to a version-2 reader —
-        // the decoder's exhaustiveness check catches the mismatch.
-        let frame = encode_submit(&sample_request(), 3).unwrap();
+    /// Encode, check the opcode, decode.
+    fn roundtrip<F: Frame>(value: &F) -> F {
+        let frame = encode(value).expect("encodes");
         let mut d = Dec::new(&frame);
-        let _ = d.u8("op");
-        let err = decode_submit(&mut d, 2).expect_err("v3 tail must fail a v2 decode");
-        assert!(matches!(err, PipelineError::ProtocolError { .. }));
+        assert_eq!(u8::get(&mut d).unwrap(), F::OP);
+        decode(&mut d).expect("decodes")
+    }
+
+    fn submit_from(frame: &[u8]) -> Result<WireRequest, PipelineError> {
+        let mut d = Dec::new(frame);
+        let _ = u8::get(&mut d);
+        decode(&mut d)
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// `wire_golden.txt`: one `name hex` line per frame, every opcode,
+    /// with and without trace IDs and spans, printed by the encoder of
+    /// the last commit that still carried the v1–v3 layouts, at v4.
+    fn golden() -> Vec<(&'static str, Vec<u8>)> {
+        include_str!("wire_golden.txt")
+            .lines()
+            .map(|line| {
+                let (name, hex) = line.split_once(' ').expect("name, space, hex");
+                (name, unhex(hex))
+            })
+            .collect()
+    }
+
+    /// The frame called `name` must be what `value` encodes to, byte for
+    /// byte, and decode to a value that prints like `back` (`Debug`
+    /// equality, so NaN payloads compare equal to themselves).
+    fn pin_lossy<F: Frame + Debug>(name: &str, value: &F, back: &F) {
+        let golden = golden();
+        let (_, want) = golden
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no golden frame called {name}"));
+        assert_eq!(
+            &encode(value).expect("encodes"),
+            want,
+            "{name}: bytes moved"
+        );
+        let mut d = Dec::new(want);
+        assert_eq!(u8::get(&mut d).unwrap(), F::OP, "{name}: opcode");
+        let got: F = decode(&mut d).unwrap_or_else(|e| panic!("{name} must decode: {e}"));
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{back:?}"),
+            "{name}: decoded value"
+        );
+    }
+
+    fn pin<F: Frame + Debug>(name: &str, value: &F) {
+        pin_lossy(name, value, value);
+    }
+
+    /// The frames with no public type print as the bytes they encode to.
+    macro_rules! debug_as_bytes {
+        ($($ty:ty),*) => {$(
+            impl Debug for $ty {
+                fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                    write!(f, "{:?}", encode(self))
+                }
+            }
+        )*};
+    }
+    debug_as_bytes!(Hello, StatsReq, Stats, Shutdown, Ack, MetricsReq, Metrics, Free);
+
+    #[test]
+    fn golden_frames_pin_the_layout() {
+        pin("submit_traced", &sample_request());
+        pin("submit_plain", &plain_request());
+        let mut full = plain_request();
+        full.engine = EngineKind::Threads;
+        full.block = BlockPolicy::FullPortion;
+        pin("submit_full_portion", &full);
+
+        pin("result_spans", &sample_response(Some(sample_trace())));
+        let mut untraced = sample_trace();
+        untraced.trace_id = None;
+        pin("result_spans_no_id", &sample_response(Some(untraced)));
+        let mut bare = sample_response(None);
+        bare.time_unit = TimeUnit::ModelUnits;
+        pin("result_bare", &bare);
+
+        let denied = |tenant: &str, reason| PipelineError::AdmissionDenied {
+            tenant: tenant.into(),
+            reason,
+        };
+        pin(
+            "error_queue_full",
+            &denied("acme", AdmissionReason::QueueFull { capacity: 8 }),
+        );
+        pin(
+            "error_in_flight",
+            &denied("acme", AdmissionReason::InFlightLimit { limit: 2 }),
+        );
+        pin(
+            "error_unknown_tenant",
+            &denied("ghost", AdmissionReason::UnknownTenant),
+        );
+        // A protocol error travels as its full text, so it gains the
+        // "wire protocol violation: " prefix once per hop.
+        let protocol = PipelineError::ProtocolError {
+            reason: "unknown opcode 42".into(),
+        };
+        pin_lossy(
+            "error_protocol",
+            &protocol,
+            &PipelineError::ProtocolError {
+                reason: protocol.to_string(),
+            },
+        );
+        pin(
+            "error_compile",
+            &PipelineError::CompileRejected {
+                reason: "line 3: expected `;`".into(),
+            },
+        );
+        // The lossy catch-all: unlisted errors come back as `Remote`.
+        let remote = |err: &PipelineError| PipelineError::Remote {
+            message: err.to_string(),
+        };
+        pin_lossy(
+            "error_catch_all",
+            &dependency_failed(),
+            &remote(&dependency_failed()),
+        );
+        let relayed = PipelineError::Remote {
+            message: "engine panicked: oops".into(),
+        };
+        pin_lossy("error_remote", &relayed, &remote(&relayed));
+        pin(
+            "error_invalid_job",
+            &PipelineError::InvalidJob {
+                reason: "a line topology needs at least one processor".into(),
+            },
+        );
+        pin(
+            "error_unknown_handle",
+            &PipelineError::UnknownHandle { id: 99 },
+        );
+        pin(
+            "error_handle_conflict",
+            &PipelineError::HandleConflict {
+                reason: "handle #7 is checked out by a job in flight".into(),
+            },
+        );
+        pin(
+            "error_invalid_loop",
+            &PipelineError::InvalidLoop {
+                reason: "a loop needs at least one step".into(),
+            },
+        );
+
+        pin("stats_req", &StatsReq {});
+        pin(
+            "stats",
+            &Stats {
+                json: "{\"service\":{},\"tenants\":[]}".into(),
+            },
+        );
+        pin("shutdown", &Shutdown {});
+        pin("ok", &Ack {});
+        pin("hello", &Hello { version: 4 });
+        pin("metrics_req", &MetricsReq {});
+        pin(
+            "metrics",
+            &Metrics {
+                prometheus: "# TYPE wavefront_jobs_submitted_total counter\n\
+                             wavefront_jobs_submitted_total 1\n"
+                    .into(),
+                json: "{\"histograms\":[]}".into(),
+            },
+        );
+
+        let node = |label: &str, request: WireRequest, inputs: Vec<(u32, String)>| WireDagNode {
+            label: label.into(),
+            request,
+            inputs,
+        };
+        pin(
+            "submit_dag_traced",
+            &WireDagRequest {
+                tenant: "acme".into(),
+                scheduler: "locality".into(),
+                nodes: vec![
+                    node("first", sample_request(), vec![]),
+                    node("second", plain_request(), vec![(0, "a".into())]),
+                ],
+                trace_id: Some(77),
+            },
+        );
+        pin(
+            "submit_dag_plain",
+            &WireDagRequest {
+                tenant: String::new(),
+                scheduler: "fifo".into(),
+                nodes: vec![node("only", plain_request(), vec![])],
+                trace_id: None,
+            },
+        );
+        let dag_result = |second| WireDagResponse {
+            stats_json: "{\"nodes\":3}".into(),
+            nodes: vec![
+                ("first".into(), Ok(sample_response(Some(sample_trace())))),
+                ("second".into(), Err(second)),
+                ("third".into(), Ok(sample_response(None))),
+            ],
+        };
+        pin_lossy(
+            "dag_result",
+            &dag_result(dependency_failed()),
+            &dag_result(remote(&dependency_failed())),
+        );
+
+        pin(
+            "alloc_values",
+            &WireAllocRequest::col_major(vec![0, -3], vec![7, 4], vec![1.5, -2.25, f64::NAN]),
+        );
+        pin(
+            "alloc_zeros",
+            &WireAllocRequest {
+                rank: 1,
+                lo: vec![1],
+                hi: vec![8],
+                layout: 0,
+                values: Vec::new(),
+            },
+        );
+        pin(
+            "handle",
+            &WireHandle {
+                id: 42,
+                epoch: 7,
+                values: vec![0.5, 0.25],
+            },
+        );
+        pin(
+            "handle_empty",
+            &WireHandle {
+                id: 1,
+                epoch: 0,
+                values: vec![],
+            },
+        );
+        pin(
+            "submit_loop_traced",
+            &WireLoopRequest {
+                request: sample_request(),
+                input_handles: vec![("load".into(), 3)],
+                output_handles: vec![("next".into(), 1), ("curr".into(), 2)],
+                steps: 12,
+                rotate: vec![
+                    ("next".into(), "curr".into()),
+                    ("curr".into(), "next".into()),
+                ],
+                pipelined: false,
+            },
+        );
+        pin(
+            "submit_loop_plain",
+            &WireLoopRequest {
+                request: plain_request(),
+                input_handles: vec![],
+                output_handles: vec![("a".into(), 5)],
+                steps: 1,
+                rotate: vec![],
+                pipelined: true,
+            },
+        );
+        pin(
+            "loop_result",
+            &WireLoopResponse {
+                steps_run: 40,
+                fused: true,
+                chunks: 5,
+                overlap_seconds: 0.125,
+                busy_seconds: 0.5,
+                overlap_efficiency: 0.25,
+                final_bindings: vec![("next".into(), 2), ("curr".into(), 1)],
+            },
+        );
+        pin(
+            "free",
+            &Free {
+                id: 0x0102_0304_0506_0708,
+            },
+        );
     }
 
     #[test]
     fn truncated_submit_is_a_typed_protocol_error() {
-        let frame = encode_submit(&sample_request(), PROTOCOL_VERSION).unwrap();
+        let frame = encode(&sample_request()).unwrap();
         for cut in [1, 5, frame.len() / 2, frame.len() - 1] {
-            let mut d = Dec::new(&frame[..cut]);
-            let _ = d.u8("op");
-            let err =
-                decode_submit(&mut d, PROTOCOL_VERSION).expect_err("truncation must fail");
+            let err = submit_from(&frame[..cut]).expect_err("truncation must fail");
             assert!(
                 matches!(err, PipelineError::ProtocolError { .. }),
                 "cut at {cut}: got {err:?}"
@@ -2152,31 +1905,10 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut frame = encode_submit(&sample_request(), PROTOCOL_VERSION).unwrap();
+        let mut frame = encode(&sample_request()).unwrap();
         frame.extend_from_slice(&[0xAB; 3]);
-        let mut d = Dec::new(&frame);
-        let _ = d.u8("op");
-        let err =
-            decode_submit(&mut d, PROTOCOL_VERSION).expect_err("trailing bytes must fail");
+        let err = submit_from(&frame).expect_err("trailing bytes must fail");
         assert!(matches!(err, PipelineError::ProtocolError { .. }));
-    }
-
-    #[test]
-    fn admission_errors_roundtrip_exactly() {
-        for reason in [
-            AdmissionReason::QueueFull { capacity: 8 },
-            AdmissionReason::InFlightLimit { limit: 0 },
-            AdmissionReason::UnknownTenant,
-        ] {
-            let err = PipelineError::AdmissionDenied {
-                tenant: "acme".into(),
-                reason,
-            };
-            let frame = encode_error(&err);
-            let mut d = Dec::new(&frame);
-            assert_eq!(d.u8("op").unwrap(), OP_ERROR);
-            assert_eq!(decode_error(&mut d).unwrap(), err);
-        }
     }
 
     #[test]
@@ -2184,196 +1916,26 @@ mod tests {
         let mut req = sample_request();
         req.block = BlockPolicy::Probe(vec![1, 2]);
         assert!(matches!(
-            encode_submit(&req, PROTOCOL_VERSION),
+            encode(&req),
             Err(PipelineError::InvalidJob { .. })
         ));
     }
 
     #[test]
-    fn result_spans_roundtrip_at_v3_and_drop_at_v2() {
-        let resp = WireResponse {
-            makespan: 3.0,
-            time_unit: TimeUnit::Seconds,
-            prep_seconds: 0.05,
-            run_seconds: 0.2,
-            messages: 4,
-            block: 8,
-            arrays: vec![("a".into(), vec![1.0])],
-            spans: Some(sample_trace()),
-        };
-        let frame = encode_result(&resp, 3);
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_RESULT);
-        let got = decode_result(&mut d, 3).unwrap();
-        assert_eq!(got.spans, Some(sample_trace()));
-
-        let frame = encode_result(&resp, 2);
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_RESULT);
-        let got = decode_result(&mut d, 2).unwrap();
-        assert_eq!(got.spans, None, "v2 frames carry no spans");
-        assert_eq!(got.arrays[0].0, "a");
-    }
-
-    #[test]
-    fn submit_dag_roundtrips_through_the_codec() {
-        let node = |label: &str, inputs: Vec<(u32, String)>| WireDagNode {
-            label: label.into(),
-            request: sample_request(),
-            inputs,
-        };
-        let req = WireDagRequest {
-            tenant: "acme".into(),
-            scheduler: "locality".into(),
-            nodes: vec![
-                node("first", vec![]),
-                node("second", vec![(0, "a".into())]),
-            ],
-            trace_id: Some(77),
-        };
-        for version in [2u16, PROTOCOL_VERSION] {
-            let frame = encode_submit_dag(&req, version).unwrap();
-            let mut d = Dec::new(&frame);
-            assert_eq!(d.u8("op").unwrap(), OP_SUBMIT_DAG);
-            let got = decode_submit_dag(&mut d, version).unwrap();
-            assert_eq!(got.tenant, "acme");
-            assert_eq!(got.scheduler, "locality");
-            assert_eq!(got.nodes.len(), 2);
-            assert_eq!(got.nodes[1].label, "second");
-            assert_eq!(got.nodes[1].inputs, vec![(0, "a".to_string())]);
-            assert_eq!(got.nodes[0].request.source, sample_request().source);
-            let want_trace = if version >= 3 { Some(77) } else { None };
-            assert_eq!(got.trace_id, want_trace);
-        }
-    }
-
-    #[test]
-    fn dag_result_roundtrips_mixed_node_outcomes() {
-        let ok = WireResponse {
-            makespan: 12.5,
-            time_unit: TimeUnit::Seconds,
-            prep_seconds: 0.1,
-            run_seconds: 0.4,
-            messages: 9,
-            block: 4,
-            arrays: vec![("phi".into(), vec![1.0, 2.0])],
-            spans: Some(sample_trace()),
-        };
-        let err = PipelineError::DependencyFailed {
-            producer: "first".into(),
-            error: Box::new(PipelineError::InvalidJob {
-                reason: "boom".into(),
-            }),
-        };
-        let resp = WireDagResponse {
-            stats_json: "{\"nodes\":2}".into(),
-            nodes: vec![("first".into(), Ok(ok)), ("second".into(), Err(err))],
-        };
-        let frame = encode_dag_result(&resp, PROTOCOL_VERSION);
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_DAG_RESULT);
-        let got = decode_dag_result(&mut d, PROTOCOL_VERSION).unwrap();
-        assert_eq!(got.stats_json, resp.stats_json);
-        let first = got.nodes[0].1.as_ref().unwrap();
-        assert_eq!(first.arrays[0].0, "phi");
-        assert_eq!(first.block, 4);
-        assert_eq!(first.spans, Some(sample_trace()));
-        // Typed errors survive as errors (message-carrying kinds
-        // round-trip as Remote with the full display text).
-        let second = got.nodes[1].1.as_ref().unwrap_err();
-        assert!(second.to_string().contains("dependency `first` failed"));
-    }
-
-    #[test]
-    fn alloc_and_handle_frames_roundtrip_through_the_codec() {
-        let req = WireAllocRequest::col_major(vec![0, -3], vec![7, 4], vec![1.5, -2.25, f64::NAN]);
-        let frame = encode_alloc(&req);
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_ALLOC);
-        let got = decode_alloc(&mut d).unwrap();
-        assert_eq!(got.rank, 2);
-        assert_eq!(got.lo, vec![0, -3]);
-        assert_eq!(got.hi, vec![7, 4]);
-        assert_eq!(got.layout, 1);
-        assert_eq!(got.values[1], -2.25);
-        assert!(got.values[2].is_nan());
-
-        // Zero-fill allocs travel with an empty value list.
-        let zeros = WireAllocRequest {
-            rank: 1,
-            lo: vec![1],
-            hi: vec![8],
-            layout: 0,
-            values: Vec::new(),
-        };
-        let frame = encode_alloc(&zeros);
-        let mut d = Dec::new(&frame);
-        let _ = d.u8("op");
-        assert!(decode_alloc(&mut d).unwrap().values.is_empty());
-
-        let h = WireHandle {
-            id: 42,
-            epoch: 7,
-            values: vec![0.5, 0.25],
-        };
-        let frame = encode_handle(&h);
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_HANDLE);
-        assert_eq!(decode_handle(&mut d).unwrap(), h);
-    }
-
-    #[test]
-    fn submit_loop_frames_roundtrip_through_the_codec() {
-        let req = WireLoopRequest {
-            request: sample_request(),
-            input_handles: vec![("load".into(), 3)],
-            output_handles: vec![("next".into(), 1), ("curr".into(), 2)],
-            steps: 12,
-            rotate: vec![("next".into(), "curr".into()), ("curr".into(), "next".into())],
-            pipelined: false,
-        };
-        let frame = encode_submit_loop(&req, PROTOCOL_VERSION).unwrap();
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_SUBMIT_LOOP);
-        let got = decode_submit_loop(&mut d, PROTOCOL_VERSION).unwrap();
-        assert_eq!(got.request.source, sample_request().source);
-        assert_eq!(got.request.trace_id, sample_request().trace_id);
-        assert_eq!(got.input_handles, req.input_handles);
-        assert_eq!(got.output_handles, req.output_handles);
-        assert_eq!(got.steps, 12);
-        assert_eq!(got.rotate, req.rotate);
-        assert!(!got.pipelined);
-
-        // Truncations anywhere in the loop tail are typed errors.
-        for cut in [frame.len() - 1, frame.len() - 10] {
-            let mut d = Dec::new(&frame[..cut]);
-            let _ = d.u8("op");
-            let err = decode_submit_loop(&mut d, PROTOCOL_VERSION)
-                .expect_err("truncation must fail");
-            assert!(matches!(err, PipelineError::ProtocolError { .. }));
-        }
-    }
-
-    #[test]
-    fn loop_result_frames_roundtrip_through_the_codec() {
-        let resp = WireLoopResponse {
-            steps_run: 40,
-            fused: true,
-            chunks: 5,
-            overlap_seconds: 0.125,
-            busy_seconds: 0.5,
-            overlap_efficiency: 0.25,
-            final_bindings: vec![("next".into(), 2), ("curr".into(), 1)],
-        };
-        let frame = encode_loop_result(&resp);
-        let mut d = Dec::new(&frame);
-        assert_eq!(d.u8("op").unwrap(), OP_LOOP_RESULT);
-        assert_eq!(decode_loop_result(&mut d).unwrap(), resp);
-    }
-
-    #[test]
-    fn handle_errors_roundtrip_typed() {
+    fn typed_errors_roundtrip_exactly() {
         for err in [
+            PipelineError::AdmissionDenied {
+                tenant: "acme".into(),
+                reason: AdmissionReason::QueueFull { capacity: 8 },
+            },
+            PipelineError::AdmissionDenied {
+                tenant: "acme".into(),
+                reason: AdmissionReason::InFlightLimit { limit: 0 },
+            },
+            PipelineError::AdmissionDenied {
+                tenant: "acme".into(),
+                reason: AdmissionReason::UnknownTenant,
+            },
             PipelineError::UnknownHandle { id: 99 },
             PipelineError::HandleConflict {
                 reason: "handle #7 is checked out by a job in flight".into(),
@@ -2382,10 +1944,26 @@ mod tests {
                 reason: "a loop needs at least one step".into(),
             },
         ] {
-            let frame = encode_error(&err);
+            assert_eq!(roundtrip(&err), err);
+        }
+    }
+
+    #[test]
+    fn hostile_float_counts_are_refused_before_allocation() {
+        // A HANDLE frame claiming 2^61 values: 2^61 * 8 wraps to zero, so
+        // the count must be checked by division, not multiplication.
+        for count in [1u64 << 61, u64::MAX, 3] {
+            let mut frame = vec![WireHandle::OP];
+            frame.extend_from_slice(&[0; 16]);
+            frame.extend_from_slice(&count.to_le_bytes());
+            frame.extend_from_slice(&[0; 16]);
             let mut d = Dec::new(&frame);
-            assert_eq!(d.u8("op").unwrap(), OP_ERROR);
-            assert_eq!(decode_error(&mut d).unwrap(), err);
+            let _ = u8::get(&mut d);
+            let err = decode::<WireHandle>(&mut d).expect_err("count exceeds the frame");
+            assert!(
+                matches!(err, PipelineError::ProtocolError { .. }),
+                "{count}: {err:?}"
+            );
         }
     }
 
@@ -2393,8 +1971,109 @@ mod tests {
     fn oversized_frames_are_refused_before_allocation() {
         let mut huge = Vec::new();
         huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut huge.as_slice(), 1024)
-            .expect_err("oversized frame must be refused");
+        let err =
+            read_frame(&mut huge.as_slice(), 1024).expect_err("oversized frame must be refused");
         assert!(matches!(err, PipelineError::ProtocolError { .. }));
+    }
+
+    /// Decode a whole frame as the type its opcode names and encode it
+    /// again — what either end does with a frame it is sent.
+    fn reencode(frame: &[u8]) -> Result<Vec<u8>, PipelineError> {
+        fn via<F: Frame>(d: &mut Dec<'_>) -> Result<Vec<u8>, PipelineError> {
+            encode(&decode::<F>(d)?)
+        }
+        let mut d = Dec::new(frame);
+        match u8::get(&mut d)? {
+            WireRequest::OP => via::<WireRequest>(&mut d),
+            WireResponse::OP => via::<WireResponse>(&mut d),
+            PipelineError::OP => via::<PipelineError>(&mut d),
+            StatsReq::OP => via::<StatsReq>(&mut d),
+            Stats::OP => via::<Stats>(&mut d),
+            Shutdown::OP => via::<Shutdown>(&mut d),
+            Ack::OP => via::<Ack>(&mut d),
+            WireDagRequest::OP => via::<WireDagRequest>(&mut d),
+            WireDagResponse::OP => via::<WireDagResponse>(&mut d),
+            Hello::OP => via::<Hello>(&mut d),
+            MetricsReq::OP => via::<MetricsReq>(&mut d),
+            Metrics::OP => via::<Metrics>(&mut d),
+            WireAllocRequest::OP => via::<WireAllocRequest>(&mut d),
+            WireHandle::OP => via::<WireHandle>(&mut d),
+            WireLoopRequest::OP => via::<WireLoopRequest>(&mut d),
+            WireLoopResponse::OP => via::<WireLoopResponse>(&mut d),
+            Free::OP => via::<Free>(&mut d),
+            op => Err(PipelineError::ProtocolError {
+                reason: format!("unknown opcode {op}"),
+            }),
+        }
+    }
+
+    /// Seeded mutation fuzz over the golden corpus (every opcode, both
+    /// directions): each mutant must decode to a typed error or to a
+    /// value that encodes again, without panicking, and without a length
+    /// field buying more memory than the frame's own bytes account for.
+    #[test]
+    fn mutated_frames_never_panic_or_over_allocate() {
+        let corpus = golden();
+        let mut rng = SplitMix64::new(0x5EED_0F0A_11F4_A3E5);
+        let mut mutants: Vec<Vec<u8>> = Vec::new();
+        for (_, frame) in &corpus {
+            // Every position overwritten with each hostile length.
+            for at in 1..frame.len() {
+                for hostile in [
+                    &[0xFF; 2][..],
+                    &[0xFF; 4],
+                    &[0xFF; 8],
+                    &(1u64 << 61).to_le_bytes(),
+                ] {
+                    let mut m = frame.clone();
+                    let end = (at + hostile.len()).min(m.len());
+                    m[at..end].copy_from_slice(&hostile[..end - at]);
+                    mutants.push(m);
+                }
+            }
+            // Random truncations, extensions and byte flips.
+            for _ in 0..120 {
+                let mut m = frame.clone();
+                match rng.gen_range(3) {
+                    0 => m.truncate(rng.gen_range(m.len())),
+                    1 => m.extend((0..1 + rng.gen_range(16)).map(|_| rng.next_u64() as u8)),
+                    _ => {
+                        for _ in 0..1 + rng.gen_range(3) {
+                            let at = rng.gen_range(m.len());
+                            m[at] ^= 1 + rng.gen_range(255) as u8;
+                        }
+                    }
+                }
+                mutants.push(m);
+            }
+        }
+        assert!(mutants.len() >= 10_000, "only {} mutants", mutants.len());
+
+        let (mut decoded, mut refused) = (0usize, 0usize);
+        for m in &mutants {
+            let before = ALLOCATED.get();
+            let outcome = reencode(m);
+            let allocated = ALLOCATED.get() - before;
+            // In memory a list item costs more than its bytes on the wire
+            // (a `String` header is 24 bytes, an empty one travels as 4)
+            // and a growing `Vec` doubles; 16x covers both, and is a
+            // ceiling no claimed count can move. Re-encoding and the
+            // error text fit the constant.
+            let ceiling = 16 * m.len() + 1024;
+            assert!(
+                allocated <= ceiling,
+                "a {}-byte frame made the codec allocate {allocated} bytes: {m:02x?}",
+                m.len()
+            );
+            match outcome {
+                Ok(_) => decoded += 1,
+                Err(PipelineError::ProtocolError { .. }) => refused += 1,
+                Err(other) => panic!("a malformed frame must be a protocol error, got {other:?}"),
+            }
+        }
+        assert!(
+            decoded > 0 && refused > 0,
+            "{decoded} decoded, {refused} refused"
+        );
     }
 }

@@ -104,3 +104,8 @@ done
 
 echo
 echo "All verification steps passed in $((SECONDS - start)) s."
+# The tracked numbers (ROADMAP item 5), by the commands CHANGES.md quotes.
+rs_lines=$(find . -name '*.rs' -not -path './target/*' -not -path './bench/*' | xargs cat | wc -l)
+pub_lines=$(grep -rE '^\s*pub ' crates/pipeline/src | wc -l)
+echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
+    "$pub_lines pub lines in crates/pipeline/src"

@@ -532,9 +532,9 @@ fn serve<const R: usize>(opts: &Opts) -> ExitCode {
 /// STATS frame, cache hit rate, a per-tenant queue table, and per-stage
 /// latency percentiles from the METRICS frame's registry dump. Redraws
 /// every `--interval` seconds with an ANSI clear; `--once` prints a
-/// single frame without touching the screen (the CI smoke path). A v2
-/// server (pre-observability build) still gets the stats half; the
-/// latency table degrades to a notice.
+/// single frame without touching the screen (the CI smoke path). A
+/// server running `--no-metrics` still gets the stats half; the latency
+/// table degrades to a notice.
 fn top(opts: &Opts) -> ExitCode {
     use wavefront::pipeline::{JsonValue, WireClient};
 
@@ -555,9 +555,10 @@ fn top(opts: &Opts) -> ExitCode {
             Ok(v) => v,
             Err(e) => return fail(&opts.addr, format!("bad stats json: {e}")),
         };
-        // METRICS needs a v3 server; keep the dashboard useful without.
-        let metrics = client.metrics().ok();
-        let metrics = metrics.and_then(|(_, json)| JsonValue::parse(&json).ok());
+        let metrics = match client.metrics() {
+            Ok((_, json)) => JsonValue::parse(&json).ok(),
+            Err(e) => return fail(&opts.addr, e),
+        };
 
         let mut frame = String::new();
         render_top(&mut frame, &stats, metrics.as_ref(), &mut last);
@@ -724,7 +725,7 @@ fn render_top(
     if rows == 0 {
         let _ = writeln!(
             out,
-            "(no stage latency data — server predates protocol v3 or runs --no-metrics)"
+            "(no stage latency data — no job has finished yet, or the server runs --no-metrics)"
         );
     }
 }

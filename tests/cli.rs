@@ -278,7 +278,7 @@ fn top_renders_live_stage_latencies() {
     req.arrays = vec![("a".to_string(), vec![1.0; 144])];
     req.trace_id = Some(7);
     let resp = client.submit(&req).expect("job runs");
-    assert!(resp.spans.is_some(), "v3 result carries spans");
+    assert!(resp.spans.is_some(), "the result carries spans");
 
     let out = wlc()
         .args(["top", "--addr", &addr, "--once"])
@@ -297,6 +297,6 @@ fn top_renders_live_stage_latencies() {
     assert!(dash.contains("p99"), "{dash}");
     assert!(
         !dash.contains("no stage latency data"),
-        "dashboard fell back to the v2 notice: {dash}"
+        "dashboard fell back to the no-data notice: {dash}"
     );
 }

@@ -31,24 +31,14 @@ const SOURCE: &str = "
 /// socket. Returns the dial address; the server thread exits when the
 /// test sends `SHUTDOWN`.
 fn start_server(cfg: ServiceConfig) -> (String, std::thread::JoinHandle<()>) {
-    start_server_with(
-        cfg,
-        ServeConfig {
-            allow_shutdown: true,
-            ..ServeConfig::default()
-        },
-    )
-}
-
-fn start_server_with(
-    cfg: ServiceConfig,
-    serve_cfg: ServeConfig,
-) -> (String, std::thread::JoinHandle<()>) {
     let service: Arc<WavefrontService<2>> = Arc::new(WavefrontService::with_config(cfg));
     let server = Arc::new(WireServer::with_config(
         service,
         Arc::new(LangCompiler),
-        serve_cfg,
+        ServeConfig {
+            allow_shutdown: true,
+            ..ServeConfig::default()
+        },
     ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap().to_string();
@@ -110,24 +100,64 @@ fn wire_submission_matches_in_process_execution() {
     stop_server(&addr, handle);
 }
 
-/// Garbage, truncated, and unknown-opcode frames come back as a typed
-/// ERROR reply (opcode 3 on the wire) — and the listener survives to
-/// serve the next connection.
+/// A well-formed `SUBMIT` frame up to its one array, which claims
+/// `count` values and carries none.
+fn submit_claiming(count: u64) -> Vec<u8> {
+    fn put_str(frame: &mut Vec<u8>, s: &str) {
+        frame.extend((s.len() as u32).to_le_bytes());
+        frame.extend(s.as_bytes());
+    }
+    let mut frame = vec![1]; // SUBMIT
+    put_str(&mut frame, ""); // default tenant
+    frame.extend([0, 2]); // priority, rank
+    frame.extend(u16::MAX.to_le_bytes()); // nest: auto
+    frame.push(0); // a line ..
+    frame.extend(2u32.to_le_bytes()); // .. of two processors
+    frame.extend([2, 1, 2, 0]); // threads, lanes, Model2, Cray T3E
+    frame.extend(0u16.to_le_bytes()); // no consts
+    put_str(&mut frame, SOURCE);
+    frame.extend(1u16.to_le_bytes()); // one array
+    put_str(&mut frame, "a");
+    frame.extend(count.to_le_bytes());
+    frame
+}
+
+/// A rank-2 zero-fill `ALLOC` frame over the given corners.
+fn alloc_over(lo: [i64; 2], hi: [i64; 2]) -> Vec<u8> {
+    let mut frame = vec![13, 2]; // ALLOC, rank
+    for c in lo.iter().chain(&hi) {
+        frame.extend(c.to_le_bytes());
+    }
+    frame.push(1); // column-major
+    frame.extend(0u64.to_le_bytes()); // no values: zero-fill
+    frame
+}
+
+/// Garbage, truncated, unknown-opcode and hostile-length frames come
+/// back as a typed ERROR reply (opcode 3 on the wire) — and the listener
+/// survives to serve the next connection.
 #[test]
 fn malformed_frames_are_rejected_not_fatal() {
     let (addr, handle) = start_server(ServiceConfig::default());
 
-    // Truncations of a SUBMIT frame (opcode 1 with missing fields),
-    // an unknown opcode, and an empty payload.
-    let bad_payloads: &[&[u8]] = &[
-        &[],
-        &[1],
-        &[1, 5, 0, 0, 0],
-        &[1, 5, 0, 0, 0, b'a', b'b'],
-        &[42],
-        &[1, 255, 255, 255, 255],
+    // Truncations of a SUBMIT frame (opcode 1 with missing fields), an
+    // unknown opcode, an empty payload; an array count whose byte size
+    // wraps to zero (2^61 * 8); and resident arrays no frame could ever
+    // carry home — terabytes from a 43-byte frame, and corners whose
+    // extents overflow. Each with the text its ERROR reply must carry.
+    let bad_payloads: &[(&[u8], &str)] = &[
+        (&[], "opcode"),
+        (&[1], "tenant"),
+        (&[1, 5, 0, 0, 0], "tenant"),
+        (&[1, 5, 0, 0, 0, b'a', b'b'], "tenant"),
+        (&[42], "unknown opcode 42"),
+        (&[1, 255, 255, 255, 255], "tenant"),
+        (&submit_claiming(1 << 61), "reading arrays"),
+        (&submit_claiming(u64::MAX), "reading arrays"),
+        (&alloc_over([0, 0], [1 << 20, 1 << 20]), "alloc of 1099513724929 elements"),
+        (&alloc_over([i64::MIN; 2], [i64::MAX; 2]), "alloc of"),
     ];
-    for payload in bad_payloads {
+    for (payload, why) in bad_payloads {
         let mut client = WireClient::connect(&*addr).expect("connect");
         let reply = client
             .raw_frame(payload)
@@ -138,6 +168,8 @@ fn malformed_frames_are_rejected_not_fatal() {
             Some(&3u8),
             "payload {payload:?} should draw a typed ERROR reply, got {reply:?}"
         );
+        let text = String::from_utf8_lossy(&reply);
+        assert!(text.contains(why), "payload {payload:?}: expected `{why}` in `{text}`");
     }
 
     // The server is still alive and still runs well-formed jobs.
@@ -192,7 +224,7 @@ fn typed_errors_round_trip_the_wire() {
     stop_server(&addr, handle);
 }
 
-/// A client-supplied trace ID rides the v3 wire into the job's
+/// A client-supplied trace ID rides the wire into the job's
 /// lifecycle spans and comes back in the RESULT frame with the full
 /// phase breakdown — the phases telescope to the job's total wall
 /// latency.
@@ -210,7 +242,7 @@ fn trace_ids_round_trip_with_phase_breakdown() {
     req.trace_id = Some(0xFEED_F00D);
 
     let resp = client.submit(&req).expect("job runs");
-    let spans = resp.spans.expect("v3 result carries spans");
+    let spans = resp.spans.expect("the result carries spans");
     assert_eq!(spans.trace_id, Some(0xFEED_F00D));
     assert_eq!(spans.tenant, "default");
     assert!(spans.total_seconds > 0.0);
@@ -242,63 +274,29 @@ fn trace_ids_round_trip_with_phase_breakdown() {
     stop_server(&addr, handle);
 }
 
-/// A v3 client against a v2 server (a pre-observability build, emulated
-/// by capping `ServeConfig::protocol_version`): HELLO negotiates down,
-/// submissions still run, spans and trace IDs are silently dropped, and
-/// METRICS is refused client-side.
+/// `HELLO` is an equality check: another version draws a typed error
+/// naming both numbers, and the connection stays usable at the one
+/// layout — with or without a handshake.
 #[test]
-fn v3_client_degrades_against_a_v2_server() {
-    let (addr, handle) = start_server_with(
-        ServiceConfig::default(),
-        ServeConfig {
-            allow_shutdown: true,
-            protocol_version: 2,
-            ..ServeConfig::default()
-        },
-    );
-    let mut client = WireClient::connect(&*addr).expect("connect");
-    assert_eq!(client.hello().expect("hello"), 2, "server caps at v2");
-
-    let mut req = WireRequest::new(2, SOURCE);
-    req.topology = WireTopology::Line(2);
-    req.trace_id = Some(42);
-    let resp = client.submit(&req).expect("v2 submission still runs");
-    assert_eq!(resp.spans, None, "a v2 server sends no spans");
-    assert!(!resp.arrays.is_empty() || resp.run_seconds >= 0.0);
-
-    match client.metrics() {
-        Err(PipelineError::ProtocolError { reason }) => {
-            assert!(reason.contains("v2"), "unhelpful reason: {reason}")
-        }
-        other => panic!("METRICS against v2 must be a protocol error, got {other:?}"),
-    }
-    match client.alloc(&WireAllocRequest::col_major(vec![0], vec![3], vec![])) {
-        Err(PipelineError::ProtocolError { reason }) => {
-            assert!(reason.contains("v4"), "unhelpful reason: {reason}")
-        }
-        other => panic!("ALLOC against v2 must be a protocol error, got {other:?}"),
-    }
-    drop(client);
-    stop_server(&addr, handle);
-}
-
-/// A v2 client (an old build, emulated with `force_version`) against a
-/// v3 server: the connection never handshakes, so the server keeps
-/// speaking v2 — submissions run and the reply parses with no spans.
-#[test]
-fn v2_client_still_speaks_to_a_v3_server() {
+fn hello_with_another_version_is_refused_and_the_connection_survives() {
     let (addr, handle) = start_server(ServiceConfig::default());
     let mut client = WireClient::connect(&*addr).expect("connect");
-    client.force_version(2);
 
+    let reply = client.raw_frame(&[10, 3, 0]).expect("HELLO v3 gets a reply");
+    assert_eq!(reply.first(), Some(&3u8), "expected an ERROR frame, got {reply:?}");
+    let text = String::from_utf8_lossy(&reply);
+    assert!(
+        text.contains("v3") && text.contains("v4"),
+        "the mismatch must name both versions: {text}"
+    );
+
+    // No handshake has succeeded yet; submissions run all the same.
     let mut req = WireRequest::new(2, SOURCE);
     req.topology = WireTopology::Line(2);
     req.trace_id = Some(42);
-    req.returns = vec!["a".to_string()];
-    req.arrays = vec![("a".to_string(), vec![1.0; 144])];
-    let resp = client.submit(&req).expect("v2 framing against a v3 server");
-    assert_eq!(resp.spans, None, "v2 frames carry no spans");
-    assert_eq!(resp.arrays.len(), 1);
+    let resp = client.submit(&req).expect("un-handshaken submit");
+    assert_eq!(resp.spans.expect("spans travel without HELLO").trace_id, Some(42));
+    assert_eq!(client.hello().expect("matching HELLO"), 4);
     drop(client);
     stop_server(&addr, handle);
 }
@@ -310,7 +308,7 @@ const LOOP_SOURCE: &str = "
     [1..n, 0..n] next := 0.5 * next'@north + 0.5 * curr;
 ";
 
-/// Protocol v4 end to end: `ALLOC` parks both buffers server-side,
+/// Resident loops end to end: `ALLOC` parks both buffers server-side,
 /// `SUBMIT_LOOP` time-steps the body with a double-buffer swap, and
 /// `FREE` brings the final values home — bit-identical to running the
 /// same steps in-process with a store swap between iterations. Typed
