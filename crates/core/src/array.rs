@@ -6,7 +6,8 @@
 //! cache simulator — Fortran arrays (the paper's benchmarks) are
 //! column-major, which is what makes loop interchange matter in Figure 6.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::index::{Offset, Point};
@@ -120,6 +121,32 @@ impl<const R: usize> DenseArray<R> {
         } else {
             COW_BYTES.fetch_add((self.data.len() * 8) as u64, Ordering::Relaxed);
             Arc::make_mut(&mut self.data)
+        }
+    }
+
+    /// Expose the buffer of an array a parallel run will **write**, for
+    /// workers that update it in place. Sharing is broken *here*, on the
+    /// calling thread (one copy, billed to [`cow_bytes_copied`] like any
+    /// other first write), so the returned pointer is to a buffer no
+    /// other array shares.
+    pub fn share_for_write(&mut self) -> SharedCells {
+        let buf = self.data_mut();
+        SharedCells {
+            ptr: AtomicPtr::new(buf.as_mut_ptr()),
+            len: buf.len(),
+        }
+    }
+
+    /// Expose the buffer of an array a parallel run will only **read**.
+    /// Nothing is copied and the buffer may stay shared with other
+    /// arrays; the holder must never write through the view.
+    pub fn share_for_read(&self) -> SharedCells {
+        // `Vec::as_ptr` hands back the vector's own allocation pointer
+        // (not one re-derived from a `&[f64]`), so viewing it as cells
+        // creates no reference that forbids the shared readers.
+        SharedCells {
+            ptr: AtomicPtr::new(Vec::as_ptr(&self.data).cast_mut()),
+            len: self.data.len(),
         }
     }
 
@@ -271,6 +298,45 @@ impl<const R: usize> DenseArray<R> {
     }
 }
 
+/// The buffer of one [`DenseArray`] as a pointer that may cross to
+/// other threads: what [`DenseArray::share_for_write`] and
+/// [`DenseArray::share_for_read`] return, and what the threaded engine's
+/// workers turn back into the `&[Cell<f64>]` views the tile kernels run
+/// on. Holding one is harmless; only [`SharedCells::cells`] touches
+/// memory.
+///
+/// The pointer sits in an [`AtomicPtr`] purely so the type is `Send +
+/// Sync` by construction — it is written once, here, and read with
+/// `Relaxed`; the synchronisation that makes the *pointee* safe to touch
+/// is the caller's (see `cells`).
+#[derive(Debug)]
+pub struct SharedCells {
+    ptr: AtomicPtr<f64>,
+    len: usize,
+}
+
+impl SharedCells {
+    /// View the buffer as a slice of cells (bounds-checked like any
+    /// slice; `Cell<f64>` has the layout of `f64`).
+    ///
+    /// # Safety
+    ///
+    /// For as long as the returned view is used, the caller guarantees:
+    ///
+    /// 1. the array this came from is neither dropped, resized, written
+    ///    through `&mut` nor made to reallocate (a copy-on-write break
+    ///    is a reallocation) — in practice: the thread owning the
+    ///    `Store` does not touch it until every view is gone;
+    /// 2. if it came from [`DenseArray::share_for_read`], nothing is
+    ///    ever `set` through the view;
+    /// 3. no element is written through one view while another thread
+    ///    reads or writes it through another, unless a release/acquire
+    ///    edge orders the two accesses.
+    pub unsafe fn cells(&self) -> &[Cell<f64>] {
+        std::slice::from_raw_parts(self.ptr.load(Ordering::Relaxed) as *const Cell<f64>, self.len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +449,34 @@ mod tests {
         b.fill(0.0);
         b.set(Point([2, 2]), 1.0);
         assert_eq!(cow_bytes_copied(), before);
+    }
+
+    #[test]
+    fn shared_cells_alias_the_buffer_and_only_a_write_share_copies() {
+        let r = Region::rect([0, 0], [3, 3]);
+        let a = DenseArray::from_fn(r, |p| (p[0] * 4 + p[1]) as f64);
+        let mut b = a.clone();
+
+        // A read share copies nothing and sees the shared buffer.
+        let before = cow_bytes_copied();
+        let view = b.share_for_read();
+        // SAFETY: `b` is not touched while `cells` lives, nothing is
+        // set through it, and this is the only thread.
+        let cells = unsafe { view.cells() };
+        assert_eq!(cells[b.linear_offset(Point([1, 1]))].get(), 5.0);
+        assert!(a.shares_data(&b));
+
+        // A write share breaks the sharing once, up front; writes
+        // through the cells then land in `b` alone.
+        let view = b.share_for_write();
+        assert!(!a.shares_data(&b));
+        assert!(cow_bytes_copied() >= before + (r.len() * 8) as u64);
+        let off = b.linear_offset(Point([2, 3]));
+        // SAFETY: as above, and the buffer is uniquely `b`'s.
+        let cells = unsafe { view.cells() };
+        cells[off].set(-1.0);
+        assert_eq!(b.get(Point([2, 3])), -1.0);
+        assert_eq!(a.get(Point([2, 3])), 11.0);
     }
 
     #[test]

@@ -546,6 +546,20 @@ impl<const R: usize> TileKernel<R> {
     /// Indexing stays checked — a violated guarantee panics, it does not
     /// corrupt memory.
     pub fn run_bound(&self, bk: &BoundKernel<R>, region: Region<R>, store: &mut Store<R>) {
+        self.run_bound_cells(bk, region, &store_cells(store));
+    }
+
+    /// [`TileKernel::run_bound`] over a table of per-array cell views
+    /// (indexed by [`ArrayId`]) instead of a store — the form a worker
+    /// that shares the store with other workers calls, with views of
+    /// arrays it may only read next to views of arrays it owns a part
+    /// of. Only the statements' left-hand arrays are ever `set`.
+    pub fn run_bound_cells(
+        &self,
+        bk: &BoundKernel<R>,
+        region: Region<R>,
+        arrays: &[&[Cell<f64>]],
+    ) {
         if region.is_empty() {
             return;
         }
@@ -557,17 +571,8 @@ impl<const R: usize> TileKernel<R> {
         let inner_start = if inner_asc { rlo[inner] } else { rhi[inner] };
         let inner_dir: i64 = if inner_asc { 1 } else { -1 };
 
-        // Shared-view aliasing: a statement may read the array it writes
-        // (that is the whole point of a wavefront), so the kernel views
-        // every array as a slice of `Cell<f64>` — one mutable borrow of
-        // the store, arbitrarily aliased reads and writes within it.
-        let all: Vec<&[Cell<f64>]> = store
-            .arrays_mut()
-            .iter_mut()
-            .map(|a| Cell::from_mut(a.as_mut_slice()).as_slice_of_cells())
-            .collect();
         let cells: Vec<&[Cell<f64>]> =
-            self.arrays.iter().map(|&id| all[id]).collect();
+            self.arrays.iter().map(|&id| arrays[id]).collect();
         // Per read slot / per statement slice views, so a load is one
         // bounds-checked index instead of read-table + slot-table + cursor
         // lookups.
@@ -739,6 +744,19 @@ impl<const R: usize> TileKernel<R> {
     }
 }
 
+/// One aliased `Cell` view per array of `store`, indexed by [`ArrayId`].
+/// A statement may read the array it writes (that is the whole point of
+/// a wavefront), so the kernels view every array as a slice of
+/// `Cell<f64>` — one mutable borrow of the store, arbitrarily aliased
+/// reads and writes within it.
+pub(crate) fn store_cells<const R: usize>(store: &mut Store<R>) -> Vec<&[Cell<f64>]> {
+    store
+        .arrays_mut()
+        .iter_mut()
+        .map(|a| Cell::from_mut(a.as_mut_slice()).as_slice_of_cells())
+        .collect()
+}
+
 /// Resolve one operand. Kept free-standing (not a closure) so the inner
 /// loop borrows stay simple; `#[inline(always)]` folds it into the
 /// dispatch match.
@@ -881,6 +899,28 @@ impl<const R: usize> NestRunner<R> {
             (NestRunner::Compiled(k, _), None) => k.run_region(region, order, store),
             (NestRunner::Interpreted(_), _) => {
                 crate::exec::run_nest_region_with_sink(nest, region, order, store, &mut NoSink);
+            }
+        }
+    }
+
+    /// [`NestRunner::run_tile`] for a compiled runner over a table of
+    /// per-array cell views (indexed by [`ArrayId`]) — see
+    /// [`TileKernel::run_bound_cells`]. The interpreter needs a
+    /// `&mut Store` and has no such form; calling this on an
+    /// interpreted runner panics.
+    pub fn run_tile_cells(
+        &self,
+        bound: &BoundKernel<R>,
+        region: Region<R>,
+        arrays: &[&[Cell<f64>]],
+    ) {
+        match self {
+            NestRunner::Lanes(k, plan) => {
+                crate::kernel_lanes::run_lanes_cells(k, bound, plan, region, arrays)
+            }
+            NestRunner::Compiled(k, _) => k.run_bound_cells(bound, region, arrays),
+            NestRunner::Interpreted(_) => {
+                panic!("the interpreter runs on a store, not on cell views")
             }
         }
     }

@@ -46,7 +46,7 @@ use std::cell::Cell;
 
 use crate::exec::CompiledNest;
 use crate::expr::{BinOp, UnaryOp};
-use crate::kernel::{BoundKernel, Instr, LaneCause, Src, StmtKernel, TileKernel};
+use crate::kernel::{store_cells, BoundKernel, Instr, LaneCause, Src, StmtKernel, TileKernel};
 use crate::program::Store;
 use crate::region::Region;
 
@@ -170,12 +170,25 @@ pub fn run_lanes<const R: usize>(
     region: Region<R>,
     store: &mut Store<R>,
 ) {
+    run_lanes_cells(kernel, bk, plan, region, &store_cells(store));
+}
+
+/// [`run_lanes`] over a table of per-array cell views (indexed by
+/// `ArrayId`) instead of a store; see
+/// [`TileKernel::run_bound_cells`].
+pub fn run_lanes_cells<const R: usize>(
+    kernel: &TileKernel<R>,
+    bk: &BoundKernel<R>,
+    plan: &LanePlan,
+    region: Region<R>,
+    arrays: &[&[Cell<f64>]],
+) {
     if region.is_empty() {
         return;
     }
     match plan.shape {
-        LaneShape::Axis { dim } => run_axis(kernel, bk, dim, region, store),
-        LaneShape::Wavefront { p, q } => run_wavefront(kernel, bk, p, q, region, store),
+        LaneShape::Axis { dim } => run_axis(kernel, bk, dim, region, arrays),
+        LaneShape::Wavefront { p, q } => run_wavefront(kernel, bk, p, q, region, arrays),
     }
 }
 
@@ -188,37 +201,32 @@ fn run_axis<const R: usize>(
     bk: &BoundKernel<R>,
     d: usize,
     region: Region<R>,
-    store: &mut Store<R>,
+    arrays: &[&[Cell<f64>]],
 ) {
     let ext = region.extent(d);
     let full = ext - ext % LANES as i64;
     let rlo = region.lo();
     let rhi = region.hi();
     if full > 0 {
-        axis_sweep(kernel, bk, d, region.slab(d, rlo[d], rlo[d] + full - 1), store);
+        axis_sweep(kernel, bk, d, region.slab(d, rlo[d], rlo[d] + full - 1), arrays);
     }
     if full < ext {
-        kernel.run_bound(bk, region.slab(d, rlo[d] + full, rhi[d]), store);
+        kernel.run_bound_cells(bk, region.slab(d, rlo[d] + full, rhi[d]), arrays);
     }
 }
 
 /// Read-slot and statement-write cell views, in that order.
 type SlotViews<'a> = (Vec<&'a [Cell<f64>]>, Vec<&'a [Cell<f64>]>);
 
-/// Per-slot cell views of the store, exactly as the scalar
-/// `run_bound` builds them: one aliased `Cell` view per array, then one
-/// slice per read slot and per written statement.
+/// Per-slot cell views, exactly as the scalar `run_bound_cells` builds
+/// them from the per-array table: one slice per read slot and per
+/// written statement.
 fn cell_views<'a, const R: usize>(
     kernel: &TileKernel<R>,
     bk: &BoundKernel<R>,
-    store: &'a mut Store<R>,
+    arrays: &[&'a [Cell<f64>]],
 ) -> SlotViews<'a> {
-    let all: Vec<&[Cell<f64>]> = store
-        .arrays_mut()
-        .iter_mut()
-        .map(|a| Cell::from_mut(a.as_mut_slice()).as_slice_of_cells())
-        .collect();
-    let cells: Vec<&[Cell<f64>]> = kernel.arrays.iter().map(|&id| all[id]).collect();
+    let cells: Vec<&[Cell<f64>]> = kernel.arrays.iter().map(|&id| arrays[id]).collect();
     let rslices: Vec<&[Cell<f64>]> =
         bk.rd.iter().map(|&(a, _)| cells[a as usize]).collect();
     let wslices: Vec<&[Cell<f64>]> =
@@ -235,12 +243,12 @@ fn axis_sweep<const R: usize>(
     bk: &BoundKernel<R>,
     d: usize,
     region: Region<R>,
-    store: &mut Store<R>,
+    arrays: &[&[Cell<f64>]],
 ) {
     let rlo = region.lo();
     let rhi = region.hi();
     let inner = bk.order[R - 1];
-    let (rslices, wslices) = cell_views(kernel, bk, store);
+    let (rslices, wslices) = cell_views(kernel, bk, arrays);
 
     // Lane `l` displaces the current point by `+l` along `d`.
     let mut cdelta = [0.0f64; R];
@@ -386,7 +394,7 @@ fn run_wavefront<const R: usize>(
     pp: usize,
     qq: usize,
     region: Region<R>,
-    store: &mut Store<R>,
+    arrays: &[&[Cell<f64>]],
 ) {
     debug_assert!(R >= 2 && pp == R - 2 && qq == R - 1);
     let rlo = region.lo();
@@ -397,7 +405,7 @@ fn run_wavefront<const R: usize>(
     let dq: i64 = if bk.ascending[dim_q] { 1 } else { -1 };
     // Extents by loop *position*.
     let ext: [i64; R] = std::array::from_fn(|pos| region.extent(bk.order[pos]));
-    let (rslices, wslices) = cell_views(kernel, bk, store);
+    let (rslices, wslices) = cell_views(kernel, bk, arrays);
 
     // Lane `l` displaces the segment point by `+l` normalized along
     // position `pp` and `−l` along `qq`.

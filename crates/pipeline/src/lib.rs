@@ -14,7 +14,9 @@
 //!   "experimental" curves of the figure harnesses);
 //! * dependency-order sequential execution, the semantic reference for
 //!   the decomposition;
-//! * real OS threads passing boundary messages through channels, the
+//! * real OS threads running their tiles in place on the shared store,
+//!   each boundary handed downstream by an atomic tile-progress counter
+//!   ([`Handoff`] says when a run fell back to copying messages) — the
 //!   stand-in for the paper's hand-pipelined MPI codes.
 //!
 //! Block sizes come from [`schedule::BlockPolicy`]: fixed, Model1
@@ -34,6 +36,7 @@ pub mod error;
 pub(crate) mod exec_seq;
 pub(crate) mod exec_sim;
 pub(crate) mod exec_threads;
+pub(crate) mod link;
 pub mod plan;
 pub mod schedule;
 pub mod service;
@@ -43,6 +46,7 @@ pub mod tune;
 
 pub use error::{AdmissionReason, PipelineError};
 pub use exec_sim::{NestSim, ProgramSim};
+pub use exec_threads::{Handoff, MessageReason};
 pub use plan::{Axis, WavefrontPlan};
 pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy, BlockSizer};
 pub use service::{

@@ -310,9 +310,8 @@ impl ExecCore {
 
     /// Plan (or fetch) and execute one job on `kind`. With `lx`, the
     /// threads engine runs a fused multi-iteration loop chunk —
-    /// `lx.iters` whole sweeps inside one invocation, scatter once,
-    /// iterate with cross-iteration pipelining, gather once (see
-    /// [`execute_threaded`]) — and the chunk's overlap stats come back
+    /// `lx.iters` whole sweeps inside one invocation, iterating with
+    /// cross-iteration pipelining (see [`execute_threaded`]) — and the chunk's overlap stats come back
     /// beside the outcome. The cache event, if any, is reported *after*
     /// the engine's stream completes, because collectors reset their
     /// buffers at `begin`.
@@ -352,6 +351,7 @@ impl ExecCore {
             run_seconds: 0.0,
             kernel_tier: None,
             kernel_fallback: None,
+            handoff: None,
         };
         let mut loop_stats = None;
         if kind == EngineKind::Sim {
@@ -400,6 +400,7 @@ impl ExecCore {
                 outcome.run_seconds = run_start.elapsed().as_secs_f64();
                 outcome.makespan = r.elapsed.as_secs_f64();
                 outcome.messages = r.messages;
+                outcome.handoff = Some(r.handoff);
                 loop_stats = lx.map(|lx| overlap_stats(lx, &r.spans));
             }
         }

@@ -33,11 +33,11 @@ struct PoolInner {
 /// A grow-on-demand pool of parked OS threads.
 ///
 /// The engines enqueue one task per active rank (or mesh cell) and the
-/// tasks of one job rendezvous through bounded channels, so the caller
-/// **must** size the pool to the job's concurrency with
-/// [`WorkerPool::ensure_workers`] before enqueueing — a job whose tasks
-/// outnumber the workers could otherwise deadlock on its own internal
-/// sends. [`execute`](WorkerPool::ensure_workers) never shrinks.
+/// tasks of one job wait on each other (progress counters, or bounded
+/// channels), so the caller **must** size the pool to the job's
+/// concurrency with [`WorkerPool::ensure_workers`] before enqueueing — a
+/// job whose tasks outnumber the workers could otherwise deadlock on its
+/// own internal waits. [`execute`](WorkerPool::ensure_workers) never shrinks.
 pub(crate) struct WorkerPool {
     inner: Arc<PoolInner>,
     workers: Mutex<Vec<JoinHandle<()>>>,

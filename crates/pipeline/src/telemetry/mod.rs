@@ -3,8 +3,8 @@
 //! The paper's argument is quantitative — Equation (1) block sizes,
 //! fill/drain pipeline overhead, communication-vs-computation balance —
 //! so every runtime in this crate (the machine-cost simulator, the
-//! dependency-order sequential executor, and the threaded
-//! message-passing runtime, each over a processor line or mesh) reports
+//! dependency-order sequential executor, and the threaded runtime,
+//! each over a processor line or mesh) reports
 //! the same event stream: per-block compute windows, boundary messages with
 //! element counts, and receive stalls. A [`NoopCollector`] is the
 //! default and costs nothing: engines check [`Collector::enabled`] once
@@ -44,7 +44,8 @@ pub enum EngineKind {
     Sim,
     /// Dependency-order sequential execution (`exec_seq`).
     Seq,
-    /// Real OS threads passing boundary messages through channels
+    /// Real OS threads running their tiles in place on the shared
+    /// store, boundaries handed over by tile-progress counters
     /// (`exec_threads`).
     Threads,
 }

@@ -380,6 +380,7 @@ pub(crate) fn run_session_adaptive<const R: usize>(
         run_seconds: run_start.elapsed().as_secs_f64(),
         kernel_tier: None,
         kernel_fallback: None,
+        handoff: None,
     })
 }
 

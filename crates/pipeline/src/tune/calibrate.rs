@@ -2,14 +2,23 @@
 //! machine actually running the threaded engine.
 //!
 //! The paper's α/β come from the Cray T3E spec sheet; here they come
-//! from microbenchmarks over the exact transport the threaded runtime
-//! uses — `std::sync::mpsc` channels between OS threads. An `mpsc` send
-//! of a `Vec<f64>` is an O(1) pointer move, so a naive ping-pong would
-//! measure β ≈ 0 and lie about volume costs; the runtime, however, pays
-//! to *encode* boundary slabs into the message buffer and *decode* them
-//! into ghost cells on arrival. Calibration therefore times
-//! encode + send + decode round trips, which is what a message of `m`
-//! elements really costs end to end.
+//! from a microbenchmark over the exact hand-off the threaded runtime
+//! performs — a [`crate::link::Progress`] post on one thread, the wait
+//! for it on another, and the reader then touching the boundary where
+//! its writer left it. Two threads ping-pong: each side writes an
+//! `m`-element boundary, posts, and the other side waits and reads it.
+//! α is what a round trip costs at `m → 0`, halved; β is what each
+//! further element of a boundary *another core just wrote* adds to
+//! reading it (the cache lines have to cross), which is the only volume
+//! cost left once nothing is copied.
+//!
+//! What α is *not*: the price of waking a cell that waited past the
+//! hand-off's few-microsecond spin window and parked. A pipeline pays
+//! that `p − 2` times per sweep, in the fill, not once per tile, and it
+//! is the OS's figure rather than the hand-off's (10–20 µs on a small
+//! VM). The default boundary sizes stay small enough for both sides to
+//! be read inside the window, which is also where real boundaries are
+//! (tens of elements per tile on the paper's programs).
 //!
 //! Per-element compute cost comes from timing a multiply-add sweep over
 //! a buffer, the same order of work as one stencil element. All three
@@ -17,13 +26,15 @@
 //! `.beta_work()` normalize them into the element-compute units the
 //! paper's models use.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use wavefront_model::{CalibratedMachine, OnlineEstimator};
 
 use crate::error::PipelineError;
+use crate::link::Progress;
 
 /// Knobs of the calibration run. The defaults finish in well under a
 /// second; tests shrink them further.
@@ -45,7 +56,10 @@ pub struct CalibrationConfig {
 impl Default for CalibrationConfig {
     fn default() -> Self {
         CalibrationConfig {
-            sizes: vec![16, 64, 256, 1024, 4096, 16384],
+            // Up to the largest boundary a partner reads inside the
+            // hand-off's spin window: past that the ping-pong measures
+            // the OS waking a parked thread (see the module docs).
+            sizes: vec![16, 64, 256, 1024],
             iters: 24,
             warmup: 4,
             compute_elems: 1 << 15,
@@ -92,63 +106,99 @@ pub fn calibrate_with(cfg: &CalibrationConfig) -> Result<CalibratedMachine, Pipe
     Ok(cal)
 }
 
-/// One-way message cost per size, min-filtered over repeated round
-/// trips, including the encode/decode copies the runtime performs.
-fn ping_pong(cfg: &CalibrationConfig) -> Result<OnlineEstimator, PipelineError> {
-    let send_fail =
-        |_| PipelineError::Calibration("echo thread hung up mid-benchmark".into());
-    let recv_fail =
-        |_| PipelineError::Calibration("echo thread died mid-benchmark".into());
-    let max_size = cfg.sizes.iter().copied().max().unwrap_or(1);
-    let (to_echo, echo_in) = mpsc::channel::<Vec<f64>>();
-    let (echo_out, from_echo) = mpsc::channel::<Vec<f64>>();
-    let echo = thread::spawn(move || {
-        // The echo side decodes into ghost storage and encodes a reply,
-        // mirroring what a pipeline stage does per tile.
-        let mut ghost = vec![0.0f64; max_size];
-        while let Ok(msg) = echo_in.recv() {
-            let m = msg.len();
-            ghost[..m].copy_from_slice(&msg);
-            let mut reply = Vec::with_capacity(m);
-            reply.extend_from_slice(&ghost[..m]);
-            if echo_out.send(reply).is_err() {
-                break;
-            }
-        }
-    });
+/// A boundary one thread writes and the other reads. The elements are
+/// relaxed atomics (plain loads and stores on every target) so the two
+/// threads may share them without `unsafe`; the hand-off's own
+/// release/acquire pair orders each write before the read it is for.
+fn boundary(len: usize) -> Arc<Vec<AtomicU64>> {
+    Arc::new((0..len).map(|_| AtomicU64::new(0)).collect())
+}
 
-    let src: Vec<f64> = (0..max_size).map(|i| i as f64 * 0.5).collect();
-    let mut ghost = vec![0.0f64; max_size];
+fn write_boundary(buf: &[AtomicU64], m: usize, round: u64) {
+    for (i, x) in buf[..m].iter().enumerate() {
+        x.store((round as f64 + i as f64 * 0.5).to_bits(), Ordering::Relaxed);
+    }
+}
+
+fn read_boundary(buf: &[AtomicU64], m: usize) -> f64 {
+    buf[..m]
+        .iter()
+        .map(|x| f64::from_bits(x.load(Ordering::Relaxed)))
+        .sum()
+}
+
+/// One-way hand-off cost per boundary size, min-filtered over repeated
+/// round trips: post, the partner's wait, and its read of the `m`
+/// elements just written — there and back, halved.
+///
+/// The echo side prepares each reply *before* it waits, as a cell
+/// computes its boundary before it posts, alternating between two
+/// buffers so the next reply is never written under the reader; only
+/// post → wait → read is on the clock.
+fn ping_pong(cfg: &CalibrationConfig) -> Result<OnlineEstimator, PipelineError> {
+    let max_size = cfg.sizes.iter().copied().max().unwrap_or(1).max(1);
+    let sizes: Vec<usize> = cfg.sizes.iter().map(|&m| m.clamp(1, max_size)).collect();
+    let rounds = cfg.warmup + cfg.iters;
+    let (ping, pong) = (Arc::new(Progress::new()), Arc::new(Progress::new()));
+    let out = boundary(max_size);
+    let back = [boundary(max_size), boundary(max_size)];
+
+    let echo = {
+        let (ping, pong, out, back, sizes) = (
+            Arc::clone(&ping),
+            Arc::clone(&pong),
+            Arc::clone(&out),
+            back.clone(),
+            sizes.clone(),
+        );
+        thread::spawn(move || {
+            let _poison = pong.poison_on_panic();
+            let mut round = 0u64;
+            let mut sum = 0.0;
+            for &m in &sizes {
+                for _ in 0..rounds {
+                    round += 1;
+                    write_boundary(&back[(round % 2) as usize], m, round);
+                    if ping.wait(round).is_err() {
+                        return;
+                    }
+                    sum += read_boundary(&out, m);
+                    pong.post(round);
+                }
+            }
+            std::hint::black_box(sum);
+        })
+    };
+
     let mut est = OnlineEstimator::new();
-    let mut result = Ok(());
-    'sizes: for &m in &cfg.sizes {
-        let m = m.clamp(1, max_size);
-        for it in 0..cfg.warmup + cfg.iters {
+    let mut round = 0u64;
+    let mut sum = 0.0;
+    let mut alive = true;
+    'sizes: for &m in &sizes {
+        for it in 0..rounds {
+            round += 1;
+            write_boundary(&out, m, round);
             let t0 = Instant::now();
-            let mut buf = Vec::with_capacity(m);
-            buf.extend_from_slice(&src[..m]); // encode
-            if let Err(e) = to_echo.send(buf).map_err(send_fail) {
-                result = Err(e);
+            ping.post(round);
+            if pong.wait(round).is_err() {
+                alive = false;
                 break 'sizes;
             }
-            let back = match from_echo.recv().map_err(recv_fail) {
-                Ok(b) => b,
-                Err(e) => {
-                    result = Err(e);
-                    break 'sizes;
-                }
-            };
-            ghost[..m].copy_from_slice(&back[..m]); // decode
+            sum += read_boundary(&back[(round % 2) as usize], m);
             let one_way = t0.elapsed().as_secs_f64() / 2.0;
             if it >= cfg.warmup {
                 est.observe(m, one_way);
             }
         }
     }
-    std::hint::black_box(&ghost);
-    drop(to_echo);
-    let _ = echo.join();
-    result.map(|()| est)
+    std::hint::black_box(sum);
+    let joined = echo.join();
+    if !alive || joined.is_err() {
+        return Err(PipelineError::Calibration(
+            "echo thread died mid-benchmark".into(),
+        ));
+    }
+    Ok(est)
 }
 
 /// Seconds per multiply-add element on this host.
@@ -189,7 +239,11 @@ mod tests {
     #[test]
     fn calibration_yields_finite_positive_constants() {
         let cal = calibrate_with(&quick()).expect("calibration runs");
-        assert!(cal.alpha.is_finite() && cal.alpha > 0.0, "alpha {}", cal.alpha);
+        assert!(
+            cal.alpha.is_finite() && cal.alpha > 0.0,
+            "alpha {}",
+            cal.alpha
+        );
         assert!(cal.beta.is_finite() && cal.beta >= 0.0, "beta {}", cal.beta);
         assert!(cal.elem_cost.is_finite() && cal.elem_cost > 0.0);
         assert!(cal.alpha_work().is_finite() && cal.alpha_work() > 0.0);
@@ -197,7 +251,10 @@ mod tests {
 
     #[test]
     fn one_size_is_rejected() {
-        let cfg = CalibrationConfig { sizes: vec![64], ..quick() };
+        let cfg = CalibrationConfig {
+            sizes: vec![64],
+            ..quick()
+        };
         let err = calibrate_with(&cfg).unwrap_err();
         assert!(matches!(err, PipelineError::Calibration(_)));
     }

@@ -5,9 +5,9 @@
 //! work. This module closes that loop twice over:
 //!
 //! * [`calibrate`] measures α, β, and the per-element compute cost *on
-//!   the running host* — ping-pong and volume microbenchmarks over the
-//!   same `mpsc` channels (including the encode/decode buffer copies)
-//!   the threaded runtime uses — and packages them as a
+//!   the running host* — a ping-pong over the same [`crate::link`]
+//!   post/wait hand-off the threaded runtime performs, each side reading
+//!   the boundary the other just wrote — and packages them as a
 //!   [`wavefront_model::CalibratedMachine`].
 //! * [`adaptive`] implements [`crate::BlockPolicy::Adaptive`]: start
 //!   from the model's optimum, run two small probe tiles, re-fit α/β

@@ -88,7 +88,7 @@ fn main() {
         .run(EngineKind::Seq)
         .expect("decomposed run");
 
-    // Real threads + channels, with the telemetry layer attached.
+    // Real threads on the shared store, with the telemetry layer attached.
     let mut trace = TraceCollector::default();
     let outcome = Session::new(&lo.program, nest)
         .procs(p)

@@ -46,6 +46,8 @@
 //!   --fill-coords name  fill an array with i*100 + j (+ k*10000)
 //!   --print name        print an array after running (repeatable)
 //!   --procs P           processors for `plan`/`trace`/`tune` (default 4)
+//!   --mesh AxB          `trace`/`timeline`: run on an A x B processor
+//!                       mesh instead of a line of --procs
 //!   --repeat N          `run`: submit each scan nest N times to a
 //!                       persistent WavefrontService; report cold vs warm
 //!                       latency and cache statistics (default 1 = off)
@@ -137,6 +139,7 @@ struct Opts {
     fill_coords: Vec<String>,
     prints: Vec<String>,
     procs: usize,
+    mesh: Option<[usize; 2]>,
     repeat: usize,
     block: BlockPolicy,
     machine: MachineParams,
@@ -188,7 +191,7 @@ fn diag(context: &str, err: impl std::fmt::Display) {
 fn usage() -> ExitCode {
     eprintln!("usage: wlc <check|run|plan|trace|timeline|tune|dag|timestep> <file.wf> [--rank N]");
     eprintln!("           [-D name=value] [--fill name=V] [--fill-coords name] [--print name]");
-    eprintln!("           [--procs P] [--repeat N]");
+    eprintln!("           [--procs P] [--mesh AxB] [--repeat N]");
     eprintln!("           [--block fixed:<b>|model1|model2|naive|probe|adaptive]");
     eprintln!("           [--machine t3e|powerchallenge]");
     eprintln!("           [--engine threads|seq|sim] [--no-kernels] [--kernel-tier T]");
@@ -250,6 +253,7 @@ fn parse_args() -> std::result::Result<Opts, ExitCode> {
         fill_coords: vec![],
         prints: vec![],
         procs: 4,
+        mesh: None,
         repeat: 1,
         block: BlockPolicy::Model2,
         machine: cray_t3e(),
@@ -309,6 +313,11 @@ fn parse_args() -> std::result::Result<Opts, ExitCode> {
                     eprintln!("wlc: --procs needs at least one processor");
                     return Err(ExitCode::from(2));
                 }
+            }
+            "--mesh" => {
+                let v = need("--mesh")?;
+                let (a, b) = v.split_once('x').ok_or_else(usage)?;
+                opts.mesh = Some([a.parse().map_err(|_| usage())?, b.parse().map_err(|_| usage())?]);
             }
             "--repeat" => opts.repeat = need("--repeat")?.parse().map_err(|_| usage())?,
             "--block" => {
@@ -1317,6 +1326,24 @@ fn write_file(path: &str, doc: &str) -> bool {
     }
 }
 
+/// The session `trace` and `timeline` run a nest through: the command
+/// line's topology (`--mesh`, else a line of `--procs`), block policy,
+/// machine and kernel tier.
+fn traced_session<'a, const R: usize>(
+    opts: &Opts,
+    lowered: &'a Lowered<R>,
+    nest: &'a CompiledNest<R>,
+) -> Session<'a, R> {
+    let session = Session::new(&lowered.program, nest);
+    match opts.mesh {
+        Some(mesh) => session.mesh(mesh),
+        None => session.procs(opts.procs),
+    }
+    .block(opts.block.clone())
+    .machine(opts.machine)
+    .kernel_mode(opts.kernel_mode)
+}
+
 /// `wlc trace`: run every scan nest through a [`Session`] with a
 /// [`TraceCollector`] attached and print each nest's execution report —
 /// per-processor timelines, message counts and bytes, the
@@ -1344,11 +1371,7 @@ fn trace<const R: usize>(
             Err(code) => return code,
         };
         let mut collector = TraceCollector::default();
-        let outcome = Session::new(&lowered.program, nest)
-            .procs(opts.procs)
-            .block(opts.block.clone())
-            .machine(opts.machine)
-            .kernel_mode(opts.kernel_mode)
+        let outcome = traced_session(opts, lowered, nest)
             .collector(&mut collector)
             .store(&mut store)
             .run(opts.engine);
@@ -1381,9 +1404,10 @@ fn trace<const R: usize>(
                     let a = analysis.map_or("null".to_string(), |a| a.to_json());
                     json_nests.push(format!(
                         "{{\"nest\": {k}, \"prep_seconds\": {}, \"run_seconds\": {}, \
-                         \"report\": {}, \"analysis\": {a}}}",
+                         \"handoff\": {}, \"report\": {}, \"analysis\": {a}}}",
                         out.prep_seconds,
                         out.run_seconds,
+                        out.handoff.map_or("null".to_string(), |h| format!("\"{h}\"")),
                         report.to_json()
                     ));
                 } else {
@@ -1392,6 +1416,9 @@ fn trace<const R: usize>(
                         "  setup: prep {:.3e} s (plan + kernel bind), run {:.3e} s",
                         out.prep_seconds, out.run_seconds
                     );
+                    if let Some(h) = out.handoff {
+                        println!("  handoff: {h}");
+                    }
                     println!("{report}");
                     if let Some(a) = analysis {
                         println!("{a}");
@@ -1451,11 +1478,7 @@ fn timeline<const R: usize>(
             Err(code) => return code,
         };
         let mut collector = TraceCollector::default();
-        let outcome = Session::new(&lowered.program, nest)
-            .procs(opts.procs)
-            .block(opts.block.clone())
-            .machine(opts.machine)
-            .kernel_mode(opts.kernel_mode)
+        let outcome = traced_session(opts, lowered, nest)
             .collector(&mut collector)
             .store(&mut store)
             .run(opts.engine);

@@ -19,7 +19,7 @@
 //! * [`model`] — the analytic Model1/Model2 performance models and the
 //!   optimal-block-size Equation (1);
 //! * [`pipeline`] — wavefront execution plans and the naive / pipelined
-//!   runtimes (simulated, sequential, and real threads + channels);
+//!   runtimes (simulated, sequential, and real threads on shared memory);
 //! * [`cache`] — the trace-driven cache simulator behind the
 //!   uniprocessor experiments;
 //! * [`kernels`] — Tomcatv, SIMPLE, SWEEP3D-style sweeps, SOR,

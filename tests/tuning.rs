@@ -175,7 +175,7 @@ fn adaptive_within_10pct_of_exhaustive_on_sweep3d_octant() {
 
 #[test]
 fn threaded_transport_calibration_is_plausible() {
-    // Regression: calibration over the threaded runtime's channels must
+    // Regression: calibration over the threaded runtime's hand-off must
     // produce finite, strictly positive α and non-negative β — the
     // constants feed a square root in Equation (1).
     let cfg = CalibrationConfig {
