@@ -38,6 +38,35 @@ pub enum Layout {
     ColMajor,
 }
 
+impl Layout {
+    /// Linear element offset of index `p` in an array over `bounds`
+    /// stored in this order.
+    ///
+    /// Panics in debug builds if `p` is out of bounds.
+    #[inline]
+    pub fn offset<const R: usize>(self, bounds: Region<R>, p: Point<R>) -> usize {
+        debug_assert!(bounds.contains(p), "index {p} out of bounds {bounds}");
+        let lo = bounds.lo();
+        let ext = bounds.extents();
+        match self {
+            Layout::RowMajor => {
+                let mut off = 0usize;
+                for k in 0..R {
+                    off = off * ext[k] as usize + (p[k] - lo[k]) as usize;
+                }
+                off
+            }
+            Layout::ColMajor => {
+                let mut off = 0usize;
+                for k in (0..R).rev() {
+                    off = off * ext[k] as usize + (p[k] - lo[k]) as usize;
+                }
+                off
+            }
+        }
+    }
+}
+
 /// A dense array of `f64` over a rectangular region.
 ///
 /// The buffer is refcounted with copy-on-write semantics: `clone` (and
@@ -176,29 +205,7 @@ impl<const R: usize> DenseArray<R> {
     /// Panics in debug builds if `p` is out of bounds.
     #[inline]
     pub fn linear_offset(&self, p: Point<R>) -> usize {
-        debug_assert!(
-            self.bounds.contains(p),
-            "index {p} out of bounds {}",
-            self.bounds
-        );
-        let lo = self.bounds.lo();
-        let ext = self.bounds.extents();
-        match self.layout {
-            Layout::RowMajor => {
-                let mut off = 0usize;
-                for k in 0..R {
-                    off = off * ext[k] as usize + (p[k] - lo[k]) as usize;
-                }
-                off
-            }
-            Layout::ColMajor => {
-                let mut off = 0usize;
-                for k in (0..R).rev() {
-                    off = off * ext[k] as usize + (p[k] - lo[k]) as usize;
-                }
-                off
-            }
-        }
+        self.layout.offset(self.bounds, p)
     }
 
     /// Read the element at `p`.

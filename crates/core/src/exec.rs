@@ -9,6 +9,9 @@
 //! `a := a@north + a@south`), the compiler falls back to snapshotting the
 //! written array — the standard array-language temporary.
 
+use std::cell::Cell;
+
+use crate::array::Layout;
 use crate::deps::{block_constraints, plain_stmt_constraints, DepConstraint};
 use crate::error::{Error, Result};
 use crate::expr::{ArrayId, EvalCtx};
@@ -173,6 +176,10 @@ struct ExecCtx<'a, const R: usize, S: AccessSink> {
 }
 
 impl<const R: usize, S: AccessSink> EvalCtx<R> for ExecCtx<'_, R, S> {
+    // `Expr::eval` calls this at every leaf; `#[inline]` keeps it
+    // inlinable when the two land in different codegen units (without
+    // it the interpreter measured 15 % slower).
+    #[inline]
     fn read(&mut self, id: ArrayId, p: Point<R>, primed: bool) -> f64 {
         // Contracted arrays live in per-iteration scalar registers (the
         // contraction analysis guarantees their reads are unshifted and
@@ -241,6 +248,67 @@ pub fn run_nest_region_with_sink<const R: usize, S: AccessSink>(
             let off = arr.linear_offset(p);
             sink.write(stmt.lhs, off);
             arr.set(p, v);
+        }
+    }
+}
+
+/// What [`run_nest_region_cells`] reads from: live cells, the pre-tile
+/// copies of buffered arrays, the per-iteration scalars of contracted
+/// ones — the rules of [`ExecCtx`], on views.
+struct CellCtx<'a, const R: usize> {
+    arrays: &'a [&'a [Cell<f64>]],
+    shapes: &'a [(Region<R>, Layout)],
+    snapshots: &'a [(ArrayId, Vec<f64>)],
+    scalars: &'a [(ArrayId, Option<f64>)],
+}
+
+impl<const R: usize> EvalCtx<R> for CellCtx<'_, R> {
+    #[inline]
+    fn read(&mut self, id: ArrayId, p: Point<R>, primed: bool) -> f64 {
+        if let Some((_, v)) = self.scalars.iter().find(|(sid, _)| *sid == id) {
+            return v.expect("contracted read before write (contraction analysis bug)");
+        }
+        let (bounds, layout) = self.shapes[id];
+        let off = layout.offset(bounds, p);
+        match self.snapshots.iter().find(|(sid, _)| !primed && *sid == id) {
+            Some((_, snap)) => snap[off],
+            None => self.arrays[id][off].get(),
+        }
+    }
+}
+
+/// [`run_nest_region_with_sink`] over a table of per-array cell views
+/// (indexed by [`ArrayId`], `shapes` giving each array's bounds and
+/// layout) instead of a store: the interpreter as a worker that shares
+/// the store with other workers runs it — see
+/// [`crate::kernel::TileKernel::run_bound_cells`]. Only the statements'
+/// left-hand arrays are ever `set`; no access is reported to a sink.
+pub fn run_nest_region_cells<const R: usize>(
+    nest: &CompiledNest<R>,
+    region: Region<R>,
+    order: &LoopStructureOrder<R>,
+    arrays: &[&[Cell<f64>]],
+    shapes: &[(Region<R>, Layout)],
+) {
+    let snapshots: Vec<(ArrayId, Vec<f64>)> = nest
+        .buffered
+        .iter()
+        .map(|&id| (id, arrays[id].iter().map(Cell::get).collect()))
+        .collect();
+    let mut scalars: Vec<(ArrayId, Option<f64>)> =
+        nest.contracted.iter().map(|&id| (id, None)).collect();
+    for p in region.iter_with(order) {
+        for stmt in &nest.stmts {
+            let v = stmt.rhs.eval(
+                p,
+                &mut CellCtx { arrays, shapes, snapshots: &snapshots, scalars: &scalars },
+            );
+            if let Some((_, slot)) = scalars.iter_mut().find(|(sid, _)| *sid == stmt.lhs) {
+                *slot = Some(v);
+                continue;
+            }
+            let (bounds, layout) = shapes[stmt.lhs];
+            arrays[stmt.lhs][layout.offset(bounds, p)].set(v);
         }
     }
 }
@@ -504,6 +572,41 @@ mod tests {
         assert_eq!(store.get(a).get(Point([2, 1])), 2.0);
         assert_eq!(store.get(a).get(Point([3, 1])), 2.0);
         assert_eq!(store.get(a).get(Point([4, 1])), 1.0);
+    }
+
+    #[test]
+    fn cell_views_run_a_region_like_the_store_does() {
+        // A primed scan on a column-major array, and the buffered
+        // fallback (its unprimed reads observe the pre-run copy).
+        let bounds = Region::rect([0, 0], [6, 5]);
+        let region = Region::rect([1, 1], [5, 4]);
+        let mut scan = Program::<2>::new();
+        let a = scan.array_with_layout("a", bounds, Layout::ColMajor);
+        let b = scan.array("b", bounds);
+        scan.stmt(
+            region,
+            a,
+            Expr::read_primed_at(a, [-1, 1]) * Expr::lit(0.5) + Expr::read_at(b, [1, 0]),
+        );
+        let mut buffered = Program::<2>::new();
+        let c = buffered.array("c", bounds);
+        buffered.stmt(region, c, Expr::read_at(c, [-1, 0]) + Expr::read_at(c, [1, 0]));
+        for p in [&scan, &buffered] {
+            let compiled = compile(p).unwrap();
+            let nest = compiled.nest(0);
+            let mut want = Store::new(p);
+            for id in 0..want.len() {
+                for q in bounds.iter() {
+                    want.get_mut(id).set(q, (q[0] * 7 + q[1] * 3 + id as i64) as f64);
+                }
+            }
+            let mut got = want.clone();
+            run_nest_region_with_sink(nest, region, &nest.structure.order, &mut want, &mut NoSink);
+            let shapes: Vec<_> = got.arrays().iter().map(|x| (x.bounds(), x.layout())).collect();
+            let views = crate::kernel::store_cells(&mut got);
+            run_nest_region_cells(nest, region, &nest.structure.order, &views, &shapes);
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -903,25 +903,27 @@ impl<const R: usize> NestRunner<R> {
         }
     }
 
-    /// [`NestRunner::run_tile`] for a compiled runner over a table of
-    /// per-array cell views (indexed by [`ArrayId`]) — see
-    /// [`TileKernel::run_bound_cells`]. The interpreter needs a
-    /// `&mut Store` and has no such form; calling this on an
-    /// interpreted runner panics.
+    /// [`NestRunner::run_tile`] over a table of per-array cell views
+    /// (indexed by [`ArrayId`]; `shapes` gives each array's bounds and
+    /// layout) — see [`TileKernel::run_bound_cells`]. Tiles run on the
+    /// kernel `bound` was made from ([`NestRunner::bind`] on the same
+    /// geometry) and on the interpreter when there is none.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_tile_cells(
         &self,
-        bound: &BoundKernel<R>,
+        nest: &CompiledNest<R>,
+        bound: Option<&BoundKernel<R>>,
         region: Region<R>,
+        order: &LoopStructureOrder<R>,
         arrays: &[&[Cell<f64>]],
+        shapes: &[(Region<R>, Layout)],
     ) {
-        match self {
-            NestRunner::Lanes(k, plan) => {
-                crate::kernel_lanes::run_lanes_cells(k, bound, plan, region, arrays)
+        match (self, bound) {
+            (NestRunner::Lanes(k, plan), Some(b)) => {
+                crate::kernel_lanes::run_lanes_cells(k, b, plan, region, arrays)
             }
-            NestRunner::Compiled(k, _) => k.run_bound_cells(bound, region, arrays),
-            NestRunner::Interpreted(_) => {
-                panic!("the interpreter runs on a store, not on cell views")
-            }
+            (NestRunner::Compiled(k, _), Some(b)) => k.run_bound_cells(b, region, arrays),
+            _ => crate::exec::run_nest_region_cells(nest, region, order, arrays, shapes),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The safety net of the in-place hand-off: a seeded chaos harness over
-//! the progress counters, the legality predicate and its fallbacks, and
-//! a worker panicking mid-wave.
+//! the progress counters, the legality predicate (every plan the planner
+//! makes passes it; a plan that fails is refused), and a worker
+//! panicking mid-wave.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,6 +15,7 @@ use crate::schedule::BlockPolicy;
 use crate::telemetry::{NoopCollector, TraceAnalysis, TraceCollector};
 use wavefront_core::exec::run_nest_with_sink;
 use wavefront_core::prelude::*;
+use wavefront_kernels::rng::SplitMix64;
 
 fn t3e() -> wavefront_machine::MachineParams {
     wavefront_machine::cray_t3e()
@@ -135,7 +137,26 @@ fn assert_same<const R: usize>(got: &Store<R>, want: &Store<R>, label: &str) {
     }
 }
 
-/// One engine run of `c` on a pool of its own.
+/// One engine run of `c` on `store`, on the caller's pool.
+#[allow(clippy::too_many_arguments)]
+fn run_on<const R: usize>(
+    workers: &WorkerPool,
+    c: &Case<R>,
+    plan: &WavefrontPlan<R>,
+    store: &mut Store<R>,
+    iters: usize,
+    rotate: &[(ArrayId, ArrayId)],
+    kernel_mode: KernelMode,
+    collector: &mut dyn Collector,
+) -> ThreadReport {
+    let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
+    let prep = Arc::new(prepare(&nest, kernel_mode));
+    execute_threaded(
+        workers, &nest, &plan, &prep, store, iters, rotate, true, collector,
+    )
+}
+
+/// One engine run of `c` from its initial store, on a pool of its own.
 fn engine<const R: usize>(
     c: &Case<R>,
     plan: &WavefrontPlan<R>,
@@ -145,11 +166,16 @@ fn engine<const R: usize>(
     collector: &mut dyn Collector,
 ) -> (Store<R>, ThreadReport) {
     let mut store = init(&c.program);
-    let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
-    let prep = Arc::new(prepare_rotated(&c.program, &nest, kernel_mode, rotate));
     let workers = WorkerPool::new();
-    let report = execute_threaded(
-        &workers, &c.program, &nest, &plan, &prep, &mut store, iters, rotate, true, collector,
+    let report = run_on(
+        &workers,
+        c,
+        plan,
+        &mut store,
+        iters,
+        rotate,
+        kernel_mode,
+        collector,
     );
     (store, report)
 }
@@ -196,6 +222,7 @@ fn chaos_run<const R: usize>(
     iters: usize,
     rotated: bool,
     skew: Skew,
+    kernel_mode: KernelMode,
 ) {
     let rotate: &[(ArrayId, ArrayId)] = if rotated {
         &[(NEXT, CURR), (CURR, NEXT)]
@@ -203,7 +230,7 @@ fn chaos_run<const R: usize>(
         &[]
     };
     let label = format!(
-        "seed {seed}: {:?} b={b} iters={iters} rotate={rotated} skew={skew:?}",
+        "seed {seed}: {:?} b={b} iters={iters} rotate={rotated} skew={skew:?} {kernel_mode:?}",
         c.topology
     );
     let traced = iters == 1 && seed.is_multiple_of(4);
@@ -231,7 +258,7 @@ fn chaos_run<const R: usize>(
                 &mut NoopCollector
             };
             let (got, report) = test_hooks::with_tile_hook(drag, || {
-                engine(&c, &plan, iters, rotate, KernelMode::Lanes, collector)
+                engine(&c, &plan, iters, rotate, kernel_mode, collector)
             });
             assert_eq!(
                 report.messages,
@@ -241,7 +268,6 @@ fn chaos_run<const R: usize>(
             (got, report, traced.then_some(trace))
         })
     });
-    assert_eq!(report.handoff, Handoff::InPlace, "{label}");
     assert_same(&got, &want, &label);
     if let Some(trace) = trace {
         // The causal-trace invariants of tests/trace_analysis.rs.
@@ -279,7 +305,10 @@ fn chaos_run<const R: usize>(
 fn chaos_seeds_never_change_a_result_or_hang() {
     // 8 placements x b x iters x rotation = 64 configurations; 256
     // seeds walk through all of them four times, skewed neither way,
-    // downstream, upstream, and neither way again.
+    // downstream, upstream, and neither way again. Every fourth seed
+    // runs on the interpreter, the choice shifted by one with each pass:
+    // each placement meets it in one of the four, with every b, sweep
+    // count and rotation.
     for seed in 0..256u64 {
         let mut pick = seed as usize;
         let mut take = |n: usize| {
@@ -292,9 +321,14 @@ fn chaos_seeds_never_change_a_result_or_hang() {
         let iters = [1, 5][take(2)];
         let rotated = take(2) == 1;
         let skew = [Skew::None, Skew::Downstream, Skew::Upstream, Skew::None][take(4)];
+        let mode = if (seed + seed / 64) % 4 == 3 {
+            KernelMode::Interpreted
+        } else {
+            KernelMode::Lanes
+        };
         match placement {
-            0 => chaos_run(seed, corner([2, 2]), b, iters, rotated, skew),
-            1 => chaos_run(seed, corner([3, 2]), b, iters, rotated, skew),
+            0 => chaos_run(seed, corner([2, 2]), b, iters, rotated, skew, mode),
+            1 => chaos_run(seed, corner([3, 2]), b, iters, rotated, skew, mode),
             2..=4 => chaos_run(
                 seed,
                 descending([2, 3, 7][placement - 2]),
@@ -302,6 +336,7 @@ fn chaos_seeds_never_change_a_result_or_hang() {
                 iters,
                 rotated,
                 skew,
+                mode,
             ),
             _ => chaos_run(
                 seed,
@@ -310,6 +345,7 @@ fn chaos_seeds_never_change_a_result_or_hang() {
                 iters,
                 rotated,
                 skew,
+                mode,
             ),
         }
     }
@@ -331,8 +367,175 @@ fn anti_nest(n: i64) -> (Program<2>, CompiledNest<2>) {
     (p, nest)
 }
 
+/// A random scan of one or two statements over `u`, `v` and a read-only
+/// `w`: each statement sums up to three reads, any array at any shift in
+/// {−2…2}^R, primed (where the language allows a prime: a shifted read
+/// of an array the scan writes) or not. `None` when the compiler refuses
+/// it.
+fn random_scan<const R: usize>(rng: &mut SplitMix64, n: i64) -> Option<Case<R>> {
+    let mut program = Program::<R>::new();
+    for name in ["u", "v", "w"] {
+        program.array(name, Region::rect([0; R], [n + 3; R]));
+    }
+    let lhs: Vec<ArrayId> = (0..1 + rng.gen_range(2))
+        .map(|_| rng.gen_range(2))
+        .collect();
+    let stmts = lhs
+        .iter()
+        .map(|&lhs_id| {
+            let mut rhs = Expr::lit(0.125);
+            for j in 0..1 + rng.gen_range(3) {
+                let id = rng.gen_range(3);
+                let mut shift = [0i64; R];
+                for s in &mut shift {
+                    // Half the components stay zero, or hardly any
+                    // nest would compile.
+                    *s = [0, 0, 0, 0, 0, -2, -1, 0, 1, 2][rng.gen_range(10)];
+                }
+                let primed = rng.gen_range(2) == 1 && lhs.contains(&id) && shift != [0; R];
+                let read = if primed {
+                    Expr::read_primed_at(id, shift)
+                } else {
+                    Expr::read_at(id, shift)
+                };
+                rhs = rhs + Expr::lit(0.25 / (j + 1) as f64) * read;
+            }
+            Statement::new(lhs_id, rhs)
+        })
+        .collect();
+    program.scan(Region::rect([2; R], [n + 1; R]), stmts);
+    let nest = compile(&program).ok()?.nest(0).clone();
+    Some(Case {
+        program,
+        nest,
+        topology: JobTopology::line(1),
+    })
+}
+
+/// Every topology the sweep plans a rank-`R` nest on: lines of two and
+/// three and meshes of 2x2 and 3x2, the planner choosing the dimensions
+/// and every forced choice.
+fn topologies<const R: usize>() -> Vec<JobTopology> {
+    let mut all = Vec::new();
+    for procs in [2, 3] {
+        all.push(JobTopology::line(procs));
+        all.extend((0..R).map(|d| JobTopology::Line {
+            procs,
+            dist_dim: Some(d),
+        }));
+    }
+    for mesh in [[2, 2], [3, 2]] {
+        all.push(JobTopology::mesh(mesh));
+        for (a, b) in (0..R).flat_map(|a| (0..R).map(move |b| (a, b))) {
+            if a != b {
+                all.push(JobTopology::Mesh {
+                    mesh,
+                    wave_dims: Some([a, b]),
+                });
+            }
+        }
+    }
+    all
+}
+
+/// The legality sweep at one rank: returns (nests compiled, plans
+/// accepted, plans run).
+fn sweep_rank<const R: usize>(seeds: u64, n: i64, workers: &WorkerPool) -> (usize, usize, usize) {
+    let (mut nests, mut plans, mut runs) = (0, 0, 0);
+    for seed in 0..seeds {
+        let mut rng = SplitMix64::new(seed);
+        let Some(mut c) = random_scan::<R>(&mut rng, n) else {
+            continue;
+        };
+        nests += 1;
+        for topology in topologies::<R>() {
+            c.topology = topology;
+            for policy in [
+                BlockPolicy::Fixed(1),
+                BlockPolicy::Fixed(3),
+                BlockPolicy::FullPortion,
+            ] {
+                let Ok(plan) = WavefrontPlan::build(&c.nest, topology, &policy, &t3e()) else {
+                    continue;
+                };
+                plans += 1;
+                let label = format!("rank {R} seed {seed}: {topology:?} {policy:?}");
+                assert!(
+                    in_place_legal(&c.nest, &plan),
+                    "{label}: the planner made a plan the engine refuses"
+                );
+                if plans % 7 != 0 {
+                    continue;
+                }
+                runs += 1;
+                let mode = [KernelMode::Lanes, KernelMode::Interpreted][runs % 2];
+                let mut store = init(&c.program);
+                run_on(
+                    workers,
+                    &c,
+                    &plan,
+                    &mut store,
+                    1,
+                    &[],
+                    mode,
+                    &mut NoopCollector,
+                );
+                assert_same(&store, &reference(&c, 1, &[]), &label);
+            }
+        }
+    }
+    (nests, plans, runs)
+}
+
+/// The property the engine's soundness rests on now that there is no
+/// second exchange: **every** plan `WavefrontPlan::build` accepts passes
+/// `in_place_legal`. Should a seed ever fail here, the fix is a typed
+/// planner refusal (`ConflictingDependences`), not another engine.
 #[test]
-fn an_anti_dependence_the_tile_order_does_not_cover_takes_the_message_path() {
+fn every_plan_the_planner_accepts_is_legal_in_place() {
+    let workers = WorkerPool::new();
+    let (n2, p2, r2) = sweep_rank::<2>(2500, 5, &workers);
+    let (n3, p3, r3) = sweep_rank::<3>(1500, 3, &workers);
+    assert!(r2 + r3 >= 2000, "plans run: {r2} + {r3}");
+    // Not vacuous: most seeds must still compile and plan (3,618 nests
+    // and 18,228 plans when written, 6,924 of them with an unprimed
+    // shifted read of a written array).
+    assert!(n2 + n3 >= 3000, "nests compiled: {n2} + {n3}");
+    assert!(p2 + p3 >= 15_000, "plans accepted: {p2} + {p3}");
+}
+
+/// `execute_threaded` on a run it must refuse: the caller sees a panic,
+/// no task was dispatched (the pool never spawned) and the store is as
+/// it was.
+fn assert_refused<const R: usize>(
+    c: &Case<R>,
+    plan: &WavefrontPlan<R>,
+    iters: usize,
+    rotate: &[(ArrayId, ArrayId)],
+    label: &str,
+) {
+    let mut store = init(&c.program);
+    let workers = WorkerPool::new();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let lanes = KernelMode::Lanes;
+        run_on(
+            &workers,
+            c,
+            plan,
+            &mut store,
+            iters,
+            rotate,
+            lanes,
+            &mut NoopCollector,
+        )
+    }));
+    assert!(outcome.is_err(), "{label}: the run was not refused");
+    assert_eq!(workers.spawn_count(), 0, "{label}: a task was dispatched");
+    assert_same(&store, &init(&c.program), label);
+}
+
+#[test]
+fn an_anti_dependence_the_tile_order_does_not_cover_is_refused() {
     let n = 12;
     let (program, nest) = anti_nest(n);
     let c = Case {
@@ -343,49 +546,27 @@ fn an_anti_dependence_the_tile_order_does_not_cover_takes_the_message_path() {
             dist_dim: Some(0),
         },
     };
-    let want = reference(&c, 1, &[]);
 
     // The planner runs the tiles from high columns to low, which puts
-    // the block holding `u@(+1, −1)` *later* on both block axes: covered,
-    // in place.
+    // the block holding `u@(+1, −1)` *later* on both block axes: covered.
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(2), &t3e()).unwrap();
     assert!(!plan.tile_ascending);
-    let (got, report) = engine(&c, &plan, 1, &[], KernelMode::Lanes, &mut NoopCollector);
-    assert_eq!(report.handoff, Handoff::InPlace);
-    assert_same(&got, &want, "descending tiles");
+    assert!(in_place_legal(&c.nest, &plan));
+    let (got, _) = engine(&c, &plan, 1, &[], KernelMode::Lanes, &mut NoopCollector);
+    assert_same(&got, &reference(&c, 1, &[]), "descending tiles");
 
     // `WavefrontPlan::build` never yields the uncovered order, so make
-    // one: the same plan with its tiles ascending. With one row per cell
-    // no row-internal dependence crosses a tile, so local copies still
-    // compute the reference — every `u@(+1, −1)` is read from a ghost
-    // row nobody overwrites — while on shared memory cell k+1 may have
-    // overwritten tile t−1 before cell k reads it for tile t.
+    // one: the same plan with its tiles ascending. On shared memory cell
+    // k+1 may have overwritten tile t−1 before cell k reads it for tile
+    // t, so the run is a caller bug and never starts.
     let mut flipped = plan.clone();
     flipped.tile_ascending = true;
     flipped.tiles.reverse();
     flipped.order.ascending[1] = true;
-    for seed in 0..8 {
-        let (c2, flipped) = (
-            Case {
-                program: c.program.clone(),
-                nest: c.nest.clone(),
-                ..c
-            },
-            flipped.clone(),
-        );
-        let (got, report) = watchdog("flipped tiles", move || {
-            chaos::with_seed(seed, || {
-                engine(&c2, &flipped, 1, &[], KernelMode::Lanes, &mut NoopCollector)
-            })
-        });
-        assert_same(&got, &want, "ascending tiles");
-        assert_eq!(
-            report.handoff,
-            Handoff::Message(MessageReason::AntiDependence)
-        );
-    }
+    assert!(!in_place_legal(&c.nest, &flipped));
+    assert_refused(&c, &flipped, 1, &[], "ascending tiles");
 
-    // The same read made pointwise, or primed-legal, stays in place.
+    // The same read made pointwise, or primed-legal, is covered.
     let mut p = Program::<2>::new();
     let u = p.array("u", Region::rect([0, 0], [n + 1, n + 1]));
     p.stmt(
@@ -405,8 +586,8 @@ fn an_anti_dependence_the_tile_order_does_not_cover_takes_the_message_path() {
         },
     };
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(2), &t3e()).unwrap();
-    let (got, report) = engine(&c, &plan, 1, &[], KernelMode::Lanes, &mut NoopCollector);
-    assert_eq!(report.handoff, Handoff::InPlace);
+    assert!(in_place_legal(&c.nest, &plan));
+    let (got, _) = engine(&c, &plan, 1, &[], KernelMode::Lanes, &mut NoopCollector);
     assert_same(&got, &reference(&c, 1, &[]), "pointwise + primed diagonal");
 }
 
@@ -424,36 +605,29 @@ fn the_mesh_twin_is_refused_by_the_planner_and_by_the_predicate() {
             rhs = rhs + Expr::read_at(u, [1, -1, 0]);
         }
         p.stmt(cells, u, rhs);
-        let nest = compile(&p).unwrap().nest(0).clone();
-        (p, nest)
+        compile(&p).unwrap().nest(0).clone()
     };
     let mesh = JobTopology::Mesh {
         mesh: [2, 2],
         wave_dims: Some([0, 1]),
     };
-    let (program, twin) = build(true);
+    let twin = build(true);
     // No mesh plan exists for it (dimension 1 is not decomposable) …
     assert!(matches!(
         WavefrontPlan::build(&twin, mesh, &BlockPolicy::Fixed(2), &t3e()).unwrap_err(),
         crate::error::PipelineError::ConflictingDependences { dim: 1 }
     ));
-    // … and were one handed in, the predicate would not run it in place.
-    let (_, plain) = build(false);
+    // … and were one handed in, the predicate would refuse it.
+    let plain = build(false);
     let plan = WavefrontPlan::build(&plain, mesh, &BlockPolicy::Fixed(2), &t3e()).unwrap();
-    let store = Store::new(&program);
-    let lanes = |nest| prepare(&program, nest, KernelMode::Lanes);
-    assert_eq!(
-        choose_handoff(&twin, &plan, &lanes(&twin), &store, &[]),
-        Handoff::Message(MessageReason::AntiDependence)
-    );
-    assert_eq!(
-        choose_handoff(&plain, &plan, &lanes(&plain), &store, &[]),
-        Handoff::InPlace
-    );
+    assert!(!in_place_legal(&twin, &plan));
+    assert!(in_place_legal(&plain, &plan));
 }
 
 #[test]
-fn a_rotation_between_layouts_takes_the_message_path() {
+fn a_rotation_between_layouts_is_refused() {
+    // `LoopSpecBuilder::build` turns such a loop away with a typed error
+    // (tests/timestep.rs); one that reaches the engine is a caller bug.
     let bounds = Region::rect([0, 0], [13, 9]);
     let mut program = Program::<2>::new();
     let next = program.array_with_layout("next", bounds, Layout::RowMajor);
@@ -469,15 +643,9 @@ fn a_rotation_between_layouts_takes_the_message_path() {
         nest,
         topology: JobTopology::line(3),
     };
-    let rotate = [(next, curr), (curr, next)];
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(3), &t3e()).unwrap();
-    let (got, report) = engine(&c, &plan, 4, &rotate, KernelMode::Lanes, &mut NoopCollector);
-    assert_eq!(
-        report.handoff,
-        Handoff::Message(MessageReason::RotationShapes)
-    );
-    assert_same(&got, &reference(&c, 4, &rotate), "mixed layouts");
-    // (With one layout the same swap runs in place: the chaos runs assert it.)
+    assert_refused(&c, &plan, 4, &[(next, curr), (curr, next)], "mixed layouts");
+    // (With one layout the same swap runs: the chaos runs assert it.)
 }
 
 #[test]
@@ -485,22 +653,18 @@ fn a_single_cell_runs_on_the_calling_thread() {
     let c = descending(1);
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(4), &t3e()).unwrap();
     let mut store = init(&c.program);
-    let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan));
-    let prep = Arc::new(prepare(&c.program, &nest, KernelMode::Lanes));
     let workers = WorkerPool::new();
-    let report = execute_threaded(
+    let lanes = KernelMode::Lanes;
+    run_on(
         &workers,
-        &c.program,
-        &nest,
+        &c,
         &plan,
-        &prep,
         &mut store,
         3,
         &[],
-        true,
+        lanes,
         &mut NoopCollector,
     );
-    assert_eq!(report.handoff, Handoff::InPlace);
     assert_eq!(workers.spawn_count(), 0, "one cell needs no pool");
     assert_same(&store, &reference(&c, 3, &[]), "p = 1");
 }
@@ -514,7 +678,7 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(1), &t3e()).unwrap();
     assert!(plan.tiles.len() > 6);
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan));
-    let prep = Arc::new(prepare(&c.program, &nest, KernelMode::Lanes));
+    let prep = Arc::new(prepare(&nest, KernelMode::Lanes));
     let workers = Arc::new(WorkerPool::new());
     let started = Arc::new(AtomicUsize::new(0));
 
@@ -541,7 +705,6 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
                 test_hooks::with_tile_hook(hook, || {
                     execute_threaded(
                         &workers,
-                        &c_program,
                         &nest,
                         &plan,
                         &prep,
@@ -581,9 +744,8 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
     // The pool's three workers survived, and serve the next run.
     assert_eq!(workers.spawn_count(), 3);
     let mut store = init(&c.program);
-    let report = execute_threaded(
+    execute_threaded(
         &workers,
-        &c.program,
         &nest,
         &plan,
         &prep,
@@ -593,7 +755,6 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
         true,
         &mut NoopCollector,
     );
-    assert_eq!(report.handoff, Handoff::InPlace);
     assert_eq!(workers.spawn_count(), 3, "no worker was lost to the panic");
     assert_same(&store, &reference(&c, 1, &[]), "the run after the panic");
 }

@@ -16,8 +16,7 @@
 //!   the decomposition;
 //! * real OS threads running their tiles in place on the shared store,
 //!   each boundary handed downstream by an atomic tile-progress counter
-//!   ([`Handoff`] says when a run fell back to copying messages) — the
-//!   stand-in for the paper's hand-pipelined MPI codes.
+//!   — the stand-in for the paper's hand-pipelined MPI codes.
 //!
 //! Block sizes come from [`schedule::BlockPolicy`]: fixed, Model1
 //! (constant-cost), Model2 (the paper's Equation (1)), naive
@@ -46,7 +45,6 @@ pub mod tune;
 
 pub use error::{AdmissionReason, PipelineError};
 pub use exec_sim::{NestSim, ProgramSim};
-pub use exec_threads::{Handoff, MessageReason};
 pub use plan::{Axis, WavefrontPlan};
 pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy, BlockSizer};
 pub use service::{

@@ -110,7 +110,7 @@ pub struct Axis {
 
 /// Read-ghost margins per array: the maximum absolute shift used on each
 /// dimension.
-pub(crate) fn read_margins<const R: usize>(nest: &CompiledNest<R>) -> Vec<[i64; R]> {
+fn read_margins<const R: usize>(nest: &CompiledNest<R>) -> Vec<[i64; R]> {
     let max_id = nest
         .stmts
         .iter()

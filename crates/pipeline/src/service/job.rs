@@ -21,7 +21,6 @@ use wavefront_core::exec::CompiledNest;
 use wavefront_core::program::{Program, Store};
 
 use crate::error::PipelineError;
-use crate::exec_threads::NestPrep;
 use crate::schedule::BlockPolicy;
 use crate::service::handle::ArrayHandle;
 use crate::service::output::{JobOutput, JobOutputs};
@@ -50,7 +49,7 @@ pub struct JobSpec<const R: usize> {
     pub(crate) handle_outputs: Vec<HandleBinding>,
     /// Set only by the loop runner: execute the nest `iters` times in
     /// one fused engine invocation (threads engine only).
-    pub(crate) loop_exec: Option<LoopExec<R>>,
+    pub(crate) loop_exec: Option<LoopExec>,
     pub(crate) trace_id: Option<u64>,
     /// Stamped by the submission doors when the spec enters the
     /// service; the origin of the job's [`JobTrace`].
@@ -70,29 +69,16 @@ pub(crate) struct HandleBinding {
 
 /// Fused multi-iteration execution parameters, attached to a chunk job
 /// by the loop runner ([`crate::service::WavefrontService::submit_loop`]).
-pub(crate) struct LoopExec<const R: usize> {
+#[derive(Clone)]
+pub(crate) struct LoopExec {
     /// Iterations to run inside one engine invocation.
     pub(crate) iters: usize,
-    /// Local-store slot rotation applied between iterations, as
-    /// resolved `(from, to)` array-id pairs (a permutation).
+    /// Slot rotation applied between iterations, as resolved
+    /// `(from, to)` array-id pairs (a permutation).
     pub(crate) rotate: Vec<(usize, usize)>,
     /// `false` inserts an inter-iteration barrier (the overlap
     /// ablation, `LoopSpecBuilder::pipelined`).
     pub(crate) pipelined: bool,
-    /// Rotation-aware kernel prep built once per loop (margins unified
-    /// across each rotation class); `None` uses the plan cache's prep.
-    pub(crate) prep: Option<Arc<NestPrep<R>>>,
-}
-
-impl<const R: usize> Clone for LoopExec<R> {
-    fn clone(&self) -> Self {
-        LoopExec {
-            iters: self.iters,
-            rotate: self.rotate.clone(),
-            pipelined: self.pipelined,
-            prep: self.prep.clone(),
-        }
-    }
 }
 
 /// Where a bound job input comes from. Produced by the conversions

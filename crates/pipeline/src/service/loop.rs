@@ -18,12 +18,16 @@
 //! *k+1*'s fill. That lifts the paper's fill/steady/drain staircase one
 //! level up: the drain of one sweep overlaps the fill of the next, and
 //! the per-iteration busy spans the engine reports quantify the overlap
-//! ([`LoopStats::overlap_seconds`]). Rotations fuse only when the
-//! rotated arrays are read pointwise (no ghost margins along any
-//! dimension — a rotated-in buffer's halo would otherwise be stale) and
-//! every rotated name is bound as an *output* handle; anything else
-//! falls back to the always-correct per-step path, as do DAG bodies
-//! and other engines.
+//! ([`LoopStats::overlap_seconds`]). The sweeps run in place on the
+//! resident buffers, and a rotation permutes each worker's table of
+//! array views. Rotations fuse only when the rotated arrays are read
+//! pointwise (a shifted read would reach a neighbour's rows before the
+//! neighbour has brought them up to the previous iteration) and every
+//! rotated name is bound as an *output* handle; anything else falls
+//! back to the always-correct per-step path, as do DAG bodies and other
+//! engines. Both names of a rotation pair must be declared with the
+//! same bounds and layout — a rotation renames buffers, it cannot
+//! reshape them — or [`LoopSpecBuilder::build`] refuses the loop.
 //!
 //! ## Equivalence guarantee
 //!
@@ -43,7 +47,7 @@ use std::thread::JoinHandle;
 use wavefront_core::array::DenseArray;
 
 use crate::error::PipelineError;
-use crate::exec_threads::{prepare_rotated, rotation_fusible};
+use crate::exec_threads::rotation_fusible;
 use crate::schedule::BlockPolicy;
 use crate::service::dag::{run_dag_real, DagSpec, SchedulerChoice};
 use crate::service::handle::{ArrayHandle, HandleTable};
@@ -333,6 +337,32 @@ impl<const R: usize> LoopSpecBuilder<R> {
                 });
             }
         }
+        // A rotation renames buffers, it never reshapes them: both names
+        // of a pair must be declared alike. (Every handle matches the
+        // declaration it is bound to — `JobSpecBuilder::build` — so the
+        // declarations of the binding jobs are the buffers' shapes.)
+        let declared = |name: &str| {
+            body_specs.iter().find_map(|s| {
+                let bound = s.handle_inputs.iter().any(|(n, _)| n == name)
+                    || s.handle_outputs.iter().any(|hb| hb.name == name);
+                let decl = &s.program.arrays()[s.program.find(name).filter(|_| bound)?];
+                Some((decl.bounds, decl.layout))
+            })
+        };
+        for (from, to) in &self.rotate {
+            if let (Some(f), Some(t)) = (declared(from), declared(to)) {
+                if f != t {
+                    return Err(PipelineError::InvalidLoop {
+                        reason: format!(
+                            "rotation moves the buffer of `{from}` ({} {:?}) into `{to}` \
+                             ({} {:?}); rotated arrays must be declared with the same \
+                             bounds and layout",
+                            f.0, f.1, t.0, t.1
+                        ),
+                    });
+                }
+            }
+        }
         // Rotation aliasing: two rotated names starting on one buffer
         // would merge their histories — a typed error, never UB.
         let mut seen: Vec<(u64, &str)> = Vec::new();
@@ -478,8 +508,8 @@ pub(crate) fn spawn_loop<const R: usize>(
 
 /// One rotation step at the assignment level:
 /// `next[to] = current[from]` for every pair; untouched names keep
-/// their ids. The engine applies the same permutation to its local
-/// slots inside fused chunks.
+/// their ids. The engine applies the same permutation to its workers'
+/// view tables inside fused chunks.
 fn rotate_assign(
     assign: &HashMap<String, u64>,
     rotate: &[(String, String)],
@@ -575,14 +605,6 @@ fn run_loop<const R: usize>(
                     })
                 });
             }
-            let prep_override = (fused && !rot_ids.is_empty()).then(|| {
-                Arc::new(prepare_rotated(
-                    &spec0.program,
-                    &spec0.nest,
-                    spec0.cfg.kernel_mode,
-                    &rot_ids,
-                ))
-            });
             let chunk_len = if until.is_some() {
                 check_every
             } else {
@@ -609,7 +631,6 @@ fn run_loop<const R: usize>(
                         iters: todo,
                         rotate: rot_ids.clone(),
                         pipelined,
-                        prep: prep_override.clone(),
                     });
                 }
                 let out = submit_on(shared, step_spec).wait()?;

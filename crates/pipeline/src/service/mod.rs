@@ -164,10 +164,10 @@ impl<const R: usize> Entry<R> {
     /// ceiling is part of the cache fingerprint, so it is constant per
     /// entry — a cached plan compiled at one tier never executes at
     /// another.
-    fn prep(&self, program: &Program<R>, kernel_mode: KernelMode) -> Arc<NestPrep<R>> {
+    fn prep(&self, kernel_mode: KernelMode) -> Arc<NestPrep<R>> {
         Arc::clone(
             self.prep
-                .get_or_init(|| Arc::new(prepare(program, &self.nest, kernel_mode))),
+                .get_or_init(|| Arc::new(prepare(&self.nest, kernel_mode))),
         )
     }
 }
@@ -326,7 +326,7 @@ impl ExecCore {
         store: Option<&mut Store<R>>,
         collector: &mut dyn Collector,
         kind: EngineKind,
-        lx: Option<&LoopExec<R>>,
+        lx: Option<&LoopExec>,
     ) -> Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> {
         debug_assert!(
             !matches!(cfg.block, BlockPolicy::Adaptive(_)),
@@ -351,7 +351,6 @@ impl ExecCore {
             run_seconds: 0.0,
             kernel_tier: None,
             kernel_fallback: None,
-            handoff: None,
         };
         let mut loop_stats = None;
         if kind == EngineKind::Sim {
@@ -364,13 +363,7 @@ impl ExecCore {
             outcome.run_seconds = run_start.elapsed().as_secs_f64();
         } else {
             let store = store.ok_or(PipelineError::MissingStore)?;
-            // Rotating loops carry their own prep (margins unified
-            // across each rotation class by `prepare_rotated`);
-            // everything else uses the cache entry's.
-            let prep = match lx.and_then(|lx| lx.prep.as_ref()) {
-                Some(p) => Arc::clone(p),
-                None => entry.prep(program, cfg.kernel_mode),
-            };
+            let prep = entry.prep(cfg.kernel_mode);
             self.count_kernel(&prep.runner);
             outcome.kernel_tier = Some(prep.runner.tier());
             outcome.kernel_fallback = prep.runner.fallback();
@@ -387,7 +380,6 @@ impl ExecCore {
                 };
                 let r = execute_threaded(
                     &self.pool,
-                    program,
                     &entry.nest,
                     plan,
                     &prep,
@@ -400,7 +392,6 @@ impl ExecCore {
                 outcome.run_seconds = run_start.elapsed().as_secs_f64();
                 outcome.makespan = r.elapsed.as_secs_f64();
                 outcome.messages = r.messages;
-                outcome.handoff = Some(r.handoff);
                 loop_stats = lx.map(|lx| overlap_stats(lx, &r.spans));
             }
         }
@@ -418,7 +409,7 @@ impl ExecCore {
 /// iteration's global start precedes its predecessor's global end. The
 /// barrier ablation yields exactly zero (every span starts after the
 /// previous iteration's last cell finished).
-fn overlap_stats<const R: usize>(lx: &LoopExec<R>, spans: &[Vec<(f64, f64)>]) -> LoopChunkStats {
+fn overlap_stats(lx: &LoopExec, spans: &[Vec<(f64, f64)>]) -> LoopChunkStats {
     let mut overlap = 0.0f64;
     let mut busy = 0.0f64;
     let mut prev_end: Option<f64> = None;

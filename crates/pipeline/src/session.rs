@@ -40,7 +40,6 @@ use wavefront_core::exec::CompiledProgram;
 
 use crate::error::PipelineError;
 use crate::exec_sim::{simulate_nest, simulate_program_fused};
-use crate::exec_threads::Handoff;
 use crate::exec_sim::{simulate_program, NestSim, ProgramSim};
 use crate::plan::{JobTopology, WavefrontPlan};
 use crate::schedule::BlockPolicy;
@@ -134,10 +133,6 @@ pub struct RunOutcome {
     /// Why the nest sits below the requested kernel-tier ceiling, when
     /// it does (see [`NestRunner::fallback`]).
     pub kernel_fallback: Option<FallbackReason>,
-    /// How boundaries crossed between cells — in place on the shared
-    /// store, or as messages between local copies and why — on the
-    /// threads engine; `None` for the engines that have no hand-off.
-    pub handoff: Option<Handoff>,
 }
 
 /// Builder bundling everything needed to plan and run one nest on a

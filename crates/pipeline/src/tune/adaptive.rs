@@ -325,7 +325,6 @@ pub(crate) fn run_session_adaptive<const R: usize>(
     let plan = s.plan()?;
     let prep_seconds = prep_start.elapsed().as_secs_f64();
     let Session {
-        program,
         nest,
         cfg: scfg,
         collector,
@@ -360,7 +359,7 @@ pub(crate) fn run_session_adaptive<const R: usize>(
             // first one spawned.
             let workers = WorkerPool::new();
             adapt_host(&plan, machine, cfg, collector, |p, c| {
-                let r = execute_plan_threaded(&workers, program, nest, p, store, c, kernel_mode);
+                let r = execute_plan_threaded(&workers, nest, p, store, c, kernel_mode);
                 (r.elapsed.as_secs_f64(), r.messages)
             })
         }
@@ -380,7 +379,6 @@ pub(crate) fn run_session_adaptive<const R: usize>(
         run_seconds: run_start.elapsed().as_secs_f64(),
         kernel_tier: None,
         kernel_fallback: None,
-        handoff: None,
     })
 }
 

@@ -55,13 +55,11 @@
 //!   --machine M         t3e | powerchallenge (default t3e)
 //!   --engine E          threads | seq | sim — runtime for `trace`/`timeline`
 //!                       (default threads)
-//!   --no-kernels        `trace`/`timeline`/`tune`: execute nests on the
-//!                       reference expression interpreter instead of the
-//!                       compiled tile kernels (same as --kernel-tier
-//!                       interpreted)
 //!   --kernel-tier T     interpreted | scalar | lanes — ceiling on the
 //!                       kernel tier nests may compile to (default lanes;
-//!                       nests that cannot reach the ceiling fall back)
+//!                       nests that cannot reach the ceiling fall back;
+//!                       `interpreted` runs the reference expression
+//!                       interpreter instead of the compiled tile kernels)
 //!   --json              emit the `trace`/`tune` report as JSON
 //!   --out FILE          `trace`: write the JSON report to FILE (implies
 //!                       --json)
@@ -194,7 +192,7 @@ fn usage() -> ExitCode {
     eprintln!("           [--procs P] [--mesh AxB] [--repeat N]");
     eprintln!("           [--block fixed:<b>|model1|model2|naive|probe|adaptive]");
     eprintln!("           [--machine t3e|powerchallenge]");
-    eprintln!("           [--engine threads|seq|sim] [--no-kernels] [--kernel-tier T]");
+    eprintln!("           [--engine threads|seq|sim] [--kernel-tier T]");
     eprintln!("           [--json] [--out FILE]");
     eprintln!("           [--strict] [--chrome FILE] [--width N]");
     eprintln!("           [--steps N] [--chains N] [--scheduler fifo|critical-path|locality]");
@@ -349,7 +347,6 @@ fn parse_args() -> std::result::Result<Opts, ExitCode> {
                     usage()
                 })?;
             }
-            "--no-kernels" => opts.kernel_mode = KernelMode::Interpreted,
             "--kernel-tier" => {
                 opts.kernel_mode = match need("--kernel-tier")?.as_str() {
                     "interpreted" => KernelMode::Interpreted,
@@ -1404,10 +1401,9 @@ fn trace<const R: usize>(
                     let a = analysis.map_or("null".to_string(), |a| a.to_json());
                     json_nests.push(format!(
                         "{{\"nest\": {k}, \"prep_seconds\": {}, \"run_seconds\": {}, \
-                         \"handoff\": {}, \"report\": {}, \"analysis\": {a}}}",
+                         \"report\": {}, \"analysis\": {a}}}",
                         out.prep_seconds,
                         out.run_seconds,
-                        out.handoff.map_or("null".to_string(), |h| format!("\"{h}\"")),
                         report.to_json()
                     ));
                 } else {
@@ -1416,9 +1412,6 @@ fn trace<const R: usize>(
                         "  setup: prep {:.3e} s (plan + kernel bind), run {:.3e} s",
                         out.prep_seconds, out.run_seconds
                     );
-                    if let Some(h) = out.handoff {
-                        println!("  handoff: {h}");
-                    }
                     println!("{report}");
                     if let Some(a) = analysis {
                         println!("{a}");

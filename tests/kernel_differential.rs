@@ -474,6 +474,82 @@ fn fallback_nests_still_run_on_every_engine() {
     }
 }
 
+/// A lowering refused for a reason no flag asks for — the Tomcatv-like
+/// scan with its temporary `r` contracted to a scalar — runs on the
+/// interpreter, in place on the shared store: a line of three and a 2x2
+/// mesh are bit-identical to Seq and say which tier ran and why.
+#[test]
+fn a_contracted_nest_runs_in_place_on_the_interpreter() {
+    let n = 12i64;
+    let bounds = Region::rect([0, 0, 0], [n, n, 4]);
+    let mut prog = Program::<3>::new();
+    let r = prog.array("r", bounds);
+    let aa = prog.array("aa", bounds);
+    let d = prog.array("d", bounds);
+    prog.scan(
+        Region::rect([1, 1, 0], [n, n, 4]),
+        vec![
+            Statement::new(r, Expr::read(aa) * Expr::read_primed_at(d, [-1, 0, 0])),
+            Statement::new(
+                d,
+                Expr::read(aa) - Expr::read(r) + Expr::lit(0.5) * Expr::read_primed_at(d, [0, -1, 0]),
+            ),
+        ],
+    );
+    let compiled = wavefront::core::contract::compile_contracted(&prog, &[]).unwrap();
+    let nest = compiled.nest(0);
+    assert_eq!(nest.contracted, vec![r]);
+    assert_eq!(
+        TileKernel::compile(nest).unwrap_err(),
+        FallbackReason::Contracted
+    );
+
+    let init = || {
+        let mut store = Store::new(&prog);
+        for id in 0..store.len() {
+            *store.get_mut(id) = DenseArray::from_fn(bounds, |q| {
+                1.0 + 0.01 * ((q[0] * 7 + q[1] * 3 + q[2] + id as i64) % 13) as f64
+            });
+        }
+        store
+    };
+    let mut reference = init();
+    run_nest_with_sink(nest, &mut reference, &mut NoSink);
+
+    for kind in [EngineKind::Seq, EngineKind::Threads] {
+        let mut line = init();
+        let on_line = Session::new(&prog, nest)
+            .procs(3)
+            .block(BlockPolicy::Fixed(2))
+            .machine(cray_t3e())
+            .store(&mut line)
+            .run(kind)
+            .unwrap();
+        let mut mesh = init();
+        let on_mesh = Session2D::new(&prog, nest)
+            .mesh([2, 2])
+            .block(BlockPolicy::Fixed(2))
+            .machine(cray_t3e())
+            .store(&mut mesh)
+            .run(kind)
+            .unwrap();
+        for (what, out, got) in [("line", on_line, line), ("mesh", on_mesh, mesh)] {
+            assert_eq!(out.kernel_tier, Some(KernelTier::Interpreted), "{kind:?} {what}");
+            assert_eq!(
+                out.kernel_fallback,
+                Some(FallbackReason::Contracted),
+                "{kind:?} {what}"
+            );
+            for id in [r, aa, d] {
+                assert!(
+                    reference.get(id).region_eq(got.get(id), bounds),
+                    "{kind:?} {what}: array {id} differs"
+                );
+            }
+        }
+    }
+}
+
 /// The acceptance gate: every nest of all five benchmark programs
 /// lowers all the way to the lane-parallel tier — no silent fallback to
 /// the scalar tape or the interpreter.

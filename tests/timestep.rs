@@ -746,6 +746,43 @@ fn misuse_draws_typed_errors() {
         .build());
     assert!(matches!(err, PipelineError::InvalidLoop { .. }), "got {err}");
 
+    // A rotation renames buffers, it cannot reshape them: a swap between
+    // arrays of different layout, or of unequal bounds, is refused by
+    // name before anything runs.
+    for (curr_bounds, curr_layout) in [
+        (Region::rect([0, 0], [13, 9]), Layout::ColMajor),
+        (Region::rect([0, 0], [13, 11]), Layout::RowMajor),
+    ] {
+        let mut prog = Program::<2>::new();
+        let next = prog.array_with_layout("next", Region::rect([0, 0], [13, 9]), Layout::RowMajor);
+        let curr = prog.array_with_layout("curr", curr_bounds, curr_layout);
+        prog.stmt(
+            Region::rect([1, 0], [13, 9]),
+            next,
+            Expr::lit(0.5) * Expr::read_primed_at(next, [-1, 0]) + Expr::read(curr),
+        );
+        let nest = Arc::new(compile(&prog).expect("compiles").nest(0).clone());
+        let prog = Arc::new(prog);
+        let h: HashMap<String, ArrayHandle<2>> = service
+            .import_store(&prog, Store::new(&prog))
+            .into_iter()
+            .collect();
+        let mixed = JobSpec::builder(Arc::clone(&prog), nest)
+            .line(3)
+            .block(BlockPolicy::Fixed(3))
+            .engine(EngineKind::Threads)
+            .output_handle("next", &h["next"])
+            .output_handle("curr", &h["curr"])
+            .build()
+            .expect("each handle matches its declaration");
+        let err = expect_err(LoopSpec::builder().job(mixed).steps(4).swap("next", "curr").build());
+        assert!(
+            matches!(&err, PipelineError::InvalidLoop { reason }
+                if reason.contains("`next`") && reason.contains("`curr`")),
+            "got {err}"
+        );
+    }
+
     // A written array left out of the handle table: state could not
     // carry across steps, so the build refuses.
     let unbound = JobSpec::builder(Arc::clone(&case.program), Arc::clone(&case.nest))
