@@ -505,24 +505,6 @@ fn run_cell<const R: usize>(
     }
 }
 
-/// [`execute_threaded`] for one sweep with the kernel prep built fresh:
-/// the convenience the adaptive tuner uses to share one pool across its
-/// probe and remainder phases. Repeated runs should go through
-/// [`crate::service::WavefrontService`], which caches the prep.
-pub(crate) fn execute_plan_threaded<const R: usize>(
-    workers: &WorkerPool,
-    nest: &CompiledNest<R>,
-    plan: &WavefrontPlan<R>,
-    store: &mut Store<R>,
-    collector: &mut dyn Collector,
-    kernel_mode: KernelMode,
-) -> ThreadReport {
-    let nest = Arc::new(nest.clone());
-    let plan = Arc::new(plan.clone());
-    let prep = Arc::new(prepare(&nest, kernel_mode));
-    execute_threaded(workers, &nest, &plan, &prep, store, 1, &[], true, collector)
-}
-
 /// The threaded engine: run `iters` whole sweeps of `nest` under `plan`
 /// on real threads inside **one** invocation, updating `store` in place
 /// and reporting telemetry to `collector`. A one-shot run is `iters =
@@ -931,7 +913,11 @@ mod tests {
         kernel_mode: KernelMode,
     ) -> ThreadReport {
         let workers = WorkerPool::new();
-        execute_plan_threaded(&workers, nest, plan, store, &mut NoopCollector, kernel_mode)
+        let nest = Arc::new(nest.clone());
+        let plan = Arc::new(plan.clone());
+        let prep = Arc::new(prepare(&nest, kernel_mode));
+        let c = &mut NoopCollector;
+        execute_threaded(&workers, &nest, &plan, &prep, store, 1, &[], true, c)
     }
 
     fn run<const R: usize>(

@@ -49,14 +49,14 @@ pub use plan::{Axis, WavefrontPlan};
 pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy, BlockSizer};
 pub use service::{
     ArrayHandle, Counter, CriticalPathScheduler, DagHandle, DagOutcome, DagSpec, DagSpecBuilder,
-    DagStats, DagView, DispatchDecision, FifoScheduler, Gauge, HistogramHandle, InputSource,
-    IntoInputSource, JobHandle, JobOutcome, JobOutput, JobOutputs, JobSpec, JobSpecBuilder,
-    JobTopology, JobTrace, LocalityScheduler, LoopChunkStats, LoopHandle, LoopOutcome, LoopSpec,
-    LoopSpecBuilder, LoopStats, LoopView, Metrics, NodeId, NodeRef, NodeResult, Scheduler,
-    SchedulerKind, ServeConfig, ServiceConfig, ServiceStats, TenantConfig, TenantStats,
-    WavefrontService, WireAllocRequest, WireClient, WireCompiler, WireDagNode, WireDagRequest,
-    WireDagResponse, WireHandle, WireLoopRequest, WireLoopResponse, WireProgram, WireRequest,
-    WireResponse, WireServer, WireTopology, DEFAULT_TENANT, PROTOCOL_VERSION,
+    DagStats, DagView, DispatchDecision, FifoScheduler, Gauge, HistogramHandle, JobHandle,
+    JobOutcome, JobOutput, JobOutputs, JobSpec, JobSpecBuilder, JobTopology, JobTrace,
+    LocalityScheduler, LoopChunkStats, LoopHandle, LoopOutcome, LoopSpec, LoopSpecBuilder,
+    LoopStats, LoopView, Metrics, NodeId, NodeRef, NodeResult, Scheduler, SchedulerKind,
+    ServeConfig, ServiceConfig, ServiceStats, TenantConfig, TenantStats, WavefrontService,
+    WireAllocRequest, WireClient, WireCompiler, WireDagNode, WireDagRequest, WireDagResponse,
+    WireHandle, WireLoopRequest, WireLoopResponse, WireProgram, WireRequest, WireResponse,
+    WireServer, WireTopology, DEFAULT_TENANT, PROTOCOL_VERSION,
 };
 pub use session::{ProgramSession, RunOutcome, Session, Session2D, SessionConfig};
 pub use telemetry::{
@@ -65,4 +65,4 @@ pub use telemetry::{
     Prediction,
     RunMeta, TraceAnalysis, TraceCollector, TraceHistograms,
 };
-pub use tune::{calibrate_host, calibrate_with, AdaptiveReport, CalibrationConfig};
+pub use tune::{calibrate_host, calibrate_with, CalibrationConfig};

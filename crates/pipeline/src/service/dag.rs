@@ -17,23 +17,25 @@
 //! ordinary tenant queues, so per-tenant admission and fair share apply
 //! to DAG nodes exactly as to plain submissions.
 //!
-//! The same `DagSpec` runs two ways:
+//! The same `DagSpec` runs two ways, through one driver (`DagRun`: the
+//! scheduler, the predecessor counts, the completion worklist that
+//! propagates dependency failures, and the stats):
 //!
-//! * **real** (seq/threads engines): nodes execute on data, one at a
-//!   time in scheduler order, and [`DagStats`] reports wall-clock
-//!   makespan, the measured critical path, and the zero-copy counters;
+//! * **real** (seq/threads engines): the picked node runs now, on
+//!   data, one at a time in scheduler order, and [`DagStats`] reports
+//!   wall-clock makespan, the measured critical path, and the
+//!   zero-copy counters;
 //! * **simulated** (every node on the sim engine): each node is probed
-//!   once for its model-units cost, then a discrete-event simulation
-//!   places nodes onto a virtual machine of [`DagSpecBuilder::sim_procs`]
+//!   once for its model-units cost, then the picked node is *placed*
+//!   onto a virtual machine of [`DagSpecBuilder::sim_procs`]
 //!   processors — contiguous blocks, preferring a predecessor's block —
-//!   and charges the machine model's message cost for every
+//!   and completes when a virtual clock reaches its finish time, with
+//!   the machine model's message cost charged for every
 //!   disjoint-placement edge. What-if scheduling at simulated scale,
 //!   with the same `Scheduler` deciding order.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Instant;
 
 use wavefront_core::array::cow_bytes_copied;
@@ -41,10 +43,10 @@ use wavefront_core::program::Store;
 use wavefront_machine::MachineParams;
 
 use crate::error::PipelineError;
-use crate::service::job::{InputBinding, InputSource, IntoInputSource, JobOutcome, JobSpec, JobTopology, SourceKind};
+use crate::service::job::{JobOutcome, JobSpec, JobTopology, Ticket};
 use crate::service::output::JobOutput;
 use crate::service::scheduler::{DagShape, DagView, NodeId, Scheduler, SchedulerKind};
-use crate::service::{install_input, panic_message, submit_on, Shared};
+use crate::service::{enqueue, install_input, spawn_runner, Shared};
 use crate::telemetry::json::JsonObj;
 use crate::telemetry::report::jstr;
 use crate::telemetry::{EngineKind, TimeUnit};
@@ -64,15 +66,7 @@ impl NodeRef {
     }
 }
 
-impl<const R: usize> IntoInputSource<R> for NodeRef {
-    fn into_source(self) -> InputSource<R> {
-        InputSource {
-            kind: SourceKind::Node(self.index),
-        }
-    }
-}
-
-/// One dependency edge, derived from a node-sourced input binding.
+/// One dependency edge, derived from an input binding.
 #[derive(Debug, Clone)]
 pub(crate) struct DagEdge {
     pub(crate) from: NodeId,
@@ -185,8 +179,8 @@ impl<const R: usize> DagSpecBuilder<R> {
         self
     }
 
-    /// Validate the graph and produce the [`DagSpec`]: every
-    /// node-sourced input must reference a node of this DAG that
+    /// Validate the graph and produce the [`DagSpec`]: every input
+    /// binding must reference a node of this DAG that
     /// publishes the named array, the graph must be acyclic
     /// ([`PipelineError::CyclicDag`] otherwise), and engines must be
     /// all-sim or all-real.
@@ -212,9 +206,7 @@ impl<const R: usize> DagSpecBuilder<R> {
         let mut edges = Vec::new();
         for (to, (label, spec)) in self.nodes.iter().enumerate() {
             for b in &spec.inputs {
-                let SourceKind::Node(from) = b.source else {
-                    continue;
-                };
+                let from = b.from;
                 if from >= n {
                     return Err(PipelineError::InvalidJob {
                         reason: format!(
@@ -455,367 +447,386 @@ impl<const R: usize> DagOutcome<R> {
     }
 }
 
-struct DagSlot<const R: usize> {
-    done: Mutex<Option<DagOutcome<R>>>,
-    ready: Condvar,
-}
-
 /// A ticket for one submitted DAG.
-pub struct DagHandle<const R: usize> {
-    slot: Arc<DagSlot<R>>,
-}
+pub struct DagHandle<const R: usize>(Arc<Ticket<DagOutcome<R>>>);
 
 impl<const R: usize> DagHandle<R> {
     /// Block until every node resolved and take the [`DagOutcome`].
     /// Node failures are carried per node, not raised here — inspect
     /// [`DagOutcome::nodes`] / [`DagOutcome::all_ok`].
     pub fn wait(self) -> DagOutcome<R> {
-        let mut done = self.slot.done.lock().unwrap();
-        loop {
-            if let Some(outcome) = done.take() {
-                return outcome;
-            }
-            done = self.slot.ready.wait(done).unwrap();
-        }
+        self.0.wait()
     }
 
     /// Whether the DAG has already completed (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.slot.done.lock().unwrap().is_some()
+        self.0.is_done()
     }
 }
 
-/// Start one DAG's runner thread; the service joins it at shutdown.
-pub(crate) fn spawn_dag<const R: usize>(
-    shared: Arc<Shared<R>>,
-    spec: DagSpec<R>,
-) -> (DagHandle<R>, JoinHandle<()>) {
-    let slot = Arc::new(DagSlot {
-        done: Mutex::new(None),
-        ready: Condvar::new(),
-    });
-    let handle = DagHandle {
-        slot: Arc::clone(&slot),
-    };
-    let runner = std::thread::spawn(move || {
-        let labels: Vec<String> = spec.nodes.iter().map(|(l, _)| l.clone()).collect();
-        let dag_id = shared.next_dag_id();
-        let sim = spec.sim;
-        let outcome = match catch_unwind(AssertUnwindSafe(|| {
-            if sim {
-                run_dag_sim(&shared, spec, dag_id)
-            } else {
-                run_dag_real(&shared, spec, dag_id)
+/// Start one DAG's runner thread (see [`spawn_runner`]). If the runner
+/// itself panics (scheduler bug, internal error), every node still open
+/// fails typed with the panic; the handle never hangs.
+pub(crate) fn spawn_dag<const R: usize>(shared: &Arc<Shared<R>>, spec: DagSpec<R>) -> DagHandle<R> {
+    let (run, work) = DagRun::new(shared.next_dag_id(), spec);
+    DagHandle(spawn_runner(
+        shared,
+        run,
+        move |shared, run| work.drive(shared, run),
+        |shared, mut run, ran| {
+            if let Err(e) = ran {
+                run.fail_rest(e);
             }
-        })) {
-            Ok(o) => o,
-            Err(payload) => {
-                // The runner itself panicked (scheduler bug, internal
-                // error): fail every node typed, never hang the handle.
-                let e = PipelineError::EnginePanic(panic_message(&payload));
-                DagOutcome {
-                    stats: DagStats {
-                        dag_id,
-                        scheduler: "unknown".into(),
-                        nodes: labels.len(),
-                        edges: 0,
-                        makespan: 0.0,
-                        time_unit: if sim { TimeUnit::ModelUnits } else { TimeUnit::Seconds },
-                        serial_time: 0.0,
-                        critical_path: Vec::new(),
-                        critical_path_time: 0.0,
-                        decisions: Vec::new(),
-                        bytes_shared: 0,
-                        cow_bytes_copied: 0,
-                        transfers: 0,
-                        failed: labels.len(),
-                    },
-                    nodes: labels
-                        .into_iter()
-                        .map(|label| NodeResult {
-                            label,
-                            result: Err(e.clone()),
-                        })
-                        .collect(),
-                }
-            }
-        };
-        shared.record_dag_stats(outcome.stats.clone());
-        let mut done = slot.done.lock().unwrap();
-        *done = Some(outcome);
-        slot.ready.notify_all();
-    });
-    (handle, runner)
+            let outcome = run.into_outcome();
+            shared.record_dag_stats(outcome.stats.clone());
+            outcome
+        },
+    ))
 }
 
-/// Move the node-sourced inputs of `spec` from their edge slots into
-/// its store (refcounted, zero-copy), then run it through the shared
-/// submission path and wait. The outcome carries no store (results flow
-/// through published outputs only), so chaining stays zero-copy by
-/// construction.
+/// Run one DAG to completion on the calling thread: the loop runner's
+/// per-step body executor.
+pub(crate) fn run_dag<const R: usize>(
+    shared: &Shared<R>,
+    spec: DagSpec<R>,
+    dag_id: u64,
+) -> DagOutcome<R> {
+    let (mut run, work) = DagRun::new(dag_id, spec);
+    work.drive(shared, &mut run);
+    run.into_outcome()
+}
+
+/// The one DAG driver, shared by real and simulated execution: the
+/// shape, the scheduler and its contract, predecessor counting, the
+/// completion worklist, and the stats. A mode decides only what
+/// "dispatch the picked node" means — run it now, or place it on a
+/// virtual machine and complete it when a virtual clock says so.
+struct DagRun<const R: usize> {
+    shape: DagShape,
+    sched: Box<dyn Scheduler>,
+    /// Unresolved predecessors per node.
+    pending: Vec<usize>,
+    dispatched: Vec<bool>,
+    results: Vec<Option<Result<JobOutcome<R>, PipelineError>>>,
+    /// Completion tick per node, the scheduler's recency signal.
+    done_at: Vec<Option<u64>>,
+    tick: u64,
+    /// Measured duration per node (0 for a node that failed or never
+    /// ran).
+    durations: Vec<f64>,
+    /// Filled as the run goes: decisions by [`DagRun::decide`], the
+    /// mode's totals by its driver, the rest by
+    /// [`DagRun::into_outcome`].
+    stats: DagStats,
+}
+
+/// What is left of a [`DagSpec`] once its shape and scheduler moved into
+/// the [`DagRun`]: the jobs to execute.
+struct DagWork<const R: usize> {
+    nodes: Vec<JobSpec<R>>,
+    edges: Vec<DagEdge>,
+    sim_procs: Option<usize>,
+    sim: bool,
+}
+
+impl<const R: usize> DagWork<R> {
+    fn drive(self, shared: &Shared<R>, run: &mut DagRun<R>) {
+        run.start();
+        if self.sim {
+            drive_sim(shared, run, self.nodes, self.sim_procs);
+        } else {
+            drive_real(shared, run, self.nodes, &self.edges);
+        }
+    }
+}
+
+impl<const R: usize> DagRun<R> {
+    fn new(dag_id: u64, spec: DagSpec<R>) -> (Self, DagWork<R>) {
+        let DagSpec {
+            nodes,
+            edges,
+            scheduler,
+            sim_procs,
+            sim,
+        } = spec;
+        let n = nodes.len();
+        let cost = nodes
+            .iter()
+            .map(|(_, s)| s.nest.region.len() as f64)
+            .collect();
+        let (labels, nodes): (Vec<String>, Vec<JobSpec<R>>) = nodes.into_iter().unzip();
+        let shape_edges: Vec<(NodeId, NodeId, u64)> =
+            edges.iter().map(|e| (e.from, e.to, e.elems)).collect();
+        let shape = DagShape::new(labels, cost, &shape_edges);
+        let run = DagRun {
+            sched: match scheduler {
+                SchedulerChoice::Kind(k) => k.instantiate(),
+                SchedulerChoice::Custom(b) => b,
+            },
+            pending: shape.preds.iter().map(Vec::len).collect(),
+            dispatched: vec![false; n],
+            results: (0..n).map(|_| None).collect(),
+            done_at: vec![None; n],
+            tick: 0,
+            durations: vec![0.0; n],
+            stats: DagStats {
+                dag_id,
+                // Named by `start`, inside the runner's panic guard.
+                scheduler: "unknown".into(),
+                nodes: n,
+                edges: edges.len(),
+                makespan: 0.0,
+                time_unit: if sim {
+                    TimeUnit::ModelUnits
+                } else {
+                    TimeUnit::Seconds
+                },
+                serial_time: 0.0,
+                critical_path: Vec::new(),
+                critical_path_time: 0.0,
+                decisions: Vec::new(),
+                bytes_shared: 0,
+                cow_bytes_copied: 0,
+                transfers: 0,
+                failed: 0,
+            },
+            shape,
+        };
+        let work = DagWork {
+            nodes,
+            edges,
+            sim_procs,
+            sim,
+        };
+        (run, work)
+    }
+
+    /// Name the policy and announce the entry nodes to it.
+    fn start(&mut self) {
+        self.stats.scheduler = self.sched.name().to_string();
+        let view = DagView {
+            shape: &self.shape,
+            done_at: &self.done_at,
+        };
+        for v in (0..self.pending.len()).filter(|&v| self.pending[v] == 0) {
+            self.sched.on_job_ready(v, &view);
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.results.iter().all(Option::is_some)
+    }
+
+    /// The next node to dispatch, in the scheduler's order. Guards the
+    /// contract (no repeats, only ready nodes) and falls back to a scan,
+    /// so a buggy custom scheduler cannot wedge the runner. `None` while
+    /// nothing is ready.
+    fn next(&mut self) -> Option<NodeId> {
+        let view = DagView {
+            shape: &self.shape,
+            done_at: &self.done_at,
+        };
+        let ok =
+            |v: NodeId| !self.dispatched[v] && self.pending[v] == 0 && self.results[v].is_none();
+        let mut pick = None;
+        while let Some(v) = self.sched.next_job(&view) {
+            if ok(v) {
+                pick = Some(v);
+                break;
+            }
+        }
+        let v = pick.or_else(|| (0..self.pending.len()).find(|&v| ok(v)))?;
+        self.dispatched[v] = true;
+        Some(v)
+    }
+
+    /// Record the dispatch of `v` (`placement` is the simulated block).
+    fn decide(&mut self, v: NodeId, placement: Option<(usize, usize)>, transfer_elems: u64) {
+        self.stats.decisions.push(DispatchDecision {
+            order: self.stats.decisions.len(),
+            node: v,
+            label: self.shape.labels[v].clone(),
+            placement,
+            transfer_elems,
+        });
+    }
+
+    /// Resolve `v` with `res`, then everything that resolves with it:
+    /// the one completion worklist. A successor whose last predecessor
+    /// just resolved becomes ready — or, if any predecessor failed,
+    /// fails with [`PipelineError::DependencyFailed`] without running,
+    /// which may in turn resolve its own successors.
+    fn complete(&mut self, v: NodeId, res: Result<JobOutcome<R>, PipelineError>) {
+        let mut work = vec![(v, res)];
+        while let Some((u, res)) = work.pop() {
+            self.durations[u] = res.as_ref().map_or(0.0, |o| o.outcome.makespan);
+            self.results[u] = Some(res);
+            self.done_at[u] = Some(self.tick);
+            self.tick += 1;
+            let view = DagView {
+                shape: &self.shape,
+                done_at: &self.done_at,
+            };
+            self.sched.on_job_done(u, &view);
+            for &s in &self.shape.succs[u] {
+                self.pending[s] -= 1;
+                if self.pending[s] > 0 || self.results[s].is_some() {
+                    continue;
+                }
+                let failed_pred = self.shape.preds[s].iter().find_map(|&(p, _)| {
+                    match &self.results[p] {
+                        Some(Err(e)) => Some((p, e.clone())),
+                        _ => None,
+                    }
+                });
+                match failed_pred {
+                    Some((p, e)) => work.push((
+                        s,
+                        Err(PipelineError::DependencyFailed {
+                            producer: self.shape.labels[p].clone(),
+                            error: Box::new(e),
+                        }),
+                    )),
+                    None => self.sched.on_job_ready(s, &view),
+                }
+            }
+        }
+    }
+
+    /// Resolve every node still open to `e`: how a run that cannot go on
+    /// (a panicked runner, broken bookkeeping) still ends with every
+    /// node accounted for. Calls no scheduler hook.
+    fn fail_rest(&mut self, e: PipelineError) {
+        for r in self.results.iter_mut().filter(|r| r.is_none()) {
+            *r = Some(Err(e.clone()));
+        }
+    }
+
+    fn into_outcome(self) -> DagOutcome<R> {
+        let mut stats = self.stats;
+        (stats.critical_path, stats.critical_path_time) =
+            measured_critical_path(&self.shape, &self.done_at, &self.durations);
+        stats.serial_time = self.durations.iter().sum();
+        stats.failed = self
+            .results
+            .iter()
+            .filter(|r| matches!(r, Some(Err(_))))
+            .count();
+        DagOutcome {
+            nodes: self
+                .shape
+                .labels
+                .into_iter()
+                .zip(self.results)
+                .map(|(label, r)| NodeResult {
+                    label,
+                    result: r.expect("every node resolved"),
+                })
+                .collect(),
+            stats,
+        }
+    }
+}
+
+/// Fail what is left of a run whose driver found nothing to dispatch and
+/// nothing in flight: every open node waits on a predecessor, which is
+/// impossible in an acyclic graph unless bookkeeping broke.
+fn fail_stuck<const R: usize>(run: &mut DagRun<R>) {
+    run.fail_rest(PipelineError::InvalidJob {
+        reason: "internal: the dag is unfinished but no node can be dispatched".into(),
+    });
+}
+
+/// Real execution: the picked node runs now. One node at a time, in
+/// scheduler order, chaining outputs refcounted.
+fn drive_real<const R: usize>(
+    shared: &Shared<R>,
+    run: &mut DagRun<R>,
+    nodes: Vec<JobSpec<R>>,
+    edges: &[DagEdge],
+) {
+    let mut specs: Vec<Option<JobSpec<R>>> = nodes.into_iter().map(Some).collect();
+    let mut edge_out: Vec<Option<JobOutput<R>>> = edges.iter().map(|_| None).collect();
+    let cow0 = cow_bytes_copied();
+    let wall0 = Instant::now();
+    while !run.finished() {
+        let Some(v) = run.next() else {
+            fail_stuck(run);
+            break;
+        };
+        let spec = specs[v].take().expect("dispatched node still has its spec");
+        let mut transfer_elems = 0u64;
+        let mut result =
+            resolve_and_run(shared, spec, v, edges, &mut edge_out, &mut transfer_elems);
+        run.stats.bytes_shared += transfer_elems * 8;
+        run.decide(v, None, transfer_elems);
+        if let Ok(outc) = result.as_mut() {
+            publish_outputs(outc, v, edges, &mut edge_out);
+        }
+        run.complete(v, result);
+    }
+    run.stats.makespan = wall0.elapsed().as_secs_f64();
+    run.stats.cow_bytes_copied = cow_bytes_copied() - cow0;
+}
+
+/// Move the inputs of `spec` from their edge slots into its store
+/// (refcounted, zero-copy), then run it through the admission door and
+/// wait. The outcome carries no store (results flow through published
+/// outputs only), so chaining stays zero-copy by construction.
 fn resolve_and_run<const R: usize>(
     shared: &Shared<R>,
     mut spec: JobSpec<R>,
     v: NodeId,
     edges: &[DagEdge],
     edge_out: &mut [Option<JobOutput<R>>],
-    bytes_shared: &mut u64,
     transfer_elems: &mut u64,
 ) -> Result<JobOutcome<R>, PipelineError> {
-    let mut rest = Vec::new();
-    let mut node_bound = Vec::new();
-    for b in spec.inputs.drain(..) {
-        match b.source {
-            SourceKind::Node(p) => node_bound.push((p, b.name)),
-            source => rest.push(InputBinding {
-                source,
-                name: b.name,
-            }),
-        }
-    }
-    spec.inputs = rest;
     let program = Arc::clone(&spec.program);
-    for (p, name) in node_bound {
+    for b in std::mem::take(&mut spec.inputs) {
         let ei = edges
             .iter()
-            .position(|e| e.from == p && e.to == v && e.name == name)
+            .position(|e| e.from == b.from && e.to == v && e.name == b.name)
             .expect("edge was derived from this binding at build");
         let out = edge_out[ei].take().ok_or_else(|| PipelineError::InvalidJob {
-            reason: format!("internal: output `{name}` of node {p} was not published"),
+            reason: format!(
+                "internal: output `{}` of node {} was not published",
+                b.name, b.from
+            ),
         })?;
         let st = spec.store.get_or_insert_with(|| Store::new(&program));
-        install_input(st, &program, &out, &name)?;
-        *bytes_shared += (out.len() * 8) as u64;
+        install_input(st, &program, &out, &b.name)?;
         *transfer_elems += out.len() as u64;
         // `out` drops here: the consumer's store now holds the only
         // DAG-side reference, so its writes stay copy-free.
     }
-    submit_on(shared, spec).wait()
+    enqueue(shared, spec, true).wait()
 }
 
-/// Ask the scheduler for the next node, guarding the contract (no
-/// repeats, only ready nodes); falls back to a scan so a buggy custom
-/// scheduler cannot wedge the runner.
-fn pick_next(
-    sched: &mut dyn Scheduler,
-    view: &DagView<'_>,
-    dispatched: &[bool],
-    pending: &[usize],
-    resolved: &[bool],
-) -> Option<NodeId> {
-    let ok = |v: NodeId| !dispatched[v] && pending[v] == 0 && !resolved[v];
-    while let Some(v) = sched.next_job(view) {
-        if ok(v) {
-            return Some(v);
+/// Publish node `v`'s outputs onto its outgoing edges: *taken* from the
+/// outcome (not cloned) so each buffer has exactly one DAG-side owner.
+fn publish_outputs<const R: usize>(
+    outc: &mut JobOutcome<R>,
+    v: NodeId,
+    edges: &[DagEdge],
+    edge_out: &mut [Option<JobOutput<R>>],
+) {
+    let mut taken: Vec<JobOutput<R>> = Vec::new();
+    for (ei, e) in edges.iter().enumerate() {
+        if e.from != v {
+            continue;
         }
-    }
-    (0..dispatched.len()).find(|&v| ok(v))
-}
-
-/// Execute the DAG on real engines: one node at a time, in scheduler
-/// order, chaining outputs refcounted. Also the loop runner's per-step
-/// body executor, hence `pub(crate)`.
-pub(crate) fn run_dag_real<const R: usize>(
-    shared: &Arc<Shared<R>>,
-    spec: DagSpec<R>,
-    dag_id: u64,
-) -> DagOutcome<R> {
-    let DagSpec {
-        nodes,
-        edges,
-        scheduler,
-        ..
-    } = spec;
-    let n = nodes.len();
-    let labels: Vec<String> = nodes.iter().map(|(l, _)| l.clone()).collect();
-    let cost: Vec<f64> = nodes
-        .iter()
-        .map(|(_, s)| s.nest.region.len() as f64)
-        .collect();
-    let shape_edges: Vec<(NodeId, NodeId, u64)> =
-        edges.iter().map(|e| (e.from, e.to, e.elems)).collect();
-    let shape = DagShape::new(labels.clone(), cost, &shape_edges);
-    let mut sched: Box<dyn Scheduler> = match scheduler {
-        SchedulerChoice::Kind(k) => k.instantiate(),
-        SchedulerChoice::Custom(b) => b,
-    };
-    let sched_name = sched.name().to_string();
-
-    let mut specs: Vec<Option<JobSpec<R>>> = nodes.into_iter().map(|(_, s)| Some(s)).collect();
-    let mut results: Vec<Option<Result<JobOutcome<R>, PipelineError>>> =
-        (0..n).map(|_| None).collect();
-    let mut edge_out: Vec<Option<JobOutput<R>>> = (0..edges.len()).map(|_| None).collect();
-    let mut done_at: Vec<Option<u64>> = vec![None; n];
-    let mut durations = vec![0.0f64; n];
-    let mut pending: Vec<usize> = shape.preds.iter().map(Vec::len).collect();
-    let mut dispatched = vec![false; n];
-    let mut decisions = Vec::new();
-    let mut bytes_shared = 0u64;
-    let mut tick = 0u64;
-    let mut completed = 0usize;
-    let cow0 = cow_bytes_copied();
-    let wall0 = Instant::now();
-
-    {
-        let view = DagView {
-            shape: &shape,
-            done_at: &done_at,
-        };
-        for v in 0..n {
-            if pending[v] == 0 {
-                sched.on_job_ready(v, &view);
-            }
-        }
-    }
-
-    while completed < n {
-        let pick = {
-            let view = DagView {
-                shape: &shape,
-                done_at: &done_at,
+        let out = if let Some(prev) = taken.iter().find(|o| o.name() == e.name) {
+            prev.clone()
+        } else {
+            let Some(o) = outc.outputs.take(&e.name) else {
+                continue; // validated at build; defensive
             };
-            let resolved: Vec<bool> = results.iter().map(Option::is_some).collect();
-            pick_next(sched.as_mut(), &view, &dispatched, &pending, &resolved)
+            if edges.iter().filter(|e2| e2.from == v && e2.name == e.name).count() > 1 {
+                taken.push(o.clone());
+            }
+            o
         };
-        let Some(v) = pick else {
-            // No dispatchable node but the DAG is not done: every
-            // remaining node waits on a predecessor — impossible in an
-            // acyclic graph unless bookkeeping broke. Fail what is left.
-            for (u, r) in results.iter_mut().enumerate() {
-                if r.is_none() {
-                    *r = Some(Err(PipelineError::InvalidJob {
-                        reason: format!("internal: node `{}` was never dispatched", labels[u]),
-                    }));
-                }
-            }
-            break;
-        };
-        dispatched[v] = true;
-        let spec_v = specs[v].take().expect("dispatched node still has its spec");
-        let mut transfer_elems = 0u64;
-        let mut result = resolve_and_run(
-            shared,
-            spec_v,
-            v,
-            &edges,
-            &mut edge_out,
-            &mut bytes_shared,
-            &mut transfer_elems,
-        );
-        decisions.push(DispatchDecision {
-            order: decisions.len(),
-            node: v,
-            label: labels[v].clone(),
-            placement: None,
-            transfer_elems,
-        });
-        if let Ok(outc) = result.as_mut() {
-            // Publish this node's outputs onto its outgoing edges:
-            // *taken* from the outcome (not cloned) so each buffer has
-            // exactly one DAG-side owner.
-            let mut taken: Vec<JobOutput<R>> = Vec::new();
-            for (ei, e) in edges.iter().enumerate() {
-                if e.from != v {
-                    continue;
-                }
-                let out = if let Some(prev) = taken.iter().find(|o| o.name() == e.name) {
-                    prev.clone()
-                } else {
-                    let Some(o) = outc.outputs.take(&e.name) else {
-                        continue; // validated at build; defensive
-                    };
-                    if edges.iter().filter(|e2| e2.from == v && e2.name == e.name).count() > 1 {
-                        taken.push(o.clone());
-                    }
-                    o
-                };
-                edge_out[ei] = Some(out);
-            }
-        }
-
-        // Completion worklist: the node itself, then the transitive
-        // dependency failures it may cause.
-        let mut work: Vec<(NodeId, Result<JobOutcome<R>, PipelineError>)> = vec![(v, result)];
-        while let Some((u, res)) = work.pop() {
-            durations[u] = match &res {
-                Ok(o) => o.outcome.makespan,
-                Err(_) => 0.0,
-            };
-            results[u] = Some(res);
-            done_at[u] = Some(tick);
-            tick += 1;
-            completed += 1;
-            {
-                let view = DagView {
-                    shape: &shape,
-                    done_at: &done_at,
-                };
-                sched.on_job_done(u, &view);
-            }
-            for &s in &shape.succs[u] {
-                pending[s] -= 1;
-                if pending[s] == 0 && results[s].is_none() {
-                    let failed_pred = shape.preds[s]
-                        .iter()
-                        .find(|&&(p, _)| matches!(results[p], Some(Err(_))))
-                        .map(|&(p, _)| p);
-                    if let Some(p) = failed_pred {
-                        let e = match &results[p] {
-                            Some(Err(e)) => e.clone(),
-                            _ => unreachable!("failed_pred found an Err"),
-                        };
-                        work.push((
-                            s,
-                            Err(PipelineError::DependencyFailed {
-                                producer: labels[p].clone(),
-                                error: Box::new(e),
-                            }),
-                        ));
-                    } else {
-                        let view = DagView {
-                            shape: &shape,
-                            done_at: &done_at,
-                        };
-                        sched.on_job_ready(s, &view);
-                    }
-                }
-            }
-        }
-    }
-
-    let makespan = wall0.elapsed().as_secs_f64();
-    let (critical_path, critical_path_time) =
-        measured_critical_path(&shape, &done_at, &durations, &labels);
-    let failed = results
-        .iter()
-        .filter(|r| matches!(r, Some(Err(_))))
-        .count();
-    let stats = DagStats {
-        dag_id,
-        scheduler: sched_name,
-        nodes: n,
-        edges: edges.len(),
-        makespan,
-        time_unit: TimeUnit::Seconds,
-        serial_time: durations.iter().sum(),
-        critical_path,
-        critical_path_time,
-        decisions,
-        bytes_shared,
-        cow_bytes_copied: cow_bytes_copied() - cow0,
-        transfers: 0,
-        failed,
-    };
-    DagOutcome {
-        nodes: labels
-            .into_iter()
-            .zip(results)
-            .map(|(label, r)| NodeResult {
-                label,
-                result: r.expect("every node resolved"),
-            })
-            .collect(),
-        stats,
+        edge_out[ei] = Some(out);
     }
 }
 
@@ -826,9 +837,8 @@ fn measured_critical_path(
     shape: &DagShape,
     done_at: &[Option<u64>],
     durations: &[f64],
-    labels: &[String],
 ) -> (Vec<String>, f64) {
-    let n = labels.len();
+    let n = durations.len();
     if n == 0 {
         return (Vec::new(), 0.0);
     }
@@ -853,7 +863,7 @@ fn measured_critical_path(
     }
     path.reverse();
     (
-        path.iter().map(|&v| labels[v].clone()).collect(),
+        path.iter().map(|&v| shape.labels[v].clone()).collect(),
         dist[end],
     )
 }
@@ -870,57 +880,33 @@ fn find_block(free: &[bool], len: usize, prefer: Option<usize>) -> Option<usize>
     (0..=free.len() - len).find(|&s| fits(s))
 }
 
-/// What-if mode: probe each node's model-units cost through the sim
-/// engine, then discrete-event-simulate the DAG on a virtual machine,
-/// charging the machine model's message cost whenever an edge crosses
-/// disjoint processor blocks. The same [`Scheduler`] orders dispatch.
-fn run_dag_sim<const R: usize>(
-    shared: &Arc<Shared<R>>,
-    spec: DagSpec<R>,
-    dag_id: u64,
-) -> DagOutcome<R> {
-    let DagSpec {
-        nodes,
-        edges,
-        scheduler,
-        sim_procs,
-        ..
-    } = spec;
-    let n = nodes.len();
-    let labels: Vec<String> = nodes.iter().map(|(l, _)| l.clone()).collect();
-    let cost: Vec<f64> = nodes
-        .iter()
-        .map(|(_, s)| s.nest.region.len() as f64)
-        .collect();
+/// What-if execution: probe each node's model-units cost through the sim
+/// engine, then place the picked node on a virtual machine and complete
+/// it when the virtual clock reaches its finish, charging the machine
+/// model's message cost whenever an edge crosses disjoint processor
+/// blocks. Only the placement and the clock live here; order, readiness
+/// and failure propagation are the [`DagRun`]'s.
+fn drive_sim<const R: usize>(
+    shared: &Shared<R>,
+    run: &mut DagRun<R>,
+    nodes: Vec<JobSpec<R>>,
+    sim_procs: Option<usize>,
+) {
     let procs_of: Vec<usize> = nodes
         .iter()
-        .map(|(_, s)| match s.topology {
+        .map(|s| match s.topology {
             JobTopology::Line { procs, .. } => procs,
             JobTopology::Mesh { mesh, .. } => mesh[0] * mesh[1],
         })
         .collect();
-    let machine_of: Vec<MachineParams> = nodes.iter().map(|(_, s)| s.cfg.machine).collect();
-    let shape_edges: Vec<(NodeId, NodeId, u64)> =
-        edges.iter().map(|e| (e.from, e.to, e.elems)).collect();
-    let shape = DagShape::new(labels.clone(), cost, &shape_edges);
-    let mut sched: Box<dyn Scheduler> = match scheduler {
-        SchedulerChoice::Kind(k) => k.instantiate(),
-        SchedulerChoice::Custom(b) => b,
-    };
-    let sched_name = sched.name().to_string();
-
+    let machine_of: Vec<MachineParams> = nodes.iter().map(|s| s.cfg.machine).collect();
     // Probe every node once for its model-units makespan. Node inputs
     // carry no data on the sim engine, so the probes are independent.
-    let mut probes: Vec<Option<Result<JobOutcome<R>, PipelineError>>> = Vec::with_capacity(n);
-    for (_, mut s) in nodes {
-        s.inputs.clear();
-        probes.push(Some(submit_on(shared, s).wait()));
-    }
-    let durations: Vec<f64> = probes
-        .iter()
-        .map(|r| match r {
-            Some(Ok(o)) => o.outcome.makespan,
-            _ => 0.0,
+    let mut probes: Vec<Option<Result<JobOutcome<R>, PipelineError>>> = nodes
+        .into_iter()
+        .map(|mut s| {
+            s.inputs.clear();
+            Some(enqueue(shared, s, true).wait())
         })
         .collect();
 
@@ -928,120 +914,56 @@ fn run_dag_sim<const R: usize>(
         .unwrap_or_else(|| procs_of.iter().copied().max().unwrap_or(1))
         .max(1);
     let mut free = vec![true; p_total];
-    let mut block_of: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut block_of: Vec<Option<(usize, usize)>> = vec![None; procs_of.len()];
     // Nodes running on the virtual machine: (finish clock, node).
     let mut running: Vec<(f64, NodeId)> = Vec::new();
-    let mut pending_place: VecDeque<NodeId> = VecDeque::new();
+    // A node granted its dispatch slot that found no free block yet.
+    let mut waiting: Option<NodeId> = None;
     let mut clock = 0.0f64;
-    let mut transfers = 0u64;
 
-    let mut results: Vec<Option<Result<JobOutcome<R>, PipelineError>>> =
-        (0..n).map(|_| None).collect();
-    let mut done_at: Vec<Option<u64>> = vec![None; n];
-    let mut pending: Vec<usize> = shape.preds.iter().map(Vec::len).collect();
-    let mut dispatched = vec![false; n];
-    let mut decisions = Vec::new();
-    let mut tick = 0u64;
-    let mut completed = 0usize;
-
-    {
-        let view = DagView {
-            shape: &shape,
-            done_at: &done_at,
-        };
-        for v in 0..n {
-            if pending[v] == 0 {
-                sched.on_job_ready(v, &view);
-            }
-        }
-    }
-
-    while completed < n {
-        // Place nodes until nothing fits (pending head first — it was
-        // already granted its dispatch slot).
-        loop {
-            let (v, from_pending) = if let Some(&head) = pending_place.front() {
-                (head, true)
-            } else {
-                let view = DagView {
-                    shape: &shape,
-                    done_at: &done_at,
-                };
-                let resolved: Vec<bool> = results.iter().map(Option::is_some).collect();
-                match pick_next(sched.as_mut(), &view, &dispatched, &pending, &resolved) {
-                    Some(v) => {
-                        dispatched[v] = true;
-                        (v, false)
-                    }
-                    None => break,
+    while !run.finished() {
+        // Place nodes until nothing fits (the waiting one first).
+        while let Some(v) = waiting.take().or_else(|| run.next()) {
+            // A node whose probe failed completes at once, placed
+            // nowhere; the worklist fails its successors.
+            let duration = match &probes[v] {
+                Some(Ok(probe)) => probe.outcome.makespan,
+                _ => {
+                    let res = probes[v].take().expect("probe result present");
+                    run.complete(v, res);
+                    continue;
                 }
             };
-            // A node whose probe failed completes immediately (its
-            // successors fail with DependencyFailed below).
-            if matches!(probes[v], Some(Err(_))) {
-                if from_pending {
-                    pending_place.pop_front();
-                }
-                let res = probes[v].take().expect("probe result present");
-                complete_sim_node(
-                    v,
-                    res,
-                    &shape,
-                    &labels,
-                    &mut probes,
-                    &mut results,
-                    &mut done_at,
-                    &mut pending,
-                    &mut tick,
-                    &mut completed,
-                    sched.as_mut(),
-                );
-                continue;
-            }
             let len = procs_of[v].min(p_total);
-            let prefer = shape.preds[v]
+            let prefer = run.shape.preds[v]
                 .iter()
-                .filter_map(|&(p, _)| done_at[p].map(|t| (t, block_of[p])))
+                .filter_map(|&(p, _)| run.done_at[p].map(|t| (t, block_of[p])))
                 .max_by_key(|&(t, _)| t)
                 .and_then(|(_, b)| b.map(|(start, _)| start));
             let Some(start) = find_block(&free, len, prefer) else {
-                if !from_pending {
-                    pending_place.push_back(v);
-                }
+                waiting = Some(v);
                 break;
             };
-            if from_pending {
-                pending_place.pop_front();
-            }
-            for f in free.iter_mut().take(start + len).skip(start) {
-                *f = false;
-            }
+            free[start..start + len].fill(false);
             // Charge the machine model for every edge whose producer
             // ran on a disjoint block.
             let mut xfer = 0.0f64;
             let mut xelems = 0u64;
-            for &(p, elems) in &shape.preds[v] {
+            for &(p, elems) in &run.shape.preds[v] {
                 if let Some((ps, pl)) = block_of[p] {
                     let overlap = ps < start + len && start < ps + pl;
                     if !overlap {
                         xfer += machine_of[v].msg_cost(elems as usize);
                         xelems += elems;
-                        transfers += 1;
+                        run.stats.transfers += 1;
                     }
                 }
             }
             block_of[v] = Some((start, len));
-            decisions.push(DispatchDecision {
-                order: decisions.len(),
-                node: v,
-                label: labels[v].clone(),
-                placement: Some((start, len)),
-                transfer_elems: xelems,
-            });
-            running.push((clock + xfer + durations[v], v));
+            run.decide(v, Some((start, len)), xelems);
+            running.push((clock + xfer + duration, v));
         }
-
-        if completed >= n {
+        if run.finished() {
             break;
         }
         // Advance the clock to the next completion.
@@ -1051,135 +973,17 @@ fn run_dag_sim<const R: usize>(
             .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0))
             .map(|(i, _)| i)
         else {
-            // Nothing running and nothing placeable: only possible if
-            // bookkeeping broke — fail the remainder typed.
-            for (u, r) in results.iter_mut().enumerate() {
-                if r.is_none() {
-                    *r = Some(Err(PipelineError::InvalidJob {
-                        reason: format!("internal: node `{}` was never placed", labels[u]),
-                    }));
-                }
-            }
+            fail_stuck(run);
             break;
         };
         let (finish, v) = running.swap_remove(i);
         clock = clock.max(finish);
         let (start, len) = block_of[v].expect("running node was placed");
-        for f in free.iter_mut().take(start + len).skip(start) {
-            *f = true;
-        }
+        free[start..start + len].fill(true);
         let res = probes[v].take().expect("probe result present");
-        complete_sim_node(
-            v,
-            res,
-            &shape,
-            &labels,
-            &mut probes,
-            &mut results,
-            &mut done_at,
-            &mut pending,
-            &mut tick,
-            &mut completed,
-            sched.as_mut(),
-        );
+        run.complete(v, res);
     }
-
-    let (critical_path, critical_path_time) =
-        measured_critical_path(&shape, &done_at, &durations, &labels);
-    let failed = results
-        .iter()
-        .filter(|r| matches!(r, Some(Err(_))))
-        .count();
-    let stats = DagStats {
-        dag_id,
-        scheduler: sched_name,
-        nodes: n,
-        edges: edges.len(),
-        makespan: clock,
-        time_unit: TimeUnit::ModelUnits,
-        serial_time: durations.iter().sum(),
-        critical_path,
-        critical_path_time,
-        decisions,
-        bytes_shared: 0,
-        cow_bytes_copied: 0,
-        transfers,
-        failed,
-    };
-    DagOutcome {
-        nodes: labels
-            .into_iter()
-            .zip(results)
-            .map(|(label, r)| NodeResult {
-                label,
-                result: r.expect("every node resolved"),
-            })
-            .collect(),
-        stats,
-    }
-}
-
-/// Record one simulated node's completion and propagate readiness /
-/// dependency failures — the sim-mode twin of the real runner's
-/// completion worklist.
-#[allow(clippy::too_many_arguments)]
-fn complete_sim_node<const R: usize>(
-    v: NodeId,
-    res: Result<JobOutcome<R>, PipelineError>,
-    shape: &DagShape,
-    labels: &[String],
-    probes: &mut [Option<Result<JobOutcome<R>, PipelineError>>],
-    results: &mut [Option<Result<JobOutcome<R>, PipelineError>>],
-    done_at: &mut [Option<u64>],
-    pending: &mut [usize],
-    tick: &mut u64,
-    completed: &mut usize,
-    sched: &mut dyn Scheduler,
-) {
-    let mut work = vec![(v, res)];
-    while let Some((u, res)) = work.pop() {
-        results[u] = Some(res);
-        done_at[u] = Some(*tick);
-        *tick += 1;
-        *completed += 1;
-        {
-            let view = DagView {
-                shape,
-                done_at,
-            };
-            sched.on_job_done(u, &view);
-        }
-        for &s in &shape.succs[u] {
-            pending[s] -= 1;
-            if pending[s] == 0 && results[s].is_none() {
-                let failed_pred = shape.preds[s]
-                    .iter()
-                    .find(|&&(p, _)| matches!(results[p], Some(Err(_))))
-                    .map(|&(p, _)| p);
-                if let Some(p) = failed_pred {
-                    let e = match &results[p] {
-                        Some(Err(e)) => e.clone(),
-                        _ => unreachable!("failed_pred found an Err"),
-                    };
-                    // The successor's probe is discarded; it never runs.
-                    probes[s] = None;
-                    work.push((
-                        s,
-                        Err(PipelineError::DependencyFailed {
-                            producer: labels[p].clone(),
-                            error: Box::new(e),
-                        }),
-                    ));
-                } else {
-                    let view = DagView {
-                        shape,
-                        done_at,
-                    };
-                    sched.on_job_ready(s, &view);
-                }
-            }
-        }
-    }
+    run.stats.makespan = clock;
 }
 
 #[cfg(test)]

@@ -9,19 +9,20 @@
 //! reach the dispatcher. (The pre-PR-6 chainable methods directly on
 //! `JobSpec` are gone; the builder is the only construction path.)
 //!
-//! Jobs declare named array outputs ([`JobSpecBuilder::output`]) and
-//! may consume a predecessor's output in place
+//! Jobs declare named array outputs ([`JobSpecBuilder::output`]) and,
+//! inside a DAG, may consume a predecessor node's output in place
 //! ([`JobSpecBuilder::input_from`]): the buffer is shared refcounted,
-//! never copied, and the successor only becomes dispatchable once the
-//! predecessor resolved.
+//! never copied, and the DAG runner dispatches the successor only once
+//! the predecessor resolved.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::program::{Program, Store};
 
 use crate::error::PipelineError;
 use crate::schedule::BlockPolicy;
+use crate::service::dag::NodeRef;
 use crate::service::handle::ArrayHandle;
 use crate::service::output::{JobOutput, JobOutputs};
 use crate::session::{RunOutcome, SessionConfig};
@@ -44,7 +45,7 @@ pub struct JobSpec<const R: usize> {
     pub(crate) tenant: Option<String>,
     pub(crate) priority: u8,
     pub(crate) outputs: Vec<String>,
-    pub(crate) inputs: Vec<InputBinding<R>>,
+    pub(crate) inputs: Vec<InputBinding>,
     pub(crate) handle_inputs: Vec<(String, u64)>,
     pub(crate) handle_outputs: Vec<HandleBinding>,
     /// Set only by the loop runner: execute the nest `iters` times in
@@ -81,51 +82,12 @@ pub(crate) struct LoopExec {
     pub(crate) pipelined: bool,
 }
 
-/// Where a bound job input comes from. Produced by the conversions
-/// behind [`JobSpecBuilder::input_from`]; opaque to callers.
-pub struct InputSource<const R: usize> {
-    pub(crate) kind: SourceKind<R>,
-}
-
-pub(crate) enum SourceKind<const R: usize> {
-    /// A previously submitted job, by its handle's result slot.
-    Handle(Arc<Slot<R>>),
-    /// A node of the same DAG, by builder index (resolved by the DAG
-    /// runner, meaningless to the plain dispatcher).
-    Node(usize),
-}
-
-impl<const R: usize> Clone for SourceKind<R> {
-    fn clone(&self) -> Self {
-        match self {
-            SourceKind::Handle(slot) => SourceKind::Handle(Arc::clone(slot)),
-            SourceKind::Node(i) => SourceKind::Node(*i),
-        }
-    }
-}
-
-/// Types that can act as the producer in
-/// [`JobSpecBuilder::input_from`]: a `&JobHandle` (an already submitted
-/// job) or a [`crate::service::NodeRef`] (a node of the DAG being
-/// built).
-pub trait IntoInputSource<const R: usize> {
-    /// Convert to the internal source representation.
-    fn into_source(self) -> InputSource<R>;
-}
-
-impl<const R: usize> IntoInputSource<R> for &JobHandle<R> {
-    fn into_source(self) -> InputSource<R> {
-        InputSource {
-            kind: SourceKind::Handle(Arc::clone(&self.slot)),
-        }
-    }
-}
-
-/// One input binding: take the producer's output named `name` and
-/// install it under the same array name in the consumer's store.
+/// One input binding: take the output named `name` of the DAG node
+/// `from` and install it under the same array name in the consumer's
+/// store. Resolved by the DAG runner; the plain doors reject it.
 #[derive(Clone)]
-pub(crate) struct InputBinding<const R: usize> {
-    pub(crate) source: SourceKind<R>,
+pub(crate) struct InputBinding {
+    pub(crate) from: usize,
     pub(crate) name: String,
 }
 
@@ -178,7 +140,7 @@ pub struct JobSpecBuilder<const R: usize> {
     tenant: Option<String>,
     priority: u8,
     outputs: Vec<String>,
-    inputs: Vec<InputBinding<R>>,
+    inputs: Vec<InputBinding>,
     handle_inputs: Vec<(String, ArrayHandle<R>)>,
     handle_outputs: Vec<(String, ArrayHandle<R>)>,
     trace_id: Option<u64>,
@@ -230,9 +192,9 @@ impl<const R: usize> JobSpecBuilder<R> {
         self
     }
 
-    /// Block-size policy. [`BlockPolicy::Adaptive`] jobs run through the
-    /// closed-loop tuner and bypass the plan cache (the tuner's whole
-    /// point is to re-plan mid-run).
+    /// Block-size policy. [`BlockPolicy::Adaptive`] jobs cache their
+    /// seed plan and lowered kernel like any other; the closed-loop
+    /// tuner re-cuts the tiles of that plan on the service's own pool.
     pub fn block(mut self, policy: BlockPolicy) -> Self {
         self.cfg.block = policy;
         self
@@ -316,16 +278,18 @@ impl<const R: usize> JobSpecBuilder<R> {
         self
     }
 
-    /// Consume the output named `name` of `from` — a `&JobHandle` for
-    /// an already-submitted job, or a [`crate::service::NodeRef`] for a
-    /// node of the DAG being built — as this job's initial value of the
-    /// array with the same name. The buffer is shared refcounted (zero
-    /// copies); the job only becomes dispatchable once the producer has
-    /// resolved, and a failed producer fails this job with
-    /// [`PipelineError::DependencyFailed`] instead of running it.
-    pub fn input_from(mut self, from: impl IntoInputSource<R>, name: impl Into<String>) -> Self {
+    /// Consume the output named `name` of `from`, an earlier node of
+    /// the DAG being built, as this job's initial value of the array
+    /// with the same name. The buffer is shared refcounted (zero
+    /// copies); the DAG runner dispatches the job only once the producer
+    /// has resolved, and a failed producer fails this job with
+    /// [`PipelineError::DependencyFailed`] instead of running it. A spec
+    /// with such an input runs only inside
+    /// [`crate::service::WavefrontService::submit_dag`]; the plain doors
+    /// reject it typed.
+    pub fn input_from(mut self, from: NodeRef, name: impl Into<String>) -> Self {
         self.inputs.push(InputBinding {
-            source: from.into_source().kind,
+            from: from.index,
             name: name.into(),
         });
         self
@@ -557,58 +521,52 @@ impl<const R: usize> JobOutcome<R> {
     }
 }
 
-pub(crate) struct Slot<const R: usize> {
-    done: Mutex<Option<Result<JobOutcome<R>, PipelineError>>>,
+/// The one completion ticket behind [`JobHandle`],
+/// [`crate::service::DagHandle`] and [`crate::service::LoopHandle`]:
+/// fulfilled once by whoever ran the work, waited on by the caller.
+pub(crate) struct Ticket<T> {
+    done: Mutex<Option<T>>,
     ready: Condvar,
 }
 
-impl<const R: usize> Slot<R> {
-    pub(crate) fn new() -> Self {
-        Slot {
+impl<T> Ticket<T> {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(Ticket {
             done: Mutex::new(None),
             ready: Condvar::new(),
-        }
+        })
     }
 
-    pub(crate) fn fulfil(&self, result: Result<JobOutcome<R>, PipelineError>) {
-        *self.done.lock().unwrap() = Some(result);
+    pub(crate) fn fulfil(&self, value: T) {
+        *self.done.lock().unwrap() = Some(value);
         self.ready.notify_all();
     }
 
-    /// Whether a result (either way) has been stored.
-    pub(crate) fn is_resolved(&self) -> bool {
+    /// Block until the ticket is fulfilled; the guard holds `Some`.
+    fn resolved(&self) -> MutexGuard<'_, Option<T>> {
+        let mut done = self.done.lock().unwrap();
+        while done.is_none() {
+            done = self.ready.wait(done).unwrap();
+        }
+        done
+    }
+
+    /// Block until the ticket is fulfilled and take its value.
+    pub(crate) fn wait(&self) -> T {
+        let mut done = self.resolved();
+        done.take().expect("resolved ticket holds a value")
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
         self.done.lock().unwrap().is_some()
     }
-
-    /// Non-blocking read of the output named `name` from a resolved
-    /// slot: `None` while the job is still pending; once resolved, the
-    /// output is *cloned out* (an `Arc` bump) so the handle's owner can
-    /// still `wait()`/`take_output()` later. A resolved failure maps to
-    /// [`PipelineError::DependencyFailed`].
-    pub(crate) fn peek_output(
-        &self,
-        name: &str,
-    ) -> Option<Result<JobOutput<R>, PipelineError>> {
-        let done = self.done.lock().unwrap();
-        match &*done {
-            None => None,
-            Some(Ok(outcome)) => Some(outcome.outputs.get(name).cloned().ok_or_else(|| {
-                PipelineError::InvalidJob {
-                    reason: format!("producer published no output named `{name}`"),
-                }
-            })),
-            Some(Err(e)) => Some(Err(PipelineError::DependencyFailed {
-                producer: name.to_string(),
-                error: Box::new(e.clone()),
-            })),
-        }
-    }
 }
+
+/// The ticket of one job: what the dispatcher fulfils.
+pub(crate) type JobTicket<const R: usize> = Ticket<Result<JobOutcome<R>, PipelineError>>;
 
 /// A ticket for one submitted job.
-pub struct JobHandle<const R: usize> {
-    pub(crate) slot: Arc<Slot<R>>,
-}
+pub struct JobHandle<const R: usize>(pub(crate) Arc<JobTicket<R>>);
 
 impl<const R: usize> JobHandle<R> {
     /// Block until the job completes and take its outcome. A worker
@@ -620,39 +578,23 @@ impl<const R: usize> JobHandle<R> {
     /// handle immediately, so `wait()` returns the typed
     /// [`PipelineError::AdmissionDenied`] without blocking.
     pub fn wait(self) -> Result<JobOutcome<R>, PipelineError> {
-        let mut done = self.slot.done.lock().unwrap();
-        loop {
-            if let Some(result) = done.take() {
-                return result;
-            }
-            done = self.slot.ready.wait(done).unwrap();
-        }
+        self.0.wait()
     }
 
     /// Whether the job has already completed (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.slot.done.lock().unwrap().is_some()
+        self.0.is_done()
     }
 
     /// Block until the job completes, then remove and return its output
     /// named `name`. The rest of the outcome stays claimable: further
     /// `take_output` calls return other outputs, and a final
     /// [`JobHandle::wait`] returns the outcome minus what was taken.
-    /// Shared by single-job and DAG result handling.
     pub fn take_output(&self, name: &str) -> Result<JobOutput<R>, PipelineError> {
-        let mut done = self.slot.done.lock().unwrap();
-        loop {
-            match &mut *done {
-                Some(Ok(outcome)) => {
-                    return outcome.outputs.take(name).ok_or_else(|| {
-                        PipelineError::InvalidJob {
-                            reason: format!("job published no output named `{name}`"),
-                        }
-                    })
-                }
-                Some(Err(e)) => return Err(e.clone()),
-                None => done = self.slot.ready.wait(done).unwrap(),
-            }
+        let mut done = self.0.resolved();
+        match done.as_mut().expect("resolved ticket holds a value") {
+            Ok(outcome) => outcome.take_output(name),
+            Err(e) => Err(e.clone()),
         }
     }
 }

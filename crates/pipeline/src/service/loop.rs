@@ -40,19 +40,17 @@
 //! `tests/timestep.rs` pins the equivalence on Tomcatv and SWEEP3D.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 use wavefront_core::array::DenseArray;
 
 use crate::error::PipelineError;
 use crate::exec_threads::rotation_fusible;
 use crate::schedule::BlockPolicy;
-use crate::service::dag::{run_dag_real, DagSpec, SchedulerChoice};
+use crate::service::dag::{run_dag, DagSpec, SchedulerChoice};
 use crate::service::handle::{ArrayHandle, HandleTable};
-use crate::service::job::{JobSpec, LoopExec};
-use crate::service::{panic_message, submit_on, Shared};
+use crate::service::job::{JobSpec, LoopExec, Ticket};
+use crate::service::{enqueue, spawn_runner, Shared};
 use crate::telemetry::EngineKind;
 
 /// What a loop re-runs each step.
@@ -451,15 +449,8 @@ pub struct LoopOutcome<const R: usize> {
     pub stats: LoopStats,
 }
 
-struct LoopSlot<const R: usize> {
-    done: Mutex<Option<Result<LoopOutcome<R>, PipelineError>>>,
-    ready: Condvar,
-}
-
 /// A ticket for one submitted loop.
-pub struct LoopHandle<const R: usize> {
-    slot: Arc<LoopSlot<R>>,
-}
+pub struct LoopHandle<const R: usize>(Arc<Ticket<Result<LoopOutcome<R>, PipelineError>>>);
 
 impl<const R: usize> LoopHandle<R> {
     /// Block until the loop completes and take its outcome. A body
@@ -467,43 +458,27 @@ impl<const R: usize> LoopHandle<R> {
     /// the failing step were restored, so the resident arrays hold the
     /// last *completed* step's state.
     pub fn wait(self) -> Result<LoopOutcome<R>, PipelineError> {
-        let mut done = self.slot.done.lock().unwrap();
-        loop {
-            if let Some(result) = done.take() {
-                return result;
-            }
-            done = self.slot.ready.wait(done).unwrap();
-        }
+        self.0.wait()
     }
 
     /// Whether the loop has already completed (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.slot.done.lock().unwrap().is_some()
+        self.0.is_done()
     }
 }
 
-/// Start one loop's runner thread; the service joins it at shutdown.
+/// Start one loop's runner thread (see [`spawn_runner`]); a panic in
+/// the runner resolves the handle to the typed failure.
 pub(crate) fn spawn_loop<const R: usize>(
-    shared: Arc<Shared<R>>,
+    shared: &Arc<Shared<R>>,
     spec: LoopSpec<R>,
-) -> (LoopHandle<R>, JoinHandle<()>) {
-    let slot = Arc::new(LoopSlot {
-        done: Mutex::new(None),
-        ready: Condvar::new(),
-    });
-    let handle = LoopHandle {
-        slot: Arc::clone(&slot),
-    };
-    let runner = std::thread::spawn(move || {
-        let result = match catch_unwind(AssertUnwindSafe(|| run_loop(&shared, spec))) {
-            Ok(r) => r,
-            Err(payload) => Err(PipelineError::EnginePanic(panic_message(&payload))),
-        };
-        let mut done = slot.done.lock().unwrap();
-        *done = Some(result);
-        slot.ready.notify_all();
-    });
-    (handle, runner)
+) -> LoopHandle<R> {
+    LoopHandle(spawn_runner(
+        shared,
+        (),
+        move |shared, _| run_loop(shared, spec),
+        |_, _, ran| ran.and_then(|outcome| outcome),
+    ))
 }
 
 /// One rotation step at the assignment level:
@@ -548,7 +523,7 @@ fn remap_bindings<const R: usize>(
 /// The loop driver: chunked fused execution when the body is eligible,
 /// per-step submission otherwise.
 fn run_loop<const R: usize>(
-    shared: &Arc<Shared<R>>,
+    shared: &Shared<R>,
     spec: LoopSpec<R>,
 ) -> Result<LoopOutcome<R>, PipelineError> {
     let LoopSpec {
@@ -575,55 +550,46 @@ fn run_loop<const R: usize>(
         .enabled()
         .then(|| metrics.histogram("wavefront_loop_overlap"));
 
+    // Fused eligibility: one job on the threads engine with a fixed
+    // block policy, and — when rotating — pointwise rotation classes
+    // whose every name is output-handle-bound, so the chunk's put-backs
+    // can republish each buffer under its rotated-to binding (see the
+    // module docs for why both are required for correctness).
+    let mut rot_ids: Vec<(usize, usize)> = Vec::new();
     let mut fused = false;
-    match body {
-        LoopBody::Job(spec0) => {
-            // Fused eligibility: threads engine with a fixed
-            // block policy, and — when rotating — pointwise rotation
-            // classes whose every name is output-handle-bound (see the
-            // module docs for why both are required for correctness).
-            let rot_ids: Vec<(usize, usize)> = rotate
-                .iter()
-                .map(|(f, t)| {
-                    (
-                        spec0.program.find(f).expect("rotated name validated at build"),
-                        spec0.program.find(t).expect("rotated name validated at build"),
-                    )
-                })
-                .collect();
-            fused = matches!(spec0.engine, EngineKind::Threads)
-                && !matches!(spec0.cfg.block, BlockPolicy::Adaptive(_))
-                && spec0.nest.buffered.is_empty()
-                && rotation_fusible(&spec0.nest, &rot_ids);
-            if fused && !rot_ids.is_empty() {
-                // Fused rotation additionally needs every rotated name
-                // output-handle-bound, so the chunk's put-backs can
-                // republish each buffer under its rotated-to binding.
-                fused = rotate.iter().all(|(f, t)| {
-                    [f, t].into_iter().all(|n| {
-                        spec0.handle_outputs.iter().any(|hb| &hb.name == n)
-                    })
-                });
-            }
-            let chunk_len = if until.is_some() {
-                check_every
-            } else {
-                steps
-            };
-            while steps_run < steps && !converged {
-                let todo = if fused {
-                    chunk_len.min(steps - steps_run)
-                } else {
-                    1
-                };
-                // The assignment after the chunk's last iteration: the
-                // engine rotates `todo - 1` times in-place, so putbacks
-                // land there; the service-level rotation to the *next*
-                // step's assignment happens after the chunk returns.
-                let mut a_end = assign.clone();
-                for _ in 1..todo {
-                    a_end = rotate_assign(&a_end, &rotate);
-                }
+    if let LoopBody::Job(spec0) = &body {
+        // Rotated names were validated at build.
+        let id = |n: &String| spec0.program.find(n).expect("a declared array");
+        rot_ids = rotate.iter().map(|(f, t)| (id(f), id(t))).collect();
+        let bound = |n: &String| spec0.handle_outputs.iter().any(|hb| &hb.name == n);
+        fused = matches!(spec0.engine, EngineKind::Threads)
+            && !matches!(spec0.cfg.block, BlockPolicy::Adaptive(_))
+            && spec0.nest.buffered.is_empty()
+            && rotation_fusible(&spec0.nest, &rot_ids)
+            && rotate.iter().all(|(f, t)| bound(f) && bound(t));
+    }
+    let chunk_len = match (fused, until.is_some()) {
+        (false, _) => 1,
+        (true, true) => check_every,
+        (true, false) => steps,
+    };
+    // One DAG id for the whole loop, taken at its first step: steps
+    // re-run the same graph, and per-step stats would flood the bounded
+    // ring.
+    let mut dag_id = None;
+
+    while steps_run < steps && !converged {
+        let todo = chunk_len.min(steps - steps_run);
+        // The assignment after the chunk's last iteration: the engine
+        // rotates `todo - 1` times in-place, so putbacks land there; the
+        // service-level rotation to the *next* step's assignment happens
+        // after the chunk returns.
+        let mut a_end = assign.clone();
+        for _ in 1..todo {
+            a_end = rotate_assign(&a_end, &rotate);
+        }
+        match &body {
+            LoopBody::Job(spec0) => {
                 let mut step_spec = spec0.clone();
                 remap_bindings(&mut step_spec, &assign, &a_end);
                 if fused {
@@ -633,10 +599,9 @@ fn run_loop<const R: usize>(
                         pipelined,
                     });
                 }
-                let out = submit_on(shared, step_spec).wait()?;
+                let out = enqueue(shared, step_spec, true).wait()?;
                 engine_seconds += out.outcome.run_seconds;
                 messages += out.outcome.messages;
-                chunks += 1;
                 if let Some(cs) = &out.loop_stats {
                     overlap_seconds += cs.overlap_seconds;
                     busy_seconds += cs.busy_seconds;
@@ -644,37 +609,17 @@ fn run_loop<const R: usize>(
                         h.observe_seconds(cs.overlap_seconds);
                     }
                 }
-                steps_run += todo;
-                last_assign = a_end.clone();
-                assign = rotate_assign(&a_end, &rotate);
-                if let Some(cb) = until.as_mut() {
-                    if steps_run.is_multiple_of(check_every) || steps_run >= steps {
-                        let view = LoopView {
-                            step: steps_run,
-                            handles: &shared.handles,
-                            assign: &last_assign,
-                        };
-                        if cb(&view) {
-                            converged = true;
-                        }
-                    }
-                }
             }
-        }
-        LoopBody::Dag(dag0) => {
-            let SchedulerChoice::Kind(kind) = dag0.scheduler else {
-                unreachable!("custom schedulers rejected at build")
-            };
-            // One DAG id for the whole loop: steps re-run the same
-            // graph, and per-step stats would flood the bounded ring.
-            let dag_id = shared.next_dag_id();
-            while steps_run < steps && !converged {
+            LoopBody::Dag(dag0) => {
+                let SchedulerChoice::Kind(kind) = dag0.scheduler else {
+                    unreachable!("custom schedulers rejected at build")
+                };
                 let nodes: Vec<(String, JobSpec<R>)> = dag0
                     .nodes
                     .iter()
                     .map(|(label, s)| {
                         let mut s = s.clone();
-                        remap_bindings(&mut s, &assign, &assign);
+                        remap_bindings(&mut s, &assign, &a_end);
                         (label.clone(), s)
                     })
                     .collect();
@@ -685,27 +630,27 @@ fn run_loop<const R: usize>(
                     sim_procs: dag0.sim_procs,
                     sim: false,
                 };
-                let outcome = run_dag_real(shared, step_spec, dag_id);
+                let dag_id = *dag_id.get_or_insert_with(|| shared.next_dag_id());
+                let outcome = run_dag(shared, step_spec, dag_id);
                 for node in outcome.nodes {
                     node.result?;
                 }
                 engine_seconds += outcome.stats.makespan;
-                chunks += 1;
-                steps_run += 1;
-                last_assign = assign.clone();
-                assign = rotate_assign(&assign, &rotate);
-                if let Some(cb) = until.as_mut() {
-                    if steps_run.is_multiple_of(check_every) || steps_run >= steps {
-                        let view = LoopView {
-                            step: steps_run,
-                            handles: &shared.handles,
-                            assign: &last_assign,
-                        };
-                        if cb(&view) {
-                            converged = true;
-                        }
-                    }
-                }
+            }
+        }
+        // The tail every body shares: account the chunk, rotate to the
+        // next step's assignment, ask the callback.
+        chunks += 1;
+        steps_run += todo;
+        assign = rotate_assign(&a_end, &rotate);
+        last_assign = a_end;
+        if let Some(cb) = until.as_mut() {
+            if steps_run.is_multiple_of(check_every) || steps_run >= steps {
+                converged = cb(&LoopView {
+                    step: steps_run,
+                    handles: &shared.handles,
+                    assign: &last_assign,
+                });
             }
         }
     }

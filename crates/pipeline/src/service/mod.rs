@@ -65,9 +65,9 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::sync::{Condvar, MutexGuard};
+use std::sync::Condvar;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use wavefront_core::array::DenseArray;
 use wavefront_core::exec::CompiledNest;
@@ -81,7 +81,7 @@ use crate::exec_sim::simulate_plan_collected;
 use crate::exec_threads::{execute_threaded, prepare, NestPrep};
 use crate::plan::WavefrontPlan;
 use crate::schedule::BlockPolicy;
-use crate::session::{RunOutcome, Session, SessionConfig};
+use crate::session::{RunOutcome, SessionConfig};
 use crate::telemetry::json::JsonObj;
 use crate::telemetry::report::jstr;
 use crate::telemetry::{
@@ -94,10 +94,7 @@ pub use dag::{
     NodeResult,
 };
 pub use handle::ArrayHandle;
-pub use job::{
-    InputSource, IntoInputSource, JobHandle, JobOutcome, JobSpec, JobSpecBuilder, JobTopology,
-    JobTrace,
-};
+pub use job::{JobHandle, JobOutcome, JobSpec, JobSpecBuilder, JobTopology, JobTrace};
 pub use looping::{
     LoopChunkStats, LoopHandle, LoopOutcome, LoopSpec, LoopSpecBuilder, LoopStats, LoopView,
 };
@@ -116,7 +113,7 @@ pub use wire::{
 
 use cache::PlanCache;
 use handle::HandleTable;
-use job::{LoopExec, Slot, SourceKind};
+use job::{LoopExec, Ticket};
 use pool::WorkerPool;
 use tenant::{pick_min_pass, QueuedJob, TenantQueue};
 
@@ -312,9 +309,12 @@ impl ExecCore {
     /// threads engine runs a fused multi-iteration loop chunk —
     /// `lx.iters` whole sweeps inside one invocation, iterating with
     /// cross-iteration pipelining (see [`execute_threaded`]) — and the chunk's overlap stats come back
-    /// beside the outcome. The cache event, if any, is reported *after*
-    /// the engine's stream completes, because collectors reset their
-    /// buffers at `begin`.
+    /// beside the outcome. Under [`BlockPolicy::Adaptive`] the cached
+    /// entry is the seed plan, and the tuner's probe/fit/re-block loop
+    /// ([`crate::tune::adapt`]) drives the same engine closure over its
+    /// retiled phases — same pool, same lowered kernel. The cache
+    /// event, if any, is reported *after* the engine's stream
+    /// completes, because collectors reset their buffers at `begin`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<const R: usize>(
         &self,
@@ -328,13 +328,13 @@ impl ExecCore {
         kind: EngineKind,
         lx: Option<&LoopExec>,
     ) -> Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> {
+        let adaptive = match &cfg.block {
+            BlockPolicy::Adaptive(acfg) => Some(acfg),
+            _ => None,
+        };
         debug_assert!(
-            !matches!(cfg.block, BlockPolicy::Adaptive(_)),
-            "adaptive runs route through the tuner, never the core"
-        );
-        debug_assert!(
-            lx.is_none() || kind == EngineKind::Threads,
-            "only the threads engine fuses loop chunks"
+            lx.is_none() || (kind == EngineKind::Threads && adaptive.is_none()),
+            "only the threads engine under a fixed block policy fuses loop chunks"
         );
         let prep_start = Instant::now();
         let (entry, cache_ev) = self.entry(program, &nest, topology, cfg, hsig)?;
@@ -352,28 +352,34 @@ impl ExecCore {
             kernel_tier: None,
             kernel_fallback: None,
         };
-        let mut loop_stats = None;
-        if kind == EngineKind::Sim {
-            outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
-            let run_start = Instant::now();
-            let r = simulate_plan_collected(plan, &cfg.machine, collector);
-            outcome.makespan = r.makespan;
+        // The executing engines need the data and the lowered kernel;
+        // the simulator neither.
+        let mut host = if kind == EngineKind::Sim {
             outcome.time_unit = TimeUnit::ModelUnits;
-            outcome.messages = r.messages;
-            outcome.run_seconds = run_start.elapsed().as_secs_f64();
+            None
         } else {
             let store = store.ok_or(PipelineError::MissingStore)?;
             let prep = entry.prep(cfg.kernel_mode);
             self.count_kernel(&prep.runner);
             outcome.kernel_tier = Some(prep.runner.tier());
             outcome.kernel_fallback = prep.runner.fallback();
-            outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
-            let run_start = Instant::now();
-            if kind == EngineKind::Seq {
-                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, collector);
-                outcome.run_seconds = run_start.elapsed().as_secs_f64();
-                outcome.makespan = outcome.run_seconds;
-            } else {
+            Some((store, prep))
+        };
+        outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
+        let run_start = Instant::now();
+        let mut loop_stats = None;
+        // The engine as "run this plan, report (makespan, messages)".
+        let mut engine = |plan: &Arc<WavefrontPlan<R>>, c: &mut dyn Collector| match &mut host {
+            None => {
+                let r = simulate_plan_collected(plan, &cfg.machine, c);
+                (r.makespan, r.messages)
+            }
+            Some((store, prep)) if kind == EngineKind::Seq => {
+                let t0 = Instant::now();
+                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, c);
+                (t0.elapsed().as_secs_f64(), 0)
+            }
+            Some((store, prep)) => {
                 let (iters, rotate, pipelined) = match lx {
                     Some(lx) => (lx.iters, &lx.rotate[..], lx.pipelined),
                     None => (1, &[][..], true),
@@ -382,19 +388,28 @@ impl ExecCore {
                     &self.pool,
                     &entry.nest,
                     plan,
-                    &prep,
+                    prep,
                     store,
                     iters,
                     rotate,
                     pipelined,
-                    collector,
+                    c,
                 );
-                outcome.run_seconds = run_start.elapsed().as_secs_f64();
-                outcome.makespan = r.elapsed.as_secs_f64();
-                outcome.messages = r.messages;
                 loop_stats = lx.map(|lx| overlap_stats(lx, &r.spans));
+                (r.elapsed.as_secs_f64(), r.messages)
             }
-        }
+        };
+        (outcome.makespan, outcome.messages) = match adaptive {
+            None => engine(plan, collector),
+            Some(acfg) => {
+                let run = crate::tune::adapt(plan, cfg.machine, acfg, kind, collector, engine);
+                outcome.block = run.block;
+                outcome.tiles = run.tiles;
+                outcome.pipelined = run.tiles > 1;
+                (run.makespan, run.messages)
+            }
+        };
+        outcome.run_seconds = run_start.elapsed().as_secs_f64();
         if let Some(ev) = cache_ev {
             if collector.enabled() {
                 collector.cache(ev);
@@ -615,6 +630,9 @@ pub(crate) struct Shared<const R: usize> {
     /// The resident-array table (see [`handle::HandleTable`]): buffers
     /// jobs bind by [`ArrayHandle`] and read/write in place.
     pub(crate) handles: Mutex<HandleTable<R>>,
+    /// DAG and loop runner threads not yet joined: [`spawn_runner`]
+    /// reaps the finished ones, `Drop` waits for the rest.
+    runners: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<const R: usize> Shared<R> {
@@ -655,8 +673,6 @@ impl<const R: usize> Shared<R> {
 pub struct WavefrontService<const R: usize> {
     shared: Arc<Shared<R>>,
     dispatcher: Option<JoinHandle<()>>,
-    /// DAG runner threads still owed a join at shutdown.
-    runners: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<const R: usize> Default for WavefrontService<R> {
@@ -708,6 +724,7 @@ impl<const R: usize> WavefrontService<R> {
             epoch: Instant::now(),
             recent_traces: Mutex::new(VecDeque::new()),
             handles: Mutex::new(HandleTable::new()),
+            runners: Mutex::new(Vec::new()),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -716,7 +733,6 @@ impl<const R: usize> WavefrontService<R> {
         WavefrontService {
             shared,
             dispatcher: Some(dispatcher),
-            runners: Mutex::new(Vec::new()),
         }
     }
 
@@ -743,7 +759,7 @@ impl<const R: usize> WavefrontService<R> {
     /// [`PipelineError::AdmissionDenied`] rather than blocking forever.
     /// For the non-blocking door, see [`WavefrontService::try_submit`].
     pub fn submit(&self, spec: JobSpec<R>) -> JobHandle<R> {
-        submit_on(&self.shared, spec)
+        enqueue(&self.shared, spec, true)
     }
 
     /// Enqueue one job without ever blocking: a full queue, a reached
@@ -754,7 +770,7 @@ impl<const R: usize> WavefrontService<R> {
     /// handle rejection and execution failure through one `wait()`.
     /// This is the admission door the wire server uses.
     pub fn try_submit(&self, spec: JobSpec<R>) -> JobHandle<R> {
-        try_submit_on(&self.shared, spec)
+        enqueue(&self.shared, spec, false)
     }
 
     /// Submit several jobs, in order; blocks as [`WavefrontService::submit`]
@@ -769,9 +785,7 @@ impl<const R: usize> WavefrontService<R> {
     /// resolve, ordered by the DAG's [`Scheduler`]. Wait on the returned
     /// [`DagHandle`] for the per-node outcomes and the [`DagStats`].
     pub fn submit_dag(&self, spec: DagSpec<R>) -> DagHandle<R> {
-        let (handle, runner) = dag::spawn_dag(Arc::clone(&self.shared), spec);
-        self.runners.lock().unwrap().push(runner);
-        handle
+        dag::spawn_dag(&self.shared, spec)
     }
 
     /// Allocate a zero-filled resident array of `bounds` inside the
@@ -871,9 +885,7 @@ impl<const R: usize> WavefrontService<R> {
     /// moment its block drained iteration k. Returns immediately; wait
     /// on the [`LoopHandle`].
     pub fn submit_loop(&self, spec: LoopSpec<R>) -> LoopHandle<R> {
-        let (handle, runner) = looping::spawn_loop(Arc::clone(&self.shared), spec);
-        self.runners.lock().unwrap().push(runner);
-        handle
+        looping::spawn_loop(&self.shared, spec)
     }
 
     /// Refresh the `wavefront_resident_bytes` gauge after a table
@@ -1025,12 +1037,12 @@ impl<const R: usize> WavefrontService<R> {
 }
 
 impl<const R: usize> Drop for WavefrontService<R> {
-    /// Shut down: in-flight DAG runners finish first (they keep
-    /// submitting nodes), then already-queued jobs still run (their
+    /// Shut down: in-flight DAG and loop runners finish first (they
+    /// keep submitting jobs), then already-queued jobs still run (their
     /// handles resolve), then the dispatcher and the worker pool exit.
     fn drop(&mut self) {
         let runners: Vec<JoinHandle<()>> =
-            self.runners.lock().unwrap().drain(..).collect();
+            self.shared.runners.lock().unwrap().drain(..).collect();
         for r in runners {
             let _ = r.join();
         }
@@ -1042,70 +1054,44 @@ impl<const R: usize> Drop for WavefrontService<R> {
     }
 }
 
-/// Reject a spec whose inputs reference DAG nodes by index: those are
-/// resolved by the DAG runner; through the plain doors they could never
-/// resolve and the job would wedge its queue.
-fn check_no_node_inputs<const R: usize>(spec: &JobSpec<R>) -> Result<(), PipelineError> {
-    if spec
-        .inputs
-        .iter()
-        .any(|b| matches!(b.source, SourceKind::Node(_)))
-    {
-        return Err(PipelineError::InvalidJob {
-            reason: "node-indexed inputs can only run inside submit_dag".into(),
-        });
-    }
-    Ok(())
-}
-
-/// The blocking submission door; see [`WavefrontService::submit`]. A
-/// free function over [`Shared`] so the DAG runner (which holds only the
-/// shared state, not the service) submits through the same path.
-pub(crate) fn submit_on<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>) -> JobHandle<R> {
-    spec.submitted_at.get_or_insert_with(Instant::now);
-    let slot = Arc::new(Slot::new());
-    if let Err(e) = check_no_node_inputs(&spec) {
-        slot.fulfil(Err(e));
-        return JobHandle { slot };
-    }
-    let tenant_name = spec.tenant_name().unwrap_or(DEFAULT_TENANT).to_string();
-    let mut q = shared.queue.lock().unwrap();
-    let Some(idx) = q.resolve(&tenant_name, &shared.default_tenant, shared.auto_register) else {
-        reject_unknown(shared, q, &slot, tenant_name);
-        return JobHandle { slot };
+/// Start the runner thread of one DAG or loop: `drive` does the work on
+/// `state`; `finish` turns the state and what `drive` returned — or the
+/// typed failure, if it panicked — into the value the returned ticket
+/// resolves to.
+///
+/// The one place a runner is spawned is also the one place runners are
+/// reaped. A thread that has ended keeps its stack mapped until it is
+/// joined, so every spawn first joins the runners that have ended: the
+/// unjoined ones never outnumber those in flight, however many DAGs and
+/// loops a service has run. `Drop` joins the rest.
+pub(crate) fn spawn_runner<const R: usize, S, V, T>(
+    shared: &Arc<Shared<R>>,
+    mut state: S,
+    drive: impl FnOnce(&Shared<R>, &mut S) -> V + Send + 'static,
+    finish: impl FnOnce(&Shared<R>, S, Result<V, PipelineError>) -> T + Send + 'static,
+) -> Arc<Ticket<T>>
+where
+    S: Send + 'static,
+    T: Send + 'static,
+{
+    let ticket = Ticket::new();
+    let runner = {
+        let (shared, ticket) = (Arc::clone(shared), Arc::clone(&ticket));
+        std::thread::spawn(move || {
+            let ran = catch_unwind(AssertUnwindSafe(|| drive(&shared, &mut state)))
+                .map_err(|payload| PipelineError::EnginePanic(panic_message(&payload)));
+            ticket.fulfil(finish(&shared, state, ran));
+        })
     };
-    {
-        let t = &q.tenants[idx];
-        if admission::admit(&t.cfg, t.jobs.len(), t.in_flight).is_err() {
-            q.blocked_submits += 1;
-            loop {
-                let t = &q.tenants[idx];
-                if admission::admit(&t.cfg, t.jobs.len(), t.in_flight).is_ok() {
-                    break;
-                }
-                q = shared.not_full.wait(q).unwrap();
-            }
-        }
+    let ended: Vec<JoinHandle<()>> = {
+        let mut runners = shared.runners.lock().unwrap();
+        runners.push(runner);
+        runners.extract_if(.., |r| r.is_finished()).collect()
+    };
+    for r in ended {
+        let _ = r.join();
     }
-    enqueue_on(shared, q, idx, spec, &slot);
-    JobHandle { slot }
-}
-
-/// Resolve a submission whose tenant does not exist (and cannot be
-/// auto-registered): count it, bump the reject counter, fulfil typed.
-fn reject_unknown<const R: usize>(
-    shared: &Shared<R>,
-    mut q: MutexGuard<'_, QueueState<R>>,
-    slot: &Arc<Slot<R>>,
-    tenant_name: String,
-) {
-    q.unknown_rejected += 1;
-    drop(q);
-    count_reject(shared, &tenant_name, &AdmissionReason::UnknownTenant);
-    slot.fulfil(Err(PipelineError::AdmissionDenied {
-        tenant: tenant_name,
-        reason: AdmissionReason::UnknownTenant,
-    }));
+    ticket
 }
 
 /// Bump the per-tenant, per-reason admission-reject counter. Rejects
@@ -1129,52 +1115,69 @@ fn count_reject<const R: usize>(shared: &Shared<R>, tenant: &str, reason: &Admis
         .inc();
 }
 
-/// The non-blocking submission door; see
-/// [`WavefrontService::try_submit`]. Denials resolve the handle instead
-/// of blocking.
-pub(crate) fn try_submit_on<const R: usize>(
+/// The one admission door, behind [`WavefrontService::submit`],
+/// [`WavefrontService::try_submit`] and
+/// [`WavefrontService::submit_batch`] — and, being a free function over
+/// [`Shared`], behind the DAG and loop runners too. `block` chooses what
+/// a full queue or a reached in-flight limit does: wait for room
+/// (backpressure, never a drop) or resolve the handle to
+/// [`PipelineError::AdmissionDenied`]. An unknown tenant that cannot be
+/// auto-registered is denied either way, as nothing would ever admit it.
+pub(crate) fn enqueue<const R: usize>(
     shared: &Shared<R>,
     mut spec: JobSpec<R>,
+    block: bool,
 ) -> JobHandle<R> {
     spec.submitted_at.get_or_insert_with(Instant::now);
-    let slot = Arc::new(Slot::new());
-    if let Err(e) = check_no_node_inputs(&spec) {
-        slot.fulfil(Err(e));
-        return JobHandle { slot };
-    }
-    let tenant_name = spec.tenant_name().unwrap_or(DEFAULT_TENANT).to_string();
-    let mut q = shared.queue.lock().unwrap();
-    let Some(idx) = q.resolve(&tenant_name, &shared.default_tenant, shared.auto_register) else {
-        reject_unknown(shared, q, &slot, tenant_name);
-        return JobHandle { slot };
-    };
-    let t = &q.tenants[idx];
-    if let Err(reason) = admission::admit(&t.cfg, t.jobs.len(), t.in_flight) {
-        q.tenants[idx].rejected += 1;
-        drop(q);
-        count_reject(shared, &tenant_name, &reason);
-        slot.fulfil(Err(PipelineError::AdmissionDenied {
-            tenant: tenant_name,
-            reason,
+    let ticket = Ticket::new();
+    let handle = JobHandle(Arc::clone(&ticket));
+    // Node-sourced inputs are installed by the DAG runner, which strips
+    // them before it comes here; at this door nothing could resolve them.
+    if !spec.inputs.is_empty() {
+        ticket.fulfil(Err(PipelineError::InvalidJob {
+            reason: "node-indexed inputs can only run inside submit_dag".into(),
         }));
-        return JobHandle { slot };
+        return handle;
     }
-    enqueue_on(shared, q, idx, spec, &slot);
-    JobHandle { slot }
-}
-
-/// Append an admitted job to tenant `idx` and wake the dispatcher.
-fn enqueue_on<const R: usize>(
-    shared: &Shared<R>,
-    mut q: MutexGuard<'_, QueueState<R>>,
-    idx: usize,
-    spec: JobSpec<R>,
-    slot: &Arc<Slot<R>>,
-) {
+    let tenant = spec.tenant_name().unwrap_or(DEFAULT_TENANT).to_string();
+    let mut q = shared.queue.lock().unwrap();
+    let admitted = match q.resolve(&tenant, &shared.default_tenant, shared.auto_register) {
+        None => {
+            q.unknown_rejected += 1;
+            Err(AdmissionReason::UnknownTenant)
+        }
+        Some(idx) => {
+            let mut blocked = false;
+            loop {
+                let t = &q.tenants[idx];
+                match admission::admit(&t.cfg, t.jobs.len(), t.in_flight) {
+                    Ok(()) => break Ok(idx),
+                    Err(reason) if !block => {
+                        q.tenants[idx].rejected += 1;
+                        break Err(reason);
+                    }
+                    Err(_) => {
+                        if !std::mem::replace(&mut blocked, true) {
+                            q.blocked_submits += 1;
+                        }
+                        q = shared.not_full.wait(q).unwrap();
+                    }
+                }
+            }
+        }
+    };
+    let idx = match admitted {
+        Ok(idx) => idx,
+        Err(reason) => {
+            drop(q);
+            count_reject(shared, &tenant, &reason);
+            ticket.fulfil(Err(PipelineError::AdmissionDenied { tenant, reason }));
+            return handle;
+        }
+    };
     let seq = q.next_seq;
     q.next_seq += 1;
     let global_pass = q.global_pass;
-    let priority = spec.job_priority();
     let t = &mut q.tenants[idx];
     if t.jobs.is_empty() {
         // A queue waking from idle joins at the scheduler's current
@@ -1182,16 +1185,17 @@ fn enqueue_on<const R: usize>(
         t.pass = t.pass.max(global_pass);
     }
     t.jobs.push_back(QueuedJob {
-        priority,
+        priority: spec.job_priority(),
         seq,
         spec,
-        slot: Arc::clone(slot),
+        ticket,
         admitted_at: Instant::now(),
     });
     t.in_flight += 1;
     t.submitted += 1;
     drop(q);
     shared.not_empty.notify_one();
+    handle
 }
 
 /// One tenant's per-stage latency histogram handles, resolved once and
@@ -1249,44 +1253,15 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
                     // the queue then pays its stride for the slot.
                     q.global_pass = q.tenants[i].pass;
                     q.tenants[i].pass += stride;
-                    let job = q.tenants[i]
-                        .take_next_ready()
-                        .expect("picked queue has a ready job");
+                    let job = q.tenants[i].take_next().expect("picked queue has a job");
                     break (i, job);
                 }
-                let waiting: usize = q.tenants.iter().map(|t| t.jobs.len()).sum();
+                // Every queue is empty: done if shutting down, else sleep
+                // until a submission arrives.
                 if q.closed {
-                    if waiting == 0 {
-                        return;
-                    }
-                    // Shutdown with jobs still waiting on inputs that can
-                    // no longer resolve: fail them typed instead of
-                    // hanging their handles.
-                    for t in q.tenants.iter_mut() {
-                        while let Some(j) = t.jobs.pop_front() {
-                            t.in_flight -= 1;
-                            t.failed += 1;
-                            j.slot.fulfil(Err(PipelineError::InvalidJob {
-                                reason: "service shut down before the job's bound inputs \
-                                         resolved"
-                                    .into(),
-                            }));
-                        }
-                    }
                     return;
                 }
-                if waiting > 0 {
-                    // Jobs queued but none ready: their producers resolve
-                    // outside this queue (another service's handle), so
-                    // no notification is guaranteed — poll.
-                    let (guard, _) = shared
-                        .not_empty
-                        .wait_timeout(q, Duration::from_millis(5))
-                        .unwrap();
-                    q = guard;
-                } else {
-                    q = shared.not_empty.wait(q).unwrap();
-                }
+                q = shared.not_empty.wait(q).unwrap();
             }
         };
         // Queue space freed; submitters blocked on capacity may retry.
@@ -1363,7 +1338,7 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
             stage_hists[&trace.tenant].record(&trace);
             shared.record_trace(trace);
         }
-        job.slot.fulfil(result);
+        job.ticket.fulfil(result);
     }
 }
 
@@ -1380,8 +1355,7 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Install the producer output `out` as the consumer's initial value of
 /// the array named `name`: same layout shares the buffer refcounted (no
 /// copy, copy-on-write keeps value semantics); a layout mismatch is a
-/// real, counted copy. Shared by the plain dispatcher and the DAG
-/// runner.
+/// real, counted copy.
 pub(crate) fn install_input<const R: usize>(
     store: &mut Store<R>,
     program: &Program<R>,
@@ -1485,13 +1459,12 @@ fn handles_sig(spec_inputs: &[(String, u64)], spec_outputs: &[job::HandleBinding
     format!("in:{};out:{}", ins.join(","), outs.join(","))
 }
 
-/// Execute one job on the core. Adaptive-policy jobs run through the
-/// one-shot `Session` front doors (the tuner re-plans mid-run, so there
-/// is nothing cacheable); everything else goes through the core's cache
-/// and pool. Bound inputs and resident-handle bindings are installed
-/// first (output handles by *move*, so engine writes never
-/// copy-on-write); declared outputs are published and checked-out
-/// buffers put back after.
+/// Execute one job on the core — its cache and its pool, whatever the
+/// block policy. Resident-handle bindings are installed first (output
+/// handles by *move*, so engine writes never copy-on-write); declared
+/// outputs are published and checked-out buffers put back after.
+/// (Node-sourced inputs were installed by the DAG runner before the job
+/// was admitted.)
 fn run_job<const R: usize>(
     core: &ExecCore,
     handles: &Mutex<HandleTable<R>>,
@@ -1508,37 +1481,13 @@ fn run_job<const R: usize>(
         tenant: _,
         priority: _,
         outputs,
-        inputs,
+        inputs: _,
         handle_inputs,
         handle_outputs,
         loop_exec,
         trace_id: _,
         submitted_at: _,
     } = spec;
-
-    for b in &inputs {
-        let out = match &b.source {
-            SourceKind::Handle(slot) => match slot.peek_output(&b.name) {
-                Some(Ok(out)) => out,
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(PipelineError::InvalidJob {
-                        reason: format!(
-                            "input `{}` was dispatched before its producer resolved",
-                            b.name
-                        ),
-                    })
-                }
-            },
-            SourceKind::Node(_) => {
-                return Err(PipelineError::InvalidJob {
-                    reason: "node-indexed inputs can only run inside submit_dag".into(),
-                })
-            }
-        };
-        let st = store.get_or_insert_with(|| Store::new(&program));
-        install_input(st, &program, &out, &b.name)?;
-    }
 
     let hsig = handles_sig(&handle_inputs, &handle_outputs);
 
@@ -1603,34 +1552,22 @@ fn run_job<const R: usize>(
                     .into(),
             });
         }
-        if !adaptive {
-            let mut noop = NoopCollector;
-            let collector: &mut dyn Collector = match trace_collector.as_mut() {
-                Some(tc) => tc,
-                None => &mut noop,
-            };
-            return core.run(
-                &program,
-                NestSource::Shared(&nest),
-                topology,
-                &cfg,
-                &hsig,
-                store.as_mut(),
-                collector,
-                engine,
-                loop_exec.as_ref(),
-            );
-        }
-        let mut session = Session::new(&program, &nest).config(cfg);
-        session.topology = topology;
-        if let Some(st) = store.as_mut() {
-            session = session.store(st);
-        }
-        if let Some(tc) = trace_collector.as_mut() {
-            session = session.collector(tc);
-        }
-        let outcome = session.run(engine)?;
-        Ok((outcome, None))
+        let mut noop = NoopCollector;
+        let collector: &mut dyn Collector = match trace_collector.as_mut() {
+            Some(tc) => tc,
+            None => &mut noop,
+        };
+        core.run(
+            &program,
+            NestSource::Shared(&nest),
+            topology,
+            &cfg,
+            &hsig,
+            store.as_mut(),
+            collector,
+            engine,
+            loop_exec.as_ref(),
+        )
     })();
 
     if run_result.is_ok() {

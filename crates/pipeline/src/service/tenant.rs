@@ -17,33 +17,19 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::service::admission::TenantConfig;
-use crate::service::job::{JobSpec, Slot, SourceKind};
+use crate::service::job::{JobSpec, JobTicket};
 use crate::telemetry::json::JsonObj;
 
 /// One queued job: its intra-tenant priority, an admission sequence
-/// number (FIFO tiebreak), and the spec/slot pair.
+/// number (FIFO tiebreak), and the spec/ticket pair.
 pub(crate) struct QueuedJob<const R: usize> {
     pub priority: u8,
     pub seq: u64,
     pub spec: JobSpec<R>,
-    pub slot: Arc<Slot<R>>,
+    pub ticket: Arc<JobTicket<R>>,
     /// When admission finished and the job entered the queue (the
     /// admitted → dispatched span of its [`crate::service::JobTrace`]).
     pub admitted_at: std::time::Instant,
-}
-
-impl<const R: usize> QueuedJob<R> {
-    /// Whether every bound input's producer has resolved (either way) —
-    /// only ready jobs may be dispatched; unready ones wait in the
-    /// queue without blocking the tenant's other jobs.
-    pub(crate) fn ready(&self) -> bool {
-        self.spec.inputs.iter().all(|b| match &b.source {
-            SourceKind::Handle(slot) => slot.is_resolved(),
-            // Node-indexed inputs are rejected at the submission doors;
-            // treat as ready so the job fails typed instead of wedging.
-            SourceKind::Node(_) => true,
-        })
-    }
 }
 
 /// One tenant's queue, scheduler state, and lifetime counters.
@@ -85,19 +71,12 @@ impl<const R: usize> TenantQueue<R> {
         }
     }
 
-    /// Whether any queued job is ready to run (inputs resolved).
-    pub(crate) fn has_ready(&self) -> bool {
-        self.jobs.iter().any(|j| j.ready())
-    }
-
-    /// Take the next *ready* job: highest priority first, FIFO among
-    /// equals. Jobs whose bound inputs are still pending stay queued.
-    pub(crate) fn take_next_ready(&mut self) -> Option<QueuedJob<R>> {
+    /// Take the next job: highest priority first, FIFO among equals.
+    pub(crate) fn take_next(&mut self) -> Option<QueuedJob<R>> {
         let best = self
             .jobs
             .iter()
             .enumerate()
-            .filter(|(_, j)| j.ready())
             .max_by(|(_, a), (_, b)| {
                 // Higher priority wins; among equals the smaller seq
                 // (earlier submission) wins.
@@ -125,17 +104,14 @@ impl<const R: usize> TenantQueue<R> {
     }
 }
 
-/// Pick the index of the queue holding a *ready* job with the smallest
-/// pass value (ties broken by registration order), and return it
-/// without mutating any scheduler state — the caller advances the pass
-/// after dequeue. Queues whose jobs are all waiting on bound inputs are
-/// skipped just like empty ones, so a stalled dependency never blocks
-/// other tenants.
+/// Pick the index of the non-empty queue with the smallest pass value
+/// (ties broken by registration order), and return it without mutating
+/// any scheduler state — the caller advances the pass after dequeue.
 pub(crate) fn pick_min_pass<const R: usize>(tenants: &[TenantQueue<R>]) -> Option<usize> {
     tenants
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.has_ready())
+        .filter(|(_, t)| !t.jobs.is_empty())
         .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))
         .map(|(i, _)| i)
 }
@@ -209,7 +185,7 @@ mod tests {
             priority,
             seq,
             spec,
-            slot: Arc::new(Slot::new()),
+            ticket: crate::service::job::Ticket::new(),
             admitted_at: std::time::Instant::now(),
         }
     }
@@ -238,7 +214,7 @@ mod tests {
         t.jobs.push_back(dummy_job(2, 1));
         t.jobs.push_back(dummy_job(2, 2));
         t.jobs.push_back(dummy_job(1, 3));
-        let order: Vec<(u8, u64)> = std::iter::from_fn(|| t.take_next_ready())
+        let order: Vec<(u8, u64)> = std::iter::from_fn(|| t.take_next())
             .map(|j| (j.priority, j.seq))
             .collect();
         assert_eq!(order, vec![(2, 1), (2, 2), (1, 3), (0, 0)]);

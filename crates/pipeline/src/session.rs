@@ -1,8 +1,8 @@
 //! Unified entry point across all wavefront runtimes.
 //!
 //! Historically each engine had its own free function with its own
-//! argument list (`simulate_plan`, `execute_plan_sequential`,
-//! `execute_plan_threaded`, …). A [`Session`] packages the common
+//! argument list (one to simulate a plan, one to execute it
+//! sequentially, one for threads, …). A [`Session`] packages the common
 //! inputs once — program, compiled nest, processor count, block policy,
 //! machine model, optional [`Collector`] — builds the plan, and
 //! dispatches to any [`EngineKind`]:
@@ -126,9 +126,8 @@ pub struct RunOutcome {
     /// units).
     pub run_seconds: f64,
     /// The kernel tier the nest actually executed at, when the path
-    /// that produced this outcome tracks it (service-run Seq/Threads
-    /// engines). `None` for the simulator and for paths that don't
-    /// surface the lowering.
+    /// that produced this outcome lowers one (the Seq and Threads
+    /// engines). `None` for the simulator.
     pub kernel_tier: Option<KernelTier>,
     /// Why the nest sits below the requested kernel-tier ceiling, when
     /// it does (see [`NestRunner::fallback`]).
@@ -138,12 +137,12 @@ pub struct RunOutcome {
 /// Builder bundling everything needed to plan and run one nest on a
 /// processor line or mesh. See the module docs for the idiom.
 pub struct Session<'a, const R: usize> {
-    pub(crate) program: &'a Program<R>,
-    pub(crate) nest: &'a CompiledNest<R>,
-    pub(crate) topology: JobTopology,
-    pub(crate) cfg: SessionConfig,
-    pub(crate) collector: Option<&'a mut dyn Collector>,
-    pub(crate) store: Option<&'a mut Store<R>>,
+    program: &'a Program<R>,
+    nest: &'a CompiledNest<R>,
+    topology: JobTopology,
+    cfg: SessionConfig,
+    collector: Option<&'a mut dyn Collector>,
+    store: Option<&'a mut Store<R>>,
 }
 
 /// The mesh spelling of [`Session`], kept for callers that name it; the
@@ -272,18 +271,15 @@ impl<'a, const R: usize> Session<'a, R> {
         )
     }
 
-    /// Plan and run on one of the built-in engines.
+    /// Plan and run on one of the built-in engines, through the same
+    /// execution core the [`crate::service::WavefrontService`] uses — a
+    /// single-use, uncached instance of it.
     ///
-    /// With [`BlockPolicy::Adaptive`] the run is routed through the
-    /// closed-loop tuner (see [`crate::tune`]): probe tiles, an online
-    /// α/β re-fit, and a re-blocked remainder, all behind the same call.
-    /// Otherwise the run goes through the same execution core the
-    /// [`crate::service::WavefrontService`] uses — a single-use,
-    /// uncached instance of it.
+    /// With [`BlockPolicy::Adaptive`] the core runs the closed-loop
+    /// tuner (see [`crate::tune`]) over the same engine: probe tiles, an
+    /// online α/β re-fit, and a re-blocked remainder, all behind the
+    /// same call.
     pub fn run(self, kind: EngineKind) -> Result<RunOutcome, PipelineError> {
-        if let BlockPolicy::Adaptive(acfg) = self.cfg.block.clone() {
-            return crate::tune::run_session_adaptive(self, kind, &acfg);
-        }
         let Session {
             program,
             nest,

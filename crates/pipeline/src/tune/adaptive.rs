@@ -36,60 +36,36 @@
 //! the boundary values between phases (a legal, coarser schedule that
 //! computes bit-identical values). The attached collector sees one
 //! merged event stream either way.
+//!
+//! The tuner owns no engine: the execution core
+//! (`service::ExecCore::run`) resolves the seed plan and the lowered
+//! kernel as for any job and hands [`adapt`] a closure that runs one
+//! plan on its own pool, so both phases share the job's threads, cache
+//! entry and kernel.
 
-use std::time::Instant;
+use std::sync::Arc;
 
 use wavefront_machine::MachineParams;
 use wavefront_model::{optimal_block_rect, OnlineEstimator};
 
-use crate::error::PipelineError;
-use wavefront_core::kernel::NestRunner;
-
-use crate::exec_seq::execute_plan_sequential;
-use crate::exec_sim::simulate_plan_collected;
-use crate::exec_threads::execute_plan_threaded;
 use crate::plan::WavefrontPlan;
 use crate::schedule::{AdaptiveConfig, BlockCtx};
-use crate::service::pool::WorkerPool;
-use crate::session::{RunOutcome, Session};
 use crate::telemetry::{
-    BlockEvent, Collector, EngineKind, MessageEvent, NoopCollector, Prediction, RunMeta, TimeUnit,
-    TraceCollector, WaitEvent,
+    BlockEvent, Collector, EngineKind, MessageEvent, Prediction, RunMeta, TraceCollector, WaitEvent,
 };
 
 /// Number of probe tiles the adaptive loop runs before re-blocking.
 const PROBE_TILES: usize = 2;
 
-/// What one closed-loop run observed and decided.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveReport {
-    /// The model-seeded initial block size `b₀`.
-    pub initial_block: usize,
-    /// The block size the remainder ran at (`b₀` when nothing could be
-    /// observed).
-    pub chosen_block: usize,
-    /// Fitted `(α̂, β̂)` in the engine's time unit, β̂ per unit of tile
-    /// width. `None` when fewer than two message sizes were observed.
-    pub fitted: Option<(f64, f64)>,
-    /// Measured compute cost of the probe tiles per (wave row × unit of
-    /// tile width) — the per-element cost times the cross-section of
-    /// any dimensions that lie entirely inside a tile, which is the
-    /// normalization Equation (1)'s compute term expects.
-    pub work_hat: Option<f64>,
-    /// Whether the loop actually re-blocked (false = static fallback).
-    pub adapted: bool,
-}
-
-impl AdaptiveReport {
-    fn unadapted(b0: usize) -> Self {
-        AdaptiveReport {
-            initial_block: b0,
-            chosen_block: b0,
-            fitted: None,
-            work_hat: None,
-            adapted: false,
-        }
-    }
+/// What one closed-loop run did, in [`crate::RunOutcome`]'s terms.
+pub(crate) struct Adapted {
+    pub(crate) makespan: f64,
+    pub(crate) messages: usize,
+    /// Tiles the run ended with (probe tiles included).
+    pub(crate) tiles: usize,
+    /// The block size the remainder ran at: the model-seeded `b₀` when
+    /// nothing could be observed.
+    pub(crate) block: usize,
 }
 
 /// Fit α̂/β̂ against tile width and ŵ against wave rows × width, from
@@ -152,14 +128,14 @@ fn choose_block(
     fitted: Option<(f64, f64)>,
     work: Option<f64>,
     fallback: usize,
-) -> (usize, bool) {
+) -> usize {
     if let (Some((alpha, beta)), Some(w)) = (fitted, work) {
         if alpha > 0.0 && w > 0.0 {
             let b = optimal_block_rect(ctx.n_wave, ctx.n_orth, ctx.p, alpha, beta, w);
-            return (ctx.clamp(b), true);
+            return ctx.clamp(b);
         }
     }
-    (fallback, false)
+    fallback
 }
 
 /// Replay two per-phase event streams into the user's collector as one
@@ -248,138 +224,97 @@ fn probe_gate<const R: usize>(
 /// suffix, so this single run is exactly what an online re-blocker
 /// would have executed.
 fn adapt_des<const R: usize>(
-    plan: &WavefrontPlan<R>,
+    plan: &Arc<WavefrontPlan<R>>,
     machine: MachineParams,
     cfg: &AdaptiveConfig,
     collector: &mut dyn Collector,
-    mut sim: impl FnMut(&WavefrontPlan<R>, &mut dyn Collector) -> (f64, usize),
-) -> (f64, usize, usize, AdaptiveReport) {
+    mut sim: impl FnMut(&Arc<WavefrontPlan<R>>, &mut dyn Collector) -> (f64, usize),
+) -> Adapted {
     let b0 = plan.block;
     let Some((ctx, w1, w2)) = probe_gate(plan, machine, cfg) else {
-        let (mk, msgs) = sim(plan, collector);
-        return (mk, msgs, plan.tiles.len(), AdaptiveReport::unadapted(b0));
+        return unadapted(plan, collector, sim);
     };
-    let probe = plan.retile(&[w1, w2, b0]);
+    let probe = Arc::new(plan.retile(&[w1, w2, b0]));
     let mut trace = TraceCollector::new();
     sim(&probe, &mut trace);
     let (fitted, work) = fit_probe(&trace, w1, w2, &ctx);
-    let (b_star, adapted) = choose_block(&ctx, fitted, work, b0);
-    let fin = plan.retile(&[w1, w2, b_star]);
-    let (mk, msgs) = sim(&fin, collector);
-    let report = AdaptiveReport {
-        initial_block: b0,
-        chosen_block: b_star,
-        fitted,
-        work_hat: work,
-        adapted,
-    };
-    (mk, msgs, fin.tiles.len(), report)
+    let block = choose_block(&ctx, fitted, work, b0);
+    let fin = Arc::new(plan.retile(&[w1, w2, block]));
+    let (makespan, messages) = sim(&fin, collector);
+    Adapted {
+        makespan,
+        messages,
+        tiles: fin.tiles.len(),
+        block,
+    }
 }
 
 /// Closed loop on a host engine: phase 1 executes the two probe tiles,
 /// phase 2 executes the re-blocked remainder; the shared store carries
 /// the boundary values across the phase barrier.
 fn adapt_host<const R: usize>(
-    plan: &WavefrontPlan<R>,
+    plan: &Arc<WavefrontPlan<R>>,
     machine: MachineParams,
     cfg: &AdaptiveConfig,
     collector: &mut dyn Collector,
-    mut run: impl FnMut(&WavefrontPlan<R>, &mut dyn Collector) -> (f64, usize),
-) -> (f64, usize, usize, AdaptiveReport) {
+    mut run: impl FnMut(&Arc<WavefrontPlan<R>>, &mut dyn Collector) -> (f64, usize),
+) -> Adapted {
     let b0 = plan.block;
     let Some((ctx, w1, w2)) = probe_gate(plan, machine, cfg) else {
-        let (t, m) = run(plan, collector);
-        return (t, m, plan.tiles.len(), AdaptiveReport::unadapted(b0));
+        return unadapted(plan, collector, run);
     };
     let mut probe = plan.retile(&[w1, w2, b0]);
     probe.tiles.truncate(PROBE_TILES);
     let mut trace1 = TraceCollector::new();
-    let (t1, m1) = run(&probe, &mut trace1);
+    let (t1, m1) = run(&Arc::new(probe), &mut trace1);
     let (fitted, work) = fit_probe(&trace1, w1, w2, &ctx);
-    let (b_star, adapted) = choose_block(&ctx, fitted, work, b0);
-    let mut rest = plan.retile(&[w1, w2, b_star]);
+    let block = choose_block(&ctx, fitted, work, b0);
+    let mut rest = plan.retile(&[w1, w2, block]);
     rest.tiles.drain(..PROBE_TILES.min(rest.tiles.len()));
+    let rest = Arc::new(rest);
     let mut trace2 = TraceCollector::new();
     let (t2, m2) = run(&rest, &mut trace2);
     let tiles = PROBE_TILES + rest.tiles.len();
     if collector.enabled() {
-        merge_phases(collector, &trace1, &trace2, t1, t1 + t2, b_star, tiles);
+        merge_phases(collector, &trace1, &trace2, t1, t1 + t2, block, tiles);
     }
-    let report = AdaptiveReport {
-        initial_block: b0,
-        chosen_block: b_star,
-        fitted,
-        work_hat: work,
-        adapted,
-    };
-    (t1 + t2, m1 + m2, tiles, report)
+    Adapted {
+        makespan: t1 + t2,
+        messages: m1 + m2,
+        tiles,
+        block,
+    }
 }
 
-/// [`Session::run`] with [`crate::BlockPolicy::Adaptive`] lands here.
-pub(crate) fn run_session_adaptive<const R: usize>(
-    s: Session<'_, R>,
-    kind: EngineKind,
-    cfg: &AdaptiveConfig,
-) -> Result<RunOutcome, PipelineError> {
-    let prep_start = Instant::now();
-    let plan = s.plan()?;
-    let prep_seconds = prep_start.elapsed().as_secs_f64();
-    let Session {
-        nest,
-        cfg: scfg,
-        collector,
-        store,
-        ..
-    } = s;
-    let (machine, kernel_mode) = (scfg.machine, scfg.kernel_mode);
-    let mut noop = NoopCollector;
-    let collector: &mut dyn Collector = match collector {
-        Some(c) => c,
-        None => &mut noop,
-    };
-    let run_start = Instant::now();
-    let (makespan, messages, tiles, report) = match kind {
-        EngineKind::Sim => adapt_des(&plan, machine, cfg, collector, |p, c| {
-            let r = simulate_plan_collected(p, &machine, c);
-            (r.makespan, r.messages)
-        }),
-        EngineKind::Seq => {
-            let store = store.ok_or(PipelineError::MissingStore)?;
-            let runner = NestRunner::with_mode(nest, kernel_mode);
-            adapt_host(&plan, machine, cfg, collector, |p, c| {
-                let t0 = Instant::now();
-                execute_plan_sequential(nest, p, &runner, store, c);
-                (t0.elapsed().as_secs_f64(), 0)
-            })
-        }
-        EngineKind::Threads => {
-            let store = store.ok_or(PipelineError::MissingStore)?;
-            // One transient pool shared across the probe and remainder
-            // phases: the second engine invocation reuses the threads the
-            // first one spawned.
-            let workers = WorkerPool::new();
-            adapt_host(&plan, machine, cfg, collector, |p, c| {
-                let r = execute_plan_threaded(&workers, nest, p, store, c, kernel_mode);
-                (r.elapsed.as_secs_f64(), r.messages)
-            })
-        }
-    };
-    Ok(RunOutcome {
-        engine: kind,
+/// The static fallback: no room to probe, so the seed plan runs as is.
+fn unadapted<const R: usize>(
+    plan: &Arc<WavefrontPlan<R>>,
+    collector: &mut dyn Collector,
+    mut run: impl FnMut(&Arc<WavefrontPlan<R>>, &mut dyn Collector) -> (f64, usize),
+) -> Adapted {
+    let (makespan, messages) = run(plan, collector);
+    Adapted {
         makespan,
-        time_unit: match kind {
-            EngineKind::Sim => TimeUnit::ModelUnits,
-            _ => TimeUnit::Seconds,
-        },
         messages,
-        block: report.chosen_block,
-        tiles,
-        pipelined: tiles > 1,
-        prep_seconds,
-        run_seconds: run_start.elapsed().as_secs_f64(),
-        kernel_tier: None,
-        kernel_fallback: None,
-    })
+        tiles: plan.tiles.len(),
+        block: plan.block,
+    }
+}
+
+/// The closed loop over one engine: `run` executes (or simulates) one
+/// plan and returns `(makespan, messages)`.
+pub(crate) fn adapt<const R: usize>(
+    plan: &Arc<WavefrontPlan<R>>,
+    machine: MachineParams,
+    cfg: &AdaptiveConfig,
+    kind: EngineKind,
+    collector: &mut dyn Collector,
+    run: impl FnMut(&Arc<WavefrontPlan<R>>, &mut dyn Collector) -> (f64, usize),
+) -> Adapted {
+    match kind {
+        EngineKind::Sim => adapt_des(plan, machine, cfg, collector, run),
+        EngineKind::Seq | EngineKind::Threads => adapt_host(plan, machine, cfg, collector, run),
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +322,7 @@ mod tests {
     use super::*;
     use crate::plan::tests::tomcatv_nest;
     use crate::schedule::BlockPolicy;
+    use crate::session::Session;
     use wavefront_core::prelude::*;
 
     fn init(program: &Program<2>) -> Store<2> {

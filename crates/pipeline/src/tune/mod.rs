@@ -22,7 +22,6 @@
 pub mod adaptive;
 pub mod calibrate;
 
-pub use adaptive::AdaptiveReport;
 pub use calibrate::{calibrate_host, calibrate_with, CalibrationConfig};
 
-pub(crate) use adaptive::run_session_adaptive;
+pub(crate) use adaptive::adapt;

@@ -125,7 +125,12 @@ unsafe_blocks=$(find crates src -name '*.rs' -not -name '*_tests.rs' -not -path 
 # The threaded engine's shipped lines: everything above its test modules.
 engine_lines=$(awk '/^#\[cfg\(test\)\]/ { t = NR } /^mod / { print t - 1; exit }' \
     crates/pipeline/src/exec_threads.rs)
+# The service control plane's shipped lines: each file up to its first
+# top-level `#[cfg(test)]`.
+service_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' \
+    crates/pipeline/src/service/*.rs)
 echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$pub_lines pub lines in crates/pipeline/src;" \
     "$unsafe_blocks unsafe blocks outside #[cfg(test)] in crates/ and src/;" \
-    "$engine_lines shipped lines in crates/pipeline/src/exec_threads.rs"
+    "$engine_lines shipped lines in crates/pipeline/src/exec_threads.rs;" \
+    "$service_lines shipped lines in crates/pipeline/src/service/*.rs"

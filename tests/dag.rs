@@ -4,7 +4,9 @@
 //! sequential `Session` runs with the outputs copied by hand; cycles
 //! are rejected as typed errors before anything runs; and the choice of
 //! scheduler (fifo / critical-path / locality) never changes results —
-//! only order.
+//! only order. Real and simulated execution share one driver, so the
+//! scheduler and failure-propagation contracts are checked with the
+//! mode as an input.
 //!
 //! Random programs are sampled with the crate's own [`SplitMix64`]
 //! (same harness as `tests/service.rs`), so every run exercises the
@@ -16,9 +18,15 @@ use wavefront::core::prelude::*;
 use wavefront::kernels::rng::SplitMix64;
 use wavefront::machine::cray_t3e;
 use wavefront::pipeline::{
-    BlockPolicy, DagSpec, EngineKind, JobSpec, NodeRef, PipelineError, SchedulerKind, Session,
-    WavefrontService,
+    BlockPolicy, DagOutcome, DagSpec, EngineKind, JobSpec, JobTopology, NodeRef, PipelineError,
+    SchedulerKind, Session, WavefrontService,
 };
+
+const SCHEDULERS: [SchedulerKind; 3] = [
+    SchedulerKind::Fifo,
+    SchedulerKind::CriticalPath,
+    SchedulerKind::Locality,
+];
 
 /// Primed directions that keep a single-assignment scan legal.
 const PRIMED: [[i64; 2]; 4] = [[-1, 0], [-1, -1], [-1, 1], [-2, 0]];
@@ -124,6 +132,73 @@ fn node_spec(case: &Case, engine: EngineKind, prev: Option<NodeRef>) -> JobSpec<
     b.build().expect("valid spec")
 }
 
+/// The dispatch record of any run, real or simulated: no node twice,
+/// and a node only after every predecessor named in `edges`
+/// (`(producer, consumer)` node indices).
+fn assert_decisions_topological(out: &DagOutcome<2>, edges: &[(usize, usize)], what: &str) {
+    let mut at = vec![None; out.nodes.len()];
+    for (i, d) in out.stats.decisions.iter().enumerate() {
+        assert_eq!(d.order, i, "{what}: decisions are numbered in order");
+        assert!(
+            at[d.node].replace(i).is_none(),
+            "{what}: node {} dispatched twice",
+            d.node
+        );
+    }
+    for &(p, c) in edges {
+        if let Some(c_at) = at[c] {
+            assert!(
+                at[p].is_some_and(|p_at| p_at < c_at),
+                "{what}: node {c} dispatched before its producer {p}"
+            );
+        }
+    }
+}
+
+/// One seeded random DAG of at most 8 nodes over `case`, on `engine`
+/// (sim or real): node `i > 0` takes `a` and `b` from up to two earlier
+/// nodes, and node `broken` asks for a distribution dimension its nest
+/// does not have, so its plan cannot be built — on data or in the
+/// simulator. Returns the spec and its `(producer, consumer)` edges.
+fn random_dag(
+    seed: u64,
+    case: &Case,
+    engine: EngineKind,
+    kind: SchedulerKind,
+) -> (DagSpec<2>, Vec<(usize, usize)>) {
+    let mut rng = SplitMix64::new(seed);
+    let n = 3 + rng.gen_range(6);
+    let broken = rng.gen_range(n);
+    let mut b = DagSpec::builder();
+    b.scheduler(kind).sim_procs(8);
+    let mut refs: Vec<NodeRef> = Vec::new();
+    let mut edges = Vec::new();
+    for i in 0..n {
+        let mut spec = JobSpec::builder(Arc::clone(&case.program), Arc::clone(&case.nest))
+            .block(BlockPolicy::Fixed(4))
+            .machine(cray_t3e())
+            .engine(engine)
+            .topology(JobTopology::Line {
+                procs: 4,
+                dist_dim: (i == broken).then_some(7),
+            });
+        let mut fed = false;
+        for name in ["a", "b"] {
+            if i > 0 && rng.gen_range(3) > 0 {
+                let p = rng.gen_range(i);
+                spec = spec.input_from(refs[p], name);
+                edges.push((p, i));
+                fed = true;
+            }
+        }
+        if !fed && engine != EngineKind::Sim {
+            spec = spec.store(case.initial.clone());
+        }
+        refs.push(b.add_labeled(format!("n{i}"), spec.build().expect("valid spec")));
+    }
+    (b.build().expect("acyclic by construction"), edges)
+}
+
 /// Chains of dependent jobs through the DAG runner are bit-identical to
 /// hand-chained sequential `Session` runs, on both real engines.
 #[test]
@@ -226,50 +301,61 @@ fn dag_diamond_matches_hand_chained_reference() {
     }
 }
 
-/// The scheduler choice reorders dispatch but never changes values:
-/// fifo, critical-path, and locality all produce bit-identical outputs
-/// for the same two-chain DAG.
+/// The scheduler choice reorders dispatch but never changes values, in
+/// either mode: fifo, critical-path, and locality all produce
+/// bit-identical outputs for the same two-chain DAG on data, and
+/// bit-identical per-node model-unit costs in the simulator; and every
+/// dispatch record is a topological order.
 #[test]
 fn scheduler_choice_never_changes_results() {
     let mut rng = SplitMix64::new(0x5C4ED);
     let case_a = random_case(&mut rng);
     let case_b = random_case(&mut rng);
     let service: WavefrontService<2> = WavefrontService::new();
+    let chain_edges = [(0, 1), (1, 2), (3, 4), (4, 5)];
 
-    let run = |kind: SchedulerKind| {
+    let run = |kind: SchedulerKind, engine: EngineKind| {
         let mut b = DagSpec::builder();
-        b.scheduler(kind);
+        b.scheduler(kind).sim_procs(8);
         for (tag, case) in [("a", &case_a), ("b", &case_b)] {
             let mut prev = None;
             for k in 0..3 {
-                prev = Some(b.add_labeled(
-                    format!("{tag}{k}"),
-                    node_spec(case, EngineKind::Threads, prev),
-                ));
+                prev = Some(b.add_labeled(format!("{tag}{k}"), node_spec(case, engine, prev)));
             }
         }
         let mut out = service.submit_dag(b.build().unwrap()).wait();
         assert!(
             out.all_ok(),
-            "{kind:?}: {:?}",
+            "{kind:?} {engine:?}: {:?}",
             out.nodes.iter().find_map(|n| n.result.as_ref().err())
         );
         assert_eq!(out.stats.scheduler, kind.name());
+        assert_eq!(out.stats.decisions.len(), 6, "{kind:?} {engine:?}");
+        assert_decisions_topological(&out, &chain_edges, &format!("{kind:?} {engine:?}"));
         let mut values = Vec::new();
-        for tag in ["a", "b"] {
-            for name in ["a", "b"] {
-                let arr = out.take_output(&format!("{tag}2"), name).unwrap();
-                values.extend(arr.as_slice().iter().map(|v| v.to_bits()));
+        if engine == EngineKind::Sim {
+            for node in &out.nodes {
+                let cost = node.result.as_ref().unwrap().outcome.makespan;
+                values.push(cost.to_bits());
+            }
+        } else {
+            for tag in ["a", "b"] {
+                for name in ["a", "b"] {
+                    let arr = out.take_output(&format!("{tag}2"), name).unwrap();
+                    values.extend(arr.as_slice().iter().map(|v| v.to_bits()));
+                }
             }
         }
         values
     };
 
-    let fifo = run(SchedulerKind::Fifo);
-    let cp = run(SchedulerKind::CriticalPath);
-    let locality = run(SchedulerKind::Locality);
-    assert_eq!(fifo, cp, "critical-path scheduling changed results");
-    assert_eq!(fifo, locality, "locality scheduling changed results");
+    for engine in [EngineKind::Threads, EngineKind::Sim] {
+        let fifo = run(SchedulerKind::Fifo, engine);
+        let cp = run(SchedulerKind::CriticalPath, engine);
+        let locality = run(SchedulerKind::Locality, engine);
+        assert_eq!(fifo, cp, "{engine:?}: critical-path scheduling changed results");
+        assert_eq!(fifo, locality, "{engine:?}: locality scheduling changed results");
+    }
 }
 
 /// A cyclic graph (constructible only by misusing `NodeRef`s from
@@ -302,7 +388,10 @@ fn cycles_are_rejected_before_anything_runs() {
 /// A node whose input cannot be installed (producer array bounds differ
 /// from the consumer's declaration) fails typed, and its successor
 /// fails with [`PipelineError::DependencyFailed`] naming the producer —
-/// no hang, no panic.
+/// no hang, no panic. And a failure both modes can see — a node whose
+/// plan cannot be built — ends the same way on data and in the
+/// simulator, under every scheduler: the same nodes `Ok`, failed, or
+/// `DependencyFailed` on the same producer.
 #[test]
 fn runtime_failures_propagate_as_dependency_errors() {
     let mut rng = SplitMix64::new(0xFA11);
@@ -340,6 +429,56 @@ fn runtime_failures_propagate_as_dependency_errors() {
         other => panic!("expected DependencyFailed, got {other}"),
     }
     assert_eq!(out.stats.failed, 2);
+
+    // How every node of `out` ended.
+    let endings = |out: &DagOutcome<2>| -> Vec<String> {
+        out.nodes
+            .iter()
+            .map(|n| match &n.result {
+                Ok(_) => "ok".to_string(),
+                Err(PipelineError::DependencyFailed { producer, .. }) => {
+                    format!("after {producer}")
+                }
+                Err(PipelineError::WaveNotDistributed { .. }) => "unplannable".to_string(),
+                Err(other) => panic!("node {}: unexpected failure {other}", n.label),
+            })
+            .collect()
+    };
+    let mut chained = false;
+    for seed in 0..12u64 {
+        let mut want: Option<Vec<String>> = None;
+        for engine in [EngineKind::Seq, EngineKind::Sim] {
+            for kind in SCHEDULERS {
+                let what = format!("seed {seed} {engine:?} {kind:?}");
+                let (dag, edges) = random_dag(0xD0_0000 + seed, &small, engine, kind);
+                let out = service.submit_dag(dag).wait();
+                let got = endings(&out);
+                assert_eq!(
+                    got.iter().filter(|e| *e == "unplannable").count(),
+                    1,
+                    "{what}: exactly the broken node fails on its own: {got:?}"
+                );
+                let failed = got.iter().filter(|e| *e != "ok").count();
+                assert_eq!(out.stats.failed, failed, "{what}: {got:?}");
+                assert_decisions_topological(&out, &edges, &what);
+                // Every node that ended `ok` was dispatched, and nothing
+                // downstream of the broken node ever was.
+                for (v, ending) in got.iter().enumerate() {
+                    let dispatched = out.stats.decisions.iter().any(|d| d.node == v);
+                    match ending.as_str() {
+                        "ok" => assert!(dispatched, "{what}: node {v} ran undispatched"),
+                        // Data runs dispatch it to find out; the
+                        // simulator's probe already knew.
+                        "unplannable" => {}
+                        _ => assert!(!dispatched, "{what}: node {v} ran {ending}"),
+                    }
+                }
+                chained |= got.iter().any(|e| e.starts_with("after"));
+                assert_eq!(*want.get_or_insert(got.clone()), got, "{what}");
+            }
+        }
+    }
+    assert!(chained, "no sampled dag put a node downstream of the broken one");
 }
 
 /// The same chain shape runs as a what-if discrete-event simulation

@@ -1,8 +1,9 @@
 //! Behavioural contract of the persistent [`WavefrontService`]:
 //! concurrent jobs are bit-identical to one-shot `Session` runs, the
 //! compiled-plan cache accounts every hit and miss exactly, a full
-//! submission queue blocks (never drops), and steady traffic spawns no
-//! per-job threads.
+//! submission queue blocks (never drops), steady traffic spawns no
+//! per-job threads, and the runner threads of DAGs and loops are joined
+//! as they end, not hoarded until shutdown.
 //!
 //! Random programs are sampled with the crate's own [`SplitMix64`]
 //! (same harness as `tests/kernel_differential.rs`), so every run
@@ -15,7 +16,7 @@ use wavefront::kernels::rng::SplitMix64;
 use wavefront::kernels::tomcatv;
 use wavefront::machine::cray_t3e;
 use wavefront::pipeline::{
-    BlockPolicy, EngineKind, JobSpec, ServiceConfig, Session, WavefrontService,
+    BlockPolicy, DagSpec, EngineKind, JobSpec, LoopSpec, ServiceConfig, Session, WavefrontService,
 };
 
 /// Primed directions that keep a single-assignment scan legal.
@@ -463,4 +464,121 @@ fn try_submit_resolves_through_the_handle() {
         .wait()
         .expect("admitted job runs to completion");
     assert!(out.take_output("x").is_ok());
+}
+
+/// A one-array running sum `a = a'@[-1,0] + 1` on the sequential
+/// engine: the cheapest body a DAG node or a loop step can have.
+fn running_sum() -> (Arc<Program<2>>, Arc<CompiledNest<2>>) {
+    let bounds = Region::rect([0, 0], [7, 7]);
+    let mut prog = Program::<2>::new();
+    let a = prog.array("a", bounds);
+    prog.stmt(
+        Region::rect([1, 0], [7, 7]),
+        a,
+        Expr::read_primed_at(a, [-1, 0]) + Expr::lit(1.0),
+    );
+    let nest = compile(&prog).unwrap().nest(0).clone();
+    (Arc::new(prog), Arc::new(nest))
+}
+
+/// Every `submit_dag` and `submit_loop` starts a runner thread, and a
+/// thread that has ended keeps its stack mapped until it is joined. The
+/// service joins ended runners as it spawns new ones, so 4,000
+/// submissions cost no address space; left to pile up until `Drop` they
+/// map 2 MiB each (8 GB here — and the process dies at ~32,000, when it
+/// runs out of memory mappings).
+#[cfg(target_os = "linux")]
+#[test]
+fn ended_runner_threads_are_joined_as_they_go() {
+    fn vm_size_mb() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmSize:")).unwrap();
+        let kb: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+        kb / 1024
+    }
+    // The allocator gives concurrently live threads an arena of 64 MB of
+    // address space each, up to a cap, and keeps them. Tests of this
+    // binary run beside this one: reach the cap now, so that a thread of
+    // theirs cannot move `VmSize` by an arena while it is watched here.
+    let crowd = std::sync::Barrier::new(64);
+    std::thread::scope(|s| {
+        for _ in 0..64 {
+            s.spawn(|| {
+                let held = std::hint::black_box(vec![0u8; 256]);
+                crowd.wait();
+                drop(held);
+            });
+        }
+    });
+
+    let (program, nest) = running_sum();
+    let service: WavefrontService<2> = WavefrontService::new();
+    let job = || JobSpec::builder(Arc::clone(&program), Arc::clone(&nest)).engine(EngineKind::Seq);
+    let handle = service.alloc(Region::rect([0, 0], [7, 7]));
+    let round = |service: &WavefrontService<2>| {
+        let mut dag = DagSpec::builder();
+        dag.add(job().store(Store::new(&program)).build().unwrap());
+        assert!(service.submit_dag(dag.build().unwrap()).wait().all_ok());
+        let body = job().output_handle("a", &handle).build().unwrap();
+        let spec = LoopSpec::builder().job(body).steps(1).build().unwrap();
+        assert_eq!(service.submit_loop(spec).wait().unwrap().steps_run, 1);
+    };
+    for _ in 0..16 {
+        round(&service);
+    }
+    let before = vm_size_mb();
+    for _ in 0..2000 {
+        round(&service);
+    }
+    let grown = vm_size_mb().saturating_sub(before);
+    assert!(
+        grown < 64,
+        "2,000 DAGs and 2,000 loops grew the address space by {grown} MB: \
+         ended runner threads are not being joined"
+    );
+}
+
+/// Joining runners early must not lose the ones still at work: dropping
+/// the service waits for a loop in flight, and the loop's handle
+/// resolves with every step run.
+#[test]
+fn dropping_the_service_waits_for_a_running_loop() {
+    use std::sync::mpsc::channel;
+
+    let (program, nest) = running_sum();
+    let service: WavefrontService<2> = WavefrontService::new();
+    let a = service.alloc(Region::rect([0, 0], [7, 7]));
+    let body = JobSpec::builder(program, nest)
+        .engine(EngineKind::Seq)
+        .output_handle("a", &a)
+        .build()
+        .unwrap();
+    // The callback parks the loop after its first step until released.
+    let (started_tx, started_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    let spec = LoopSpec::builder()
+        .job(body)
+        .steps(3)
+        .until(move |view| {
+            if view.step() == 1 {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
+            false
+        })
+        .build()
+        .unwrap();
+    let handle = service.submit_loop(spec);
+    started_rx.recv().unwrap();
+    let resolved_at_drop = std::thread::scope(|s| {
+        let dropper = s.spawn(|| {
+            drop(service);
+            handle.is_done()
+        });
+        release_tx.send(()).unwrap();
+        dropper.join().unwrap()
+    });
+    assert!(resolved_at_drop, "drop returned while the loop was still running");
+    let out = handle.wait().expect("the loop ran to its end");
+    assert_eq!(out.steps_run, 3);
 }

@@ -195,3 +195,63 @@ fn threaded_transport_calibration_is_plausible() {
     assert!(cal.elem_cost.is_finite() && cal.elem_cost > 0.0);
     assert!(cal.alpha_work() > 0.0 && cal.alpha_work().is_finite());
 }
+
+/// An adaptive job is a job like any other to the service: it runs on
+/// the service's pool, its seed plan and lowered kernel are cached, and
+/// the outcome names the kernel tier — with results bit-identical to a
+/// sequential `Session`.
+#[test]
+fn adaptive_jobs_use_the_services_pool_and_cache() {
+    use std::sync::Arc;
+    use wavefront::pipeline::{JobSpec, WavefrontService};
+
+    let lo = tomcatv::build(130).unwrap();
+    let compiled = compile(&lo.program).unwrap();
+    let nest = compiled.nests().find(|x| x.is_scan).unwrap().clone();
+    let mut initial = Store::new(&lo.program);
+    tomcatv::init(&lo, &mut initial);
+    let mut want = initial.clone();
+    Session::new(&lo.program, &nest)
+        .store(&mut want)
+        .run(EngineKind::Seq)
+        .unwrap();
+
+    let (program, nest) = (Arc::new(lo.program), Arc::new(nest));
+    let service: WavefrontService<2> = WavefrontService::new();
+    let mut spawns = 0;
+    for job in 0..3 {
+        let before = service.stats();
+        let spec = JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
+            .line(2)
+            .block(BlockPolicy::adaptive())
+            .engine(EngineKind::Threads)
+            .store(initial.clone())
+            .build()
+            .unwrap();
+        let mut out = service.submit(spec).wait().unwrap();
+        for id in 0..want.len() {
+            let got = out.take_output(&program.name_of(id)).unwrap().to_array();
+            let want = want.get(id);
+            assert!(
+                want.bounds().iter().all(|q| got.get(q).to_bits() == want.get(q).to_bits()),
+                "job {job}: array {id} differs from the sequential Session"
+            );
+        }
+        assert!(out.outcome.kernel_tier.is_some(), "job {job}");
+        assert!(
+            out.outcome.tiles > 3,
+            "job {job}: {} tiles leave the tuner nothing to probe",
+            out.outcome.tiles
+        );
+        let after = service.stats();
+        if job == 0 {
+            assert_eq!(after.cache_misses, 1, "the first job builds the seed plan");
+            spawns = after.pool_spawns;
+            assert!(spawns >= 2, "a p = 2 job ran on the service's pool");
+        } else {
+            assert_eq!(after.cache_hits, before.cache_hits + 1, "job {job} is a cache hit");
+            assert_eq!(after.cache_misses, 1, "job {job}");
+            assert_eq!(after.pool_spawns, spawns, "job {job} spawned threads");
+        }
+    }
+}
