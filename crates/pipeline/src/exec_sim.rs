@@ -1,19 +1,28 @@
 //! Simulated (cost-model) execution of plans and whole programs.
 //!
-//! Builds the task DAG of a plan from the *actual* owned regions and
-//! tiles (so uneven distributions are represented exactly) and runs the
-//! machine's deterministic cost simulator. This is the "experimental"
-//! time of the figure harnesses, as opposed to the closed-form Model1 /
-//! Model2 predictions.
+//! There is one path from a nest to model units. A classifier
+//! ([`nest_stage`]) asks the planner once and sorts the nest into a
+//! *planned wavefront* (the plan's own task DAG, [`plan_dag`]: the actual
+//! owned regions and tiles, so uneven distributions are exact), a *fully
+//! parallel* nest with one ghost exchange, or — when dependences cross
+//! the distributed dimension both ways — a *serialised chain*; a
+//! reduction is the fourth class. Each class has one stage builder, and
+//! stages are strung into one program graph ([`simulate_program`]) with
+//! or without barriers. A nest's time is its stage simulated alone; a
+//! program's per-nest times and total are read off the graph. This is the
+//! "experimental" time of the figure harnesses, as opposed to the
+//! closed-form Model1 / Model2 predictions.
 
-use wavefront_core::exec::{CompiledNest, CompiledProgram};
-use wavefront_core::program::Program;
+use wavefront_core::exec::{CompiledNest, CompiledOp, CompiledProgram};
+use wavefront_core::program::Reduce;
+use wavefront_core::region::Region;
 use wavefront_machine::{
-    simulate, simulate_observed, CommMode, Dep, MachineParams, SimObserver, SimResult, SimTask,
+    simulate, simulate_observed, CommMode, Dep, Distribution, MachineParams, ProcGrid, SimObserver,
+    SimResult, SimTask,
 };
 
 use crate::error::PipelineError;
-use crate::plan::{JobTopology, WavefrontPlan};
+use crate::plan::{nest_work, read_margins, JobTopology, WavefrontPlan};
 use crate::schedule::BlockPolicy;
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
@@ -169,18 +178,12 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
     result
 }
 
-/// A line of `p` processors forced along `dist_dim`.
-fn along(p: usize, dist_dim: usize) -> JobTopology {
-    JobTopology::Line {
-        procs: p,
-        dist_dim: Some(dist_dim),
-    }
-}
-
 /// Outcome of simulating one nest of a program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct NestSim {
-    /// Simulated completion time.
+    /// Simulated completion time: the nest's stage simulated alone, or,
+    /// inside a [`ProgramSim`], from the previous stage's last finish to
+    /// this one's.
     pub time: f64,
     /// Whether the nest ran as a pipelined wavefront.
     pub pipelined: bool,
@@ -191,53 +194,77 @@ pub struct NestSim {
     pub wavefront: bool,
 }
 
-/// Simulate one nest distributed along `dist_dim` over `p` processors.
+/// One classified nest or reduction as DES tasks with stage-local
+/// indices, and what the classifier found; `sim.time` is filled by
+/// whoever simulates it.
+struct Stage {
+    tasks: Vec<SimTask>,
+    procs: usize,
+    sim: NestSim,
+}
+
+/// Elements of `r`'s face perpendicular to dimension `k`.
+fn face<const R: usize>(r: Region<R>, k: usize) -> usize {
+    r.len()
+        .checked_div(r.extent(k).max(0) as usize)
+        .unwrap_or(0)
+}
+
+/// A task of `cost` on `proc` after `deps`.
+fn task(proc: usize, cost: f64, deps: Vec<Dep>) -> SimTask {
+    SimTask { proc, cost, deps }
+}
+
+/// The one classifier: plan `nest` on `topology` and build its stage.
 ///
-/// Wavefront nests (value-carrying dependences along `dist_dim`) run
-/// under `policy`; everything else runs fully parallel with a single
-/// ghost-exchange round when some read shift crosses the distributed
-/// dimension.
-pub(crate) fn simulate_nest<const R: usize>(
+/// A nest the planner accepts is its plan's task DAG. The planner's
+/// shape errors select the two unplanned classes over the block
+/// distribution the topology names (a line's dimension defaults to 0, a
+/// mesh's to 0 and 1): a wavefront along a distributed dimension that
+/// cannot be decomposed serialises processor by processor, anything else
+/// is fully parallel.
+fn nest_stage<const R: usize>(
     nest: &CompiledNest<R>,
-    p: usize,
-    dist_dim: usize,
+    topology: JobTopology,
     policy: &BlockPolicy,
     params: &MachineParams,
-) -> NestSim {
-    match WavefrontPlan::build(nest, along(p, dist_dim), policy, params) {
-        Ok(plan) => {
-            let r = simulate(&plan_dag(&plan), params, p);
-            NestSim {
-                time: r.makespan,
+) -> Stage {
+    match WavefrontPlan::build(nest, topology, policy, params) {
+        Ok(plan) => Stage {
+            tasks: plan_dag(&plan),
+            procs: plan.procs(),
+            sim: NestSim {
                 pipelined: plan.is_pipelined(),
                 block: plan.tile_dim.map(|_| plan.block),
                 wavefront: true,
+                ..NestSim::default()
+            },
+        },
+        Err(
+            PipelineError::WaveNotDistributed { .. }
+            | PipelineError::NoWavefrontDim
+            | PipelineError::ConflictingDependences { .. },
+        ) => {
+            let mut grid = [1usize; R];
+            match topology {
+                JobTopology::Line { procs, dist_dim } => grid[dist_dim.unwrap_or(0)] = procs,
+                JobTopology::Mesh { mesh, wave_dims } => {
+                    let dims = wave_dims.unwrap_or([0, 1]);
+                    (grid[dims[0]], grid[dims[1]]) = (mesh[0], mesh[1]);
+                }
             }
-        }
-        Err(PipelineError::WaveNotDistributed { .. }) | Err(PipelineError::NoWavefrontDim) => {
-            NestSim {
-                time: simulate_parallel_nest(nest, p, dist_dim, params),
-                pipelined: false,
-                block: None,
-                wavefront: false,
-            }
-        }
-        Err(PipelineError::ConflictingDependences { .. }) => {
-            // Dependences cross the distributed dimension in both
-            // directions: no pipelined decomposition exists, so the sweep
-            // serializes processor by processor (approximated as the
-            // naive chain with whole-boundary messages).
-            let work = crate::plan::nest_work(nest);
-            let cross: usize = (0..R)
-                .filter(|&k| k != dist_dim)
-                .map(|k| nest.region.extent(k).max(0) as usize)
-                .product();
-            let total = nest.region.len() as f64 * work;
-            NestSim {
-                time: total + (p.saturating_sub(1)) as f64 * params.msg_cost(cross),
-                pipelined: false,
-                block: None,
-                wavefront: true,
+            let dist = Distribution::block(nest.region, ProcGrid::new(grid));
+            let wave = (0..R).find(|k| grid[*k] > 1 && nest.structure.wavefront_dims.contains(k));
+            Stage {
+                tasks: match wave {
+                    Some(k) => chain_stage(nest, &dist, k),
+                    None => parallel_stage(nest, &dist),
+                },
+                procs: dist.grid().len(),
+                sim: NestSim {
+                    wavefront: wave.is_some(),
+                    ..NestSim::default()
+                },
             }
         }
         // Plan construction only raises the shape errors above; the
@@ -246,298 +273,182 @@ pub(crate) fn simulate_nest<const R: usize>(
     }
 }
 
-/// Simulate a fully parallel nest: every processor computes its owned
-/// portion independently, after one ghost-exchange message per neighbour
-/// pair when any read shift has a component along the distributed
-/// dimension.
-pub(crate) fn simulate_parallel_nest<const R: usize>(
-    nest: &CompiledNest<R>,
-    p: usize,
-    dist_dim: usize,
-    params: &MachineParams,
-) -> f64 {
-    let region = nest.region;
-    let dist = wavefront_machine::Distribution::block(
-        region,
-        wavefront_machine::ProcGrid::<R>::along(dist_dim, p),
-    );
-    let work = crate::plan::nest_work(nest);
-
-    // Ghost exchange: arrays read with a non-zero shift along dist_dim.
-    let mut ghost_arrays: Vec<(usize, i64)> = Vec::new();
-    for s in &nest.stmts {
-        for r in s.rhs.reads() {
-            let d = r.shift[dist_dim].abs();
-            if d > 0 {
-                match ghost_arrays.iter_mut().find(|(id, _)| *id == r.id) {
-                    Some((_, t)) => *t = (*t).max(d),
-                    None => ghost_arrays.push((r.id, d)),
+/// A fully parallel nest: every processor computes its owned portion
+/// after one ghost message per neighbour along each distributed
+/// dimension some read shift crosses. A message carries, per array, a
+/// slab of the sender's face as thick as that array's largest shift —
+/// the rule of [`WavefrontPlan::msg_elems`] and the threaded engine.
+/// Tasks: per processor a zero-cost "send", then the compute task
+/// depending on its neighbours' sends.
+fn parallel_stage<const R: usize>(nest: &CompiledNest<R>, dist: &Distribution<R>) -> Vec<SimTask> {
+    let grid = dist.grid();
+    let work = nest_work(nest);
+    let margins = read_margins(nest);
+    let thickness: [usize; R] =
+        std::array::from_fn(|k| margins.iter().map(|m| m[k] as usize).sum());
+    let compute = |proc| {
+        let mut deps = Vec::new();
+        for k in (0..R).filter(|&k| thickness[k] > 0) {
+            for step in [-1, 1] {
+                if let Some(from) = grid.neighbor(proc, k, step) {
+                    deps.push(Dep {
+                        task: from,
+                        elems: thickness[k] * face(dist.owned(from), k),
+                    });
                 }
             }
         }
-    }
-    let cross: usize = (0..R)
-        .filter(|&k| k != dist_dim)
-        .map(|k| region.extent(k).max(0) as usize)
-        .product();
-    let ghost_elems: usize = ghost_arrays.iter().map(|(_, t)| cross * *t as usize).sum();
-
-    // DAG: per processor a zero-cost "send" task, then a compute task
-    // depending on the neighbours' sends.
-    let mut tasks = Vec::with_capacity(2 * p);
-    for i in 0..p {
-        tasks.push(SimTask {
-            proc: i,
-            cost: 0.0,
-            deps: vec![],
-        }); // send i
-    }
-    for i in 0..p {
-        let mut deps = Vec::new();
-        if ghost_elems > 0 {
-            if i > 0 {
-                deps.push(Dep {
-                    task: i - 1,
-                    elems: ghost_elems,
-                });
-            }
-            if i + 1 < p {
-                deps.push(Dep {
-                    task: i + 1,
-                    elems: ghost_elems,
-                });
-            }
-        }
-        let owned = dist.owned(i);
-        tasks.push(SimTask {
-            proc: i,
-            cost: owned.len() as f64 * work,
-            deps,
-        });
-    }
-    simulate(&tasks, params, p).makespan
+        task(proc, dist.owned(proc).len() as f64 * work, deps)
+    };
+    let sends = grid.ranks().map(|proc| task(proc, 0.0, vec![]));
+    sends.chain(grid.ranks().map(compute)).collect()
 }
 
-/// Simulation of a whole compiled program: nests run in order with a
-/// barrier between them (the paper's per-statement communication
-/// structure), so the program time is the sum of nest times.
+/// A wavefront along dimension `k` whose dependences cross it in both
+/// directions: no pipelined decomposition exists, so the sweep
+/// serialises processor by processor — the naive chain, each processor
+/// handing the region's whole boundary to the next.
+fn chain_stage<const R: usize>(
+    nest: &CompiledNest<R>,
+    dist: &Distribution<R>,
+    k: usize,
+) -> Vec<SimTask> {
+    let work = nest_work(nest);
+    let link = |from| Dep {
+        task: from,
+        elems: face(nest.region, k),
+    };
+    let portion = |proc: usize| {
+        let deps = proc.checked_sub(1).map(link).into_iter().collect();
+        task(proc, dist.owned(proc).len() as f64 * work, deps)
+    };
+    dist.grid().ranks().map(portion).collect()
+}
+
+/// A reduction: the fold is perfectly parallel, then the partial results
+/// combine up a binary tree and the scalar broadcasts back down —
+/// `2·ceil(log2 p)` single-element messages on the critical path,
+/// modelled as extra cost on processor 0. The result is global, so every
+/// processor ends the stage on a zero-cost task waiting for that combine:
+/// a reduction is a barrier even when stages overlap.
+fn reduce_stage<const R: usize>(red: &Reduce<R>, p: usize, params: &MachineParams) -> Stage {
+    let work = (red.src.flop_count() + 1) as f64;
+    let fold = (red.region.len() as f64 / p as f64).ceil() * work;
+    let hops = (p.max(1) as f64).log2().ceil();
+    let combine = 2.0 * hops * params.msg_cost(1);
+    let folds =
+        (0..p).map(|proc| task(proc, if proc == 0 { fold + combine } else { fold }, vec![]));
+    let waits = (0..p).map(|proc| task(proc, 0.0, vec![Dep { task: 0, elems: 0 }]));
+    Stage {
+        tasks: folds.chain(waits).collect(),
+        procs: p,
+        sim: NestSim::default(),
+    }
+}
+
+/// Simulate one nest alone on `topology`: its stage's makespan.
+pub(crate) fn simulate_nest<const R: usize>(
+    nest: &CompiledNest<R>,
+    topology: JobTopology,
+    policy: &BlockPolicy,
+    params: &MachineParams,
+) -> NestSim {
+    let mut stage = nest_stage(nest, topology, policy, params);
+    stage.sim.time = simulate(&stage.tasks, params, stage.procs).makespan;
+    stage.sim
+}
+
+/// Simulation of a whole compiled program on a processor line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramSim {
     /// Per-nest outcomes, program order.
     pub nests: Vec<NestSim>,
-    /// Total simulated time.
+    /// Total simulated time: the program graph's makespan, which is the
+    /// sum of the nest times.
     pub total: f64,
 }
 
-/// Simulate every nest of `compiled` and sum the times.
-pub(crate) fn simulate_program<const R: usize>(
-    _program: &Program<R>,
-    compiled: &CompiledProgram<R>,
-    p: usize,
-    dist_dim: usize,
-    policy: &BlockPolicy,
-    params: &MachineParams,
-) -> ProgramSim {
-    let mut nests = Vec::new();
-    for op in &compiled.ops {
-        match op {
-            wavefront_core::exec::CompiledOp::Block(b) => {
-                for nest in &b.nests {
-                    nests.push(simulate_nest(nest, p, dist_dim, policy, params));
-                }
-            }
-            wavefront_core::exec::CompiledOp::Reduce(r) => {
-                nests.push(NestSim {
-                    time: simulate_reduce(r, p, params),
-                    pipelined: false,
-                    block: None,
-                    wavefront: false,
-                });
-            }
+/// Append `stage` to the program graph `tasks`. `last` holds, per
+/// processor, the last task of the previous operation: with
+/// `overlap = false` every task of the stage waits for all of them (a
+/// barrier — the paper's per-statement communication structure), with
+/// `overlap = true` only for those of its own and neighbouring
+/// processors — sound for block distributions with nearest-neighbour
+/// ghost margins — letting, e.g., a wavefront start on the rows its
+/// processor already finished in the previous stencil phase.
+fn push_stage(
+    tasks: &mut Vec<SimTask>,
+    stage: Vec<SimTask>,
+    last: &mut [Option<usize>],
+    overlap: bool,
+) {
+    let base = tasks.len();
+    let p = last.len();
+    let prev = last.to_vec();
+    for (i, mut t) in stage.into_iter().enumerate() {
+        // Rebase intra-stage dependences and add the inter-stage gating
+        // edges (data dependences, no message cost: the arrays already
+        // live where they are used).
+        for d in &mut t.deps {
+            d.task += base;
         }
+        let gate = if overlap {
+            t.proc.saturating_sub(1)..=(t.proc + 1).min(p - 1)
+        } else {
+            0..=p - 1
+        };
+        let gates = prev[gate].iter().flatten();
+        t.deps.extend(gates.map(|&task| Dep { task, elems: 0 }));
+        last[t.proc] = Some(base + i);
+        tasks.push(t);
     }
-    let total = nests.iter().map(|n| n.time).sum();
-    ProgramSim { nests, total }
 }
 
-/// Simulate a whole program as ONE task graph, optionally without
-/// barriers between operations.
-///
-/// With `overlap = false` every processor's first task of operation `k`
-/// waits for *every* processor's last task of operation `k − 1` (a
-/// barrier — the same semantics as [`simulate_program`], expressed as a
-/// DAG). With `overlap = true` it waits only for the last tasks of its
-/// own and neighbouring processors — sound for block distributions with
-/// nearest-neighbour ghost margins — letting, e.g., a wavefront start on
-/// the rows its processor already finished in the previous stencil
-/// phase.
-pub(crate) fn simulate_program_fused<const R: usize>(
+/// Simulate a whole program as ONE task graph on a line of `p`
+/// processors along `dist_dim`: every nest and reduction classified and
+/// built as a stage, strung together by [`push_stage`]. Nest `k`'s time
+/// runs from stage `k − 1`'s last finish to its own, so the times sum to
+/// the makespan; under barriers that is each stage's time alone.
+pub(crate) fn simulate_program<const R: usize>(
     compiled: &CompiledProgram<R>,
     p: usize,
     dist_dim: usize,
     policy: &BlockPolicy,
     params: &MachineParams,
     overlap: bool,
-) -> f64 {
+) -> ProgramSim {
+    let line = JobTopology::Line {
+        procs: p,
+        dist_dim: Some(dist_dim),
+    };
     let mut tasks: Vec<SimTask> = Vec::new();
-    // Last task index per processor for the previous operation.
-    let mut prev_last: Vec<Option<usize>> = vec![None; p];
-
-    fn push_stage(
-        tasks: &mut Vec<SimTask>,
-        stage: Vec<SimTask>,
-        prev_last: &mut [Option<usize>],
-        p: usize,
-        overlap: bool,
-    ) {
-        let base = tasks.len();
-        let mut new_last: Vec<Option<usize>> = vec![None; p];
-        for (i, mut t) in stage.into_iter().enumerate() {
-            // Rebase intra-stage dependences and add the inter-stage
-            // gating edges (data dependences, no message cost: the
-            // arrays already live where they are used).
-            for d in &mut t.deps {
-                d.task += base;
-            }
-            let gate: Vec<usize> = if overlap {
-                let lo = t.proc.saturating_sub(1);
-                let hi = (t.proc + 1).min(p - 1);
-                (lo..=hi).collect()
-            } else {
-                (0..p).collect()
-            };
-            for g in gate {
-                if let Some(idx) = prev_last[g] {
-                    if !t.deps.iter().any(|d| d.task == idx) {
-                        t.deps.push(Dep {
-                            task: idx,
-                            elems: 0,
-                        });
-                    }
-                }
-            }
-            new_last[t.proc] = Some(base + i);
-            tasks.push(t);
-        }
-        for i in 0..p {
-            if new_last[i].is_some() {
-                prev_last[i] = new_last[i];
-            }
-        }
+    let mut last: Vec<Option<usize>> = vec![None; p];
+    let mut nests = Vec::new();
+    let mut ends = Vec::new();
+    let stages = compiled.ops.iter().flat_map(|op| match op {
+        CompiledOp::Block(b) => b
+            .nests
+            .iter()
+            .map(|nest| nest_stage(nest, line, policy, params))
+            .collect(),
+        CompiledOp::Reduce(r) => vec![reduce_stage(r, p, params)],
+    });
+    for stage in stages {
+        push_stage(&mut tasks, stage.tasks, &mut last, overlap);
+        nests.push(stage.sim);
+        ends.push(tasks.len());
     }
-
-    for op in &compiled.ops {
-        match op {
-            wavefront_core::exec::CompiledOp::Block(b) => {
-                for nest in &b.nests {
-                    let stage = match WavefrontPlan::build(nest, along(p, dist_dim), policy, params) {
-                        Ok(plan) => plan_dag(&plan),
-                        Err(_) => parallel_stage(nest, p, dist_dim),
-                    };
-                    push_stage(&mut tasks, stage, &mut prev_last, p, overlap);
-                }
-            }
-            wavefront_core::exec::CompiledOp::Reduce(r) => {
-                // One task per processor for the fold, then a global
-                // combine modeled as extra cost on processor 0 (tree).
-                let work = (r.src.flop_count() + 1) as f64;
-                let fold = (r.region.len() as f64 / p as f64).ceil() * work;
-                let hops = (p.max(1) as f64).log2().ceil();
-                let stage: Vec<SimTask> = (0..p)
-                    .map(|i| SimTask {
-                        proc: i,
-                        cost: fold
-                            + if i == 0 {
-                                2.0 * hops * params.msg_cost(1)
-                            } else {
-                                0.0
-                            },
-                        deps: vec![],
-                    })
-                    .collect();
-                push_stage(&mut tasks, stage, &mut prev_last, p, overlap);
-                // A reduction result is global: act as a barrier even in
-                // overlap mode by gating every processor's next task on
-                // processor 0's combining fold.
-                let combine = tasks.len() - p; // proc 0's fold task
-                for entry in prev_last.iter_mut() {
-                    *entry = Some(combine);
-                }
-            }
-        }
+    let finish = simulate(&tasks, params, p).finish;
+    let (mut start, mut clock) = (0, 0.0f64);
+    for (sim, &end) in nests.iter_mut().zip(&ends) {
+        let done = finish[start..end].iter().copied().fold(clock, f64::max);
+        sim.time = done - clock;
+        (start, clock) = (end, done);
     }
-    simulate(&tasks, params, p).makespan
-}
-
-/// Per-processor tasks of a fully parallel nest (including one ghost
-/// message per neighbour when shifts cross the distributed dimension).
-fn parallel_stage<const R: usize>(
-    nest: &CompiledNest<R>,
-    p: usize,
-    dist_dim: usize,
-) -> Vec<SimTask> {
-    let region = nest.region;
-    let dist = wavefront_machine::Distribution::block(
-        region,
-        wavefront_machine::ProcGrid::<R>::along(dist_dim, p),
-    );
-    let work = crate::plan::nest_work(nest);
-    let cross: usize = (0..R)
-        .filter(|&k| k != dist_dim)
-        .map(|k| region.extent(k).max(0) as usize)
-        .product();
-    let crosses = nest
-        .stmts
-        .iter()
-        .flat_map(|s| s.rhs.reads())
-        .filter(|r| r.shift[dist_dim] != 0)
-        .count();
-    let ghost = if crosses > 0 { cross } else { 0 };
-    // Senders then computers (send tasks are zero cost).
-    let mut tasks: Vec<SimTask> = (0..p)
-        .map(|i| SimTask {
-            proc: i,
-            cost: 0.0,
-            deps: vec![],
-        })
-        .collect();
-    for i in 0..p {
-        let mut deps = Vec::new();
-        if ghost > 0 {
-            if i > 0 {
-                deps.push(Dep {
-                    task: i - 1,
-                    elems: ghost,
-                });
-            }
-            if i + 1 < p {
-                deps.push(Dep {
-                    task: i + 1,
-                    elems: ghost,
-                });
-            }
-        }
-        tasks.push(SimTask {
-            proc: i,
-            cost: dist.owned(i).len() as f64 * work,
-            deps,
-        });
+    ProgramSim {
+        nests,
+        total: clock,
     }
-    tasks
-}
-
-/// Simulate a reduction: the fold is perfectly parallel, then the partial
-/// results combine up a binary tree and the scalar broadcasts back down —
-/// `2·ceil(log2 p)` single-element messages on the critical path.
-pub(crate) fn simulate_reduce<const R: usize>(
-    red: &wavefront_core::program::Reduce<R>,
-    p: usize,
-    params: &MachineParams,
-) -> f64 {
-    let work = (red.src.flop_count() + 1) as f64;
-    let fold = (red.region.len() as f64 / p as f64).ceil() * work;
-    let hops = (p.max(1) as f64).log2().ceil();
-    fold + 2.0 * hops * params.msg_cost(1)
 }
 
 #[cfg(test)]
@@ -549,6 +460,14 @@ mod tests {
 
     fn t3e() -> MachineParams {
         wavefront_machine::cray_t3e()
+    }
+
+    /// A line of `p` processors along dimension 0, the paper's set-up.
+    fn line(p: usize) -> JobTopology {
+        JobTopology::Line {
+            procs: p,
+            dist_dim: Some(0),
+        }
     }
 
     #[test]
@@ -591,8 +510,8 @@ mod tests {
         let (_p, nest) = tomcatv_nest(258);
         let params = t3e();
         let p = 8;
-        let pipe = simulate_nest(&nest, p, 0, &BlockPolicy::Model2, &params);
-        let naive = simulate_nest(&nest, p, 0, &BlockPolicy::FullPortion, &params);
+        let pipe = simulate_nest(&nest, line(p), &BlockPolicy::Model2, &params);
+        let naive = simulate_nest(&nest, line(p), &BlockPolicy::FullPortion, &params);
         assert!(pipe.pipelined);
         assert!(!naive.pipelined);
         assert!(
@@ -610,8 +529,8 @@ mod tests {
         let (_p, nest) = tomcatv_nest(514);
         let cheap = MachineParams::custom("cheap", 20.0, 0.2);
         for p in [2usize, 4, 8] {
-            let pipe = simulate_nest(&nest, p, 0, &BlockPolicy::Model2, &cheap);
-            let serial = simulate_nest(&nest, 1, 0, &BlockPolicy::FullPortion, &cheap);
+            let pipe = simulate_nest(&nest, line(p), &BlockPolicy::Model2, &cheap);
+            let serial = simulate_nest(&nest, line(1), &BlockPolicy::FullPortion, &cheap);
             let speedup = serial.time / pipe.time;
             assert!(
                 speedup > 0.6 * p as f64,
@@ -630,8 +549,8 @@ mod tests {
         let compiled = compile(&prog).unwrap();
         let nest = compiled.nest(0);
         let params = MachineParams::custom("free", 0.0, 0.0);
-        let t1 = simulate_parallel_nest(nest, 1, 0, &params);
-        let t4 = simulate_parallel_nest(nest, 4, 0, &params);
+        let time = |p| simulate_nest(nest, line(p), &BlockPolicy::Model2, &params).time;
+        let (t1, t4) = (time(1), time(4));
         assert!((t1 / t4 - 4.0).abs() < 1e-9);
     }
 
@@ -652,8 +571,8 @@ mod tests {
         let free = MachineParams::custom("free", 0.0, 0.0);
         let dear = MachineParams::custom("dear", 100.0, 1.0);
         let p = 4;
-        let t_free = simulate_parallel_nest(nest, p, 0, &free);
-        let t_dear = simulate_parallel_nest(nest, p, 0, &dear);
+        let t_free = simulate_nest(nest, line(p), &BlockPolicy::Model2, &free).time;
+        let t_dear = simulate_nest(nest, line(p), &BlockPolicy::Model2, &dear).time;
         // Interior processors receive ghosts from both neighbours, each
         // occupying the processor for alpha + beta*64.
         assert!(
@@ -669,10 +588,43 @@ mod tests {
         let a = prog.array("a", bounds);
         prog.stmt(bounds, a, Expr::read(a) + Expr::lit(1.0));
         let compiled = compile(&prog).unwrap();
-        let sim = simulate_nest(compiled.nest(0), 4, 0, &BlockPolicy::Model2, &t3e());
+        let sim = simulate_nest(compiled.nest(0), line(4), &BlockPolicy::Model2, &t3e());
         assert!(!sim.wavefront);
         assert!(!sim.pipelined);
         assert!(sim.block.is_none());
+
+        // Dependences crossing the distributed dimension both ways: the
+        // planner refuses, and the nest costs the naive chain — all the
+        // work in series plus p - 1 whole-boundary messages.
+        let mut prog = Program::<2>::new();
+        let a = prog.array("a", Region::rect([0, 0], [66, 66]));
+        prog.stmt(
+            Region::rect([1, 1], [65, 65]),
+            a,
+            Expr::read_primed_at(a, [-1, 0])
+                + Expr::read_primed_at(a, [0, -1])
+                + Expr::read_primed_at(a, [-1, 1]),
+        );
+        let compiled = compile(&prog).unwrap();
+        let nest = compiled.nest(0);
+        let params = t3e();
+        for p in [1usize, 4, 16] {
+            let across = JobTopology::Line {
+                procs: p,
+                dist_dim: Some(1),
+            };
+            let sim = simulate_nest(nest, across, &BlockPolicy::Model2, &params);
+            let chain = (65 * 65) as f64 * nest_work(nest) + (p - 1) as f64 * params.msg_cost(65);
+            assert!(
+                (sim.time - chain).abs() <= 1e-9 * chain,
+                "p={p}: {} vs {chain}",
+                sim.time
+            );
+            assert_eq!(
+                (sim.wavefront, sim.pipelined, sim.block),
+                (p > 1, false, None)
+            );
+        }
     }
 
     #[test]
@@ -688,7 +640,7 @@ mod tests {
             Expr::read_primed_at(a, [-1, 0]) + Expr::read(b),
         );
         let compiled = compile(&prog).unwrap();
-        let sim = simulate_program(&prog, &compiled, 4, 0, &BlockPolicy::Model2, &t3e());
+        let sim = simulate_program(&compiled, 4, 0, &BlockPolicy::Model2, &t3e(), false);
         assert_eq!(sim.nests.len(), 2);
         assert!((sim.total - (sim.nests[0].time + sim.nests[1].time)).abs() < 1e-12);
         assert!(!sim.nests[0].wavefront);
@@ -700,7 +652,8 @@ mod tests {
         let (_program, nest) = sweep_nest(33);
         let params = t3e();
         let makespan = |mesh, policy: &BlockPolicy| {
-            let plan = WavefrontPlan::build(&nest, JobTopology::mesh(mesh), policy, &params).unwrap();
+            let plan =
+                WavefrontPlan::build(&nest, JobTopology::mesh(mesh), policy, &params).unwrap();
             simulate(&plan_dag(&plan), &params, plan.procs()).makespan
         };
         let t_pipe = makespan([4, 4], &BlockPolicy::Model2);
@@ -749,22 +702,157 @@ mod fused_tests {
         p
     }
 
+    fn fused(
+        compiled: &CompiledProgram<2>,
+        p: usize,
+        params: &MachineParams,
+        overlap: bool,
+    ) -> f64 {
+        simulate_program(compiled, p, 0, &BlockPolicy::Model2, params, overlap).total
+    }
+
+    /// The scan no pipelined decomposition exists for along dimension
+    /// `d`: its primed reads cross `d` in both directions.
+    fn conflicting_scan(n: i64, d: usize) -> Program<2> {
+        let mut prog = Program::<2>::new();
+        let a = prog.array("a", Region::rect([0, 0], [n + 1, n + 1]));
+        push_op(
+            &mut prog,
+            [a, a, a],
+            Region::rect([1, 1], [n, n]),
+            d,
+            4,
+            [1, 1],
+        );
+        prog
+    }
+
+    /// Append operation `kind` to `prog`, written relative to the
+    /// distributed dimension `d`: `sh(x, y)` shifts by `x` along `d` and
+    /// by `y` along the other dimension.
+    fn push_op(
+        prog: &mut Program<2>,
+        [a, b, c]: [ArrayId; 3],
+        region: Region<2>,
+        d: usize,
+        kind: usize,
+        [t1, t2]: [i64; 2],
+    ) {
+        let sh = |x: i64, y: i64| if d == 0 { [x, y] } else { [y, x] };
+        match kind {
+            // One- and two-array stencils, ghost thickness t1 (and t2).
+            0 => prog.stmt(
+                region,
+                b,
+                (Expr::read_at(a, sh(-t1, 0)) + Expr::read_at(a, sh(t1, 0))) * Expr::lit(0.5),
+            ),
+            1 => prog.stmt(
+                region,
+                c,
+                Expr::read_at(a, sh(-t1, 0)) + Expr::read_at(b, sh(t2, 0)),
+            ),
+            // A wavefront along the distributed dimension, one across it.
+            2 => prog.stmt(
+                region,
+                a,
+                Expr::read_primed_at(a, sh(-1, 0)) + Expr::read(b),
+            ),
+            3 => prog.stmt(
+                region,
+                a,
+                Expr::read_primed_at(a, sh(0, -1)) + Expr::read(b),
+            ),
+            4 => prog.stmt(
+                region,
+                a,
+                Expr::read_primed_at(a, sh(0, -1))
+                    + Expr::read_primed_at(a, sh(-1, 0))
+                    + Expr::read_primed_at(a, sh(1, -1)),
+            ),
+            _ => prog.reduce(
+                region,
+                ReduceOp::Max,
+                Expr::read(b),
+                c,
+                Region::rect([0, 0], [0, 0]),
+            ),
+        };
+    }
+
     #[test]
     fn barrier_mode_matches_summed_simulation() {
-        let prog = stencil_then_wave(64);
-        let compiled = compile(&prog).unwrap();
-        let params = t3e();
-        let p = 4;
-        let fused = simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, false);
-        let summed = simulate_program(&prog, &compiled, p, 0, &BlockPolicy::Model2, &params);
-        // The barrier DAG and the per-nest sum agree within the ghost
-        // messages' placement (both model the same execution).
-        let ratio = fused / summed.total;
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "fused {fused} vs summed {}",
-            summed.total
-        );
+        use crate::session::ProgramSession;
+        use wavefront_kernels::rng::SplitMix64;
+
+        // (program, distributed dimension, processors): the two examples
+        // the forked simulators disagreed on, then seeded programs of
+        // 2-5 operations drawn from every class.
+        let mut cases = vec![
+            (stencil_then_wave(64), 0, 4),
+            (conflicting_scan(65, 1), 1, 4),
+            (conflicting_scan(65, 1), 1, 16),
+            (wavefront_kernels::simple::build(65).unwrap().program, 0, 16),
+        ];
+        let mut rng = SplitMix64::new(0x24);
+        for _ in 0..96 {
+            let n = 12 + rng.gen_range(30) as i64;
+            let d = rng.gen_range(2);
+            let mut prog = Program::<2>::new();
+            let bounds = Region::rect([0, 0], [n + 1, n + 1]);
+            let arrays = ["a", "b", "c"].map(|name| prog.array(name, bounds));
+            for _ in 0..2 + rng.gen_range(4) {
+                let t = [1 + rng.gen_range(2) as i64, 1 + rng.gen_range(2) as i64];
+                let inner = Region::rect([2, 2], [n - 1, n - 1]);
+                push_op(&mut prog, arrays, inner, d, rng.gen_range(6), t);
+            }
+            cases.push((prog, d, [1, 2, 4, 7][rng.gen_range(4)]));
+        }
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * y.abs();
+        for params in [t3e(), wavefront_machine::sgi_power_challenge()] {
+            for (k, (prog, d, p)) in cases.iter().enumerate() {
+                let compiled = compile(prog).unwrap();
+                let session = ProgramSession::new(prog, &compiled)
+                    .procs(*p)
+                    .dist_dim(*d)
+                    .machine(params);
+                let sim = session.estimate();
+                let barrier = session.estimate_fused(false);
+                let overlap = session.estimate_fused(true);
+                assert!(
+                    close(sim.total, barrier),
+                    "case {k}: {} vs {barrier}",
+                    sim.total
+                );
+                assert!(
+                    overlap <= barrier * (1.0 + 1e-12),
+                    "case {k}: {overlap} > {barrier}"
+                );
+                let summed: f64 = sim.nests.iter().map(|nest| nest.time).sum();
+                assert!(
+                    close(summed, sim.total),
+                    "case {k}: {summed} vs {}",
+                    sim.total
+                );
+                // Under barriers a nest's time in the program is its
+                // stage simulated alone.
+                let line = JobTopology::Line {
+                    procs: *p,
+                    dist_dim: Some(*d),
+                };
+                let mut times = sim.nests.iter().map(|nest| nest.time);
+                for op in &compiled.ops {
+                    let CompiledOp::Block(block) = op else {
+                        times.next();
+                        continue;
+                    };
+                    for nest in &block.nests {
+                        let alone = simulate_nest(nest, line, &BlockPolicy::Model2, &params);
+                        let inside = times.next().unwrap();
+                        assert!(close(inside, alone.time), "case {k}: {inside} vs {alone:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -773,10 +861,8 @@ mod fused_tests {
         let compiled = compile(&prog).unwrap();
         let params = t3e();
         for p in [2usize, 4, 8] {
-            let barrier =
-                simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, false);
-            let overlap =
-                simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, true);
+            let barrier = fused(&compiled, p, &params, false);
+            let overlap = fused(&compiled, p, &params, true);
             assert!(overlap <= barrier + 1e-9, "p={p}: {overlap} > {barrier}");
         }
     }
@@ -799,8 +885,8 @@ mod fused_tests {
         let compiled = compile(&prog).unwrap();
         let params = t3e();
         let p = 8;
-        let barrier = simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, false);
-        let overlap = simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, true);
+        let barrier = fused(&compiled, p, &params, false);
+        let overlap = fused(&compiled, p, &params, true);
         assert!(
             overlap < barrier * 0.93,
             "expected a >7% win from chasing sweeps, got {overlap} vs {barrier}"
@@ -815,8 +901,8 @@ mod fused_tests {
         let back = Region::rect([1, 1], [n - 1, n]);
         prog.stmt(back, b, Expr::read_primed_at(b, [1, 0]) + Expr::read(a));
         let compiled = compile(&prog).unwrap();
-        let barrier = simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, false);
-        let overlap = simulate_program_fused(&compiled, p, 0, &BlockPolicy::Model2, &params, true);
+        let barrier = fused(&compiled, p, &params, false);
+        let overlap = fused(&compiled, p, &params, true);
         let gain = barrier / overlap;
         assert!(
             gain < 1.25,
@@ -849,8 +935,8 @@ mod fused_tests {
         );
         let compiled = compile(&prog).unwrap();
         let params = t3e();
-        let overlap = simulate_program_fused(&compiled, 4, 0, &BlockPolicy::Model2, &params, true);
-        let barrier = simulate_program_fused(&compiled, 4, 0, &BlockPolicy::Model2, &params, false);
+        let overlap = fused(&compiled, 4, &params, true);
+        let barrier = fused(&compiled, 4, &params, false);
         // The reduction's broadcast keeps them close: overlap can only
         // win within the stencil→reduce edge.
         assert!(overlap <= barrier + 1e-9);

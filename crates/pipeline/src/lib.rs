@@ -46,7 +46,7 @@ pub mod tune;
 pub use error::{AdmissionReason, PipelineError};
 pub use exec_sim::{NestSim, ProgramSim};
 pub use plan::{Axis, WavefrontPlan};
-pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy, BlockSizer};
+pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy};
 pub use service::{
     ArrayHandle, Counter, CriticalPathScheduler, DagHandle, DagOutcome, DagSpec, DagSpecBuilder,
     DagStats, DagView, DispatchDecision, FifoScheduler, Gauge, HistogramHandle, JobHandle,

@@ -110,7 +110,7 @@ pub struct Axis {
 
 /// Read-ghost margins per array: the maximum absolute shift used on each
 /// dimension.
-fn read_margins<const R: usize>(nest: &CompiledNest<R>) -> Vec<[i64; R]> {
+pub(crate) fn read_margins<const R: usize>(nest: &CompiledNest<R>) -> Vec<[i64; R]> {
     let max_id = nest
         .stmts
         .iter()
@@ -452,7 +452,7 @@ impl<const R: usize> WavefrontPlan<R> {
     }
 
     /// The sizing context this plan was (or would be) blocked with —
-    /// what any [`crate::BlockSizer`] consumes: `n_wave` is the product
+    /// what [`BlockPolicy::resolve`] consumes: `n_wave` is the product
     /// of the distributed extents and `p` the pipeline depth driving the
     /// fill, `p1 + p2 − 1` on a mesh. `None` when the nest has no tile
     /// dimension (nothing to size).

@@ -9,10 +9,9 @@
 //! keeps the best, or the **adaptive** closed-loop sizer that re-fits
 //! α/β from live telemetry during the fill phase (see [`crate::tune`]).
 //!
-//! Every sizer — the built-in policies and user-supplied [`BlockSizer`]
-//! implementations alike — consumes the same [`BlockCtx`]: the shape of
-//! the sweep plus the machine constants. There are no ad-hoc parameter
-//! lists to keep in sync.
+//! Every policy consumes the same [`BlockCtx`]: the shape of the sweep
+//! plus the machine constants. There are no ad-hoc parameter lists to
+//! keep in sync.
 
 use wavefront_machine::MachineParams;
 use wavefront_model::optimal_block_rect;
@@ -20,8 +19,7 @@ use wavefront_model::optimal_block_rect;
 /// Everything a block sizer may consult: the sweep's shape, the
 /// processor count, the per-element work factor, and the machine's
 /// communication constants. Built by the planners and handed unchanged
-/// to [`BlockPolicy::resolve`], [`probe_block`], and custom
-/// [`BlockSizer`] implementations.
+/// to [`BlockPolicy::resolve`] and [`probe_block`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockCtx {
     /// Number of wavefront indices (the dimension carrying the
@@ -50,14 +48,6 @@ impl BlockCtx {
     pub fn clamp(&self, b: f64) -> usize {
         (b.round().max(1.0) as usize).min(self.n_orth.max(1))
     }
-}
-
-/// A block-size chooser. [`BlockPolicy`] implements this for the
-/// built-in policies; user code can implement it to plug a custom sizer
-/// into the same [`BlockCtx`]-shaped slot.
-pub trait BlockSizer {
-    /// Choose a block size for the sweep described by `ctx`.
-    fn block(&self, ctx: &BlockCtx) -> usize;
 }
 
 /// Configuration of the closed-loop adaptive sizer
@@ -188,12 +178,6 @@ impl BlockPolicy {
                 BlockPolicy::Model2.resolve(&seeded)
             }
         }
-    }
-}
-
-impl BlockSizer for BlockPolicy {
-    fn block(&self, ctx: &BlockCtx) -> usize {
-        self.resolve(ctx)
     }
 }
 
@@ -335,16 +319,5 @@ mod tests {
         assert_eq!(cfg.probe_widths(256, 64), Some((32, 64)));
         // … but never so far that no steady tile remains.
         assert_eq!(cfg.probe_widths(64, 64), Some((21, 42)));
-    }
-
-    #[test]
-    fn custom_sizer_shares_the_context() {
-        struct Halve;
-        impl BlockSizer for Halve {
-            fn block(&self, ctx: &BlockCtx) -> usize {
-                (ctx.n_orth / 2).max(1)
-            }
-        }
-        assert_eq!(Halve.block(&ctx(64, 64, 4, t3e())), 32);
     }
 }

@@ -10,12 +10,11 @@
 //! consumer's store refcounted — zero copies between jobs, with
 //! copy-on-write preserving value semantics if both sides keep writing.
 //!
-//! Order among ready nodes is delegated to a pluggable
-//! [`Scheduler`] — FIFO, critical-path-first, or locality-aware
-//! ([`SchedulerKind`]), or any custom implementation via
-//! [`DagSpecBuilder::scheduler_boxed`]. Nodes still flow through the
-//! ordinary tenant queues, so per-tenant admission and fair share apply
-//! to DAG nodes exactly as to plain submissions.
+//! Order among ready nodes is delegated to a [`Scheduler`] — FIFO,
+//! critical-path-first, or locality-aware ([`SchedulerKind`]). Nodes
+//! still flow through the ordinary tenant queues, so per-tenant
+//! admission and fair share apply to DAG nodes exactly as to plain
+//! submissions.
 //!
 //! The same `DagSpec` runs two ways, through one driver (`DagRun`: the
 //! scheduler, the predecessor counts, the completion worklist that
@@ -77,18 +76,12 @@ pub(crate) struct DagEdge {
     pub(crate) elems: u64,
 }
 
-/// How the DAG picks among ready nodes.
-pub(crate) enum SchedulerChoice {
-    Kind(SchedulerKind),
-    Custom(Box<dyn Scheduler>),
-}
-
 /// A validated job graph; build one with [`DagSpec::builder`], run it
 /// with [`crate::service::WavefrontService::submit_dag`].
 pub struct DagSpec<const R: usize> {
     pub(crate) nodes: Vec<(String, JobSpec<R>)>,
     pub(crate) edges: Vec<DagEdge>,
-    pub(crate) scheduler: SchedulerChoice,
+    pub(crate) scheduler: SchedulerKind,
     pub(crate) sim_procs: Option<usize>,
     /// Whether every node runs on the sim engine (the what-if mode).
     pub(crate) sim: bool,
@@ -124,7 +117,7 @@ impl<const R: usize> DagSpec<R> {
 /// ```
 pub struct DagSpecBuilder<const R: usize> {
     nodes: Vec<(String, JobSpec<R>)>,
-    scheduler: SchedulerChoice,
+    scheduler: SchedulerKind,
     sim_procs: Option<usize>,
 }
 
@@ -139,7 +132,7 @@ impl<const R: usize> DagSpecBuilder<R> {
     pub fn new() -> Self {
         DagSpecBuilder {
             nodes: Vec::new(),
-            scheduler: SchedulerChoice::Kind(SchedulerKind::Fifo),
+            scheduler: SchedulerKind::Fifo,
             sim_procs: None,
         }
     }
@@ -161,13 +154,7 @@ impl<const R: usize> DagSpecBuilder<R> {
 
     /// Pick one of the built-in scheduling policies (default FIFO).
     pub fn scheduler(&mut self, kind: SchedulerKind) -> &mut Self {
-        self.scheduler = SchedulerChoice::Kind(kind);
-        self
-    }
-
-    /// Plug in a custom [`Scheduler`] implementation.
-    pub fn scheduler_boxed(&mut self, sched: Box<dyn Scheduler>) -> &mut Self {
-        self.scheduler = SchedulerChoice::Custom(sched);
+        self.scheduler = kind;
         self
     }
 
@@ -559,10 +546,7 @@ impl<const R: usize> DagRun<R> {
             edges.iter().map(|e| (e.from, e.to, e.elems)).collect();
         let shape = DagShape::new(labels, cost, &shape_edges);
         let run = DagRun {
-            sched: match scheduler {
-                SchedulerChoice::Kind(k) => k.instantiate(),
-                SchedulerChoice::Custom(b) => b,
-            },
+            sched: scheduler.instantiate(),
             pending: shape.preds.iter().map(Vec::len).collect(),
             dispatched: vec![false; n],
             results: (0..n).map(|_| None).collect(),

@@ -47,7 +47,7 @@ use wavefront_core::array::DenseArray;
 use crate::error::PipelineError;
 use crate::exec_threads::rotation_fusible;
 use crate::schedule::BlockPolicy;
-use crate::service::dag::{run_dag, DagSpec, SchedulerChoice};
+use crate::service::dag::{run_dag, DagSpec};
 use crate::service::handle::{ArrayHandle, HandleTable};
 use crate::service::job::{JobSpec, LoopExec, Ticket};
 use crate::service::{enqueue, spawn_runner, Shared};
@@ -256,14 +256,6 @@ impl<const R: usize> LoopSpecBuilder<R> {
                     return Err(PipelineError::InvalidLoop {
                         reason: "a loop body must run on real engines, not the \
                                  what-if simulator"
-                            .into(),
-                    });
-                }
-                if matches!(dag.scheduler, SchedulerChoice::Custom(_)) {
-                    return Err(PipelineError::InvalidLoop {
-                        reason: "a DAG loop body needs a named scheduler kind \
-                                 (custom boxed schedulers cannot be re-instantiated \
-                                 per step)"
                             .into(),
                     });
                 }
@@ -611,9 +603,6 @@ fn run_loop<const R: usize>(
                 }
             }
             LoopBody::Dag(dag0) => {
-                let SchedulerChoice::Kind(kind) = dag0.scheduler else {
-                    unreachable!("custom schedulers rejected at build")
-                };
                 let nodes: Vec<(String, JobSpec<R>)> = dag0
                     .nodes
                     .iter()
@@ -626,7 +615,7 @@ fn run_loop<const R: usize>(
                 let step_spec = DagSpec {
                     nodes,
                     edges: dag0.edges.clone(),
-                    scheduler: SchedulerChoice::Kind(kind),
+                    scheduler: dag0.scheduler,
                     sim_procs: dag0.sim_procs,
                     sim: false,
                 };

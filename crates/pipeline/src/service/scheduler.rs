@@ -258,8 +258,7 @@ impl Scheduler for LocalityScheduler {
     }
 }
 
-/// The built-in scheduling policies, by name. `Custom` schedulers go
-/// through [`crate::service::DagSpecBuilder::scheduler_boxed`].
+/// The built-in scheduling policies, by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// [`FifoScheduler`] (the default).

@@ -26,6 +26,14 @@
 //! persistent worker pool and a compiled-plan cache; a `Session` is the
 //! one-shot front door over that core.
 //!
+//! Model-units questions have one path too (`exec_sim`): a nest is
+//! classified once — planned wavefront, fully parallel with a ghost
+//! exchange, serialised chain, or reduction — and built as one DES
+//! stage. [`Session::estimate`] is that stage simulated alone, on the
+//! plan `run(EngineKind::Sim)` would run; [`ProgramSession::estimate`]
+//! strings the stages into one barrier graph and keeps per-nest times,
+//! and [`ProgramSession::estimate_fused`] is the same graph's makespan.
+//!
 //! Attach a [`crate::telemetry::TraceCollector`] to record the run, then
 //! feed it to [`crate::telemetry::TraceAnalysis`] (critical path,
 //! pipeline efficiency, latency histograms) or the exporters in
@@ -39,8 +47,7 @@ use wavefront_machine::{cray_t3e, MachineParams};
 use wavefront_core::exec::CompiledProgram;
 
 use crate::error::PipelineError;
-use crate::exec_sim::{simulate_nest, simulate_program_fused};
-use crate::exec_sim::{simulate_program, NestSim, ProgramSim};
+use crate::exec_sim::{simulate_nest, simulate_program, NestSim, ProgramSim};
 use crate::plan::{JobTopology, WavefrontPlan};
 use crate::schedule::BlockPolicy;
 use crate::service::{ExecCore, NestSource};
@@ -250,25 +257,24 @@ impl<'a, const R: usize> Session<'a, R> {
         WavefrontPlan::build(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)
     }
 
-    /// Estimate this session's nest on the closed-form/DES cost model
-    /// without touching any data, on a processor line: wavefront nests
-    /// are planned and simulated under the session's policy;
-    /// non-wavefront nests fall back to the fully parallel estimate.
-    /// Distribution defaults to dimension 0 unless
-    /// [`Session::dist_dim`] was set; a mesh session is estimated as the
-    /// line of its first side.
+    /// Estimate this session's nest on the DES cost model without
+    /// touching any data: the nest is planned on the session's own
+    /// topology and that plan priced exactly as
+    /// [`Session::run`]`(EngineKind::Sim)` prices it; a nest the planner
+    /// refuses is priced as fully parallel or, when its dependences
+    /// conflict along the distributed dimension, as a serialised chain.
+    /// A line distributes dimension 0 unless [`Session::dist_dim`] was
+    /// set. Under [`BlockPolicy::Adaptive`] this prices the seed plan;
+    /// the closed loop is `run(EngineKind::Sim)`.
     pub fn estimate(&self) -> NestSim {
-        let (procs, dist_dim) = match self.topology {
-            JobTopology::Line { procs, dist_dim } => (procs, dist_dim),
-            JobTopology::Mesh { mesh, wave_dims } => (mesh[0], wave_dims.map(|w| w[0])),
+        let topology = match self.topology {
+            JobTopology::Line { procs, dist_dim } => JobTopology::Line {
+                procs,
+                dist_dim: dist_dim.or(Some(0)),
+            },
+            mesh => mesh,
         };
-        simulate_nest(
-            self.nest,
-            procs,
-            dist_dim.unwrap_or(0),
-            &self.cfg.block,
-            &self.cfg.machine,
-        )
+        simulate_nest(self.nest, topology, &self.cfg.block, &self.cfg.machine)
     }
 
     /// Plan and run on one of the built-in engines, through the same
@@ -314,7 +320,6 @@ impl<'a, const R: usize> Session<'a, R> {
 /// graph via [`ProgramSession::estimate_fused`]. This is the public
 /// face of the figure harnesses' "experimental" times.
 pub struct ProgramSession<'a, const R: usize> {
-    program: &'a Program<R>,
     compiled: &'a CompiledProgram<R>,
     procs: usize,
     dist_dim: usize,
@@ -322,11 +327,11 @@ pub struct ProgramSession<'a, const R: usize> {
 }
 
 impl<'a, const R: usize> ProgramSession<'a, R> {
-    /// Start a program session. Defaults: 1 processor, distribution
-    /// along dimension 0, [`BlockPolicy::Model2`], [`cray_t3e`].
-    pub fn new(program: &'a Program<R>, compiled: &'a CompiledProgram<R>) -> Self {
+    /// Start a program session (estimation reads only `compiled`).
+    /// Defaults: 1 processor, distribution along dimension 0,
+    /// [`BlockPolicy::Model2`], [`cray_t3e`].
+    pub fn new(_program: &'a Program<R>, compiled: &'a CompiledProgram<R>) -> Self {
         ProgramSession {
-            program,
             compiled,
             procs: 1,
             dist_dim: 0,
@@ -364,27 +369,22 @@ impl<'a, const R: usize> ProgramSession<'a, R> {
         self
     }
 
-    /// Simulate every nest in program order with a barrier between
-    /// nests (the paper's per-statement communication structure).
+    /// Simulate the program with a barrier between nests (the paper's
+    /// per-statement communication structure), keeping each nest's time.
     pub fn estimate(&self) -> ProgramSim {
-        simulate_program(
-            self.program,
-            self.compiled,
-            self.procs,
-            self.dist_dim,
-            &self.cfg.block,
-            &self.cfg.machine,
-        )
+        self.simulate(false)
     }
 
-    /// Simulate the whole program as one task graph. With
-    /// `overlap = false` nests are separated by barriers (the same
-    /// semantics as [`ProgramSession::estimate`], expressed as a DAG);
-    /// with `overlap = true` a processor's next nest waits only on its
-    /// own and neighbouring processors, letting aligned wavefronts
-    /// chase each other. Returns the simulated makespan.
+    /// The makespan of the same task graph: with `overlap = false` it is
+    /// [`ProgramSession::estimate`]'s total; with `overlap = true` a
+    /// processor's next nest waits only on its own and neighbouring
+    /// processors, letting aligned wavefronts chase each other.
     pub fn estimate_fused(&self, overlap: bool) -> f64 {
-        simulate_program_fused(
+        self.simulate(overlap).total
+    }
+
+    fn simulate(&self, overlap: bool) -> ProgramSim {
+        simulate_program(
             self.compiled,
             self.procs,
             self.dist_dim,
@@ -499,6 +499,34 @@ mod tests {
         assert_eq!(report.messages, out.messages);
         assert_eq!(report.meta.predicted.messages, out.messages);
         assert_eq!(report.per_proc.len(), 3);
+    }
+
+    #[test]
+    fn estimate_prices_the_plan_that_run_sim_runs() {
+        let program = wavefront_kernels::sweep3d::build_octant(16, [1, 1, 1]).unwrap().program;
+        let compiled = compile(&program).unwrap();
+        let nest = compiled.nest(0);
+        let policies = [
+            BlockPolicy::Fixed(4),
+            BlockPolicy::Model2,
+            BlockPolicy::FullPortion,
+        ];
+        for policy in policies {
+            let session = |mesh: Option<[usize; 2]>| {
+                let s = Session::new(&program, nest).block(policy.clone());
+                match mesh {
+                    Some(mesh) => s.mesh(mesh),
+                    None => s.procs(4),
+                }
+            };
+            for mesh in [None, Some([2, 1]), Some([2, 2]), Some([4, 4])] {
+                let estimate = session(mesh).estimate();
+                let run = session(mesh).run(EngineKind::Sim).unwrap();
+                assert_eq!(estimate.time, run.makespan, "{mesh:?} under {policy:?}");
+                assert_eq!(estimate.block, Some(run.block), "{mesh:?} under {policy:?}");
+                assert_eq!(estimate.pipelined, run.pipelined);
+            }
+        }
     }
 
     #[test]

@@ -129,8 +129,12 @@ engine_lines=$(awk '/^#\[cfg\(test\)\]/ { t = NR } /^mod / { print t - 1; exit }
 # top-level `#[cfg(test)]`.
 service_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' \
     crates/pipeline/src/service/*.rs)
+# The simulator's shipped lines: everything above its first top-level
+# `#[cfg(test)]`.
+sim_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/exec_sim.rs)
 echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$pub_lines pub lines in crates/pipeline/src;" \
     "$unsafe_blocks unsafe blocks outside #[cfg(test)] in crates/ and src/;" \
     "$engine_lines shipped lines in crates/pipeline/src/exec_threads.rs;" \
-    "$service_lines shipped lines in crates/pipeline/src/service/*.rs"
+    "$service_lines shipped lines in crates/pipeline/src/service/*.rs;" \
+    "$sim_lines shipped lines in crates/pipeline/src/exec_sim.rs"
