@@ -26,13 +26,25 @@
 //! One worker loop ([`run_cell`]) has one wait site and one post site; a
 //! one-shot run is its one-sweep case.
 //!
+//! A run is split into launch and completion. [`launch_threaded`] takes
+//! the store into the run, dispatches the cells and returns; the thread
+//! that ends the run's last cell — a cell that panicked counts as ended
+//! — hands the store and the cells' results to the run's completion,
+//! and [`Ended::finish`] turns them into the report. [`execute_threaded`]
+//! is launch plus a wait for the completion: the joined form that
+//! `Session::run`, adaptive jobs, jobs that bind resident handles and
+//! loop chunks use. The service launches plain threaded jobs without
+//! waiting, so one job's drain overlaps the next one's fill on the pool
+//! (see [`crate::service::pool`] for why that cannot deadlock).
+//!
 //! This runtime plays the role of the paper's hand-pipelined Fortran+MPI
 //! codes: genuinely parallel execution, used by the benchmarks to
 //! demonstrate real wall-clock pipelining speedup.
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use wavefront_core::array::{DenseArray, Layout, SharedCells};
@@ -373,6 +385,10 @@ struct RunCtx<const R: usize> {
     barrier: Option<Barrier>,
     epoch: Instant,
     enabled: bool,
+    /// The active cells' ranks.
+    cells: Vec<usize>,
+    /// The store and the cells' results, until the last cell has ended.
+    ending: Mutex<Ending<R>>,
     #[cfg(test)]
     tile_hook: Option<test_hooks::TileHook>,
 }
@@ -442,8 +458,7 @@ fn run_cell<const R: usize>(
                     None => (it - 1) * tiles + ctx.reach[ti] + 1,
                 };
                 let start = rec.stamp();
-                a.on.wait(target as u64)
-                    .expect("a neighbouring cell panicked mid-wave");
+                a.on.wait(target as u64).expect(CASCADE);
                 if let Some(start) = start {
                     let end = rec.now();
                     rec.push(match a.flow {
@@ -505,36 +520,121 @@ fn run_cell<const R: usize>(
     }
 }
 
-/// The threaded engine: run `iters` whole sweeps of `nest` under `plan`
-/// on real threads inside **one** invocation, updating `store` in place
-/// and reporting telemetry to `collector`. A one-shot run is `iters =
-/// 1`, no rotation. Results are bit-identical to running the sweeps back
-/// to back sequentially.
+/// The completion of a run: called once, by the thread that ends the
+/// run's last cell, with the store and everything the cells handed back.
+pub(crate) type Done<const R: usize> = Box<dyn FnOnce(Ended<R>) + Send>;
+
+/// What a run keeps under one lock until its last cell has ended.
+struct Ending<const R: usize> {
+    /// The store, owned by the run from launch to completion.
+    store: Option<Store<R>>,
+    /// Per active cell, what its task handed back.
+    runs: Vec<Option<CellRun>>,
+    /// Cells not yet ended.
+    left: usize,
+    /// The message of the first cell that panicked, preferring a cause
+    /// to the cascade it set off.
+    panic: Option<String>,
+    done: Option<Done<R>>,
+}
+
+/// The message a cell panics with when a neighbour it waits on panicked.
+const CASCADE: &str = "a neighbouring cell panicked mid-wave";
+
+/// A run whose every cell has ended: the store comes back through
+/// [`Ended::finish`].
+pub(crate) struct Ended<const R: usize> {
+    store: Store<R>,
+    /// Every cell's result, or the panic that ended the run.
+    runs: Result<Vec<CellRun>, String>,
+    elapsed: Duration,
+    plan: Arc<WavefrontPlan<R>>,
+    cells: Vec<usize>,
+    iters: usize,
+    rotate: Vec<(ArrayId, ArrayId)>,
+    enabled: bool,
+}
+
+impl<const R: usize> Ended<R> {
+    /// Hand back the store with the run's report — or, if a cell
+    /// panicked, the panic's message. On success the buffered telemetry
+    /// is replayed into `collector` (when the run recorded it) and the
+    /// rotation applied to the store's slots.
+    pub(crate) fn finish(
+        self,
+        collector: &mut dyn Collector,
+    ) -> (Store<R>, Result<ThreadReport, String>) {
+        let Ended {
+            mut store,
+            runs,
+            elapsed,
+            plan,
+            cells,
+            iters,
+            rotate,
+            enabled,
+        } = self;
+        let runs = match runs {
+            Ok(runs) => runs,
+            Err(msg) => return (store, Err(format!("worker panicked: {msg}"))),
+        };
+        let mut report = ThreadReport {
+            elapsed,
+            messages: 0,
+            spans: Vec::with_capacity(runs.len()),
+        };
+        let mut events: Vec<Vec<WorkerEv>> = Vec::with_capacity(runs.len());
+        for run in runs {
+            report.messages += run.sent;
+            report.spans.push(run.spans);
+            events.push(run.evs);
+        }
+        if enabled {
+            collector.begin(&RunMeta {
+                engine: EngineKind::Threads,
+                procs: plan.procs(),
+                active: cells.clone(),
+                tiles: plan.tiles.len(),
+                block: plan.block,
+                pipelined: plan.is_pipelined(),
+                machine: "host".to_string(),
+                time_unit: TimeUnit::Seconds,
+                predicted: plan.predicted_traffic(),
+            });
+            replay(collector, &plan, &cells, &events, elapsed.as_secs_f64());
+        }
+        // A rotation renames *whole buffers* — border cells the sweep
+        // never writes travel with their buffer, exactly as on the
+        // per-step path where the dispatcher re-binds physical buffers
+        // between jobs. The store's slots therefore rotate in step with
+        // the workers' view tables.
+        for _ in 1..iters {
+            rotate_slots(&mut store, &rotate);
+        }
+        (store, Ok(report))
+    }
+}
+
+/// The threaded engine, joined: run `iters` whole sweeps of `nest` under
+/// `plan` on real threads inside **one** invocation, updating `store` in
+/// place and reporting telemetry to `collector`. A one-shot run is
+/// `iters = 1`, no rotation. Results are bit-identical to running the
+/// sweeps back to back sequentially.
 ///
-/// One task per active cell is dispatched onto a persistent
-/// [`WorkerPool`] and joined on a result channel (a plan with a single
-/// active cell runs its task on the calling thread instead and never
-/// touches the pool). Tasks capture only `Arc`-shared state, so they are
-/// `'static` and need no scoped spawn; the pool's threads are parked
-/// between runs instead of re-created. A panicking task cascades — its
-/// poisoned progress counter fails its neighbours' waits — until every
-/// result sender is dropped, which surfaces here as a `recv` failure:
-/// the caller sees the panic only after every task has ended.
+/// This is [`launch_threaded`] followed by a wait for its completion:
+/// the caller's store goes into the run and comes back when the last
+/// cell has ended. A panicking cell cascades — its poisoned progress
+/// counter fails its neighbours' waits — until every cell has ended;
+/// then the store is put back and the panic re-raised here.
 ///
 /// `rotate` renames buffers between iterations; `pipelined: false`
 /// inserts a full barrier between iterations, the ablation `perfbench`
 /// reports as `fused_over_barrier`.
 ///
-/// Workers buffer telemetry in thread-local vectors (timestamps relative
-/// to a shared epoch) and the stream is replayed into the collector
-/// after the join; with a disabled collector they read no timers.
-///
 /// # Panics
 ///
-/// Refused before any task is dispatched, as caller bugs: a buffered
-/// nest, `iters == 0`, a fused body [`rotation_fusible`] rejects, a plan
-/// [`in_place_legal`] rejects, and a rotation between arrays of
-/// different bounds or layout.
+/// As [`launch_threaded`] refuses, before any task is dispatched and
+/// with `store` untouched; and when a cell panicked.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_threaded<const R: usize>(
     workers: &WorkerPool,
@@ -547,6 +647,58 @@ pub(crate) fn execute_threaded<const R: usize>(
     pipelined: bool,
     collector: &mut dyn Collector,
 ) -> ThreadReport {
+    let (tx, rx) = channel::<Ended<R>>();
+    let done: Done<R> = Box::new(move |ended| {
+        let _ = tx.send(ended);
+    });
+    let enabled = collector.enabled();
+    launch_threaded(
+        workers, nest, plan, prep, store, iters, rotate, pipelined, enabled, done,
+    );
+    let ended = rx.recv().expect("a launched run completes exactly once");
+    let (back, report) = ended.finish(collector);
+    *store = back;
+    report.unwrap_or_else(|msg| panic!("{msg}"))
+}
+
+/// Start the threaded engine on `store` and return without waiting: the
+/// run takes the store (leaving `store` empty) and `done` gets it back,
+/// with the cells' results, from whichever thread ends the last cell.
+/// [`execute_threaded`] is this plus a wait.
+///
+/// One task per active cell is dispatched onto a persistent
+/// [`WorkerPool`] (a plan with a single active cell runs its task on the
+/// calling thread instead, completion included, and never touches the
+/// pool). Tasks capture only `Arc`-shared state, so they are `'static`
+/// and need no scoped spawn. Each task catches its cell's panic before
+/// it counts the cell ended, so a run whose cell panicked still
+/// completes, with [`Ended::finish`] reporting the panic. See
+/// [`crate::service::pool`] for why runs of several jobs may share the
+/// pool's workers without deadlock.
+///
+/// Workers buffer telemetry in thread-local vectors (timestamps relative
+/// to a shared epoch) when `enabled`, and [`Ended::finish`] replays the
+/// stream into a collector; disabled, they read no timers.
+///
+/// # Panics
+///
+/// Refused before any task is dispatched, with `store` untouched, as
+/// caller bugs: a buffered nest, `iters == 0`, a fused body
+/// [`rotation_fusible`] rejects, a plan [`in_place_legal`] rejects, and
+/// a rotation between arrays of different bounds or layout.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn launch_threaded<const R: usize>(
+    workers: &WorkerPool,
+    nest: &Arc<CompiledNest<R>>,
+    plan: &Arc<WavefrontPlan<R>>,
+    prep: &Arc<NestPrep<R>>,
+    store: &mut Store<R>,
+    iters: usize,
+    rotate: &[(ArrayId, ArrayId)],
+    pipelined: bool,
+    enabled: bool,
+    done: Done<R>,
+) {
     assert!(
         nest.buffered.is_empty(),
         "buffered nests carry no wavefront and are never planned"
@@ -573,41 +725,26 @@ pub(crate) fn execute_threaded<const R: usize>(
         rotate.iter().all(|&(a, b)| shapes[a] == shapes[b]),
         "a rotation renames buffers between arrays of one bounds and layout"
     );
-    let enabled = collector.enabled();
     // Only cells owning data participate.
     let cells: Vec<usize> = plan.active_cells();
-    if enabled {
-        collector.begin(&RunMeta {
-            engine: EngineKind::Threads,
-            procs: plan.procs(),
-            active: cells.clone(),
-            tiles: plan.tiles.len(),
-            block: plan.block,
-            pipelined: plan.is_pipelined(),
-            machine: "host".to_string(),
-            time_unit: TimeUnit::Seconds,
-            predicted: plan.predicted_traffic(),
-        });
-    }
     let n = cells.len();
-    let mut report = ThreadReport {
-        elapsed: Duration::ZERO,
-        messages: 0,
-        spans: Vec::with_capacity(n),
-    };
     if n == 0 {
-        if enabled {
-            collector.end(0.0);
-        }
-        return report;
+        done(Ended {
+            store: std::mem::replace(store, Store::from_arrays(Vec::new())),
+            runs: Ok(Vec::new()),
+            elapsed: Duration::ZERO,
+            plan: Arc::clone(plan),
+            cells,
+            iters,
+            rotate: rotate.to_vec(),
+            enabled,
+        });
+        return;
     }
 
     // A link exists per axis with communicated arrays and per adjacent
     // pair of active cells; cells are addressed by active-cell index.
-    let mut index: Vec<Option<usize>> = vec![None; plan.procs()];
-    for (i, &rank) in cells.iter().enumerate() {
-        index[rank] = Some(i);
-    }
+    let index = active_index(plan, &cells);
     let linked = |rank: Option<usize>, axis: usize| -> Option<usize> {
         rank.and_then(|r| index[r])
             .filter(|_| !plan.axes[axis].comm.is_empty())
@@ -616,7 +753,8 @@ pub(crate) fn execute_threaded<const R: usize>(
     // Everything that needs `&mut store` happens here, before the first
     // task starts: the one copy-on-write break of each array the run
     // writes, and the kernel binding. The written set is closed under
-    // the rotation here: obligation (1) below rests on it.
+    // the rotation here: obligation (1) below rests on it. Then the run
+    // takes the store: obligation (3).
     let mut written = prep.written.clone();
     close_under_rotation(&mut written, rotate);
     let bound = prep.runner.bind(store, &plan.order);
@@ -651,6 +789,14 @@ pub(crate) fn execute_threaded<const R: usize>(
         barrier: (!pipelined).then(|| Barrier::new(n)),
         epoch: Instant::now(),
         enabled,
+        ending: Mutex::new(Ending {
+            store: Some(std::mem::replace(store, Store::from_arrays(Vec::new()))),
+            runs: (0..n).map(|_| None).collect(),
+            left: n,
+            panic: None,
+            done: Some(done),
+        }),
+        cells: cells.clone(),
         #[cfg(test)]
         tile_hook: test_hooks::current(),
     });
@@ -659,7 +805,6 @@ pub(crate) fn execute_threaded<const R: usize>(
         // A cell may wait on any other, so each needs a worker.
         workers.ensure_workers(n);
     }
-    let (res_tx, res_rx) = channel::<(usize, CellRun)>();
     for (i, (&rank, readers)) in cells.iter().zip(readers).enumerate() {
         let axes = 0..plan.axes.len();
         let links = CellLinks {
@@ -684,17 +829,16 @@ pub(crate) fn execute_threaded<const R: usize>(
                 .collect(),
         };
         let ctx = Arc::clone(&ctx);
-        let res_tx = res_tx.clone();
         let task = move || {
-            let _poison = links.me.poison_on_panic();
-            let run = {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let _poison = links.me.poison_on_panic();
                 // SAFETY: `SharedCells::cells` asks three things of this
                 // run; (1)–(4) below discharge them.
                 //
                 // (1) Unique and untouched. Every array a sweep can
                 //   write (`written`: the nest's left-hand sides, closed
                 //   under the rotation) was made unique by
-                //   `share_for_write` on the calling thread before
+                //   `share_for_write` on the launching thread before
                 //   dispatch — the one copy-on-write break, billed as
                 //   any first write is. All other arrays were shared
                 //   `for_read`: only viewed, never `as_mut_slice`d,
@@ -713,25 +857,28 @@ pub(crate) fn execute_threaded<const R: usize>(
                 //   lets it start after; across sweeps, a cell
                 //   overwrites a tile only after the drain wait on every
                 //   reader of its rows. `in_place_legal`, asserted at
-                //   the top of this function, holds exactly when these
-                //   cover every cross-cell access of the nest under the
-                //   plan; `rotation_fusible`, asserted beside it, does
-                //   the same for reads across sweeps.
-                // (3) The store stays put. The calling thread does
-                //   nothing with `store` between dispatch and the join
-                //   below, and the join's `recv` fails only when *every*
-                //   task has dropped its sender — i.e. has ended,
-                //   normally or by panic — so the store is neither
-                //   touched nor returned while a view exists, including
-                //   when a worker panicked.
-                // (4) Views do not outlive the call. They borrow
-                //   `ctx.shared`, live inside this block, and are gone
-                //   before the result is sent.
+                //   the top of `launch_threaded`, holds exactly when
+                //   these cover every cross-cell access of the nest
+                //   under the plan; `rotation_fusible`, asserted beside
+                //   it, does the same for reads across sweeps.
+                // (3) The run owns the store. It was moved into
+                //   `ctx.ending` before any task was dispatched (moving
+                //   a `Store` moves no buffer), and only the completion
+                //   takes it out — in `end_cell`, once the count of
+                //   ended cells reaches zero. A cell counts itself ended
+                //   only after this closure has returned or unwound, so
+                //   a panicking cell cannot hand the store on while a
+                //   view of it exists, and nobody else can reach the
+                //   store meanwhile: neither the launching thread nor
+                //   the completion's caller.
+                // (4) Views do not outlive the closure. They borrow
+                //   `ctx.shared`, live inside it, and are gone before
+                //   the cell counts itself ended.
                 let arrays: Vec<&[Cell<f64>]> =
                     ctx.shared.iter().map(|s| unsafe { s.cells() }).collect();
                 run_cell(&ctx, i, &links, arrays)
-            };
-            let _ = res_tx.send((i, run));
+            }));
+            end_cell(&ctx, i, ran);
         };
         if n == 1 {
             task();
@@ -739,45 +886,63 @@ pub(crate) fn execute_threaded<const R: usize>(
             workers.execute(Box::new(task));
         }
     }
-    drop(res_tx);
-    // Join: exactly one result per cell, arriving in completion order.
-    // `recv` fails only once every sender is gone, so a failure means a
-    // worker died *and every other task has ended too* — obligation (3)
-    // of the SAFETY argument above rests on this.
-    let mut slots: Vec<Option<CellRun>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let (i, run) = res_rx.recv().expect("worker panicked");
-        slots[i] = Some(run);
-    }
-    report.elapsed = ctx.epoch.elapsed();
-    let mut events: Vec<Vec<WorkerEv>> = Vec::with_capacity(n);
-    for slot in slots {
-        let run = slot.expect("every cell reports exactly once");
-        report.messages += run.sent;
-        report.spans.push(run.spans);
-        events.push(run.evs);
-    }
+}
 
-    if enabled {
-        replay(
-            collector,
-            plan,
-            &cells,
-            &index,
-            &events,
-            report.elapsed.as_secs_f64(),
-        );
+/// Per rank, its index among the active cells.
+fn active_index<const R: usize>(plan: &WavefrontPlan<R>, cells: &[usize]) -> Vec<Option<usize>> {
+    let mut index: Vec<Option<usize>> = vec![None; plan.procs()];
+    for (i, &rank) in cells.iter().enumerate() {
+        index[rank] = Some(i);
     }
+    index
+}
 
-    // A rotation renames *whole buffers* — border cells the sweep never
-    // writes travel with their buffer, exactly as on the per-step path
-    // where the dispatcher re-binds physical buffers between jobs. The
-    // caller's slots therefore rotate in step with the workers' view
-    // tables.
-    for _ in 1..iters {
-        rotate_slots(store, rotate);
+/// Count cell `i` ended — returned, or unwound and caught — and, when it
+/// is the run's last, complete the run on this thread: take the store
+/// and the results out of the run and hand them to its `done`. (The task
+/// catches the unwind rather than counting in a drop guard, so the
+/// completion keeps the panic's message and never runs mid-unwind, where
+/// a second panic would abort.)
+fn end_cell<const R: usize>(ctx: &RunCtx<R>, i: usize, ran: std::thread::Result<CellRun>) {
+    let mut ending = ctx.ending.lock().unwrap();
+    match ran {
+        Ok(run) => ending.runs[i] = Some(run),
+        Err(payload) => {
+            let msg = crate::service::panic_message(&*payload);
+            if ending
+                .panic
+                .as_deref()
+                .is_none_or(|p| p.starts_with(CASCADE))
+            {
+                ending.panic = Some(msg);
+            }
+        }
     }
-    report
+    ending.left -= 1;
+    if ending.left > 0 {
+        return;
+    }
+    let runs = match ending.panic.take() {
+        Some(msg) => Err(msg),
+        None => Ok(ending
+            .runs
+            .iter_mut()
+            .map(|r| r.take().expect("every cell reports exactly once"))
+            .collect()),
+    };
+    let ended = Ended {
+        store: ending.store.take().expect("the run owns the store"),
+        runs,
+        elapsed: ctx.epoch.elapsed(),
+        plan: Arc::clone(&ctx.plan),
+        cells: ctx.cells.clone(),
+        iters: ctx.iters,
+        rotate: ctx.rotate.clone(),
+        enabled: ctx.enabled,
+    };
+    let done = ending.done.take().expect("a run completes once");
+    drop(ending);
+    done(ended);
 }
 
 /// Replay buffered worker events into the collector: blocks and waits
@@ -787,10 +952,10 @@ fn replay<const R: usize>(
     collector: &mut dyn Collector,
     plan: &WavefrontPlan<R>,
     cells: &[usize],
-    index: &[Option<usize>],
     events: &[Vec<WorkerEv>],
     makespan: f64,
 ) {
+    let index = active_index(plan, cells);
     for (&rank, evs) in cells.iter().zip(events) {
         for ev in evs {
             match *ev {
@@ -886,6 +1051,16 @@ pub(crate) mod test_hooks {
         let out = f();
         HOOK.with(|h| *h.borrow_mut() = prev);
         out
+    }
+
+    /// Carry this thread's hook to a thread it spawns: `f`, returned to
+    /// run there, runs with the hook installed.
+    pub(crate) fn carry<T>(f: impl FnOnce() -> T) -> impl FnOnce() -> T {
+        let hook = current();
+        move || match hook {
+            Some(hook) => with_tile_hook(hook, f),
+            None => f(),
+        }
     }
 }
 

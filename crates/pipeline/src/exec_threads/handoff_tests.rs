@@ -1,7 +1,7 @@
 //! The safety net of the in-place hand-off: a seeded chaos harness over
-//! the progress counters, the legality predicate (every plan the planner
-//! makes passes it; a plan that fails is refused), and a worker
-//! panicking mid-wave.
+//! the progress counters (two runs sharing one pool), the legality
+//! predicate (every plan the planner makes passes it; a plan that fails
+//! is refused), and a worker panicking mid-wave.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -180,6 +180,47 @@ fn engine<const R: usize>(
     (store, report)
 }
 
+/// Two engine runs of `c`, each from its initial store, launched back to
+/// back onto one pool without waiting: the second run's cells queue
+/// behind the first's and start as those end, as consecutive service
+/// jobs do. Only the first run reports to `collector`.
+fn engine_pair<const R: usize>(
+    c: &Case<R>,
+    plan: &WavefrontPlan<R>,
+    iters: usize,
+    rotate: &[(ArrayId, ArrayId)],
+    kernel_mode: KernelMode,
+    collector: &mut dyn Collector,
+) -> [(Store<R>, ThreadReport); 2] {
+    let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
+    let prep = Arc::new(prepare(&nest, kernel_mode));
+    let workers = WorkerPool::new();
+    let (tx, rx) = channel();
+    for k in 0..2 {
+        let tx = tx.clone();
+        let mut store = init(&c.program);
+        let done: Done<R> = Box::new(move |ended| {
+            let _ = tx.send((k, ended));
+        });
+        let enabled = k == 0 && collector.enabled();
+        launch_threaded(
+            &workers, &nest, &plan, &prep, &mut store, iters, rotate, true, enabled, done,
+        );
+    }
+    drop(tx);
+    let mut runs: [Option<(Store<R>, ThreadReport)>; 2] = [None, None];
+    for (k, ended) in rx {
+        let c: &mut dyn Collector = if k == 0 {
+            collector
+        } else {
+            &mut NoopCollector
+        };
+        let (store, report) = ended.finish(c);
+        runs[k] = Some((store, report.expect("no cell panicked")));
+    }
+    runs.map(|r| r.expect("both runs complete"))
+}
+
 /// Run `f` on a thread of its own and fail if it has not returned
 /// within 30 s: a hand-off that deadlocks must fail, not hang.
 fn watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -212,9 +253,10 @@ enum Skew {
     Upstream,
 }
 
-/// One seeded chaos run of `c`: every post delayed, every wait followed
-/// by a delay, result compared with the reference. Every fourth
-/// single-sweep run is traced and its causal invariants checked.
+/// One seeded chaos run of `c`, twice over on one pool (see
+/// [`engine_pair`]): every post delayed, every wait followed by a delay,
+/// both results compared with the reference. Every fourth single-sweep
+/// seed traces its first run and checks the causal invariants.
 fn chaos_run<const R: usize>(
     seed: u64,
     c: Case<R>,
@@ -235,6 +277,7 @@ fn chaos_run<const R: usize>(
     );
     let traced = iters == 1 && seed.is_multiple_of(4);
     let want = reference(&c, iters, rotate);
+    let want_second = want.clone();
     let run_label = label.clone();
     let (got, report, trace) = watchdog(&label, move || {
         chaos::with_seed(seed, || {
@@ -257,14 +300,18 @@ fn chaos_run<const R: usize>(
             } else {
                 &mut NoopCollector
             };
-            let (got, report) = test_hooks::with_tile_hook(drag, || {
-                engine(&c, &plan, iters, rotate, kernel_mode, collector)
+            let runs = test_hooks::with_tile_hook(drag, || {
+                engine_pair(&c, &plan, iters, rotate, kernel_mode, collector)
             });
-            assert_eq!(
-                report.messages,
-                iters * plan.predicted_traffic().messages,
-                "{run_label}: posts stand for exactly the predicted messages"
-            );
+            for (_, report) in &runs {
+                assert_eq!(
+                    report.messages,
+                    iters * plan.predicted_traffic().messages,
+                    "{run_label}: posts stand for exactly the predicted messages"
+                );
+            }
+            let [(got, report), (second, _)] = runs;
+            assert_same(&second, &want_second, &format!("{run_label}, second run"));
             (got, report, traced.then_some(trace))
         })
     });

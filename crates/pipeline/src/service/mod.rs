@@ -78,7 +78,7 @@ use wavefront_core::region::Region;
 use crate::error::{AdmissionReason, PipelineError};
 use crate::exec_seq::execute_plan_sequential;
 use crate::exec_sim::simulate_plan_collected;
-use crate::exec_threads::{execute_threaded, prepare, NestPrep};
+use crate::exec_threads::{execute_threaded, launch_threaded, prepare, Done, NestPrep};
 use crate::plan::WavefrontPlan;
 use crate::schedule::BlockPolicy;
 use crate::session::{RunOutcome, SessionConfig};
@@ -113,7 +113,7 @@ pub use wire::{
 
 use cache::PlanCache;
 use handle::HandleTable;
-use job::{LoopExec, Ticket};
+use job::{JobTicket, LoopExec, Ticket};
 use pool::WorkerPool;
 use tenant::{pick_min_pass, QueuedJob, TenantQueue};
 
@@ -305,16 +305,69 @@ impl ExecCore {
         }
     }
 
-    /// Plan (or fetch) and execute one job on `kind`. With `lx`, the
-    /// threads engine runs a fused multi-iteration loop chunk —
+    /// Look the job's plan up (or build it) and, for the engines that
+    /// execute data, lower its kernel: everything a run needs but the
+    /// store. An executing engine without a store is refused here, after
+    /// the lookup and before the lowering.
+    #[allow(clippy::too_many_arguments)]
+    fn prepare<const R: usize>(
+        &self,
+        program: &Program<R>,
+        nest: &NestSource<'_, R>,
+        topology: JobTopology,
+        cfg: &SessionConfig,
+        hsig: &str,
+        kind: EngineKind,
+        has_store: bool,
+    ) -> Result<Prepared<R>, PipelineError> {
+        let prep_start = Instant::now();
+        let (entry, cache_ev) = self.entry(program, nest, topology, cfg, hsig)?;
+        let plan = &entry.plan;
+        let mut outcome = RunOutcome {
+            engine: kind,
+            makespan: 0.0,
+            time_unit: TimeUnit::Seconds,
+            messages: 0,
+            block: plan.block,
+            tiles: plan.tiles.len(),
+            pipelined: plan.is_pipelined(),
+            prep_seconds: 0.0,
+            run_seconds: 0.0,
+            kernel_tier: None,
+            kernel_fallback: None,
+        };
+        // The executing engines need the data and the lowered kernel;
+        // the simulator neither.
+        let prep = if kind == EngineKind::Sim {
+            outcome.time_unit = TimeUnit::ModelUnits;
+            None
+        } else {
+            if !has_store {
+                return Err(PipelineError::MissingStore);
+            }
+            let prep = entry.prep(cfg.kernel_mode);
+            self.count_kernel(&prep.runner);
+            outcome.kernel_tier = Some(prep.runner.tier());
+            outcome.kernel_fallback = prep.runner.fallback();
+            Some(prep)
+        };
+        outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
+        Ok(Prepared {
+            entry,
+            cache_ev,
+            prep,
+            outcome,
+        })
+    }
+
+    /// Plan (or fetch) and execute one job on `kind`, joined. With `lx`,
+    /// the threads engine runs a fused multi-iteration loop chunk —
     /// `lx.iters` whole sweeps inside one invocation, iterating with
     /// cross-iteration pipelining (see [`execute_threaded`]) — and the chunk's overlap stats come back
     /// beside the outcome. Under [`BlockPolicy::Adaptive`] the cached
     /// entry is the seed plan, and the tuner's probe/fit/re-block loop
     /// ([`crate::tune::adapt`]) drives the same engine closure over its
-    /// retiled phases — same pool, same lowered kernel. The cache
-    /// event, if any, is reported *after* the engine's stream
-    /// completes, because collectors reset their buffers at `begin`.
+    /// retiled phases — same pool, same lowered kernel.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<const R: usize>(
         &self,
@@ -336,36 +389,14 @@ impl ExecCore {
             lx.is_none() || (kind == EngineKind::Threads && adaptive.is_none()),
             "only the threads engine under a fixed block policy fuses loop chunks"
         );
-        let prep_start = Instant::now();
-        let (entry, cache_ev) = self.entry(program, &nest, topology, cfg, hsig)?;
+        let Prepared {
+            entry,
+            cache_ev,
+            prep,
+            mut outcome,
+        } = self.prepare(program, &nest, topology, cfg, hsig, kind, store.is_some())?;
         let plan = &entry.plan;
-        let mut outcome = RunOutcome {
-            engine: kind,
-            makespan: 0.0,
-            time_unit: TimeUnit::Seconds,
-            messages: 0,
-            block: plan.block,
-            tiles: plan.tiles.len(),
-            pipelined: plan.is_pipelined(),
-            prep_seconds: 0.0,
-            run_seconds: 0.0,
-            kernel_tier: None,
-            kernel_fallback: None,
-        };
-        // The executing engines need the data and the lowered kernel;
-        // the simulator neither.
-        let mut host = if kind == EngineKind::Sim {
-            outcome.time_unit = TimeUnit::ModelUnits;
-            None
-        } else {
-            let store = store.ok_or(PipelineError::MissingStore)?;
-            let prep = entry.prep(cfg.kernel_mode);
-            self.count_kernel(&prep.runner);
-            outcome.kernel_tier = Some(prep.runner.tier());
-            outcome.kernel_fallback = prep.runner.fallback();
-            Some((store, prep))
-        };
-        outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
+        let mut host = store.zip(prep);
         let run_start = Instant::now();
         let mut loop_stats = None;
         // The engine as "run this plan, report (makespan, messages)".
@@ -409,14 +440,40 @@ impl ExecCore {
                 (run.makespan, run.messages)
             }
         };
-        outcome.run_seconds = run_start.elapsed().as_secs_f64();
-        if let Some(ev) = cache_ev {
-            if collector.enabled() {
-                collector.cache(ev);
-            }
-        }
-        Ok((outcome, loop_stats))
+        Ok((
+            finish_outcome(outcome, run_start, cache_ev, collector),
+            loop_stats,
+        ))
     }
+}
+
+/// What [`ExecCore::prepare`] resolved for one run.
+struct Prepared<const R: usize> {
+    entry: Arc<Entry<R>>,
+    cache_ev: Option<CacheEvent>,
+    /// The lowered kernel; `None` on the simulator.
+    prep: Option<Arc<NestPrep<R>>>,
+    /// The plan's facts, the kernel tier and `prep_seconds`; the engine
+    /// fills in the rest.
+    outcome: RunOutcome,
+}
+
+/// Close a run's outcome: its run time, and the cache event, reported
+/// *after* the engine's stream because collectors reset their buffers
+/// at `begin`.
+fn finish_outcome(
+    mut outcome: RunOutcome,
+    run_start: Instant,
+    cache_ev: Option<CacheEvent>,
+    collector: &mut dyn Collector,
+) -> RunOutcome {
+    outcome.run_seconds = run_start.elapsed().as_secs_f64();
+    if let Some(ev) = cache_ev {
+        if collector.enabled() {
+            collector.cache(ev);
+        }
+    }
+    outcome
 }
 
 /// Cross-iteration overlap of one fused chunk: per iteration, the global
@@ -633,6 +690,8 @@ pub(crate) struct Shared<const R: usize> {
     /// DAG and loop runner threads not yet joined: [`spawn_runner`]
     /// reaps the finished ones, `Drop` waits for the rest.
     runners: Mutex<Vec<JoinHandle<()>>>,
+    /// Per tenant, its stage histograms (see [`StageHists`]).
+    stage_hists: Mutex<HashMap<String, StageHists>>,
 }
 
 impl<const R: usize> Shared<R> {
@@ -725,10 +784,15 @@ impl<const R: usize> WavefrontService<R> {
             recent_traces: Mutex::new(VecDeque::new()),
             handles: Mutex::new(HandleTable::new()),
             runners: Mutex::new(Vec::new()),
+            stage_hists: Mutex::new(HashMap::new()),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatcher_loop(&shared))
+            let dispatch = move || dispatcher_loop(&shared);
+            // Tests reach the engine's tile hook through the dispatcher.
+            #[cfg(test)]
+            let dispatch = crate::exec_threads::test_hooks::carry(dispatch);
+            std::thread::spawn(dispatch)
         };
         WavefrontService {
             shared,
@@ -1199,8 +1263,8 @@ pub(crate) fn enqueue<const R: usize>(
 }
 
 /// One tenant's per-stage latency histogram handles, resolved once and
-/// cached by the dispatcher so the per-job cost is a hash lookup plus
-/// atomic adds — not a registry lock per stage.
+/// cached in [`Shared`] so the per-job cost is a hash lookup plus atomic
+/// adds — not a registry lock per stage.
 struct StageHists {
     admit: HistogramHandle,
     queue: HistogramHandle,
@@ -1241,8 +1305,18 @@ impl StageHists {
     }
 }
 
+/// The dispatcher: pick the next job by fair share, start it, repeat.
+///
+/// A plain threaded job (see [`launches`]) is launched, not waited for:
+/// the pool worker that ends its last cell finishes it, and the
+/// dispatcher picks the next job as soon as the pool has an idle worker
+/// and an empty queue — so one job's drain runs under the next one's
+/// fill. Every other job first waits until no job is in flight and then
+/// runs joined, here: Seq and Sim jobs, adaptive ones, and jobs that bind
+/// resident handles or carry a loop chunk (which keeps handle epochs and
+/// loop chunks ordered exactly as they were).
 fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
-    let mut stage_hists: HashMap<String, StageHists> = HashMap::new();
+    let pool = shared.core.pool();
     loop {
         let (idx, job) = {
             let mut q = shared.queue.lock().unwrap();
@@ -1256,9 +1330,13 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
                     let job = q.tenants[i].take_next().expect("picked queue has a job");
                     break (i, job);
                 }
-                // Every queue is empty: done if shutting down, else sleep
-                // until a submission arrives.
+                // Every queue is empty: done if shutting down — once the
+                // launched jobs have completed, as their completions
+                // hold the service's state — else sleep until a
+                // submission arrives.
                 if q.closed {
+                    drop(q);
+                    pool.wait_idle(true);
                     return;
                 }
                 q = shared.not_empty.wait(q).unwrap();
@@ -1267,37 +1345,179 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
         // Queue space freed; submitters blocked on capacity may retry.
         shared.not_full.notify_all();
 
-        // Attribute this job's cache traffic by counter deltas: the
-        // single dispatcher serializes jobs, so the deltas are exact.
-        let hits0 = shared.core.hits.load(Ordering::Relaxed);
-        let misses0 = shared.core.misses.load(Ordering::Relaxed);
-        let trace_id = job.spec.trace_id;
-        let admitted_at = job.admitted_at;
-        let submitted_at = job.spec.submitted_at.unwrap_or(admitted_at);
-        let tenant = job.spec.tenant_name().unwrap_or(DEFAULT_TENANT).to_string();
-        let dispatched = Instant::now();
-        let mut result = match catch_unwind(AssertUnwindSafe(|| {
-            run_job(&shared.core, &shared.handles, job.spec)
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(PipelineError::EnginePanic(panic_message(&payload))),
-        };
-        let finished = Instant::now();
-        let busy = (finished - dispatched).as_secs_f64();
-        let dhits = shared.core.hits.load(Ordering::Relaxed) - hits0;
-        let dmisses = shared.core.misses.load(Ordering::Relaxed) - misses0;
+        let mut settle = Settle::new(shared, idx, &job);
+        if launches(&job.spec) {
+            // A panic here drops `settle`, which settles the job.
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                launch_job(&shared.core, job.spec, settle)
+            }));
+            pool.wait_idle(false);
+        } else {
+            pool.wait_idle(true);
+            // Waiting for the pool to empty was queueing, not execution.
+            settle.dispatched = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_job(&shared.core, &shared.handles, job.spec)
+            }))
+            .unwrap_or_else(|payload| Err(PipelineError::EnginePanic(panic_message(&payload))));
+            settle.looked_up();
+            settle.settle(result);
+        }
+    }
+}
 
+/// Whether the dispatcher launches `spec` without waiting for it: a
+/// threads-engine job under a fixed block policy that binds no resident
+/// handle and carries no loop chunk.
+fn launches<const R: usize>(spec: &JobSpec<R>) -> bool {
+    spec.engine == EngineKind::Threads
+        && !matches!(spec.cfg.block, BlockPolicy::Adaptive(_))
+        && spec.handle_inputs.is_empty()
+        && spec.handle_outputs.is_empty()
+        && spec.loop_exec.is_none()
+}
+
+/// Launch a plain threaded job (see [`launches`]): look its plan up
+/// here, on the dispatcher, and hand its store to the engine. The worker
+/// that ends the job's last cell finishes it — outcome, outputs, trace —
+/// and settles it.
+fn launch_job<const R: usize>(core: &ExecCore, spec: JobSpec<R>, mut settle: Settle<R>) {
+    let JobSpec {
+        program,
+        nest,
+        topology,
+        cfg,
+        store,
+        trace,
+        outputs,
+        ..
+    } = spec;
+    let kind = EngineKind::Threads;
+    let nest = NestSource::Shared(&nest);
+    let prepared = core.prepare(&program, &nest, topology, &cfg, "", kind, store.is_some());
+    settle.looked_up();
+    let (prepared, mut store) = match (prepared, store) {
+        (Ok(p), Some(store)) => (p, store),
+        (Err(e), _) => return settle.settle(Err(e)),
+        (Ok(_), None) => unreachable!("`prepare` refuses a threads job without a store"),
+    };
+    let Prepared {
+        entry,
+        cache_ev,
+        prep,
+        mut outcome,
+    } = prepared;
+    let prep = prep.expect("the threads engine runs a lowered kernel");
+    let run_start = Instant::now();
+    let done: Done<R> = Box::new(move |ended| {
+        let mut trace_collector = trace.then(TraceCollector::new);
+        let mut noop = NoopCollector;
+        let collector: &mut dyn Collector = match trace_collector.as_mut() {
+            Some(tc) => tc,
+            None => &mut noop,
+        };
+        let (store, report) = ended.finish(collector);
+        let result = report.map_err(PipelineError::EnginePanic).map(|r| {
+            (outcome.makespan, outcome.messages) = (r.elapsed.as_secs_f64(), r.messages);
+            finish_outcome(outcome, run_start, cache_ev, collector)
+        });
+        settle.settle(result.map(|outcome| JobOutcome {
+            outcome,
+            outputs: collect_outputs(&program, Some(&store), &outputs, &[]),
+            loop_stats: None,
+            trace: trace_collector.map(|tc| tc.report()),
+            spans: None,
+        }));
+    });
+    let (nest, plan) = (&entry.nest, &entry.plan);
+    launch_threaded(
+        core.pool(),
+        nest,
+        plan,
+        &prep,
+        &mut store,
+        1,
+        &[],
+        true,
+        trace,
+        done,
+    );
+}
+
+/// What settling a dispatched job needs: its tenant, its ticket and the
+/// stamps of its lifecycle. Whoever finishes the job — the dispatcher,
+/// or the pool worker that ends a launched job's last cell — settles it,
+/// once. Dropped unsettled (a panic outside every cell and outside the
+/// dispatcher's catch), it settles the job as
+/// [`PipelineError::EnginePanic`], so no handle waits forever.
+struct Settle<const R: usize> {
+    shared: Arc<Shared<R>>,
+    idx: usize,
+    ticket: Option<Arc<JobTicket<R>>>,
+    trace_id: Option<u64>,
+    tenant: String,
+    submitted_at: Instant,
+    admitted_at: Instant,
+    dispatched: Instant,
+    /// The cache counters at dispatch; after [`Settle::looked_up`], the
+    /// job's own hits and misses.
+    cache: (u64, u64),
+}
+
+impl<const R: usize> Settle<R> {
+    fn new(shared: &Arc<Shared<R>>, idx: usize, job: &QueuedJob<R>) -> Self {
+        let core = &shared.core;
+        Settle {
+            shared: Arc::clone(shared),
+            idx,
+            ticket: Some(Arc::clone(&job.ticket)),
+            trace_id: job.spec.trace_id,
+            tenant: job.spec.tenant_name().unwrap_or(DEFAULT_TENANT).to_string(),
+            submitted_at: job.spec.submitted_at.unwrap_or(job.admitted_at),
+            admitted_at: job.admitted_at,
+            dispatched: Instant::now(),
+            cache: (
+                core.hits.load(Ordering::Relaxed),
+                core.misses.load(Ordering::Relaxed),
+            ),
+        }
+    }
+
+    /// Attribute to this job the cache traffic since dispatch. Called
+    /// on the dispatcher once the job's cache lookup is done: only the
+    /// dispatcher looks plans up — completions on the pool never do — so
+    /// the deltas are exact however many jobs are in flight.
+    fn looked_up(&mut self) {
+        let core = &self.shared.core;
+        self.cache = (
+            core.hits.load(Ordering::Relaxed) - self.cache.0,
+            core.misses.load(Ordering::Relaxed) - self.cache.1,
+        );
+    }
+
+    fn settle(mut self, result: Result<JobOutcome<R>, PipelineError>) {
+        self.fulfil(result);
+    }
+
+    /// Account the job to its tenant, record its trace, and fulfil its
+    /// ticket.
+    fn fulfil(&mut self, mut result: Result<JobOutcome<R>, PipelineError>) {
+        let Some(ticket) = self.ticket.take() else {
+            return;
+        };
+        let shared = &self.shared;
+        let finished = Instant::now();
         {
             let mut q = shared.queue.lock().unwrap();
-            let t = &mut q.tenants[idx];
+            let t = &mut q.tenants[self.idx];
             t.in_flight -= 1;
             match &result {
                 Ok(_) => t.completed += 1,
                 Err(_) => t.failed += 1,
             }
-            t.cache_hits += dhits;
-            t.cache_misses += dmisses;
-            t.busy_seconds += busy;
+            t.cache_hits += self.cache.0;
+            t.cache_misses += self.cache.1;
+            t.busy_seconds += (finished - self.dispatched).as_secs_f64();
         }
         // In-flight slot freed; submitters blocked on the limit may retry.
         shared.not_full.notify_all();
@@ -1310,35 +1530,47 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
         };
         let done = Instant::now();
         let trace = JobTrace {
-            trace_id,
-            tenant,
-            start_seconds: submitted_at
+            trace_id: self.trace_id,
+            tenant: std::mem::take(&mut self.tenant),
+            start_seconds: self
+                .submitted_at
                 .saturating_duration_since(shared.epoch)
                 .as_secs_f64(),
-            admit_seconds: (admitted_at - submitted_at).as_secs_f64(),
-            queue_seconds: (dispatched - admitted_at).as_secs_f64(),
-            exec_seconds: (finished - dispatched).as_secs_f64(),
+            admit_seconds: (self.admitted_at - self.submitted_at).as_secs_f64(),
+            queue_seconds: (self.dispatched - self.admitted_at).as_secs_f64(),
+            exec_seconds: (finished - self.dispatched).as_secs_f64(),
             prep_seconds,
             run_seconds,
             drain_seconds: (done - finished).as_secs_f64(),
-            total_seconds: (done - submitted_at).as_secs_f64(),
+            total_seconds: (done - self.submitted_at).as_secs_f64(),
         };
         if let Ok(out) = result.as_mut() {
             out.spans = Some(trace.clone());
         }
         if shared.core.metrics.enabled() {
-            // Steady-state alloc-free: the per-tenant handle bundle is
-            // cloned-keyed only on first sight of the tenant.
-            if !stage_hists.contains_key(&trace.tenant) {
-                stage_hists.insert(
-                    trace.tenant.clone(),
-                    StageHists::new(&shared.core.metrics, &trace.tenant),
-                );
+            {
+                // Steady-state alloc-free: the per-tenant handle bundle
+                // is cloned-keyed only on first sight of the tenant.
+                let mut hists = shared.stage_hists.lock().unwrap();
+                if !hists.contains_key(&trace.tenant) {
+                    hists.insert(
+                        trace.tenant.clone(),
+                        StageHists::new(&shared.core.metrics, &trace.tenant),
+                    );
+                }
+                hists[&trace.tenant].record(&trace);
             }
-            stage_hists[&trace.tenant].record(&trace);
             shared.record_trace(trace);
         }
-        job.ticket.fulfil(result);
+        ticket.fulfil(result);
+    }
+}
+
+impl<const R: usize> Drop for Settle<R> {
+    fn drop(&mut self) {
+        self.fulfil(Err(PipelineError::EnginePanic(
+            "the job was abandoned by a panic outside its cells".into(),
+        )));
     }
 }
 
@@ -1598,4 +1830,106 @@ fn run_job<const R: usize>(
         trace: trace_collector.map(|tc| tc.report()),
         spans: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    use wavefront_core::prelude::*;
+
+    use super::*;
+    use crate::exec_threads::test_hooks::{with_tile_hook, TileHook};
+    use crate::session::Session;
+
+    /// `a := a'@(−1, 0) · 0.5 + a · 0.25 + 1` on 12×12: a wave down the
+    /// rows, so the cells of a line are ranked upstream to downstream.
+    fn wave() -> (Arc<Program<2>>, Arc<CompiledNest<2>>, Store<2>) {
+        let mut p = Program::<2>::new();
+        let a = p.array("a", Region::rect([0, 0], [11, 11]));
+        p.stmt(
+            Region::rect([1, 0], [11, 11]),
+            a,
+            Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0])
+                + Expr::lit(0.25) * Expr::read(a)
+                + Expr::lit(1.0),
+        );
+        let nest = compile(&p).unwrap().nest(0).clone();
+        let mut store = Store::new(&p);
+        *store.get_mut(a) = DenseArray::from_fn(Region::rect([0, 0], [11, 11]), |q| {
+            ((q[0] * 5 + q[1] * 3) % 7) as f64
+        });
+        (Arc::new(p), Arc::new(nest), store)
+    }
+
+    /// A cell of job k panics while job k+1 is in flight: k resolves
+    /// `EnginePanic`, k+1 completes bit-identically, and no worker is
+    /// lost. Job k runs on `line(3)`, job k+1 on `line(2)`, so the hook
+    /// tells them apart by the cell index: job k's last cell waits at
+    /// its fifth tile until job k+1's first cell has started a tile,
+    /// then panics.
+    #[test]
+    fn a_cell_panic_fails_its_job_and_spares_the_next_in_flight() {
+        let (program, nest, store) = wave();
+        let first_tiles = Arc::new(AtomicUsize::new(0));
+        let hook: TileHook = {
+            let first_tiles = Arc::clone(&first_tiles);
+            Arc::new(move |cell, tile| {
+                if cell == 0 && tile == 0 {
+                    first_tiles.fetch_add(1, Ordering::SeqCst);
+                }
+                if cell == 2 && tile == 4 {
+                    let start = Instant::now();
+                    let in_flight = || first_tiles.load(Ordering::SeqCst) == 2;
+                    while !in_flight() && start.elapsed() < Duration::from_secs(10) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    match in_flight() {
+                        true => panic!("tile hook: job k dies with job k+1 in flight"),
+                        false => panic!("tile hook: job k dies, job k+1 never started"),
+                    }
+                }
+            })
+        };
+        let service: WavefrontService<2> = with_tile_hook(hook, || {
+            WavefrontService::with_config(ServiceConfig {
+                workers: 3,
+                ..Default::default()
+            })
+        });
+        let spec = |procs: usize| {
+            JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
+                .line(procs)
+                .block(BlockPolicy::Fixed(1))
+                .store(store.clone())
+                .build()
+                .unwrap()
+        };
+        let k = service.submit(spec(3));
+        let k1 = service.submit(spec(2));
+        match k.wait() {
+            Err(PipelineError::EnginePanic(msg)) => {
+                assert!(msg.contains("job k+1 in flight"), "{msg}")
+            }
+            Err(e) => panic!("job k failed otherwise: {e}"),
+            Ok(_) => panic!("job k survived its cell's panic"),
+        }
+        let got = k1
+            .wait()
+            .expect("job k+1 completes")
+            .take_output("a")
+            .unwrap();
+        let mut want = store.clone();
+        Session::new(&program, &nest)
+            .procs(2)
+            .block(BlockPolicy::Fixed(1))
+            .store(&mut want)
+            .run(EngineKind::Seq)
+            .unwrap();
+        assert!(want.get(0).region_eq(&got.to_array(), want.get(0).bounds()));
+        let s = service.stats();
+        assert_eq!(s.pool_spawns, 3, "no worker was lost to the panic");
+        assert_eq!((s.jobs_completed, s.jobs_failed), (1, 1));
+    }
 }

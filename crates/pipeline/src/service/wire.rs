@@ -904,6 +904,25 @@ fn answer<Q: Frame, A: Frame>(
         .unwrap_or_else(|e| error_frame(&e))
 }
 
+/// Drops a connection's duplicate handle from [`WireServer`]'s list
+/// (and any whose socket has already died) when its handler ends —
+/// returning or panicking — so the list tracks live connections only.
+struct ForgetConn<'a> {
+    conns: &'a Mutex<Vec<TcpStream>>,
+    peer: Option<std::net::SocketAddr>,
+}
+
+impl Drop for ForgetConn<'_> {
+    fn drop(&mut self) {
+        let Some(peer) = self.peer else { return };
+        let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
+        conns.retain(|c| match c.peer_addr() {
+            Ok(p) => p != peer,
+            Err(_) => false,
+        });
+    }
+}
+
 /// A TCP front end over a [`WavefrontService`]: thread-per-connection,
 /// non-blocking admission via [`WavefrontService::try_submit`], and a
 /// compiled-source LRU so repeated programs skip the front end.
@@ -972,16 +991,11 @@ impl<const R: usize> WireServer<R> {
     }
 
     fn handle_connection(&self, stream: TcpStream, local: std::net::SocketAddr) {
-        let peer = stream.peer_addr().ok();
+        let _forget = ForgetConn {
+            conns: &self.conns,
+            peer: stream.peer_addr().ok(),
+        };
         self.drive_connection(stream, local);
-        // Drop this connection's duplicate handle (and any whose socket
-        // has already died) so the list tracks live connections only.
-        if let Some(peer) = peer {
-            self.conns.lock().unwrap().retain(|c| match c.peer_addr() {
-                Ok(p) => p != peer,
-                Err(_) => false,
-            });
-        }
     }
 
     fn drive_connection(&self, mut stream: TcpStream, local: std::net::SocketAddr) {
@@ -2075,5 +2089,28 @@ mod tests {
             decoded > 0 && refused > 0,
             "{decoded} decoded, {refused} refused"
         );
+    }
+
+    /// A connection handler that panics still drops its socket's
+    /// duplicate from the server's list: the guard runs on the unwind.
+    #[test]
+    fn a_panicking_handler_forgets_its_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conns = Mutex::new(vec![stream.try_clone().unwrap()]);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _forget = ForgetConn {
+                conns: &conns,
+                peer: stream.peer_addr().ok(),
+            };
+            panic!("the handler dies mid-request");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            conns.lock().unwrap().is_empty(),
+            "the dead handler's socket stayed listed"
+        );
+        drop(client);
     }
 }

@@ -219,7 +219,9 @@ pub trait Collector {
     fn enabled(&self) -> bool {
         true
     }
-    /// Called once before execution with the static facts of the run.
+    /// Called once per run with its static facts, before any of its
+    /// events (the threaded engine calls it, and replays its workers'
+    /// buffered events, once the run's last cell has ended).
     fn begin(&mut self, _meta: &RunMeta) {}
     /// A block of computation completed.
     fn block(&mut self, _ev: BlockEvent) {}

@@ -16,7 +16,8 @@ use wavefront::kernels::rng::SplitMix64;
 use wavefront::kernels::tomcatv;
 use wavefront::machine::cray_t3e;
 use wavefront::pipeline::{
-    BlockPolicy, DagSpec, EngineKind, JobSpec, LoopSpec, ServiceConfig, Session, WavefrontService,
+    BlockPolicy, DagSpec, EngineKind, JobSpec, JobTopology, LoopSpec, ServiceConfig, Session,
+    WavefrontService,
 };
 
 /// Primed directions that keep a single-assignment scan legal.
@@ -443,6 +444,188 @@ fn stats_snapshot_balances_under_load() {
     assert_eq!(s.jobs_failed, 0);
     assert_eq!(s.jobs_queued, 0);
     assert_eq!(s.jobs_running, 0);
+}
+
+/// Two tenants submitting at the same time still split the cache
+/// traffic exactly: the dispatcher is the one thread that looks plans
+/// up, so however many jobs are in flight each job's one lookup lands on
+/// its own tenant — hits + misses per tenant equal its jobs, and the
+/// tenants sum to the service's totals.
+#[test]
+fn concurrent_tenants_split_cache_accounting_exactly() {
+    let (program, nest, store) = tiny_case();
+    let service: WavefrontService<2> = WavefrontService::new();
+    const JOBS: u64 = 120;
+    std::thread::scope(|scope| {
+        for tenant in ["left", "right"] {
+            let (service, program, nest, store) = (&service, &program, &nest, &store);
+            scope.spawn(move || {
+                for i in 0..JOBS {
+                    // Three block sizes per tenant, the first shared by
+                    // both: misses and hits interleave across tenants.
+                    let block = match (tenant, i % 3) {
+                        (_, 0) => 2,
+                        ("left", k) => 2 + k as usize,
+                        (_, k) => 4 + k as usize,
+                    };
+                    let spec = JobSpec::builder(Arc::clone(program), Arc::clone(nest))
+                        .line(2)
+                        .block(BlockPolicy::Fixed(block))
+                        .machine(cray_t3e())
+                        .tenant(tenant)
+                        .store(store.clone())
+                        .build()
+                        .expect("valid job spec");
+                    service.submit(spec).wait().expect("job runs");
+                }
+            });
+        }
+    });
+    let s = service.stats();
+    let tenants: Vec<_> = service
+        .tenant_stats()
+        .into_iter()
+        .filter(|t| t.jobs_submitted > 0)
+        .collect();
+    assert_eq!(tenants.len(), 2);
+    for t in &tenants {
+        assert_eq!(
+            t.cache_hits + t.cache_misses,
+            JOBS,
+            "tenant {}: one lookup per job",
+            t.tenant
+        );
+    }
+    assert_eq!(
+        tenants.iter().map(|t| t.cache_hits).sum::<u64>(),
+        s.cache_hits
+    );
+    assert_eq!(
+        tenants.iter().map(|t| t.cache_misses).sum::<u64>(),
+        s.cache_misses
+    );
+    assert_eq!(s.cache_misses, 5, "five distinct plans, each compiled once");
+}
+
+/// A rank-3 wave `a := Σ c_k·a'@s_k + 0.25·a + 1` on a 10×10×6 grid; the
+/// primed shifts set its direction(s).
+fn wave3(shifts: &[[i64; 3]]) -> (Arc<Program<3>>, Arc<CompiledNest<3>>) {
+    let mut p = Program::<3>::new();
+    let a = p.array("a", Region::rect([0, 0, 0], [9, 9, 5]));
+    let mut rhs = Expr::lit(0.25) * Expr::read(a) + Expr::lit(1.0);
+    for (k, s) in shifts.iter().enumerate() {
+        rhs = rhs + Expr::lit(0.5 / (k + 1) as f64) * Expr::read_primed_at(a, *s);
+    }
+    p.scan(
+        Region::rect([1, 1, 0], [8, 8, 5]),
+        vec![Statement::new(a, rhs)],
+    );
+    let nest = compile(&p).unwrap().nest(0).clone();
+    (Arc::new(p), Arc::new(nest))
+}
+
+fn init3(p: &Program<3>, seed: u64) -> Store<3> {
+    let mut store = Store::new(p);
+    let b = store.get(0).bounds();
+    *store.get_mut(0) = DenseArray::from_fn(b, |q| {
+        let h = (q[0] * 31 + q[1] * 17 + q[2] * 7) as u64 + seed * 13;
+        (h % 101) as f64 / 101.0
+    });
+    store
+}
+
+/// `sweeps` Seq sweeps through a one-shot `Session`: the reference.
+fn seq3(
+    program: &Program<3>,
+    nest: &CompiledNest<3>,
+    topology: JobTopology,
+    seed: u64,
+    sweeps: usize,
+) -> Store<3> {
+    let mut store = init3(program, seed);
+    for _ in 0..sweeps {
+        let session = Session::new(program, nest).block(BlockPolicy::Fixed(2));
+        let session = match topology {
+            JobTopology::Mesh { mesh, .. } => session.mesh(mesh),
+            JobTopology::Line { procs, .. } => session.procs(procs),
+        };
+        session.store(&mut store).run(EngineKind::Seq).unwrap();
+    }
+    store
+}
+
+/// Threaded jobs overlap on the pool — one job's drain under the next
+/// one's fill — and stay bit-identical to one-shot Seq sessions: three
+/// callers interleave a corner wave on `line(2)`, `line(3)` and
+/// `mesh(3×2)` with a descending wave, and one of them also runs a
+/// fused multi-sweep loop on a resident handle (which waits for the
+/// launched jobs and runs joined).
+#[test]
+fn overlapped_jobs_of_mixed_widths_match_seq_sessions() {
+    let corner = wave3(&[[-1, -1, 0], [-1, 0, 0], [0, -1, 0]]);
+    let descending = wave3(&[[1, 0, 0]]);
+    let ascending = wave3(&[[-1, 0, 0]]);
+    let jobs = [
+        ("corner line(2)", &corner, JobTopology::line(2)),
+        ("corner line(3)", &corner, JobTopology::line(3)),
+        ("corner mesh(3x2)", &corner, JobTopology::mesh([3, 2])),
+        ("descending line(3)", &descending, JobTopology::line(3)),
+    ];
+    let service: WavefrontService<3> = WavefrontService::new();
+    std::thread::scope(|scope| {
+        for caller in 0..3u64 {
+            let (service, jobs, ascending) = (&service, &jobs, &ascending);
+            scope.spawn(move || {
+                for round in 0..4u64 {
+                    for j in 0..jobs.len() {
+                        let (label, (program, nest), topology) =
+                            &jobs[(j + (caller + round) as usize) % jobs.len()];
+                        let seed = caller * 100 + round * 10 + j as u64;
+                        let spec = JobSpec::builder(Arc::clone(program), Arc::clone(nest))
+                            .topology(*topology)
+                            .block(BlockPolicy::Fixed(2))
+                            .store(init3(program, seed))
+                            .build()
+                            .expect("valid job spec");
+                        let got = service
+                            .submit(spec)
+                            .wait()
+                            .unwrap_or_else(|e| panic!("{label}: {e}"))
+                            .take_output("a")
+                            .unwrap()
+                            .to_array();
+                        let want = seq3(program, nest, *topology, seed, 1);
+                        assert!(
+                            want.get(0).region_eq(&got, got.bounds()),
+                            "caller {caller} round {round}: {label} differs from Seq"
+                        );
+                    }
+                    if caller == 0 {
+                        let (program, nest) = ascending;
+                        let seed = 1000 + round;
+                        let h = service.import(init3(program, seed).get(0).clone());
+                        let body = JobSpec::builder(Arc::clone(program), Arc::clone(nest))
+                            .line(2)
+                            .block(BlockPolicy::Fixed(2))
+                            .output_handle("a", &h)
+                            .build()
+                            .unwrap();
+                        let spec = LoopSpec::builder().job(body).steps(5).build().unwrap();
+                        assert_eq!(service.submit_loop(spec).wait().unwrap().steps_run, 5);
+                        let want = seq3(program, nest, JobTopology::line(2), seed, 5);
+                        let got = service.free(&h).unwrap();
+                        assert!(
+                            want.get(0).region_eq(&got, got.bounds()),
+                            "round {round}: the five-sweep loop differs from Seq"
+                        );
+                    }
+                }
+            });
+        }
+    });
+    let s = service.stats();
+    assert_eq!(s.jobs_failed, 0);
+    assert!(s.balanced());
 }
 
 /// `try_submit` shares `submit`'s surface: the returned handle resolves
