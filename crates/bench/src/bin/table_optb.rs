@@ -7,10 +7,30 @@
 
 use wavefront_bench::Table;
 use wavefront_machine::{
-    cray_t3e, fig5a_t3e, fig5b_hypothetical, sgi_power_challenge, MachineParams,
+    cray_t3e, fig5a_t3e, fig5b_hypothetical, pipeline_dag, simulate, sgi_power_challenge,
+    MachineParams,
 };
 use wavefront_model::PipeModel;
-use wavefront_pipeline::{probe_block, BlockCtx};
+use wavefront_pipeline::BlockCtx;
+
+/// Evaluate candidate block sizes on the closed pipeline line of the
+/// machine's task-graph simulator — `p` processors, `ceil(n_orth / b)`
+/// blocks of `rows · b` work each — and return the one with the smallest
+/// makespan (the first on a tie). `candidates` must not be empty.
+fn probe_block(candidates: &[usize], ctx: &BlockCtx) -> usize {
+    let rows = (ctx.n_wave as f64 / ctx.p as f64).ceil();
+    let mut best = (f64::INFINITY, candidates[0].clamp(1, ctx.n_orth.max(1)));
+    for &c in candidates {
+        let b = c.clamp(1, ctx.n_orth.max(1));
+        let nblocks = ctx.n_orth.div_ceil(b);
+        let tasks = pipeline_dag(ctx.p, nblocks, rows * b as f64 * ctx.work, b);
+        let t = simulate(&tasks, &ctx.machine, ctx.p).makespan;
+        if t < best.0 {
+            best = (t, b);
+        }
+    }
+    best.1
+}
 
 fn main() {
     println!("## Optimal block size: closed forms vs numeric vs simulator probe\n");
@@ -49,4 +69,23 @@ fn main() {
     println!("  exact   = true stationary point of T_pipe");
     println!("  numeric = integer argmin of the analytic T_pipe");
     println!("  probe   = argmin of the task-graph simulator's makespan");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn probe_picks_minimum_of_candidates() {
+        let params = cray_t3e();
+        let b = probe_block(&[1, 4, 16, 64, 256], &BlockCtx::new(256, 256, 8, 1.0, params));
+        // The probed choice must beat or match every other candidate.
+        let eval = |b: usize| {
+            let tasks = pipeline_dag(8, 256usize.div_ceil(b), 32.0 * b as f64, b);
+            simulate(&tasks, &params, 8).makespan
+        };
+        for c in [1usize, 4, 16, 64, 256] {
+            assert!(eval(b) <= eval(c), "probe chose {b} but {c} is faster");
+        }
+    }
 }

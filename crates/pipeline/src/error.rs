@@ -70,8 +70,6 @@ pub enum PipelineError {
     /// Host calibration produced unusable constants (non-finite or
     /// non-positive α), so no model can be built from it.
     Calibration(String),
-    /// The adaptive tuner could not complete its closed loop.
-    Tuning(String),
     /// An engine worker panicked while executing a service job. The
     /// payload is the panic message when it was a string.
     EnginePanic(String),
@@ -176,7 +174,6 @@ impl fmt::Display for PipelineError {
                  before running"
             ),
             PipelineError::Calibration(why) => write!(f, "calibration failed: {why}"),
-            PipelineError::Tuning(why) => write!(f, "adaptive tuning failed: {why}"),
             PipelineError::EnginePanic(why) => write!(f, "engine panicked: {why}"),
             PipelineError::AdmissionDenied { tenant, reason } => {
                 write!(f, "admission denied for tenant `{tenant}`: {reason}")
@@ -228,7 +225,6 @@ mod tests {
             PipelineError::ConflictingDependences { dim: 1 },
             PipelineError::MissingStore,
             PipelineError::Calibration("ping-pong returned NaN".into()),
-            PipelineError::Tuning("probe tiles exhausted the extent".into()),
             PipelineError::EnginePanic("index out of bounds".into()),
             PipelineError::AdmissionDenied {
                 tenant: "acme".into(),

@@ -268,7 +268,7 @@ fn nest_stage<const R: usize>(
             }
         }
         // Plan construction only raises the shape errors above; the
-        // session- and tuning-level variants cannot occur here.
+        // session-level variants cannot occur here.
         Err(e) => unreachable!("plan construction returned non-plan error: {e}"),
     }
 }

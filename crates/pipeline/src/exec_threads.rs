@@ -32,8 +32,7 @@
 //! — hands the store and the cells' results to the run's completion,
 //! and [`Ended::finish`] turns them into the report. [`execute_threaded`]
 //! is launch plus a wait for the completion: the joined form that
-//! `Session::run`, adaptive jobs, jobs that bind resident handles and
-//! loop chunks use. The service launches plain threaded jobs without
+//! `Session::run`, jobs that bind resident handles and loop chunks use. The service launches plain threaded jobs without
 //! waiting, so one job's drain overlaps the next one's fill on the pool
 //! (see [`crate::service::pool`] for why that cannot deadlock).
 //!

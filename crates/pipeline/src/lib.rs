@@ -20,9 +20,10 @@
 //!
 //! Block sizes come from [`schedule::BlockPolicy`]: fixed, Model1
 //! (constant-cost), Model2 (the paper's Equation (1)), naive
-//! (full-portion), probe-based selection, or the closed-loop
-//! [`schedule::BlockPolicy::Adaptive`] policy backed by the [`tune`]
-//! subsystem (host calibration plus online re-blocking).
+//! (full-portion), or a plan-time search that simulates the plan at
+//! each candidate width — given candidates, or every distinct tile count
+//! under [`schedule::BlockPolicy::Adaptive`]. [`tune`] calibrates the
+//! host's machine constants for it.
 //!
 //! Two front doors share one execution core: [`session::Session`] for
 //! one-shot runs, and [`service::WavefrontService`] for repeated
@@ -46,7 +47,7 @@ pub mod tune;
 pub use error::{AdmissionReason, PipelineError};
 pub use exec_sim::{NestSim, ProgramSim};
 pub use plan::{Axis, WavefrontPlan};
-pub use schedule::{probe_block, AdaptiveConfig, BlockCtx, BlockPolicy};
+pub use schedule::{BlockCtx, BlockPolicy};
 pub use service::{
     ArrayHandle, Counter, CriticalPathScheduler, DagHandle, DagOutcome, DagSpec, DagSpecBuilder,
     DagStats, DagView, DispatchDecision, FifoScheduler, Gauge, HistogramHandle, JobHandle,

@@ -18,7 +18,9 @@ use wavefront_core::region::{LoopStructureOrder, Region};
 use wavefront_machine::{Distribution, MachineParams, ProcGrid};
 
 use crate::error::PipelineError;
+use crate::exec_sim::simulate_plan_collected;
 use crate::schedule::{BlockCtx, BlockPolicy};
+use crate::telemetry::NoopCollector;
 
 /// Per-element computation cost of `nest` for the DES cost models: the
 /// compiled tile kernel's instruction count when the nest compiles
@@ -329,15 +331,40 @@ impl<const R: usize> WavefrontPlan<R> {
         };
         match tile_dim.zip(plan.block_ctx(*params)) {
             Some((k, ctx)) => {
-                plan.block = policy.resolve(&ctx).max(1);
-                plan.tiles = region.chunks(k, plan.block as i64);
-                if !tile_ascending {
-                    plan.tiles.reverse();
-                }
+                let block = match policy.candidates(ctx.n_orth) {
+                    Some(widths) => plan.fastest(k, widths, params),
+                    None => policy.resolve(&ctx),
+                };
+                plan.cut(k, block);
             }
             None => plan.block = plan.wave_extent().max(1),
         }
         Ok(plan)
+    }
+
+    /// Cut the tile dimension `k` into blocks of `b`, in execution
+    /// order: the plan [`BlockPolicy::Fixed`]`(b)` builds.
+    fn cut(&mut self, k: usize, b: usize) {
+        self.block = b;
+        self.tiles = self.region.chunks(k, b as i64);
+        if !self.tile_ascending {
+            self.tiles.reverse();
+        }
+    }
+
+    /// The width among `widths` whose plan the DES runs fastest on
+    /// `params` — the first on a tie. Each candidate is priced exactly
+    /// as `Session::estimate` prices `Fixed(b)`.
+    fn fastest(&mut self, k: usize, widths: Vec<usize>, params: &MachineParams) -> usize {
+        let mut best = (f64::INFINITY, widths[0]);
+        for b in widths {
+            self.cut(k, b);
+            let t = simulate_plan_collected(self, params, &mut NoopCollector).makespan;
+            if t < best.0 {
+                best = (t, b);
+            }
+        }
+        best.1
     }
 
     /// Product of the extents of the distributed dimensions.
@@ -452,7 +479,7 @@ impl<const R: usize> WavefrontPlan<R> {
     }
 
     /// The sizing context this plan was (or would be) blocked with —
-    /// what [`BlockPolicy::resolve`] consumes: `n_wave` is the product
+    /// what the closed-form policies consume: `n_wave` is the product
     /// of the distributed extents and `p` the pipeline depth driving the
     /// fill, `p1 + p2 − 1` on a mesh. `None` when the nest has no tile
     /// dimension (nothing to size).
@@ -466,41 +493,6 @@ impl<const R: usize> WavefrontPlan<R> {
             self.work,
             machine,
         ))
-    }
-
-    /// The same plan re-cut with explicit tile widths, in execution
-    /// order; the final width repeats until the orthogonal extent is
-    /// exhausted. This is how the adaptive tuner re-blocks mid-sweep: a
-    /// couple of probe-width tiles up front, then the fitted optimum for
-    /// the rest. A plan without a tile dimension is returned unchanged.
-    pub fn retile(&self, widths: &[usize]) -> Self {
-        let Some(k) = self.tile_dim else { return self.clone() };
-        let Some((&last, _)) = widths.split_last() else { return self.clone() };
-        let (lo, hi) = (self.region.lo()[k], self.region.hi()[k]);
-        let mut widths = widths.iter().copied();
-        let mut w = widths.next().unwrap().max(1) as i64;
-        let mut tiles = Vec::new();
-        if self.tile_ascending {
-            let mut a = lo;
-            while a <= hi {
-                let b = (a + w - 1).min(hi);
-                tiles.push(self.region.slab(k, a, b));
-                a = b + 1;
-                w = widths.next().map_or(w, |x| x.max(1) as i64);
-            }
-        } else {
-            let mut b = hi;
-            while b >= lo {
-                let a = (b - w + 1).max(lo);
-                tiles.push(self.region.slab(k, a, b));
-                b = a - 1;
-                w = widths.next().map_or(w, |x| x.max(1) as i64);
-            }
-        }
-        let mut plan = self.clone();
-        plan.block = last.max(1);
-        plan.tiles = tiles;
-        plan
     }
 
     /// True when the plan actually pipelines (more than one tile).
@@ -663,24 +655,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn retile_covers_region_with_heterogeneous_widths() {
-        let (_p, nest) = tomcatv_nest(66);
-        let plan =
-            WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(8), &t3e()).unwrap();
-        // 64 columns cut as [2, 4, 10, 10, ...]: probe tiles then steady b.
-        let re = plan.retile(&[2, 4, 10]);
-        assert_eq!(re.block, 10);
-        let widths: Vec<i64> = re.tiles.iter().map(|t| t.extent(1)).collect();
-        assert_eq!(widths, vec![2, 4, 10, 10, 10, 10, 10, 8]);
-        let covered: usize = re.tiles.iter().map(|t| t.len()).sum();
-        assert_eq!(covered, re.region.len());
-        // Execution order and all other plan fields are preserved.
-        assert_eq!(re.tiles[0].lo()[1], plan.region.lo()[1]);
-        assert_eq!(re.axes, plan.axes);
-    }
-
-    #[test]
-    fn retile_descending_runs_from_high_to_low() {
+    fn a_searched_plan_is_the_fixed_plan_of_its_width() {
+        // A descending wave over 16 columns, so the last tile of width
+        // b > 1 is the short one at the low end.
         let mut p = Program::<2>::new();
         let bounds = Region::rect([0, 0], [16, 16]);
         let a = p.array("a", bounds);
@@ -690,14 +667,19 @@ pub(crate) mod tests {
             Expr::read_primed_at(a, [-1, 1]) + Expr::lit(1.0),
         );
         let compiled = compile(&p).unwrap();
-        let plan = WavefrontPlan::build(compiled.nest(0), JobTopology::Line { procs: 2, dist_dim: Some(0) }, &BlockPolicy::Fixed(4), &t3e())
-            .unwrap();
-        assert!(!plan.tile_ascending);
-        let re = plan.retile(&[3, 5]);
-        assert_eq!(re.tiles[0].extent(1), 3);
-        assert!(re.tiles[0].lo()[1] > re.tiles[1].lo()[1]);
-        let covered: usize = re.tiles.iter().map(|t| t.len()).sum();
-        assert_eq!(covered, re.region.len());
+        let line = JobTopology::Line { procs: 2, dist_dim: Some(0) };
+        let build = |policy: &BlockPolicy| {
+            WavefrontPlan::build(compiled.nest(0), line, policy, &t3e()).unwrap()
+        };
+        for policy in [BlockPolicy::Adaptive, BlockPolicy::Probe(vec![3, 5, 7])] {
+            let searched = build(&policy);
+            assert!(!searched.tile_ascending);
+            assert_eq!(searched, build(&BlockPolicy::Fixed(searched.block)), "{policy:?}");
+            let t = &searched.tiles;
+            assert!(t.len() < 2 || t[0].lo()[1] > t[1].lo()[1], "high columns first");
+            let covered: usize = t.iter().map(|t| t.len()).sum();
+            assert_eq!(covered, searched.region.len());
+        }
     }
 
     #[test]

@@ -5,21 +5,23 @@
 //! with block size `b` (Figure 4(b)). The block size may be fixed by the
 //! programmer or chosen by a model: **Model1** (constant communication
 //! cost, Hiranandani et al.), **Model2** (the paper's linear-cost
-//! Equation (1)), a **dynamic probe** that evaluates candidate sizes and
-//! keeps the best, or the **adaptive** closed-loop sizer that re-fits
-//! α/β from live telemetry during the fill phase (see [`crate::tune`]).
+//! Equation (1)), or a **search** that simulates the plan at each
+//! candidate width and keeps the fastest — over given candidates
+//! (`Probe`) or over every distinct tile count (`Adaptive`), the paper's
+//! "dynamic techniques for calculating it".
 //!
-//! Every policy consumes the same [`BlockCtx`]: the shape of the sweep
-//! plus the machine constants. There are no ad-hoc parameter lists to
-//! keep in sync.
+//! The closed forms consume a [`BlockCtx`]: the shape of the sweep plus
+//! the machine constants. The searches are run by
+//! [`crate::WavefrontPlan::build`], which prices each candidate on the
+//! same DES the simulator engine runs.
 
 use wavefront_machine::MachineParams;
 use wavefront_model::optimal_block_rect;
 
 /// Everything a block sizer may consult: the sweep's shape, the
 /// processor count, the per-element work factor, and the machine's
-/// communication constants. Built by the planners and handed unchanged
-/// to [`BlockPolicy::resolve`] and [`probe_block`].
+/// communication constants. Built by
+/// [`crate::WavefrontPlan::block_ctx`] for the closed-form sizers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockCtx {
     /// Number of wavefront indices (the dimension carrying the
@@ -50,56 +52,6 @@ impl BlockCtx {
     }
 }
 
-/// Configuration of the closed-loop adaptive sizer
-/// ([`BlockPolicy::Adaptive`]). The defaults match the acceptance
-/// experiments; see `docs/TUNING.md` for the state machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveConfig {
-    /// First probe tile width is `max(1, n_orth / probe_divisor)`; the
-    /// second is twice that. Two distinct message sizes are the minimum
-    /// needed to separate α from β.
-    pub probe_divisor: usize,
-    /// Below this orthogonal extent there is no room to probe and
-    /// re-block; the sizer falls back to the static Model2 choice.
-    pub min_orth: usize,
-    /// Optional prior machine constants for the *initial* guess. When
-    /// absent the planner's machine (usually a preset) seeds the guess;
-    /// either way the online fit replaces it after the probe tiles.
-    pub prior: Option<MachineParams>,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig { probe_divisor: 64, min_orth: 8, prior: None }
-    }
-}
-
-impl AdaptiveConfig {
-    /// The two probe tile widths for an orthogonal extent of `n_orth`
-    /// and a seed block guess of `seed_block`, or `None` when the extent
-    /// is too small to adapt (fewer than `min_orth` columns, or no room
-    /// left after the probes).
-    ///
-    /// Widths track the seed guess (`w₁ ≈ b₀/2`, `w₂ = 2w₁ ≈ b₀`) so
-    /// that when the prior is roughly right the probe prefix is itself
-    /// near-optimally tiled and the probing costs almost nothing; the
-    /// `n_orth / probe_divisor` floor keeps messages measurably large
-    /// even when the prior claims communication is free. Both widths are
-    /// capped so at least one steady tile remains after the probes.
-    pub fn probe_widths(&self, n_orth: usize, seed_block: usize) -> Option<(usize, usize)> {
-        if n_orth < self.min_orth.max(4) {
-            return None;
-        }
-        let floor = (n_orth / self.probe_divisor.max(1)).max(1);
-        let cap = (n_orth - 1) / 3;
-        if cap == 0 {
-            return None;
-        }
-        let w1 = floor.max(seed_block / 2).min(cap).max(1);
-        Some((w1, 2 * w1))
-    }
-}
-
 /// How to choose the pipeline block size `b`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BlockPolicy {
@@ -112,16 +64,14 @@ pub enum BlockPolicy {
     /// No pipelining: one block spanning the whole orthogonal extent —
     /// the naive schedule of Figure 4(a).
     FullPortion,
-    /// Probe the given candidate block sizes with the cost simulator and
-    /// keep the fastest (the paper's "dynamic techniques for calculating
-    /// it" future-work direction).
+    /// Simulate the plan at each of the given candidate block sizes
+    /// (clamped to the orthogonal extent) and keep the fastest; no
+    /// candidates means Model2.
     Probe(Vec<usize>),
-    /// Closed-loop adaptation: start from the model's optimum, observe
-    /// the first tiles through the telemetry stream, re-fit α/β online,
-    /// and re-block the remaining wavefront. Statically (through
-    /// [`BlockPolicy::resolve`]) this yields the initial guess; the
-    /// engines route it through [`crate::tune`] for the full loop.
-    Adaptive(AdaptiveConfig),
+    /// Simulate the plan at every width that gives a distinct tile
+    /// count, `ceil(n_orth / k)` for `k = 1..=n_orth`, on the session's
+    /// machine, and keep the fastest.
+    Adaptive,
 }
 
 impl BlockPolicy {
@@ -136,71 +86,46 @@ impl BlockPolicy {
         BlockPolicy::Probe(cands)
     }
 
-    /// The adaptive policy with default configuration.
-    pub fn adaptive() -> BlockPolicy {
-        BlockPolicy::Adaptive(AdaptiveConfig::default())
+    /// The widths a searching policy simulates for an orthogonal extent
+    /// of `n_orth`, ascending and deduplicated, or `None` for a closed
+    /// form (and for a `Probe` without candidates).
+    pub(crate) fn candidates(&self, n_orth: usize) -> Option<Vec<usize>> {
+        let n = n_orth.max(1);
+        let mut widths: Vec<usize> = match self {
+            BlockPolicy::Probe(cands) if !cands.is_empty() => {
+                cands.iter().map(|&b| b.clamp(1, n)).collect()
+            }
+            BlockPolicy::Adaptive => (1..=n).map(|k| n.div_ceil(k)).collect(),
+            _ => return None,
+        };
+        widths.sort_unstable();
+        widths.dedup();
+        Some(widths)
     }
 
-    /// Resolve the policy to a concrete block size for the sweep
-    /// described by `ctx`.
-    ///
-    /// `Probe` is resolved by evaluating each candidate against the
-    /// machine's pipelined task DAG (see [`probe_block`]). `Adaptive`
-    /// resolves to its *initial* guess — Model2 on the prior (or the
-    /// context's machine); the closed loop itself runs inside the
-    /// engines, which re-block mid-flight.
-    pub fn resolve(&self, ctx: &BlockCtx) -> usize {
+    /// The closed-form block size for the sweep described by `ctx`. The
+    /// searching policies reach here only without [`Self::candidates`]
+    /// (an empty `Probe`) and fall back to Model2.
+    pub(crate) fn resolve(&self, ctx: &BlockCtx) -> usize {
+        let model = |beta: f64| {
+            ctx.clamp(optimal_block_rect(
+                ctx.n_wave,
+                ctx.n_orth,
+                ctx.p,
+                ctx.machine.alpha,
+                beta,
+                ctx.work,
+            ))
+        };
         match self {
             BlockPolicy::Fixed(b) => (*b).clamp(1, ctx.n_orth.max(1)),
-            BlockPolicy::Model1 => ctx.clamp(optimal_block_rect(
-                ctx.n_wave,
-                ctx.n_orth,
-                ctx.p,
-                ctx.machine.alpha,
-                0.0,
-                ctx.work,
-            )),
-            BlockPolicy::Model2 => ctx.clamp(optimal_block_rect(
-                ctx.n_wave,
-                ctx.n_orth,
-                ctx.p,
-                ctx.machine.alpha,
-                ctx.machine.beta,
-                ctx.work,
-            )),
-            BlockPolicy::FullPortion => ctx.n_orth.max(1),
-            BlockPolicy::Probe(cands) => probe_block(cands, ctx),
-            BlockPolicy::Adaptive(cfg) => {
-                let seeded = match cfg.prior {
-                    Some(machine) => BlockCtx { machine, ..*ctx },
-                    None => *ctx,
-                };
-                BlockPolicy::Model2.resolve(&seeded)
+            BlockPolicy::Model1 => model(0.0),
+            BlockPolicy::Model2 | BlockPolicy::Probe(_) | BlockPolicy::Adaptive => {
+                model(ctx.machine.beta)
             }
+            BlockPolicy::FullPortion => ctx.n_orth.max(1),
         }
     }
-}
-
-/// Evaluate candidate block sizes with the machine cost simulator and
-/// return the one with the smallest simulated makespan. Falls back to the
-/// Model2 prediction when `candidates` is empty.
-pub fn probe_block(candidates: &[usize], ctx: &BlockCtx) -> usize {
-    if candidates.is_empty() {
-        return BlockPolicy::Model2.resolve(ctx);
-    }
-    let rows = (ctx.n_wave as f64 / ctx.p as f64).ceil();
-    let mut best = (f64::INFINITY, candidates[0].clamp(1, ctx.n_orth.max(1)));
-    for &c in candidates {
-        let b = c.clamp(1, ctx.n_orth.max(1));
-        let nblocks = ctx.n_orth.div_ceil(b);
-        let tasks =
-            wavefront_machine::pipeline_dag(ctx.p, nblocks, rows * b as f64 * ctx.work, b);
-        let t = wavefront_machine::simulate(&tasks, &ctx.machine, ctx.p).makespan;
-        if t < best.0 {
-            best = (t, b);
-        }
-    }
-    best.1
 }
 
 #[cfg(test)]
@@ -259,29 +184,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_picks_minimum_of_candidates() {
-        let params = t3e();
-        let b = probe_block(&[1, 4, 16, 64, 256], &ctx(256, 256, 8, params));
-        // The probed choice must beat or match every other candidate.
-        let eval = |b: usize| {
-            let rows = 256.0 / 8.0;
-            let tasks = wavefront_machine::pipeline_dag(
-                8,
-                256usize.div_ceil(b),
-                rows * b as f64,
-                b,
-            );
-            wavefront_machine::simulate(&tasks, &params, 8).makespan
-        };
-        for c in [1usize, 4, 16, 64, 256] {
-            assert!(eval(b) <= eval(c), "probe chose {b} but {c} is faster");
-        }
+    fn empty_probe_falls_back_to_model2() {
+        let c = ctx(256, 256, 8, t3e());
+        assert_eq!(BlockPolicy::Probe(vec![]).candidates(256), None);
+        assert_eq!(BlockPolicy::Probe(vec![]).resolve(&c), BlockPolicy::Model2.resolve(&c));
     }
 
     #[test]
-    fn probe_on_empty_candidates_falls_back_to_model2() {
-        let c = ctx(256, 256, 8, t3e());
-        assert_eq!(probe_block(&[], &c), BlockPolicy::Model2.resolve(&c));
+    fn search_candidates_are_clamped_and_deduplicated() {
+        let probe = BlockPolicy::Probe(vec![64, 0, 4, 1000, 4]);
+        assert_eq!(probe.candidates(100), Some(vec![1, 4, 64, 100]));
+        // One width per distinct tile count: 10 columns cut into 1..=10 tiles.
+        assert_eq!(BlockPolicy::Adaptive.candidates(10), Some(vec![1, 2, 3, 4, 5, 10]));
+        assert_eq!(BlockPolicy::Adaptive.candidates(0), Some(vec![1]));
+        assert_eq!(BlockPolicy::Model2.candidates(10), None);
     }
 
     #[test]
@@ -294,30 +210,5 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn adaptive_resolves_to_model2_initial_guess() {
-        let c = ctx(256, 256, 8, t3e());
-        assert_eq!(BlockPolicy::adaptive().resolve(&c), BlockPolicy::Model2.resolve(&c));
-        // A prior overrides the context's machine for the seed.
-        let prior = wavefront_machine::fig5b_hypothetical();
-        let cfg = AdaptiveConfig { prior: Some(prior), ..AdaptiveConfig::default() };
-        assert_eq!(
-            BlockPolicy::Adaptive(cfg).resolve(&c),
-            BlockPolicy::Model2.resolve(&ctx(256, 256, 8, prior))
-        );
-    }
-
-    #[test]
-    fn probe_widths_scale_and_gate() {
-        let cfg = AdaptiveConfig::default();
-        assert_eq!(cfg.probe_widths(256, 1), Some((4, 8)));
-        assert_eq!(cfg.probe_widths(64, 1), Some((1, 2)));
-        assert_eq!(cfg.probe_widths(2, 1), None); // too small to adapt
-        // A confident seed pulls the probes up toward the seed block …
-        assert_eq!(cfg.probe_widths(256, 64), Some((32, 64)));
-        // … but never so far that no steady tile remains.
-        assert_eq!(cfg.probe_widths(64, 64), Some((21, 42)));
     }
 }

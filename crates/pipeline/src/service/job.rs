@@ -192,9 +192,9 @@ impl<const R: usize> JobSpecBuilder<R> {
         self
     }
 
-    /// Block-size policy. [`BlockPolicy::Adaptive`] jobs cache their
-    /// seed plan and lowered kernel like any other; the closed-loop
-    /// tuner re-cuts the tiles of that plan on the service's own pool.
+    /// Block-size policy. The searching policies ([`BlockPolicy::Probe`],
+    /// [`BlockPolicy::Adaptive`]) choose `b` when the plan is built, so
+    /// a cached plan pays for its search once.
     pub fn block(mut self, policy: BlockPolicy) -> Self {
         self.cfg.block = policy;
         self

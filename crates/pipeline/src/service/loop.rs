@@ -46,7 +46,6 @@ use wavefront_core::array::DenseArray;
 
 use crate::error::PipelineError;
 use crate::exec_threads::rotation_fusible;
-use crate::schedule::BlockPolicy;
 use crate::service::dag::{run_dag, DagSpec};
 use crate::service::handle::{ArrayHandle, HandleTable};
 use crate::service::job::{JobSpec, LoopExec, Ticket};
@@ -542,8 +541,8 @@ fn run_loop<const R: usize>(
         .enabled()
         .then(|| metrics.histogram("wavefront_loop_overlap"));
 
-    // Fused eligibility: one job on the threads engine with a fixed
-    // block policy, and — when rotating — pointwise rotation classes
+    // Fused eligibility: one job on the threads engine, and — when
+    // rotating — pointwise rotation classes
     // whose every name is output-handle-bound, so the chunk's put-backs
     // can republish each buffer under its rotated-to binding (see the
     // module docs for why both are required for correctness).
@@ -555,7 +554,6 @@ fn run_loop<const R: usize>(
         rot_ids = rotate.iter().map(|(f, t)| (id(f), id(t))).collect();
         let bound = |n: &String| spec0.handle_outputs.iter().any(|hb| &hb.name == n);
         fused = matches!(spec0.engine, EngineKind::Threads)
-            && !matches!(spec0.cfg.block, BlockPolicy::Adaptive(_))
             && spec0.nest.buffered.is_empty()
             && rotation_fusible(&spec0.nest, &rot_ids)
             && rotate.iter().all(|(f, t)| bound(f) && bound(t));

@@ -80,7 +80,6 @@ use crate::exec_seq::execute_plan_sequential;
 use crate::exec_sim::simulate_plan_collected;
 use crate::exec_threads::{execute_threaded, launch_threaded, prepare, Done, NestPrep};
 use crate::plan::WavefrontPlan;
-use crate::schedule::BlockPolicy;
 use crate::session::{RunOutcome, SessionConfig};
 use crate::telemetry::json::JsonObj;
 use crate::telemetry::report::jstr;
@@ -364,10 +363,7 @@ impl ExecCore {
     /// the threads engine runs a fused multi-iteration loop chunk —
     /// `lx.iters` whole sweeps inside one invocation, iterating with
     /// cross-iteration pipelining (see [`execute_threaded`]) — and the chunk's overlap stats come back
-    /// beside the outcome. Under [`BlockPolicy::Adaptive`] the cached
-    /// entry is the seed plan, and the tuner's probe/fit/re-block loop
-    /// ([`crate::tune::adapt`]) drives the same engine closure over its
-    /// retiled phases — same pool, same lowered kernel.
+    /// beside the outcome.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<const R: usize>(
         &self,
@@ -381,13 +377,9 @@ impl ExecCore {
         kind: EngineKind,
         lx: Option<&LoopExec>,
     ) -> Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> {
-        let adaptive = match &cfg.block {
-            BlockPolicy::Adaptive(acfg) => Some(acfg),
-            _ => None,
-        };
         debug_assert!(
-            lx.is_none() || (kind == EngineKind::Threads && adaptive.is_none()),
-            "only the threads engine under a fixed block policy fuses loop chunks"
+            lx.is_none() || kind == EngineKind::Threads,
+            "only the threads engine fuses loop chunks"
         );
         let Prepared {
             entry,
@@ -396,18 +388,16 @@ impl ExecCore {
             mut outcome,
         } = self.prepare(program, &nest, topology, cfg, hsig, kind, store.is_some())?;
         let plan = &entry.plan;
-        let mut host = store.zip(prep);
         let run_start = Instant::now();
         let mut loop_stats = None;
-        // The engine as "run this plan, report (makespan, messages)".
-        let mut engine = |plan: &Arc<WavefrontPlan<R>>, c: &mut dyn Collector| match &mut host {
+        (outcome.makespan, outcome.messages) = match store.zip(prep) {
             None => {
-                let r = simulate_plan_collected(plan, &cfg.machine, c);
+                let r = simulate_plan_collected(plan, &cfg.machine, collector);
                 (r.makespan, r.messages)
             }
             Some((store, prep)) if kind == EngineKind::Seq => {
                 let t0 = Instant::now();
-                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, c);
+                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, collector);
                 (t0.elapsed().as_secs_f64(), 0)
             }
             Some((store, prep)) => {
@@ -419,25 +409,15 @@ impl ExecCore {
                     &self.pool,
                     &entry.nest,
                     plan,
-                    prep,
+                    &prep,
                     store,
                     iters,
                     rotate,
                     pipelined,
-                    c,
+                    collector,
                 );
                 loop_stats = lx.map(|lx| overlap_stats(lx, &r.spans));
                 (r.elapsed.as_secs_f64(), r.messages)
-            }
-        };
-        (outcome.makespan, outcome.messages) = match adaptive {
-            None => engine(plan, collector),
-            Some(acfg) => {
-                let run = crate::tune::adapt(plan, cfg.machine, acfg, kind, collector, engine);
-                outcome.block = run.block;
-                outcome.tiles = run.tiles;
-                outcome.pipelined = run.tiles > 1;
-                (run.makespan, run.messages)
             }
         };
         Ok((
@@ -1312,9 +1292,9 @@ impl StageHists {
 /// dispatcher picks the next job as soon as the pool has an idle worker
 /// and an empty queue — so one job's drain runs under the next one's
 /// fill. Every other job first waits until no job is in flight and then
-/// runs joined, here: Seq and Sim jobs, adaptive ones, and jobs that bind
-/// resident handles or carry a loop chunk (which keeps handle epochs and
-/// loop chunks ordered exactly as they were).
+/// runs joined, here: Seq and Sim jobs, and jobs that bind resident
+/// handles or carry a loop chunk (which keeps handle epochs and loop
+/// chunks ordered exactly as they were).
 fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
     let pool = shared.core.pool();
     loop {
@@ -1367,11 +1347,10 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
 }
 
 /// Whether the dispatcher launches `spec` without waiting for it: a
-/// threads-engine job under a fixed block policy that binds no resident
-/// handle and carries no loop chunk.
+/// threads-engine job that binds no resident handle and carries no loop
+/// chunk.
 fn launches<const R: usize>(spec: &JobSpec<R>) -> bool {
     spec.engine == EngineKind::Threads
-        && !matches!(spec.cfg.block, BlockPolicy::Adaptive(_))
         && spec.handle_inputs.is_empty()
         && spec.handle_outputs.is_empty()
         && spec.loop_exec.is_none()
@@ -1776,12 +1755,9 @@ fn run_job<const R: usize>(
 
     let mut trace_collector = trace.then(TraceCollector::new);
     let run_result: Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> = (|| {
-        let adaptive = matches!(cfg.block, BlockPolicy::Adaptive(_));
-        if loop_exec.is_some() && (engine != EngineKind::Threads || adaptive) {
+        if loop_exec.is_some() && engine != EngineKind::Threads {
             return Err(PipelineError::InvalidLoop {
-                reason: "fused loop chunks run only on the threads engine with a \
-                         fixed block policy"
-                    .into(),
+                reason: "fused loop chunks run only on the threads engine".into(),
             });
         }
         let mut noop = NoopCollector;
@@ -1841,6 +1817,7 @@ mod tests {
 
     use super::*;
     use crate::exec_threads::test_hooks::{with_tile_hook, TileHook};
+    use crate::schedule::BlockPolicy;
     use crate::session::Session;
 
     /// `a := a'@(−1, 0) · 0.5 + a · 0.25 + 1` on 12×12: a wave down the

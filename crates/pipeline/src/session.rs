@@ -63,7 +63,8 @@ use crate::telemetry::{Collector, EngineKind, NoopCollector, TimeUnit};
 /// part of the service's cache fingerprint).
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    /// Block-size policy (Fixed / Model1 / Model2 / Naive / Probed / Adaptive).
+    /// Block-size policy (Fixed / Model1 / Model2 / FullPortion / Probe /
+    /// Adaptive).
     pub block: BlockPolicy,
     /// Machine cost parameters (block-size models and the simulator).
     pub machine: MachineParams,
@@ -264,8 +265,8 @@ impl<'a, const R: usize> Session<'a, R> {
     /// refuses is priced as fully parallel or, when its dependences
     /// conflict along the distributed dimension, as a serialised chain.
     /// A line distributes dimension 0 unless [`Session::dist_dim`] was
-    /// set. Under [`BlockPolicy::Adaptive`] this prices the seed plan;
-    /// the closed loop is `run(EngineKind::Sim)`.
+    /// set. Under the searching policies the plan is the fastest
+    /// candidate, so this is the smallest of their `Fixed(b)` estimates.
     pub fn estimate(&self) -> NestSim {
         let topology = match self.topology {
             JobTopology::Line { procs, dist_dim } => JobTopology::Line {
@@ -280,11 +281,6 @@ impl<'a, const R: usize> Session<'a, R> {
     /// Plan and run on one of the built-in engines, through the same
     /// execution core the [`crate::service::WavefrontService`] uses — a
     /// single-use, uncached instance of it.
-    ///
-    /// With [`BlockPolicy::Adaptive`] the core runs the closed-loop
-    /// tuner (see [`crate::tune`]) over the same engine: probe tiles, an
-    /// online α/β re-fit, and a re-blocked remainder, all behind the
-    /// same call.
     pub fn run(self, kind: EngineKind) -> Result<RunOutcome, PipelineError> {
         let Session {
             program,
@@ -510,6 +506,8 @@ mod tests {
             BlockPolicy::Fixed(4),
             BlockPolicy::Model2,
             BlockPolicy::FullPortion,
+            BlockPolicy::Probe(vec![1, 2, 4, 8]),
+            BlockPolicy::Adaptive,
         ];
         for policy in policies {
             let session = |mesh: Option<[usize; 2]>| {
@@ -527,6 +525,49 @@ mod tests {
                 assert_eq!(estimate.pipelined, run.pipelined);
             }
         }
+    }
+
+    /// `estimate` under each searching policy equals, bit for bit, the
+    /// smallest `Fixed(b)` estimate over that policy's candidates.
+    fn assert_search_prices_its_best_candidate<'a, const R: usize>(
+        label: &str,
+        session: impl Fn(BlockPolicy) -> Session<'a, R>,
+    ) {
+        let plan = session(BlockPolicy::Model2).plan().unwrap();
+        let n_orth = plan.region.extent(plan.tile_dim.unwrap()) as usize;
+        for policy in [BlockPolicy::Adaptive, BlockPolicy::Probe(vec![1, 2, 4, 8])] {
+            let widths = policy.candidates(n_orth).unwrap();
+            let fixed = |b: usize| session(BlockPolicy::Fixed(b)).estimate().time;
+            let best = widths.iter().map(|&b| fixed(b)).fold(f64::INFINITY, f64::min);
+            let searched = session(policy.clone()).estimate();
+            assert_eq!(searched.time.to_bits(), best.to_bits(), "{label} under {policy:?}");
+            assert_eq!(searched.time.to_bits(), fixed(searched.block.unwrap()).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_search_prices_the_best_of_its_fixed_candidates() {
+        let program = wavefront_kernels::sweep3d::build_octant(16, [1, 1, 1]).unwrap().program;
+        let compiled = compile(&program).unwrap();
+        let nest = compiled.nest(0);
+        let on = |policy| Session::new(&program, nest).block(policy);
+        assert_search_prices_its_best_candidate("line(4)", |policy| on(policy).procs(4));
+        assert_search_prices_its_best_candidate("mesh 2x2", |policy| on(policy).mesh([2, 2]));
+
+        // A wave tiled from high columns to low over 37 columns, so most
+        // widths leave a short tile at the low end, which runs last.
+        let mut desc = Program::<2>::new();
+        let a = desc.array("a", Region::rect([0, 0], [16, 37]));
+        desc.stmt(
+            Region::rect([1, 0], [16, 36]),
+            a,
+            Expr::read_primed_at(a, [-1, 1]) + Expr::lit(1.0),
+        );
+        let compiled = compile(&desc).unwrap();
+        let nest = compiled.nest(0);
+        let line = |policy| Session::new(&desc, nest).block(policy).procs(2).dist_dim(0);
+        assert!(!line(BlockPolicy::Adaptive).plan().unwrap().tile_ascending);
+        assert_search_prices_its_best_candidate("descending line(2)", line);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use wavefront::machine::{pipeline_dag, simulate, MachineParams};
 use wavefront::model::PipeModel;
-use wavefront::pipeline::{probe_block, BlockCtx};
 
 fn main() {
     let args: Vec<f64> = std::env::args()
@@ -49,10 +48,7 @@ fn main() {
     println!("  paper's approximation:   {:.1}", model2.optimal_b_approx());
     println!("  exact stationary point:  {:.1}", model2.optimal_b_exact());
     println!("  numeric argmin of model: {}", model2.optimal_b_numeric());
-    let candidates: Vec<usize> = (1..=n).collect();
-    println!(
-        "  simulator probe:         {}",
-        probe_block(&candidates, &BlockCtx::new(n, n, p, 1.0, params))
-    );
+    let probed = (1..=n).map(|b| (sim_at(b), b)).min_by(|x, y| x.0.total_cmp(&y.0));
+    println!("  simulator probe:         {}", probed.map_or(1, |(_, b)| b));
     println!("  Model1 (beta = 0) says:  {:.1}", model1.optimal_b_eq1());
 }

@@ -76,10 +76,20 @@ rm -f "$chrome_out"
 echo "timeline chart + critical path + Chrome export ✔"
 
 echo
-echo "== wlc tune smoke (calibration + adaptive, JSON) =="
+echo "== wlc tune smoke (calibration + adaptive search, JSON) =="
 out=$("$WLC" tune programs/fig3.wf --procs 4 --json)
 expect "tune output" "$out" '"calibration"' '"alpha_work"' '"model_b"' '"exhaustive_b"' '"engines"'
-echo "tune JSON contains calibration / alpha_work / model_b / exhaustive_b / engines ✔"
+# The simulator engine runs the plan the search picked on the same
+# calibrated machine, so its block is the searched one, nest by nest.
+python3 -c '
+import json, sys
+nests = json.load(sys.stdin)["nests"]
+assert nests, "no scan nest reported"
+for n in nests:
+    sim, best = n["engines"]["sim"]["block"], n["exhaustive_b"]
+    assert sim == best, "nest %s: sim ran b = %s, the search chose %s" % (n["nest"], sim, best)
+' <<<"$out"
+echo "tune JSON contains calibration / alpha_work / model_b / exhaustive_b / engines; sim block == exhaustive_b ✔"
 
 echo
 echo "== wlc dag smoke (chained jobs, real + simulated, JSON) =="

@@ -325,7 +325,7 @@ fn parse_args() -> std::result::Result<Opts, ExitCode> {
                     "model2" => BlockPolicy::Model2,
                     "naive" => BlockPolicy::FullPortion,
                     "probe" => BlockPolicy::default_probe(4096),
-                    "adaptive" => BlockPolicy::adaptive(),
+                    "adaptive" => BlockPolicy::Adaptive,
                     other => match other.strip_prefix("fixed:") {
                         Some(b) => BlockPolicy::Fixed(b.parse().map_err(|_| usage())?),
                         None => return Err(usage()),
@@ -1509,10 +1509,10 @@ fn timeline<const R: usize>(
 }
 
 /// `wlc tune`: calibrate α/β and the per-element compute cost on this
-/// host, then for every scan nest compare three block-size choices on
-/// the calibrated machine — the model optimum (Equation (1)), the
-/// closed-loop adaptive choice, and the best of an exhaustive DES sweep
-/// — reporting adaptive makespans for all three engines.
+/// host, then for every scan nest compare two block-size choices on the
+/// calibrated machine — the model optimum (Equation (1)) and the
+/// adaptive search's pick, the best plan over every distinct tile count
+/// — and run the adaptive policy on all three engines.
 fn tune<const R: usize>(
     opts: &Opts,
     lowered: &Lowered<R>,
@@ -1554,32 +1554,21 @@ fn tune<const R: usize>(
                 continue;
             }
         };
+        // Every session below plans the line the model plan chose.
+        let dim = model_plan.axes[0].dim;
+        let estimate = |policy: BlockPolicy| {
+            Session::new(&lowered.program, nest)
+                .procs(opts.procs)
+                .dist_dim(dim)
+                .machine(machine)
+                .block(policy)
+                .estimate()
+        };
         let model_b = model_plan.block;
-        let model_t = Session::new(&lowered.program, nest)
-            .procs(opts.procs)
-            .machine(machine)
-            .block(BlockPolicy::Model2)
-            .estimate()
-            .time;
-
-        // Exhaustive sweep over block sizes (strided only above 1024
-        // candidates, to bound the number of simulations).
-        let (mut best_b, mut best_t) = (model_b, model_t);
-        if let Some(ctx) = model_plan.block_ctx(machine) {
-            let step = (ctx.n_orth / 1024).max(1);
-            let mut b = 1;
-            while b <= ctx.n_orth {
-                let sim = Session::new(&lowered.program, nest)
-                    .procs(opts.procs)
-                    .machine(machine)
-                    .block(BlockPolicy::Fixed(b))
-                    .estimate();
-                if sim.time < best_t {
-                    (best_b, best_t) = (sim.block.unwrap_or(b), sim.time);
-                }
-                b += step;
-            }
-        }
+        let model_t = estimate(BlockPolicy::Model2).time;
+        // The search over every distinct tile count.
+        let searched = estimate(BlockPolicy::Adaptive);
+        let (best_b, best_t) = (searched.block.unwrap_or(model_b), searched.time);
 
         // The adaptive policy on each engine.
         let mut engine_json: Vec<String> = Vec::new();
@@ -1591,7 +1580,8 @@ fn tune<const R: usize>(
             };
             let mut session = Session::new(&lowered.program, nest)
                 .procs(opts.procs)
-                .block(BlockPolicy::adaptive())
+                .dist_dim(dim)
+                .block(BlockPolicy::Adaptive)
                 .machine(machine)
                 .kernel_mode(opts.kernel_mode);
             if kind != EngineKind::Sim {
@@ -1634,7 +1624,7 @@ fn tune<const R: usize>(
         } else {
             println!("nest {k} (p = {}):", opts.procs);
             println!("  model   b = {model_b:<5} makespan {model_t:.4e} model_units");
-            println!("  sweep   b = {best_b:<5} makespan {best_t:.4e} model_units");
+            println!("  search  b = {best_b:<5} makespan {best_t:.4e} model_units");
             for l in &lines {
                 println!("{l}");
             }

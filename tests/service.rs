@@ -557,19 +557,21 @@ fn seq3(
 /// Threaded jobs overlap on the pool — one job's drain under the next
 /// one's fill — and stay bit-identical to one-shot Seq sessions: three
 /// callers interleave a corner wave on `line(2)`, `line(3)` and
-/// `mesh(3×2)` with a descending wave, and one of them also runs a
-/// fused multi-sweep loop on a resident handle (which waits for the
-/// launched jobs and runs joined).
+/// `mesh(3×2)` with a descending wave, fixed and searched blocks, and
+/// one of them also runs a fused multi-sweep loop on a resident handle
+/// (which waits for the launched jobs and runs joined).
 #[test]
 fn overlapped_jobs_of_mixed_widths_match_seq_sessions() {
     let corner = wave3(&[[-1, -1, 0], [-1, 0, 0], [0, -1, 0]]);
     let descending = wave3(&[[1, 0, 0]]);
     let ascending = wave3(&[[-1, 0, 0]]);
+    let fixed = BlockPolicy::Fixed(2);
     let jobs = [
-        ("corner line(2)", &corner, JobTopology::line(2)),
-        ("corner line(3)", &corner, JobTopology::line(3)),
-        ("corner mesh(3x2)", &corner, JobTopology::mesh([3, 2])),
-        ("descending line(3)", &descending, JobTopology::line(3)),
+        ("corner line(2)", &corner, JobTopology::line(2), &fixed),
+        ("corner line(3)", &corner, JobTopology::line(3), &fixed),
+        ("corner mesh(3x2)", &corner, JobTopology::mesh([3, 2]), &fixed),
+        ("descending line(3)", &descending, JobTopology::line(3), &fixed),
+        ("adaptive corner line(3)", &corner, JobTopology::line(3), &BlockPolicy::Adaptive),
     ];
     let service: WavefrontService<3> = WavefrontService::new();
     std::thread::scope(|scope| {
@@ -578,12 +580,12 @@ fn overlapped_jobs_of_mixed_widths_match_seq_sessions() {
             scope.spawn(move || {
                 for round in 0..4u64 {
                     for j in 0..jobs.len() {
-                        let (label, (program, nest), topology) =
+                        let (label, (program, nest), topology, block) =
                             &jobs[(j + (caller + round) as usize) % jobs.len()];
                         let seed = caller * 100 + round * 10 + j as u64;
                         let spec = JobSpec::builder(Arc::clone(program), Arc::clone(nest))
                             .topology(*topology)
-                            .block(BlockPolicy::Fixed(2))
+                            .block((*block).clone())
                             .store(init3(program, seed))
                             .build()
                             .expect("valid job spec");
