@@ -1400,13 +1400,18 @@ fn launch_job<const R: usize>(core: &ExecCore, spec: JobSpec<R>, mut settle: Set
             (outcome.makespan, outcome.messages) = (r.elapsed.as_secs_f64(), r.messages);
             finish_outcome(outcome, run_start, cache_ev, collector)
         });
-        settle.settle(result.map(|outcome| JobOutcome {
+        let result = result.map(|outcome| JobOutcome {
             outcome,
             outputs: collect_outputs(&program, Some(&store), &outputs, &[]),
             loop_stats: None,
             trace: trace_collector.map(|tc| tc.report()),
             spans: None,
-        }));
+        });
+        // The outputs must be the buffers' only owners once the waiter
+        // wakes: a store still alive here would make the next job's
+        // first write to a handed-over output copy it.
+        drop(store);
+        settle.settle(result);
     });
     let (nest, plan) = (&entry.nest, &entry.plan);
     launch_threaded(

@@ -51,6 +51,7 @@
 //! Convergence callbacks are host-side closures and do not travel the
 //! wire — a wire loop always runs a fixed step count.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,7 +62,7 @@ use wavefront_core::exec::CompiledNest;
 use wavefront_core::expr::ArrayId;
 use wavefront_core::kernel::KernelMode;
 use wavefront_core::program::{Program, Store};
-use wavefront_core::region::Region;
+use wavefront_core::region::{LoopStructureOrder, Region};
 
 use crate::error::{AdmissionReason, PipelineError};
 use crate::schedule::BlockPolicy;
@@ -365,29 +366,38 @@ fn io_err(context: &str, e: std::io::Error) -> PipelineError {
     }
 }
 
-fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), PipelineError> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .and_then(|_| w.write_all(payload))
+/// A payload length as its `u32` prefix: refused, never wrapped, if longer.
+fn frame_len(len: usize) -> Result<u32, PipelineError> {
+    u32::try_from(len).map_err(|_| PipelineError::ProtocolError {
+        reason: format!("a {len}-byte payload overflows the u32 frame length"),
+    })
+}
+
+/// Send one frame in one write: `frame` is a payload behind the 4-byte
+/// length slot [`framed`] reserves, and the length goes there.
+fn write_frame(w: &mut impl Write, frame: &mut [u8]) -> Result<(), PipelineError> {
+    let len = frame_len(frame.len() - 4)?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(frame)
         .and_then(|_| w.flush())
         .map_err(|e| io_err("write frame", e))
 }
 
-/// Read one frame. `Ok(None)` is a clean EOF at a frame boundary (the
+/// Read one frame's payload into `buf`, whose capacity is reused from
+/// frame to frame. `Ok(false)` is a clean EOF at a frame boundary (the
 /// peer hung up); anything else is a full payload or a typed error.
-fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, PipelineError> {
+fn read_frame(r: &mut impl Read, max_frame: u32, buf: &mut Vec<u8>) -> Result<bool, PipelineError> {
+    let truncated = |what: String| PipelineError::ProtocolError {
+        reason: format!("truncated frame{what}"),
+    };
     let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(PipelineError::ProtocolError {
-                    reason: "truncated frame header".into(),
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) => return Err(io_err("read frame header", e)),
-        }
+    match r.read(&mut header) {
+        Ok(0) => return Ok(false),
+        Ok(n) => r.read_exact(&mut header[n..]).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => truncated(" header".into()),
+            _ => io_err("read frame header", e),
+        })?,
+        Err(e) => return Err(io_err("read frame header", e)),
     }
     let len = u32::from_le_bytes(header);
     if len > max_frame {
@@ -395,17 +405,14 @@ fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, Pipe
             reason: format!("frame of {len} bytes exceeds the {max_frame}-byte limit"),
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            PipelineError::ProtocolError {
-                reason: format!("truncated frame: expected {len} payload bytes"),
-            }
-        } else {
-            io_err("read frame payload", e)
-        }
-    })?;
-    Ok(Some(payload))
+    buf.clear();
+    buf.reserve(len as usize);
+    // Straight into the spare capacity: nothing is zeroed first.
+    let got = r.take(u64::from(len)).read_to_end(buf);
+    match got.map_err(|e| io_err("read frame payload", e))? {
+        n if n == len as usize => Ok(true),
+        _ => Err(truncated(format!(": expected {len} payload bytes"))),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -413,12 +420,19 @@ fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, Pipe
 // ---------------------------------------------------------------------
 
 /// A payload under construction. Encoding never stops half-way; a value
-/// that cannot travel records why in `rejected` and [`encode`] reports it.
+/// that cannot travel records why in `rejected` and [`framed`] reports it.
 #[derive(Default)]
 struct Enc {
     buf: Vec<u8>,
     rejected: Option<PipelineError>,
+    /// A server reply's `floats` payloads in wire order, each written
+    /// straight from the array it is still in; the reply value carries
+    /// an empty `Vec` in its place.
+    held: VecDeque<Held>,
 }
+
+/// A `floats` payload the server writes from an array's own buffer.
+type Held = Box<dyn FnOnce(&mut Vec<u8>)>;
 
 /// A cursor over one received payload. `what` names the field being
 /// read, for the error a short or malformed frame draws.
@@ -426,6 +440,10 @@ struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
     what: &'static str,
+    /// On the server, a request's `floats` payloads stay in the frame:
+    /// each decodes as an empty `Vec` and its bytes are listed here, in
+    /// wire order, to be copied once, straight into the array it binds.
+    held: Option<Vec<&'a [u8]>>,
 }
 
 impl<'a> Dec<'a> {
@@ -434,6 +452,7 @@ impl<'a> Dec<'a> {
             buf,
             pos: 0,
             what: "opcode",
+            held: None,
         }
     }
 
@@ -495,16 +514,7 @@ macro_rules! wire_ints {
         }
     )*};
 }
-wire_ints!(u8, u16, u32, u64, i64);
-
-impl Wire for f64 {
-    fn put(&self, e: &mut Enc) {
-        self.to_bits().put(e);
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
-        Ok(f64::from_bits(u64::get(d)?))
-    }
-}
+wire_ints!(u8, u16, u32, u64, i64, f64);
 
 impl Wire for bool {
     fn put(&self, e: &mut Enc) {
@@ -530,12 +540,19 @@ impl Wire for String {
     }
 }
 
-/// An array payload: u64 count, then the values.
+/// An array payload: u64 count, then the values, copied in bulk. On the
+/// server they skip the `Vec` both ways (see `Enc::held`, `Dec::held`).
 impl Wire for Vec<f64> {
     fn put(&self, e: &mut Enc) {
-        (self.len() as u64).put(e);
-        for &v in self {
-            v.put(e);
+        match e.held.pop_front() {
+            Some(held) => {
+                debug_assert!(self.is_empty(), "held for an empty list");
+                held(&mut e.buf)
+            }
+            None => {
+                let line = Region::rect([1], [self.len() as i64]);
+                put_array(line, Layout::RowMajor, self, &mut e.buf)
+            }
         }
     }
     fn get(d: &mut Dec<'_>) -> Result<Self, PipelineError> {
@@ -546,11 +563,13 @@ impl Wire for Vec<f64> {
         if n > (d.remaining() / 8) as u64 {
             return Err(d.short());
         }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(f64::get(d)?);
+        let bytes = d.take(n as usize * 8)?;
+        if let Some(held) = &mut d.held {
+            held.push(bytes);
+            return Ok(Vec::new());
         }
-        Ok(out)
+        let f = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        Ok(bytes.chunks_exact(8).map(f).collect())
     }
 }
 
@@ -838,11 +857,16 @@ wire_structs! {
     17 => Free { id }
 }
 
-/// A whole frame: the opcode, then the value — or why it cannot travel.
-fn encode<F: Frame>(frame: &F) -> Result<Vec<u8>, PipelineError> {
+/// A whole frame in `buf`'s capacity, behind the 4-byte length slot
+/// [`write_frame`] fills: the opcode, then the value, with `held` written
+/// in place of its `floats` (see `Enc::held`) — or why it cannot travel.
+fn framed<F: Frame>(f: &F, buf: Vec<u8>, held: VecDeque<Held>) -> Result<Vec<u8>, PipelineError> {
     let mut e = Enc::default();
-    e.buf.push(F::OP);
-    frame.put(&mut e);
+    (e.buf, e.held) = (buf, held);
+    e.buf.clear();
+    e.buf.extend_from_slice(&[0, 0, 0, 0, F::OP]);
+    f.put(&mut e);
+    debug_assert!(e.held.is_empty(), "a held array the reply never wrote");
     e.rejected.map_or(Ok(e.buf), Err)
 }
 
@@ -855,7 +879,7 @@ fn decode<F: Frame>(d: &mut Dec<'_>) -> Result<F, PipelineError> {
 }
 
 fn error_frame(err: &PipelineError) -> Vec<u8> {
-    encode(err).expect("every error has a wire form")
+    framed(err, Vec::new(), VecDeque::new()).expect("every error has a wire form")
 }
 
 /// The one-byte tag a tagged enum travels as, and back — for the public
@@ -874,16 +898,43 @@ fn from_tag<T: Wire>(tag: u8) -> Result<T, PipelineError> {
 // Canonical order: how an array's values travel
 // ---------------------------------------------------------------------
 
-/// An array's values in canonical bounds order, whatever its layout.
-fn to_canonical<const R: usize>(arr: &DenseArray<R>) -> Vec<f64> {
-    arr.bounds().iter().map(|p| arr.get(p)).collect()
+/// An array's values walked in `walk` order through a buffer stored in
+/// `store` order, as runs along the walk's fastest dimension: where each
+/// run starts in the buffer (none when the bounds are empty), and the
+/// length and buffer step all runs share. Canonical bounds order — the
+/// order `floats` travel in — is `Region::iter`'s, that is row-major.
+fn runs<const R: usize>(b: Region<R>, walk: Layout, store: Layout) -> (Vec<usize>, usize, usize) {
+    let (lo, mut hi, ext) = (b.lo(), b.hi(), b.extents());
+    let mut order = LoopStructureOrder::default_for_rank();
+    if walk == Layout::ColMajor {
+        order.order.reverse();
+    }
+    let fast = order.order[R - 1];
+    let step = match store {
+        Layout::RowMajor => ext[fast + 1..].iter().product::<i64>(),
+        Layout::ColMajor => ext[..fast].iter().product(),
+    };
+    hi[fast] = lo[fast];
+    let firsts = Region::rect(lo, hi).iter_with(&order).take(b.len());
+    let starts = firsts.map(|p| store.offset(b, p)).collect();
+    (starts, ext[fast] as usize, step as usize)
 }
 
-/// Write canonical-order `values` into `arr`; callers check the count
-/// (a shorter list leaves the tail as it was).
-fn fill_canonical<const R: usize>(arr: &mut DenseArray<R>, values: &[f64]) {
-    for (p, &v) in arr.bounds().iter().zip(values.iter()) {
-        arr.set(p, v);
+/// Append the payload of `data`, an array over `bounds` in `layout`
+/// order: the count, then the values in canonical order. Writes are in
+/// order and reads strided — the cheap way round for a transpose.
+fn put_array<const R: usize>(bounds: Region<R>, layout: Layout, data: &[f64], buf: &mut Vec<u8>) {
+    let (starts, len, step) = runs(bounds, Layout::RowMajor, layout);
+    buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    let from = buf.len();
+    buf.resize(from + 8 * data.len(), 0);
+    let put = |(b, v): (&mut [u8], &f64)| b.copy_from_slice(&v.to_le_bytes());
+    for (out, &at) in buf[from..].chunks_exact_mut(8 * len.max(1)).zip(&starts) {
+        let out = out.chunks_exact_mut(8);
+        match step {
+            1 => out.zip(&data[at..at + len]).for_each(put),
+            _ => out.zip(data[at..].iter().step_by(step)).for_each(put),
+        }
     }
 }
 
@@ -891,16 +942,30 @@ fn fill_canonical<const R: usize>(arr: &mut DenseArray<R>, values: &[f64]) {
 // Server
 // ---------------------------------------------------------------------
 
+/// The `floats` payloads of one server exchange, in wire order, that its
+/// values carry as empty `Vec`s: the request's, still in its frame, and
+/// the reply's, still in the arrays they leave from.
+#[derive(Default)]
+struct Floats<'a> {
+    request: std::vec::IntoIter<&'a [u8]>,
+    reply: VecDeque<Held>,
+}
+
 /// One request answered: decode the rest of the frame as `Q`, run it,
-/// encode the `A` it returns — a failure at any step is the typed
-/// `ERROR` reply instead.
-fn answer<Q: Frame, A: Frame>(
-    d: &mut Dec<'_>,
-    run: impl FnOnce(Q) -> Result<A, PipelineError>,
+/// encode the `A` it returns into `buf` — a failure at any step is the
+/// typed `ERROR` reply instead.
+fn answer<'a, Q: Frame, A: Frame>(
+    d: &mut Dec<'a>,
+    buf: Vec<u8>,
+    run: impl FnOnce(Q, &mut Floats<'a>) -> Result<A, PipelineError>,
 ) -> Vec<u8> {
+    let mut io = Floats::default();
     decode(d)
-        .and_then(run)
-        .and_then(|reply| encode(&reply))
+        .and_then(|q| {
+            io.request = d.held.take().unwrap_or_default().into_iter();
+            run(q, &mut io)
+        })
+        .and_then(|reply| framed(&reply, buf, io.reply))
         .unwrap_or_else(|e| error_frame(&e))
 }
 
@@ -999,62 +1064,23 @@ impl<const R: usize> WireServer<R> {
     }
 
     fn drive_connection(&self, mut stream: TcpStream, local: std::net::SocketAddr) {
+        // One buffer each way, reused by every frame of the connection.
+        let (mut request, mut reply) = (Vec::new(), Vec::new());
         loop {
-            let payload = match read_frame(&mut stream, self.cfg.max_frame) {
-                Ok(Some(p)) => p,
+            match read_frame(&mut stream, self.cfg.max_frame, &mut request) {
+                Ok(true) => {}
                 // Clean hang-up, or transport error: nothing to reply to.
-                Ok(None) | Err(PipelineError::Io { .. }) => return,
+                Ok(false) | Err(PipelineError::Io { .. }) => return,
                 Err(e) => {
                     // Typed rejection for protocol violations, then drop
                     // the connection — framing is unrecoverable.
-                    let _ = write_frame(&mut stream, &error_frame(&e));
+                    let _ = write_frame(&mut stream, &mut error_frame(&e));
                     return;
                 }
-            };
-            let mut d = Dec::new(&payload);
-            let mut stopping = false;
-            let reply = match u8::get(&mut d) {
-                Ok(WireRequest::OP) => answer(&mut d, |q| self.run_submit(q)),
-                Ok(WireDagRequest::OP) => answer(&mut d, |q| self.run_submit_dag(q)),
-                Ok(WireLoopRequest::OP) => answer(&mut d, |q| self.run_submit_loop(q)),
-                Ok(WireAllocRequest::OP) => answer(&mut d, |q| self.run_alloc(q)),
-                Ok(Free::OP) => answer(&mut d, |q: Free| self.run_free(q.id)),
-                // An equality check: a matching `HELLO` is echoed.
-                Ok(Hello::OP) => answer(&mut d, |peer: Hello| match peer.version {
-                    PROTOCOL_VERSION => Ok(peer),
-                    v => Err(PipelineError::ProtocolError {
-                        reason: format!(
-                            "client speaks protocol v{v}, this server speaks v{PROTOCOL_VERSION}"
-                        ),
-                    }),
-                }),
-                Ok(StatsReq::OP) => answer(&mut d, |StatsReq {}| {
-                    Ok(Stats {
-                        json: self.service.stats_json(),
-                    })
-                }),
-                Ok(MetricsReq::OP) => answer(&mut d, |MetricsReq {}| {
-                    Ok(Metrics {
-                        prometheus: self.service.metrics_prometheus(),
-                        json: self.service.metrics_json(),
-                    })
-                }),
-                Ok(Shutdown::OP) => answer(&mut d, |Shutdown {}| {
-                    if !self.cfg.allow_shutdown {
-                        return Err(PipelineError::ProtocolError {
-                            reason: "shutdown is not enabled on this server".into(),
-                        });
-                    }
-                    self.shutdown.store(true, Ordering::SeqCst);
-                    stopping = true;
-                    Ok(Ack {})
-                }),
-                Ok(op) => error_frame(&PipelineError::ProtocolError {
-                    reason: format!("unknown opcode {op}"),
-                }),
-                Err(e) => error_frame(&e),
-            };
-            let sent = write_frame(&mut stream, &reply);
+            }
+            let stopping;
+            (reply, stopping) = self.respond(&request, std::mem::take(&mut reply));
+            let sent = write_frame(&mut stream, &mut reply);
             if stopping {
                 // Close every live connection — the accept loop joins
                 // all handlers before returning, and an idle client
@@ -1072,10 +1098,62 @@ impl<const R: usize> WireServer<R> {
         }
     }
 
+    /// Answer one request payload with the reply frame, encoded into
+    /// `buf`'s capacity, and whether it was a granted `SHUTDOWN`.
+    fn respond(&self, request: &[u8], buf: Vec<u8>) -> (Vec<u8>, bool) {
+        let mut d = Dec::new(request);
+        d.held = Some(Vec::new());
+        let mut stopping = false;
+        let reply = match u8::get(&mut d) {
+            Ok(WireRequest::OP) => answer(&mut d, buf, |q, io| self.run_submit(q, io)),
+            Ok(WireDagRequest::OP) => answer(&mut d, buf, |q, io| self.run_submit_dag(q, io)),
+            Ok(WireLoopRequest::OP) => answer(&mut d, buf, |q, io| self.run_submit_loop(q, io)),
+            Ok(WireAllocRequest::OP) => answer(&mut d, buf, |q, io| {
+                self.run_alloc(q, io.request.next().unwrap_or_default())
+            }),
+            Ok(Free::OP) => answer(&mut d, buf, |q: Free, io| self.run_free(q.id, io)),
+            // An equality check: a matching `HELLO` is echoed.
+            Ok(Hello::OP) => answer(&mut d, buf, |peer: Hello, _| match peer.version {
+                PROTOCOL_VERSION => Ok(peer),
+                v => Err(PipelineError::ProtocolError {
+                    reason: format!(
+                        "client speaks protocol v{v}, this server speaks v{PROTOCOL_VERSION}"
+                    ),
+                }),
+            }),
+            Ok(StatsReq::OP) => answer(&mut d, buf, |StatsReq {}, _| {
+                Ok(Stats {
+                    json: self.service.stats_json(),
+                })
+            }),
+            Ok(MetricsReq::OP) => answer(&mut d, buf, |MetricsReq {}, _| {
+                Ok(Metrics {
+                    prometheus: self.service.metrics_prometheus(),
+                    json: self.service.metrics_json(),
+                })
+            }),
+            Ok(Shutdown::OP) => answer(&mut d, buf, |Shutdown {}, _| {
+                if !self.cfg.allow_shutdown {
+                    return Err(PipelineError::ProtocolError {
+                        reason: "shutdown is not enabled on this server".into(),
+                    });
+                }
+                self.shutdown.store(true, Ordering::SeqCst);
+                stopping = true;
+                Ok(Ack {})
+            }),
+            Ok(op) => error_frame(&PipelineError::ProtocolError {
+                reason: format!("unknown opcode {op}"),
+            }),
+            Err(e) => error_frame(&e),
+        };
+        (reply, stopping)
+    }
+
     /// Compile and bind one submit body into a job under construction
     /// (shared by `SUBMIT`, each `SUBMIT_DAG` node, and the
     /// `SUBMIT_LOOP` body, which add their own edges and handles).
-    fn job(&self, req: &WireRequest) -> Result<JobSpecBuilder<R>, PipelineError> {
+    fn job(&self, req: &WireRequest, io: &mut Floats) -> Result<JobSpecBuilder<R>, PipelineError> {
         if req.rank as usize != R {
             return Err(PipelineError::ProtocolError {
                 reason: format!("server serves rank {R}, request is rank {}", req.rank),
@@ -1085,19 +1163,9 @@ impl<const R: usize> WireServer<R> {
         let nest = self.select_nest(&wire_prog, req.nest)?;
 
         let mut store = Store::new(&wire_prog.program);
-        for (name, values) in &req.arrays {
-            let id = lookup_array(&wire_prog, name)?;
-            let bounds = store.get(id).bounds();
-            if values.len() != bounds.len() {
-                return Err(PipelineError::InvalidJob {
-                    reason: format!(
-                        "array `{name}` payload has {} values but its bounds hold {}",
-                        values.len(),
-                        bounds.len()
-                    ),
-                });
-            }
-            fill_canonical(store.get_mut(id), values);
+        for ((name, _), bytes) in req.arrays.iter().zip(&mut io.request) {
+            let arr = store.get_mut(lookup_array(&wire_prog, name)?);
+            fill_array(arr, bytes, || format!("array `{name}` payload"))?;
         }
         // Resolve returns up front so an unknown name fails before the
         // job runs.
@@ -1141,7 +1209,7 @@ impl<const R: usize> WireServer<R> {
 
     /// Allocate (or import, when the payload carries values) one
     /// resident array and reply with its handle.
-    fn run_alloc(&self, req: WireAllocRequest) -> Result<WireHandle, PipelineError> {
+    fn run_alloc(&self, req: WireAllocRequest, values: &[u8]) -> Result<WireHandle, PipelineError> {
         if req.rank as usize != R {
             return Err(PipelineError::ProtocolError {
                 reason: format!("server serves rank {R}, alloc is rank {}", req.rank),
@@ -1149,10 +1217,11 @@ impl<const R: usize> WireServer<R> {
         }
         let lo: [i64; R] = req.lo.as_slice().try_into().expect("rank just checked");
         let hi: [i64; R] = req.hi.as_slice().try_into().expect("rank just checked");
-        // The buffer comes home in the `HANDLE` reply to `FREE`, so one
+        // The buffer comes home in the `HANDLE` reply to `FREE` (25
+        // bytes of opcode, id, epoch and count, then 8 a value), so one
         // no frame could carry is refused before it is allocated (the
         // wide product cannot overflow on client-chosen corners).
-        let limit = (self.cfg.max_frame / 8) as u128;
+        let limit = (self.cfg.max_frame.saturating_sub(25) / 8) as u128;
         let cells = lo.iter().zip(&hi).fold(1u128, |n, (&l, &h)| {
             n.saturating_mul((h as i128 - l as i128 + 1).max(0) as u128)
         });
@@ -1164,18 +1233,10 @@ impl<const R: usize> WireServer<R> {
                 ),
             });
         }
-        let bounds = Region::rect(lo, hi);
-        if !req.values.is_empty() && req.values.len() != bounds.len() {
-            return Err(PipelineError::InvalidJob {
-                reason: format!(
-                    "alloc payload has {} values but the bounds hold {}",
-                    req.values.len(),
-                    bounds.len()
-                ),
-            });
+        let mut arr = DenseArray::with_layout(Region::rect(lo, hi), from_tag(req.layout)?, 0.0);
+        if !values.is_empty() {
+            fill_array(&mut arr, values, || "alloc payload".into())?;
         }
-        let mut arr = DenseArray::with_layout(bounds, from_tag(req.layout)?, 0.0);
-        fill_canonical(&mut arr, &req.values);
         let handle = self.service.import(arr);
         Ok(WireHandle {
             id: handle.id(),
@@ -1188,22 +1249,27 @@ impl<const R: usize> WireServer<R> {
     /// values — the wire counterpart of
     /// [`WavefrontService::free`], and the only way loop results leave
     /// the server (the `LOOP_RESULT` frame carries bindings, not data).
-    fn run_free(&self, id: u64) -> Result<WireHandle, PipelineError> {
+    fn run_free(&self, id: u64, io: &mut Floats) -> Result<WireHandle, PipelineError> {
         let handle = self.service.lookup_handle(id)?;
         let epoch = self.service.handle_epoch(&handle)?;
         let array = self.service.free(&handle)?;
+        io.reply.push_back(hold(array));
         Ok(WireHandle {
             id,
             epoch,
-            values: to_canonical(&array),
+            values: Vec::new(),
         })
     }
 
     /// Build the body spec over live handles (a stale id is a typed
     /// [`PipelineError::UnknownHandle`]), run the loop through the
     /// service's dispatcher, and marshal the stats + final bindings.
-    fn run_submit_loop(&self, req: WireLoopRequest) -> Result<WireLoopResponse, PipelineError> {
-        let mut job = self.job(&req.request)?;
+    fn run_submit_loop(
+        &self,
+        req: WireLoopRequest,
+        io: &mut Floats,
+    ) -> Result<WireLoopResponse, PipelineError> {
+        let mut job = self.job(&req.request, io)?;
         for (name, id) in &req.input_handles {
             job = job.input_handle(name.clone(), &self.service.lookup_handle(*id)?);
         }
@@ -1233,18 +1299,20 @@ impl<const R: usize> WireServer<R> {
         })
     }
 
-    /// Marshal one job outcome's requested arrays into a reply.
+    /// Marshal one job outcome into a reply: its requested arrays are
+    /// handed over to `held`, in order, and written from their buffers.
     fn marshal_response(
         mut out: crate::service::JobOutcome<R>,
         returns: &[String],
+        held: &mut VecDeque<Held>,
     ) -> Result<WireResponse, PipelineError> {
-        let arrays = returns
-            .iter()
-            .map(|name| {
-                let published = out.take_output(name)?;
-                Ok((name.clone(), to_canonical(&published.to_array())))
-            })
-            .collect::<Result<_, PipelineError>>()?;
+        let (mut arrays, mut writes) = (Vec::new(), Vec::new());
+        for name in returns {
+            writes.push(hold(out.take_output(name)?.to_array()));
+            arrays.push((name.clone(), Vec::new()));
+        }
+        // A node that fails part-way holds none of its arrays.
+        held.extend(writes);
         Ok(WireResponse {
             makespan: out.outcome.makespan,
             time_unit: out.outcome.time_unit,
@@ -1259,16 +1327,21 @@ impl<const R: usize> WireServer<R> {
 
     /// Compile (with the source cache), bind arrays, submit through
     /// admission, and wait for the outcome.
-    fn run_submit(&self, req: WireRequest) -> Result<WireResponse, PipelineError> {
-        let out = self.service.try_submit(self.job(&req)?.build()?).wait()?;
-        Self::marshal_response(out, &req.returns)
+    fn run_submit(&self, req: WireRequest, io: &mut Floats) -> Result<WireResponse, PipelineError> {
+        let job = self.job(&req, io)?.build()?;
+        let out = self.service.try_submit(job).wait()?;
+        Self::marshal_response(out, &req.returns, &mut io.reply)
     }
 
     /// Compile every node, assemble the [`DagSpec`], run it through the
     /// service's DAG runner, and marshal per-node results. Build-time
     /// failures (unknown scheduler, cycle, bad edge) reject the whole
     /// frame; per-node execution failures travel inside the reply.
-    fn run_submit_dag(&self, req: WireDagRequest) -> Result<WireDagResponse, PipelineError> {
+    fn run_submit_dag(
+        &self,
+        req: WireDagRequest,
+        io: &mut Floats,
+    ) -> Result<WireDagResponse, PipelineError> {
         let kind =
             SchedulerKind::from_name(&req.scheduler).ok_or_else(|| PipelineError::InvalidJob {
                 reason: format!(
@@ -1279,7 +1352,7 @@ impl<const R: usize> WireServer<R> {
         let mut builder = DagSpec::builder();
         builder.scheduler(kind);
         for node in &req.nodes {
-            let mut job = self.job(&node.request)?;
+            let mut job = self.job(&node.request, io)?;
             if !req.tenant.is_empty() {
                 job = job.tenant(req.tenant.clone());
             }
@@ -1303,9 +1376,9 @@ impl<const R: usize> WireServer<R> {
             .into_iter()
             .zip(&req.nodes)
             .map(|(node, wire_node)| {
-                let result = node
-                    .result
-                    .and_then(|out| Self::marshal_response(out, &wire_node.request.returns));
+                let result = node.result.and_then(|out| {
+                    Self::marshal_response(out, &wire_node.request.returns, &mut io.reply)
+                });
                 (node.label, result)
             })
             .collect();
@@ -1369,6 +1442,35 @@ impl<const R: usize> WireServer<R> {
     }
 }
 
+/// Copy a held payload into `arr` in one pass (in layout order, reading
+/// the payload strided), or refuse one whose count does not match the
+/// bounds (`what` names it).
+fn fill_array<const R: usize>(
+    arr: &mut DenseArray<R>,
+    bytes: &[u8],
+    what: impl FnOnce() -> String,
+) -> Result<(), PipelineError> {
+    let (n, want) = (bytes.len() / 8, arr.bounds().len());
+    if n != want {
+        let reason = format!("{} has {n} values but its bounds hold {want}", what());
+        return Err(PipelineError::InvalidJob { reason });
+    }
+    let (starts, len, step) = runs(arr.bounds(), arr.layout(), Layout::RowMajor);
+    let data = arr.as_mut_slice().chunks_exact_mut(len.max(1));
+    for (run, &at) in data.zip(&starts) {
+        let values = bytes[8 * at..].chunks_exact(8).step_by(step);
+        for (v, b) in run.iter_mut().zip(values) {
+            *v = f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        }
+    }
+    Ok(())
+}
+
+/// An array held for a reply: its payload is written from its buffer.
+fn hold<const R: usize>(arr: DenseArray<R>) -> Held {
+    Box::new(move |buf: &mut Vec<u8>| put_array(arr.bounds(), arr.layout(), arr.as_slice(), buf))
+}
+
 fn lookup_array<const R: usize>(
     prog: &WireProgram<R>,
     name: &str,
@@ -1390,6 +1492,8 @@ fn lookup_array<const R: usize>(
 /// connection.
 pub struct WireClient<S: Read + Write> {
     stream: S,
+    /// Each request is encoded in, and its reply read into, this buffer.
+    buf: Vec<u8>,
 }
 
 impl WireClient<TcpStream> {
@@ -1405,23 +1509,31 @@ impl<S: Read + Write> WireClient<S> {
     /// A client over any transport (used by the tests to run the
     /// protocol over in-memory streams).
     pub fn over(stream: S) -> Self {
-        WireClient { stream }
+        WireClient {
+            stream,
+            buf: Vec::new(),
+        }
     }
 
-    fn roundtrip(&mut self, frame: &[u8]) -> Result<Vec<u8>, PipelineError> {
-        write_frame(&mut self.stream, frame)?;
+    /// Send `frame` and read the reply's payload into its buffer.
+    fn roundtrip(&mut self, frame: Vec<u8>) -> Result<&[u8], PipelineError> {
+        self.buf = frame;
+        write_frame(&mut self.stream, &mut self.buf)?;
         let max_frame = ServeConfig::default().max_frame;
-        read_frame(&mut self.stream, max_frame)?.ok_or_else(|| PipelineError::Io {
-            context: "server closed the connection before replying".into(),
-        })
+        match read_frame(&mut self.stream, max_frame, &mut self.buf)? {
+            true => Ok(&self.buf),
+            false => Err(PipelineError::Io {
+                context: "server closed the connection before replying".into(),
+            }),
+        }
     }
 
     /// One request, one reply: send `request`, then the reply is the
     /// expected frame `A`, or the typed error an `ERROR` frame carries
     /// — the same [`PipelineError`] the in-process API produces.
     fn call<Q: Frame, A: Frame>(&mut self, request: &Q) -> Result<A, PipelineError> {
-        let reply = self.roundtrip(&encode(request)?)?;
-        let mut d = Dec::new(&reply);
+        let frame = framed(request, std::mem::take(&mut self.buf), VecDeque::new())?;
+        let mut d = Dec::new(self.roundtrip(frame)?);
         match u8::get(&mut d)? {
             op if op == A::OP => decode(&mut d),
             PipelineError::OP => Err(decode(&mut d)?),
@@ -1502,7 +1614,8 @@ impl<S: Read + Write> WireClient<S> {
     /// Send raw bytes as one frame and read back one frame — the tests'
     /// hook for malformed-payload injection.
     pub fn raw_frame(&mut self, payload: &[u8]) -> Result<Vec<u8>, PipelineError> {
-        self.roundtrip(payload)
+        self.roundtrip([&[0; 4], payload].concat())
+            .map(<[u8]>::to_vec)
     }
 }
 
@@ -1512,6 +1625,7 @@ mod tests {
     use std::cell::Cell;
     use std::fmt::Debug;
 
+    use wavefront_core::expr::Expr;
     use wavefront_kernels::rng::SplitMix64;
 
     use super::*;
@@ -1606,6 +1720,20 @@ mod tests {
                 reason: "boom".into(),
             }),
         }
+    }
+
+    /// A frame's payload alone, without the length slot: the form the
+    /// golden file and the fuzz corpus hold.
+    fn encode<F: Frame>(frame: &F) -> Result<Vec<u8>, PipelineError> {
+        let mut payload = framed(frame, Vec::new(), VecDeque::new())?;
+        payload.drain(..4);
+        Ok(payload)
+    }
+
+    /// One frame read into a buffer of its own.
+    fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Option<Vec<u8>>, PipelineError> {
+        let mut buf = Vec::new();
+        Ok(super::read_frame(r, max_frame, &mut buf)?.then_some(buf))
     }
 
     /// Encode, check the opcode, decode.
@@ -2112,5 +2240,277 @@ mod tests {
             "the dead handler's socket stayed listed"
         );
         drop(client);
+    }
+
+    /// The per-point codec this file used before payloads crossed in
+    /// bulk: the oracle the strided copy is checked against.
+    fn to_canonical<const R: usize>(arr: &DenseArray<R>) -> Vec<f64> {
+        arr.bounds().iter().map(|p| arr.get(p)).collect()
+    }
+
+    fn fill_canonical<const R: usize>(arr: &mut DenseArray<R>, values: &[f64]) {
+        for (p, &v) in arr.bounds().iter().zip(values.iter()) {
+            arr.set(p, v);
+        }
+    }
+
+    /// One value per float with its own `put`: the byte oracle.
+    fn per_float(values: &[f64]) -> Vec<u8> {
+        let mut e = Enc::default();
+        (values.len() as u64).put(&mut e);
+        values.iter().for_each(|v| v.put(&mut e));
+        e.buf
+    }
+
+    /// Floats whose bits a conversion could disturb — NaNs with
+    /// payloads and both signs, −0.0, subnormals, infinities — mixed
+    /// with seeded ordinary values.
+    fn awkward(n: usize, rng: &mut SplitMix64) -> Vec<f64> {
+        let odd = [
+            f64::from_bits(0x7FF8_0000_0000_0001),
+            f64::from_bits(0xFFF4_0000_DEAD_BEEF),
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            f64::NEG_INFINITY,
+        ];
+        (0..n)
+            .map(|i| match odd.get(i % 11) {
+                Some(&v) => v,
+                None => f64::from_bits(rng.next_u64()),
+            })
+            .collect()
+    }
+
+    /// The bulk codec against the per-point oracle over one region, both
+    /// layouts: the bytes a held array writes, the bytes a client list
+    /// writes and the values it reads back, and the buffer a payload
+    /// fills — all bit for bit.
+    fn bulk_matches_per_point<const R: usize>(bounds: Region<R>, rng: &mut SplitMix64) {
+        for layout in [Layout::RowMajor, Layout::ColMajor] {
+            let values = awkward(bounds.len(), rng);
+            let mut want = DenseArray::with_layout(bounds, layout, 0.0);
+            fill_canonical(&mut want, &values);
+            let bytes = per_float(&to_canonical(&want));
+
+            let mut held = Vec::new();
+            hold(want.clone())(&mut held);
+            assert_eq!(held, bytes, "{bounds} {layout:?}: a held array's bytes");
+            let mut e = Enc::default();
+            values.put(&mut e);
+            assert_eq!(e.buf, bytes, "{bounds} {layout:?}: a client list's bytes");
+            let back = Vec::<f64>::get(&mut Dec::new(&bytes)).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&values), "{bounds} {layout:?}: read back");
+
+            let mut got = DenseArray::with_layout(bounds, layout, 7.0);
+            fill_array(&mut got, &bytes[8..], || "payload".into()).unwrap();
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(want.as_slice()),
+                "{bounds} {layout:?}"
+            );
+            if !values.is_empty() {
+                let short = fill_array(&mut got, &bytes[16..], || "payload".into());
+                assert!(matches!(short, Err(PipelineError::InvalidJob { .. })));
+            }
+        }
+    }
+
+    #[test]
+    fn the_bulk_codec_matches_the_per_point_one() {
+        // Negative, zero and positive lower corners, empty regions, and
+        // (column-major) 8-run tiles with and without a remainder.
+        let mut rng = SplitMix64::new(0xB0_1C_C0_DE);
+        for (lo, hi) in [(-3, 4), (0, 0), (2, 9), (5, 4)] {
+            bulk_matches_per_point(Region::rect([lo], [hi]), &mut rng);
+        }
+        for (lo, hi) in [
+            ([-2, 0], [3, 6]),
+            ([0, 0], [0, 4]),
+            ([1, 5], [7, 5]),
+            ([1, 1], [0, 3]),
+            ([-9, 2], [9, 7]),
+            ([0, -4], [15, 0]),
+        ] {
+            bulk_matches_per_point(Region::rect(lo, hi), &mut rng);
+        }
+        for (lo, hi) in [
+            ([-1, 0, 2], [2, 3, 6]),
+            ([0, 0, 0], [4, 0, 2]),
+            ([3, 3, 3], [2, 5, 5]),
+            ([-5, 1, 0], [12, 1, 3]),
+            ([0, -1, -1], [9, 2, 1]),
+        ] {
+            bulk_matches_per_point(Region::rect(lo, hi), &mut rng);
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_payload_past_the_u32_length_is_refused_not_wrapped() {
+        // `write_frame` asks `frame_len` before it writes a byte, so the
+        // check needs only a length, not a 4 GiB payload.
+        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        for len in [u32::MAX as usize + 1, usize::MAX] {
+            let err = frame_len(len).expect_err("a length the prefix cannot carry");
+            assert!(
+                matches!(err, PipelineError::ProtocolError { .. }),
+                "{err:?}"
+            );
+        }
+    }
+
+    /// Compiles every source to the paper's Figure 3 scan over `[1..n]²`
+    /// (default n = 5), column-major like the `.wf` front end:
+    /// `a := 2·a'@north` below row 1.
+    struct Fig3;
+
+    impl WireCompiler<2> for Fig3 {
+        fn compile(&self, _: &str, consts: &[(String, i64)]) -> Result<WireProgram<2>, String> {
+            let n = consts.iter().find(|(k, _)| k == "n").map_or(5, |c| c.1);
+            let mut p = Program::new();
+            let a = p.array_with_layout("a", Region::rect([1, 1], [n, n]), Layout::ColMajor);
+            let north = Expr::read_primed_at(a, [-1, 0]);
+            p.stmt(Region::rect([2, 1], [n, n]), a, Expr::lit(2.0) * north);
+            let nests = wavefront_core::exec::compile(&p).map_err(|e| e.to_string())?;
+            Ok(WireProgram {
+                nests: nests.nests().map(|n| Arc::new(n.clone())).collect(),
+                program: Arc::new(p),
+                arrays: vec![("a".into(), a)],
+            })
+        }
+    }
+
+    fn fig3_server(max_frame: u32) -> WireServer<2> {
+        let cfg = ServeConfig {
+            max_frame,
+            ..ServeConfig::default()
+        };
+        WireServer::with_config(Arc::new(WavefrontService::new()), Arc::new(Fig3), cfg)
+    }
+
+    /// The payload of the reply `server` sends to `request`.
+    fn served<F: Frame>(server: &WireServer<2>, request: &F) -> Vec<u8> {
+        let (mut reply, _) = server.respond(&encode(request).unwrap(), Vec::new());
+        reply.drain(..4);
+        reply
+    }
+
+    fn reply_as<F: Frame>(reply: &[u8]) -> Result<F, PipelineError> {
+        let mut d = Dec::new(reply);
+        match u8::get(&mut d)? {
+            PipelineError::OP => Err(decode(&mut d)?),
+            op => {
+                assert_eq!(op, F::OP);
+                decode(&mut d)
+            }
+        }
+    }
+
+    /// The largest `ALLOC` a server accepts comes home in a `FREE` reply
+    /// that fits its frame limit; one cell more is refused up front.
+    #[test]
+    fn the_alloc_cap_leaves_room_for_the_free_reply_header() {
+        let max_frame = 1024;
+        let server = fig3_server(max_frame);
+        let alloc = |cells| WireAllocRequest {
+            rank: 2,
+            lo: vec![1, 1],
+            hi: vec![1, cells],
+            layout: 1,
+            values: Vec::new(),
+        };
+        let mut cells = 1;
+        while reply_as::<WireHandle>(&served(&server, &alloc(cells + 1))).is_ok() {
+            cells += 1;
+        }
+        let handle: WireHandle = reply_as(&served(&server, &alloc(cells))).unwrap();
+        let free = served(&server, &Free { id: handle.id });
+        let back: WireHandle = reply_as(&free).unwrap();
+        assert_eq!(back.values.len() as i64, cells);
+        assert!(free.len() <= max_frame as usize, "{} bytes", free.len());
+        assert!(free.len() + 8 > max_frame as usize, "the cap wastes room");
+        let refused = reply_as::<WireHandle>(&served(&server, &alloc(cells + 1)));
+        assert!(
+            matches!(refused, Err(PipelineError::InvalidJob { .. })),
+            "{refused:?}"
+        );
+    }
+
+    /// A transport that answers every request with one canned reply
+    /// frame and swallows what it is sent, allocating nothing itself.
+    struct Canned {
+        reply: Vec<u8>,
+        at: usize,
+    }
+
+    impl Read for Canned {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.reply.len() - self.at);
+            buf[..n].copy_from_slice(&self.reply[self.at..self.at + n]);
+            self.at = (self.at + n) % self.reply.len();
+            Ok(n)
+        }
+    }
+
+    impl Write for Canned {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Bytes one warm `SUBMIT` of a 65,536-element array asks of the
+    /// allocator, on each side. The only large allocation left is the
+    /// one that must hold the values: the client's returned array, the
+    /// server's job store. The per-float codec that came before took
+    /// 3,145,906 bytes on the client thread and 4,195,287 on the
+    /// handling thread (not counting the frame it read into a fresh
+    /// buffer).
+    #[test]
+    fn a_warm_submit_allocates_one_array_per_side() {
+        const N: i64 = 256;
+        let one_array = (N * N * 8) as usize;
+        let ceiling = one_array + 16 * 1024;
+        let server = fig3_server(ServeConfig::default().max_frame);
+        let mut req = WireRequest::new(2, "fig3");
+        req.consts = vec![("n".into(), N)];
+        req.engine = EngineKind::Seq;
+        req.arrays = vec![("a".into(), (0..N * N).map(|i| i as f64).collect())];
+        req.returns = vec!["a".into()];
+        let request = encode(&req).unwrap();
+
+        let mut buf = Vec::new();
+        let mut handled = Vec::new();
+        for _ in 0..3 {
+            let before = ALLOCATED.get();
+            (buf, _) = server.respond(&request, buf);
+            handled.push(ALLOCATED.get() - before);
+        }
+        let reply: WireResponse = reply_as(&buf[4..]).unwrap();
+        assert_eq!(reply.arrays[0].1.len(), one_array / 8);
+
+        let mut canned = Vec::new();
+        write_frame(&mut canned, &mut buf).unwrap();
+        let mut client = WireClient::over(Canned {
+            reply: canned,
+            at: 0,
+        });
+        let mut sent = Vec::new();
+        for _ in 0..3 {
+            let before = ALLOCATED.get();
+            let got = client.submit(&req).unwrap();
+            sent.push(ALLOCATED.get() - before);
+            assert_eq!(got.arrays[0].1.len(), one_array / 8);
+        }
+        for (side, bytes) in [("handling", handled[2]), ("client", sent[2])] {
+            assert!(
+                (one_array..=ceiling).contains(&bytes),
+                "a warm submit allocated {bytes} bytes on the {side} thread (one array is {one_array})"
+            );
+        }
     }
 }

@@ -142,9 +142,13 @@ service_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
 # The simulator's shipped lines: everything above its first top-level
 # `#[cfg(test)]`.
 sim_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/exec_sim.rs)
+# The wire protocol's shipped lines: everything above its first
+# top-level `#[cfg(test)]`.
+wire_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/service/wire.rs)
 echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$pub_lines pub lines in crates/pipeline/src;" \
     "$unsafe_blocks unsafe blocks outside #[cfg(test)] in crates/ and src/;" \
     "$engine_lines shipped lines in crates/pipeline/src/exec_threads.rs;" \
     "$service_lines shipped lines in crates/pipeline/src/service/*.rs;" \
-    "$sim_lines shipped lines in crates/pipeline/src/exec_sim.rs"
+    "$sim_lines shipped lines in crates/pipeline/src/exec_sim.rs;" \
+    "$wire_lines shipped lines in crates/pipeline/src/service/wire.rs"
