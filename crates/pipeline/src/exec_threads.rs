@@ -31,9 +31,9 @@
 //! that ends the run's last cell — a cell that panicked counts as ended
 //! — hands the store and the cells' results to the run's completion,
 //! and [`Ended::finish`] turns them into the report. [`execute_threaded`]
-//! is launch plus a wait for the completion: the joined form that
-//! `Session::run`, jobs that bind resident handles and loop chunks use. The service launches plain threaded jobs without
-//! waiting, so one job's drain overlaps the next one's fill on the pool
+//! is launch plus a wait for the completion: the joined form
+//! `Session::run` uses. The service launches every threaded job, and
+//! overlaps plain ones: one job's drain runs under the next one's fill
 //! (see [`crate::service::pool`] for why that cannot deadlock).
 //!
 //! This runtime plays the role of the paper's hand-pipelined Fortran+MPI

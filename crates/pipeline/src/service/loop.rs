@@ -445,9 +445,11 @@ pub struct LoopHandle<const R: usize>(Arc<Ticket<Result<LoopOutcome<R>, Pipeline
 
 impl<const R: usize> LoopHandle<R> {
     /// Block until the loop completes and take its outcome. A body
-    /// failure at any step surfaces here typed; buffers checked out by
-    /// the failing step were restored, so the resident arrays hold the
-    /// last *completed* step's state.
+    /// failure at any step, a panicking cell's included, surfaces here
+    /// typed; the buffers the failing step (or fused chunk) checked out
+    /// are back under the handles they came from, epochs unbumped. The
+    /// engines run in place, so an array that step writes may hold its
+    /// partial writes; every other holds the last completed step's state.
     pub fn wait(self) -> Result<LoopOutcome<R>, PipelineError> {
         self.0.wait()
     }
@@ -678,4 +680,163 @@ fn run_loop<const R: usize>(
             messages,
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use wavefront_core::prelude::*;
+
+    use super::*;
+    use crate::exec_threads::test_hooks::{with_tile_hook, TileHook};
+    use crate::schedule::BlockPolicy;
+    use crate::service::WavefrontService;
+    use crate::session::Session;
+
+    /// `next := 0.5·next'@(−1, 0) + 0.4·curr + 0.1·load` on 12×12: a
+    /// wave down the rows that reads `curr` pointwise, so a `next`/`curr`
+    /// swap fuses.
+    fn relax() -> (Arc<Program<2>>, Arc<CompiledNest<2>>, Store<2>) {
+        let bounds = Region::rect([0, 0], [11, 11]);
+        let mut p = Program::<2>::new();
+        let next = p.array("next", bounds);
+        let curr = p.array("curr", bounds);
+        let load = p.array("load", bounds);
+        p.stmt(
+            Region::rect([1, 1], [10, 10]),
+            next,
+            Expr::lit(0.5) * Expr::read_primed_at(next, [-1, 0])
+                + Expr::lit(0.4) * Expr::read(curr)
+                + Expr::lit(0.1) * Expr::read(load),
+        );
+        let nest = compile(&p).unwrap().nest(0).clone();
+        let mut store = Store::new(&p);
+        for id in 0..store.len() {
+            *store.get_mut(id) =
+                DenseArray::from_fn(bounds, |q| ((q[0] * 7 + q[1] * 3 + id as i64) % 11) as f64);
+        }
+        (Arc::new(p), Arc::new(nest), store)
+    }
+
+    /// A cell panics mid-loop, at a seeded (chunk, cell, tile) of a fused
+    /// loop that swaps `next` and `curr` in chunks of `EVERY` steps. The
+    /// loop resolves `EnginePanic`; every completed chunk left the
+    /// handles bit-identical to the body run by sessions for its steps;
+    /// the failing chunk's handles come back to their slots, the rotated
+    /// pair's epochs counting only the completed chunks and the input
+    /// handle untouched; every handle frees, and `resident_bytes`
+    /// balances.
+    #[test]
+    fn a_cell_panic_mid_loop_hands_every_handle_back() {
+        const STEPS: usize = 12;
+        const EVERY: usize = 3;
+        let (program, nest, initial) = relax();
+        let session = Session::new(&program, &nest)
+            .procs(2)
+            .block(BlockPolicy::Fixed(2));
+        let tiles = session.plan().unwrap().tiles.len();
+        // After each step, the store as sessions leave it, swapping the
+        // two buffers between steps only.
+        let ids = [program.find("next").unwrap(), program.find("curr").unwrap()];
+        let mut refs = vec![initial.clone()];
+        for step in 0..STEPS {
+            let mut st = refs[step].clone();
+            if step > 0 {
+                st.arrays_mut().swap(ids[0], ids[1]);
+            }
+            Session::new(&program, &nest)
+                .procs(2)
+                .block(BlockPolicy::Fixed(2))
+                .store(&mut st)
+                .run(EngineKind::Seq)
+                .unwrap();
+            refs.push(st);
+        }
+        let refs = Arc::new(refs);
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        for seed in 0..8 {
+            let (chunk, cell, tile) = (draw(STEPS / EVERY), draw(2), draw(EVERY * tiles));
+            let started = Arc::new(AtomicUsize::new(0));
+            let hook: TileHook = {
+                let started = Arc::clone(&started);
+                Arc::new(move |c, t| {
+                    if c == 0 && t == 0 {
+                        started.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if (started.load(Ordering::SeqCst), c, t) == (chunk + 1, cell, tile) {
+                        panic!("tile hook: seed {seed} dies");
+                    }
+                })
+            };
+            let service: WavefrontService<2> = with_tile_hook(hook, WavefrontService::new);
+            let handles = service.import_store(&program, initial.clone());
+            let mut body = JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
+                .line(2)
+                .block(BlockPolicy::Fixed(2))
+                .engine(EngineKind::Threads)
+                .input_handle("load", &handles[2].1);
+            for (name, h) in &handles[..2] {
+                body = body.output_handle(name.clone(), h);
+            }
+            let exact = Arc::new(AtomicUsize::new(0));
+            let spec = LoopSpec::builder()
+                .job(body.build().unwrap())
+                .steps(STEPS)
+                .swap("next", "curr")
+                .check_every(EVERY)
+                .until({
+                    let (refs, exact) = (Arc::clone(&refs), Arc::clone(&exact));
+                    move |view| {
+                        let want = &refs[view.step()];
+                        let same = |name: &str, id: usize| {
+                            let got = view.read(name).unwrap();
+                            got.region_eq(want.get(id), got.bounds())
+                        };
+                        if same("next", ids[0]) && same("curr", ids[1]) {
+                            exact.fetch_add(1, Ordering::SeqCst);
+                        }
+                        false
+                    }
+                })
+                .build()
+                .unwrap();
+            let ctx = format!("seed {seed}: chunk {chunk}, cell {cell}, tile {tile}");
+            let msg = match service.submit_loop(spec).wait() {
+                Err(PipelineError::EnginePanic(msg)) => msg,
+                Err(e) => panic!("{ctx}: the loop failed otherwise: {e}"),
+                Ok(_) => panic!("{ctx}: the loop survived its cell's panic"),
+            };
+            assert_eq!(
+                exact.load(Ordering::SeqCst),
+                chunk,
+                "{ctx}: completed chunks exact"
+            );
+            for (i, (name, h)) in handles.iter().enumerate() {
+                let back = service
+                    .read(h)
+                    .unwrap_or_else(|e| panic!("{ctx}: {name}: {e}"));
+                let epoch = service.handle_epoch(h).unwrap();
+                if name == "load" {
+                    assert!(back.region_eq(initial.get(i), back.bounds()), "{ctx}: load");
+                    assert_eq!(epoch, 0, "{ctx}: load");
+                } else {
+                    assert_eq!(epoch, chunk as u64, "{ctx}: {name}'s epoch");
+                }
+            }
+            for (name, h) in &handles {
+                service
+                    .free(h)
+                    .unwrap_or_else(|e| panic!("{ctx}: free {name}: {e}"));
+            }
+            assert_eq!(service.resident_bytes(), 0, "{ctx}");
+            assert!(msg.contains("dies"), "{ctx}: {msg}");
+        }
+    }
 }

@@ -359,11 +359,9 @@ impl ExecCore {
         })
     }
 
-    /// Plan (or fetch) and execute one job on `kind`, joined. With `lx`,
-    /// the threads engine runs a fused multi-iteration loop chunk —
-    /// `lx.iters` whole sweeps inside one invocation, iterating with
-    /// cross-iteration pipelining (see [`execute_threaded`]) — and the chunk's overlap stats come back
-    /// beside the outcome.
+    /// Plan (or fetch) and execute one run on `kind`, joined, on the
+    /// calling thread: the [`crate::Session`] front door. (Service jobs
+    /// start through [`start_job`] instead.)
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run<const R: usize>(
         &self,
@@ -371,59 +369,12 @@ impl ExecCore {
         nest: NestSource<'_, R>,
         topology: JobTopology,
         cfg: &SessionConfig,
-        hsig: &str,
         store: Option<&mut Store<R>>,
         collector: &mut dyn Collector,
         kind: EngineKind,
-        lx: Option<&LoopExec>,
-    ) -> Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> {
-        debug_assert!(
-            lx.is_none() || kind == EngineKind::Threads,
-            "only the threads engine fuses loop chunks"
-        );
-        let Prepared {
-            entry,
-            cache_ev,
-            prep,
-            mut outcome,
-        } = self.prepare(program, &nest, topology, cfg, hsig, kind, store.is_some())?;
-        let plan = &entry.plan;
-        let run_start = Instant::now();
-        let mut loop_stats = None;
-        (outcome.makespan, outcome.messages) = match store.zip(prep) {
-            None => {
-                let r = simulate_plan_collected(plan, &cfg.machine, collector);
-                (r.makespan, r.messages)
-            }
-            Some((store, prep)) if kind == EngineKind::Seq => {
-                let t0 = Instant::now();
-                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, collector);
-                (t0.elapsed().as_secs_f64(), 0)
-            }
-            Some((store, prep)) => {
-                let (iters, rotate, pipelined) = match lx {
-                    Some(lx) => (lx.iters, &lx.rotate[..], lx.pipelined),
-                    None => (1, &[][..], true),
-                };
-                let r = execute_threaded(
-                    &self.pool,
-                    &entry.nest,
-                    plan,
-                    &prep,
-                    store,
-                    iters,
-                    rotate,
-                    pipelined,
-                    collector,
-                );
-                loop_stats = lx.map(|lx| overlap_stats(lx, &r.spans));
-                (r.elapsed.as_secs_f64(), r.messages)
-            }
-        };
-        Ok((
-            finish_outcome(outcome, run_start, cache_ev, collector),
-            loop_stats,
-        ))
+    ) -> Result<RunOutcome, PipelineError> {
+        let prepared = self.prepare(program, &nest, topology, cfg, "", kind, store.is_some())?;
+        Ok(prepared.run_joined(&self.pool, cfg, store, collector))
     }
 }
 
@@ -436,6 +387,54 @@ struct Prepared<const R: usize> {
     /// The plan's facts, the kernel tier and `prep_seconds`; the engine
     /// fills in the rest.
     outcome: RunOutcome,
+}
+
+impl<const R: usize> Prepared<R> {
+    /// Run the prepared plan on the calling thread, joined: the
+    /// simulator, the sequential engine, or the threaded engine waited
+    /// for ([`execute_threaded`]).
+    fn run_joined(
+        self,
+        pool: &WorkerPool,
+        cfg: &SessionConfig,
+        store: Option<&mut Store<R>>,
+        collector: &mut dyn Collector,
+    ) -> RunOutcome {
+        let Prepared {
+            entry,
+            cache_ev,
+            prep,
+            mut outcome,
+        } = self;
+        let plan = &entry.plan;
+        let run_start = Instant::now();
+        (outcome.makespan, outcome.messages) = match store.zip(prep) {
+            None => {
+                let r = simulate_plan_collected(plan, &cfg.machine, collector);
+                (r.makespan, r.messages)
+            }
+            Some((store, prep)) if outcome.engine == EngineKind::Seq => {
+                let t0 = Instant::now();
+                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, collector);
+                (t0.elapsed().as_secs_f64(), 0)
+            }
+            Some((store, prep)) => {
+                let r = execute_threaded(
+                    pool,
+                    &entry.nest,
+                    plan,
+                    &prep,
+                    store,
+                    1,
+                    &[],
+                    true,
+                    collector,
+                );
+                (r.elapsed.as_secs_f64(), r.messages)
+            }
+        };
+        finish_outcome(outcome, run_start, cache_ev, collector)
+    }
 }
 
 /// Close a run's outcome: its run time, and the cache event, reported
@@ -1287,14 +1286,14 @@ impl StageHists {
 
 /// The dispatcher: pick the next job by fair share, start it, repeat.
 ///
-/// A plain threaded job (see [`launches`]) is launched, not waited for:
-/// the pool worker that ends its last cell finishes it, and the
-/// dispatcher picks the next job as soon as the pool has an idle worker
-/// and an empty queue — so one job's drain runs under the next one's
-/// fill. Every other job first waits until no job is in flight and then
-/// runs joined, here: Seq and Sim jobs, and jobs that bind resident
-/// handles or carry a loop chunk (which keeps handle epochs and loop
-/// chunks ordered exactly as they were).
+/// Every job starts through [`start_job`] and ends in its
+/// [`Completion`], run by whichever thread ended its run. Jobs differ
+/// only in *when* they start. A job [`overlaps`] selects starts as soon
+/// as the pool has an idle worker and an empty queue, so one job's drain
+/// runs under the next one's fill. Every other job — Seq and Sim jobs,
+/// and jobs that bind resident handles or carry a loop chunk — starts on
+/// an empty pool and is waited for, which keeps handle epochs, loop
+/// chunks and DAG inputs ordered and lets Seq run alone.
 fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
     let pool = shared.core.pool();
     loop {
@@ -1311,7 +1310,7 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
                     break (i, job);
                 }
                 // Every queue is empty: done if shutting down — once the
-                // launched jobs have completed, as their completions
+                // started jobs have completed, as their completions
                 // hold the service's state — else sleep until a
                 // submission arrives.
                 if q.closed {
@@ -1326,60 +1325,91 @@ fn dispatcher_loop<const R: usize>(shared: &Arc<Shared<R>>) {
         shared.not_full.notify_all();
 
         let mut settle = Settle::new(shared, idx, &job);
-        if launches(&job.spec) {
-            // A panic here drops `settle`, which settles the job.
-            let _ = catch_unwind(AssertUnwindSafe(|| {
-                launch_job(&shared.core, job.spec, settle)
-            }));
-            pool.wait_idle(false);
-        } else {
+        let overlaps = overlaps(&job.spec);
+        if !overlaps {
             pool.wait_idle(true);
             // Waiting for the pool to empty was queueing, not execution.
             settle.dispatched = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_job(&shared.core, &shared.handles, job.spec)
-            }))
-            .unwrap_or_else(|payload| Err(PipelineError::EnginePanic(panic_message(&payload))));
-            settle.looked_up();
-            settle.settle(result);
         }
+        // A panic here drops `settle`, which settles the job.
+        let _ = catch_unwind(AssertUnwindSafe(|| start_job(shared, job.spec, settle)));
+        pool.wait_idle(!overlaps);
     }
 }
 
-/// Whether the dispatcher launches `spec` without waiting for it: a
-/// threads-engine job that binds no resident handle and carries no loop
-/// chunk.
-fn launches<const R: usize>(spec: &JobSpec<R>) -> bool {
+/// Whether the dispatcher starts `spec` while earlier jobs are still in
+/// flight: a threads-engine job that binds no resident handle and
+/// carries no loop chunk.
+fn overlaps<const R: usize>(spec: &JobSpec<R>) -> bool {
     spec.engine == EngineKind::Threads
         && spec.handle_inputs.is_empty()
         && spec.handle_outputs.is_empty()
         && spec.loop_exec.is_none()
 }
 
-/// Launch a plain threaded job (see [`launches`]): look its plan up
-/// here, on the dispatcher, and hand its store to the engine. The worker
-/// that ends the job's last cell finishes it — outcome, outputs, trace —
-/// and settles it.
-fn launch_job<const R: usize>(core: &ExecCore, spec: JobSpec<R>, mut settle: Settle<R>) {
+/// Start one dispatched job: the one way every service job starts,
+/// whatever its engine and whatever it binds. Check its resident handles
+/// out (input handles as snapshots, output handles by move, so engine
+/// writes never copy-on-write), look its plan up, and run it: Seq and
+/// Sim here, on the dispatcher; the threads engine launched, a loop chunk
+/// with its iterations and rotation. Whichever thread ends the run
+/// finishes the job through its [`Completion`]. (Node-sourced inputs
+/// were installed by the DAG runner before the job was admitted.)
+fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: Settle<R>) {
+    let mut checked_out = Vec::new();
+    let checked = check_out(&shared.handles, &mut spec, &mut checked_out);
+    let hsig = handles_sig(&spec.handle_inputs, &spec.handle_outputs);
     let JobSpec {
         program,
         nest,
         topology,
         cfg,
-        store,
+        engine,
+        mut store,
         trace,
         outputs,
+        loop_exec,
         ..
     } = spec;
-    let kind = EngineKind::Threads;
-    let nest = NestSource::Shared(&nest);
-    let prepared = core.prepare(&program, &nest, topology, &cfg, "", kind, store.is_some());
-    settle.looked_up();
-    let (prepared, mut store) = match (prepared, store) {
-        (Ok(p), Some(store)) => (p, store),
-        (Err(e), _) => return settle.settle(Err(e)),
-        (Ok(_), None) => unreachable!("`prepare` refuses a threads job without a store"),
+    debug_assert!(
+        loop_exec.is_none() || engine == EngineKind::Threads,
+        "only the threads engine fuses loop chunks"
+    );
+    let mut job = Completion {
+        settle,
+        program,
+        outputs,
+        checked_out,
+        loop_exec,
+        trace: trace.then(TraceCollector::new),
     };
+    let core = &shared.core;
+    let prepared = checked.and_then(|()| {
+        let nest = NestSource::Shared(&nest);
+        core.prepare(
+            &job.program,
+            &nest,
+            topology,
+            &cfg,
+            &hsig,
+            engine,
+            store.is_some(),
+        )
+    });
+    job.settle.looked_up();
+    let prepared = match prepared {
+        Ok(p) => p,
+        Err(e) => return job.complete(store, Err(e), &[]),
+    };
+    if engine != EngineKind::Threads {
+        let ran = job.with_collector(|collector| {
+            catch_unwind(AssertUnwindSafe(|| {
+                prepared.run_joined(core.pool(), &cfg, store.as_mut(), collector)
+            }))
+        });
+        let ran = ran.map_err(|payload| PipelineError::EnginePanic(panic_message(&payload)));
+        return job.complete(store, ran, &[]);
+    }
     let Prepared {
         entry,
         cache_ev,
@@ -1387,52 +1417,131 @@ fn launch_job<const R: usize>(core: &ExecCore, spec: JobSpec<R>, mut settle: Set
         mut outcome,
     } = prepared;
     let prep = prep.expect("the threads engine runs a lowered kernel");
+    let mut store = store.expect("`prepare` refuses a threads job without a store");
+    let (iters, rotate, pipelined) = match &job.loop_exec {
+        Some(lx) => (lx.iters, lx.rotate.clone(), lx.pipelined),
+        None => (1, Vec::new(), true),
+    };
+    let enabled = job.trace.is_some();
     let run_start = Instant::now();
     let done: Done<R> = Box::new(move |ended| {
-        let mut trace_collector = trace.then(TraceCollector::new);
-        let mut noop = NoopCollector;
-        let collector: &mut dyn Collector = match trace_collector.as_mut() {
-            Some(tc) => tc,
-            None => &mut noop,
-        };
-        let (store, report) = ended.finish(collector);
-        let result = report.map_err(PipelineError::EnginePanic).map(|r| {
-            (outcome.makespan, outcome.messages) = (r.elapsed.as_secs_f64(), r.messages);
-            finish_outcome(outcome, run_start, cache_ev, collector)
+        let mut spans = Vec::new();
+        let (store, ran) = job.with_collector(|collector| {
+            let (store, report) = ended.finish(collector);
+            let ran = report.map_err(PipelineError::EnginePanic).map(|r| {
+                (outcome.makespan, outcome.messages) = (r.elapsed.as_secs_f64(), r.messages);
+                spans = r.spans;
+                finish_outcome(outcome, run_start, cache_ev, collector)
+            });
+            (store, ran)
         });
-        let result = result.map(|outcome| JobOutcome {
-            outcome,
-            outputs: collect_outputs(&program, Some(&store), &outputs, &[]),
-            loop_stats: None,
-            trace: trace_collector.map(|tc| tc.report()),
-            spans: None,
+        job.complete(Some(store), ran, &spans);
+    });
+    launch_threaded(
+        core.pool(),
+        &entry.nest,
+        &entry.plan,
+        &prep,
+        &mut store,
+        iters,
+        &rotate,
+        pipelined,
+        enabled,
+        done,
+    );
+}
+
+/// How a started job ends — run once, by whichever thread ended its run:
+/// the dispatcher (Seq, Sim, a failure before the run, a one-cell plan)
+/// or the pool worker that ended the last cell.
+struct Completion<const R: usize> {
+    settle: Settle<R>,
+    program: Arc<Program<R>>,
+    outputs: Vec<String>,
+    /// Each output-handle binding, with the array id its buffer was
+    /// checked out into.
+    checked_out: Vec<(job::HandleBinding, usize)>,
+    loop_exec: Option<LoopExec>,
+    trace: Option<TraceCollector>,
+}
+
+impl<const R: usize> Completion<R> {
+    /// Call `f` with the job's collector: its trace, or a no-op.
+    fn with_collector<T>(&mut self, f: impl FnOnce(&mut dyn Collector) -> T) -> T {
+        match self.trace.as_mut() {
+            Some(tc) => f(tc),
+            None => f(&mut NoopCollector),
+        }
+    }
+
+    /// Hand every checked-out buffer back to the handle table. After a
+    /// run that `completed`, each goes into its *putback* slot — which
+    /// differs from the checkout slot exactly for loop-rotation chunks —
+    /// and bumps that slot's epoch (the write-after-read fence). After a
+    /// failure, a panicking cell's included, each goes back into its
+    /// *checkout* slot with no bump: nothing was republished.
+    fn hand_back(
+        &self,
+        store: Option<&mut Store<R>>,
+        completed: bool,
+    ) -> Result<(), PipelineError> {
+        let Some(st) = store else { return Ok(()) };
+        let mut table = self.settle.shared.handles.lock().unwrap();
+        for (hb, id) in &self.checked_out {
+            let layout = st.get(*id).layout();
+            let arr = std::mem::replace(
+                st.get_mut(*id),
+                DenseArray::with_layout(Region::empty(), layout, 0.0),
+            );
+            if completed {
+                table.putback(hb.putback, arr)?;
+            } else {
+                table.restore(hb.checkout, arr);
+            }
+        }
+        Ok(())
+    }
+
+    /// Finish the job whose run ended with `store` and `ran` (`spans`:
+    /// each cell's per-sweep busy spans, on the threads engine): hand the
+    /// checked-out buffers back, compute a loop chunk's overlap, publish
+    /// the outputs, drop the store, settle.
+    fn complete(
+        self,
+        mut store: Option<Store<R>>,
+        ran: Result<RunOutcome, PipelineError>,
+        spans: &[Vec<(f64, f64)>],
+    ) {
+        let handed = self.hand_back(store.as_mut(), ran.is_ok());
+        let Completion {
+            settle,
+            program,
+            outputs,
+            checked_out,
+            loop_exec,
+            trace,
+        } = self;
+        let result = ran.and_then(|outcome| {
+            handed?;
+            Ok(JobOutcome {
+                outcome,
+                outputs: collect_outputs(&program, store.as_ref(), &outputs, &checked_out),
+                loop_stats: loop_exec.map(|lx| overlap_stats(&lx, spans)),
+                trace: trace.map(|tc| tc.report()),
+                spans: None,
+            })
         });
         // The outputs must be the buffers' only owners once the waiter
         // wakes: a store still alive here would make the next job's
         // first write to a handed-over output copy it.
         drop(store);
         settle.settle(result);
-    });
-    let (nest, plan) = (&entry.nest, &entry.plan);
-    launch_threaded(
-        core.pool(),
-        nest,
-        plan,
-        &prep,
-        &mut store,
-        1,
-        &[],
-        true,
-        trace,
-        done,
-    );
+    }
 }
 
 /// What settling a dispatched job needs: its tenant, its ticket and the
-/// stamps of its lifecycle. Whoever finishes the job — the dispatcher,
-/// or the pool worker that ends a launched job's last cell — settles it,
-/// once. Dropped unsettled (a panic outside every cell and outside the
-/// dispatcher's catch), it settles the job as
+/// stamps of its lifecycle. The job's [`Completion`] settles it, once.
+/// Dropped unsettled (a panic outside every cell), it settles the job as
 /// [`PipelineError::EnginePanic`], so no handle waits forever.
 struct Settle<const R: usize> {
     shared: Arc<Shared<R>>,
@@ -1603,35 +1712,30 @@ pub(crate) fn install_input<const R: usize>(
 
 /// Publish the job's declared outputs (every array when none were
 /// declared) from the computed store — each an `Arc` bump, never a copy.
-/// *Output*-handle-bound array ids are in `skip`: their buffers went
-/// back into the handle table before publication (the slot is empty by
-/// now), so resident results are read through
-/// [`WavefrontService::read`] instead. Input-handle arrays publish
-/// normally — their snapshots are `Arc` clones already, and nothing
-/// writes them, so the extra refcount never costs a copy.
+/// *Output*-handle-bound arrays are skipped: their buffers went back
+/// into the handle table before publication (the slot is empty by now),
+/// so resident results are read through [`WavefrontService::read`]
+/// instead. Input-handle arrays publish normally — their snapshots are
+/// `Arc` clones already, and nothing writes them, so the extra refcount
+/// never costs a copy.
 fn collect_outputs<const R: usize>(
     program: &Program<R>,
     store: Option<&Store<R>>,
     names: &[String],
-    skip: &[usize],
+    checked_out: &[(job::HandleBinding, usize)],
 ) -> JobOutputs<R> {
     let mut outs = JobOutputs::new();
     let Some(store) = store else {
         return outs;
     };
+    let skip = |id: usize| checked_out.iter().any(|&(_, c)| c == id);
     if names.is_empty() {
-        for id in 0..store.len() {
-            if skip.contains(&id) {
-                continue;
-            }
+        for id in (0..store.len()).filter(|&id| !skip(id)) {
             outs.insert(JobOutput::from_array(program.name_of(id), store.get(id)));
         }
     } else {
         for name in names {
-            if let Some(id) = program.find(name) {
-                if skip.contains(&id) {
-                    continue;
-                }
+            if let Some(id) = program.find(name).filter(|&id| !skip(id)) {
                 outs.insert(JobOutput::from_array(name.clone(), store.get(id)));
             }
         }
@@ -1639,25 +1743,46 @@ fn collect_outputs<const R: usize>(
     outs
 }
 
-/// Undo the checkouts of a job that failed before (or during) its run:
-/// every buffer goes back into its *checkout* slot with no epoch bump —
-/// the job never ran, so nothing was republished and the
-/// write-after-read fence must not advance.
-fn restore_checked_out<const R: usize>(
+/// Check a job's resident handles out into its store: each input handle
+/// as a read-only snapshot (an `Arc` bump), each output handle by *move*
+/// (refcount 1, so engine writes go straight in), recorded in
+/// `checked_out`. On an error part-way, what was already taken is in
+/// `checked_out`, and the job's completion hands it back.
+fn check_out<const R: usize>(
     handles: &Mutex<HandleTable<R>>,
-    store: Option<&mut Store<R>>,
-    checked_out: &[(job::HandleBinding, usize)],
-) {
-    let Some(st) = store else { return };
-    let mut table = handles.lock().unwrap();
-    for (hb, id) in checked_out {
-        let layout = st.get(*id).layout();
-        let arr = std::mem::replace(
-            st.get_mut(*id),
-            DenseArray::with_layout(Region::empty(), layout, 0.0),
-        );
-        table.restore(hb.checkout, arr);
+    spec: &mut JobSpec<R>,
+    checked_out: &mut Vec<(job::HandleBinding, usize)>,
+) -> Result<(), PipelineError> {
+    let program = &spec.program;
+    let find = |name: &str| {
+        program.find(name).ok_or_else(|| PipelineError::InvalidJob {
+            reason: format!("program declares no array named `{name}`"),
+        })
+    };
+    // The nest must not write an input handle: writes would land in a
+    // copy-on-write shadow and silently never reach the resident buffer.
+    for (name, hid) in &spec.handle_inputs {
+        let id = find(name)?;
+        if spec.nest.stmts.iter().any(|s| s.lhs == id) {
+            return Err(PipelineError::InvalidJob {
+                reason: format!(
+                    "the nest writes `{name}`; bind it with output_handle, not \
+                     input_handle (in-place writes need the buffer checked out)"
+                ),
+            });
+        }
+        let snap = handles.lock().unwrap().snapshot(*hid)?;
+        let st = spec.store.get_or_insert_with(|| Store::new(program));
+        *st.get_mut(id) = snap;
     }
+    for hb in &spec.handle_outputs {
+        let id = find(&hb.name)?;
+        let arr = handles.lock().unwrap().checkout(hb.checkout)?;
+        let st = spec.store.get_or_insert_with(|| Store::new(program));
+        *st.get_mut(id) = arr;
+        checked_out.push((hb.clone(), id));
+    }
+    Ok(())
 }
 
 /// The handle-shape signature entering the plan-cache fingerprint: the
@@ -1673,144 +1798,6 @@ fn handles_sig(spec_inputs: &[(String, u64)], spec_outputs: &[job::HandleBinding
     let mut outs: Vec<&str> = spec_outputs.iter().map(|b| b.name.as_str()).collect();
     outs.sort_unstable();
     format!("in:{};out:{}", ins.join(","), outs.join(","))
-}
-
-/// Execute one job on the core — its cache and its pool, whatever the
-/// block policy. Resident-handle bindings are installed first (output
-/// handles by *move*, so engine writes never copy-on-write); declared
-/// outputs are published and checked-out buffers put back after.
-/// (Node-sourced inputs were installed by the DAG runner before the job
-/// was admitted.)
-fn run_job<const R: usize>(
-    core: &ExecCore,
-    handles: &Mutex<HandleTable<R>>,
-    spec: JobSpec<R>,
-) -> Result<JobOutcome<R>, PipelineError> {
-    let JobSpec {
-        program,
-        nest,
-        topology,
-        cfg,
-        engine,
-        mut store,
-        trace,
-        tenant: _,
-        priority: _,
-        outputs,
-        inputs: _,
-        handle_inputs,
-        handle_outputs,
-        loop_exec,
-        trace_id: _,
-        submitted_at: _,
-    } = spec;
-
-    let hsig = handles_sig(&handle_inputs, &handle_outputs);
-
-    // Input handles: read-only snapshots (an `Arc` bump). The nest must
-    // not write them — writes would land in a copy-on-write shadow and
-    // silently never reach the resident buffer.
-    let mut skip_ids: Vec<usize> = Vec::new();
-    for (name, hid) in &handle_inputs {
-        let id = program.find(name).ok_or_else(|| PipelineError::InvalidJob {
-            reason: format!("program declares no array named `{name}`"),
-        })?;
-        if nest.stmts.iter().any(|s| s.lhs == id) {
-            return Err(PipelineError::InvalidJob {
-                reason: format!(
-                    "the nest writes `{name}`; bind it with output_handle, not \
-                     input_handle (in-place writes need the buffer checked out)"
-                ),
-            });
-        }
-        let snap = handles.lock().unwrap().snapshot(*hid)?;
-        let st = store.get_or_insert_with(|| Store::new(&program));
-        *st.get_mut(id) = snap;
-    }
-
-    // Output handles: move each buffer out of the table (refcount 1, so
-    // engine writes go straight in) and into the job's store. A failure
-    // part-way restores what was already taken.
-    let mut checked_out: Vec<(job::HandleBinding, usize)> = Vec::new();
-    let mut checkout_err: Option<PipelineError> = None;
-    for hb in &handle_outputs {
-        let Some(id) = program.find(&hb.name) else {
-            checkout_err = Some(PipelineError::InvalidJob {
-                reason: format!("program declares no array named `{}`", hb.name),
-            });
-            break;
-        };
-        match handles.lock().unwrap().checkout(hb.checkout) {
-            Ok(arr) => {
-                let st = store.get_or_insert_with(|| Store::new(&program));
-                *st.get_mut(id) = arr;
-                checked_out.push((hb.clone(), id));
-                skip_ids.push(id);
-            }
-            Err(e) => {
-                checkout_err = Some(e);
-                break;
-            }
-        }
-    }
-    if let Some(e) = checkout_err {
-        restore_checked_out(handles, store.as_mut(), &checked_out);
-        return Err(e);
-    }
-
-    let mut trace_collector = trace.then(TraceCollector::new);
-    let run_result: Result<(RunOutcome, Option<LoopChunkStats>), PipelineError> = (|| {
-        if loop_exec.is_some() && engine != EngineKind::Threads {
-            return Err(PipelineError::InvalidLoop {
-                reason: "fused loop chunks run only on the threads engine".into(),
-            });
-        }
-        let mut noop = NoopCollector;
-        let collector: &mut dyn Collector = match trace_collector.as_mut() {
-            Some(tc) => tc,
-            None => &mut noop,
-        };
-        core.run(
-            &program,
-            NestSource::Shared(&nest),
-            topology,
-            &cfg,
-            &hsig,
-            store.as_mut(),
-            collector,
-            engine,
-            loop_exec.as_ref(),
-        )
-    })();
-
-    if run_result.is_ok() {
-        // Put every checked-out buffer back — into its *putback* slot,
-        // which differs from the checkout slot exactly for loop-rotation
-        // chunks — bumping the slot's epoch (the write-after-read
-        // fence).
-        if let Some(st) = store.as_mut() {
-            let mut table = handles.lock().unwrap();
-            for (hb, id) in &checked_out {
-                let layout = st.get(*id).layout();
-                let arr = std::mem::replace(
-                    st.get_mut(*id),
-                    DenseArray::with_layout(Region::empty(), layout, 0.0),
-                );
-                table.putback(hb.putback, arr)?;
-            }
-        }
-    } else {
-        restore_checked_out(handles, store.as_mut(), &checked_out);
-    }
-    let (outcome, loop_stats) = run_result?;
-    let published = collect_outputs(&program, store.as_ref(), &outputs, &skip_ids);
-    Ok(JobOutcome {
-        outcome,
-        outputs: published,
-        loop_stats,
-        trace: trace_collector.map(|tc| tc.report()),
-        spans: None,
-    })
 }
 
 #[cfg(test)]
@@ -1913,5 +1900,59 @@ mod tests {
         let s = service.stats();
         assert_eq!(s.pool_spawns, 3, "no worker was lost to the panic");
         assert_eq!((s.jobs_completed, s.jobs_failed), (1, 1));
+    }
+
+    /// A cell of a job that binds an output handle panics: the job
+    /// resolves `EnginePanic`, and the checked-out buffer comes back to
+    /// its slot with its epoch unbumped, readable and freeable. The
+    /// engine ran in place, so the buffer keeps what the run wrote before
+    /// it failed: upstream cell 0 never waits on cell 1 and finishes its
+    /// rows; cell 1 dies before its tile 2; everything else is as
+    /// imported.
+    #[test]
+    fn a_cell_panic_hands_the_checked_out_handle_back() {
+        let (program, nest, store) = wave();
+        let hook: TileHook = Arc::new(|cell, tile| {
+            if cell == 1 && tile == 2 {
+                panic!("tile hook: the handle-bound job dies");
+            }
+        });
+        let service: WavefrontService<2> = with_tile_hook(hook, WavefrontService::new);
+        let imported = store.get(0).clone();
+        let h = service.import(imported.clone());
+        let epoch = service.handle_epoch(&h).unwrap();
+        let job = JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
+            .line(2)
+            .block(BlockPolicy::Fixed(1))
+            .output_handle("a", &h)
+            .build()
+            .unwrap();
+        let msg = match service.submit(job).wait() {
+            Err(PipelineError::EnginePanic(msg)) => msg,
+            Err(e) => panic!("the job failed otherwise: {e}"),
+            Ok(_) => panic!("the job survived its cell's panic"),
+        };
+        let back = service.read(&h).expect("the handle is back in its slot");
+        let session = Session::new(&program, &nest)
+            .procs(2)
+            .block(BlockPolicy::Fixed(1));
+        let plan = session.plan().unwrap();
+        let mut want = store.clone();
+        session.store(&mut want).run(EngineKind::Seq).unwrap();
+        let mut expect = imported.clone();
+        for (t, tile) in plan.tiles.iter().enumerate() {
+            for cell in [0, 1].into_iter().filter(|&c| c == 0 || t < 2) {
+                expect.copy_region_from(want.get(0), plan.dist.owned(cell).intersect(tile));
+            }
+        }
+        assert!(
+            !expect.region_eq(&imported, imported.bounds()),
+            "the run wrote nothing"
+        );
+        assert!(back.region_eq(&expect, imported.bounds()));
+        assert_eq!(service.handle_epoch(&h).unwrap(), epoch);
+        service.free(&h).expect("the handle frees");
+        assert_eq!(service.resident_bytes(), 0);
+        assert!(msg.contains("dies"), "{msg}");
     }
 }

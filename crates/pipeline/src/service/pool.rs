@@ -13,7 +13,7 @@
 //!
 //! # Runs of several jobs at once
 //!
-//! The service's dispatcher does not wait for a threaded job's cells: it
+//! The service's dispatcher does not wait for a plain threaded job: it
 //! launches the job and starts the next one as soon as
 //! [`WorkerPool::wait_idle`] sees an idle worker and an empty queue, so
 //! one job's drain runs under the next one's fill. The tasks of one job

@@ -223,7 +223,8 @@ impl<'a, const R: usize> Session<'a, R> {
         self
     }
 
-    /// Block-size policy (Fixed / Model1 / Model2 / Naive / Probed).
+    /// Block-size policy (Fixed / Model1 / Model2 / FullPortion / Probe /
+    /// Adaptive).
     pub fn block(mut self, policy: BlockPolicy) -> Self {
         self.cfg.block = policy;
         self
@@ -296,18 +297,15 @@ impl<'a, const R: usize> Session<'a, R> {
             None => &mut noop,
         };
         let core = ExecCore::new(0);
-        let (outcome, _) = core.run(
+        core.run(
             program,
             NestSource::Borrowed(nest),
             topology,
             &cfg,
-            "",
             store,
             collector,
             kind,
-            None,
-        )?;
-        Ok(outcome)
+        )
     }
 }
 

@@ -145,10 +145,15 @@ sim_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src
 # The wire protocol's shipped lines: everything above its first
 # top-level `#[cfg(test)]`.
 wire_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/service/wire.rs)
+# The pipeline crate's shipped lines: each file up to its first
+# top-level `#[cfg(test)]`, test-only `*_tests.rs` files skipped.
+crate_lines=$(find crates/pipeline/src -name '*.rs' -not -name '*_tests.rs' -print0 |
+    xargs -0 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }')
 echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$pub_lines pub lines in crates/pipeline/src;" \
     "$unsafe_blocks unsafe blocks outside #[cfg(test)] in crates/ and src/;" \
     "$engine_lines shipped lines in crates/pipeline/src/exec_threads.rs;" \
     "$service_lines shipped lines in crates/pipeline/src/service/*.rs;" \
     "$sim_lines shipped lines in crates/pipeline/src/exec_sim.rs;" \
-    "$wire_lines shipped lines in crates/pipeline/src/service/wire.rs"
+    "$wire_lines shipped lines in crates/pipeline/src/service/wire.rs;" \
+    "$crate_lines shipped lines in crates/pipeline/src"
