@@ -20,8 +20,9 @@
 //! | `table_fusion`    | barrier vs fused execution of whole programs |
 //! | `table_overlap`   | blocking receives vs ideal communication/computation overlap |
 //! | `table_transpose` | transpose vs pipeline for programs with wavefronts along both dimensions |
+//! | `counts`          | points per kernel tier (lane strip / scalar remainder / interpreter) in one sweep of each `perfbench` nest |
 //!
-//! Every bin prints simulated or modelled quantities only, so its
+//! Every bin prints simulated, modelled or counted quantities only, so its
 //! output is reproducible to the byte; `tests/golden.rs` runs each one
 //! and compares stdout with the committed `results/<name>.txt`
 //! (`table_loc` excepted — it counts this repository's own source).

@@ -53,6 +53,7 @@ macro_rules! golden {
 // `table_loc` is not here: it counts this repository's own source
 // lines, so its output changes with every commit that touches them.
 golden!(
+    counts,
     fig5a,
     fig5b,
     fig6,

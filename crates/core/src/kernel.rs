@@ -779,6 +779,27 @@ fn load<const R: usize>(
     }
 }
 
+/// Points of a sweep by the tier that evaluates them (see
+/// [`NestRunner::tier_elems`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierElems {
+    /// Points on the lane strip.
+    pub lanes: usize,
+    /// Points on the scalar tape: the lane executor's remainder, or
+    /// every point of a scalar-tier runner.
+    pub scalar: usize,
+    /// Points on the reference interpreter.
+    pub interpreted: usize,
+}
+
+impl std::ops::AddAssign for TierElems {
+    fn add_assign(&mut self, o: TierElems) {
+        self.lanes += o.lanes;
+        self.scalar += o.scalar;
+        self.interpreted += o.interpreted;
+    }
+}
+
 /// Per-nest execution strategy, selected once at plan time: the
 /// lane-parallel kernel when the second lowering succeeds, the scalar
 /// kernel when only the first does, the reference interpreter otherwise
@@ -862,6 +883,24 @@ impl<const R: usize> NestRunner<R> {
             NestRunner::Lanes(..) => None,
             NestRunner::Compiled(_, r) => *r,
             NestRunner::Interpreted(r) => *r,
+        }
+    }
+
+    /// How many points of `region`, swept in `order`, each tier
+    /// evaluates: the lane strip and the scalar remainder split exactly
+    /// as the lane executor splits them, a scalar-tier runner's points
+    /// all on the scalar tape, an interpreted runner's all on the
+    /// interpreter.
+    pub fn tier_elems(&self, region: Region<R>, order: &LoopStructureOrder<R>) -> TierElems {
+        match self {
+            NestRunner::Lanes(_, plan) => {
+                let (lanes, scalar) = crate::kernel_lanes::lane_elems(plan, region, order);
+                TierElems { lanes, scalar, interpreted: 0 }
+            }
+            NestRunner::Compiled(..) => TierElems { scalar: region.len(), ..TierElems::default() },
+            NestRunner::Interpreted(_) => {
+                TierElems { interpreted: region.len(), ..TierElems::default() }
+            }
         }
     }
 

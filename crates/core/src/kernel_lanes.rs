@@ -48,7 +48,7 @@ use crate::exec::CompiledNest;
 use crate::expr::{BinOp, UnaryOp};
 use crate::kernel::{store_cells, BoundKernel, Instr, LaneCause, Src, StmtKernel, TileKernel};
 use crate::program::Store;
-use crate::region::Region;
+use crate::region::{LoopStructureOrder, Region};
 
 /// Lane width: grid points evaluated per tape step. Eight `f64`s fill
 /// one AVX-512 register or two AVX2 registers — wide enough to hide the
@@ -204,7 +204,7 @@ fn run_axis<const R: usize>(
     arrays: &[&[Cell<f64>]],
 ) {
     let ext = region.extent(d);
-    let full = ext - ext % LANES as i64;
+    let (full, _) = strip_split(ext);
     let rlo = region.lo();
     let rhi = region.hi();
     if full > 0 {
@@ -212,6 +212,59 @@ fn run_axis<const R: usize>(
     }
     if full < ext {
         kernel.run_bound_cells(bk, region.slab(d, rlo[d] + full, rhi[d]), arrays);
+    }
+}
+
+/// Split `len` points along a lane direction into the
+/// [`LANES`]-aligned part the lane sweep runs and the remainder the
+/// scalar tape runs: the one place either executor, and
+/// [`lane_elems`], decides which points go where.
+#[inline(always)]
+fn strip_split(len: i64) -> (i64, i64) {
+    let rem = len % LANES as i64;
+    (len - rem, rem)
+}
+
+/// The diagonal segment at normalized sum `s` of the two innermost loop
+/// positions, whose extents are `ext_p` and `ext_q`: its first and last
+/// normalized coordinate along position `p` (empty when `lo > hi`).
+#[inline(always)]
+fn segment(s: i64, ext_p: i64, ext_q: i64) -> (i64, i64) {
+    (0.max(s - (ext_q - 1)), (ext_p - 1).min(s))
+}
+
+/// Points of `region` the lane executor runs on the strip and on the
+/// scalar remainder, in that order, when the sweep walks `region` in
+/// `order` — counted by the splits [`run_axis`] and [`run_wavefront`]
+/// make.
+pub(crate) fn lane_elems<const R: usize>(
+    plan: &LanePlan,
+    region: Region<R>,
+    order: &LoopStructureOrder<R>,
+) -> (usize, usize) {
+    if region.is_empty() {
+        return (0, 0);
+    }
+    match plan.shape {
+        LaneShape::Axis { dim } => {
+            let (full, rem) = strip_split(region.extent(dim));
+            let rest = region.len() / region.extent(dim) as usize;
+            (full as usize * rest, rem as usize * rest)
+        }
+        LaneShape::Wavefront { p, q } => {
+            // Every combination of the outer positions walks the same
+            // segments of the (p, q) plane.
+            let (ext_p, ext_q) = (region.extent(order.order[p]), region.extent(order.order[q]));
+            let rest = region.len() / (ext_p * ext_q) as usize;
+            let (mut full, mut rem) = (0, 0);
+            for s in 0..ext_p + ext_q - 1 {
+                let (lo, hi) = segment(s, ext_p, ext_q);
+                let (f, r) = strip_split(hi - lo + 1);
+                full += f;
+                rem += r;
+            }
+            (full as usize * rest, rem as usize * rest)
+        }
     }
 }
 
@@ -438,8 +491,7 @@ fn run_wavefront<const R: usize>(
         loop {
             let msum: i64 = (0..pp).map(|pos| mids[pos]).sum();
             let s = dsum - msum;
-            let jp_lo = 0.max(s - (ext[qq] - 1));
-            let jp_hi = (ext[pp] - 1).min(s);
+            let (jp_lo, jp_hi) = segment(s, ext[pp], ext[qq]);
             if jp_lo <= jp_hi {
                 // Actual coordinates of the segment's first point.
                 let mut x = [0i64; R];
@@ -469,8 +521,8 @@ fn run_wavefront<const R: usize>(
                     }
                 }
 
-                let seg = (jp_hi - jp_lo + 1) as usize;
-                for _ in 0..seg / LANES {
+                let (full, rem) = strip_split(jp_hi - jp_lo + 1);
+                for _ in 0..full / LANES as i64 {
                     for (j, sk) in kernel.stmts.iter().enumerate() {
                         let v = eval_stmt_lanes(
                             sk, &mut lregs, &rslices, &cur, &ldel, &coords, &cdelta,
@@ -490,7 +542,7 @@ fn run_wavefront<const R: usize>(
                         coords[dim_q] -= (LANES as i64 * dq) as f64;
                     }
                 }
-                for _ in 0..seg % LANES {
+                for _ in 0..rem {
                     for (j, sk) in kernel.stmts.iter().enumerate() {
                         let v = eval_stmt_point(sk, &mut pregs, &rslices, &cur, &coords);
                         wslices[j][cur[nr + j] as usize].set(v);

@@ -73,7 +73,8 @@ pub mod prelude {
     pub use crate::expr::{ArrayId, BinOp, EvalCtx, Expr, ReadRef, UnaryOp};
     pub use crate::index::{Offset, Point};
     pub use crate::kernel::{
-        BoundKernel, FallbackReason, KernelMode, KernelTier, LaneCause, NestRunner, TileKernel,
+        BoundKernel, FallbackReason, KernelMode, KernelTier, LaneCause, NestRunner, TierElems,
+        TileKernel,
     };
     pub use crate::kernel_lanes::{LanePlan, LaneShape};
     pub use crate::loops::{find_structure, is_legal, LoopStructure};

@@ -55,6 +55,7 @@ use wavefront_core::region::Region;
 
 use crate::link::Progress;
 use crate::plan::WavefrontPlan;
+use crate::schedule::BlockPolicy;
 use crate::service::pool::WorkerPool;
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
@@ -107,25 +108,35 @@ pub(crate) struct ThreadReport {
 
 /// Facts about a nest every worker needs, computed once on the main
 /// thread before dispatch instead of identically per worker: the
-/// written array set and the per-nest execution strategy (compiled tile
-/// kernel or interpreter fallback). The service caches this alongside
-/// the plan, so warm jobs skip the kernel lowering entirely.
+/// written array set, the per-nest execution strategy (compiled tile
+/// kernel or interpreter fallback), and the plan the executing engines
+/// run with it. The service caches this alongside the model's plan, so
+/// warm jobs skip the kernel lowering entirely.
 pub(crate) struct NestPrep<const R: usize> {
     written: Vec<ArrayId>,
     pub(crate) runner: NestRunner<R>,
+    /// `plan`, fitted to the runner's lane strip
+    /// ([`WavefrontPlan::fit_to_strip`]).
+    pub(crate) plan: Arc<WavefrontPlan<R>>,
 }
 
+/// Lower `nest` under `kernel_mode` for `plan`, which `policy` built,
+/// and fit the plan to the lowered kernel.
 pub(crate) fn prepare<const R: usize>(
     nest: &CompiledNest<R>,
+    plan: &Arc<WavefrontPlan<R>>,
+    policy: &BlockPolicy,
     kernel_mode: KernelMode,
 ) -> NestPrep<R> {
     let mut written: Vec<ArrayId> = nest.stmts.iter().map(|s| s.lhs).collect();
     written.sort_unstable();
     written.dedup();
-    NestPrep {
-        written,
-        runner: NestRunner::with_mode(nest, kernel_mode),
-    }
+    let runner = NestRunner::with_mode(nest, kernel_mode);
+    let plan = match plan.fit_to_strip(policy, &runner) {
+        Some(fitted) => Arc::new(fitted),
+        None => Arc::clone(plan),
+    };
+    NestPrep { written, runner, plan }
 }
 
 /// Extend `written` (sorted, unique) to every array a rotation can move
@@ -366,7 +377,7 @@ struct CellRun {
 /// What every cell's task of one run shares.
 struct RunCtx<const R: usize> {
     nest: Arc<CompiledNest<R>>,
-    plan: Arc<WavefrontPlan<R>>,
+    /// The lowered kernel and the plan it runs.
     prep: Arc<NestPrep<R>>,
     /// The kernel resolved against the store's geometry (`None` on the
     /// interpreter tier); a rotation renames buffers of one shape, so
@@ -434,7 +445,8 @@ fn run_cell<const R: usize>(
         epoch: ctx.epoch,
         evs: ctx.enabled.then(Vec::new),
     };
-    let tiles = ctx.plan.tiles.len();
+    let plan = &ctx.prep.plan;
+    let tiles = plan.tiles.len();
     let mut sent = 0usize;
     let mut spans: Vec<(f64, f64)> = Vec::with_capacity(ctx.iters);
     for it in 0..ctx.iters {
@@ -449,7 +461,7 @@ fn run_cell<const R: usize>(
             }
         }
         let span_start = rec.now();
-        for (ti, tile) in ctx.plan.tiles.iter().enumerate() {
+        for (ti, tile) in plan.tiles.iter().enumerate() {
             for a in &links.awaits {
                 let target = match a.flow {
                     Some(_) => it * tiles + ti + 1,
@@ -481,7 +493,7 @@ fn run_cell<const R: usize>(
                     &ctx.nest,
                     ctx.bound.as_ref(),
                     sub,
-                    &ctx.plan.order,
+                    &plan.order,
                     &arrays,
                     &ctx.shapes,
                 );
@@ -498,7 +510,7 @@ fn run_cell<const R: usize>(
             // Stamped before the post, so every arrival it causes is later.
             if let Some(at) = rec.stamp() {
                 for &axis in &links.down {
-                    let elems = ctx.plan.msg_elems(links.owned, tile, axis);
+                    let elems = plan.msg_elems(links.owned, tile, axis);
                     rec.push(WorkerEv::Sent {
                         axis,
                         tile: ti,
@@ -615,8 +627,8 @@ impl<const R: usize> Ended<R> {
 }
 
 /// The threaded engine, joined: run `iters` whole sweeps of `nest` under
-/// `plan` on real threads inside **one** invocation, updating `store` in
-/// place and reporting telemetry to `collector`. A one-shot run is
+/// `prep`'s plan on real threads inside **one** invocation, updating
+/// `store` in place and reporting telemetry to `collector`. A one-shot run is
 /// `iters = 1`, no rotation. Results are bit-identical to running the
 /// sweeps back to back sequentially.
 ///
@@ -638,7 +650,6 @@ impl<const R: usize> Ended<R> {
 pub(crate) fn execute_threaded<const R: usize>(
     workers: &WorkerPool,
     nest: &Arc<CompiledNest<R>>,
-    plan: &Arc<WavefrontPlan<R>>,
     prep: &Arc<NestPrep<R>>,
     store: &mut Store<R>,
     iters: usize,
@@ -651,9 +662,7 @@ pub(crate) fn execute_threaded<const R: usize>(
         let _ = tx.send(ended);
     });
     let enabled = collector.enabled();
-    launch_threaded(
-        workers, nest, plan, prep, store, iters, rotate, pipelined, enabled, done,
-    );
+    launch_threaded(workers, nest, prep, store, iters, rotate, pipelined, enabled, done);
     let ended = rx.recv().expect("a launched run completes exactly once");
     let (back, report) = ended.finish(collector);
     *store = back;
@@ -689,7 +698,6 @@ pub(crate) fn execute_threaded<const R: usize>(
 pub(crate) fn launch_threaded<const R: usize>(
     workers: &WorkerPool,
     nest: &Arc<CompiledNest<R>>,
-    plan: &Arc<WavefrontPlan<R>>,
     prep: &Arc<NestPrep<R>>,
     store: &mut Store<R>,
     iters: usize,
@@ -698,6 +706,7 @@ pub(crate) fn launch_threaded<const R: usize>(
     enabled: bool,
     done: Done<R>,
 ) {
+    let plan = &prep.plan;
     assert!(
         nest.buffered.is_empty(),
         "buffered nests carry no wavefront and are never planned"
@@ -777,7 +786,6 @@ pub(crate) fn launch_threaded<const R: usize>(
     };
     let ctx = Arc::new(RunCtx {
         nest: Arc::clone(nest),
-        plan: Arc::clone(plan),
         prep: Arc::clone(prep),
         bound,
         shared,
@@ -933,7 +941,7 @@ fn end_cell<const R: usize>(ctx: &RunCtx<R>, i: usize, ran: std::thread::Result<
         store: ending.store.take().expect("the run owns the store"),
         runs,
         elapsed: ctx.epoch.elapsed(),
-        plan: Arc::clone(&ctx.plan),
+        plan: Arc::clone(&ctx.prep.plan),
         cells: ctx.cells.clone(),
         iters: ctx.iters,
         rotate: ctx.rotate.clone(),
@@ -1089,9 +1097,9 @@ mod tests {
         let workers = WorkerPool::new();
         let nest = Arc::new(nest.clone());
         let plan = Arc::new(plan.clone());
-        let prep = Arc::new(prepare(&nest, kernel_mode));
+        let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(plan.block), kernel_mode));
         let c = &mut NoopCollector;
-        execute_threaded(&workers, &nest, &plan, &prep, store, 1, &[], true, c)
+        execute_threaded(&workers, &nest, &prep, store, 1, &[], true, c)
     }
 
     fn run<const R: usize>(

@@ -150,10 +150,8 @@ fn run_on<const R: usize>(
     collector: &mut dyn Collector,
 ) -> ThreadReport {
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
-    let prep = Arc::new(prepare(&nest, kernel_mode));
-    execute_threaded(
-        workers, &nest, &plan, &prep, store, iters, rotate, true, collector,
-    )
+    let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(plan.block), kernel_mode));
+    execute_threaded(workers, &nest, &prep, store, iters, rotate, true, collector)
 }
 
 /// One engine run of `c` from its initial store, on a pool of its own.
@@ -193,7 +191,7 @@ fn engine_pair<const R: usize>(
     collector: &mut dyn Collector,
 ) -> [(Store<R>, ThreadReport); 2] {
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
-    let prep = Arc::new(prepare(&nest, kernel_mode));
+    let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(plan.block), kernel_mode));
     let workers = WorkerPool::new();
     let (tx, rx) = channel();
     for k in 0..2 {
@@ -203,9 +201,7 @@ fn engine_pair<const R: usize>(
             let _ = tx.send((k, ended));
         });
         let enabled = k == 0 && collector.enabled();
-        launch_threaded(
-            &workers, &nest, &plan, &prep, &mut store, iters, rotate, true, enabled, done,
-        );
+        launch_threaded(&workers, &nest, &prep, &mut store, iters, rotate, true, enabled, done);
     }
     drop(tx);
     let mut runs: [Option<(Store<R>, ThreadReport)>; 2] = [None, None];
@@ -725,7 +721,7 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(1), &t3e()).unwrap();
     assert!(plan.tiles.len() > 6);
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan));
-    let prep = Arc::new(prepare(&nest, KernelMode::Lanes));
+    let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(1), KernelMode::Lanes));
     let workers = Arc::new(WorkerPool::new());
     let started = Arc::new(AtomicUsize::new(0));
 
@@ -739,10 +735,9 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
         })
     };
     let run = {
-        let (c_program, nest, plan, prep, workers) = (
+        let (c_program, nest, prep, workers) = (
             c.program.clone(),
             Arc::clone(&nest),
-            Arc::clone(&plan),
             Arc::clone(&prep),
             Arc::clone(&workers),
         );
@@ -753,7 +748,6 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
                     execute_threaded(
                         &workers,
                         &nest,
-                        &plan,
                         &prep,
                         &mut store,
                         1,
@@ -794,7 +788,6 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
     execute_threaded(
         &workers,
         &nest,
-        &plan,
         &prep,
         &mut store,
         1,

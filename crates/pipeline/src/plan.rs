@@ -13,6 +13,8 @@
 
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::expr::ArrayId;
+use wavefront_core::kernel::NestRunner;
+use wavefront_core::kernel_lanes::{LaneShape, LANES};
 use wavefront_core::loops::satisfies;
 use wavefront_core::region::{LoopStructureOrder, Region};
 use wavefront_machine::{Distribution, MachineParams, ProcGrid};
@@ -350,6 +352,33 @@ impl<const R: usize> WavefrontPlan<R> {
         if !self.tile_ascending {
             self.tiles.reverse();
         }
+    }
+
+    /// The plan the executing engines run when `runner` executes this
+    /// plan, which `policy` built, or `None` when that is this plan. A
+    /// model's `b` narrower than the lane strip, on a tile dimension
+    /// that is the lane kernel's axis and at least [`LANES`] long, would
+    /// put every point of every tile on the scalar remainder, so it is
+    /// re-cut at `b = LANES`. A programmer's `b` ([`BlockPolicy::Fixed`],
+    /// [`BlockPolicy::FullPortion`]), a runner without a lane strip and
+    /// a wavefront-lane nest keep the plan, and so does the simulator:
+    /// the paper's machines have no strip.
+    pub(crate) fn fit_to_strip(
+        &self,
+        policy: &BlockPolicy,
+        runner: &NestRunner<R>,
+    ) -> Option<Self> {
+        let k = self.tile_dim?;
+        let modelled = !matches!(policy, BlockPolicy::Fixed(_) | BlockPolicy::FullPortion);
+        let lane_axis = runner
+            .lane_plan()
+            .is_some_and(|lp| lp.shape == LaneShape::Axis { dim: k });
+        let narrow = self.block < LANES && self.region.extent(k) >= LANES as i64;
+        (modelled && lane_axis && narrow).then(|| {
+            let mut fitted = self.clone();
+            fitted.cut(k, LANES);
+            fitted
+        })
     }
 
     /// The width among `widths` whose plan the DES runs fastest on

@@ -71,7 +71,6 @@ use std::time::Instant;
 
 use wavefront_core::array::DenseArray;
 use wavefront_core::exec::CompiledNest;
-use wavefront_core::kernel::KernelMode;
 use wavefront_core::program::{Program, Store};
 use wavefront_core::region::Region;
 
@@ -146,9 +145,10 @@ impl<const R: usize> NestSource<'_, R> {
     }
 }
 
-/// One cached compilation: the nest it was compiled against, the plan,
-/// and the lazily-built kernel preparation (simulator jobs never force
-/// the kernel lowering).
+/// One cached compilation: the nest it was compiled against, the
+/// model's plan (what the simulator runs), and the lazily-built kernel
+/// preparation with the plan the executing engines run (simulator jobs
+/// never force the kernel lowering).
 struct Entry<const R: usize> {
     nest: Arc<CompiledNest<R>>,
     plan: Arc<WavefrontPlan<R>>,
@@ -156,15 +156,14 @@ struct Entry<const R: usize> {
 }
 
 impl<const R: usize> Entry<R> {
-    /// The kernel preparation, lowered on first use. The kernel-tier
-    /// ceiling is part of the cache fingerprint, so it is constant per
-    /// entry — a cached plan compiled at one tier never executes at
-    /// another.
-    fn prep(&self, kernel_mode: KernelMode) -> Arc<NestPrep<R>> {
-        Arc::clone(
-            self.prep
-                .get_or_init(|| Arc::new(prepare(&self.nest, kernel_mode))),
-        )
+    /// The kernel preparation, lowered on first use. The block policy
+    /// and the kernel-tier ceiling are part of the cache fingerprint, so
+    /// they are constant per entry — a cached plan compiled at one tier
+    /// never executes at another.
+    fn prep(&self, cfg: &SessionConfig) -> Arc<NestPrep<R>> {
+        Arc::clone(self.prep.get_or_init(|| {
+            Arc::new(prepare(&self.nest, &self.plan, &cfg.block, cfg.kernel_mode))
+        }))
     }
 }
 
@@ -321,36 +320,34 @@ impl ExecCore {
     ) -> Result<Prepared<R>, PipelineError> {
         let prep_start = Instant::now();
         let (entry, cache_ev) = self.entry(program, nest, topology, cfg, hsig)?;
-        let plan = &entry.plan;
-        let mut outcome = RunOutcome {
+        // The executing engines need the data and the lowered kernel,
+        // and run the plan fitted to it; the simulator runs the model's.
+        let prep = if kind == EngineKind::Sim {
+            None
+        } else if !has_store {
+            return Err(PipelineError::MissingStore);
+        } else {
+            let prep = entry.prep(cfg);
+            self.count_kernel(&prep.runner);
+            Some(prep)
+        };
+        let plan = prep.as_ref().map_or(&entry.plan, |p| &p.plan);
+        let outcome = RunOutcome {
             engine: kind,
             makespan: 0.0,
-            time_unit: TimeUnit::Seconds,
+            time_unit: match prep {
+                Some(_) => TimeUnit::Seconds,
+                None => TimeUnit::ModelUnits,
+            },
             messages: 0,
             block: plan.block,
             tiles: plan.tiles.len(),
             pipelined: plan.is_pipelined(),
-            prep_seconds: 0.0,
+            prep_seconds: prep_start.elapsed().as_secs_f64(),
             run_seconds: 0.0,
-            kernel_tier: None,
-            kernel_fallback: None,
+            kernel_tier: prep.as_ref().map(|p| p.runner.tier()),
+            kernel_fallback: prep.as_ref().and_then(|p| p.runner.fallback()),
         };
-        // The executing engines need the data and the lowered kernel;
-        // the simulator neither.
-        let prep = if kind == EngineKind::Sim {
-            outcome.time_unit = TimeUnit::ModelUnits;
-            None
-        } else {
-            if !has_store {
-                return Err(PipelineError::MissingStore);
-            }
-            let prep = entry.prep(cfg.kernel_mode);
-            self.count_kernel(&prep.runner);
-            outcome.kernel_tier = Some(prep.runner.tier());
-            outcome.kernel_fallback = prep.runner.fallback();
-            Some(prep)
-        };
-        outcome.prep_seconds = prep_start.elapsed().as_secs_f64();
         Ok(Prepared {
             entry,
             cache_ev,
@@ -406,30 +403,19 @@ impl<const R: usize> Prepared<R> {
             prep,
             mut outcome,
         } = self;
-        let plan = &entry.plan;
         let run_start = Instant::now();
         (outcome.makespan, outcome.messages) = match store.zip(prep) {
             None => {
-                let r = simulate_plan_collected(plan, &cfg.machine, collector);
+                let r = simulate_plan_collected(&entry.plan, &cfg.machine, collector);
                 (r.makespan, r.messages)
             }
             Some((store, prep)) if outcome.engine == EngineKind::Seq => {
                 let t0 = Instant::now();
-                execute_plan_sequential(&entry.nest, plan, &prep.runner, store, collector);
+                execute_plan_sequential(&entry.nest, &prep.plan, &prep.runner, store, collector);
                 (t0.elapsed().as_secs_f64(), 0)
             }
             Some((store, prep)) => {
-                let r = execute_threaded(
-                    pool,
-                    &entry.nest,
-                    plan,
-                    &prep,
-                    store,
-                    1,
-                    &[],
-                    true,
-                    collector,
-                );
+                let r = execute_threaded(pool, &entry.nest, &prep, store, 1, &[], true, collector);
                 (r.elapsed.as_secs_f64(), r.messages)
             }
         };
@@ -1440,7 +1426,6 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
     launch_threaded(
         core.pool(),
         &entry.nest,
-        &entry.plan,
         &prep,
         &mut store,
         iters,

@@ -40,7 +40,7 @@
 //! [`crate::telemetry::export`] (Perfetto / ASCII timeline).
 
 use wavefront_core::exec::CompiledNest;
-use wavefront_core::kernel::{FallbackReason, KernelMode, KernelTier};
+use wavefront_core::kernel::{FallbackReason, KernelMode, KernelTier, NestRunner};
 use wavefront_core::program::{Program, Store};
 use wavefront_machine::{cray_t3e, MachineParams};
 
@@ -117,7 +117,10 @@ pub struct RunOutcome {
     /// Boundary messages actually sent (0 for the sequential engine,
     /// which shares one store).
     pub messages: usize,
-    /// Block size the plan chose.
+    /// Block size of the plan that ran. The simulator runs the model's
+    /// `b`; the executing engines run a model's `b` narrower than the
+    /// lane kernel's strip, on the tile dimension the strip lies along,
+    /// at the strip's width instead. A fixed `b` always runs as given.
     pub block: usize,
     /// Number of tiles along the orthogonal dimension.
     pub tiles: usize,
@@ -254,9 +257,17 @@ impl<'a, const R: usize> Session<'a, R> {
         self
     }
 
-    /// Build the wavefront plan this session would run.
+    /// Build the wavefront plan this session would run on the executing
+    /// engines (Seq and Threads): the model's plan, re-cut at the lane
+    /// strip when the model's `b` is narrower than the kernel's strip
+    /// on the tile dimension (see [`RunOutcome::block`]).
+    /// [`Session::estimate`] and `run(EngineKind::Sim)` price the
+    /// model's plan, [`WavefrontPlan::build`].
     pub fn plan(&self) -> Result<WavefrontPlan<R>, PipelineError> {
-        WavefrontPlan::build(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)
+        let plan =
+            WavefrontPlan::build(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)?;
+        let runner = NestRunner::with_mode(self.nest, self.cfg.kernel_mode);
+        Ok(plan.fit_to_strip(&self.cfg.block, &runner).unwrap_or(plan))
     }
 
     /// Estimate this session's nest on the DES cost model without

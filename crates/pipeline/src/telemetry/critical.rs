@@ -252,24 +252,6 @@ impl CriticalPath {
         let start = rev.first().map_or(0.0, |s| s.from);
         CriticalPath { segments: rev, start, end, compute, message, recv_busy, wait }
     }
-
-    /// Stall time (message + receiver-busy + wait) attributed to each
-    /// tile on the path, heaviest first — the tiles whose re-blocking
-    /// would shrink the makespan most.
-    pub fn stall_by_tile(&self) -> Vec<(usize, f64)> {
-        let mut acc: Vec<(usize, f64)> = Vec::new();
-        for s in &self.segments {
-            if s.kind == SegmentKind::Compute {
-                continue;
-            }
-            match acc.iter_mut().find(|(t, _)| *t == s.tile) {
-                Some((_, v)) => *v += s.dur(),
-                None => acc.push((s.tile, s.dur())),
-            }
-        }
-        acc.sort_by(|a, b| b.1.total_cmp(&a.1));
-        acc
-    }
 }
 
 /// The full causal analysis of one recorded run: critical path,
@@ -290,9 +272,6 @@ pub struct TraceAnalysis {
     pub efficiency: f64,
     /// Latency histograms over every block / message / stall.
     pub histograms: TraceHistograms,
-    /// Per-tile stall totals on the path, heaviest first (re-blocking
-    /// candidates).
-    pub reblock: Vec<(usize, f64)>,
 }
 
 impl TraceAnalysis {
@@ -305,7 +284,6 @@ impl TraceAnalysis {
         let ideal = g.total_compute() / active as f64;
         let makespan = g.makespan;
         let efficiency = if makespan > 0.0 { ideal / makespan } else { 0.0 };
-        let reblock = critical.stall_by_tile();
         Some(TraceAnalysis {
             makespan,
             time_unit: g.meta.time_unit,
@@ -314,7 +292,6 @@ impl TraceAnalysis {
             ideal,
             efficiency,
             histograms: TraceHistograms::from_trace(trace),
-            reblock,
         })
     }
 
@@ -342,19 +319,12 @@ impl TraceAnalysis {
                 )
             })
             .collect();
-        let reblock: Vec<String> = self
-            .reblock
-            .iter()
-            .take(5)
-            .map(|(t, v)| format!("{{\"tile\":{t},\"stall\":{}}}", jnum(*v)))
-            .collect();
         format!(
             "{{\"makespan\":{},\"time_unit\":{},\"active_procs\":{},\
              \"ideal\":{},\"efficiency\":{},\
              \"critical_path\":{{\"start\":{},\"end\":{},\"length\":{},\
              \"compute\":{},\"message\":{},\"recv_busy\":{},\"wait\":{},\
              \"segments\":[{}]}},\
-             \"reblock_candidates\":[{}],\
              \"histograms\":{}}}",
             jnum(self.makespan),
             jstr(self.time_unit.name()),
@@ -369,7 +339,6 @@ impl TraceAnalysis {
             jnum(self.critical.recv_busy),
             jnum(self.critical.wait),
             segs.join(","),
-            reblock.join(","),
             self.histograms.to_json(),
         )
     }
@@ -399,15 +368,6 @@ impl fmt::Display for TraceAnalysis {
             "pipeline efficiency: {:.3} (ideal {:.6} / observed {:.6} {unit})",
             self.efficiency, self.ideal, self.makespan
         )?;
-        if !self.reblock.is_empty() {
-            let tops: Vec<String> = self
-                .reblock
-                .iter()
-                .take(3)
-                .map(|(t, v)| format!("tile {t} ({v:.6} {unit} stalled)"))
-                .collect();
-            writeln!(f, "re-block candidates: {}", tops.join(", "))?;
-        }
         write!(f, "{}", self.histograms)
     }
 }
@@ -477,13 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_and_reblock_candidates() {
+    fn efficiency_is_the_ideal_over_the_makespan() {
         let a = TraceAnalysis::from_trace(&pipeline_trace()).unwrap();
         // 8 units of compute over 2 procs, makespan 8 → efficiency 0.5.
         assert!((a.efficiency - 0.5).abs() < 1e-12);
         assert!((a.ideal - 4.0).abs() < 1e-12);
-        // Tile 1's late message is the dominant stall.
-        assert_eq!(a.reblock.first().map(|(t, _)| *t), Some(1));
     }
 
     #[test]
@@ -497,7 +455,6 @@ mod tests {
         assert_eq!(a.critical.compute, 5.0);
         assert_eq!(a.critical.wait, 0.0);
         assert_eq!(a.efficiency, 1.0);
-        assert!(a.reblock.is_empty());
     }
 
     #[test]
@@ -522,6 +479,5 @@ mod tests {
             Some(8.0)
         );
         assert!(v.get("histograms").unwrap().get("compute").is_some());
-        assert!(v.get("reblock_candidates").unwrap().as_array().is_some());
     }
 }

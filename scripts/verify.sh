@@ -58,12 +58,17 @@ echo "== wlc trace --strict over programs/*.wf (predicted == observed) =="
 # on a line (above) and on a mesh, where a cell posts for two links.
 "$WLC" trace programs/sweep_octant.wf --rank 3 -D n=8 --mesh 2x2 --engine threads --strict \
     --json --out /dev/null
+# Model2's b = 6 here is narrower than the lane strip on Tomcatv's lane
+# axis, so the threads run the plan re-cut at b = 8 (`wlc plan` prints
+# both): its posts must equal that plan's prediction.
+"$WLC" trace programs/tomcatv.wf -D n=256 --procs 2 --block model2 --machine t3e \
+    --engine threads --strict --json --out /dev/null
 # The interpreter runs in place like every other tier: same posts.
 "$WLC" trace programs/tomcatv.wf --procs 8 --engine threads --kernel-tier interpreted --strict \
     --json --out /dev/null
 "$WLC" trace programs/sweep_octant.wf --rank 3 -D n=8 --mesh 2x2 --engine threads \
     --kernel-tier interpreted --strict --json --out /dev/null
-echo "strict trace passed on fig3 / tomcatv / sweep_octant (line and 2x2 mesh, compiled and interpreted) ✔"
+echo "strict trace passed on fig3 / tomcatv / sweep_octant (line and 2x2 mesh, compiled and interpreted, a lane-fitted plan) ✔"
 
 echo
 echo "== wlc timeline smoke (ASCII Gantt + Chrome trace export) =="

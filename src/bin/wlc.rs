@@ -1278,12 +1278,19 @@ fn plan<const R: usize>(
         let line = JobTopology::line(opts.procs);
         match WavefrontPlan::build(nest, line, &opts.block, &opts.machine) {
             Ok(plan) => {
-                let pipe = Session::new(&lowered.program, nest)
+                let session = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
                     .machine(opts.machine)
                     .block(opts.block.clone())
-                    .estimate()
-                    .time;
+                    .kernel_mode(opts.kernel_mode);
+                let pipe = session.estimate().time;
+                // The engines' plan differs from the model's only by b.
+                let engines_b = session.plan().map_or(plan.block, |p| p.block);
+                let b = if engines_b == plan.block {
+                    plan.block.to_string()
+                } else {
+                    format!("{} (model; engines run {engines_b}, lane strip)", plan.block)
+                };
                 let naive = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
                     .machine(opts.machine)
@@ -1291,10 +1298,9 @@ fn plan<const R: usize>(
                     .estimate()
                     .time;
                 println!(
-                    "nest {k}: wave dim {}, b = {} ({} tiles), {} arrays downstream; \
+                    "nest {k}: wave dim {}, b = {b} ({} tiles), {} arrays downstream; \
                      simulated {}: pipelined {:.0} vs naive {:.0} ({:.2}x)",
                     plan.axes[0].dim,
-                    plan.block,
                     plan.tiles.len(),
                     plan.axes[0].comm.len(),
                     opts.machine.name,

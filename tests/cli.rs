@@ -56,6 +56,27 @@ fn plan_reports_pipelining_win() {
     assert!(stdout.contains("wave dim 0"), "{stdout}");
 }
 
+/// A model's b narrower than the lane strip is printed with the b the
+/// engines run; a programmer's b, or a scalar kernel, runs as planned.
+#[test]
+fn plan_reports_the_b_the_engines_run() {
+    let plan = |extra: &[&str]| {
+        let out = wlc()
+            .args(["plan", &programs("tomcatv.wf"), "--procs", "2", "--machine", "t3e"])
+            .args(extra)
+            .output()
+            .expect("wlc runs");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let fitted = plan(&["--block", "model2"]);
+    assert!(fitted.contains("b = 6 (model; engines run 8, lane strip)"), "{fitted}");
+    for extra in [&["--block", "fixed:6"][..], &["--block", "model2", "--kernel-tier", "scalar"]] {
+        let kept = plan(extra);
+        assert!(kept.contains("b = 6 (") && !kept.contains("engines run"), "{extra:?}: {kept}");
+    }
+}
+
 #[test]
 fn trace_emits_execution_report_json() {
     let out = wlc()

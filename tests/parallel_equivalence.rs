@@ -280,3 +280,141 @@ fn a_line_is_a_one_axis_mesh() {
         assert_eq!(mesh_1p_planned, if two_dims { 4 } else { 1 }, "{name}");
     }
 }
+
+/// The scan nest `find(is_scan)` picks, as every benchmark workload does.
+fn scan_nest(lo: &Lowered<2>) -> CompiledNest<2> {
+    let compiled = compile(&lo.program).unwrap();
+    let nest = compiled.nests().find(|nest| nest.is_scan).unwrap().clone();
+    nest
+}
+
+/// Whether every array of `a` equals `b`'s bit for bit.
+fn bits_eq(a: &Store<2>, b: &Store<2>) -> bool {
+    (0..a.len()).all(|id| {
+        let (x, y) = (a.get(id).as_slice(), b.get(id).as_slice());
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    })
+}
+
+/// Run `nest` of `lo` on `kind` from seed 5, returning the outcome, its
+/// trace report and the store.
+fn run_traced(
+    lo: &Lowered<2>,
+    nest: &CompiledNest<2>,
+    topology: JobTopology,
+    policy: &BlockPolicy,
+    mode: KernelMode,
+    kind: EngineKind,
+) -> (RunOutcome, wavefront::pipeline::ExecutionReport, Store<2>) {
+    let mut store = init_store(&lo.program, 5);
+    let mut trace = TraceCollector::default();
+    let session = Session::new(&lo.program, nest)
+        .block(policy.clone())
+        .machine(cray_t3e())
+        .kernel_mode(mode)
+        .collector(&mut trace)
+        .store(&mut store);
+    let session = match topology {
+        JobTopology::Mesh { mesh, .. } => session.mesh(mesh),
+        JobTopology::Line { procs, .. } => session.procs(procs),
+    };
+    let out = session.run(kind).unwrap();
+    (out, trace.report(), store)
+}
+
+/// Model2 picks b = 6 for Tomcatv's forward nest at n = 64 on two
+/// processors, and the tile dimension is the lane kernel's axis: Seq and
+/// Threads run b = 8, the simulator and `estimate` keep the model's 6,
+/// and the stores stay bit-identical to the interpreter on every tier.
+/// The trace's observed traffic is the fitted plan's prediction.
+#[test]
+fn executing_engines_fit_a_models_b_to_the_lane_strip() {
+    let lo = tomcatv::build(64).unwrap();
+    let nest = scan_nest(&lo);
+    let mut reference = init_store(&lo.program, 5);
+    run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+    let model2 = BlockPolicy::Model2;
+    for topology in [JobTopology::line(2), JobTopology::mesh([2, 1])] {
+        let session = || {
+            let s = Session::new(&lo.program, &nest).machine(cray_t3e());
+            match topology {
+                JobTopology::Mesh { mesh, .. } => s.mesh(mesh),
+                JobTopology::Line { procs, .. } => s.procs(procs),
+            }
+        };
+        let model = WavefrontPlan::build(&nest, topology, &model2, &cray_t3e()).unwrap();
+        assert_eq!(model.block, 6, "{topology:?}");
+        assert_eq!(session().estimate().block, Some(6), "{topology:?}");
+        assert_eq!(session().run(EngineKind::Sim).unwrap().block, 6, "{topology:?}");
+        let fitted = session().plan().unwrap();
+        assert_eq!(fitted.block, 8, "{topology:?}: Session::plan is the plan that runs");
+        assert_ne!(fitted.predicted_traffic(), model.predicted_traffic());
+
+        for kind in [EngineKind::Seq, EngineKind::Threads] {
+            for mode in [KernelMode::Lanes, KernelMode::Scalar, KernelMode::Interpreted] {
+                let ctx = format!("{topology:?} {kind:?} {mode:?}");
+                let (out, report, store) = run_traced(&lo, &nest, topology, &model2, mode, kind);
+                let want = if mode == KernelMode::Lanes { 8 } else { 6 };
+                assert_eq!((out.block, report.meta.block), (want, want), "{ctx}");
+                assert!(bits_eq(&store, &reference), "{ctx}: store differs from the interpreter");
+                if kind == EngineKind::Threads {
+                    assert_eq!(report.messages, report.meta.predicted.messages, "{ctx}");
+                    assert_eq!(report.elements, report.meta.predicted.elements, "{ctx}");
+                    if mode == KernelMode::Lanes {
+                        assert_eq!(report.meta.predicted, fitted.predicted_traffic(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A programmer's b, a runner without a lane strip, a wavefront-lane
+/// nest and a lane axis shorter than the strip all keep the plan's b on
+/// every engine.
+#[test]
+fn the_fit_leaves_every_other_plan_alone() {
+    let engines = [EngineKind::Sim, EngineKind::Seq, EngineKind::Threads];
+    let blocks = |lo: &Lowered<2>, nest: &CompiledNest<2>, policy: &BlockPolicy, mode| {
+        engines.map(|kind| run_traced(lo, nest, JobTopology::line(2), policy, mode, kind).0.block)
+    };
+    let tomcatv = tomcatv::build(64).unwrap();
+    let nest = scan_nest(&tomcatv);
+    for (policy, mode, b) in [
+        (BlockPolicy::Fixed(6), KernelMode::Lanes, 6),
+        (BlockPolicy::FullPortion, KernelMode::Lanes, 62),
+        (BlockPolicy::Model2, KernelMode::Scalar, 6),
+        (BlockPolicy::Model2, KernelMode::Interpreted, 6),
+    ] {
+        assert_eq!(blocks(&tomcatv, &nest, &policy, mode), [b; 3], "{policy:?} {mode:?}");
+    }
+
+    // SOR's lanes run along the wavefront diagonal, not the tile axis.
+    let sor = sor::build(64).unwrap();
+    let nest = scan_nest(&sor);
+    assert!(matches!(
+        NestRunner::auto(&nest).lane_plan().map(|p| p.shape),
+        Some(LaneShape::Wavefront { .. })
+    ));
+    assert_eq!(blocks(&sor, &nest, &BlockPolicy::Model2, KernelMode::Lanes), [6; 3]);
+
+    // Figure 3(d) on six columns: the lane axis is the tile dimension,
+    // but shorter than the strip.
+    let narrow = compile_str::<2>(
+        "var a : [1..40, 1..6] float; direction north = (-1, 0);
+         [2..40, 1..6] a := 2.0 * a'@north;",
+        &[],
+        Layout::ColMajor,
+    )
+    .unwrap();
+    let nest = scan_nest(&narrow);
+    let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &BlockPolicy::Model2, &cray_t3e())
+        .unwrap();
+    assert_eq!(plan.tile_dim, Some(1));
+    assert_eq!(
+        NestRunner::auto(&nest).lane_plan().map(|p| p.shape),
+        Some(LaneShape::Axis { dim: 1 })
+    );
+    let b = plan.block;
+    assert_eq!(blocks(&narrow, &nest, &BlockPolicy::Model2, KernelMode::Lanes), [b; 3]);
+}

@@ -233,6 +233,35 @@ fn cache_hit_and_miss_accounting_is_exact() {
     assert_eq!(s.cache_hits, 5);
 }
 
+/// One cached entry serves both plans of a Model2 job whose b is
+/// narrower than the lane strip: the simulator runs the model's b, Seq
+/// and Threads the strip's, on the first submission and on every hit.
+#[test]
+fn a_cached_entry_runs_the_fitted_plan_on_the_executing_engines() {
+    let lo = tomcatv::build(64).unwrap();
+    let compiled = compile(&lo.program).unwrap();
+    let nest = Arc::new(compiled.nests().find(|x| x.is_scan).unwrap().clone());
+    let program = Arc::new(lo.program.clone());
+    let mut store = Store::new(&lo.program);
+    tomcatv::init(&lo, &mut store);
+    let service: WavefrontService<2> = WavefrontService::new();
+    for round in 0..2 {
+        for (engine, b) in [(EngineKind::Sim, 6), (EngineKind::Seq, 8), (EngineKind::Threads, 8)] {
+            let spec = JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
+                .line(2)
+                .block(BlockPolicy::Model2)
+                .machine(cray_t3e())
+                .engine(engine)
+                .store(store.clone())
+                .build()
+                .expect("valid job spec");
+            let out = service.submit(spec).wait().unwrap();
+            assert_eq!(out.outcome.block, b, "round {round} {engine:?}");
+        }
+    }
+    assert_eq!(service.stats().cache_misses, 1, "one fingerprint, one entry");
+}
+
 /// The kernel mode is part of the plan fingerprint: a plan prepared at
 /// one tier must never execute a job requesting another, and each job's
 /// outcome reports the tier its nest actually ran at.

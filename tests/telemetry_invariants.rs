@@ -29,7 +29,8 @@ fn filled_store(lo: &wavefront::lang::Lowered<2>) -> Store<2> {
 }
 
 /// Acceptance invariant: the threaded engine's observed boundary-message
-/// count equals the count the plan predicts statically.
+/// count equals the count the plan it ran predicts statically — under
+/// Model2 the model's plan fitted to the lane strip (`Session::plan`).
 #[test]
 fn threaded_observed_messages_match_plan_prediction() {
     for (p, policy) in [
@@ -39,19 +40,19 @@ fn threaded_observed_messages_match_plan_prediction() {
     ] {
         let (lo, nest) = tomcatv_scan(64);
         let params = cray_t3e();
-        let plan = WavefrontPlan::build(&nest, JobTopology::line(p), &policy, &params).unwrap();
+        let session = || Session::new(&lo.program, &nest).procs(p).block(policy.clone());
+        let plan = session().machine(params).plan().unwrap();
         let predicted = plan.predicted_traffic();
 
         let mut trace = TraceCollector::default();
         let mut store = filled_store(&lo);
-        let out = Session::new(&lo.program, &nest)
-            .procs(p)
-            .block(policy)
+        let out = session()
             .machine(params)
             .collector(&mut trace)
             .store(&mut store)
             .run(EngineKind::Threads)
             .unwrap();
+        assert_eq!(out.block, plan.block, "p={p}");
 
         let report = trace.report();
         assert_eq!(
@@ -69,18 +70,12 @@ fn threaded_observed_messages_match_plan_prediction() {
 
 /// The simulator sends exactly the messages the threaded runtime sends:
 /// both equal the static prediction, so the DES is a faithful traffic
-/// model of the real execution.
+/// model of the real execution. The threads run the model's plan fitted
+/// to the lane strip; the simulator prices that plan as a fixed `b`.
 #[test]
 fn simulator_and_threads_agree_on_traffic() {
     let (lo, nest) = tomcatv_scan(48);
     let p = 6;
-
-    let mut sim_trace = TraceCollector::default();
-    let sim = Session::new(&lo.program, &nest)
-        .procs(p)
-        .collector(&mut sim_trace)
-        .run(EngineKind::Sim)
-        .unwrap();
 
     let mut thr_trace = TraceCollector::default();
     let mut store = filled_store(&lo);
@@ -89,6 +84,14 @@ fn simulator_and_threads_agree_on_traffic() {
         .collector(&mut thr_trace)
         .store(&mut store)
         .run(EngineKind::Threads)
+        .unwrap();
+
+    let mut sim_trace = TraceCollector::default();
+    let sim = Session::new(&lo.program, &nest)
+        .procs(p)
+        .block(BlockPolicy::Fixed(thr.block))
+        .collector(&mut sim_trace)
+        .run(EngineKind::Sim)
         .unwrap();
 
     assert_eq!(sim.messages, thr.messages);
