@@ -3,7 +3,9 @@
 //! and the interpreter evaluate, under the plan the executing engines
 //! run. Counts, not timings, so a noisy host cannot blur them; a change
 //! that pushes a nest onto the remainder path changes this output and
-//! fails `tests/golden.rs`. Run with
+//! fails `tests/golden.rs`. The `lane stride` column says how the lane
+//! kernel moves each nest's lane blocks: `unit` as whole slices,
+//! `strided` or `diagonal` lane by lane. Run with
 //! `cargo run --release -p wavefront-bench --bin counts`.
 //!
 //! Every row is at the repository defaults: a line of two processors,
@@ -62,6 +64,7 @@ fn main() {
         "remainder",
         "interpreter",
         "remainder share",
+        "lane stride",
     ]);
     let rows: [(&str, &str, i64); 8] = [
         ("sweep_large", "tomcatv", 1448),
@@ -91,6 +94,13 @@ fn main() {
             }
         }
         let share = elems.scalar as f64 / (elems.lanes + elems.scalar).max(1) as f64;
+        let shapes: Vec<_> = lowered
+            .program
+            .arrays()
+            .iter()
+            .map(|a| (a.bounds, a.layout))
+            .collect();
+        let stride = runner.lane_stride(&shapes, &plan.order).unwrap_or("-");
         table.row(&[
             workload.to_string(),
             program.to_string(),
@@ -102,6 +112,7 @@ fn main() {
             elems.scalar.to_string(),
             elems.interpreted.to_string(),
             format!("{share:.4}"),
+            stride.to_string(),
         ]);
     }
     table.print();

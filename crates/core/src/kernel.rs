@@ -270,27 +270,95 @@ pub struct TileKernel<const R: usize> {
     pub(crate) regs: usize,
 }
 
-/// A [`TileKernel`] resolved against one store's array geometry:
-/// per-slot layout strides, per-read linear deltas, and the inner-loop
-/// step of every array. Rebind whenever the store's array *bounds or
-/// layouts* change (workers bind once — local stores keep their shape
-/// for the whole run).
+/// A [`TileKernel`] resolved against one store's array geometry and a
+/// loop order: one *cursor* per read slot, then one per statement's
+/// written array, each with everything a tile call needs to place it.
+/// Rebind whenever the store's array *bounds or layouts* change (workers
+/// bind once — local stores keep their shape for the whole run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundKernel<const R: usize> {
-    /// Element strides per array slot, indexed by dimension.
+    /// Per cursor: the [`ArrayId`] of the array it walks, an index into
+    /// the caller's per-array cell table.
+    pub(crate) ids: Vec<ArrayId>,
+    /// Per cursor: its array's element strides, by dimension.
     pub(crate) strides: Vec<[i64; R]>,
-    /// Lower bounds per array slot.
-    pub(crate) lo: Vec<[i64; R]>,
-    /// Per read slot: (array slot, linear element delta of the shift).
-    pub(crate) rd: Vec<(u32, i64)>,
-    /// One cursor step per read slot, then one per statement's written
-    /// array (a single merged vector so the inner loop advances all
-    /// cursors in one pass).
+    /// Per cursor: its linear offset at the grid origin — the read's
+    /// shift delta less the array's lower-bound offset — so the cursor
+    /// at point `p` is `origin + Σ_k strides[k] · p[k]`.
+    pub(crate) origin: Vec<i64>,
+    /// Per cursor: its step along the inner loop.
     pub(crate) steps: Vec<i64>,
+    /// The step every cursor shares, when they all share one.
+    pub(crate) uniform_step: Option<i64>,
+    /// Number of read-slot cursors (the statements' follow them).
+    pub(crate) reads: usize,
     /// The loop order the binding was made for.
     pub(crate) order: [usize; R],
     /// Iteration direction per dimension.
     pub(crate) ascending: [bool; R],
+    /// The lane plan's per-cursor deltas, when bound for one
+    /// ([`NestRunner::bind`] on a lane-tier runner).
+    pub(crate) lanes: Option<crate::kernel_lanes::LaneBinding>,
+}
+
+impl<const R: usize> BoundKernel<R> {
+    /// One cell view per cursor, from the caller's per-array table.
+    pub(crate) fn views<'a>(&self, arrays: &[&'a [Cell<f64>]]) -> Scratch<&'a [Cell<f64>]> {
+        let mut views = Scratch::new(self.ids.len(), &[][..]);
+        for (v, &id) in views.iter_mut().zip(&self.ids) {
+            *v = arrays[id];
+        }
+        views
+    }
+
+    /// Place every cursor at grid point `p`.
+    #[inline(always)]
+    pub(crate) fn seat(&self, p: &[i64; R], cur: &mut [i64]) {
+        for ((c, s), o) in cur.iter_mut().zip(&self.strides).zip(&self.origin) {
+            *c = o + (0..R).map(|k| s[k] * p[k]).sum::<i64>();
+        }
+    }
+}
+
+/// Cursors a tile call keeps its per-call tables for on the stack. A
+/// kernel with more — no shipped or test nest comes near — spills them
+/// to the heap.
+const CURSOR_CAP: usize = 32;
+
+/// A per-call table of `n` entries: on the stack up to [`CURSOR_CAP`],
+/// on the heap past it, so a tile call allocates nothing.
+pub(crate) enum Scratch<T> {
+    Inline([T; CURSOR_CAP], usize),
+    Spill(Vec<T>),
+}
+
+impl<T: Copy> Scratch<T> {
+    pub(crate) fn new(n: usize, fill: T) -> Self {
+        if n <= CURSOR_CAP {
+            Scratch::Inline([fill; CURSOR_CAP], n)
+        } else {
+            Scratch::Spill(vec![fill; n])
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Scratch::Inline(a, n) => &a[..*n],
+            Scratch::Spill(v) => v,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Scratch::Inline(a, n) => &mut a[..*n],
+            Scratch::Spill(v) => v,
+        }
+    }
 }
 
 /// Element strides of an array with the given bounds and layout:
@@ -493,34 +561,60 @@ impl<const R: usize> TileKernel<R> {
     }
 
     /// Resolve the kernel against a store's array geometry and a loop
-    /// order: compute layout strides per array slot, one linear delta
-    /// per read slot, and the inner-loop cursor step per array.
+    /// order: per cursor, the array it walks, its layout strides, its
+    /// offset at the origin and its inner-loop step.
     pub fn bind(&self, store: &Store<R>, order: &LoopStructureOrder<R>) -> BoundKernel<R> {
-        let mut strides = Vec::with_capacity(self.arrays.len());
-        let mut lo = Vec::with_capacity(self.arrays.len());
-        for &id in &self.arrays {
-            let a = store.get(id);
-            strides.push(strides_of(a.bounds(), a.layout()));
-            lo.push(a.bounds().lo());
-        }
-        let rd: Vec<(u32, i64)> = self
+        self.bind_for(|id| store_shape(store, id), order, None)
+    }
+
+    /// [`TileKernel::bind`] against the arrays' bounds and layouts by
+    /// [`ArrayId`], plus the per-cursor lane deltas of `plan`.
+    pub(crate) fn bind_for(
+        &self,
+        shape: impl Fn(ArrayId) -> (Region<R>, Layout),
+        order: &LoopStructureOrder<R>,
+        plan: Option<&crate::kernel_lanes::LanePlan>,
+    ) -> BoundKernel<R> {
+        // (array slot, shift delta) per cursor: read slots, then writes.
+        let slots = self
             .reads
             .iter()
-            .map(|r| {
-                let s = &strides[r.arr as usize];
-                let delta: i64 = (0..R).map(|k| s[k] * r.shift[k]).sum();
-                (u32::from(r.arr), delta)
-            })
-            .collect();
+            .map(|r| (r.arr, r.shift))
+            .chain(self.stmts.iter().map(|sk| (sk.lhs, Offset([0; R]))));
         let inner = order.order[R - 1];
         let dir: i64 = if order.ascending[inner] { 1 } else { -1 };
-        let arr_step: Vec<i64> = strides.iter().map(|s| s[inner] * dir).collect();
-        let steps: Vec<i64> = rd
-            .iter()
-            .map(|&(a, _)| arr_step[a as usize])
-            .chain(self.stmts.iter().map(|sk| arr_step[sk.lhs as usize]))
-            .collect();
-        BoundKernel { strides, lo, rd, steps, order: order.order, ascending: order.ascending }
+        let n = self.reads.len() + self.stmts.len();
+        let mut ids = Vec::with_capacity(n);
+        let mut strides = Vec::with_capacity(n);
+        let mut origin = Vec::with_capacity(n);
+        let mut steps = Vec::with_capacity(n);
+        for (arr, shift) in slots {
+            let id = self.arrays[arr as usize];
+            let (bounds, layout) = shape(id);
+            let s = strides_of(bounds, layout);
+            let lo = bounds.lo();
+            ids.push(id);
+            strides.push(s);
+            origin.push((0..R).map(|k| s[k] * (shift[k] - lo[k])).sum());
+            steps.push(s[inner] * dir);
+        }
+        let uniform_step = match steps.split_first() {
+            Some((s0, rest)) if rest.iter().all(|s| s == s0) => Some(*s0),
+            _ => None,
+        };
+        let mut bk = BoundKernel {
+            ids,
+            strides,
+            origin,
+            steps,
+            uniform_step,
+            reads: self.reads.len(),
+            order: order.order,
+            ascending: order.ascending,
+            lanes: None,
+        };
+        bk.lanes = plan.map(|p| crate::kernel_lanes::LaneBinding::new(&bk, p.shape));
+        bk
     }
 
     /// Convenience: bind against `store` and sweep `region` in one call.
@@ -571,15 +665,11 @@ impl<const R: usize> TileKernel<R> {
         let inner_start = if inner_asc { rlo[inner] } else { rhi[inner] };
         let inner_dir: i64 = if inner_asc { 1 } else { -1 };
 
-        let cells: Vec<&[Cell<f64>]> =
-            self.arrays.iter().map(|&id| arrays[id]).collect();
         // Per read slot / per statement slice views, so a load is one
         // bounds-checked index instead of read-table + slot-table + cursor
         // lookups.
-        let rslices: Vec<&[Cell<f64>]> =
-            bk.rd.iter().map(|&(a, _)| cells[a as usize]).collect();
-        let wslices: Vec<&[Cell<f64>]> =
-            self.stmts.iter().map(|sk| cells[sk.lhs as usize]).collect();
+        let views = bk.views(arrays);
+        let (rslices, wslices) = views.split_at(bk.reads);
 
         // The current outer point; the inner coordinate of `p` stays
         // pinned at the row start (cursors advance instead).
@@ -595,20 +685,15 @@ impl<const R: usize> TileKernel<R> {
             }
         }
 
-        let n_arr = self.arrays.len();
-        let nr = bk.rd.len();
-        let mut base = vec![0i64; n_arr];
+        let nr = bk.reads;
         // One cursor per read slot followed by one per statement. When
         // every cursor moves by the same step (all arrays share their
         // stride along the inner dimension — the usual case, since the
         // inner loop is each layout's unit-stride dimension), the sweep
         // keeps the cursors fixed at the row start and advances a single
         // offset instead.
-        let mut cur = vec![0i64; nr + self.stmts.len()];
-        let uniform_step = match bk.steps.split_first() {
-            Some((s0, rest)) if rest.iter().all(|s| s == s0) => Some(*s0),
-            _ => None,
-        };
+        let mut cur = Scratch::new(views.len(), 0i64);
+        let cur = &mut *cur;
         let mut regs = [0.0f64; MAX_REGS];
 
         // One statement tape at one grid point, with all array cursors
@@ -662,7 +747,7 @@ impl<const R: usize> TileKernel<R> {
         macro_rules! point {
             ($off:expr) => {{
                 let off: i64 = $off;
-                for (j, (sk, ws)) in self.stmts.iter().zip(&wslices).enumerate() {
+                for (j, (sk, ws)) in self.stmts.iter().zip(wslices).enumerate() {
                     let v = eval_stmt!(sk, off);
                     ws[(cur[nr + j] + off) as usize].set(v);
                 }
@@ -670,20 +755,11 @@ impl<const R: usize> TileKernel<R> {
         }
 
         loop {
-            // Row cursors: linear offset of the row-start point in each
-            // array per that array's strides, then one cursor per read
-            // slot (base + shift delta) and per written statement.
-            for ((b, s), l) in base.iter_mut().zip(&bk.strides).zip(&bk.lo) {
-                *b = (0..R).map(|k| s[k] * (p[k] - l[k])).sum();
-            }
-            for (c, (a, d)) in cur.iter_mut().zip(&bk.rd) {
-                *c = base[*a as usize] + d;
-            }
-            for (c, sk) in cur[nr..].iter_mut().zip(&self.stmts) {
-                *c = base[sk.lhs as usize];
-            }
-            if let (Some(step), false) = (uniform_step, self.uses_coords) {
-                if let ([sk], [ws]) = (&self.stmts[..], &wslices[..]) {
+            // Row cursors: the linear offset of the row-start point in
+            // each cursor's array, shifted by its read's delta.
+            bk.seat(&p, cur);
+            if let (Some(step), false) = (bk.uniform_step, self.uses_coords) {
+                if let ([sk], [ws]) = (&self.stmts[..], wslices) {
                     // Single-statement nests (most stencils) drop the
                     // per-point statement loop entirely.
                     let wbase = cur[nr];
@@ -742,6 +818,12 @@ impl<const R: usize> TileKernel<R> {
             }
         }
     }
+}
+
+/// The bounds and layout of array `id` of `store`.
+fn store_shape<const R: usize>(store: &Store<R>, id: ArrayId) -> (Region<R>, Layout) {
+    let a = store.get(id);
+    (a.bounds(), a.layout())
 }
 
 /// One aliased `Cell` view per array of `store`, indexed by [`ArrayId`].
@@ -911,7 +993,24 @@ impl<const R: usize> NestRunner<R> {
         store: &Store<R>,
         order: &LoopStructureOrder<R>,
     ) -> Option<BoundKernel<R>> {
-        self.kernel().map(|k| k.bind(store, order))
+        self.kernel().map(|k| k.bind_for(|id| store_shape(store, id), order, self.lane_plan()))
+    }
+
+    /// The stride class of the lane plan over arrays of the given bounds
+    /// and layouts (indexed by [`ArrayId`]), swept in `order`: `"unit"`
+    /// when every array's lane block is contiguous, so it moves as one
+    /// slice; `"strided"` when some array's lanes lie across its layout,
+    /// and `"diagonal"` for wavefront lanes, both gathered lane by lane.
+    /// `None` below the lane tier.
+    pub fn lane_stride(
+        &self,
+        shapes: &[(Region<R>, Layout)],
+        order: &LoopStructureOrder<R>,
+    ) -> Option<&'static str> {
+        let NestRunner::Lanes(k, plan) = self else {
+            return None;
+        };
+        k.bind_for(|id| shapes[id], order, Some(plan)).lanes.map(|lb| lb.stride_class())
     }
 
     /// Execute one tile: the lane kernel at the lane tier, the bound
@@ -927,12 +1026,12 @@ impl<const R: usize> NestRunner<R> {
         store: &mut Store<R>,
     ) {
         match (self, bound) {
-            (NestRunner::Lanes(k, plan), Some(b)) => {
-                crate::kernel_lanes::run_lanes(k, b, plan, region, store)
+            (NestRunner::Lanes(k, _), Some(b)) => {
+                crate::kernel_lanes::run_lanes_cells(k, b, region, &store_cells(store))
             }
             (NestRunner::Lanes(k, plan), None) => {
-                let b = k.bind(store, order);
-                crate::kernel_lanes::run_lanes(k, &b, plan, region, store)
+                let b = k.bind_for(|id| store_shape(store, id), order, Some(plan));
+                crate::kernel_lanes::run_lanes_cells(k, &b, region, &store_cells(store))
             }
             (NestRunner::Compiled(k, _), Some(b)) => k.run_bound(b, region, store),
             (NestRunner::Compiled(k, _), None) => k.run_region(region, order, store),
@@ -958,8 +1057,8 @@ impl<const R: usize> NestRunner<R> {
         shapes: &[(Region<R>, Layout)],
     ) {
         match (self, bound) {
-            (NestRunner::Lanes(k, plan), Some(b)) => {
-                crate::kernel_lanes::run_lanes_cells(k, b, plan, region, arrays)
+            (NestRunner::Lanes(k, _), Some(b)) => {
+                crate::kernel_lanes::run_lanes_cells(k, b, region, arrays)
             }
             (NestRunner::Compiled(k, _), Some(b)) => k.run_bound_cells(b, region, arrays),
             _ => crate::exec::run_nest_region_cells(nest, region, order, arrays, shapes),

@@ -30,6 +30,20 @@
 //!   and blocks each plane's diagonal segments by [`LANES`], with a
 //!   per-point scalar remainder.
 //!
+//! A lane block moves through memory one of two ways, fixed per array
+//! when the kernel is bound. When the lane direction is an array's
+//! unit-stride dimension, its block is one contiguous run: loaded and
+//! stored as one checked `&[Cell<f64>; LANES]` slice. Otherwise (a
+//! strided lane axis, or any wavefront diagonal) the block is gathered
+//! and stored lane by lane. [`crate::kernel::NestRunner::lane_stride`]
+//! reports which: `unit`, `strided` or `diagonal`.
+//!
+//! Everything a tile call needs that depends only on the store's
+//! geometry and the lane shape — each cursor's array, lane delta and
+//! lane-block step — is computed once, when
+//! [`crate::kernel::NestRunner::bind`] binds the kernel; a tile call
+//! keeps its cursors and cell views on the stack and allocates nothing.
+//!
 //! Bit-identity contract (inherited from [`crate::kernel`]): the lane
 //! executor applies exactly the scalar tape's operator sequence to each
 //! point — no re-association, no fused multiply-add — and lane blocking
@@ -46,8 +60,7 @@ use std::cell::Cell;
 
 use crate::exec::CompiledNest;
 use crate::expr::{BinOp, UnaryOp};
-use crate::kernel::{store_cells, BoundKernel, Instr, LaneCause, Src, StmtKernel, TileKernel};
-use crate::program::Store;
+use crate::kernel::{BoundKernel, Instr, LaneCause, Scratch, Src, StmtKernel, TileKernel};
 use crate::region::{LoopStructureOrder, Region};
 
 /// Lane width: grid points evaluated per tape step. Eight `f64`s fill
@@ -158,37 +171,74 @@ pub fn plan_lanes<const R: usize>(
     Err(LaneCause::Carried)
 }
 
-/// Sweep `region` with the lane executor. `bk` must come from
-/// [`TileKernel::bind`] on the same store geometry, `plan` from
-/// [`plan_lanes`] on the same nest. Falls through to the scalar tape
-/// for remainder slabs and short diagonal segments; results are bitwise
-/// identical to [`TileKernel::run_bound`] either way.
-pub fn run_lanes<const R: usize>(
-    kernel: &TileKernel<R>,
-    bk: &BoundKernel<R>,
-    plan: &LanePlan,
-    region: Region<R>,
-    store: &mut Store<R>,
-) {
-    run_lanes_cells(kernel, bk, plan, region, &store_cells(store));
+/// The per-cursor lane deltas of one [`LanePlan`] over one binding,
+/// computed once by [`NestRunner::bind`](crate::kernel::NestRunner::bind)
+/// and kept in the [`BoundKernel`]: cursors are its read slots, then its
+/// statements' writes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LaneBinding {
+    shape: LaneShape,
+    /// Per cursor: its element displacement from one lane to the next.
+    ldel: Vec<i64>,
+    /// Per cursor: its step from one lane block to the next along the
+    /// sweep's innermost loop.
+    step: Vec<i64>,
 }
 
-/// [`run_lanes`] over a table of per-array cell views (indexed by
-/// `ArrayId`) instead of a store; see
-/// [`TileKernel::run_bound_cells`].
-pub fn run_lanes_cells<const R: usize>(
+impl LaneBinding {
+    pub(crate) fn new<const R: usize>(bk: &BoundKernel<R>, shape: LaneShape) -> Self {
+        let ldel: Vec<i64> = match shape {
+            // Lane `l` displaces the current point by `+l` along `dim`.
+            LaneShape::Axis { dim } => bk.strides.iter().map(|s| s[dim]).collect(),
+            // Lane `l` displaces the segment point by `+l` normalized
+            // along position `p` and `−l` along `q`.
+            LaneShape::Wavefront { p, q } => {
+                let (dim_p, dim_q) = (bk.order[p], bk.order[q]);
+                let dp: i64 = if bk.ascending[dim_p] { 1 } else { -1 };
+                let dq: i64 = if bk.ascending[dim_q] { 1 } else { -1 };
+                bk.strides.iter().map(|s| s[dim_p] * dp - s[dim_q] * dq).collect()
+            }
+        };
+        // The innermost loop moves lane blocks, except when the lane
+        // dimension is not the inner one: then it moves single points of
+        // the inner dimension, as the scalar sweep does.
+        let step = match shape {
+            LaneShape::Axis { dim } if dim != bk.order[R - 1] => bk.steps.clone(),
+            _ => ldel.iter().map(|l| l * LANES as i64).collect(),
+        };
+        LaneBinding { shape, ldel, step }
+    }
+
+    /// See [`NestRunner::lane_stride`](crate::kernel::NestRunner::lane_stride).
+    pub(crate) fn stride_class(&self) -> &'static str {
+        match self.shape {
+            LaneShape::Wavefront { .. } => "diagonal",
+            LaneShape::Axis { .. } if self.ldel.iter().all(|&l| l == 1) => "unit",
+            LaneShape::Axis { .. } => "strided",
+        }
+    }
+}
+
+/// Sweep `region` with the lane executor over a table of per-array cell
+/// views (indexed by `ArrayId`); see [`TileKernel::run_bound_cells`].
+/// `bk` must come from [`NestRunner::bind`](crate::kernel::NestRunner::bind)
+/// on a lane-tier runner of the same nest and store geometry. Falls
+/// through to the scalar tape for remainder slabs and short diagonal
+/// segments; results are bitwise identical to
+/// [`TileKernel::run_bound`] either way.
+pub(crate) fn run_lanes_cells<const R: usize>(
     kernel: &TileKernel<R>,
     bk: &BoundKernel<R>,
-    plan: &LanePlan,
     region: Region<R>,
     arrays: &[&[Cell<f64>]],
 ) {
     if region.is_empty() {
         return;
     }
-    match plan.shape {
-        LaneShape::Axis { dim } => run_axis(kernel, bk, dim, region, arrays),
-        LaneShape::Wavefront { p, q } => run_wavefront(kernel, bk, p, q, region, arrays),
+    let lb = bk.lanes.as_ref().expect("a lane-tier runner binds its lane plan");
+    match lb.shape {
+        LaneShape::Axis { dim } => run_axis(kernel, bk, lb, dim, region, arrays),
+        LaneShape::Wavefront { p, q } => run_wavefront(kernel, bk, lb, p, q, region, arrays),
     }
 }
 
@@ -199,6 +249,7 @@ pub fn run_lanes_cells<const R: usize>(
 fn run_axis<const R: usize>(
     kernel: &TileKernel<R>,
     bk: &BoundKernel<R>,
+    lb: &LaneBinding,
     d: usize,
     region: Region<R>,
     arrays: &[&[Cell<f64>]],
@@ -208,7 +259,7 @@ fn run_axis<const R: usize>(
     let rlo = region.lo();
     let rhi = region.hi();
     if full > 0 {
-        axis_sweep(kernel, bk, d, region.slab(d, rlo[d], rlo[d] + full - 1), arrays);
+        axis_sweep(kernel, bk, lb, d, region.slab(d, rlo[d], rlo[d] + full - 1), arrays);
     }
     if full < ext {
         kernel.run_bound_cells(bk, region.slab(d, rlo[d] + full, rhi[d]), arrays);
@@ -268,25 +319,6 @@ pub(crate) fn lane_elems<const R: usize>(
     }
 }
 
-/// Read-slot and statement-write cell views, in that order.
-type SlotViews<'a> = (Vec<&'a [Cell<f64>]>, Vec<&'a [Cell<f64>]>);
-
-/// Per-slot cell views, exactly as the scalar `run_bound_cells` builds
-/// them from the per-array table: one slice per read slot and per
-/// written statement.
-fn cell_views<'a, const R: usize>(
-    kernel: &TileKernel<R>,
-    bk: &BoundKernel<R>,
-    arrays: &[&'a [Cell<f64>]],
-) -> SlotViews<'a> {
-    let cells: Vec<&[Cell<f64>]> = kernel.arrays.iter().map(|&id| arrays[id]).collect();
-    let rslices: Vec<&[Cell<f64>]> =
-        bk.rd.iter().map(|&(a, _)| cells[a as usize]).collect();
-    let wslices: Vec<&[Cell<f64>]> =
-        kernel.stmts.iter().map(|sk| cells[sk.lhs as usize]).collect();
-    (rslices, wslices)
-}
-
 /// The lane sweep proper. `region.extent(d)` must be a multiple of
 /// [`LANES`]. Loop structure is the scalar sweep's with two changes:
 /// the `d` loop always ascends (legal — it carries nothing) and steps
@@ -294,6 +326,7 @@ fn cell_views<'a, const R: usize>(
 fn axis_sweep<const R: usize>(
     kernel: &TileKernel<R>,
     bk: &BoundKernel<R>,
+    lb: &LaneBinding,
     d: usize,
     region: Region<R>,
     arrays: &[&[Cell<f64>]],
@@ -301,34 +334,22 @@ fn axis_sweep<const R: usize>(
     let rlo = region.lo();
     let rhi = region.hi();
     let inner = bk.order[R - 1];
-    let (rslices, wslices) = cell_views(kernel, bk, arrays);
+    let views = bk.views(arrays);
+    let (rslices, wslices) = views.split_at(bk.reads);
+    let nr = bk.reads;
 
     // Lane `l` displaces the current point by `+l` along `d`.
     let mut cdelta = [0.0f64; R];
     cdelta[d] = 1.0;
-    let ldel_arr: Vec<i64> = bk.strides.iter().map(|s| s[d]).collect();
-    let ldel: Vec<i64> = bk.rd.iter().map(|&(a, _)| ldel_arr[a as usize]).collect();
-    let wdel: Vec<i64> =
-        kernel.stmts.iter().map(|sk| ldel_arr[sk.lhs as usize]).collect();
 
-    let nr = bk.rd.len();
     let lane_inner = d == inner;
     // The innermost sweep: over lane blocks of `d` when `d` is the
     // inner loop, over the inner dimension (original direction,
-    // per-slot steps from the binding) otherwise.
+    // per-cursor steps from the binding) otherwise.
     let n_sweep = if lane_inner {
         (region.extent(d) / LANES as i64) as usize
     } else {
         region.extent(inner) as usize
-    };
-    let istep: Vec<i64> = if lane_inner {
-        bk.rd
-            .iter()
-            .map(|&(a, _)| ldel_arr[a as usize] * LANES as i64)
-            .chain(kernel.stmts.iter().map(|sk| ldel_arr[sk.lhs as usize] * LANES as i64))
-            .collect()
-    } else {
-        bk.steps.clone()
     };
     let inner_start = if lane_inner {
         rlo[d]
@@ -357,39 +378,22 @@ fn axis_sweep<const R: usize>(
         }
     }
 
-    let n_arr = kernel.arrays.len();
-    let mut base = vec![0i64; n_arr];
-    let mut cur = vec![0i64; nr + kernel.stmts.len()];
+    let mut cur = Scratch::new(views.len(), 0i64);
+    let cur = &mut *cur;
     let mut lregs = [[0.0f64; LANES]; MAX_LANE_REGS];
 
     loop {
-        for ((b, s), l) in base.iter_mut().zip(&bk.strides).zip(&bk.lo) {
-            *b = (0..R).map(|k| s[k] * (p[k] - l[k])).sum();
-        }
-        for (c, (a, delta)) in cur.iter_mut().zip(&bk.rd) {
-            *c = base[*a as usize] + delta;
-        }
-        for (c, sk) in cur[nr..].iter_mut().zip(&kernel.stmts) {
-            *c = base[sk.lhs as usize];
-        }
-
+        bk.seat(&p, cur);
         let mut ci = inner_start;
         for _ in 0..n_sweep {
             if kernel.uses_coords {
                 coords[inner] = ci as f64;
             }
             for (j, sk) in kernel.stmts.iter().enumerate() {
-                let v = eval_stmt_lanes(
-                    sk, &mut lregs, &rslices, &cur, &ldel, &coords, &cdelta,
-                );
-                let ws = wslices[j];
-                let wc = cur[nr + j];
-                let wd = wdel[j];
-                for l in 0..LANES {
-                    ws[(wc + l as i64 * wd) as usize].set(v[l]);
-                }
+                let v = eval_stmt_lanes(sk, &mut lregs, rslices, cur, &lb.ldel, &coords, &cdelta);
+                scatter(wslices[j], cur[nr + j], lb.ldel[nr + j], &v);
             }
-            for (c, s) in cur.iter_mut().zip(&istep) {
+            for (c, s) in cur.iter_mut().zip(&lb.step) {
                 *c += *s;
             }
             ci += inner_dir;
@@ -444,6 +448,7 @@ fn axis_sweep<const R: usize>(
 fn run_wavefront<const R: usize>(
     kernel: &TileKernel<R>,
     bk: &BoundKernel<R>,
+    lb: &LaneBinding,
     pp: usize,
     qq: usize,
     region: Region<R>,
@@ -458,30 +463,19 @@ fn run_wavefront<const R: usize>(
     let dq: i64 = if bk.ascending[dim_q] { 1 } else { -1 };
     // Extents by loop *position*.
     let ext: [i64; R] = std::array::from_fn(|pos| region.extent(bk.order[pos]));
-    let (rslices, wslices) = cell_views(kernel, bk, arrays);
+    let views = bk.views(arrays);
+    let (rslices, wslices) = views.split_at(bk.reads);
+    let nr = bk.reads;
 
     // Lane `l` displaces the segment point by `+l` normalized along
     // position `pp` and `−l` along `qq`.
     let mut cdelta = [0.0f64; R];
     cdelta[dim_p] = dp as f64;
     cdelta[dim_q] = -(dq as f64);
-    let ldel_arr: Vec<i64> =
-        bk.strides.iter().map(|s| s[dim_p] * dp - s[dim_q] * dq).collect();
-    let ldel: Vec<i64> = bk.rd.iter().map(|&(a, _)| ldel_arr[a as usize]).collect();
-    let nr = bk.rd.len();
-    // Merged per-cursor lane step (read slots then statement writes),
-    // advancing one point along the segment.
-    let cstep: Vec<i64> = bk
-        .rd
-        .iter()
-        .map(|&(a, _)| ldel_arr[a as usize])
-        .chain(kernel.stmts.iter().map(|sk| ldel_arr[sk.lhs as usize]))
-        .collect();
 
     let dmax: i64 = (0..R).map(|pos| ext[pos] - 1).sum();
-    let n_arr = kernel.arrays.len();
-    let mut base = vec![0i64; n_arr];
-    let mut cur = vec![0i64; nr + kernel.stmts.len()];
+    let mut cur = Scratch::new(views.len(), 0i64);
+    let cur = &mut *cur;
     let mut lregs = [[0.0f64; LANES]; MAX_LANE_REGS];
     let mut pregs = [0.0f64; MAX_LANE_REGS];
 
@@ -505,15 +499,7 @@ fn run_wavefront<const R: usize>(
                 x[dim_q] =
                     if bk.ascending[dim_q] { rlo[dim_q] + jq0 } else { rhi[dim_q] - jq0 };
 
-                for ((b, st), l) in base.iter_mut().zip(&bk.strides).zip(&bk.lo) {
-                    *b = (0..R).map(|k| st[k] * (x[k] - l[k])).sum();
-                }
-                for (c, (a, delta)) in cur.iter_mut().zip(&bk.rd) {
-                    *c = base[*a as usize] + delta;
-                }
-                for (c, sk) in cur[nr..].iter_mut().zip(&kernel.stmts) {
-                    *c = base[sk.lhs as usize];
-                }
+                bk.seat(&x, cur);
                 let mut coords = [0.0f64; R];
                 if kernel.uses_coords {
                     for k in 0..R {
@@ -525,17 +511,12 @@ fn run_wavefront<const R: usize>(
                 for _ in 0..full / LANES as i64 {
                     for (j, sk) in kernel.stmts.iter().enumerate() {
                         let v = eval_stmt_lanes(
-                            sk, &mut lregs, &rslices, &cur, &ldel, &coords, &cdelta,
+                            sk, &mut lregs, rslices, cur, &lb.ldel, &coords, &cdelta,
                         );
-                        let ws = wslices[j];
-                        let wc = cur[nr + j];
-                        let wd = ldel_arr[sk.lhs as usize];
-                        for l in 0..LANES {
-                            ws[(wc + l as i64 * wd) as usize].set(v[l]);
-                        }
+                        scatter(wslices[j], cur[nr + j], lb.ldel[nr + j], &v);
                     }
-                    for (c, st) in cur.iter_mut().zip(&cstep) {
-                        *c += *st * LANES as i64;
+                    for (c, st) in cur.iter_mut().zip(&lb.step) {
+                        *c += *st;
                     }
                     if kernel.uses_coords {
                         coords[dim_p] += (LANES as i64 * dp) as f64;
@@ -544,10 +525,10 @@ fn run_wavefront<const R: usize>(
                 }
                 for _ in 0..rem {
                     for (j, sk) in kernel.stmts.iter().enumerate() {
-                        let v = eval_stmt_point(sk, &mut pregs, &rslices, &cur, &coords);
+                        let v = eval_stmt_point(sk, &mut pregs, rslices, cur, &coords);
                         wslices[j][cur[nr + j] as usize].set(v);
                     }
-                    for (c, st) in cur.iter_mut().zip(&cstep) {
+                    for (c, st) in cur.iter_mut().zip(&lb.ldel) {
                         *c += *st;
                     }
                     if kernel.uses_coords {
@@ -572,12 +553,41 @@ fn run_wavefront<const R: usize>(
     }
 }
 
+/// The [`LANES`] contiguous cells from `at`: one bounds check for the
+/// whole block.
+#[inline(always)]
+fn lane_block(slice: &[Cell<f64>], at: i64) -> &[Cell<f64>; LANES] {
+    let at = at as usize;
+    slice[at..at + LANES].try_into().expect("a range of LANES cells")
+}
+
 /// Gather one read slot's value for all lanes. With `ldel == 1` (lane
-/// dimension is the layout's unit-stride one) this is a contiguous load
-/// the autovectorizer folds into vector registers.
+/// dimension is the layout's unit-stride one) the block moves as one
+/// checked slice, a contiguous load the autovectorizer folds into
+/// vector registers; other deltas load lane by lane.
 #[inline(always)]
 fn gather(slice: &[Cell<f64>], at: i64, ldel: i64) -> [f64; LANES] {
-    std::array::from_fn(|l| slice[(at + l as i64 * ldel) as usize].get())
+    if ldel == 1 {
+        let block = lane_block(slice, at);
+        std::array::from_fn(|l| block[l].get())
+    } else {
+        std::array::from_fn(|l| slice[(at + l as i64 * ldel) as usize].get())
+    }
+}
+
+/// Store one statement's value for all lanes; the counterpart of
+/// [`gather`].
+#[inline(always)]
+fn scatter(slice: &[Cell<f64>], at: i64, ldel: i64, v: &[f64; LANES]) {
+    if ldel == 1 {
+        for (c, &x) in lane_block(slice, at).iter().zip(v) {
+            c.set(x);
+        }
+    } else {
+        for (l, &x) in v.iter().enumerate() {
+            slice[(at + l as i64 * ldel) as usize].set(x);
+        }
+    }
 }
 
 /// Resolve one operand for all lanes. Mirrors the scalar executor's
@@ -835,7 +845,7 @@ mod tests {
     use crate::exec::compile;
     use crate::expr::Expr;
     use crate::kernel::{FallbackReason, KernelMode, KernelTier, NestRunner};
-    use crate::program::Program;
+    use crate::program::{Program, Store};
     use crate::region::Region;
     use crate::stmt::Statement;
 

@@ -6,11 +6,14 @@
 //! the threaded runtime and a proof that the decomposition preserves the
 //! scan block's sequential semantics.
 
+use std::cell::Cell;
 use std::time::Instant;
 
+use wavefront_core::array::Layout;
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::kernel::NestRunner;
 use wavefront_core::program::Store;
+use wavefront_core::region::Region;
 
 use crate::plan::WavefrontPlan;
 use crate::telemetry::{BlockEvent, Collector, EngineKind, Prediction, RunMeta, TimeUnit};
@@ -51,6 +54,18 @@ pub(crate) fn execute_plan_sequential<const R: usize>(
         });
     }
     let bound = runner.bind(store, &plan.order);
+    let shapes: Vec<(Region<R>, Layout)> = store
+        .arrays()
+        .iter()
+        .map(|a| (a.bounds(), a.layout()))
+        .collect();
+    // One cell view per array for the whole run, as each threaded cell
+    // takes its views once.
+    let arrays: Vec<&[Cell<f64>]> = store
+        .arrays_mut()
+        .iter_mut()
+        .map(|a| Cell::from_mut(a.as_mut_slice()).as_slice_of_cells())
+        .collect();
     let epoch = Instant::now();
     for rank in active {
         let owned = plan.dist.owned(rank);
@@ -60,7 +75,7 @@ pub(crate) fn execute_plan_sequential<const R: usize>(
                 continue;
             }
             let start = enabled.then(|| epoch.elapsed().as_secs_f64());
-            runner.run_tile(nest, bound.as_ref(), sub, &plan.order, store);
+            runner.run_tile_cells(nest, bound.as_ref(), sub, &plan.order, &arrays, &shapes);
             if let Some(start) = start {
                 collector.block(BlockEvent {
                     proc: rank,

@@ -154,6 +154,11 @@ wire_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/sr
 # top-level `#[cfg(test)]`, test-only `*_tests.rs` files skipped.
 crate_lines=$(find crates/pipeline/src -name '*.rs' -not -name '*_tests.rs' -print0 |
     xargs -0 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }')
+# The kernel tiers' shipped lines: each `crates/core/src/kernel*.rs` up to
+# its first top-level `#[cfg(test)]` (ROADMAP item 7 deletes the scalar
+# tape, and this is the number it moves).
+kernel_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' \
+    crates/core/src/kernel*.rs)
 echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$pub_lines pub lines in crates/pipeline/src;" \
     "$unsafe_blocks unsafe blocks outside #[cfg(test)] in crates/ and src/;" \
@@ -161,4 +166,5 @@ echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$service_lines shipped lines in crates/pipeline/src/service/*.rs;" \
     "$sim_lines shipped lines in crates/pipeline/src/exec_sim.rs;" \
     "$wire_lines shipped lines in crates/pipeline/src/service/wire.rs;" \
-    "$crate_lines shipped lines in crates/pipeline/src"
+    "$crate_lines shipped lines in crates/pipeline/src;" \
+    "$kernel_lines shipped lines in crates/core/src/kernel*.rs"

@@ -1015,6 +1015,12 @@ fn check<const R: usize>(
         compiled.ops.len(),
         compiled.nests().count()
     );
+    let shapes: Vec<_> = lowered
+        .program
+        .arrays()
+        .iter()
+        .map(|a| (a.bounds, a.layout))
+        .collect();
     for (k, nest) in compiled.nests().enumerate() {
         let kind = if nest.is_scan { "scan" } else { "plain" };
         let dirs: Vec<&str> = nest
@@ -1036,8 +1042,10 @@ fn check<const R: usize>(
         let runner = NestRunner::with_mode(nest, mode);
         let shape = match (runner.kernel(), runner.lane_plan()) {
             (Some(kern), plan) => {
+                let stride = runner.lane_stride(&shapes, &nest.structure.order);
                 let lanes = plan
-                    .map(|p| format!(", {}", p.describe()))
+                    .zip(stride)
+                    .map(|(p, stride)| format!(", {}, {stride} stride", p.describe()))
                     .unwrap_or_default();
                 format!(
                     " ({} instrs, {} regs, {} reads{lanes})",

@@ -23,6 +23,35 @@ fn check_reports_wavefront_analysis() {
 }
 
 #[test]
+fn check_reports_the_lane_stride() {
+    // `wlc` lays arrays out column-major: Tomcatv's parallel nests lane
+    // along dim 0, its scans along dim 1.
+    for (args, want) in [
+        (vec![programs("tomcatv.wf")], "axis dim 0, unit stride"),
+        (vec![programs("tomcatv.wf")], "axis dim 1, strided stride"),
+        (
+            vec![
+                programs("sweep_octant.wf"),
+                "--rank".into(),
+                "3".into(),
+                "-D".into(),
+                "n=8".into(),
+            ],
+            "wavefront diagonal, diagonal stride",
+        ),
+    ] {
+        let out = wlc().arg("check").args(&args).output().expect("wlc runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(want), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
 fn run_reproduces_figure_3f() {
     let out = wlc()
         .args(["run", &programs("fig3.wf"), "--fill", "a=1", "--print", "a"])

@@ -1,0 +1,145 @@
+//! Heap allocations per kernel tile call. Everything a tile needs that
+//! depends only on the store's geometry and the lane shape is computed
+//! once, by `NestRunner::bind`; a tile call then keeps its cursors and
+//! cell views on the stack. One `run_tile_cells` call must allocate
+//! nothing, on every lane shape, stride class and tier that compiles.
+//!
+//! Counted with a counting `#[global_allocator]`, per thread, so the
+//! other tests of this binary running alongside do not disturb a count.
+
+use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
+use std::cell::Cell;
+
+use wavefront::core::prelude::*;
+use wavefront::kernels::{sor, tomcatv};
+use wavefront::lang::compile_str;
+
+thread_local! {
+    /// Allocations this thread has asked the allocator for.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread how often it is asked.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local `Cell`
+// with no destructor and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// The double-buffered relaxation the loop workloads step: lanes along
+/// the row-major unit-stride dimension.
+const RELAX: &str = "
+    const n = 8;
+    region Big   = [0..n+1, 0..n+1];
+    region Inner = [1..n, 1..n];
+    direction north = (-1, 0);
+    direction east  = (0, 1);
+    var next, curr, load : [Big] float;
+    [Inner] next := 0.5 * next'@north + 0.4 * curr + 0.1 * load@east;
+";
+
+/// Bind the first scan nest of `program` under `mode`, then run it whole
+/// as one tile: returns the heap allocations of that one
+/// `run_tile_cells` call, the tier it ran on, its lane stride class, and the points the scalar remainder took.
+fn one_tile(
+    program: &Program<2>,
+    mode: KernelMode,
+) -> (usize, KernelTier, Option<&'static str>, usize) {
+    let compiled = compile(program).expect("compiles");
+    let nest = compiled
+        .nests()
+        .find(|x| x.is_scan)
+        .unwrap_or_else(|| compiled.nest(0));
+    let order = &nest.structure.order;
+    let runner = NestRunner::with_mode(nest, mode);
+    let mut store = Store::new(program);
+    // Filled in place: each array keeps its declared layout.
+    for id in 0..store.len() {
+        let a = store.get_mut(id);
+        for q in a.bounds().iter() {
+            a.set(q, 1.0 + 0.01 * ((q[0] * 7 + q[1] * 3) % 11) as f64);
+        }
+    }
+    let bound = runner.bind(&store, order);
+    let shapes: Vec<(Region<2>, Layout)> = store
+        .arrays()
+        .iter()
+        .map(|a| (a.bounds(), a.layout()))
+        .collect();
+    let stride = runner.lane_stride(&shapes, order);
+    let arrays: Vec<&[Cell<f64>]> = store
+        .arrays_mut()
+        .iter_mut()
+        .map(|a| Cell::from_mut(a.as_mut_slice()).as_slice_of_cells())
+        .collect();
+    let before = ALLOCS.with(Cell::get);
+    runner.run_tile_cells(nest, bound.as_ref(), nest.region, order, &arrays, &shapes);
+    let allocs = ALLOCS.with(Cell::get) - before;
+    (
+        allocs,
+        runner.tier(),
+        stride,
+        runner.tier_elems(nest.region, order).scalar,
+    )
+}
+
+fn relax(n: i64) -> Program<2> {
+    compile_str::<2>(RELAX, &[("n", n)], Layout::RowMajor)
+        .expect("relax lowers")
+        .program
+}
+
+#[test]
+fn lane_axis_unit_stride_tile_allocates_nothing() {
+    // 16 columns: two whole lane blocks per row, no remainder.
+    let (allocs, tier, stride, rem) = one_tile(&relax(16), KernelMode::Lanes);
+    assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
+    assert_eq!(allocs, 0, "allocations in one unit-stride axis tile");
+}
+
+#[test]
+fn lane_axis_strided_tile_allocates_nothing() {
+    let program = tomcatv::build(32).expect("tomcatv lowers").program;
+    let (allocs, tier, stride, _) = one_tile(&program, KernelMode::Lanes);
+    assert_eq!((tier, stride), (KernelTier::Lanes, Some("strided")));
+    assert_eq!(allocs, 0, "allocations in one strided axis tile");
+}
+
+#[test]
+fn lane_axis_tile_with_a_remainder_slab_allocates_nothing() {
+    // 21 columns: two lane blocks and a 5-wide slab on the scalar tape.
+    let (allocs, tier, stride, rem) = one_tile(&relax(21), KernelMode::Lanes);
+    assert_eq!((tier, stride), (KernelTier::Lanes, Some("unit")));
+    assert_eq!(rem, 5 * 21, "the tile has a scalar remainder slab");
+    assert_eq!(allocs, 0, "allocations in one axis tile with a remainder");
+}
+
+#[test]
+fn lane_wavefront_tile_allocates_nothing() {
+    let program = sor::build(32).expect("sor lowers").program;
+    let (allocs, tier, stride, rem) = one_tile(&program, KernelMode::Lanes);
+    assert_eq!((tier, stride), (KernelTier::Lanes, Some("diagonal")));
+    assert!(rem > 0, "short diagonal segments run point by point");
+    assert_eq!(allocs, 0, "allocations in one wavefront tile");
+}
+
+#[test]
+fn scalar_tier_tile_allocates_nothing() {
+    let (allocs, tier, stride, _) = one_tile(&relax(16), KernelMode::Scalar);
+    assert_eq!((tier, stride), (KernelTier::Scalar, None));
+    assert_eq!(allocs, 0, "allocations in one scalar-tape tile");
+}

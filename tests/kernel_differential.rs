@@ -592,3 +592,168 @@ fn all_five_benchmarks_hit_the_fast_path() {
     assert_fastpath("smith_waterman", &sw_lo.program);
     assert_fastpath("sweep3d", &sw3_lo.program);
 }
+
+/// [`init_store`]'s values, written in place, so every array keeps the
+/// layout its program declares.
+fn init_in_layout(p: &Program<2>, seed: u64) -> Store<2> {
+    let values = init_store(p, seed);
+    let mut store = Store::new(p);
+    for id in 0..store.len() {
+        let a = store.get_mut(id);
+        for q in a.bounds().iter() {
+            a.set(q, values.get(id).get(q));
+        }
+    }
+    store
+}
+
+/// Run `prog`'s one nest on the lane tier standalone, then on Seq and
+/// Threads over two and three processors under `Fixed(b)` for every `b`
+/// in `blocks`: every array must match the interpreter bit for bit, and
+/// the runner must report the lane `stride` class.
+fn lanes_match_interpreter(
+    what: &str,
+    prog: &Program<2>,
+    stride: &str,
+    blocks: std::ops::RangeInclusive<usize>,
+) {
+    let compiled = compile(prog).unwrap();
+    let nest = compiled.nest(0);
+    let runner = NestRunner::auto(nest);
+    assert_eq!(runner.tier(), KernelTier::Lanes, "{what}");
+
+    let mut reference = init_in_layout(prog, 7);
+    run_nest_with_sink(nest, &mut reference, &mut NoSink);
+    let same = |got: &Store<2>, how: &str| {
+        for id in 0..reference.len() {
+            let r = reference.get(id);
+            assert_eq!(r.layout(), got.get(id).layout(), "{what}: {how} array {id}");
+            assert!(
+                r.region_eq(got.get(id), r.bounds()),
+                "{what}: {how} array {id} differs"
+            );
+        }
+    };
+
+    let mut direct = init_in_layout(prog, 7);
+    let shapes: Vec<(Region<2>, Layout)> = direct
+        .arrays()
+        .iter()
+        .map(|a| (a.bounds(), a.layout()))
+        .collect();
+    let order = &nest.structure.order;
+    assert_eq!(runner.lane_stride(&shapes, order), Some(stride), "{what}");
+    let bound = runner.bind(&direct, order);
+    runner.run_tile(
+        nest,
+        bound.as_ref(),
+        nest.region,
+        &nest.structure.order,
+        &mut direct,
+    );
+    same(&direct, "standalone");
+
+    for b in blocks {
+        for p in [2, 3] {
+            for kind in [EngineKind::Seq, EngineKind::Threads] {
+                let mut got = init_in_layout(prog, 7);
+                Session::new(prog, nest)
+                    .procs(p)
+                    .block(BlockPolicy::Fixed(b))
+                    .machine(cray_t3e())
+                    .store(&mut got)
+                    .run(kind)
+                    .unwrap();
+                same(&got, &format!("{kind:?} p={p} b={b}"));
+            }
+        }
+    }
+}
+
+/// One lane block over a row-major and a column-major array: lanes run
+/// along dim 1, unit-stride in one array and strided in the other, so a
+/// block moves some slots as slices and gathers the rest lane by lane.
+/// Both ways round: the written array unit-stride, then strided.
+#[test]
+fn mixed_stride_lane_blocks_are_bit_identical() {
+    let n = 21i64;
+    let bounds = Region::rect([0, 0], [n + 1, n + 1]);
+    for (wl, rl) in [
+        (Layout::RowMajor, Layout::ColMajor),
+        (Layout::ColMajor, Layout::RowMajor),
+    ] {
+        let mut prog = Program::<2>::new();
+        let a = prog.array_with_layout("a", bounds, wl);
+        let b = prog.array_with_layout("b", bounds, rl);
+        prog.stmt(
+            Region::rect([2, 2], [n - 1, n - 1]),
+            a,
+            Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0])
+                + Expr::read_at(b, [0, 1])
+                + Expr::lit(0.25) * Expr::read(b)
+                - Expr::read_at(a, [0, 0]) * Expr::lit(0.125),
+        );
+        lanes_match_interpreter(&format!("a {wl:?}, b {rl:?}"), &prog, "strided", 3..=9);
+    }
+}
+
+/// A unit-stride lane axis under every block size 1..=17, on Seq and
+/// Threads: the tile slabs fall on and off the 8-point lane grid, with
+/// scalar remainders of every width.
+#[test]
+fn unit_stride_lanes_under_every_block_size() {
+    let n = 29i64;
+    let bounds = Region::rect([0, 0], [n + 1, n + 1]);
+    let mut prog = Program::<2>::new();
+    let next = prog.array("next", bounds);
+    let curr = prog.array("curr", bounds);
+    prog.stmt(
+        Region::rect([1, 1], [n, n]),
+        next,
+        Expr::lit(0.5) * Expr::read_primed_at(next, [-1, 0])
+            + Expr::lit(0.4) * Expr::read(curr)
+            + Expr::lit(0.1) * Expr::read_at(curr, [0, 1]),
+    );
+    lanes_match_interpreter("relax", &prog, "unit", 1..=17);
+}
+
+/// Two statements chained at one point on unit-stride lanes: the second
+/// reads, through a slice, the block the first just stored as one.
+#[test]
+fn same_point_chain_on_unit_stride_lanes() {
+    let n = 19i64;
+    let bounds = Region::rect([1, 1], [n, n]);
+    let mut prog = Program::<2>::new();
+    let r = prog.array("r", bounds);
+    let aa = prog.array("aa", bounds);
+    let d = prog.array("d", bounds);
+    prog.scan(
+        Region::rect([2, 1], [n, n]),
+        vec![
+            Statement::new(r, Expr::read(aa) * Expr::read_primed_at(d, [-1, 0])),
+            Statement::new(
+                d,
+                (Expr::lit(2.0) - Expr::read_at(aa, [-1, 0]) * Expr::read(r)).recip(),
+            ),
+        ],
+    );
+    lanes_match_interpreter("chain", &prog, "unit", 4..=9);
+}
+
+/// A nest with more cursors (39: 38 read slots and one write) than a
+/// tile call keeps on the stack (32) spills its per-call tables to the
+/// heap, on the lane strip and on its scalar remainder, and still
+/// matches bit for bit.
+#[test]
+fn a_nest_past_the_stack_cursor_cap_still_matches() {
+    let n = 21i64;
+    let mut prog = Program::<2>::new();
+    let a = prog.array("a", Region::rect([0, 0], [n + 1, n + 40]));
+    let b = prog.array("b", Region::rect([0, 0], [n + 1, n + 40]));
+    let mut rhs = Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0]);
+    for k in -18i64..=18 {
+        rhs = rhs + Expr::lit(0.01 * (k + 19) as f64) * Expr::read_at(b, [0, k]);
+    }
+    prog.stmt(Region::rect([2, 20], [n - 1, n + 19]), a, rhs);
+    lanes_match_interpreter("wide", &prog, "unit", 5..=5);
+}
