@@ -5,7 +5,10 @@
 //! that pushes a nest onto the remainder path changes this output and
 //! fails `tests/golden.rs`. The `lane stride` column says how the lane
 //! kernel moves each nest's lane blocks: `unit` as whole slices,
-//! `strided` or `diagonal` lane by lane. Run with
+//! `strided` or `diagonal` lane by lane; for `unit` lanes, `row bytes`
+//! is how far apart their rows lie, and from a page (4,096 bytes) on
+//! the engines run wider tiles than Model2's (`WavefrontPlan::fit`
+//! prices each row start). Run with
 //! `cargo run --release -p wavefront-bench --bin counts`.
 //!
 //! Every row is at the repository defaults: a line of two processors,
@@ -65,6 +68,7 @@ fn main() {
         "interpreter",
         "remainder share",
         "lane stride",
+        "row bytes",
     ]);
     let rows: [(&str, &str, i64); 8] = [
         ("sweep_large", "tomcatv", 1448),
@@ -94,13 +98,11 @@ fn main() {
             }
         }
         let share = elems.scalar as f64 / (elems.lanes + elems.scalar).max(1) as f64;
-        let shapes: Vec<_> = lowered
-            .program
-            .arrays()
-            .iter()
-            .map(|a| (a.bounds, a.layout))
-            .collect();
+        let shapes = lowered.program.shapes();
         let stride = runner.lane_stride(&shapes, &plan.order).unwrap_or("-");
+        let row_bytes = runner
+            .lane_row_bytes(&shapes, &plan.order)
+            .map_or("-".to_string(), |b| b.to_string());
         table.row(&[
             workload.to_string(),
             program.to_string(),
@@ -113,6 +115,7 @@ fn main() {
             elems.interpreted.to_string(),
             format!("{share:.4}"),
             stride.to_string(),
+            row_bytes,
         ]);
     }
     table.print();

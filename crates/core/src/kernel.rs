@@ -1013,6 +1013,32 @@ impl<const R: usize> NestRunner<R> {
         k.bind_for(|id| shapes[id], order, Some(plan)).lanes.map(|lb| lb.stride_class())
     }
 
+    /// How far apart, in bytes, two rows of a `"unit"`-stride lane plan
+    /// lie over arrays of the given bounds and layouts (as for
+    /// [`NestRunner::lane_stride`]): the smallest stride, over every
+    /// array the nest touches, of the loop `order` runs just outside the
+    /// lane dimension once that dimension is innermost. `None` for
+    /// strided and diagonal lanes, below the lane tier, and at rank 1.
+    pub fn lane_row_bytes(
+        &self,
+        shapes: &[(Region<R>, Layout)],
+        order: &LoopStructureOrder<R>,
+    ) -> Option<usize> {
+        let NestRunner::Lanes(k, plan) = self else {
+            return None;
+        };
+        let crate::kernel_lanes::LaneShape::Axis { dim } = plan.shape else {
+            return None;
+        };
+        let row = *order.order.iter().rev().find(|&&d| d != dim)?;
+        let bk = k.bind_for(|id| shapes[id], order, Some(plan));
+        if bk.lanes?.stride_class() != "unit" {
+            return None;
+        }
+        let elems = bk.strides.iter().map(|s| s[row].unsigned_abs() as usize).min()?;
+        Some(elems * std::mem::size_of::<f64>())
+    }
+
     /// Execute one tile: the lane kernel at the lane tier, the bound
     /// scalar kernel when compiled, the reference interpreter otherwise.
     /// `bound` must come from [`NestRunner::bind`] on the same store

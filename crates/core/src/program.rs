@@ -124,6 +124,11 @@ impl<const R: usize> Program<R> {
         &self.arrays
     }
 
+    /// Each declared array's bounds and layout, indexed by [`ArrayId`].
+    pub fn shapes(&self) -> Vec<(Region<R>, Layout)> {
+        self.arrays.iter().map(|a| (a.bounds, a.layout)).collect()
+    }
+
     /// The operations in execution order.
     pub fn ops(&self) -> &[ProgramOp<R>] {
         &self.ops

@@ -49,14 +49,14 @@ use std::time::{Duration, Instant};
 use wavefront_core::array::{DenseArray, Layout, SharedCells};
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::expr::ArrayId;
-use wavefront_core::kernel::{BoundKernel, KernelMode, NestRunner};
+use wavefront_core::kernel::{BoundKernel, NestRunner};
 use wavefront_core::program::Store;
 use wavefront_core::region::Region;
 
 use crate::link::Progress;
 use crate::plan::WavefrontPlan;
-use crate::schedule::BlockPolicy;
 use crate::service::pool::WorkerPool;
+use crate::session::SessionConfig;
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
 };
@@ -115,24 +115,25 @@ pub(crate) struct ThreadReport {
 pub(crate) struct NestPrep<const R: usize> {
     written: Vec<ArrayId>,
     pub(crate) runner: NestRunner<R>,
-    /// `plan`, fitted to the runner's lane strip
-    /// ([`WavefrontPlan::fit_to_strip`]).
+    /// `plan`, fitted to the runner's lane strip and the arrays' rows
+    /// ([`WavefrontPlan::fit`]).
     pub(crate) plan: Arc<WavefrontPlan<R>>,
 }
 
-/// Lower `nest` under `kernel_mode` for `plan`, which `policy` built,
-/// and fit the plan to the lowered kernel.
+/// Lower `nest` under `cfg`'s kernel mode for `plan`, which `cfg`'s
+/// policy built, and fit the plan to the lowered kernel over arrays of
+/// the given bounds and layouts (indexed by [`ArrayId`]).
 pub(crate) fn prepare<const R: usize>(
     nest: &CompiledNest<R>,
     plan: &Arc<WavefrontPlan<R>>,
-    policy: &BlockPolicy,
-    kernel_mode: KernelMode,
+    cfg: &SessionConfig,
+    shapes: &[(Region<R>, Layout)],
 ) -> NestPrep<R> {
     let mut written: Vec<ArrayId> = nest.stmts.iter().map(|s| s.lhs).collect();
     written.sort_unstable();
     written.dedup();
-    let runner = NestRunner::with_mode(nest, kernel_mode);
-    let plan = match plan.fit_to_strip(policy, &runner) {
+    let runner = NestRunner::with_mode(nest, cfg.kernel_mode);
+    let plan = match plan.fit(&cfg.block, &cfg.machine, &runner, shapes) {
         Some(fitted) => Arc::new(fitted),
         None => Arc::clone(plan),
     };
@@ -1075,6 +1076,14 @@ pub(crate) mod test_hooks {
 mod handoff_tests;
 
 #[cfg(test)]
+/// The config under which [`prepare`] keeps a plan of width `b` as
+/// built, lowered under `kernel_mode`.
+pub(crate) fn fixed(b: usize, kernel_mode: wavefront_core::kernel::KernelMode) -> SessionConfig {
+    let fixed = crate::schedule::BlockPolicy::Fixed(b);
+    SessionConfig::default().block(fixed).kernel_mode(kernel_mode)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::tests::{init_sweep, mesh_plan, sweep_nest, tomcatv_nest};
@@ -1097,7 +1106,7 @@ mod tests {
         let workers = WorkerPool::new();
         let nest = Arc::new(nest.clone());
         let plan = Arc::new(plan.clone());
-        let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(plan.block), kernel_mode));
+        let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &[]));
         let c = &mut NoopCollector;
         execute_threaded(&workers, &nest, &prep, store, 1, &[], true, c)
     }

@@ -150,7 +150,7 @@ fn run_on<const R: usize>(
     collector: &mut dyn Collector,
 ) -> ThreadReport {
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
-    let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(plan.block), kernel_mode));
+    let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &[]));
     execute_threaded(workers, &nest, &prep, store, iters, rotate, true, collector)
 }
 
@@ -191,7 +191,7 @@ fn engine_pair<const R: usize>(
     collector: &mut dyn Collector,
 ) -> [(Store<R>, ThreadReport); 2] {
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
-    let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(plan.block), kernel_mode));
+    let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &[]));
     let workers = WorkerPool::new();
     let (tx, rx) = channel();
     for k in 0..2 {
@@ -721,7 +721,7 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
     let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(1), &t3e()).unwrap();
     assert!(plan.tiles.len() > 6);
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan));
-    let prep = Arc::new(prepare(&nest, &plan, &BlockPolicy::Fixed(1), KernelMode::Lanes));
+    let prep = Arc::new(prepare(&nest, &plan, &fixed(1, KernelMode::Lanes), &[]));
     let workers = Arc::new(WorkerPool::new());
     let started = Arc::new(AtomicUsize::new(0));
 

@@ -11,6 +11,7 @@
 //! wave enters at one corner and every processor forwards boundary
 //! faces along both axes as it finishes each block.
 
+use wavefront_core::array::Layout;
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::expr::ArrayId;
 use wavefront_core::kernel::NestRunner;
@@ -23,6 +24,17 @@ use crate::error::PipelineError;
 use crate::exec_sim::simulate_plan_collected;
 use crate::schedule::{BlockCtx, BlockPolicy};
 use crate::telemetry::NoopCollector;
+
+/// Cost of starting one row of a tile when each row lands on a new
+/// page, in per-element costs: what a row start adds to the per-tile
+/// fixed cost α when the engines re-fit a model's `b`
+/// ([`WavefrontPlan::fit`]). Measured by sweeping the engines' width on
+/// a 1024² relaxation; `docs/PERF.md`, "Rows the memory can stream".
+const ROW_START: f64 = 16.0;
+
+/// The row stride, in bytes, from which every row of a tile starts on
+/// a new page.
+const PAGE_BYTES: usize = 4096;
 
 /// Per-element computation cost of `nest` for the DES cost models: the
 /// compiled tile kernel's instruction count when the nest compiles
@@ -355,30 +367,63 @@ impl<const R: usize> WavefrontPlan<R> {
     }
 
     /// The plan the executing engines run when `runner` executes this
-    /// plan, which `policy` built, or `None` when that is this plan. A
-    /// model's `b` narrower than the lane strip, on a tile dimension
-    /// that is the lane kernel's axis and at least [`LANES`] long, would
-    /// put every point of every tile on the scalar remainder, so it is
-    /// re-cut at `b = LANES`. A programmer's `b` ([`BlockPolicy::Fixed`],
+    /// plan, which `policy` built on `machine`, over arrays of the given
+    /// bounds and layouts (indexed by [`ArrayId`]), or `None` when that
+    /// is this plan. Only a model's `b` on a tile dimension that is the
+    /// lane kernel's axis, at least [`LANES`] long, is re-fitted:
+    ///
+    /// * a `b` narrower than the lane strip would put every point of
+    ///   every tile on the scalar remainder, so it becomes [`LANES`];
+    /// * when the lane blocks move as unit-stride slices and their rows
+    ///   lie at least [`PAGE_BYTES`] apart, every row of a tile starts on
+    ///   a new page. Model2 then prices that start, [`ROW_START`] element
+    ///   costs per row of the tile, as part of the per-tile fixed cost α;
+    ///   `b` becomes the larger of the model's and that optimum rounded
+    ///   up to a multiple of [`LANES`], and the lane dimension moves
+    ///   innermost in the tile order, so a tile walks whole row segments.
+    ///   An axis lane dimension carries no dependence, so the order stays
+    ///   legal.
+    ///
+    /// A programmer's `b` ([`BlockPolicy::Fixed`],
     /// [`BlockPolicy::FullPortion`]), a runner without a lane strip and
     /// a wavefront-lane nest keep the plan, and so does the simulator:
-    /// the paper's machines have no strip.
-    pub(crate) fn fit_to_strip(
+    /// the paper's machines have neither strips nor pages.
+    pub(crate) fn fit(
         &self,
         policy: &BlockPolicy,
+        machine: &MachineParams,
         runner: &NestRunner<R>,
+        shapes: &[(Region<R>, Layout)],
     ) -> Option<Self> {
         let k = self.tile_dim?;
         let modelled = !matches!(policy, BlockPolicy::Fixed(_) | BlockPolicy::FullPortion);
         let lane_axis = runner
             .lane_plan()
             .is_some_and(|lp| lp.shape == LaneShape::Axis { dim: k });
-        let narrow = self.block < LANES && self.region.extent(k) >= LANES as i64;
-        (modelled && lane_axis && narrow).then(|| {
-            let mut fitted = self.clone();
-            fitted.cut(k, LANES);
-            fitted
-        })
+        let extent = self.region.extent(k);
+        if !modelled || !lane_axis || extent < LANES as i64 {
+            return None;
+        }
+        let mut fitted = self.clone();
+        let mut b = self.block.max(LANES);
+        let paged = runner
+            .lane_row_bytes(shapes, &self.order)
+            .is_some_and(|bytes| bytes >= PAGE_BYTES);
+        if paged {
+            let ctx = self.block_ctx(*machine)?;
+            let rows = self.region.len() / extent as usize / self.procs();
+            let mut priced = ctx;
+            priced.machine.alpha += rows as f64 * ROW_START * ctx.work;
+            let wide = BlockPolicy::Model2.resolve(&priced).next_multiple_of(LANES);
+            b = b.max(wide).min(extent as usize);
+            let at = fitted.order.order.iter().position(|&d| d == k)?;
+            fitted.order.order[at..].rotate_left(1);
+        }
+        if b == self.block && fitted.order == self.order {
+            return None;
+        }
+        fitted.cut(k, b);
+        Some(fitted)
     }
 
     /// The width among `widths` whose plan the DES runs fastest on

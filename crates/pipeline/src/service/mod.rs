@@ -156,13 +156,13 @@ struct Entry<const R: usize> {
 }
 
 impl<const R: usize> Entry<R> {
-    /// The kernel preparation, lowered on first use. The block policy
-    /// and the kernel-tier ceiling are part of the cache fingerprint, so
-    /// they are constant per entry — a cached plan compiled at one tier
-    /// never executes at another.
-    fn prep(&self, cfg: &SessionConfig) -> Arc<NestPrep<R>> {
+    /// The kernel preparation, lowered on first use. The session config
+    /// and `program`'s array declarations are part of the cache
+    /// fingerprint, so they are constant per entry — a cached plan
+    /// compiled at one tier never executes at another.
+    fn prep(&self, cfg: &SessionConfig, program: &Program<R>) -> Arc<NestPrep<R>> {
         Arc::clone(self.prep.get_or_init(|| {
-            Arc::new(prepare(&self.nest, &self.plan, &cfg.block, cfg.kernel_mode))
+            Arc::new(prepare(&self.nest, &self.plan, cfg, &program.shapes()))
         }))
     }
 }
@@ -327,7 +327,7 @@ impl ExecCore {
         } else if !has_store {
             return Err(PipelineError::MissingStore);
         } else {
-            let prep = entry.prep(cfg);
+            let prep = entry.prep(cfg, program);
             self.count_kernel(&prep.runner);
             Some(prep)
         };

@@ -118,9 +118,11 @@ pub struct RunOutcome {
     /// which shares one store).
     pub messages: usize,
     /// Block size of the plan that ran. The simulator runs the model's
-    /// `b`; the executing engines run a model's `b` narrower than the
-    /// lane kernel's strip, on the tile dimension the strip lies along,
-    /// at the strip's width instead. A fixed `b` always runs as given.
+    /// `b`; the executing engines re-fit a model's `b` on the tile
+    /// dimension the lane kernel's strip lies along: never narrower than
+    /// the strip, and, when the arrays' rows are page-strided, wide
+    /// enough to pay for starting each row ([`WavefrontPlan::fit`]). A
+    /// fixed `b` always runs as given.
     pub block: usize,
     /// Number of tiles along the orthogonal dimension.
     pub tiles: usize,
@@ -258,16 +260,17 @@ impl<'a, const R: usize> Session<'a, R> {
     }
 
     /// Build the wavefront plan this session would run on the executing
-    /// engines (Seq and Threads): the model's plan, re-cut at the lane
-    /// strip when the model's `b` is narrower than the kernel's strip
-    /// on the tile dimension (see [`RunOutcome::block`]).
+    /// engines (Seq and Threads): the model's plan, re-fitted to the
+    /// kernel's lane strip and to the program's arrays when their rows
+    /// are page-strided (see [`RunOutcome::block`]).
     /// [`Session::estimate`] and `run(EngineKind::Sim)` price the
     /// model's plan, [`WavefrontPlan::build`].
     pub fn plan(&self) -> Result<WavefrontPlan<R>, PipelineError> {
         let plan =
             WavefrontPlan::build(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)?;
         let runner = NestRunner::with_mode(self.nest, self.cfg.kernel_mode);
-        Ok(plan.fit_to_strip(&self.cfg.block, &runner).unwrap_or(plan))
+        let shapes = self.program.shapes();
+        Ok(plan.fit(&self.cfg.block, &self.cfg.machine, &runner, &shapes).unwrap_or(plan))
     }
 
     /// Estimate this session's nest on the DES cost model without

@@ -1015,12 +1015,7 @@ fn check<const R: usize>(
         compiled.ops.len(),
         compiled.nests().count()
     );
-    let shapes: Vec<_> = lowered
-        .program
-        .arrays()
-        .iter()
-        .map(|a| (a.bounds, a.layout))
-        .collect();
+    let shapes = lowered.program.shapes();
     for (k, nest) in compiled.nests().enumerate() {
         let kind = if nest.is_scan { "scan" } else { "plain" };
         let dirs: Vec<&str> = nest
@@ -1292,12 +1287,14 @@ fn plan<const R: usize>(
                     .block(opts.block.clone())
                     .kernel_mode(opts.kernel_mode);
                 let pipe = session.estimate().time;
-                // The engines' plan differs from the model's only by b.
-                let engines_b = session.plan().map_or(plan.block, |p| p.block);
-                let b = if engines_b == plan.block {
+                // The engines' plan differs from the model's by b and,
+                // over page-strided rows, by the tile order.
+                let engines = session.plan().unwrap_or_else(|_| plan.clone());
+                let why = if engines.order == plan.order { "lane strip" } else { "page-strided rows" };
+                let b = if engines.block == plan.block {
                     plan.block.to_string()
                 } else {
-                    format!("{} (model; engines run {engines_b}, lane strip)", plan.block)
+                    format!("{} (model; engines run {}, {why})", plan.block, engines.block)
                 };
                 let naive = Session::new(&lowered.program, nest)
                     .procs(opts.procs)

@@ -106,6 +106,28 @@ fn plan_reports_the_b_the_engines_run() {
     }
 }
 
+/// Over column-major arrays 5,616 bytes a column, a scan whose tiles
+/// and lanes run down the unit-stride columns is run wider than Model2's
+/// b, and `wlc plan` says why.
+#[test]
+fn plan_reports_a_width_fitted_to_page_strided_rows() {
+    let path = std::env::temp_dir().join(format!("wlc_paged_{}.wf", std::process::id()));
+    std::fs::write(
+        &path,
+        "var a : [0..701, 0..13] float; direction west = (0, -1);
+         [1..700, 1..12] a := 0.5 * a'@west + 1.0;",
+    )
+    .unwrap();
+    let out = wlc()
+        .args(["plan", path.to_str().unwrap(), "--procs", "2", "--machine", "t3e"])
+        .output()
+        .expect("wlc runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("page-strided rows)"), "{stdout}");
+}
+
 #[test]
 fn trace_emits_execution_report_json() {
     let out = wlc()

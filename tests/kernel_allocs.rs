@@ -13,6 +13,7 @@ use std::cell::Cell;
 use wavefront::core::prelude::*;
 use wavefront::kernels::{sor, tomcatv};
 use wavefront::lang::compile_str;
+use wavefront::pipeline::Session;
 
 thread_local! {
     /// Allocations this thread has asked the allocator for.
@@ -52,6 +53,13 @@ const RELAX: &str = "
     [Inner] next := 0.5 * next'@north + 0.4 * curr + 0.1 * load@east;
 ";
 
+/// The first scan nest of `program`.
+fn scan_nest(program: &Program<2>) -> CompiledNest<2> {
+    let compiled = compile(program).expect("compiles");
+    let nest = compiled.nests().find(|x| x.is_scan).unwrap_or_else(|| compiled.nest(0));
+    nest.clone()
+}
+
 /// Bind the first scan nest of `program` under `mode`, then run it whole
 /// as one tile: returns the heap allocations of that one
 /// `run_tile_cells` call, the tier it ran on, its lane stride class, and the points the scalar remainder took.
@@ -59,13 +67,23 @@ fn one_tile(
     program: &Program<2>,
     mode: KernelMode,
 ) -> (usize, KernelTier, Option<&'static str>, usize) {
-    let compiled = compile(program).expect("compiles");
-    let nest = compiled
-        .nests()
-        .find(|x| x.is_scan)
-        .unwrap_or_else(|| compiled.nest(0));
+    let nest = scan_nest(program);
     let order = &nest.structure.order;
-    let runner = NestRunner::with_mode(nest, mode);
+    let runner = NestRunner::with_mode(&nest, mode);
+    let (allocs, stride) = tile_allocs(program, &nest, &runner, nest.region, order);
+    (allocs, runner.tier(), stride, runner.tier_elems(nest.region, order).scalar)
+}
+
+/// The heap allocations of one `run_tile_cells` call of `runner` over
+/// `region` in `order`, on a store of `program`, and the lane stride
+/// class.
+fn tile_allocs(
+    program: &Program<2>,
+    nest: &CompiledNest<2>,
+    runner: &NestRunner<2>,
+    region: Region<2>,
+    order: &LoopStructureOrder<2>,
+) -> (usize, Option<&'static str>) {
     let mut store = Store::new(program);
     // Filled in place: each array keeps its declared layout.
     for id in 0..store.len() {
@@ -87,14 +105,9 @@ fn one_tile(
         .map(|a| Cell::from_mut(a.as_mut_slice()).as_slice_of_cells())
         .collect();
     let before = ALLOCS.with(Cell::get);
-    runner.run_tile_cells(nest, bound.as_ref(), nest.region, order, &arrays, &shapes);
+    runner.run_tile_cells(nest, bound.as_ref(), region, order, &arrays, &shapes);
     let allocs = ALLOCS.with(Cell::get) - before;
-    (
-        allocs,
-        runner.tier(),
-        stride,
-        runner.tier_elems(nest.region, order).scalar,
-    )
+    (allocs, stride)
 }
 
 fn relax(n: i64) -> Program<2> {
@@ -109,6 +122,33 @@ fn lane_axis_unit_stride_tile_allocates_nothing() {
     let (allocs, tier, stride, rem) = one_tile(&relax(16), KernelMode::Lanes);
     assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
     assert_eq!(allocs, 0, "allocations in one unit-stride axis tile");
+}
+
+/// A tile of the plan the engines run over page-strided rows: 12 rows
+/// of 700 columns, 5,616 bytes apart, run 128 columns wide with the lane
+/// dimension innermost, so each of the tile's rows walks 16 lane blocks.
+#[test]
+fn wide_lane_innermost_tile_allocates_nothing() {
+    let program = compile_str::<2>(
+        "const r = 8; const n = 8;
+         region Big = [0..r+1, 0..n+1]; region Inner = [1..r, 1..n];
+         direction north = (-1, 0); direction east = (0, 1);
+         var next, curr, load : [Big] float;
+         [Inner] next := 0.5 * next'@north + 0.4 * curr + 0.1 * load@east;",
+        &[("r", 12), ("n", 700)],
+        Layout::RowMajor,
+    )
+    .expect("relax lowers")
+    .program;
+    let nest = scan_nest(&program);
+    let plan = Session::new(&program, &nest).procs(2).plan().expect("plans");
+    assert_eq!((plan.block, plan.order.order), (128, [0, 1]), "wide, lane dimension innermost");
+    let tile = plan.dist.owned(plan.active_cells()[0]).intersect(&plan.tiles[0]);
+    assert_eq!(tile.extents(), [6, 128]);
+    let runner = NestRunner::with_mode(&nest, KernelMode::Lanes);
+    let (allocs, stride) = tile_allocs(&program, &nest, &runner, tile, &plan.order);
+    assert_eq!((runner.tier(), stride), (KernelTier::Lanes, Some("unit")));
+    assert_eq!(allocs, 0, "allocations in one wide lane-innermost tile");
 }
 
 #[test]

@@ -9,13 +9,16 @@
 //! exercises the same case set, and any failure message pins the exact
 //! configuration for replay.
 
+use wavefront::core::kernel_lanes::LANES;
+use wavefront::core::loops::satisfies;
 use wavefront::core::prelude::*;
 use wavefront::kernels::rng::SplitMix64;
 use wavefront::kernels::{smith_waterman, sor, tomcatv};
 use wavefront::lang::{compile_str, Lowered};
 use wavefront::machine::cray_t3e;
 use wavefront::pipeline::{
-    BlockPolicy, EngineKind, JobTopology, RunOutcome, Session, TraceCollector, WavefrontPlan,
+    BlockPolicy, EngineKind, JobSpec, JobTopology, LoopSpec, RunOutcome, Session, TraceCollector,
+    WavefrontPlan, WavefrontService,
 };
 
 /// A small pool of interesting primed directions.
@@ -417,4 +420,211 @@ fn the_fit_leaves_every_other_plan_alone() {
     );
     let b = plan.block;
     assert_eq!(blocks(&narrow, &nest, &BlockPolicy::Model2, KernelMode::Lanes), [b; 3]);
+}
+
+/// The double-buffered relaxation the loop workloads step, on `r` rows
+/// of `n` columns plus a one-point halo, row-major: its lanes run along
+/// the rows as unit-stride slices, `(n + 2) · 8` bytes apart.
+fn relax(r: i64, n: i64) -> Lowered<2> {
+    let src = "
+        const r = 8;
+        const n = 8;
+        region Big   = [0..r+1, 0..n+1];
+        region Inner = [1..r, 1..n];
+        direction north = (-1, 0);
+        direction east  = (0, 1);
+        var next, curr, load : [Big] float;
+        [Inner] next := 0.5 * next'@north + 0.4 * curr + 0.1 * load@east;
+    ";
+    compile_str::<2>(src, &[("r", r), ("n", n)], Layout::RowMajor).unwrap()
+}
+
+/// `steps` relaxation steps on one store, `next` and `curr` swapped
+/// between steps: what a fused loop with that swap must leave.
+fn relax_reference(lo: &Lowered<2>, nest: &CompiledNest<2>, steps: usize) -> Store<2> {
+    let mut store = init_store(&lo.program, 5);
+    let (next, curr) = (
+        lo.program.find("next").unwrap(),
+        lo.program.find("curr").unwrap(),
+    );
+    for step in 0..steps {
+        run_nest_with_sink(nest, &mut store, &mut NoSink);
+        if step + 1 < steps {
+            store.arrays_mut().swap(next, curr);
+        }
+    }
+    store
+}
+
+/// A fused `submit_loop` of `steps` relaxation steps on `kind` over
+/// `procs` processors, Model2 on the T3E: the final arrays by name,
+/// and the boundary messages the loop sent.
+fn relax_loop(
+    lo: &Lowered<2>,
+    nest: &CompiledNest<2>,
+    procs: usize,
+    kind: EngineKind,
+    steps: usize,
+) -> (Store<2>, usize) {
+    let (program, nest) = (
+        std::sync::Arc::new(lo.program.clone()),
+        std::sync::Arc::new(nest.clone()),
+    );
+    let service: WavefrontService<2> = WavefrontService::new();
+    let handles = service.import_store(&program, init_store(&program, 5));
+    let mut body = JobSpec::builder(program.clone(), nest)
+        .line(procs)
+        .machine(cray_t3e())
+        .engine(kind);
+    for (name, h) in &handles {
+        body = match name.as_str() {
+            "load" => body.input_handle(name.clone(), h),
+            _ => body.output_handle(name.clone(), h),
+        };
+    }
+    let spec = LoopSpec::builder()
+        .job(body.build().unwrap())
+        .steps(steps)
+        .swap("next", "curr")
+        .build()
+        .unwrap();
+    let out = service.submit_loop(spec).wait().unwrap();
+    assert_eq!(out.stats.fused, kind == EngineKind::Threads, "a pointwise swap fuses");
+    let mut store = Store::new(&program);
+    for (name, h) in &out.final_bindings {
+        *store.get_mut(program.find(name).unwrap()) = service.read(h).unwrap();
+    }
+    (store, out.stats.messages)
+}
+
+/// On rows a page or more apart, the executing engines price each row
+/// start of a tile into Model2's per-tile cost and run the wider `b`,
+/// rounded up to the lane strip, with the lane dimension innermost —
+/// on one sweep and on a fused loop alike, bit-identical to the
+/// interpreter. 12 rows of 700 columns lie 5,616 bytes apart; a tile
+/// row-segment start costs 16 elements, so α grows by `rows · 16 · 5`
+/// (5 flops per point): at p = 2 Model2's 59 becomes 121, run as 128;
+/// at p = 3, 48 becomes 85, run as 88.
+#[test]
+fn executing_engines_widen_tiles_over_page_strided_rows() {
+    let lo = relax(12, 700);
+    let nest = scan_nest(&lo);
+    let runner = NestRunner::auto(&nest);
+    let shapes = lo.program.shapes();
+    assert_eq!(
+        runner.lane_stride(&shapes, &nest.structure.order),
+        Some("unit")
+    );
+    assert_eq!(
+        runner.lane_row_bytes(&shapes, &nest.structure.order),
+        Some(702 * 8)
+    );
+    let mut reference = init_store(&lo.program, 5);
+    run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+    let steps = 4;
+    let looped = relax_reference(&lo, &nest, steps);
+    let model2 = BlockPolicy::Model2;
+    for (procs, model_b, run_b) in [(2, 59, 128), (3, 48, 88)] {
+        let topology = JobTopology::line(procs);
+        let session = || {
+            Session::new(&lo.program, &nest)
+                .machine(cray_t3e())
+                .procs(procs)
+        };
+        let model = WavefrontPlan::build(&nest, topology, &model2, &cray_t3e()).unwrap();
+        assert_eq!(
+            (model.block, model.order.order),
+            (model_b, [1, 0]),
+            "p = {procs}"
+        );
+        assert_eq!(session().estimate().block, Some(model_b), "p = {procs}");
+        assert_eq!(
+            session().run(EngineKind::Sim).unwrap().block,
+            model_b,
+            "p = {procs}"
+        );
+        let fitted = session().plan().unwrap();
+        assert_eq!(fitted.block, run_b, "p = {procs}");
+        assert_eq!(
+            fitted.order.order,
+            [0, 1],
+            "p = {procs}: the lane dimension runs innermost"
+        );
+        assert!(satisfies(&nest.constraints, &fitted.order), "p = {procs}");
+
+        for kind in [EngineKind::Seq, EngineKind::Threads] {
+            let ctx = format!("p = {procs} {kind:?}");
+            let (out, report, store) =
+                run_traced(&lo, &nest, topology, &model2, KernelMode::Lanes, kind);
+            assert_eq!((out.block, report.meta.block), (run_b, run_b), "{ctx}");
+            assert!(
+                bits_eq(&store, &reference),
+                "{ctx}: one sweep differs from the interpreter"
+            );
+            if kind == EngineKind::Threads {
+                assert_eq!(report.meta.predicted, fitted.predicted_traffic(), "{ctx}");
+            }
+
+            let (store, messages) = relax_loop(&lo, &nest, procs, kind, steps);
+            assert!(
+                bits_eq(&store, &looped),
+                "{ctx}: the fused loop differs from the interpreter"
+            );
+            if kind == EngineKind::Threads {
+                let per_step = fitted.predicted_traffic().messages;
+                assert_eq!(
+                    messages,
+                    steps * per_step,
+                    "{ctx}: the loop ran the re-fitted plan"
+                );
+            }
+        }
+    }
+}
+
+/// Rows under a page apart keep the lane strip's fit: the 128²
+/// relaxation's rows lie 1,040 bytes apart, so its engines run Model2's
+/// 8 in the tile-outermost order, bit-identical to the interpreter.
+#[test]
+fn rows_under_a_page_keep_the_model_width_and_order() {
+    let lo = relax(128, 128);
+    let nest = scan_nest(&lo);
+    let runner = NestRunner::auto(&nest);
+    assert_eq!(
+        runner.lane_row_bytes(&lo.program.shapes(), &nest.structure.order),
+        Some(1040)
+    );
+    let mut reference = init_store(&lo.program, 5);
+    run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+    let model = WavefrontPlan::build(
+        &nest,
+        JobTopology::line(2),
+        &BlockPolicy::Model2,
+        &cray_t3e(),
+    )
+    .unwrap();
+    let session = Session::new(&lo.program, &nest)
+        .machine(cray_t3e())
+        .procs(2);
+    assert_eq!(
+        session.plan().unwrap(),
+        model,
+        "the engines run the model's plan"
+    );
+    assert_eq!((model.block, model.order.order), (LANES, [1, 0]));
+    for kind in [EngineKind::Seq, EngineKind::Threads] {
+        let (out, _, store) = run_traced(
+            &lo,
+            &nest,
+            JobTopology::line(2),
+            &BlockPolicy::Model2,
+            KernelMode::Lanes,
+            kind,
+        );
+        assert_eq!(out.block, LANES, "{kind:?}");
+        assert!(
+            bits_eq(&store, &reference),
+            "{kind:?}: store differs from the interpreter"
+        );
+    }
 }

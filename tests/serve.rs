@@ -224,6 +224,47 @@ fn typed_errors_round_trip_the_wire() {
     stop_server(&addr, handle);
 }
 
+/// A program nested past the parser's bound draws a typed `ERROR`
+/// frame, not a server abort: 2,000 parentheses fit in a 4 KB frame
+/// and once overflowed the parser's stack. The same server then
+/// answers a normal job bit-identically to the in-process interpreter.
+#[test]
+fn a_deeply_nested_program_is_refused_and_the_server_survives() {
+    let lo = compile_str::<2>(SOURCE, &[], Layout::ColMajor).unwrap();
+    let a = lo.array("a").unwrap();
+    let mut store = Store::new(&lo.program);
+    store.get_mut(a).fill(1.0);
+    execute(&lo.program, &mut store).unwrap();
+    let bounds = store.get(a).bounds();
+    let expected: Vec<f64> = bounds.iter().map(|p| store.get(a).get(p)).collect();
+
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut client = WireClient::connect(&*addr).expect("connect");
+    let deep = format!(
+        "var a : [1..12, 1..12] float; [1..12, 1..12] a := {}1.0{};",
+        "(".repeat(2_000),
+        ")".repeat(2_000)
+    );
+    match client.submit(&WireRequest::new(2, &deep)) {
+        Err(PipelineError::CompileRejected { reason }) => {
+            assert!(reason.contains("nested deeper"), "unhelpful reason: {reason}")
+        }
+        other => panic!("expected a typed compile rejection, got {other:?}"),
+    }
+
+    let mut req = WireRequest::new(2, SOURCE);
+    req.topology = WireTopology::Line(2);
+    req.engine = EngineKind::Threads;
+    req.arrays = vec![("a".to_string(), vec![1.0; bounds.len()])];
+    req.returns = vec!["a".to_string()];
+    let resp = client.submit(&req).expect("the server still runs jobs");
+    let got: Vec<u64> = resp.arrays[0].1.iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, want, "wire result differs from the reference interpreter");
+    drop(client);
+    stop_server(&addr, handle);
+}
+
 /// A client-supplied trace ID rides the wire into the job's
 /// lifecycle spans and comes back in the RESULT frame with the full
 /// phase breakdown — the phases telescope to the job's total wall
