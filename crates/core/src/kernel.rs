@@ -48,7 +48,6 @@ use crate::expr::{ArrayId, BinOp, Expr, UnaryOp};
 use crate::index::Offset;
 use crate::program::Store;
 use crate::region::{LoopStructureOrder, Region};
-use crate::trace::NoSink;
 
 /// Maximum number of scalar registers a statement tape may use.
 pub const MAX_REGS: usize = 32;
@@ -617,21 +616,12 @@ impl<const R: usize> TileKernel<R> {
         bk
     }
 
-    /// Convenience: bind against `store` and sweep `region` in one call.
-    pub fn run_region(
-        &self,
-        region: Region<R>,
-        order: &LoopStructureOrder<R>,
-        store: &mut Store<R>,
-    ) {
-        let bound = self.bind(store, order);
-        self.run_bound(&bound, region, store);
-    }
-
-    /// Sweep `region` of `store` with a previously bound kernel. The
-    /// binding must have been made against a store with the same array
-    /// bounds and layouts (workers bind their local store once and reuse
-    /// the binding for every tile).
+    /// Sweep `region` with a previously bound kernel over a table of
+    /// per-array cell views (indexed by [`ArrayId`]) — views of arrays a
+    /// worker may only read next to views of arrays it owns a part of.
+    /// Only the statements' left-hand arrays are ever `set`. The binding
+    /// must have been made against arrays of the same bounds and layouts
+    /// (a run binds once and reuses the binding for every tile).
     ///
     /// In-bounds safety comes from the language, not from this code:
     /// `Program::check_bounds` (and, for distributed tiles, the ghost
@@ -639,15 +629,6 @@ impl<const R: usize> TileKernel<R> {
     /// read array, so `cursor + delta` is always a valid element index.
     /// Indexing stays checked — a violated guarantee panics, it does not
     /// corrupt memory.
-    pub fn run_bound(&self, bk: &BoundKernel<R>, region: Region<R>, store: &mut Store<R>) {
-        self.run_bound_cells(bk, region, &store_cells(store));
-    }
-
-    /// [`TileKernel::run_bound`] over a table of per-array cell views
-    /// (indexed by [`ArrayId`]) instead of a store — the form a worker
-    /// that shares the store with other workers calls, with views of
-    /// arrays it may only read next to views of arrays it owns a part
-    /// of. Only the statements' left-hand arrays are ever `set`.
     pub fn run_bound_cells(
         &self,
         bk: &BoundKernel<R>,
@@ -1039,10 +1020,10 @@ impl<const R: usize> NestRunner<R> {
         Some(elems * std::mem::size_of::<f64>())
     }
 
-    /// Execute one tile: the lane kernel at the lane tier, the bound
-    /// scalar kernel when compiled, the reference interpreter otherwise.
-    /// `bound` must come from [`NestRunner::bind`] on the same store
-    /// geometry (pass `None` for interpreted runners).
+    /// Execute one tile of `store`: [`NestRunner::run_tile_cells`] over
+    /// the store's cell views and shapes, bound first when `bound` is
+    /// `None` (it must otherwise come from [`NestRunner::bind`] on the
+    /// same store geometry).
     pub fn run_tile(
         &self,
         nest: &CompiledNest<R>,
@@ -1051,27 +1032,18 @@ impl<const R: usize> NestRunner<R> {
         order: &LoopStructureOrder<R>,
         store: &mut Store<R>,
     ) {
-        match (self, bound) {
-            (NestRunner::Lanes(k, _), Some(b)) => {
-                crate::kernel_lanes::run_lanes_cells(k, b, region, &store_cells(store))
-            }
-            (NestRunner::Lanes(k, plan), None) => {
-                let b = k.bind_for(|id| store_shape(store, id), order, Some(plan));
-                crate::kernel_lanes::run_lanes_cells(k, &b, region, &store_cells(store))
-            }
-            (NestRunner::Compiled(k, _), Some(b)) => k.run_bound(b, region, store),
-            (NestRunner::Compiled(k, _), None) => k.run_region(region, order, store),
-            (NestRunner::Interpreted(_), _) => {
-                crate::exec::run_nest_region_with_sink(nest, region, order, store, &mut NoSink);
-            }
-        }
+        let fresh = bound.is_none().then(|| self.bind(store, order)).flatten();
+        let shapes: Vec<_> = (0..store.len()).map(|id| store_shape(store, id)).collect();
+        let bound = bound.or(fresh.as_ref());
+        self.run_tile_cells(nest, bound, region, order, &store_cells(store), &shapes);
     }
 
-    /// [`NestRunner::run_tile`] over a table of per-array cell views
-    /// (indexed by [`ArrayId`]; `shapes` gives each array's bounds and
-    /// layout) — see [`TileKernel::run_bound_cells`]. Tiles run on the
-    /// kernel `bound` was made from ([`NestRunner::bind`] on the same
-    /// geometry) and on the interpreter when there is none.
+    /// Execute one tile over a table of per-array cell views (indexed by
+    /// [`ArrayId`]; `shapes` gives each array's bounds and layout) — see
+    /// [`TileKernel::run_bound_cells`]: the lane kernel at the lane tier,
+    /// the bound scalar kernel when compiled, both on the kernel `bound`
+    /// was made from ([`NestRunner::bind`] on the same geometry), and the
+    /// reference interpreter when there is none.
     #[allow(clippy::too_many_arguments)]
     pub fn run_tile_cells(
         &self,
@@ -1097,6 +1069,7 @@ mod tests {
     use super::*;
     use crate::array::DenseArray;
     use crate::exec::{compile, run_nest_region_with_sink};
+    use crate::trace::NoSink;
     use crate::index::Point;
     use crate::program::Program;
 
@@ -1367,7 +1340,8 @@ mod tests {
         let mut store = Store::new(&p);
         store.get_mut(a).fill(1.0);
         let tile = Region::rect([2, 1], [3, n]);
-        k.run_region(tile, &nest.structure.order, &mut store);
+        let bound = k.bind(&store, &nest.structure.order);
+        k.run_bound_cells(&bound, tile, &store_cells(&mut store));
         assert_eq!(store.get(a).get(Point([3, 2])), 4.0);
         assert_eq!(store.get(a).get(Point([4, 2])), 1.0); // untouched
     }

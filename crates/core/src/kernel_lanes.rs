@@ -225,7 +225,7 @@ impl LaneBinding {
 /// on a lane-tier runner of the same nest and store geometry. Falls
 /// through to the scalar tape for remainder slabs and short diagonal
 /// segments; results are bitwise identical to
-/// [`TileKernel::run_bound`] either way.
+/// [`TileKernel::run_bound_cells`] either way.
 pub(crate) fn run_lanes_cells<const R: usize>(
     kernel: &TileKernel<R>,
     bk: &BoundKernel<R>,

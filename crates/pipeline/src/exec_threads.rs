@@ -26,6 +26,12 @@
 //! One worker loop ([`run_cell`]) has one wait site and one post site; a
 //! one-shot run is its one-sweep case.
 //!
+//! The sequential engine is this engine on one thread: under
+//! [`EngineKind::Seq`] the calling thread runs every active cell's task
+//! itself, in wave order. That order already satisfies every wait, so
+//! the cells have no links: they wait for nothing, and no post stands
+//! for a message.
+//!
 //! A run is split into launch and completion. [`launch_threaded`] takes
 //! the store into the run, dispatches the cells and returns; the thread
 //! that ends the run's last cell — a cell that panicked counts as ended
@@ -58,7 +64,7 @@ use crate::plan::WavefrontPlan;
 use crate::service::pool::WorkerPool;
 use crate::session::SessionConfig;
 use crate::telemetry::{
-    BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
+    BlockEvent, Collector, EngineKind, MessageEvent, Prediction, RunMeta, TimeUnit, WaitEvent,
 };
 
 /// One worker-side telemetry record, stamped in seconds since the run's
@@ -398,6 +404,7 @@ struct RunCtx<const R: usize> {
     enabled: bool,
     /// The active cells' ranks.
     cells: Vec<usize>,
+    engine: EngineKind,
     /// The store and the cells' results, until the last cell has ended.
     ending: Mutex<Ending<R>>,
     #[cfg(test)]
@@ -562,6 +569,7 @@ pub(crate) struct Ended<const R: usize> {
     elapsed: Duration,
     plan: Arc<WavefrontPlan<R>>,
     cells: Vec<usize>,
+    engine: EngineKind,
     iters: usize,
     rotate: Vec<(ArrayId, ArrayId)>,
     enabled: bool,
@@ -582,6 +590,7 @@ impl<const R: usize> Ended<R> {
             elapsed,
             plan,
             cells,
+            engine,
             iters,
             rotate,
             enabled,
@@ -603,7 +612,7 @@ impl<const R: usize> Ended<R> {
         }
         if enabled {
             collector.begin(&RunMeta {
-                engine: EngineKind::Threads,
+                engine,
                 procs: plan.procs(),
                 active: cells.clone(),
                 tiles: plan.tiles.len(),
@@ -611,7 +620,11 @@ impl<const R: usize> Ended<R> {
                 pipelined: plan.is_pipelined(),
                 machine: "host".to_string(),
                 time_unit: TimeUnit::Seconds,
-                predicted: plan.predicted_traffic(),
+                // One thread sends nothing.
+                predicted: match engine {
+                    EngineKind::Seq => Prediction::default(),
+                    _ => plan.predicted_traffic(),
+                },
             });
             replay(collector, &plan, &cells, &events, elapsed.as_secs_f64());
         }
@@ -627,8 +640,8 @@ impl<const R: usize> Ended<R> {
     }
 }
 
-/// The threaded engine, joined: run `iters` whole sweeps of `nest` under
-/// `prep`'s plan on real threads inside **one** invocation, updating
+/// The executing engine, joined: run `iters` whole sweeps of `nest` under
+/// `prep`'s plan on `engine`'s schedule inside **one** invocation, updating
 /// `store` in place and reporting telemetry to `collector`. A one-shot run is
 /// `iters = 1`, no rotation. Results are bit-identical to running the
 /// sweeps back to back sequentially.
@@ -656,6 +669,7 @@ pub(crate) fn execute_threaded<const R: usize>(
     iters: usize,
     rotate: &[(ArrayId, ArrayId)],
     pipelined: bool,
+    engine: EngineKind,
     collector: &mut dyn Collector,
 ) -> ThreadReport {
     let (tx, rx) = channel::<Ended<R>>();
@@ -663,23 +677,25 @@ pub(crate) fn execute_threaded<const R: usize>(
         let _ = tx.send(ended);
     });
     let enabled = collector.enabled();
-    launch_threaded(workers, nest, prep, store, iters, rotate, pipelined, enabled, done);
+    launch_threaded(workers, nest, prep, store, iters, rotate, pipelined, engine, enabled, done);
     let ended = rx.recv().expect("a launched run completes exactly once");
     let (back, report) = ended.finish(collector);
     *store = back;
     report.unwrap_or_else(|msg| panic!("{msg}"))
 }
 
-/// Start the threaded engine on `store` and return without waiting: the
+/// Start the executing engine on `store` and return without waiting: the
 /// run takes the store (leaving `store` empty) and `done` gets it back,
 /// with the cells' results, from whichever thread ends the last cell.
 /// [`execute_threaded`] is this plus a wait.
 ///
-/// One task per active cell is dispatched onto a persistent
-/// [`WorkerPool`] (a plan with a single active cell runs its task on the
-/// calling thread instead, completion included, and never touches the
-/// pool). Tasks capture only `Arc`-shared state, so they are `'static`
-/// and need no scoped spawn. Each task catches its cell's panic before
+/// Under [`EngineKind::Threads`] one task per active cell is dispatched
+/// onto a persistent [`WorkerPool`]. Under [`EngineKind::Seq`], and for
+/// a plan with a single active cell, the calling thread runs every task
+/// itself in wave order, completion included, and never touches the
+/// pool; a Seq cell after one that panicked ends without running, as a
+/// threaded one's waits would fail. Tasks capture only `Arc`-shared
+/// state, so they are `'static` and need no scoped spawn. Each task catches its cell's panic before
 /// it counts the cell ended, so a run whose cell panicked still
 /// completes, with [`Ended::finish`] reporting the panic. See
 /// [`crate::service::pool`] for why runs of several jobs may share the
@@ -692,9 +708,10 @@ pub(crate) fn execute_threaded<const R: usize>(
 /// # Panics
 ///
 /// Refused before any task is dispatched, with `store` untouched, as
-/// caller bugs: a buffered nest, `iters == 0`, a fused body
-/// [`rotation_fusible`] rejects, a plan [`in_place_legal`] rejects, and
-/// a rotation between arrays of different bounds or layout.
+/// caller bugs: the simulator, a buffered nest, `iters == 0`, a Seq run
+/// of more than one sweep, a fused body [`rotation_fusible`] rejects, a
+/// plan [`in_place_legal`] rejects, and a rotation between arrays of
+/// different bounds or layout.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn launch_threaded<const R: usize>(
     workers: &WorkerPool,
@@ -704,15 +721,20 @@ pub(crate) fn launch_threaded<const R: usize>(
     iters: usize,
     rotate: &[(ArrayId, ArrayId)],
     pipelined: bool,
+    engine: EngineKind,
     enabled: bool,
     done: Done<R>,
 ) {
     let plan = &prep.plan;
+    assert!(engine != EngineKind::Sim, "the simulator runs no data");
+    let seq = engine == EngineKind::Seq;
     assert!(
         nest.buffered.is_empty(),
         "buffered nests carry no wavefront and are never planned"
     );
     assert!(iters >= 1, "a run sweeps at least once");
+    // One thread runs each cell's sweeps back to back: one sweep only.
+    assert!(iters == 1 || !seq, "only the threads engine fuses sweeps");
     // Only this sweep's values are ordered across cells; a body that
     // reads last sweep's from a neighbour cannot be fused.
     assert!(
@@ -744,6 +766,7 @@ pub(crate) fn launch_threaded<const R: usize>(
             elapsed: Duration::ZERO,
             plan: Arc::clone(plan),
             cells,
+            engine,
             iters,
             rotate: rotate.to_vec(),
             enabled,
@@ -752,11 +775,12 @@ pub(crate) fn launch_threaded<const R: usize>(
     }
 
     // A link exists per axis with communicated arrays and per adjacent
-    // pair of active cells; cells are addressed by active-cell index.
+    // pair of active cells; cells are addressed by active-cell index. On
+    // one thread there are none: wave order satisfies every wait.
     let index = active_index(plan, &cells);
     let linked = |rank: Option<usize>, axis: usize| -> Option<usize> {
         rank.and_then(|r| index[r])
-            .filter(|_| !plan.axes[axis].comm.is_empty())
+            .filter(|_| !seq && !plan.axes[axis].comm.is_empty())
     };
 
     // Everything that needs `&mut store` happens here, before the first
@@ -805,11 +829,13 @@ pub(crate) fn launch_threaded<const R: usize>(
             done: Some(done),
         }),
         cells: cells.clone(),
+        engine,
         #[cfg(test)]
         tile_hook: test_hooks::current(),
     });
     let progress: Vec<Arc<Progress>> = (0..n).map(|_| Arc::new(Progress::new())).collect();
-    if n > 1 {
+    let inline = seq || n == 1;
+    if !inline {
         // A cell may wait on any other, so each needs a worker.
         workers.ensure_workers(n);
     }
@@ -838,6 +864,11 @@ pub(crate) fn launch_threaded<const R: usize>(
         };
         let ctx = Arc::clone(&ctx);
         let task = move || {
+            // On one thread a panic ends the schedule: the later cells
+            // end as their failed waits would end them on many.
+            if seq && ctx.ending.lock().unwrap().panic.is_some() {
+                return end_cell(&ctx, i, Err(Box::new(CASCADE)));
+            }
             let ran = catch_unwind(AssertUnwindSafe(|| {
                 let _poison = links.me.poison_on_panic();
                 // SAFETY: `SharedCells::cells` asks three things of this
@@ -882,13 +913,17 @@ pub(crate) fn launch_threaded<const R: usize>(
                 // (4) Views do not outlive the closure. They borrow
                 //   `ctx.shared`, live inside it, and are gone before
                 //   the cell counts itself ended.
+                // On the one-thread schedule (Seq) the cells run one
+                // after another on the launching thread in wave order,
+                // so every cross-cell access of (2) follows the write it
+                // reads, or precedes the overwrite, in program order.
                 let arrays: Vec<&[Cell<f64>]> =
                     ctx.shared.iter().map(|s| unsafe { s.cells() }).collect();
                 run_cell(&ctx, i, &links, arrays)
             }));
             end_cell(&ctx, i, ran);
         };
-        if n == 1 {
+        if inline {
             task();
         } else {
             workers.execute(Box::new(task));
@@ -944,6 +979,7 @@ fn end_cell<const R: usize>(ctx: &RunCtx<R>, i: usize, ran: std::thread::Result<
         elapsed: ctx.epoch.elapsed(),
         plan: Arc::clone(&ctx.prep.plan),
         cells: ctx.cells.clone(),
+        engine: ctx.engine,
         iters: ctx.iters,
         rotate: ctx.rotate.clone(),
         enabled: ctx.enabled,
@@ -1097,18 +1133,33 @@ mod tests {
         wavefront_machine::cray_t3e()
     }
 
-    fn run_mode<const R: usize>(
+    fn run_on<const R: usize>(
         nest: &CompiledNest<R>,
         plan: &WavefrontPlan<R>,
         store: &mut Store<R>,
         kernel_mode: KernelMode,
+        engine: EngineKind,
     ) -> ThreadReport {
         let workers = WorkerPool::new();
         let nest = Arc::new(nest.clone());
         let plan = Arc::new(plan.clone());
         let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &[]));
         let c = &mut NoopCollector;
-        execute_threaded(&workers, &nest, &prep, store, 1, &[], true, c)
+        let report = execute_threaded(&workers, &nest, &prep, store, 1, &[], true, engine, c);
+        if engine == EngineKind::Seq {
+            assert_eq!(report.messages, 0, "one thread sends nothing");
+            assert_eq!(workers.spawn_count(), 0, "one thread needs no worker");
+        }
+        report
+    }
+
+    fn run_mode<const R: usize>(
+        nest: &CompiledNest<R>,
+        plan: &WavefrontPlan<R>,
+        store: &mut Store<R>,
+        kernel_mode: KernelMode,
+    ) -> ThreadReport {
+        run_on(nest, plan, store, kernel_mode, EngineKind::Threads)
     }
 
     fn run<const R: usize>(
@@ -1117,6 +1168,15 @@ mod tests {
         store: &mut Store<R>,
     ) -> ThreadReport {
         run_mode(nest, plan, store, KernelMode::Lanes)
+    }
+
+    /// The Seq schedule: every cell on the calling thread, in wave order.
+    fn run_seq<const R: usize>(
+        nest: &CompiledNest<R>,
+        plan: &WavefrontPlan<R>,
+        store: &mut Store<R>,
+    ) {
+        run_on(nest, plan, store, KernelMode::Interpreted, EngineKind::Seq);
     }
 
     fn init_tomcatv(program: &Program<2>) -> Store<2> {
@@ -1360,5 +1420,92 @@ mod tests {
         run(&nest, &plan, &mut store);
         let flux = 0;
         assert!(store.get(flux).region_eq(reference.get(flux), nest.region));
+    }
+
+    #[test]
+    fn decomposed_execution_matches_sequential_for_many_p_and_b() {
+        let n = 50;
+        let (program, nest) = tomcatv_nest(n);
+        // Reference: plain sequential execution.
+        let mut reference = init_tomcatv(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+
+        for p in [1usize, 2, 3, 5, 8] {
+            for b in [1usize, 3, 7, 16, 64] {
+                let plan =
+                    WavefrontPlan::build(&nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &t3e()).unwrap();
+                let mut store = init_tomcatv(&program);
+                run_seq(&nest, &plan, &mut store);
+                for id in 0..store.len() {
+                    assert!(
+                        store.get(id).region_eq(reference.get(id), nest.region),
+                        "array {id} differs at p={p} b={b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_wavefront_decomposition_is_exact() {
+        // a := a'@(-1,1) — needs descending tile order; verify values.
+        let mut prog = Program::<2>::new();
+        let bounds = Region::rect([0, 0], [20, 20]);
+        let a = prog.array("a", bounds);
+        let region = Region::rect([1, 0], [20, 19]);
+        prog.stmt(region, a, Expr::read_primed_at(a, [-1, 1]) + Expr::lit(1.0));
+        let compiled = compile(&prog).unwrap();
+        let nest = compiled.nest(0);
+
+        let init = |store: &mut Store<2>| {
+            *store.get_mut(a) =
+                DenseArray::from_fn(bounds, |q| ((q[0] * 7 + q[1] * 3) % 13) as f64);
+        };
+        let mut reference = Store::new(&prog);
+        init(&mut reference);
+        run_nest_with_sink(nest, &mut reference, &mut NoSink);
+
+        for (p, b) in [(2usize, 4usize), (4, 3), (3, 20)] {
+            let plan = WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &t3e()).unwrap();
+            let mut store = Store::new(&prog);
+            init(&mut store);
+            run_seq(nest, &plan, &mut store);
+            assert!(
+                store.get(a).region_eq(reference.get(a), region),
+                "p={p} b={b}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_processors_than_rows_still_correct() {
+        let n = 8;
+        let (program, nest) = tomcatv_nest(n);
+        let mut reference = init_tomcatv(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(16), &BlockPolicy::Fixed(2), &t3e()).unwrap();
+        let mut store = init_tomcatv(&program);
+        run_seq(&nest, &plan, &mut store);
+        for id in 0..store.len() {
+            assert!(store.get(id).region_eq(reference.get(id), nest.region));
+        }
+    }
+
+    #[test]
+    fn mesh_decomposition_matches_reference() {
+        let (program, nest) = sweep_nest(13);
+        let mut reference = init_sweep(&program);
+        run_nest_with_sink(&nest, &mut reference, &mut NoSink);
+        for (p1, p2, b) in [(1usize, 1usize, 3usize), (2, 2, 2), (3, 2, 4), (2, 4, 12)] {
+            let plan = mesh_plan(&nest, [p1, p2], b);
+            let mut store = init_sweep(&program);
+            run_seq(&nest, &plan, &mut store);
+            for id in 0..store.len() {
+                assert!(
+                    store.get(id).region_eq(reference.get(id), nest.region),
+                    "array {id} differs at mesh {p1}x{p2} b={b}"
+                );
+            }
+        }
     }
 }

@@ -151,7 +151,8 @@ fn run_on<const R: usize>(
 ) -> ThreadReport {
     let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan.clone()));
     let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &[]));
-    execute_threaded(workers, &nest, &prep, store, iters, rotate, true, collector)
+    let threads = EngineKind::Threads;
+    execute_threaded(workers, &nest, &prep, store, iters, rotate, true, threads, collector)
 }
 
 /// One engine run of `c` from its initial store, on a pool of its own.
@@ -201,7 +202,8 @@ fn engine_pair<const R: usize>(
             let _ = tx.send((k, ended));
         });
         let enabled = k == 0 && collector.enabled();
-        launch_threaded(&workers, &nest, &prep, &mut store, iters, rotate, true, enabled, done);
+        let (store, threads) = (&mut store, EngineKind::Threads);
+        launch_threaded(&workers, &nest, &prep, store, iters, rotate, true, threads, enabled, done);
     }
     drop(tx);
     let mut runs: [Option<(Store<R>, ThreadReport)>; 2] = [None, None];
@@ -753,6 +755,7 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
                         1,
                         &[],
                         true,
+                        EngineKind::Threads,
                         &mut NoopCollector,
                     )
                 })
@@ -793,8 +796,45 @@ fn a_panicking_cell_ends_the_run_and_leaves_the_pool_usable() {
         1,
         &[],
         true,
+        EngineKind::Threads,
         &mut NoopCollector,
     );
     assert_eq!(workers.spawn_count(), 3, "no worker was lost to the panic");
     assert_same(&store, &reference(&c, 1, &[]), "the run after the panic");
+}
+
+#[test]
+fn a_panicking_seq_cell_ends_the_schedule() {
+    // On one thread the cells run in turn. Cell 1 of three dies before
+    // its fifth tile; cell 2 then ends without running, as its failed
+    // flow wait would end it on the pool, and the cause is reported.
+    let c = descending(3);
+    let plan = WavefrontPlan::build(&c.nest, c.topology, &BlockPolicy::Fixed(1), &t3e()).unwrap();
+    let tiles = plan.tiles.len();
+    let (nest, plan) = (Arc::new(c.nest.clone()), Arc::new(plan));
+    let prep = Arc::new(prepare(&nest, &plan, &fixed(1, KernelMode::Lanes), &[]));
+    let workers = WorkerPool::new();
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let hook: test_hooks::TileHook = {
+        let ran = Arc::clone(&ran);
+        Arc::new(move |cell, tile| {
+            if cell == 1 && tile == 4 {
+                panic!("tile hook: cell 1 dies at tile 4");
+            }
+            ran.lock().unwrap().push(cell);
+        })
+    };
+    let mut store = init(&c.program);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        test_hooks::with_tile_hook(hook, || {
+            let (seq, c) = (EngineKind::Seq, &mut NoopCollector);
+            execute_threaded(&workers, &nest, &prep, &mut store, 1, &[], true, seq, c)
+        })
+    }));
+    let payload = outcome.expect_err("the caller sees the cell's panic");
+    let msg = payload.downcast_ref::<String>().expect("a formatted message");
+    assert!(msg.contains("cell 1 dies"), "{msg}");
+    let want: Vec<usize> = [0].repeat(tiles).into_iter().chain([1; 4]).collect();
+    assert_eq!(*ran.lock().unwrap(), want);
+    assert_eq!(workers.spawn_count(), 0, "one thread needs no pool");
 }

@@ -12,11 +12,12 @@
 //!
 //! * a deterministic cost simulation on the machine model (the
 //!   "experimental" curves of the figure harnesses);
-//! * dependency-order sequential execution, the semantic reference for
-//!   the decomposition;
 //! * real OS threads running their tiles in place on the shared store,
 //!   each boundary handed downstream by an atomic tile-progress counter
-//!   — the stand-in for the paper's hand-pipelined MPI codes.
+//!   — the stand-in for the paper's hand-pipelined MPI codes;
+//! * the same engine on the calling thread alone, cell after cell in
+//!   wave order: the sequential baseline, and the semantic reference for
+//!   the decomposition.
 //!
 //! Block sizes come from [`schedule::BlockPolicy`]: fixed, Model1
 //! (constant-cost), Model2 (the paper's Equation (1)), naive
@@ -33,7 +34,6 @@
 //! session, a program session, or the service.
 
 pub mod error;
-pub(crate) mod exec_seq;
 pub(crate) mod exec_sim;
 pub(crate) mod exec_threads;
 pub(crate) mod link;

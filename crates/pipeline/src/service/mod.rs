@@ -75,7 +75,6 @@ use wavefront_core::program::{Program, Store};
 use wavefront_core::region::Region;
 
 use crate::error::{AdmissionReason, PipelineError};
-use crate::exec_seq::execute_plan_sequential;
 use crate::exec_sim::simulate_plan_collected;
 use crate::exec_threads::{execute_threaded, launch_threaded, prepare, Done, NestPrep};
 use crate::plan::WavefrontPlan;
@@ -387,9 +386,8 @@ struct Prepared<const R: usize> {
 }
 
 impl<const R: usize> Prepared<R> {
-    /// Run the prepared plan on the calling thread, joined: the
-    /// simulator, the sequential engine, or the threaded engine waited
-    /// for ([`execute_threaded`]).
+    /// Run the prepared plan, joined: the simulator, or the executing
+    /// engine launched and waited for ([`execute_threaded`]).
     fn run_joined(
         self,
         pool: &WorkerPool,
@@ -409,13 +407,9 @@ impl<const R: usize> Prepared<R> {
                 let r = simulate_plan_collected(&entry.plan, &cfg.machine, collector);
                 (r.makespan, r.messages)
             }
-            Some((store, prep)) if outcome.engine == EngineKind::Seq => {
-                let t0 = Instant::now();
-                execute_plan_sequential(&entry.nest, &prep.plan, &prep.runner, store, collector);
-                (t0.elapsed().as_secs_f64(), 0)
-            }
             Some((store, prep)) => {
-                let r = execute_threaded(pool, &entry.nest, &prep, store, 1, &[], true, collector);
+                let (nest, kind) = (&entry.nest, outcome.engine);
+                let r = execute_threaded(pool, nest, &prep, store, 1, &[], true, kind, collector);
                 (r.elapsed.as_secs_f64(), r.messages)
             }
         };
@@ -1336,11 +1330,11 @@ fn overlaps<const R: usize>(spec: &JobSpec<R>) -> bool {
 /// Start one dispatched job: the one way every service job starts,
 /// whatever its engine and whatever it binds. Check its resident handles
 /// out (input handles as snapshots, output handles by move, so engine
-/// writes never copy-on-write), look its plan up, and run it: Seq and
-/// Sim here, on the dispatcher; the threads engine launched, a loop chunk
-/// with its iterations and rotation. Whichever thread ends the run
-/// finishes the job through its [`Completion`]. (Node-sourced inputs
-/// were installed by the DAG runner before the job was admitted.)
+/// writes never copy-on-write), look its plan up, and run it: Sim here,
+/// on the dispatcher; Seq and Threads launched, a loop chunk with its
+/// iterations and rotation. Whichever thread ends the run finishes the
+/// job through its [`Completion`]. (Node-sourced inputs were installed
+/// by the DAG runner before the job was admitted.)
 fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: Settle<R>) {
     let mut checked_out = Vec::new();
     let checked = check_out(&shared.handles, &mut spec, &mut checked_out);
@@ -1387,7 +1381,7 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
         Ok(p) => p,
         Err(e) => return job.complete(store, Err(e), &[]),
     };
-    if engine != EngineKind::Threads {
+    if engine == EngineKind::Sim {
         let ran = job.with_collector(|collector| {
             catch_unwind(AssertUnwindSafe(|| {
                 prepared.run_joined(core.pool(), &cfg, store.as_mut(), collector)
@@ -1402,8 +1396,8 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
         prep,
         mut outcome,
     } = prepared;
-    let prep = prep.expect("the threads engine runs a lowered kernel");
-    let mut store = store.expect("`prepare` refuses a threads job without a store");
+    let prep = prep.expect("an executing engine runs a lowered kernel");
+    let mut store = store.expect("`prepare` refuses an executing job without a store");
     let (iters, rotate, pipelined) = match &job.loop_exec {
         Some(lx) => (lx.iters, lx.rotate.clone(), lx.pipelined),
         None => (1, Vec::new(), true),
@@ -1431,6 +1425,7 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
         iters,
         &rotate,
         pipelined,
+        engine,
         enabled,
         done,
     );
@@ -1438,7 +1433,7 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
 
 /// How a started job ends — run once, by whichever thread ended its run:
 /// the dispatcher (Seq, Sim, a failure before the run, a one-cell plan)
-/// or the pool worker that ended the last cell.
+/// or the pool worker that ended the last threaded cell.
 struct Completion<const R: usize> {
     settle: Settle<R>,
     program: Arc<Program<R>>,
@@ -1887,15 +1882,21 @@ mod tests {
         assert_eq!((s.jobs_completed, s.jobs_failed), (1, 1));
     }
 
-    /// A cell of a job that binds an output handle panics: the job
-    /// resolves `EnginePanic`, and the checked-out buffer comes back to
-    /// its slot with its epoch unbumped, readable and freeable. The
-    /// engine ran in place, so the buffer keeps what the run wrote before
-    /// it failed: upstream cell 0 never waits on cell 1 and finishes its
-    /// rows; cell 1 dies before its tile 2; everything else is as
-    /// imported.
+    /// A cell of a job that binds an output handle panics, on either
+    /// executing engine: the job resolves `EnginePanic`, and the
+    /// checked-out buffer comes back to its slot with its epoch unbumped,
+    /// readable and freeable. The engine ran in place, so the buffer
+    /// keeps what the run wrote before it failed: upstream cell 0 never
+    /// waits on cell 1 (on Seq it runs first) and finishes its rows;
+    /// cell 1 dies before its tile 2; everything else is as imported.
     #[test]
     fn a_cell_panic_hands_the_checked_out_handle_back() {
+        for kind in [EngineKind::Threads, EngineKind::Seq] {
+            a_cell_panic_hands_the_handle_back_on(kind);
+        }
+    }
+
+    fn a_cell_panic_hands_the_handle_back_on(kind: EngineKind) {
         let (program, nest, store) = wave();
         let hook: TileHook = Arc::new(|cell, tile| {
             if cell == 1 && tile == 2 {
@@ -1909,13 +1910,14 @@ mod tests {
         let job = JobSpec::builder(Arc::clone(&program), Arc::clone(&nest))
             .line(2)
             .block(BlockPolicy::Fixed(1))
+            .engine(kind)
             .output_handle("a", &h)
             .build()
             .unwrap();
         let msg = match service.submit(job).wait() {
             Err(PipelineError::EnginePanic(msg)) => msg,
-            Err(e) => panic!("the job failed otherwise: {e}"),
-            Ok(_) => panic!("the job survived its cell's panic"),
+            Err(e) => panic!("{kind}: the job failed otherwise: {e}"),
+            Ok(_) => panic!("{kind}: the job survived its cell's panic"),
         };
         let back = service.read(&h).expect("the handle is back in its slot");
         let session = Session::new(&program, &nest)
@@ -1934,10 +1936,10 @@ mod tests {
             !expect.region_eq(&imported, imported.bounds()),
             "the run wrote nothing"
         );
-        assert!(back.region_eq(&expect, imported.bounds()));
+        assert!(back.region_eq(&expect, imported.bounds()), "{kind}");
         assert_eq!(service.handle_epoch(&h).unwrap(), epoch);
         service.free(&h).expect("the handle frees");
         assert_eq!(service.resident_bytes(), 0);
-        assert!(msg.contains("dies"), "{msg}");
+        assert!(msg.contains("dies"), "{kind}: {msg}");
     }
 }

@@ -42,7 +42,9 @@ pub use report::{ExecutionReport, PhaseBreakdown, ProcTimeline, TraceCollector};
 pub enum EngineKind {
     /// Discrete-event cost simulation on the machine model (`exec_sim`).
     Sim,
-    /// Dependency-order sequential execution (`exec_seq`).
+    /// The threads engine's schedule on the calling thread alone: every
+    /// active cell in wave order, no waits and no messages
+    /// (`exec_threads`).
     Seq,
     /// Real OS threads running their tiles in place on the shared
     /// store, boundaries handed over by tile-progress counters

@@ -58,6 +58,10 @@ echo "== wlc trace --strict over programs/*.wf (predicted == observed) =="
 # on a line (above) and on a mesh, where a cell posts for two links.
 "$WLC" trace programs/sweep_octant.wf --rank 3 -D n=8 --mesh 2x2 --engine threads --strict \
     --json --out /dev/null
+# Seq is the same engine on the calling thread: over both wave axes of
+# the mesh it must observe exactly the zero traffic it predicts.
+"$WLC" trace programs/sweep_octant.wf --rank 3 -D n=8 --mesh 2x2 --engine seq --strict \
+    --json --out /dev/null
 # Model2's b = 6 here is narrower than the lane strip on Tomcatv's lane
 # axis, so the threads run the plan re-cut at b = 8 (`wlc plan` prints
 # both): its posts must equal that plan's prediction.
@@ -68,7 +72,7 @@ echo "== wlc trace --strict over programs/*.wf (predicted == observed) =="
     --json --out /dev/null
 "$WLC" trace programs/sweep_octant.wf --rank 3 -D n=8 --mesh 2x2 --engine threads \
     --kernel-tier interpreted --strict --json --out /dev/null
-echo "strict trace passed on fig3 / tomcatv / sweep_octant (line and 2x2 mesh, compiled and interpreted, a lane-fitted plan) ✔"
+echo "strict trace passed on fig3 / tomcatv / sweep_octant (line and 2x2 mesh, threads and seq, compiled and interpreted, a lane-fitted plan) ✔"
 
 echo
 echo "== wlc timeline smoke (ASCII Gantt + Chrome trace export) =="

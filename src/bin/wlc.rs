@@ -1281,8 +1281,11 @@ fn plan<const R: usize>(
         let line = JobTopology::line(opts.procs);
         match WavefrontPlan::build(nest, line, &opts.block, &opts.machine) {
             Ok(plan) => {
+                // Both estimates price the distribution printed here.
+                let dim = plan.axes[0].dim;
                 let session = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
+                    .dist_dim(dim)
                     .machine(opts.machine)
                     .block(opts.block.clone())
                     .kernel_mode(opts.kernel_mode);
@@ -1298,14 +1301,14 @@ fn plan<const R: usize>(
                 };
                 let naive = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
+                    .dist_dim(dim)
                     .machine(opts.machine)
                     .block(BlockPolicy::FullPortion)
                     .estimate()
                     .time;
                 println!(
-                    "nest {k}: wave dim {}, b = {b} ({} tiles), {} arrays downstream; \
+                    "nest {k}: wave dim {dim}, b = {b} ({} tiles), {} arrays downstream; \
                      simulated {}: pipelined {:.0} vs naive {:.0} ({:.2}x)",
-                    plan.axes[0].dim,
                     plan.tiles.len(),
                     plan.axes[0].comm.len(),
                     opts.machine.name,

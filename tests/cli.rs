@@ -128,6 +128,49 @@ fn plan_reports_a_width_fitted_to_page_strided_rows() {
     assert!(stdout.contains("page-strided rows)"), "{stdout}");
 }
 
+/// `wlc plan` prices the plan it prints: its pipelined time is the
+/// model's estimate over the distribution it names, here dimension 1,
+/// not the default dimension 0 — over which this scan is not a wavefront
+/// at all and pipelining would price the same as naive.
+#[test]
+fn plan_prices_the_distribution_it_prints() {
+    use wavefront::core::prelude::*;
+    use wavefront::lang::compile_str;
+    use wavefront::machine::cray_t3e;
+    use wavefront::pipeline::Session;
+
+    let src = "var a : [0..701, 0..13] float; direction west = (0, -1);
+               [1..700, 1..12] a := 0.5 * a'@west + 1.0;";
+    let path = std::env::temp_dir().join(format!("wlc_priced_{}.wf", std::process::id()));
+    std::fs::write(&path, src).unwrap();
+    let out = wlc()
+        .args(["plan", path.to_str().unwrap(), "--procs", "2", "--machine", "t3e"])
+        .output()
+        .expect("wlc runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // The word printed after `key`.
+    let after = |key: &str| -> &str {
+        let at = stdout.find(key).unwrap_or_else(|| panic!("no {key:?}: {stdout}"));
+        stdout[at + key.len()..].split([',', ' ']).next().unwrap()
+    };
+    let (dim, pipelined, naive) = (after("wave dim "), after("pipelined "), after("vs naive "));
+    assert_eq!(dim, "1", "{stdout}");
+
+    let lo = compile_str::<2>(src, &[], Layout::ColMajor).unwrap();
+    let compiled = compile(&lo.program).unwrap();
+    let nest = compiled.nests().find(|n| n.is_scan).unwrap();
+    let estimate = Session::new(&lo.program, nest)
+        .procs(2)
+        .dist_dim(1)
+        .machine(cray_t3e())
+        .estimate()
+        .time;
+    assert_eq!(pipelined, format!("{estimate:.0}"), "{stdout}");
+    assert_ne!(pipelined, naive, "{stdout}");
+}
+
 #[test]
 fn trace_emits_execution_report_json() {
     let out = wlc()

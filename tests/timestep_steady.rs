@@ -1,8 +1,9 @@
 //! The steady-state contract of resident-array time-stepping: after
 //! one warm-up loop, further loops copy nothing (copy-on-write bytes),
-//! spawn no worker threads, and allocate no resident arrays. The same
-//! counter pins the DAG runner's contract: a warm chain hands every
-//! edge over by refcount.
+//! spawn no worker threads, and allocate no resident arrays — fused on
+//! the threads engine, and step by step on Seq, whose read-only inputs
+//! are viewed where they lie. The same counter pins the DAG runner's
+//! contract: a warm chain hands every edge over by refcount.
 //!
 //! This lives alone in its own test binary because
 //! [`cow_bytes_copied`] is a process-global counter and cargo runs the
@@ -21,14 +22,15 @@ use wavefront::pipeline::{
     WavefrontService,
 };
 
-/// One test, three cases in sequence (see the module docs for why they
-/// must not run in parallel): the relaxation on a line of four, its
-/// two-wavefront-dimension variant on a 2x2 mesh, and a SWEEP3D octant
-/// chain through the DAG runner.
+/// One test, four cases in sequence (see the module docs for why they
+/// must not run in parallel): the relaxation on a line of four, fused
+/// and unfused on Seq, its two-wavefront-dimension variant on a 2x2
+/// mesh, and a SWEEP3D octant chain through the DAG runner.
 #[test]
 fn steady_state_loops_copy_nothing_spawn_nothing_allocate_nothing() {
-    steady_state(JobTopology::line(4), false);
-    steady_state(JobTopology::mesh([2, 2]), true);
+    steady_state(JobTopology::line(4), false, EngineKind::Threads);
+    steady_state(JobTopology::line(4), false, EngineKind::Seq);
+    steady_state(JobTopology::mesh([2, 2]), true, EngineKind::Threads);
     warm_dag_edges_copy_nothing();
 }
 
@@ -78,7 +80,9 @@ fn warm_dag_edges_copy_nothing() {
     assert!(warm.bytes_shared > 0, "chained inputs are shared, not re-marshalled");
 }
 
-fn steady_state(topology: JobTopology, west_too: bool) {
+/// A relaxation over imported handles, looped on `engine`: the threads
+/// engine fuses the steps into one run, Seq runs one job per step.
+fn steady_state(topology: JobTopology, west_too: bool, engine: EngineKind) {
     let n = 16;
     let bounds = Region::rect([0, 0], [n + 1, n + 1]);
     let mut prog = Program::<2>::new();
@@ -110,7 +114,7 @@ fn steady_state(topology: JobTopology, west_too: bool) {
             .topology(topology)
             .block(BlockPolicy::Fixed(4))
             .machine(cray_t3e())
-            .engine(EngineKind::Threads)
+            .engine(engine)
             .output_handle("next", &handles["next"])
             .output_handle("curr", &handles["curr"])
             .input_handle("load", &handles["load"])
@@ -129,8 +133,9 @@ fn steady_state(topology: JobTopology, west_too: bool) {
             .expect("loop runs")
     };
 
+    let fused = engine == EngineKind::Threads;
     let warm = run(3);
-    assert!(warm.stats.fused, "the steady-state claim is about the fused path");
+    assert_eq!(warm.stats.fused, fused, "only the threads engine fuses");
 
     let cow0 = cow_bytes_copied();
     let spawns0 = service.stats().pool_spawns;
@@ -138,27 +143,27 @@ fn steady_state(topology: JobTopology, west_too: bool) {
     let resident0 = service.resident_bytes();
 
     let out = run(4);
-    assert!(out.stats.fused);
+    assert_eq!(out.stats.fused, fused);
     assert_eq!(out.steps_run, 4);
 
     assert_eq!(
         cow_bytes_copied() - cow0,
         0,
-        "a steady-state loop must not copy-on-write"
+        "a steady-state {engine} loop must not copy-on-write"
     );
     assert_eq!(
         service.stats().pool_spawns - spawns0,
         0,
-        "a steady-state loop reuses the warm worker pool"
+        "a steady-state {engine} loop reuses the warm worker pool"
     );
     assert_eq!(
         service.handle_allocs() - allocs0,
         0,
-        "a steady-state loop allocates no resident arrays"
+        "a steady-state {engine} loop allocates no resident arrays"
     );
     assert_eq!(
         service.resident_bytes(),
         resident0,
-        "the resident footprint is flat across loops"
+        "the resident footprint of a {engine} loop is flat across loops"
     );
 }
