@@ -2,8 +2,10 @@
 //!
 //! There is one path from a nest to model units. A classifier
 //! ([`nest_stage`]) asks the planner once and sorts the nest into a
-//! *planned wavefront* (the plan's own task DAG, [`plan_dag`]: the actual
-//! owned regions and tiles, so uneven distributions are exact), a *fully
+//! *planned wavefront* (the plan's own task DAG, [`plan_dag`]: one sweep
+//! of its [`TileGraph`], the graph the threaded engine waits on, over
+//! the actual owned regions and tiles, so uneven distributions are
+//! exact), a *fully
 //! parallel* nest with one ghost exchange, or — when dependences cross
 //! the distributed dimension both ways — a *serialised chain*; a
 //! reduction is the fourth class. Each class has one stage builder, and
@@ -22,61 +24,39 @@ use wavefront_machine::{
 };
 
 use crate::error::PipelineError;
-use crate::plan::{nest_work, read_margins, JobTopology, WavefrontPlan};
+use crate::plan::{nest_work, read_margins, JobTopology, TileGraph, WavefrontPlan};
 use crate::schedule::BlockPolicy;
 use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
 };
 
-/// Build the task DAG of a plan: task `(i, j)` is cell `i` (wave order)
-/// computing tile `j` of its portion; it depends on its own tile `j−1`
-/// and on tile `j` of its upstream neighbour along every axis (each a
-/// boundary message).
-///
-/// Message edges carry exactly the elements the threaded engine
-/// serializes ([`WavefrontPlan::msg_elems`] of the sender's owned
-/// region); edges touching a rank that owns no data degrade to pure
-/// ordering edges, since such ranks neither compute nor relay in the
-/// real runtimes.
+/// Build the task DAG of a plan, one sweep of its [`TileGraph`]: task
+/// `(i, j)` is active cell `i` (wave order) computing tile `j` of its
+/// portion; it depends on its own tile `j−1` and on tile `j` of the
+/// upstream cell of each of its in-edges, each a boundary message
+/// carrying exactly the elements the threaded engine's post stands for
+/// ([`WavefrontPlan::msg_elems`] of the sender's owned region).
 pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>) -> Vec<SimTask> {
-    let cells = plan.cells_in_wave_order();
+    let graph = TileGraph::new(plan, 1);
     let nt = plan.tiles.len();
-    let mut position = vec![0usize; cells.len()];
-    for (i, &rank) in cells.iter().enumerate() {
-        position[rank] = i;
-    }
-    let mut tasks = Vec::with_capacity(cells.len() * nt);
-    for (i, &rank) in cells.iter().enumerate() {
-        let owned = plan.dist.owned(rank);
+    let mut tasks = Vec::with_capacity(graph.cells.len() * nt);
+    for (i, &rank) in graph.cells.iter().enumerate() {
         for (j, tile) in plan.tiles.iter().enumerate() {
-            let mut deps = Vec::new();
-            if j > 0 {
-                deps.push(Dep {
-                    task: i * nt + (j - 1),
-                    elems: 0,
-                });
-            }
-            for axis in 0..plan.axes.len() {
-                if let Some(up) = plan.upstream(rank, axis) {
-                    // An empty sender's slab is empty already.
-                    let elems = if owned.is_empty() {
-                        0
-                    } else {
-                        plan.msg_elems(plan.dist.owned(up), tile, axis)
-                    };
-                    deps.push(Dep {
-                        task: position[up] * nt + j,
-                        elems,
-                    });
-                }
-            }
+            let order = (j > 0).then(|| Dep {
+                task: i * nt + (j - 1),
+                elems: 0,
+            });
+            let flow = graph.ins[i].iter().map(|up| Dep {
+                task: up.cell * nt + j,
+                elems: plan.msg_elems(graph.owned[up.cell], tile, up.axis),
+            });
             // The task runs on the actual grid rank (not the wave-order
             // position), so processor identities line up across stages
             // when plans with different wave directions are fused.
             tasks.push(SimTask {
                 proc: rank,
-                cost: owned.intersect(tile).len() as f64 * plan.work,
-                deps,
+                cost: graph.owned[i].intersect(tile).len() as f64 * plan.work,
+                deps: order.into_iter().chain(flow).collect(),
             });
         }
     }
@@ -104,15 +84,13 @@ impl SimObserver for DagAdapter<'_> {
                 end: ready + wait,
             });
         }
-        if self.elems[idx] > 0 {
-            self.collector.block(BlockEvent {
-                proc,
-                tile: idx % self.nt,
-                start,
-                end: finish,
-                elems: self.elems[idx],
-            });
-        }
+        self.collector.block(BlockEvent {
+            proc,
+            tile: idx % self.nt,
+            start,
+            end: finish,
+            elems: self.elems[idx],
+        });
     }
     fn message(
         &mut self,
@@ -150,17 +128,15 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
         return simulate(&tasks, params, procs);
     }
     let nt = plan.tiles.len();
-    let mut elems = Vec::with_capacity(tasks.len());
-    for rank in plan.cells_in_wave_order() {
-        let owned = plan.dist.owned(rank);
-        for tile in &plan.tiles {
-            elems.push(owned.intersect(tile).len());
-        }
-    }
+    let active = plan.active_cells();
+    let elems = active
+        .iter()
+        .flat_map(|&rank| plan.tiles.iter().map(move |t| plan.dist.owned(rank).intersect(t).len()))
+        .collect();
     collector.begin(&RunMeta {
         engine: EngineKind::Sim,
         procs,
-        active: plan.active_cells(),
+        active,
         tiles: nt,
         block: plan.block,
         pipelined: plan.is_pipelined(),

@@ -10,10 +10,12 @@
 //! is about to start (the *flow* wait of the paper's pipelined
 //! implementation, Figure 4(b)), and when sweeps repeat an upstream cell
 //! waits until every cell that reads its rows has finished reading them
-//! in the previous sweep (the *drain* wait). One post per tile stands
-//! for the boundary message the plan predicts on each downstream link,
-//! and is recorded as that message, so observed traffic equals
-//! [`WavefrontPlan::predicted_traffic`] exactly. With
+//! in the previous sweep (the *drain* wait). Both are the edges of the
+//! plan's [`TileGraph`], read once at launch: the DES and the traffic
+//! prediction read the same graph. One post per tile stands for the
+//! boundary message on each out-edge, and is recorded as that message,
+//! so observed traffic equals [`WavefrontPlan::predicted_traffic`]
+//! exactly. With
 //! [`crate::schedule::BlockPolicy::FullPortion`] the same code
 //! degenerates to the naive schedule of Figure 4(a).
 //!
@@ -60,7 +62,7 @@ use wavefront_core::program::Store;
 use wavefront_core::region::Region;
 
 use crate::link::Progress;
-use crate::plan::WavefrontPlan;
+use crate::plan::{TileGraph, WavefrontPlan};
 use crate::service::pool::WorkerPool;
 use crate::session::SessionConfig;
 use crate::telemetry::{
@@ -215,7 +217,7 @@ fn writes<const R: usize>(nest: &CompiledNest<R>, id: ArrayId) -> bool {
 ///   shift along an axis that carries no link;
 /// * across sweeps (`iters > 1`) [`rotation_fusible`] leaves only the
 ///   first kind, and the drain wait orders each overwrite after the
-///   previous sweep's reads (see [`drain_readers`]).
+///   previous sweep's reads (see [`TileGraph::readers`]).
 ///
 /// [`WavefrontPlan::build`] puts the tile dimension outermost and
 /// refuses nests whose constraints (anti-dependences included) do not
@@ -247,84 +249,6 @@ pub(crate) fn in_place_legal<const R: usize>(
         }
         unlinked || (steps.iter().any(|&s| s < 0) && steps.iter().any(|&s| s > 0))
     })
-}
-
-/// Per active cell, the cells that read its rows: every other active
-/// cell some shifted read of a written array reaches it from. Before a
-/// cell overwrites a tile in sweep `i + 1` it waits until these have
-/// finished, in sweep `i`, the last tile that reads that tile's columns
-/// ([`drain_reach`]). Immediate neighbours in the usual case; further
-/// cells when a cell owns fewer rows than a boundary is thick, diagonal
-/// ones when a read crosses both axes of a mesh.
-fn drain_readers<const R: usize>(
-    nest: &CompiledNest<R>,
-    plan: &WavefrontPlan<R>,
-    cells: &[usize],
-) -> Vec<Vec<usize>> {
-    let shifts: Vec<_> = nest
-        .stmts
-        .iter()
-        .flat_map(|s| s.rhs.reads())
-        .filter(|r| writes(nest, r.id))
-        .map(|r| r.shift)
-        .collect();
-    let owned: Vec<Region<R>> = cells.iter().map(|&c| plan.dist.owned(c)).collect();
-    let reads_from = |reader: &Region<R>, source: &Region<R>| {
-        shifts.iter().any(|s| {
-            plan.axes.iter().all(|a| {
-                let d = a.dim;
-                reader.lo()[d] + s[d] <= source.hi()[d] && source.lo()[d] <= reader.hi()[d] + s[d]
-            })
-        })
-    };
-    (0..cells.len())
-        .map(|c| {
-            (0..cells.len())
-                .filter(|&r| r != c && reads_from(&owned[r], &owned[c]))
-                .collect()
-        })
-        .collect()
-}
-
-/// Per tile, the index of the last tile whose reads reach this tile's
-/// columns: a read shifted along the tile dimension (a diagonal primed
-/// read) makes tile `t + 1` of a neighbour read tile `t`'s columns, so
-/// the drain wait for `t` is widened to it. The reach is the widest
-/// margin [`WavefrontPlan::boundary_slab`] is called with along the tile
-/// dimension.
-fn drain_reach<const R: usize>(plan: &WavefrontPlan<R>) -> Vec<usize> {
-    let Some(k) = plan.tile_dim else {
-        return vec![0; plan.tiles.len()];
-    };
-    let reach = plan
-        .axes
-        .iter()
-        .flat_map(|a| &a.comm)
-        .map(|&(id, _)| plan.margins[id][k])
-        .max()
-        .unwrap_or(0);
-    // Tile extents along `k` in execution order, as increasing numbers.
-    let span = |t: &Region<R>| {
-        if plan.tile_ascending {
-            (t.lo()[k], t.hi()[k])
-        } else {
-            (-t.hi()[k], -t.lo()[k])
-        }
-    };
-    let mut last = 0;
-    plan.tiles
-        .iter()
-        .enumerate()
-        .map(|(t, tile)| {
-            last = last.max(t);
-            while last + 1 < plan.tiles.len()
-                && span(&plan.tiles[last + 1]).0 - reach <= span(tile).1
-            {
-                last += 1;
-            }
-            last
-        })
-        .collect()
 }
 
 /// Apply one rotation step to a store: the buffer in slot `from` moves
@@ -395,15 +319,13 @@ struct RunCtx<const R: usize> {
     shapes: Vec<(Region<R>, Layout)>,
     iters: usize,
     rotate: Vec<(ArrayId, ArrayId)>,
-    /// See [`drain_reach`]; empty for a single sweep.
-    reach: Vec<usize>,
+    /// The plan's tile graph over `iters` sweeps.
+    graph: Arc<TileGraph<R>>,
     /// The no-overlap ablation: every cell waits here after each
     /// iteration, flattening the staircase back to lock-step.
     barrier: Option<Barrier>,
     epoch: Instant,
     enabled: bool,
-    /// The active cells' ranks.
-    cells: Vec<usize>,
     engine: EngineKind,
     /// The store and the cells' results, until the last cell has ended.
     ending: Mutex<Ending<R>>,
@@ -474,7 +396,7 @@ fn run_cell<const R: usize>(
                 let target = match a.flow {
                     Some(_) => it * tiles + ti + 1,
                     None if it == 0 => continue,
-                    None => (it - 1) * tiles + ctx.reach[ti] + 1,
+                    None => (it - 1) * tiles + ctx.graph.reach[ti] + 1,
                 };
                 let start = rec.stamp();
                 a.on.wait(target as u64).expect(CASCADE);
@@ -568,7 +490,7 @@ pub(crate) struct Ended<const R: usize> {
     runs: Result<Vec<CellRun>, String>,
     elapsed: Duration,
     plan: Arc<WavefrontPlan<R>>,
-    cells: Vec<usize>,
+    graph: Arc<TileGraph<R>>,
     engine: EngineKind,
     iters: usize,
     rotate: Vec<(ArrayId, ArrayId)>,
@@ -589,7 +511,7 @@ impl<const R: usize> Ended<R> {
             runs,
             elapsed,
             plan,
-            cells,
+            graph,
             engine,
             iters,
             rotate,
@@ -614,7 +536,7 @@ impl<const R: usize> Ended<R> {
             collector.begin(&RunMeta {
                 engine,
                 procs: plan.procs(),
-                active: cells.clone(),
+                active: graph.cells.clone(),
                 tiles: plan.tiles.len(),
                 block: plan.block,
                 pipelined: plan.is_pipelined(),
@@ -626,7 +548,7 @@ impl<const R: usize> Ended<R> {
                     _ => plan.predicted_traffic(),
                 },
             });
-            replay(collector, &plan, &cells, &events, elapsed.as_secs_f64());
+            replay(collector, &graph, &events, elapsed.as_secs_f64());
         }
         // A rotation renames *whole buffers* — border cells the sweep
         // never writes travel with their buffer, exactly as on the
@@ -756,16 +678,16 @@ pub(crate) fn launch_threaded<const R: usize>(
         rotate.iter().all(|&(a, b)| shapes[a] == shapes[b]),
         "a rotation renames buffers between arrays of one bounds and layout"
     );
-    // Only cells owning data participate.
-    let cells: Vec<usize> = plan.active_cells();
-    let n = cells.len();
+    // Only cells owning data participate: the graph's nodes.
+    let graph = Arc::new(TileGraph::new(plan, iters));
+    let n = graph.cells.len();
     if n == 0 {
         done(Ended {
             store: std::mem::replace(store, Store::from_arrays(Vec::new())),
             runs: Ok(Vec::new()),
             elapsed: Duration::ZERO,
             plan: Arc::clone(plan),
-            cells,
+            graph,
             engine,
             iters,
             rotate: rotate.to_vec(),
@@ -773,15 +695,6 @@ pub(crate) fn launch_threaded<const R: usize>(
         });
         return;
     }
-
-    // A link exists per axis with communicated arrays and per adjacent
-    // pair of active cells; cells are addressed by active-cell index. On
-    // one thread there are none: wave order satisfies every wait.
-    let index = active_index(plan, &cells);
-    let linked = |rank: Option<usize>, axis: usize| -> Option<usize> {
-        rank.and_then(|r| index[r])
-            .filter(|_| !seq && !plan.axes[axis].comm.is_empty())
-    };
 
     // Everything that needs `&mut store` happens here, before the first
     // task starts: the one copy-on-write break of each array the run
@@ -803,12 +716,6 @@ pub(crate) fn launch_threaded<const R: usize>(
             }
         })
         .collect();
-    // Drain waits exist only between sweeps.
-    let (readers, reach) = if iters > 1 {
-        (drain_readers(nest, plan, &cells), drain_reach(plan))
-    } else {
-        (vec![Vec::new(); n], Vec::new())
-    };
     let ctx = Arc::new(RunCtx {
         nest: Arc::clone(nest),
         prep: Arc::clone(prep),
@@ -817,7 +724,7 @@ pub(crate) fn launch_threaded<const R: usize>(
         shapes,
         iters,
         rotate: rotate.to_vec(),
-        reach,
+        graph: Arc::clone(&graph),
         barrier: (!pipelined).then(|| Barrier::new(n)),
         epoch: Instant::now(),
         enabled,
@@ -828,7 +735,6 @@ pub(crate) fn launch_threaded<const R: usize>(
             panic: None,
             done: Some(done),
         }),
-        cells: cells.clone(),
         engine,
         #[cfg(test)]
         tile_hook: test_hooks::current(),
@@ -839,28 +745,22 @@ pub(crate) fn launch_threaded<const R: usize>(
         // A cell may wait on any other, so each needs a worker.
         workers.ensure_workers(n);
     }
-    for (i, (&rank, readers)) in cells.iter().zip(readers).enumerate() {
-        let axes = 0..plan.axes.len();
+    for i in 0..n {
+        let drain = graph.readers[i].iter().map(|&r| Await {
+            on: Arc::clone(&progress[r]),
+            flow: None,
+        });
+        let flow = graph.ins[i].iter().map(|up| Await {
+            on: Arc::clone(&progress[up.cell]),
+            flow: Some(up.axis),
+        });
+        // On one thread there are no links: wave order satisfies every
+        // wait, and no post stands for a message.
         let links = CellLinks {
-            owned: plan.dist.owned(rank),
+            owned: graph.owned[i],
             me: Arc::clone(&progress[i]),
-            awaits: readers
-                .into_iter()
-                .map(|r| Await {
-                    on: Arc::clone(&progress[r]),
-                    flow: None,
-                })
-                .chain(axes.clone().filter_map(|axis| {
-                    let up = linked(plan.upstream(rank, axis), axis)?;
-                    Some(Await {
-                        on: Arc::clone(&progress[up]),
-                        flow: Some(axis),
-                    })
-                }))
-                .collect(),
-            down: axes
-                .filter(|&axis| linked(plan.downstream(rank, axis), axis).is_some())
-                .collect(),
+            awaits: drain.chain(flow).filter(|_| !seq).collect(),
+            down: graph.outs[i].iter().map(|down| down.axis).filter(|_| !seq).collect(),
         };
         let ctx = Arc::clone(&ctx);
         let task = move || {
@@ -887,19 +787,24 @@ pub(crate) fn launch_threaded<const R: usize>(
                 //   `written`.
                 // (2) No unordered conflict. Two cells never write one
                 //   element: each writes only `owned ∩ tile`, and owned
-                //   regions partition the covering region. A cell reads
-                //   an element another cell writes only (flow) after the
+                //   regions partition the covering region. Every other
+                //   cross-cell access is ordered by the plan's
+                //   `TileGraph`: each of its edges is a wait here, an
                 //   Acquire load in `Progress::wait` that pairs with the
-                //   writer's Release `post` of that tile — directly or
-                //   through the chain of upstream waits — or (anti)
-                //   before its own post, which the writer's flow wait
-                //   lets it start after; across sweeps, a cell
-                //   overwrites a tile only after the drain wait on every
-                //   reader of its rows. `in_place_legal`, asserted at
-                //   the top of `launch_threaded`, holds exactly when
-                //   these cover every cross-cell access of the nest
-                //   under the plan; `rotation_fusible`, asserted beside
-                //   it, does the same for reads across sweeps.
+                //   Release `post` of the tile it names. A cell reads an
+                //   element another cell writes only (flow) after the
+                //   writer's tile — directly or through the chain of
+                //   flow edges — or (anti) before its own post, which
+                //   the writer's flow wait lets it start after; across
+                //   sweeps, a cell overwrites a tile only after the
+                //   drain wait on every reader of its rows.
+                //   `in_place_legal`, asserted at the top of
+                //   `launch_threaded`, holds exactly when these cover
+                //   every cross-cell access of the nest under the plan;
+                //   `rotation_fusible`, asserted beside it, does the
+                //   same for reads across sweeps. The legality sweep in
+                //   `handoff_tests` checks the property itself, element
+                //   by element, on every plan it builds.
                 // (3) The run owns the store. It was moved into
                 //   `ctx.ending` before any task was dispatched (moving
                 //   a `Store` moves no buffer), and only the completion
@@ -929,15 +834,6 @@ pub(crate) fn launch_threaded<const R: usize>(
             workers.execute(Box::new(task));
         }
     }
-}
-
-/// Per rank, its index among the active cells.
-fn active_index<const R: usize>(plan: &WavefrontPlan<R>, cells: &[usize]) -> Vec<Option<usize>> {
-    let mut index: Vec<Option<usize>> = vec![None; plan.procs()];
-    for (i, &rank) in cells.iter().enumerate() {
-        index[rank] = Some(i);
-    }
-    index
 }
 
 /// Count cell `i` ended — returned, or unwound and caught — and, when it
@@ -978,7 +874,7 @@ fn end_cell<const R: usize>(ctx: &RunCtx<R>, i: usize, ran: std::thread::Result<
         runs,
         elapsed: ctx.epoch.elapsed(),
         plan: Arc::clone(&ctx.prep.plan),
-        cells: ctx.cells.clone(),
+        graph: Arc::clone(&ctx.graph),
         engine: ctx.engine,
         iters: ctx.iters,
         rotate: ctx.rotate.clone(),
@@ -990,16 +886,16 @@ fn end_cell<const R: usize>(ctx: &RunCtx<R>, i: usize, ran: std::thread::Result<
 }
 
 /// Replay buffered worker events into the collector: blocks and waits
-/// directly, messages by pairing each (cell, axis) send stream with the
-/// downstream cell's same-axis receive stream (both are in tile order).
+/// directly, messages by pairing each cell's send stream along an
+/// out-edge with the downstream cell's receive stream along the same
+/// axis (both are in tile order).
 fn replay<const R: usize>(
     collector: &mut dyn Collector,
-    plan: &WavefrontPlan<R>,
-    cells: &[usize],
+    graph: &TileGraph<R>,
     events: &[Vec<WorkerEv>],
     makespan: f64,
 ) {
-    let index = active_index(plan, cells);
+    let cells = &graph.cells;
     for (&rank, evs) in cells.iter().zip(events) {
         for ev in evs {
             match *ev {
@@ -1033,31 +929,25 @@ fn replay<const R: usize>(
             }
         }
     }
-    for (&rank, evs) in cells.iter().zip(events) {
-        for axis in 0..plan.axes.len() {
-            let Some((to, to_events)) = plan
-                .downstream(rank, axis)
-                .and_then(|d| Some((d, &events[index[d]?])))
-            else {
-                continue;
-            };
+    for (c, evs) in events.iter().enumerate() {
+        for down in &graph.outs[c] {
             let sends = evs.iter().filter_map(|e| match *e {
                 WorkerEv::Sent {
-                    axis: a,
+                    axis,
                     tile,
                     elems,
                     at,
-                } if a == axis => Some((tile, elems, at)),
+                } if axis == down.axis => Some((tile, elems, at)),
                 _ => None,
             });
-            let recvs = to_events.iter().filter_map(|e| match *e {
-                WorkerEv::Recv { axis: a, at, .. } if a == axis => Some(at),
+            let recvs = events[down.cell].iter().filter_map(|e| match *e {
+                WorkerEv::Recv { axis, at, .. } if axis == down.axis => Some(at),
                 _ => None,
             });
             for ((tile, elems, sent_at), recv_at) in sends.zip(recvs) {
                 collector.message(MessageEvent {
-                    from: rank,
-                    to,
+                    from: cells[c],
+                    to: cells[down.cell],
                     tile,
                     elems,
                     sent_at,

@@ -483,6 +483,118 @@ fn topologies<const R: usize>() -> Vec<JobTopology> {
     all
 }
 
+/// The race-freedom oracle behind obligation (2) of `launch_threaded`'s
+/// SAFETY argument, by brute force: over `sweeps` sweeps of `c.nest`
+/// under `plan`, buffers renamed by `rotate` between sweeps, any two
+/// tiles on different cells that touch one element, at least one of
+/// them writing it, are ordered by the plan's `TileGraph` — its flow and
+/// drain edges, closed under each cell's tile order.
+fn assert_race_free<const R: usize>(
+    c: &Case<R>,
+    plan: &WavefrontPlan<R>,
+    sweeps: usize,
+    rotate: &[(ArrayId, ArrayId)],
+    label: &str,
+) {
+    let graph = TileGraph::new(plan, sweeps);
+    let (cells, nt) = (graph.cells.len(), plan.tiles.len());
+    // Node `(s, t, c)`: cell `c` runs tile `t` of sweep `s`. Every edge
+    // points to a higher number, so numbering order is topological.
+    let node = |s: usize, t: usize, c: usize| (s * nt + t) * cells + c;
+    let nodes = sweeps * nt * cells;
+    let words = nodes.div_ceil(64);
+    // Bits `v * words ..`: the nodes ordered before node `v`.
+    let mut before = vec![0u64; nodes * words];
+    for s in 0..sweeps {
+        for t in 0..nt {
+            for c in 0..cells {
+                let mut preds: Vec<usize> = graph.ins[c].iter().map(|up| node(s, t, up.cell)).collect();
+                match (s, t) {
+                    (0, 0) => {}
+                    (_, 0) => preds.push(node(s - 1, nt - 1, c)),
+                    _ => preds.push(node(s, t - 1, c)),
+                }
+                if s > 0 {
+                    let drain = graph.readers[c].iter().map(|&r| node(s - 1, graph.reach[t], r));
+                    preds.extend(drain);
+                }
+                let v = node(s, t, c);
+                for p in preds {
+                    assert!(p < v, "{label}: an edge points backwards");
+                    let (done, rest) = before.split_at_mut(v * words);
+                    for (w, &u) in rest[..words].iter_mut().zip(&done[p * words..][..words]) {
+                        *w |= u;
+                    }
+                    rest[p / 64] |= 1 << (p % 64);
+                }
+            }
+        }
+    }
+    let ordered = |a: usize, b: usize| before[b * words + a / 64] >> (a % 64) & 1 == 1;
+    // Every element access of the run: `(node, element, writes)`, the
+    // elements numbered buffer after buffer in row-major order.
+    let shape = c.program.arrays()[0].bounds;
+    assert!(c.program.arrays().iter().all(|d| d.bounds == shape));
+    let mut stride = [1i64; R];
+    for k in (0..R - 1).rev() {
+        stride[k] = stride[k + 1] * shape.extent(k + 1);
+    }
+    let linear = |q: [i64; R]| (0..R).map(|k| q[k] * stride[k]).sum::<i64>();
+    let origin = linear(shape.lo());
+    let stmts: Vec<(usize, Vec<(usize, i64)>)> = c
+        .nest
+        .stmts
+        .iter()
+        .map(|st| {
+            let reads = st.rhs.reads().into_iter().map(|r| (r.id, linear(r.shift.0)));
+            (st.lhs, reads.collect())
+        })
+        .collect();
+    let mut accesses = Vec::new();
+    let mut buf: Vec<usize> = (0..c.program.arrays().len()).collect();
+    for s in 0..sweeps {
+        if s > 0 {
+            let moved: Vec<usize> = rotate.iter().map(|&(from, _)| buf[from]).collect();
+            for (&(_, to), b) in rotate.iter().zip(moved) {
+                buf[to] = b;
+            }
+        }
+        for (t, tile) in plan.tiles.iter().enumerate() {
+            for cell in 0..cells {
+                let v = node(s, t, cell);
+                for q in graph.owned[cell].intersect(tile).iter() {
+                    let at = linear(q.0) - origin;
+                    for (lhs, reads) in &stmts {
+                        for &(id, shift) in reads {
+                            let e = buf[id] * shape.len() + (at + shift) as usize;
+                            accesses.push((v, e, false));
+                        }
+                        accesses.push((v, buf[*lhs] * shape.len() + at as usize, true));
+                    }
+                }
+            }
+        }
+    }
+    // Per element and sweep, its writer: one cell owns the element.
+    let mut writer = vec![usize::MAX; buf.len() * shape.len() * sweeps];
+    for &(v, e, writes) in &accesses {
+        if writes {
+            writer[e * sweeps + v / (nt * cells)] = v;
+        }
+    }
+    let name = |v: usize| format!("cell {} tile {} sweep {}", v % cells, v / cells % nt, v / cells / nt);
+    for &(v, e, _) in &accesses {
+        for &w in &writer[e * sweeps..][..sweeps] {
+            assert!(
+                w == usize::MAX || w % cells == v % cells || ordered(w, v) || ordered(v, w),
+                "{label}, {sweeps} sweep(s), rotate {rotate:?}: {} and {} race",
+                name(w),
+                name(v)
+            );
+        }
+    }
+}
+
 /// The legality sweep at one rank: returns (nests compiled, plans
 /// accepted, plans run).
 fn sweep_rank<const R: usize>(seeds: u64, n: i64, workers: &WorkerPool) -> (usize, usize, usize) {
@@ -509,6 +621,13 @@ fn sweep_rank<const R: usize>(seeds: u64, n: i64, workers: &WorkerPool) -> (usiz
                     in_place_legal(&c.nest, &plan),
                     "{label}: the planner made a plan the engine refuses"
                 );
+                // Two sweeps check the first one's edges too.
+                let rotated = [(0, 1), (1, 0)];
+                let sweeps = if rotation_fusible(&c.nest, &[]) { 2 } else { 1 };
+                assert_race_free(&c, &plan, sweeps, &[], &label);
+                if rotation_fusible(&c.nest, &rotated) {
+                    assert_race_free(&c, &plan, 2, &rotated, &label);
+                }
                 if plans % 7 != 0 {
                     continue;
                 }

@@ -14,6 +14,7 @@
 use wavefront_core::array::Layout;
 use wavefront_core::exec::CompiledNest;
 use wavefront_core::expr::ArrayId;
+use wavefront_core::index::Offset;
 use wavefront_core::kernel::NestRunner;
 use wavefront_core::kernel_lanes::{LaneShape, LANES};
 use wavefront_core::loops::satisfies;
@@ -175,6 +176,10 @@ pub struct WavefrontPlan<const R: usize> {
     pub tiles: Vec<Region<R>>,
     /// The loop order used inside each tile.
     pub order: LoopStructureOrder<R>,
+    /// The distinct shifts at which the nest reads the arrays it writes:
+    /// how far a cell's reads reach into other cells' rows, which the
+    /// drain edges of [`TileGraph`] order across sweeps.
+    pub(crate) reads: Vec<Offset<R>>,
 }
 
 impl<const R: usize> WavefrontPlan<R> {
@@ -306,6 +311,15 @@ impl<const R: usize> WavefrontPlan<R> {
             w.dedup();
             w
         };
+        let mut reads: Vec<Offset<R>> = nest
+            .stmts
+            .iter()
+            .flat_map(|s| s.rhs.reads())
+            .filter(|r| written.contains(&r.id))
+            .map(|r| r.shift)
+            .collect();
+        reads.sort_unstable();
+        reads.dedup();
         let axes: Vec<Axis> = placed
             .into_iter()
             .map(|(dim, procs)| {
@@ -342,6 +356,7 @@ impl<const R: usize> WavefrontPlan<R> {
             margins: read_margins(nest),
             tiles: vec![region],
             order: base_order,
+            reads,
         };
         match tile_dim.zip(plan.block_ctx(*params)) {
             Some((k, ctx)) => {
@@ -454,43 +469,24 @@ impl<const R: usize> WavefrontPlan<R> {
         self.dist.grid().len()
     }
 
-    /// Grid ranks in wavefront order: a processor on diagonal `d` (the
-    /// sum of its per-axis distances from the upstream corner) comes
-    /// after everything on diagonals `< d`. For a line this is simply
-    /// upstream first.
-    pub fn cells_in_wave_order(&self) -> Vec<usize> {
+    /// The ranks that own data, in wave order: a rank on diagonal `d`
+    /// (the sum of its per-axis distances from the upstream corner) comes
+    /// after every rank on diagonals `< d`; on a line, upstream first.
+    /// These are the processors that participate in execution; empty
+    /// ranks neither compute nor relay.
+    pub fn active_cells(&self) -> Vec<usize> {
         let grid = self.dist.grid();
         let key = |&rank: &usize| {
             let c = grid.coord_of(rank);
             let along = |a: &Axis| if a.ascending { c[a.dim] } else { a.procs - 1 - c[a.dim] };
             (self.axes.iter().map(along).sum::<usize>(), along(&self.axes[0]))
         };
-        let mut cells: Vec<usize> = grid.ranks().collect();
+        let mut cells: Vec<usize> = grid
+            .ranks()
+            .filter(|&r| !self.dist.owned(r).is_empty())
+            .collect();
         cells.sort_by_key(key);
         cells
-    }
-
-    /// The ranks that own data, in wave order. These are the processors
-    /// that participate in execution; empty ranks neither compute nor
-    /// relay.
-    pub fn active_cells(&self) -> Vec<usize> {
-        self.cells_in_wave_order()
-            .into_iter()
-            .filter(|&r| !self.dist.owned(r).is_empty())
-            .collect()
-    }
-
-    /// The upstream neighbour of `rank` along axis `axis` (the rank whose
-    /// values `rank` consumes), if any.
-    pub fn upstream(&self, rank: usize, axis: usize) -> Option<usize> {
-        let a = &self.axes[axis];
-        self.dist.grid().neighbor(rank, a.dim, if a.ascending { -1 } else { 1 })
-    }
-
-    /// The downstream neighbour of `rank` along axis `axis`, if any.
-    pub fn downstream(&self, rank: usize, axis: usize) -> Option<usize> {
-        let a = &self.axes[axis];
-        self.dist.grid().neighbor(rank, a.dim, if a.ascending { 1 } else { -1 })
     }
 
     /// The slab one boundary message covers when `owner` sends
@@ -575,25 +571,18 @@ impl<const R: usize> WavefrontPlan<R> {
     }
 
     /// The boundary traffic this plan predicts: per tile, one message
-    /// along each axis with communicated arrays from every active cell
-    /// whose downstream neighbour on that axis is also active, carrying
-    /// exactly [`Self::msg_elems`]. The engines must observe precisely
-    /// these counts.
+    /// along each out-edge of its `TileGraph`, carrying exactly
+    /// [`Self::msg_elems`]. The engines must observe precisely these
+    /// counts.
     pub fn predicted_traffic(&self) -> crate::telemetry::Prediction {
-        let active = self.active_cells();
+        let graph = TileGraph::new(self, 1);
         let mut messages = 0usize;
         let mut elements = 0usize;
-        for &rank in &active {
-            let owned = self.dist.owned(rank);
-            for (axis, a) in self.axes.iter().enumerate() {
-                if a.comm.is_empty()
-                    || !self.downstream(rank, axis).is_some_and(|d| active.contains(&d))
-                {
-                    continue;
-                }
+        for (owned, outs) in graph.owned.iter().zip(&graph.outs) {
+            for link in outs {
                 messages += self.tiles.len();
                 for tile in &self.tiles {
-                    elements += self.msg_elems(owned, tile, axis);
+                    elements += self.msg_elems(*owned, tile, link.axis);
                 }
             }
         }
@@ -601,6 +590,133 @@ impl<const R: usize> WavefrontPlan<R> {
             messages,
             elements,
             bytes: elements * std::mem::size_of::<f64>(),
+        }
+    }
+
+    /// [`TileGraph::reach`]: per tile, the last tile whose reads reach
+    /// it along the tile dimension, by the widest margin
+    /// [`Self::boundary_slab`] is called with there.
+    fn drain_reach(&self) -> Vec<usize> {
+        let Some(k) = self.tile_dim else {
+            return vec![0; self.tiles.len()];
+        };
+        let comm = self.axes.iter().flat_map(|a| &a.comm);
+        let reach = comm.map(|&(id, _)| self.margins[id][k]).max().unwrap_or(0);
+        // Tile extents along `k` in execution order, as increasing numbers.
+        let span = |t: &Region<R>| match self.tile_ascending {
+            true => (t.lo()[k], t.hi()[k]),
+            false => (-t.hi()[k], -t.lo()[k]),
+        };
+        let mut last = 0;
+        let tiles = self.tiles.iter().enumerate();
+        tiles
+            .map(|(t, tile)| {
+                last = last.max(t);
+                while self.tiles.get(last + 1).is_some_and(|next| span(next).0 - reach <= span(tile).1) {
+                    last += 1;
+                }
+                last
+            })
+            .collect()
+    }
+}
+
+/// One flow edge of a [`TileGraph`]: the cell at its other end (an index
+/// into [`TileGraph::cells`]) and the axis it runs along.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    pub(crate) cell: usize,
+    pub(crate) axis: usize,
+}
+
+/// The task graph of a plan run for some number of sweeps, and the one
+/// place its dependence rule is written: the DES builds its task deps
+/// from it (`exec_sim::plan_dag`), the threaded engine its waits and
+/// posts (`exec_threads::launch_threaded`), and the traffic prediction
+/// its messages ([`WavefrontPlan::predicted_traffic`]).
+///
+/// Its nodes are the active cells in wave order, each running every
+/// tile of every sweep in order; `(cell, tile)` pairs are never
+/// materialised. Two kinds of edge order them:
+///
+/// * **flow** — a cell runs tile `j` of a sweep after its upstream
+///   neighbour along each linked axis has run tile `j` of that sweep
+///   (the paper's pipelined schedule, Figure 4(b)). An axis is linked
+///   when it carries communicated arrays, between two adjacent active
+///   cells: a comm-less axis orders nothing, and a rank that owns no
+///   data neither computes nor relays;
+/// * **drain** — from the second sweep on, a cell overwrites tile `t`
+///   only after each of its `readers` has run tile `reach[t]` of the
+///   previous sweep.
+#[derive(Debug)]
+pub(crate) struct TileGraph<const R: usize> {
+    /// The active cells' ranks, in wave order.
+    pub(crate) cells: Vec<usize>,
+    /// Per cell, the region it owns.
+    pub(crate) owned: Vec<Region<R>>,
+    /// Per cell, its flow in-edges in axis order: the upstream cells
+    /// whose tile `j` it waits for before its own.
+    pub(crate) ins: Vec<Vec<Link>>,
+    /// Per cell, its flow out-edges in axis order: the downstream cells
+    /// its tile `j` releases, one boundary message each.
+    pub(crate) outs: Vec<Vec<Link>>,
+    /// Per cell, the cells that read its rows (none for one sweep):
+    /// every other cell some shifted read of a written array
+    /// ([`WavefrontPlan::reads`]) reaches it from. Immediate neighbours
+    /// in the usual case; further cells when a cell owns fewer rows than
+    /// a boundary is thick, diagonal ones when a read crosses both axes
+    /// of a mesh.
+    pub(crate) readers: Vec<Vec<usize>>,
+    /// Per tile, the last tile whose reads reach its columns (none for
+    /// one sweep): a read shifted along the tile dimension (a diagonal
+    /// primed read) makes tile `t + 1` of a neighbour read tile `t`'s
+    /// columns, so the drain wait for `t` is widened to it.
+    pub(crate) reach: Vec<usize>,
+}
+
+impl<const R: usize> TileGraph<R> {
+    /// The graph of `plan` run for `sweeps` sweeps.
+    pub(crate) fn new(plan: &WavefrontPlan<R>, sweeps: usize) -> Self {
+        let cells = plan.active_cells();
+        let owned: Vec<Region<R>> = cells.iter().map(|&c| plan.dist.owned(c)).collect();
+        let mut index = vec![None; plan.procs()];
+        for (i, &rank) in cells.iter().enumerate() {
+            index[rank] = Some(i);
+        }
+        // Per rank, its active neighbours one step downstream (`step` =
+        // 1) or upstream (−1) along each linked axis.
+        let grid = plan.dist.grid();
+        let links = |rank: usize, step: i64| -> Vec<Link> {
+            let linked = plan.axes.iter().enumerate().filter(|(_, a)| !a.comm.is_empty());
+            linked
+                .filter_map(|(axis, a)| {
+                    let toward = if a.ascending { step } else { -step };
+                    let cell = index[grid.neighbor(rank, a.dim, toward)?]?;
+                    Some(Link { cell, axis })
+                })
+                .collect()
+        };
+        let reads_from = |reader: &Region<R>, source: &Region<R>| {
+            plan.reads.iter().any(|s| {
+                plan.axes.iter().all(|a| {
+                    let d = a.dim;
+                    reader.lo()[d] + s[d] <= source.hi()[d] && source.lo()[d] <= reader.hi()[d] + s[d]
+                })
+            })
+        };
+        let readers = (0..cells.len())
+            .map(|c| {
+                let reads = |&r: &usize| sweeps > 1 && r != c && reads_from(&owned[r], &owned[c]);
+                (0..cells.len()).filter(reads).collect()
+            })
+            .collect();
+        TileGraph {
+            ins: cells.iter().map(|&rank| links(rank, -1)).collect(),
+            outs: cells.iter().map(|&rank| links(rank, 1)).collect(),
+            readers,
+            reach: if sweeps > 1 { plan.drain_reach() } else { Vec::new() },
+            cells,
+            owned,
         }
     }
 }
@@ -761,14 +877,29 @@ pub(crate) mod tests {
         let (_p, nest) = tomcatv_nest(34);
         let plan =
             WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(4), &t3e()).unwrap();
-        let order = plan.cells_in_wave_order();
-        assert_eq!(order.len(), 4);
-        assert_eq!(plan.upstream(order[0], 0), None);
-        for w in order.windows(2) {
-            assert_eq!(plan.upstream(w[1], 0), Some(w[0]));
-            assert_eq!(plan.downstream(w[0], 0), Some(w[1]));
+        let graph = TileGraph::new(&plan, 1);
+        assert_eq!(graph.cells, [0, 1, 2, 3]);
+        assert!(graph.ins[0].is_empty());
+        for c in 1..4 {
+            assert_eq!(graph.ins[c], [Link { cell: c - 1, axis: 0 }]);
+            assert_eq!(graph.outs[c - 1], [Link { cell: c, axis: 0 }]);
         }
-        assert_eq!(plan.downstream(*order.last().unwrap(), 0), None);
+        assert!(graph.outs[3].is_empty());
+    }
+
+    #[test]
+    fn ranks_without_data_carry_no_edge() {
+        // 7 rows over 16 ranks: only the first seven own data.
+        let (_p, nest) = tomcatv_nest(10);
+        let plan =
+            WavefrontPlan::build(&nest, JobTopology::line(16), &BlockPolicy::Fixed(2), &t3e()).unwrap();
+        let graph = TileGraph::new(&plan, 1);
+        assert_eq!(graph.cells, (0..7).collect::<Vec<_>>());
+        assert!(graph.outs[6].is_empty());
+        let links = plan.axes[0].comm.len();
+        let pred = plan.predicted_traffic();
+        assert_eq!(pred.messages, 6 * plan.tiles.len());
+        assert_eq!(pred.elements, 6 * links * plan.region.extent(1) as usize);
     }
 
     #[test]
@@ -789,8 +920,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert!(!plan.axes[0].ascending);
-        let order = plan.cells_in_wave_order();
-        assert_eq!(order, vec![3, 2, 1, 0]);
+        assert_eq!(plan.active_cells(), vec![3, 2, 1, 0]);
     }
 
     #[test]
@@ -902,16 +1032,19 @@ pub(crate) mod tests {
         let (_p, nest) = sweep_nest(9);
         let plan = mesh_plan(&nest, [3, 3], 2);
         let grid = plan.dist.grid();
-        let order = plan.cells_in_wave_order();
+        let graph = TileGraph::new(&plan, 1);
+        let order = &graph.cells;
         assert_eq!(order[0], grid.rank_of([0, 0, 0]));
         assert_eq!(*order.last().unwrap(), grid.rank_of([2, 2, 0]));
-        // Every cell appears after both its upstreams.
-        for (pos, &c) in order.iter().enumerate() {
-            for axis in 0..2 {
-                if let Some(u) = plan.upstream(c, axis) {
-                    let upos = order.iter().position(|&x| x == u).unwrap();
-                    assert!(upos < pos, "{u} must precede {c}");
-                }
+        // Every cell waits on one upstream per axis it is not first on,
+        // and each of them precedes it.
+        for (c, &rank) in order.iter().enumerate() {
+            let coord = grid.coord_of(rank);
+            let firsts = (0..2).filter(|&axis| coord[axis] == 0).count();
+            assert_eq!(graph.ins[c].len(), 2 - firsts, "cell {rank}");
+            for up in &graph.ins[c] {
+                assert!(up.cell < c, "{} must precede {rank}", order[up.cell]);
+                assert!(graph.outs[up.cell].contains(&Link { cell: c, axis: up.axis }));
             }
         }
     }

@@ -82,13 +82,22 @@ pub const PROTOCOL_VERSION: u16 = 4;
 /// one-scan programs).
 pub const NEST_AUTO: u16 = u16::MAX;
 
+/// Elements of the box `lo..=hi`, in a product wide enough that
+/// client-chosen corners cannot overflow it.
+fn cells<const R: usize>(lo: [i64; R], hi: [i64; R]) -> u128 {
+    lo.iter().zip(&hi).fold(1u128, |n, (&l, &h)| {
+        n.saturating_mul((h as i128 - l as i128 + 1).max(0) as u128)
+    })
+}
+
 /// Knobs of a [`WireServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Largest frame either side accepts; oversized frames are a
     /// [`PipelineError::ProtocolError`], not an allocation. It also
-    /// bounds `ALLOC`: a resident array too large to come home in one
-    /// frame is refused.
+    /// bounds what a request may allocate: a resident array too large
+    /// to come home in one frame is refused, and so is a job whose
+    /// declared arrays together are.
     pub max_frame: u32,
     /// Whether a `SHUTDOWN` frame stops the accept loop (off by
     /// default; the bench harness turns it on for loopback runs).
@@ -1162,6 +1171,9 @@ impl<const R: usize> WireServer<R> {
         let wire_prog = self.compiled(req)?;
         let nest = self.select_nest(&wire_prog, req.nest)?;
 
+        let arrays = wire_prog.program.arrays().iter();
+        let declared = arrays.map(|d| cells(d.bounds.lo(), d.bounds.hi())).fold(0, u128::saturating_add);
+        self.price("declaration", declared)?;
         let mut store = Store::new(&wire_prog.program);
         for ((name, _), bytes) in req.arrays.iter().zip(&mut io.request) {
             let arr = store.get_mut(lookup_array(&wire_prog, name)?);
@@ -1207,6 +1219,24 @@ impl<const R: usize> WireServer<R> {
         Ok(builder)
     }
 
+    /// Refuse a request that would allocate `cells` elements before
+    /// anything is allocated, past what one frame could carry home: a
+    /// resident array comes home in the `HANDLE` reply to `FREE` (25
+    /// bytes of opcode, id, epoch and count, then 8 a value), and no job
+    /// may declare more than that in all.
+    fn price(&self, what: &str, cells: u128) -> Result<(), PipelineError> {
+        let limit = (self.cfg.max_frame.saturating_sub(25) / 8) as u128;
+        if cells > limit {
+            return Err(PipelineError::InvalidJob {
+                reason: format!(
+                    "{what} of {cells} elements exceeds the {limit} that fit a {}-byte frame",
+                    self.cfg.max_frame
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Allocate (or import, when the payload carries values) one
     /// resident array and reply with its handle.
     fn run_alloc(&self, req: WireAllocRequest, values: &[u8]) -> Result<WireHandle, PipelineError> {
@@ -1217,22 +1247,7 @@ impl<const R: usize> WireServer<R> {
         }
         let lo: [i64; R] = req.lo.as_slice().try_into().expect("rank just checked");
         let hi: [i64; R] = req.hi.as_slice().try_into().expect("rank just checked");
-        // The buffer comes home in the `HANDLE` reply to `FREE` (25
-        // bytes of opcode, id, epoch and count, then 8 a value), so one
-        // no frame could carry is refused before it is allocated (the
-        // wide product cannot overflow on client-chosen corners).
-        let limit = (self.cfg.max_frame.saturating_sub(25) / 8) as u128;
-        let cells = lo.iter().zip(&hi).fold(1u128, |n, (&l, &h)| {
-            n.saturating_mul((h as i128 - l as i128 + 1).max(0) as u128)
-        });
-        if cells > limit {
-            return Err(PipelineError::InvalidJob {
-                reason: format!(
-                    "alloc of {cells} elements exceeds the {limit} that fit a {}-byte frame",
-                    self.cfg.max_frame
-                ),
-            });
-        }
+        self.price("alloc", cells(lo, hi))?;
         let mut arr = DenseArray::with_layout(Region::rect(lo, hi), from_tag(req.layout)?, 0.0);
         if !values.is_empty() {
             fill_array(&mut arr, values, || "alloc payload".into())?;

@@ -151,6 +151,10 @@ service_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ }
 # The simulator's shipped lines: everything above its first top-level
 # `#[cfg(test)]`.
 sim_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/exec_sim.rs)
+# The plan's shipped lines: everything above its first top-level
+# `#[cfg(test)]`. The tile graph the simulator and the threaded engine
+# both read lives here, so the three files are read together.
+plan_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/plan.rs)
 # The wire protocol's shipped lines: everything above its first
 # top-level `#[cfg(test)]`.
 wire_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/service/wire.rs)
@@ -169,6 +173,7 @@ echo "tracked: $rs_lines workspace .rs lines outside target/ and bench/;" \
     "$engine_lines shipped lines in crates/pipeline/src/exec_threads.rs;" \
     "$service_lines shipped lines in crates/pipeline/src/service/*.rs;" \
     "$sim_lines shipped lines in crates/pipeline/src/exec_sim.rs;" \
+    "$plan_lines shipped lines in crates/pipeline/src/plan.rs;" \
     "$wire_lines shipped lines in crates/pipeline/src/service/wire.rs;" \
     "$crate_lines shipped lines in crates/pipeline/src;" \
     "$kernel_lines shipped lines in crates/core/src/kernel*.rs"

@@ -265,6 +265,44 @@ fn a_deeply_nested_program_is_refused_and_the_server_survives() {
     stop_server(&addr, handle);
 }
 
+/// A declaration no frame could carry home draws a typed `ERROR` frame
+/// before anything is allocated: `[1..400000, 1..400000]` once asked
+/// `Store::new` for 1.28 TB and aborted the whole server. The same
+/// server then answers a fig3 job bit-identically to the in-process
+/// interpreter.
+#[test]
+fn a_declaration_past_the_frame_is_refused_and_the_server_survives() {
+    let lo = compile_str::<2>(SOURCE, &[], Layout::ColMajor).unwrap();
+    let a = lo.array("a").unwrap();
+    let mut store = Store::new(&lo.program);
+    store.get_mut(a).fill(1.0);
+    execute(&lo.program, &mut store).unwrap();
+    let bounds = store.get(a).bounds();
+    let expected: Vec<u64> = bounds.iter().map(|p| store.get(a).get(p).to_bits()).collect();
+
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut client = WireClient::connect(&*addr).expect("connect");
+    let huge = SOURCE.replace("const n = 12;", "const n = 400000;");
+    match client.submit(&WireRequest::new(2, &huge)) {
+        Err(PipelineError::InvalidJob { reason }) => assert!(
+            reason.contains("declaration of 160000000000 elements"),
+            "unhelpful reason: {reason}"
+        ),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+
+    let mut req = WireRequest::new(2, SOURCE);
+    req.topology = WireTopology::Line(2);
+    req.engine = EngineKind::Threads;
+    req.arrays = vec![("a".to_string(), vec![1.0; bounds.len()])];
+    req.returns = vec!["a".to_string()];
+    let resp = client.submit(&req).expect("the server still runs jobs");
+    let got: Vec<u64> = resp.arrays[0].1.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, expected, "wire result differs from the reference interpreter");
+    drop(client);
+    stop_server(&addr, handle);
+}
+
 /// A client-supplied trace ID rides the wire into the job's
 /// lifecycle spans and comes back in the RESULT frame with the full
 /// phase breakdown — the phases telescope to the job's total wall
