@@ -4,9 +4,10 @@
 //!
 //! In the language-based approach all of that machinery lives once in
 //! the compiler/runtime; each application is just its equations. This
-//! table counts the non-blank, non-comment lines of each WL kernel
-//! against the shared runtime machinery a programmer would otherwise
-//! hand-write per application. Run with
+//! table counts the non-blank, non-comment lines of each WL kernel, a
+//! deterministic output `tests/golden.rs` pins; the shared runtime's
+//! own size is a tracked number of `scripts/verify.sh`, which moves with
+//! every commit. Run with
 //! `cargo run --release -p wavefront-bench --bin table_loc`.
 
 use wavefront_bench::Table;
@@ -52,38 +53,9 @@ fn main() {
 
     println!(
         "\n  The pipelining machinery the explicit approach would replicate per\n  \
-         application lives once in the shared runtime:"
+         application lives once in the shared runtime; `scripts/verify.sh`\n  \
+         counts its lines on every run (its `tracked:` line)."
     );
-    let mut table = Table::new(&["shared component", "Rust lines (src/, excluding tests)"]);
-    for (name, path) in [
-        ("pipelined runtime (plan/schedules/executors)", "crates/pipeline/src"),
-        ("distribution & machine model", "crates/machine/src"),
-        ("compiler core (analysis + executor)", "crates/core/src"),
-    ] {
-        let mut n = 0usize;
-        if let Ok(entries) = std::fs::read_dir(path) {
-            for e in entries.flatten() {
-                if e.path().extension().is_some_and(|x| x == "rs") {
-                    if let Ok(text) = std::fs::read_to_string(e.path()) {
-                        // Count up to the unit-test module marker.
-                        n += text
-                            .split("#[cfg(test)]")
-                            .next()
-                            .unwrap_or("")
-                            .lines()
-                            .map(str::trim)
-                            .filter(|l| !l.is_empty() && !l.starts_with("//"))
-                            .count();
-                    }
-                }
-            }
-        }
-        table.row(&[
-            name.into(),
-            if n == 0 { "(run from repo root)".into() } else { n.to_string() },
-        ]);
-    }
-    table.print();
     println!(
         "\n  Ratio check (paper: 626/179 ≈ 3.5x overhead for explicit SWEEP3D):\n  \
          each WL kernel above expresses the computation alone — the 447-line\n  \

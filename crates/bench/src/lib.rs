@@ -24,8 +24,7 @@
 //!
 //! Every bin prints simulated, modelled or counted quantities only, so its
 //! output is reproducible to the byte; `tests/golden.rs` runs each one
-//! and compares stdout with the committed `results/<name>.txt`
-//! (`table_loc` excepted — it counts this repository's own source).
+//! and compares stdout with the committed `results/<name>.txt`.
 //! Nothing here reads a clock: wall-clock figures are `perfbench`'s job
 //! (`bench/`, `BENCHMARK.json`).
 

@@ -30,34 +30,47 @@ use crate::telemetry::{
     BlockEvent, Collector, EngineKind, MessageEvent, RunMeta, TimeUnit, WaitEvent,
 };
 
-/// Build the task DAG of a plan, one sweep of its [`TileGraph`]: task
-/// `(i, j)` is active cell `i` (wave order) computing tile `j` of its
-/// portion; it depends on its own tile `j−1` and on tile `j` of the
+/// Build the task DAG of a plan run for `sweeps` sweeps, from its
+/// [`TileGraph`]: task `(s, i, j)` is active cell `i` (wave order)
+/// computing tile `j` of its portion in sweep `s`, listed sweep-major.
+/// It depends on its own previous task, on tile `j` of sweep `s` of the
 /// upstream cell of each of its in-edges, each a boundary message
 /// carrying exactly the elements the threaded engine's post stands for
-/// ([`WavefrontPlan::msg_elems`] of the sender's owned region).
-pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>) -> Vec<SimTask> {
-    let graph = TileGraph::new(plan, 1);
-    let nt = plan.tiles.len();
-    let mut tasks = Vec::with_capacity(graph.cells.len() * nt);
-    for (i, &rank) in graph.cells.iter().enumerate() {
-        for (j, tile) in plan.tiles.iter().enumerate() {
-            let order = (j > 0).then(|| Dep {
-                task: i * nt + (j - 1),
-                elems: 0,
-            });
-            let flow = graph.ins[i].iter().map(|up| Dep {
-                task: up.cell * nt + j,
-                elems: plan.msg_elems(graph.owned[up.cell], tile, up.axis),
-            });
-            // The task runs on the actual grid rank (not the wave-order
-            // position), so processor identities line up across stages
-            // when plans with different wave directions are fused.
-            tasks.push(SimTask {
-                proc: rank,
-                cost: graph.owned[i].intersect(tile).len() as f64 * plan.work,
-                deps: order.into_iter().chain(flow).collect(),
-            });
+/// ([`WavefrontPlan::msg_elems`] of the sender's owned region), and,
+/// from the second sweep on, on tile `reach[j]` of sweep `s − 1` of
+/// each of its readers: the drain, an ordering edge with no message.
+/// One sweep is the plan's one-shot DAG.
+pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>, sweeps: usize) -> Vec<SimTask> {
+    let graph = TileGraph::new(plan, sweeps);
+    let (nc, nt) = (graph.cells.len(), plan.tiles.len());
+    let at = |s: usize, i: usize, j: usize| (s * nc + i) * nt + j;
+    let mut tasks = Vec::with_capacity(sweeps * nc * nt);
+    for s in 0..sweeps {
+        for (i, &rank) in graph.cells.iter().enumerate() {
+            for (j, tile) in plan.tiles.iter().enumerate() {
+                let prev = match (s, j) {
+                    (0, 0) => None,
+                    (_, 0) => Some(at(s - 1, i, nt - 1)),
+                    _ => Some(at(s, i, j - 1)),
+                };
+                let order = prev.map(|task| Dep { task, elems: 0 });
+                let flow = graph.ins[i].iter().map(|up| Dep {
+                    task: at(s, up.cell, j),
+                    elems: plan.msg_elems(graph.owned[up.cell], tile, up.axis),
+                });
+                let drain = graph.readers[i].iter().filter(|_| s > 0).map(|&r| Dep {
+                    task: at(s - 1, r, graph.reach[j]),
+                    elems: 0,
+                });
+                // The task runs on the actual grid rank (not the wave-order
+                // position), so processor identities line up across stages
+                // when plans with different wave directions are fused.
+                tasks.push(SimTask {
+                    proc: rank,
+                    cost: graph.owned[i].intersect(tile).len() as f64 * plan.work,
+                    deps: order.into_iter().chain(flow).chain(drain).collect(),
+                });
+            }
         }
     }
     tasks
@@ -122,7 +135,7 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
     params: &MachineParams,
     collector: &mut dyn Collector,
 ) -> SimResult {
-    let tasks = plan_dag(plan);
+    let tasks = plan_dag(plan, 1);
     let procs = plan.procs();
     if !collector.enabled() {
         return simulate(&tasks, params, procs);
@@ -207,7 +220,7 @@ fn nest_stage<const R: usize>(
 ) -> Stage {
     match WavefrontPlan::build(nest, topology, policy, params) {
         Ok(plan) => Stage {
-            tasks: plan_dag(&plan),
+            tasks: plan_dag(&plan, 1),
             procs: plan.procs(),
             sim: NestSim {
                 pipelined: plan.is_pipelined(),
@@ -467,7 +480,7 @@ mod tests {
             let plan =
                 WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &params)
                     .unwrap();
-            let sim = simulate(&plan_dag(&plan), &params, p).makespan;
+            let sim = simulate(&plan_dag(&plan, 1), &params, p).makespan;
             let model = PipeModel::new(n - 1, p, params.alpha, params.beta).t_pipe(b as f64);
             // The closed-form model serializes the whole message chain
             // with the computation, while the simulator overlaps them, so
@@ -478,6 +491,38 @@ mod tests {
                 (0.35..=1.5).contains(&ratio),
                 "b={b}: sim {sim} vs model {model} (ratio {ratio})"
             );
+        }
+    }
+
+    #[test]
+    fn a_chunk_pays_its_fill_once() {
+        // Two cells of four rows each, a wave down the rows: cell 1 reads
+        // cell 0's last row, so from the second sweep on cell 0 may not
+        // overwrite a tile before cell 1 has read it. On a free machine,
+        // one tile per sweep serialises the chunk to 2k tile times; two
+        // tiles overlap, and the chunk pays one half-tile fill.
+        let mut prog = Program::<2>::new();
+        let a = prog.array("a", Region::rect([0, 1], [8, 8]));
+        prog.stmt(
+            Region::rect([1, 1], [8, 8]),
+            a,
+            Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0]) + Expr::lit(1.0),
+        );
+        let compiled = compile(&prog).unwrap();
+        let nest = compiled.nest(0);
+        let free = MachineParams::custom("free", 0.0, 0.0);
+        let tile = |b: usize| 4.0 * b as f64 * nest_work(nest);
+        for sweeps in [1usize, 2, 5] {
+            let k = sweeps as f64;
+            for (b, want) in [(8, 2.0 * k * tile(8)), (4, (2.0 * k + 1.0) * tile(4))] {
+                let policy = BlockPolicy::Fixed(b);
+                let plan = WavefrontPlan::build(nest, line(2), &policy, &free).unwrap();
+                let dag = plan_dag(&plan, sweeps);
+                assert_eq!(dag.len(), sweeps * 2 * plan.tiles.len());
+                assert_eq!(dag[..2 * plan.tiles.len()], plan_dag(&plan, 1), "sweep 0 is one sweep");
+                let makespan = simulate(&dag, &free, 2).makespan;
+                assert_eq!(makespan, want, "b = {b}, {sweeps} sweeps");
+            }
         }
     }
 
@@ -630,7 +675,7 @@ mod tests {
         let makespan = |mesh, policy: &BlockPolicy| {
             let plan =
                 WavefrontPlan::build(&nest, JobTopology::mesh(mesh), policy, &params).unwrap();
-            simulate(&plan_dag(&plan), &params, plan.procs()).makespan
+            simulate(&plan_dag(&plan, 1), &params, plan.procs()).makespan
         };
         let t_pipe = makespan([4, 4], &BlockPolicy::Model2);
         let t_naive = makespan([4, 4], &BlockPolicy::FullPortion);

@@ -141,11 +141,34 @@ pub(crate) fn prepare<const R: usize>(
     written.sort_unstable();
     written.dedup();
     let runner = NestRunner::with_mode(nest, cfg.kernel_mode);
-    let plan = match plan.fit(&cfg.block, &cfg.machine, &runner, shapes) {
+    let plan = match plan.fit(&cfg.block, &cfg.machine, &runner, shapes, 1) {
         Some(fitted) => Arc::new(fitted),
         None => Arc::clone(plan),
     };
     NestPrep { written, runner, plan }
+}
+
+impl<const R: usize> NestPrep<R> {
+    /// The preparation a pipelined chunk of `sweeps` fused sweeps runs:
+    /// this one-sweep preparation's kernel with `model`, the plan it was
+    /// fitted from, fitted for the chunk ([`WavefrontPlan::fit`]) — or
+    /// this preparation itself when the chunk's plan is the sweep's.
+    pub(crate) fn chunk(
+        self: &Arc<Self>,
+        model: &WavefrontPlan<R>,
+        cfg: &SessionConfig,
+        shapes: &[(Region<R>, Layout)],
+        sweeps: usize,
+    ) -> Arc<Self> {
+        match model.fit(&cfg.block, &cfg.machine, &self.runner, shapes, sweeps) {
+            Some(plan) if plan != *self.plan => Arc::new(NestPrep {
+                written: self.written.clone(),
+                runner: self.runner.clone(),
+                plan: Arc::new(plan),
+            }),
+            _ => Arc::clone(self),
+        }
+    }
 }
 
 /// Extend `written` (sorted, unique) to every array a rotation can move
@@ -1002,8 +1025,8 @@ pub(crate) mod test_hooks {
 mod handoff_tests;
 
 #[cfg(test)]
-/// The config under which [`prepare`] keeps a plan of width `b` as
-/// built, lowered under `kernel_mode`.
+/// The config under which [`prepare`] keeps a plan's width `b`, lowered
+/// under `kernel_mode`.
 pub(crate) fn fixed(b: usize, kernel_mode: wavefront_core::kernel::KernelMode) -> SessionConfig {
     let fixed = crate::schedule::BlockPolicy::Fixed(b);
     SessionConfig::default().block(fixed).kernel_mode(kernel_mode)
@@ -1033,7 +1056,8 @@ mod tests {
         let workers = WorkerPool::new();
         let nest = Arc::new(nest.clone());
         let plan = Arc::new(plan.clone());
-        let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &[]));
+        let shapes: Vec<_> = store.arrays().iter().map(|a| (a.bounds(), a.layout())).collect();
+        let prep = Arc::new(prepare(&nest, &plan, &fixed(plan.block, kernel_mode), &shapes));
         let c = &mut NoopCollector;
         let report = execute_threaded(&workers, &nest, &prep, store, 1, &[], true, engine, c);
         if engine == EngineKind::Seq {

@@ -393,6 +393,10 @@ pub struct LoopStats {
     /// Whether cross-iteration overlap was enabled (`false` = the
     /// barrier ablation).
     pub pipelined: bool,
+    /// The tile width `b` a job body's first chunk (or step) ran: a
+    /// pipelined fused chunk runs the width fitted to its sweeps. 0 for
+    /// a DAG body.
+    pub block: usize,
     /// Total seconds by which an iteration's global start preceded its
     /// predecessor's global end — the staircase overlap. Exactly 0 for
     /// barrier runs and the per-step path.
@@ -538,6 +542,7 @@ fn run_loop<const R: usize>(
     let mut busy_seconds = 0.0f64;
     let mut engine_seconds = 0.0f64;
     let mut messages = 0usize;
+    let mut block = 0usize;
     let metrics = Arc::clone(&shared.core.metrics);
     let overlap_hist = metrics
         .enabled()
@@ -592,6 +597,9 @@ fn run_loop<const R: usize>(
                     });
                 }
                 let out = enqueue(shared, step_spec, true).wait()?;
+                if chunks == 0 {
+                    block = out.outcome.block;
+                }
                 engine_seconds += out.outcome.run_seconds;
                 messages += out.outcome.messages;
                 if let Some(cs) = &out.loop_stats {
@@ -669,6 +677,7 @@ fn run_loop<const R: usize>(
             chunks,
             fused,
             pipelined,
+            block,
             overlap_seconds,
             busy_seconds,
             overlap_efficiency: if busy_seconds > 0.0 {

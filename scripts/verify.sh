@@ -119,7 +119,12 @@ expect "timestep output" "$out" '"steps":8' '"fused":true' '"chunks":1' \
 out=$("$WLC" timestep programs/relax.wf --steps 8 --swap next:curr \
     --fill-coords curr --no-pipeline --json)
 expect "timestep --no-pipeline output" "$out" '"overlap_seconds":0.000000'
-echo "wlc timestep: fused single-chunk loop, --no-pipeline kills the overlap ✔"
+# The width a fused chunk ran is deterministic. `wlc` lays arrays out
+# column-major, so the relaxation's lanes are strided here: no row is a
+# page-strided slice, and the chunk keeps Model2's b.
+out=$("$WLC" timestep programs/relax.wf -D n=1024 --procs 2 --swap next:curr --json)
+expect "timestep block" "$out" '"fused":true' '"block":10,'
+echo "wlc timestep: fused single-chunk loop, --no-pipeline kills the overlap, chunk width reported ✔"
 
 echo
 echo "== perfbench smoke (five workloads, every sampled op bit-checked against its floor) =="

@@ -953,12 +953,13 @@ fn timestep_cmd<const R: usize>(
             .map(|(n, h)| format!("\"{n}\":{}", h.id()))
             .collect();
         println!(
-            "{{\"steps\":{},\"fused\":{},\"chunks\":{},\"wall_seconds\":{:.6},\
+            "{{\"steps\":{},\"fused\":{},\"chunks\":{},\"block\":{},\"wall_seconds\":{:.6},\
              \"steps_per_second\":{:.3},\"overlap_seconds\":{:.6},\"busy_seconds\":{:.6},\
              \"overlap_efficiency\":{:.4},\"resident_bytes\":{},\"final_bindings\":{{{}}}}}",
             out.steps_run,
             out.stats.fused,
             out.stats.chunks,
+            out.stats.block,
             wall,
             steps_per_sec,
             out.stats.overlap_seconds,
@@ -976,10 +977,11 @@ fn timestep_cmd<const R: usize>(
             service.resident_bytes()
         );
         println!(
-            "loop: {} in {} chunk{}, overlap {:.6}s of {:.6}s busy ({:.1}%)",
+            "loop: {} in {} chunk{} at b = {}, overlap {:.6}s of {:.6}s busy ({:.1}%)",
             if out.stats.fused { "fused" } else { "per-step" },
             out.stats.chunks,
             if out.stats.chunks == 1 { "" } else { "s" },
+            out.stats.block,
             out.stats.overlap_seconds,
             out.stats.busy_seconds,
             100.0 * out.stats.overlap_efficiency
