@@ -1028,8 +1028,8 @@ mod handoff_tests;
 /// The config under which [`prepare`] keeps a plan's width `b`, lowered
 /// under `kernel_mode`.
 pub(crate) fn fixed(b: usize, kernel_mode: wavefront_core::kernel::KernelMode) -> SessionConfig {
-    let fixed = crate::schedule::BlockPolicy::Fixed(b);
-    SessionConfig::default().block(fixed).kernel_mode(kernel_mode)
+    let block = crate::schedule::BlockPolicy::Fixed(b);
+    SessionConfig { block, kernel_mode, ..SessionConfig::default() }
 }
 
 #[cfg(test)]

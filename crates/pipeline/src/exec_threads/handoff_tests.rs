@@ -294,7 +294,7 @@ fn chaos_run<const R: usize>(
     let (got, report, trace) = watchdog(&label, move || {
         chaos::with_seed(seed, || {
             let plan = Arc::new(WavefrontPlan::build(&c.nest, c.topology, &policy, &t3e()).unwrap());
-            let cfg = SessionConfig::default().block(policy).kernel_mode(kernel_mode);
+            let cfg = SessionConfig { block: policy, kernel_mode, ..SessionConfig::default() };
             let (nest, shapes) = (Arc::new(c.nest.clone()), c.program.shapes());
             let prep = Arc::new(prepare(&nest, &plan, &cfg, &shapes)).chunk(&plan, &cfg, &shapes, iters);
             let cells = prep.plan.active_cells().len();

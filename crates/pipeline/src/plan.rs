@@ -770,7 +770,7 @@ pub(crate) mod tests {
     use wavefront_core::prelude::*;
 
     /// The Tomcatv scan block of Figure 2(b) at size n, column-major.
-    pub fn tomcatv_nest(n: i64) -> (Program<2>, CompiledNest<2>) {
+    pub(crate) fn tomcatv_nest(n: i64) -> (Program<2>, CompiledNest<2>) {
         let mut p = Program::<2>::new();
         let bounds = Region::rect([1, 1], [n, n]);
         let mk = |p: &mut Program<2>, name: &str| {
@@ -814,7 +814,7 @@ pub(crate) mod tests {
     /// + 0.4·curr + 0.1·load`, on `rows × cols` points inside a
     /// one-point halo, row-major: its lanes run along the rows as
     /// unit-stride slices, `(cols + 2) · 8` bytes apart.
-    pub fn relax_nest(rows: i64, cols: i64) -> (Program<2>, CompiledNest<2>) {
+    pub(crate) fn relax_nest(rows: i64, cols: i64) -> (Program<2>, CompiledNest<2>) {
         let mut p = Program::<2>::new();
         let bounds = Region::rect([0, 0], [rows + 1, cols + 1]);
         let [next, curr, load] = ["next", "curr", "load"].map(|name| p.array(name, bounds));
@@ -1084,7 +1084,7 @@ pub(crate) mod tests {
     }
 
     /// A SWEEP3D-like octant nest: flux from three upwind neighbours.
-    pub fn sweep_nest(n: i64) -> (Program<3>, CompiledNest<3>) {
+    pub(crate) fn sweep_nest(n: i64) -> (Program<3>, CompiledNest<3>) {
         let mut p = Program::<3>::new();
         let bounds = Region::rect([1, 1, 1], [n, n, n]);
         let flux = p.array("flux", bounds);
@@ -1106,13 +1106,13 @@ pub(crate) mod tests {
     }
 
     /// A mesh plan of [`sweep_nest`] at a fixed block size.
-    pub fn mesh_plan(nest: &CompiledNest<3>, mesh: [usize; 2], b: usize) -> WavefrontPlan<3> {
+    pub(crate) fn mesh_plan(nest: &CompiledNest<3>, mesh: [usize; 2], b: usize) -> WavefrontPlan<3> {
         WavefrontPlan::build(nest, JobTopology::mesh(mesh), &BlockPolicy::Fixed(b), &t3e()).unwrap()
     }
 
     /// Deterministic non-trivial initial values for [`sweep_nest`]-shaped
     /// programs.
-    pub fn init_sweep(program: &Program<3>) -> Store<3> {
+    pub(crate) fn init_sweep(program: &Program<3>) -> Store<3> {
         let mut store = Store::new(program);
         for id in 0..store.len() {
             let bounds = store.get(id).bounds();

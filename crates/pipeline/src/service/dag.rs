@@ -10,18 +10,17 @@
 //! consumer's store refcounted — zero copies between jobs, with
 //! copy-on-write preserving value semantics if both sides keep writing.
 //!
-//! Order among ready nodes is delegated to a [`Scheduler`] — FIFO,
-//! critical-path-first, or locality-aware ([`SchedulerKind`]). Nodes
-//! still flow through the ordinary tenant queues, so per-tenant
-//! admission and fair share apply to DAG nodes exactly as to plain
-//! submissions.
+//! Order among ready nodes is a [`SchedulerKind`]'s ranking key: FIFO,
+//! critical-path-first, or locality-aware. Nodes still flow through the
+//! ordinary tenant queues, so per-tenant admission and fair share apply
+//! to DAG nodes exactly as to plain submissions.
 //!
 //! The same `DagSpec` runs two ways, through one driver (`DagRun`: the
-//! scheduler, the predecessor counts, the completion worklist that
+//! ready list, the predecessor counts, the completion worklist that
 //! propagates dependency failures, and the stats):
 //!
 //! * **real** (seq/threads engines): the picked node runs now, on
-//!   data, one at a time in scheduler order, and [`DagStats`] reports
+//!   data, one at a time in the policy's order, and [`DagStats`] reports
 //!   wall-clock makespan, the measured critical path, and the
 //!   zero-copy counters;
 //! * **simulated** (every node on the sim engine): each node is probed
@@ -31,7 +30,7 @@
 //!   and completes when a virtual clock reaches its finish time, with
 //!   the machine model's message cost charged for every
 //!   disjoint-placement edge. What-if scheduling at simulated scale,
-//!   with the same `Scheduler` deciding order.
+//!   with the same policy deciding order.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -44,7 +43,7 @@ use wavefront_machine::MachineParams;
 use crate::error::PipelineError;
 use crate::service::job::{JobOutcome, JobSpec, JobTopology, Ticket};
 use crate::service::output::JobOutput;
-use crate::service::scheduler::{DagShape, DagView, NodeId, Scheduler, SchedulerKind};
+use crate::service::scheduler::{DagShape, NodeId, SchedulerKind};
 use crate::service::{enqueue, install_input, spawn_runner, Shared};
 use crate::telemetry::json::JsonObj;
 use crate::telemetry::report::jstr;
@@ -452,7 +451,7 @@ impl<const R: usize> DagHandle<R> {
 }
 
 /// Start one DAG's runner thread (see [`spawn_runner`]). If the runner
-/// itself panics (scheduler bug, internal error), every node still open
+/// itself panics (an internal error), every node still open
 /// fails typed with the panic; the handle never hangs.
 pub(crate) fn spawn_dag<const R: usize>(shared: &Arc<Shared<R>>, spec: DagSpec<R>) -> DagHandle<R> {
     let (run, work) = DagRun::new(shared.next_dag_id(), spec);
@@ -484,18 +483,20 @@ pub(crate) fn run_dag<const R: usize>(
 }
 
 /// The one DAG driver, shared by real and simulated execution: the
-/// shape, the scheduler and its contract, predecessor counting, the
+/// shape, the ready list and its policy, predecessor counting, the
 /// completion worklist, and the stats. A mode decides only what
 /// "dispatch the picked node" means — run it now, or place it on a
 /// virtual machine and complete it when a virtual clock says so.
 struct DagRun<const R: usize> {
     shape: DagShape,
-    sched: Box<dyn Scheduler>,
+    kind: SchedulerKind,
+    /// Nodes whose predecessors all succeeded, not yet dispatched, in
+    /// the order they became ready.
+    ready: Vec<NodeId>,
     /// Unresolved predecessors per node.
     pending: Vec<usize>,
-    dispatched: Vec<bool>,
     results: Vec<Option<Result<JobOutcome<R>, PipelineError>>>,
-    /// Completion tick per node, the scheduler's recency signal.
+    /// Completion tick per node, the locality policy's recency signal.
     done_at: Vec<Option<u64>>,
     tick: u64,
     /// Measured duration per node (0 for a node that failed or never
@@ -507,7 +508,7 @@ struct DagRun<const R: usize> {
     stats: DagStats,
 }
 
-/// What is left of a [`DagSpec`] once its shape and scheduler moved into
+/// What is left of a [`DagSpec`] once its shape and policy moved into
 /// the [`DagRun`]: the jobs to execute.
 struct DagWork<const R: usize> {
     nodes: Vec<JobSpec<R>>,
@@ -518,7 +519,6 @@ struct DagWork<const R: usize> {
 
 impl<const R: usize> DagWork<R> {
     fn drive(self, shared: &Shared<R>, run: &mut DagRun<R>) {
-        run.start();
         if self.sim {
             drive_sim(shared, run, self.nodes, self.sim_procs);
         } else {
@@ -545,18 +545,18 @@ impl<const R: usize> DagRun<R> {
         let shape_edges: Vec<(NodeId, NodeId, u64)> =
             edges.iter().map(|e| (e.from, e.to, e.elems)).collect();
         let shape = DagShape::new(labels, cost, &shape_edges);
+        let pending: Vec<usize> = shape.preds.iter().map(Vec::len).collect();
         let run = DagRun {
-            sched: scheduler.instantiate(),
-            pending: shape.preds.iter().map(Vec::len).collect(),
-            dispatched: vec![false; n],
+            kind: scheduler,
+            ready: (0..n).filter(|&v| pending[v] == 0).collect(),
+            pending,
             results: (0..n).map(|_| None).collect(),
             done_at: vec![None; n],
             tick: 0,
             durations: vec![0.0; n],
             stats: DagStats {
                 dag_id,
-                // Named by `start`, inside the runner's panic guard.
-                scheduler: "unknown".into(),
+                scheduler: scheduler.name().into(),
                 nodes: n,
                 edges: edges.len(),
                 makespan: 0.0,
@@ -585,42 +585,18 @@ impl<const R: usize> DagRun<R> {
         (run, work)
     }
 
-    /// Name the policy and announce the entry nodes to it.
-    fn start(&mut self) {
-        self.stats.scheduler = self.sched.name().to_string();
-        let view = DagView {
-            shape: &self.shape,
-            done_at: &self.done_at,
-        };
-        for v in (0..self.pending.len()).filter(|&v| self.pending[v] == 0) {
-            self.sched.on_job_ready(v, &view);
-        }
-    }
-
     fn finished(&self) -> bool {
         self.results.iter().all(Option::is_some)
     }
 
-    /// The next node to dispatch, in the scheduler's order. Guards the
-    /// contract (no repeats, only ready nodes) and falls back to a scan,
-    /// so a buggy custom scheduler cannot wedge the runner. `None` while
+    /// The next node to dispatch, in the policy's order; `None` while
     /// nothing is ready.
     fn next(&mut self) -> Option<NodeId> {
-        let view = DagView {
-            shape: &self.shape,
-            done_at: &self.done_at,
-        };
-        let ok =
-            |v: NodeId| !self.dispatched[v] && self.pending[v] == 0 && self.results[v].is_none();
-        let mut pick = None;
-        while let Some(v) = self.sched.next_job(&view) {
-            if ok(v) {
-                pick = Some(v);
-                break;
-            }
+        if self.ready.is_empty() {
+            return None;
         }
-        let v = pick.or_else(|| (0..self.pending.len()).find(|&v| ok(v)))?;
-        self.dispatched[v] = true;
+        let v = self.ready.remove(self.kind.pick(&self.ready, &self.shape, &self.done_at));
+        debug_assert!(self.pending[v] == 0 && self.results[v].is_none(), "node {v} is not ready");
         Some(v)
     }
 
@@ -647,11 +623,6 @@ impl<const R: usize> DagRun<R> {
             self.results[u] = Some(res);
             self.done_at[u] = Some(self.tick);
             self.tick += 1;
-            let view = DagView {
-                shape: &self.shape,
-                done_at: &self.done_at,
-            };
-            self.sched.on_job_done(u, &view);
             for &s in &self.shape.succs[u] {
                 self.pending[s] -= 1;
                 if self.pending[s] > 0 || self.results[s].is_some() {
@@ -671,7 +642,7 @@ impl<const R: usize> DagRun<R> {
                             error: Box::new(e),
                         }),
                     )),
-                    None => self.sched.on_job_ready(s, &view),
+                    None => self.ready.push(s),
                 }
             }
         }
@@ -679,7 +650,7 @@ impl<const R: usize> DagRun<R> {
 
     /// Resolve every node still open to `e`: how a run that cannot go on
     /// (a panicked runner, broken bookkeeping) still ends with every
-    /// node accounted for. Calls no scheduler hook.
+    /// node accounted for.
     fn fail_rest(&mut self, e: PipelineError) {
         for r in self.results.iter_mut().filter(|r| r.is_none()) {
             *r = Some(Err(e.clone()));
@@ -722,7 +693,7 @@ fn fail_stuck<const R: usize>(run: &mut DagRun<R>) {
 }
 
 /// Real execution: the picked node runs now. One node at a time, in
-/// scheduler order, chaining outputs refcounted.
+/// the policy's order, chaining outputs refcounted.
 fn drive_real<const R: usize>(
     shared: &Shared<R>,
     run: &mut DagRun<R>,
@@ -997,8 +968,8 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// `DagSpec` holds a boxed scheduler, so it is not `Debug`;
-    /// rejection tests unwrap the error by hand.
+    /// `DagSpec` holds job specs, which are not `Debug`; rejection
+    /// tests unwrap the error by hand.
     fn build_err<const R: usize>(b: DagSpecBuilder<R>) -> PipelineError {
         match b.build() {
             Err(e) => e,
@@ -1108,5 +1079,76 @@ mod tests {
         free[5] = false;
         assert_eq!(find_block(&free, 4, Some(4)), Some(0), "falls back to first fit");
         assert_eq!(find_block(&free, 8, None), None);
+    }
+
+    /// A ten-node DAG with ties on every key: entries 1 and 2 tie on
+    /// upward rank (105), as do 3 and 4 (41) and 6 and 9 (16); 3 and 4
+    /// hang off the same producer, so they also tie on freshest input
+    /// and input volume; 6 and 9 both see 4 as their freshest input, and
+    /// 9 takes 3's output too, so volume alone splits them. Every array
+    /// is 10x10 (100 elements per edge); a node's cost is its region.
+    fn tie_dag(engine: EngineKind, kind: SchedulerKind) -> DagSpec<2> {
+        let bounds = Region::rect([0, 0], [9, 9]);
+        let mut prog = Program::<2>::new();
+        let a = prog.array("a", bounds);
+        let b = prog.array("b", bounds);
+        let node = |side: i64, inputs: &[(usize, &str)]| {
+            let mut p = prog.clone();
+            p.stmt(
+                Region::rect([1, 1], [side, side]),
+                a,
+                Expr::lit(1.0) + Expr::read_primed_at(a, [-1, 0]) + Expr::read_at(b, [0, 0]),
+            );
+            let nest = Arc::new(wavefront_core::exec::compile(&p).unwrap().nest(0).clone());
+            let p = Arc::new(p);
+            let mut spec = JobSpec::builder(Arc::clone(&p), nest).engine(engine);
+            if !matches!(engine, EngineKind::Sim) {
+                spec = spec.store(Store::new(&p));
+            }
+            for &(from, name) in inputs {
+                spec = spec.input_from(NodeRef { index: from }, name);
+            }
+            spec.build().unwrap()
+        };
+        let mut d = DagSpec::<2>::builder();
+        for (side, inputs) in [
+            (5, &[][..]),
+            (5, &[]),
+            (5, &[]),
+            (5, &[(0, "a")]),
+            (5, &[(0, "a")]),
+            (4, &[(1, "a"), (2, "b")]),
+            (4, &[(4, "a")]),
+            (8, &[(5, "a")]),
+            (5, &[(1, "a")]),
+            (4, &[(3, "a"), (4, "b")]),
+        ] {
+            d.add(node(side, inputs));
+        }
+        d.scheduler(kind).sim_procs(2);
+        d.build().unwrap()
+    }
+
+    /// Each policy's dispatch sequence on both drivers, pinned node for
+    /// node, so a change to any key or to the tie-break shows.
+    #[test]
+    fn each_policy_dispatches_in_its_pinned_order() {
+        use SchedulerKind::{CriticalPath, Fifo, Locality};
+        let pinned: [(EngineKind, SchedulerKind, [NodeId; 10]); 6] = [
+            (EngineKind::Seq, Fifo, [0, 1, 2, 3, 4, 8, 5, 6, 9, 7]),
+            (EngineKind::Seq, CriticalPath, [1, 2, 5, 0, 7, 3, 4, 8, 6, 9]),
+            (EngineKind::Seq, Locality, [0, 3, 4, 9, 6, 1, 8, 2, 5, 7]),
+            (EngineKind::Sim, Fifo, [0, 1, 2, 3, 4, 8, 5, 6, 9, 7]),
+            (EngineKind::Sim, CriticalPath, [1, 2, 0, 8, 5, 3, 4, 7, 6, 9]),
+            (EngineKind::Sim, Locality, [0, 1, 2, 3, 8, 5, 4, 9, 6, 7]),
+        ];
+        let service = WavefrontService::<2>::new();
+        for (engine, kind, expected) in pinned {
+            let out = service.submit_dag(tie_dag(engine, kind)).wait();
+            assert!(out.all_ok(), "{engine:?} {kind:?}");
+            assert_eq!(out.stats.scheduler, kind.name());
+            let order: Vec<NodeId> = out.stats.decisions.iter().map(|d| d.node).collect();
+            assert_eq!(order, expected, "{engine:?} {kind:?}");
+        }
     }
 }

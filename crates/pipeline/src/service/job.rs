@@ -186,12 +186,6 @@ impl<const R: usize> JobSpecBuilder<R> {
         self
     }
 
-    /// Replace the whole [`SessionConfig`] at once.
-    pub fn config(mut self, cfg: SessionConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Block-size policy. The searching policies ([`BlockPolicy::Probe`],
     /// [`BlockPolicy::Adaptive`]) choose `b` when the plan is built, so
     /// a cached plan pays for its search once.
@@ -414,8 +408,9 @@ impl<const R: usize> JobSpecBuilder<R> {
 
 impl<const R: usize> JobSpec<R> {
     /// Start building a job for `nest` of `program`. Defaults:
-    /// 1-processor line, threads engine, default [`SessionConfig`], no
-    /// store, no trace, default tenant, priority 0.
+    /// 1-processor line, threads engine, [`BlockPolicy::Model2`], Cray
+    /// T3E costs, lane kernels, no store, no trace, default tenant,
+    /// priority 0.
     pub fn builder(program: Arc<Program<R>>, nest: Arc<CompiledNest<R>>) -> JobSpecBuilder<R> {
         JobSpecBuilder::new(program, nest)
     }

@@ -363,7 +363,7 @@ fn split_labels(name: &str) -> (&str, &str) {
 
 /// Stable label value for a kernel fallback reason, used in the
 /// `wavefront_kernel_fallback_runs_total{reason="..."}` counter names.
-pub fn fallback_label(reason: FallbackReason) -> &'static str {
+pub(crate) fn fallback_label(reason: FallbackReason) -> &'static str {
     match reason {
         FallbackReason::Buffered => "buffered",
         FallbackReason::Contracted => "contracted",

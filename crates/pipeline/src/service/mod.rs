@@ -43,22 +43,22 @@
 //! [`wire`]. See `docs/SERVICE.md` for the lifecycle, fingerprinting,
 //! admission, and fair-share details.
 
-pub mod admission;
+mod admission;
 pub(crate) mod cache;
-pub mod dag;
+mod dag;
 pub(crate) mod fingerprint;
-pub mod handle;
-pub mod job;
+mod handle;
+mod job;
 // `loop` is a keyword, so the module lives in `loop.rs` under the name
 // `looping`.
 #[path = "loop.rs"]
-pub mod looping;
-pub mod metrics;
-pub mod output;
+mod looping;
+mod metrics;
+mod output;
 pub(crate) mod pool;
-pub mod scheduler;
-pub mod tenant;
-pub mod wire;
+mod scheduler;
+mod tenant;
+mod wire;
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -97,10 +97,7 @@ pub use looping::{
 };
 pub use metrics::{Counter, Gauge, HistogramHandle, Metrics};
 pub use output::{JobOutput, JobOutputs};
-pub use scheduler::{
-    CriticalPathScheduler, DagView, FifoScheduler, LocalityScheduler, NodeId, Scheduler,
-    SchedulerKind,
-};
+pub use scheduler::{NodeId, SchedulerKind};
 pub use tenant::TenantStats;
 pub use wire::{
     ServeConfig, WireAllocRequest, WireClient, WireCompiler, WireDagNode, WireDagRequest,
@@ -810,8 +807,9 @@ impl<const R: usize> WavefrontService<R> {
     /// Submit a whole dependency graph (see [`DagSpec`]). Returns
     /// immediately; the graph's nodes flow through the ordinary tenant
     /// queues (admission and fair share apply per node) as their inputs
-    /// resolve, ordered by the DAG's [`Scheduler`]. Wait on the returned
-    /// [`DagHandle`] for the per-node outcomes and the [`DagStats`].
+    /// resolve, ordered by the DAG's [`SchedulerKind`]. Wait on the
+    /// returned [`DagHandle`] for the per-node outcomes and the
+    /// [`DagStats`].
     pub fn submit_dag(&self, spec: DagSpec<R>) -> DagHandle<R> {
         dag::spawn_dag(&self.shared, spec)
     }

@@ -66,20 +66,10 @@ impl<const R: usize> JobOutput<R> {
         self.values.is_empty()
     }
 
-    /// The shared buffer itself (an `Arc` bump, no copy).
-    pub fn shared_values(&self) -> Arc<Vec<f64>> {
-        Arc::clone(&self.values)
-    }
-
     /// Rewrap as a [`DenseArray`] sharing the same buffer — the
     /// zero-copy path for feeding one job's output to the next.
     pub fn to_array(&self) -> DenseArray<R> {
         DenseArray::from_shared(self.bounds, self.layout, Arc::clone(&self.values))
-    }
-
-    /// How many owners currently share the buffer (diagnostics).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.values)
     }
 }
 

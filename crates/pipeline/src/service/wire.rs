@@ -80,7 +80,7 @@ pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Sentinel nest index meaning "largest scan nest" (the common case for
 /// one-scan programs).
-pub const NEST_AUTO: u16 = u16::MAX;
+pub(crate) const NEST_AUTO: u16 = u16::MAX;
 
 /// Elements of the box `lo..=hi`, in a product wide enough that
 /// client-chosen corners cannot overflow it.
@@ -157,7 +157,7 @@ pub struct WireRequest {
     pub priority: u8,
     /// Rank of the program (must match the server's).
     pub rank: u8,
-    /// Nest index, or [`NEST_AUTO`] for the largest scan nest.
+    /// Nest index, or `u16::MAX` for the largest scan nest.
     pub nest: u16,
     /// Processor topology.
     pub topology: WireTopology,

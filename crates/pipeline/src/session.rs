@@ -62,16 +62,16 @@ use crate::telemetry::{Collector, EngineKind, NoopCollector, TimeUnit};
 /// a plain cloneable value that can be reused across many jobs (and is
 /// part of the service's cache fingerprint).
 #[derive(Debug, Clone)]
-pub struct SessionConfig {
+pub(crate) struct SessionConfig {
     /// Block-size policy (Fixed / Model1 / Model2 / FullPortion / Probe /
     /// Adaptive).
-    pub block: BlockPolicy,
+    pub(crate) block: BlockPolicy,
     /// Machine cost parameters (block-size models and the simulator).
-    pub machine: MachineParams,
+    pub(crate) machine: MachineParams,
     /// The kernel-tier ceiling executing engines lower nests under:
     /// lane-parallel kernels where legal (the default), at most the
     /// scalar tape, or the reference expression interpreter.
-    pub kernel_mode: KernelMode,
+    pub(crate) kernel_mode: KernelMode,
 }
 
 impl Default for SessionConfig {
@@ -81,26 +81,6 @@ impl Default for SessionConfig {
             machine: cray_t3e(),
             kernel_mode: KernelMode::Lanes,
         }
-    }
-}
-
-impl SessionConfig {
-    /// Set the block-size policy.
-    pub fn block(mut self, policy: BlockPolicy) -> Self {
-        self.block = policy;
-        self
-    }
-
-    /// Set the machine cost parameters.
-    pub fn machine(mut self, params: MachineParams) -> Self {
-        self.machine = params;
-        self
-    }
-
-    /// Set the kernel-tier ceiling explicitly.
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
-        self
     }
 }
 
@@ -222,12 +202,6 @@ impl<'a, const R: usize> Session<'a, R> {
         self
     }
 
-    /// Replace the whole [`SessionConfig`] at once.
-    pub fn config(mut self, cfg: SessionConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Block-size policy (Fixed / Model1 / Model2 / FullPortion / Probe /
     /// Adaptive).
     pub fn block(mut self, policy: BlockPolicy) -> Self {
@@ -289,18 +263,12 @@ impl<'a, const R: usize> Session<'a, R> {
     /// [`Session::run`]`(EngineKind::Sim)` prices it; a nest the planner
     /// refuses is priced as fully parallel or, when its dependences
     /// conflict along the distributed dimension, as a serialised chain.
-    /// A line distributes dimension 0 unless [`Session::dist_dim`] was
-    /// set. Under the searching policies the plan is the fastest
-    /// candidate, so this is the smallest of their `Fixed(b)` estimates.
+    /// As in `run`, the planner chooses a line's distributed dimension
+    /// unless [`Session::dist_dim`] forces one. Under the searching
+    /// policies the plan is the fastest candidate, so this is the
+    /// smallest of their `Fixed(b)` estimates.
     pub fn estimate(&self) -> NestSim {
-        let topology = match self.topology {
-            JobTopology::Line { procs, dist_dim } => JobTopology::Line {
-                procs,
-                dist_dim: dist_dim.or(Some(0)),
-            },
-            mesh => mesh,
-        };
-        simulate_nest(self.nest, topology, &self.cfg.block, &self.cfg.machine)
+        simulate_nest(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)
     }
 
     /// Plan and run on one of the built-in engines, through the same
@@ -366,12 +334,6 @@ impl<'a, const R: usize> ProgramSession<'a, R> {
     /// Distribution dimension (default 0).
     pub fn dist_dim(mut self, dim: usize) -> Self {
         self.dist_dim = dim;
-        self
-    }
-
-    /// Replace the whole [`SessionConfig`] at once.
-    pub fn config(mut self, cfg: SessionConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -547,6 +509,25 @@ mod tests {
                 assert_eq!(estimate.pipelined, run.pipelined);
             }
         }
+    }
+
+    /// A line left to the planner is priced on the dimension the planner
+    /// picks, the one `run(Sim)` runs: here dimension 1, not 0.
+    #[test]
+    fn estimate_lets_the_planner_choose_the_line_dimension() {
+        let mut program = Program::<2>::new();
+        let a = program.array("a", Region::rect([0, 0], [701, 13]));
+        program.stmt(
+            Region::rect([1, 1], [700, 12]),
+            a,
+            Expr::lit(0.5) * Expr::read_primed_at(a, [0, -1]) + Expr::lit(1.0),
+        );
+        let compiled = compile(&program).unwrap();
+        let nest = compiled.nest(0);
+        let session = || Session::new(&program, nest).procs(2).machine(cray_t3e());
+        assert_eq!(session().plan().unwrap().axes[0].dim, 1);
+        let run = session().run(EngineKind::Sim).unwrap();
+        assert_eq!(session().estimate().time, run.makespan);
     }
 
     /// `estimate` under each searching policy equals, bit for bit, the

@@ -23,12 +23,12 @@
 //! chart for `wlc timeline`, and [`json`] is the dependency-free JSON
 //! reader the validators and `wlc top` share.
 
-pub mod critical;
-pub mod export;
-pub mod graph;
-pub mod histogram;
-pub mod json;
-pub mod report;
+mod critical;
+mod export;
+mod graph;
+mod histogram;
+pub(crate) mod json;
+pub(crate) mod report;
 
 pub use critical::{CriticalPath, Segment, SegmentKind, TraceAnalysis};
 pub use export::{ascii_timeline, chrome_trace, ChromeTraceBuilder};

@@ -12,7 +12,8 @@ pub struct TraceCollector {
     blocks: Vec<BlockEvent>,
     messages: Vec<MessageEvent>,
     waits: Vec<WaitEvent>,
-    caches: Vec<CacheEvent>,
+    /// The run's compiled-plan cache lookup, if it went through one.
+    cache: Option<CacheEvent>,
     makespan: f64,
 }
 
@@ -35,13 +36,6 @@ impl TraceCollector {
     /// The raw wait events recorded so far.
     pub fn waits(&self) -> &[WaitEvent] {
         &self.waits
-    }
-
-    /// The compiled-plan cache lookups recorded so far (at most one per
-    /// run; empty unless the run went through a
-    /// [`crate::service::WavefrontService`]).
-    pub fn cache_events(&self) -> &[CacheEvent] {
-        &self.caches
     }
 
     /// The run metadata, once a run has begun.
@@ -111,7 +105,7 @@ impl TraceCollector {
             bytes: elements * std::mem::size_of::<f64>(),
             per_proc,
             phases,
-            cache: self.caches.last().copied(),
+            cache: self.cache,
         }
     }
 }
@@ -122,7 +116,7 @@ impl Collector for TraceCollector {
         self.blocks.clear();
         self.messages.clear();
         self.waits.clear();
-        self.caches.clear();
+        self.cache = None;
         self.makespan = 0.0;
     }
     fn block(&mut self, ev: BlockEvent) {
@@ -135,7 +129,7 @@ impl Collector for TraceCollector {
         self.waits.push(ev);
     }
     fn cache(&mut self, ev: CacheEvent) {
-        self.caches.push(ev);
+        self.cache = Some(ev);
     }
     fn end(&mut self, makespan: f64) {
         self.makespan = makespan;

@@ -13,6 +13,6 @@
 //! `wlc tune` drives both and reports model-vs-searched block sizes as
 //! JSON; see `docs/TUNING.md`.
 
-pub mod calibrate;
+mod calibrate;
 
 pub use calibrate::{calibrate_host, calibrate_with, CalibrationConfig};

@@ -1283,11 +1283,11 @@ fn plan<const R: usize>(
         let line = JobTopology::line(opts.procs);
         match WavefrontPlan::build(nest, line, &opts.block, &opts.machine) {
             Ok(plan) => {
-                // Both estimates price the distribution printed here.
+                // Both estimates let the planner choose the distribution,
+                // so they price the one printed here.
                 let dim = plan.axes[0].dim;
                 let session = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
-                    .dist_dim(dim)
                     .machine(opts.machine)
                     .block(opts.block.clone())
                     .kernel_mode(opts.kernel_mode);
@@ -1303,7 +1303,6 @@ fn plan<const R: usize>(
                 };
                 let naive = Session::new(&lowered.program, nest)
                     .procs(opts.procs)
-                    .dist_dim(dim)
                     .machine(opts.machine)
                     .block(BlockPolicy::FullPortion)
                     .estimate()
