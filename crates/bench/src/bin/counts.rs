@@ -11,8 +11,8 @@
 //! prices each row start). For the two loop workloads, `chunk b` is the
 //! width their fused chunk of all their steps runs
 //! (`Session::chunk_plan`, what `LoopStats::block` reports): a chunk
-//! pays its fill once, so on page-strided rows the DES of the chunk's
-//! own graph picks it. Run with
+//! pays its fill once, so on any unit-stride rows the DES of the
+//! chunk's own graph picks it. Run with
 //! `cargo run --release -p wavefront-bench --bin counts`.
 //!
 //! Every row is at the repository defaults: a line of two processors,

@@ -38,6 +38,15 @@
 //! and stored lane by lane. [`crate::kernel::NestRunner::lane_stride`]
 //! reports which: `unit`, `strided` or `diagonal`.
 //!
+//! A lane block pays one tape dispatch for its eight points. When the
+//! lane dimension is the sweep's innermost loop, every cursor is
+//! unit-stride and a row segment spans two lane blocks or more, the
+//! sweep runs the whole segment instead, in pieces of up to 64 points:
+//! each instruction matches its operator once, then loops over the
+//! piece, with one checked slice per read and per store. Strided and
+//! diagonal lanes, one-block segments and the remainder slab keep the
+//! eight-point blocks.
+//!
 //! Everything a tile call needs that depends only on the store's
 //! geometry and the lane shape — each cursor's array, lane delta and
 //! lane-block step — is computed once, when
@@ -48,8 +57,10 @@
 //! executor applies exactly the scalar tape's operator sequence to each
 //! point — no re-association, no fused multiply-add — and lane blocking
 //! only reorders *independent* points, so results are bitwise identical
-//! to the scalar tape and the interpreter. The differential fuzz harness
-//! in `tests/kernel_differential.rs` enforces this.
+//! to the scalar tape and the interpreter. A piece of a row segment is
+//! a lane block of up to 64 points along a dimension no dependence
+//! crosses, so the same argument holds at any length. The differential
+//! fuzz harness in `tests/kernel_differential.rs` enforces this.
 //!
 //! A nest the lane lowering refuses (every direction carried, or a tape
 //! needing more than [`MAX_LANE_REGS`] registers) runs on the scalar
@@ -209,11 +220,16 @@ impl LaneBinding {
         LaneBinding { shape, ldel, step }
     }
 
+    /// Axis lanes whose every cursor moves one element per lane.
+    fn unit(&self) -> bool {
+        matches!(self.shape, LaneShape::Axis { .. }) && self.ldel.iter().all(|&l| l == 1)
+    }
+
     /// See [`NestRunner::lane_stride`](crate::kernel::NestRunner::lane_stride).
     pub(crate) fn stride_class(&self) -> &'static str {
         match self.shape {
             LaneShape::Wavefront { .. } => "diagonal",
-            LaneShape::Axis { .. } if self.ldel.iter().all(|&l| l == 1) => "unit",
+            LaneShape::Axis { .. } if self.unit() => "unit",
             LaneShape::Axis { .. } => "strided",
         }
     }
@@ -258,8 +274,11 @@ fn run_axis<const R: usize>(
     let (full, _) = strip_split(ext);
     let rlo = region.lo();
     let rhi = region.hi();
-    if full > 0 {
-        axis_sweep(kernel, bk, lb, d, region.slab(d, rlo[d], rlo[d] + full - 1), arrays);
+    let strip = region.slab(d, rlo[d], rlo[d] + full - 1);
+    if full >= 2 * LANES as i64 && d == bk.order[R - 1] && lb.unit() {
+        wide_rows(kernel, bk, d, strip, arrays);
+    } else if full > 0 {
+        axis_sweep(kernel, bk, lb, d, strip, arrays);
     }
     if full < ext {
         kernel.run_bound_cells(bk, region.slab(d, rlo[d] + full, rhi[d]), arrays);
@@ -366,6 +385,82 @@ fn axis_sweep<const R: usize>(
         -1
     };
 
+    let mut cur = Scratch::new(views.len(), 0i64);
+    let cur = &mut *cur;
+    let mut lregs = [[0.0f64; LANES]; MAX_LANE_REGS];
+
+    walk_rows(kernel, bk, d, region, |p, coords| {
+        bk.seat(p, cur);
+        let mut ci = inner_start;
+        for _ in 0..n_sweep {
+            if kernel.uses_coords {
+                coords[inner] = ci as f64;
+            }
+            for (j, sk) in kernel.stmts.iter().enumerate() {
+                let v = eval_stmt_lanes(sk, &mut lregs, rslices, cur, &lb.ldel, coords, &cdelta);
+                scatter(wslices[j], cur[nr + j], lb.ldel[nr + j], &v);
+            }
+            for (c, s) in cur.iter_mut().zip(&lb.step) {
+                *c += *s;
+            }
+            ci += inner_dir;
+        }
+    });
+}
+
+/// The wide path of an axis sweep: lanes along `d`, the innermost loop,
+/// unit-stride for every cursor, and `region.extent(d)` a multiple of
+/// [`LANES`] of at least two lane blocks. Each row segment runs in
+/// pieces of up to `W` points. Out of line, so [`run_axis`]'s frame
+/// does not carry `Wide`.
+#[inline(never)]
+fn wide_rows<const R: usize>(
+    kernel: &TileKernel<R>,
+    bk: &BoundKernel<R>,
+    d: usize,
+    region: Region<R>,
+    arrays: &[&[Cell<f64>]],
+) {
+    let views = bk.views(arrays);
+    let (rslices, wslices) = views.split_at(bk.reads);
+    let mut cur = Scratch::new(views.len(), 0i64);
+    let cur = &mut *cur;
+    let mut cdelta = [0.0f64; R];
+    cdelta[d] = 1.0;
+    let (lo, seg) = (region.lo()[d], region.extent(d) as usize);
+    let mut w = Wide { regs: [[0.0; W]; MAX_LANE_REGS], a: [0.0; W], b: [0.0; W], out: [0.0; W] };
+    walk_rows(kernel, bk, d, region, |p, coords| {
+        bk.seat(p, cur);
+        for off in (0..seg).step_by(W) {
+            let n = W.min(seg - off);
+            coords[d] = (lo + off as i64) as f64;
+            let piece = Piece { rslices, cur, off: off as i64, n, coords, cdelta: &cdelta };
+            for (j, sk) in kernel.stmts.iter().enumerate() {
+                piece.eval(sk, &mut w);
+                let at = (cur[bk.reads + j] + off as i64) as usize;
+                for (c, &x) in wslices[j][at..at + n].iter().zip(&w.out) {
+                    c.set(x);
+                }
+            }
+        }
+    });
+}
+
+/// Call `row` at the first point of every row of an axis lane sweep of
+/// `region`, with that point's coordinates when the kernel reads them.
+/// Rows follow the scalar sweep's outer loops, except that the lane
+/// dimension `d` (when not innermost) ascends in blocks of [`LANES`] —
+/// the slab preparation made its extent divide evenly.
+#[inline(always)]
+fn walk_rows<const R: usize>(
+    kernel: &TileKernel<R>,
+    bk: &BoundKernel<R>,
+    d: usize,
+    region: Region<R>,
+    mut row: impl FnMut(&[i64; R], &mut [f64; R]),
+) {
+    let rlo = region.lo();
+    let rhi = region.hi();
     let mut p = [0i64; R];
     for k in 0..R {
         p[k] = if bk.ascending[k] { rlo[k] } else { rhi[k] };
@@ -377,31 +472,8 @@ fn axis_sweep<const R: usize>(
             coords[k] = p[k] as f64;
         }
     }
-
-    let mut cur = Scratch::new(views.len(), 0i64);
-    let cur = &mut *cur;
-    let mut lregs = [[0.0f64; LANES]; MAX_LANE_REGS];
-
     loop {
-        bk.seat(&p, cur);
-        let mut ci = inner_start;
-        for _ in 0..n_sweep {
-            if kernel.uses_coords {
-                coords[inner] = ci as f64;
-            }
-            for (j, sk) in kernel.stmts.iter().enumerate() {
-                let v = eval_stmt_lanes(sk, &mut lregs, rslices, cur, &lb.ldel, &coords, &cdelta);
-                scatter(wslices[j], cur[nr + j], lb.ldel[nr + j], &v);
-            }
-            for (c, s) in cur.iter_mut().zip(&lb.step) {
-                *c += *s;
-            }
-            ci += inner_dir;
-        }
-
-        // Outer odometer: like the scalar sweep's, except the lane
-        // dimension (when not innermost) ascends in blocks of `LANES` —
-        // the slab preparation made its extent divide evenly.
+        row(&p, &mut coords);
         let mut advanced = false;
         for pos in (0..R.saturating_sub(1)).rev() {
             let k = bk.order[pos];
@@ -617,6 +689,27 @@ fn load_lanes<const R: usize>(
     }
 }
 
+/// Apply one binary operator pointwise over a piece of a row segment.
+/// The operator is matched **once** per instruction; each arm is a
+/// counted loop of [`BinOp::apply`] on that operator, so per-point
+/// results are bitwise identical to the scalar tape.
+#[inline(always)]
+fn bin_each(op: BinOp, a: &[f64], b: &[f64], out: &mut [f64]) {
+    macro_rules! arms { ($($v:ident)*) => { match op { $(BinOp::$v => {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) { *o = BinOp::$v.apply(x, y); }
+    })* } } }
+    arms!(Add Sub Mul Div Min Max Pow)
+}
+
+/// Apply one unary operator pointwise over a piece; see [`bin_each`].
+#[inline(always)]
+fn un_each(op: UnaryOp, a: &[f64], out: &mut [f64]) {
+    macro_rules! arms { ($($v:ident)*) => { match op { $(UnaryOp::$v => {
+        for (o, &x) in out.iter_mut().zip(a) { *o = UnaryOp::$v.apply(x); }
+    })* } } }
+    arms!(Neg Abs Sqrt Exp Ln Recip Sin Cos)
+}
+
 /// Apply one binary operator lane-wise. The operator is matched **once**
 /// per instruction (not per lane); each arm is a fixed-width loop of the
 /// exact scalar operation [`BinOp::apply`] performs, so per-lane results
@@ -770,6 +863,98 @@ fn eval_stmt_lanes<const R: usize>(
             coords,
             cdelta,
         ),
+    }
+}
+
+/// Points per piece of a unit-stride row segment on the wide path: each
+/// instruction matches its operator once per piece, then loops over up
+/// to `W` points.
+const W: usize = 64;
+
+/// The wide path's stack state: a register file of `W`-point registers
+/// (8 KiB), two operand buffers and the instruction being evaluated.
+struct Wide {
+    regs: [[f64; W]; MAX_LANE_REGS],
+    a: [f64; W],
+    b: [f64; W],
+    out: [f64; W],
+}
+
+/// `n` consecutive points of a unit-stride row segment, `off` elements
+/// past the cursors `cur`.
+struct Piece<'a, const R: usize> {
+    rslices: &'a [&'a [Cell<f64>]],
+    cur: &'a [i64],
+    off: i64,
+    n: usize,
+    coords: &'a [f64; R],
+    cdelta: &'a [f64; R],
+}
+
+impl<const R: usize> Piece<'_, R> {
+    /// Resolve one operand over the piece: a register (`Prev` is the
+    /// register `prev` the previous instruction wrote) by reference,
+    /// anything else into `buf`. Mirrors [`load_lanes`], widened.
+    #[inline(always)]
+    fn operand<'r>(
+        &self,
+        s: Src,
+        regs: &'r [[f64; W]; MAX_LANE_REGS],
+        prev: usize,
+        buf: &'r mut [f64; W],
+    ) -> &'r [f64] {
+        let buf = &mut buf[..self.n];
+        match s {
+            Src::Reg(r) => return &regs[r as usize & LREG_MASK][..self.n],
+            Src::Prev => return &regs[prev][..self.n],
+            Src::Const(c) => buf.fill(c),
+            Src::Read(i) => {
+                let at = (self.cur[i as usize] + self.off) as usize;
+                for (x, c) in buf.iter_mut().zip(&self.rslices[i as usize][at..at + self.n]) {
+                    *x = c.get();
+                }
+            }
+            Src::Coord(k) => {
+                let (b, dl) = (self.coords[k as usize], self.cdelta[k as usize]);
+                for (l, x) in buf.iter_mut().enumerate() {
+                    *x = b + l as f64 * dl;
+                }
+            }
+        }
+        buf
+    }
+
+    /// One statement tape over the piece, into `w.out`; the wide
+    /// analogue of [`eval_stmt_lanes`], whose last instruction likewise
+    /// writes no register.
+    #[inline(always)]
+    fn eval(&self, sk: &StmtKernel, w: &mut Wide) {
+        let n = self.n;
+        let Some(last) = sk.instrs.len().checked_sub(1) else {
+            let v = self.operand(sk.result, &w.regs, 0, &mut w.a);
+            w.out[..n].copy_from_slice(v);
+            return;
+        };
+        let mut prev = 0;
+        for (i, ins) in sk.instrs.iter().enumerate() {
+            let dst = match *ins {
+                Instr::Bin { op, dst, a, b } => {
+                    let va = self.operand(a, &w.regs, prev, &mut w.a);
+                    let vb = self.operand(b, &w.regs, prev, &mut w.b);
+                    bin_each(op, va, vb, &mut w.out[..n]);
+                    dst
+                }
+                Instr::Un { op, dst, a } => {
+                    let va = self.operand(a, &w.regs, prev, &mut w.a);
+                    un_each(op, va, &mut w.out[..n]);
+                    dst
+                }
+            };
+            if i < last {
+                prev = dst as usize & LREG_MASK;
+                w.regs[prev][..n].copy_from_slice(&w.out[..n]);
+            }
+        }
     }
 }
 

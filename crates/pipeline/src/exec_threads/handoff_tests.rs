@@ -262,6 +262,18 @@ fn paged(p: usize) -> Case<2> {
     )
 }
 
+/// The same relaxation on 12 rows of 128 columns, 1,024 bytes apart:
+/// under a page, so a fused chunk is cut on its own DAG with no row
+/// start priced, and walks its wide tiles lane dimension innermost.
+fn unpaged(p: usize) -> Case<2> {
+    case(
+        Region::rect([0, 0], [12, 127]),
+        Region::rect([1, 0], [12, 127]),
+        &[[-1, 0]],
+        JobTopology::line(p),
+    )
+}
+
 /// One seeded chaos run of `c` planned by `policy`, twice over on one
 /// pool (see [`engine_pair`]), under the plan the executing engines run
 /// for a chunk of `iters` sweeps: every post delayed, every wait
@@ -364,27 +376,27 @@ fn chaos_run<const R: usize>(
 
 #[test]
 fn chaos_seeds_never_change_a_result_or_hang() {
-    // 9 placements x b x iters x rotation = 72 configurations; 288
+    // 10 placements x b x iters x rotation = 80 configurations; 320
     // seeds walk through all of them four times, skewed neither way,
     // downstream, upstream, and neither way again. Every fourth seed
     // runs on the interpreter, the choice shifted by one with each pass:
     // each placement meets it in one of the four, with every b, sweep
-    // count and rotation. The paged placement is planned by Model2, not
-    // by b, so its chunks of five sweeps run the width the DES of their
-    // own graph picks.
-    for seed in 0..288u64 {
+    // count and rotation. The paged and unpaged placements are planned
+    // by Model2, not by b, so their chunks of five sweeps run the width
+    // the DES of their own graph picks.
+    for seed in 0..320u64 {
         let mut pick = seed as usize;
         let mut take = |n: usize| {
             let v = pick % n;
             pick /= n;
             v
         };
-        let placement = take(9);
+        let placement = take(10);
         let b = BlockPolicy::Fixed([1, 5][take(2)]);
         let iters = [1, 5][take(2)];
         let rotated = take(2) == 1;
         let skew = [Skew::None, Skew::Downstream, Skew::Upstream, Skew::None][take(4)];
-        let mode = if (seed + seed / 72) % 4 == 3 {
+        let mode = if (seed + seed / 80) % 4 == 3 {
             KernelMode::Interpreted
         } else {
             KernelMode::Lanes
@@ -410,7 +422,8 @@ fn chaos_seeds_never_change_a_result_or_hang() {
                 skew,
                 mode,
             ),
-            _ => chaos_run(seed, paged(2), BlockPolicy::Model2, iters, rotated, skew, mode),
+            8 => chaos_run(seed, paged(2), BlockPolicy::Model2, iters, rotated, skew, mode),
+            _ => chaos_run(seed, unpaged(2), BlockPolicy::Model2, iters, rotated, skew, mode),
         }
     }
 }

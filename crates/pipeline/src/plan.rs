@@ -387,24 +387,26 @@ impl<const R: usize> WavefrontPlan<R> {
     /// tile dimension is the lane kernel's axis, at least [`LANES`]
     /// long, is re-fitted:
     ///
-    /// * when the lane blocks move as unit-stride slices and their rows
-    ///   lie at least [`PAGE_BYTES`] apart, every row of a tile starts on
-    ///   a new page, so the lane dimension moves innermost in the tile
-    ///   order and a tile walks whole row segments. An axis lane
-    ///   dimension carries no dependence, so the order stays legal;
     /// * a model's `b` narrower than the lane strip would put every
     ///   point of every tile on the scalar remainder, so it becomes
     ///   [`LANES`];
-    /// * on page-strided rows Model2 also prices a model's tile's row
-    ///   starts, [`ROW_START`] element costs per row, as part of the
-    ///   per-tile fixed cost α; `b` becomes the larger of the model's and
-    ///   that optimum rounded up to a multiple of [`LANES`]. A chunk of
-    ///   several sweeps pays its fill once but every per-tile cost once
-    ///   per sweep, so its width is the one among those giving 1 to that
-    ///   one-sweep tile count tiles, each rounded up to [`LANES`], whose
-    ///   `sweeps`-sweep DAG the DES runs fastest on `machine`, every
-    ///   tile of every cell costing its row starts on top of its points:
-    ///   a row start is paid where a tile runs, not where a message lands.
+    /// * when the lane blocks move as unit-stride slices and their rows
+    ///   lie at least [`PAGE_BYTES`] apart, Model2 also prices a model's
+    ///   tile's row starts, [`ROW_START`] element costs per row, as part
+    ///   of the per-tile fixed cost α; `b` becomes the larger of the
+    ///   model's and that optimum rounded up to a multiple of [`LANES`];
+    /// * on unit-stride lanes, a chunk of several sweeps pays its fill
+    ///   once but every per-tile cost once per sweep, so its width is the
+    ///   one among those giving 1 to that one-sweep tile count tiles,
+    ///   each rounded up to [`LANES`], whose `sweeps`-sweep DAG the DES
+    ///   runs fastest on `machine`; on page-strided rows every tile of
+    ///   every cell costs its row starts on top of its points: a row
+    ///   start is paid where a tile runs, not where a message lands;
+    /// * on page-strided rows, and in such a chunk cut wider than
+    ///   [`LANES`], the lane dimension moves innermost in the tile order,
+    ///   so a tile walks whole row segments, which the lane kernel runs
+    ///   many lane blocks at a time. An axis lane dimension carries no
+    ///   dependence, so the order stays legal.
     ///
     /// A programmer's `b` ([`BlockPolicy::Fixed`],
     /// [`BlockPolicy::FullPortion`]) keeps its width. A runner without a
@@ -429,29 +431,30 @@ impl<const R: usize> WavefrontPlan<R> {
         }
         let extent = extent as usize;
         let mut fitted = self.clone();
-        let paged = runner
-            .lane_row_bytes(shapes, &self.order)
-            .is_some_and(|bytes| bytes >= PAGE_BYTES);
-        if paged {
-            let at = fitted.order.order.iter().position(|&d| d == k)?;
-            fitted.order.order[at..].rotate_left(1);
-        }
+        let row_bytes = runner.lane_row_bytes(shapes, &self.order);
+        let paged = row_bytes.is_some_and(|bytes| bytes >= PAGE_BYTES);
         let mut b = if modelled { self.block.max(LANES) } else { self.block };
+        let mut start = 0.0;
         if modelled && paged {
             let ctx = self.block_ctx(*machine)?;
             let rows = self.region.len() / extent / self.procs();
-            let start = rows as f64 * ROW_START * ctx.work;
+            start = rows as f64 * ROW_START * ctx.work;
             let mut priced = ctx;
             priced.machine.alpha += start;
             let wide = BlockPolicy::Model2.resolve(&priced).next_multiple_of(LANES);
             b = b.max(wide).min(extent);
-            if sweeps > 1 {
-                let mut widths: Vec<usize> = (1..=extent.div_ceil(b))
-                    .map(|t| extent.div_ceil(t).next_multiple_of(LANES).min(extent))
-                    .collect();
-                widths.dedup();
-                b = fitted.fastest(k, widths, machine, sweeps, start);
-            }
+        }
+        let chunk = modelled && row_bytes.is_some() && sweeps > 1;
+        if chunk {
+            let mut widths: Vec<usize> = (1..=extent.div_ceil(b))
+                .map(|t| extent.div_ceil(t).next_multiple_of(LANES).min(extent))
+                .collect();
+            widths.dedup();
+            b = fitted.fastest(k, widths, machine, sweeps, start);
+        }
+        if paged || chunk && b > LANES {
+            let at = fitted.order.order.iter().position(|&d| d == k)?;
+            fitted.order.order[at..].rotate_left(1);
         }
         if b == self.block && fitted.order == self.order {
             return None;
@@ -873,12 +876,37 @@ pub(crate) mod tests {
         let fit = |sweeps| plan.fit(&fixed, &t3e(), &runner, &shapes, sweeps).unwrap();
         assert_eq!((fit(4).block, fit(4).order.order), (40, [0, 1]));
 
-        // Rows under a page apart: a chunk runs the one-sweep plan.
+        // Rows under a page apart (2,416 bytes): one sweep runs Model2's
+        // plan, but a chunk is cut on its own DAG with no row-start price
+        // and, wider than the lane strip, walks with the lane dimension
+        // innermost.
         let (p, nest) = relax_nest(12, 300);
         let (runner, shapes) = (NestRunner::auto(&nest), p.shapes());
         let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &model2, &t3e()).unwrap();
         let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps);
-        assert_eq!(fit(4), fit(1));
+        let chunk = fit(4).unwrap();
+        assert_eq!((plan.block, plan.order.order), (39, [1, 0]));
+        assert_eq!(fit(1), None);
+        assert_eq!((chunk.block, chunk.order.order), (80, [0, 1]));
+        let makespan = |b: usize| {
+            let mut cut = plan.clone();
+            cut.cut(1, b);
+            simulate(&plan_dag(&cut, 4), &t3e(), 2).makespan
+        };
+        for tiles in 1..=300usize.div_ceil(plan.block) {
+            let b = 300usize.div_ceil(tiles).next_multiple_of(LANES).min(300);
+            assert!(makespan(chunk.block) <= makespan(b), "{tiles} tiles of {b} beat the pick");
+        }
+
+        // Strided lanes (Tomcatv, column-major) keep the one-sweep plan
+        // at every chunk length.
+        let (p, nest) = tomcatv_nest(66);
+        let (runner, shapes) = (NestRunner::auto(&nest), p.shapes());
+        let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &model2, &t3e()).unwrap();
+        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps);
+        for sweeps in [2, 4, 60] {
+            assert_eq!(fit(sweeps), fit(1), "{sweeps} sweeps");
+        }
     }
 
     #[test]

@@ -925,7 +925,7 @@ impl<const R: usize> WavefrontService<R> {
     }
 
     /// Stats of recently completed DAGs, oldest first (a bounded ring —
-    /// the last [`DAG_STATS_CAP`] DAGs are retained).
+    /// the last 32 DAGs are retained).
     pub fn dag_stats(&self) -> Vec<DagStats> {
         self.shared.dag_stats.lock().unwrap().iter().cloned().collect()
     }
@@ -1008,7 +1008,7 @@ impl<const R: usize> WavefrontService<R> {
     }
 
     /// Lifecycle traces of recently completed jobs, oldest first (a
-    /// bounded ring — the last [`TRACE_CAP`] jobs are retained). Empty
+    /// bounded ring — the last 256 jobs are retained). Empty
     /// while metrics are disabled.
     pub fn recent_traces(&self) -> Vec<JobTrace> {
         self.shared.recent_traces.lock().unwrap().iter().cloned().collect()
@@ -1799,9 +1799,9 @@ mod tests {
     use crate::schedule::BlockPolicy;
     use crate::session::Session;
 
-    /// A pipelined fused chunk runs its own width; one sweep, a barrier
-    /// chunk and a chunk over rows under a page apart run the one-sweep
-    /// preparation itself.
+    /// A pipelined fused chunk runs its own width, on rows a page or
+    /// more apart and on rows under a page apart; one sweep and a
+    /// barrier chunk run the one-sweep preparation itself.
     #[test]
     fn a_chunk_runs_the_width_of_its_own_des() {
         use crate::plan::tests::relax_nest;
@@ -1824,8 +1824,10 @@ mod tests {
         let start = Instant::now();
         assert_eq!(prep(&core, &paged, 1 << 40).plan.block, prep(&core, &paged, 60).plan.block);
         assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
+        // Rows under a page apart: a chunk is cut on its own DAG too.
         let unpaged = relax_nest(12, 300);
-        assert!(Arc::ptr_eq(&prep(&core, &unpaged, 1), &prep(&core, &unpaged, 4)));
+        let (one, chunk) = (prep(&core, &unpaged, 1), prep(&core, &unpaged, 4));
+        assert_eq!((one.plan.block, chunk.plan.block), (39, 80));
 
         // Through the loop door: the barrier ablation pays a fill every
         // sweep, so it keeps the one-sweep width.

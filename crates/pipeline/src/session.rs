@@ -101,8 +101,8 @@ pub struct RunOutcome {
     /// `b`; the executing engines re-fit a model's `b` on the tile
     /// dimension the lane kernel's strip lies along: never narrower than
     /// the strip, and, when the arrays' rows are page-strided, wide
-    /// enough to pay for starting each row ([`WavefrontPlan::fit`]). A
-    /// fixed `b` always runs as given.
+    /// enough to pay for starting each row (`docs/TUNING.md`). A fixed
+    /// `b` always runs as given.
     pub block: usize,
     /// Number of tiles along the orthogonal dimension.
     pub tiles: usize,
@@ -245,7 +245,7 @@ impl<'a, const R: usize> Session<'a, R> {
 
     /// The plan a pipelined fused loop chunk of `sweeps` sweeps of this
     /// session's nest runs on the threaded engine, as a service loop
-    /// runs it: a chunk pays its fill once, so on page-strided rows its
+    /// runs it: a chunk pays its fill once, so on unit-stride lanes its
     /// width is fitted to its own sweeps (see [`LoopStats::block`]).
     ///
     /// [`LoopStats::block`]: crate::service::LoopStats::block

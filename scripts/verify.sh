@@ -33,6 +33,10 @@ echo
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets --offline -- -D warnings
 
+echo
+echo "== rustdoc (every workspace crate, warnings are errors: no dead doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 WLC=target/release/wlc
 
 echo

@@ -152,6 +152,14 @@ fn wide_lane_innermost_tile_allocates_nothing() {
 }
 
 #[test]
+fn wide_segment_tile_allocates_nothing() {
+    // 200 columns: each row runs as pieces of 64, 64, 64 and 8 points.
+    let (allocs, tier, stride, rem) = one_tile(&relax(200), KernelMode::Lanes);
+    assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
+    assert_eq!(allocs, 0, "allocations in one wide-segment tile");
+}
+
+#[test]
 fn lane_axis_strided_tile_allocates_nothing() {
     let program = tomcatv::build(32).expect("tomcatv lowers").program;
     let (allocs, tier, stride, _) = one_tile(&program, KernelMode::Lanes);

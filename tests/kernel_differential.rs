@@ -757,3 +757,72 @@ fn a_nest_past_the_stack_cursor_cap_still_matches() {
     prog.stmt(Region::rect([2, 20], [n - 1, n + 19]), a, rhs);
     lanes_match_interpreter("wide", &prog, "unit", 5..=5);
 }
+
+/// Unit-stride row segments of 16 to 200 points, which the lane
+/// executor runs in pieces of up to 64: pieces below, at, past and not a
+/// multiple of that width. Two statements chained at one point cover
+/// every binary and unary operator and both coordinates, over a row
+/// recurrence that ascends (`north`) and one that descends (`south`).
+/// Standalone, the lane tier must match the interpreter and the scalar
+/// tape bit for bit; then the engines, tiled one segment wide.
+#[test]
+fn wide_row_segments_are_bit_identical() {
+    let rows = 6i64;
+    for seg in [16i64, 56, 64, 72, 136, 200] {
+        for (dir, up) in [("north", [-1, 0]), ("south", [1, 0])] {
+            let bounds = Region::rect([0, 0], [rows + 1, seg + 1]);
+            let mut prog = Program::<2>::new();
+            let a = prog.array("a", bounds);
+            let b = prog.array("b", bounds);
+            let r = prog.array("r", bounds);
+            let ln1p = |e: Expr<2>| (e.unary(UnaryOp::Abs) + Expr::lit(1.0)).unary(UnaryOp::Ln);
+            let sin = (Expr::lit(0.5) * Expr::read_primed_at(a, up)).unary(UnaryOp::Sin);
+            let pow = Expr::Binary(
+                BinOp::Pow,
+                Box::new(Expr::read(b) + Expr::lit(1.0)),
+                Box::new(Expr::lit(0.5)),
+            );
+            prog.scan(
+                Region::rect([1, 1], [rows, seg]),
+                vec![
+                    Statement::new(
+                        r,
+                        ln1p(Expr::read_at(b, [0, 1])) * Expr::IndexVar(1)
+                            - sin.max(Expr::read(b).unary(UnaryOp::Cos))
+                                / (Expr::IndexVar(0) + Expr::lit(2.0)),
+                    ),
+                    Statement::new(
+                        a,
+                        (-Expr::read(r)).min(pow)
+                            + (Expr::lit(0.1) * Expr::read(b)).unary(UnaryOp::Exp)
+                                * (Expr::read(r) * Expr::read(r) + Expr::lit(1.0)).recip()
+                            + (Expr::read(r) * Expr::read(r)).sqrt()
+                            + Expr::lit(0.5) * Expr::read_primed_at(a, up),
+                    ),
+                ],
+            );
+            let what = format!("{seg} points, {dir}");
+            let compiled = compile(&prog).unwrap();
+            let nest = compiled.nest(0);
+            let order = &nest.structure.order;
+            assert_eq!(order.order[1], 1, "{what}: the lane dimension is innermost");
+            assert_eq!(order.ascending[0], dir == "north", "{what}");
+
+            let mut reference = init_in_layout(&prog, 11);
+            run_nest_with_sink(nest, &mut reference, &mut NoSink);
+            for mode in [KernelMode::Scalar, KernelMode::Lanes] {
+                let runner = NestRunner::with_mode(nest, mode);
+                let mut got = init_in_layout(&prog, 11);
+                let bound = runner.bind(&got, order);
+                runner.run_tile(nest, bound.as_ref(), nest.region, order, &mut got);
+                for id in 0..reference.len() {
+                    let (x, y) = (reference.get(id), got.get(id));
+                    for p in bounds.iter() {
+                        assert_eq!(x.get(p).to_bits(), y.get(p).to_bits(), "{what} {mode:?} {p}");
+                    }
+                }
+            }
+            lanes_match_interpreter(&what, &prog, "unit", seg as usize..=seg as usize);
+        }
+    }
+}
