@@ -42,10 +42,12 @@
 //! lane dimension is the sweep's innermost loop, every cursor is
 //! unit-stride and a row segment spans two lane blocks or more, the
 //! sweep runs the whole segment instead, in pieces of up to 64 points:
-//! each instruction matches its operator once, then loops over the
-//! piece, with one checked slice per read and per store. Strided and
-//! diagonal lanes, one-block segments and the remainder slab keep the
-//! eight-point blocks.
+//! each instruction matches its operator and operand kinds once, then
+//! loops over the piece, reading each operand where it lives (a
+//! register, the checked slice of a read, a constant) and writing its
+//! result into a spare register that is then renamed, not copied, into
+//! its destination. Strided and diagonal lanes, one-block segments and
+//! the remainder slab keep the eight-point blocks.
 //!
 //! Everything a tile call needs that depends only on the store's
 //! geometry and the lane shape — each cursor's array, lane delta and
@@ -59,8 +61,11 @@
 //! only reorders *independent* points, so results are bitwise identical
 //! to the scalar tape and the interpreter. A piece of a row segment is
 //! a lane block of up to 64 points along a dimension no dependence
-//! crosses, so the same argument holds at any length. The differential
-//! fuzz harness in `tests/kernel_differential.rs` enforces this.
+//! crosses, so the same argument holds at any length; its reads still
+//! happen instruction by instruction and its one store after the last,
+//! and renaming only permutes which buffer holds a register. The
+//! differential fuzz harness in `tests/kernel_differential.rs` enforces
+//! this.
 //!
 //! A nest the lane lowering refuses (every direction carried, or a tape
 //! needing more than [`MAX_LANE_REGS`] registers) runs on the scalar
@@ -428,7 +433,13 @@ fn wide_rows<const R: usize>(
     let mut cdelta = [0.0f64; R];
     cdelta[d] = 1.0;
     let (lo, seg) = (region.lo()[d], region.extent(d) as usize);
-    let mut w = Wide { regs: [[0.0; W]; MAX_LANE_REGS], a: [0.0; W], b: [0.0; W], out: [0.0; W] };
+    let mut w = Wide {
+        regs: [[0.0; W]; MAX_LANE_REGS + 1],
+        map: std::array::from_fn(|r| r),
+        spare: MAX_LANE_REGS,
+        a: [0.0; W],
+        b: [0.0; W],
+    };
     walk_rows(kernel, bk, d, region, |p, coords| {
         bk.seat(p, cur);
         for off in (0..seg).step_by(W) {
@@ -436,9 +447,9 @@ fn wide_rows<const R: usize>(
             coords[d] = (lo + off as i64) as f64;
             let piece = Piece { rslices, cur, off: off as i64, n, coords, cdelta: &cdelta };
             for (j, sk) in kernel.stmts.iter().enumerate() {
-                piece.eval(sk, &mut w);
+                let v = piece.eval(sk, &mut w);
                 let at = (cur[bk.reads + j] + off as i64) as usize;
-                for (c, &x) in wslices[j][at..at + n].iter().zip(&w.out) {
+                for (c, &x) in wslices[j][at..at + n].iter().zip(v) {
                     c.set(x);
                 }
             }
@@ -689,23 +700,55 @@ fn load_lanes<const R: usize>(
     }
 }
 
+/// One operand of an instruction over a piece, where it lives: a
+/// register's (or `Prev`'s) values, a `Read`'s cells, or a `Const`.
+enum Opnd<'a> {
+    Vals(&'a [f64]),
+    Cells(&'a [Cell<f64>]),
+    Splat(f64),
+}
+
+/// Bind `$x` to an iterator over the values of operand `$o`, then
+/// evaluate `$body`: one copy of `$body` per operand kind.
+macro_rules! with_vals {
+    ($o:expr, |$x:ident| $body:expr) => {
+        match $o {
+            Opnd::Vals(v) => {
+                let $x = v.iter().copied();
+                $body
+            }
+            Opnd::Cells(c) => {
+                let $x = c.iter().map(Cell::get);
+                $body
+            }
+            Opnd::Splat(k) => {
+                let $x = std::iter::repeat(k);
+                $body
+            }
+        }
+    };
+}
+
 /// Apply one binary operator pointwise over a piece of a row segment.
-/// The operator is matched **once** per instruction; each arm is a
-/// counted loop of [`BinOp::apply`] on that operator, so per-point
-/// results are bitwise identical to the scalar tape.
+/// The operator and both operand kinds are matched **once** per
+/// instruction; each arm is a counted loop of [`BinOp::apply`] on that
+/// operator, so per-point results are bitwise identical to the scalar
+/// tape.
 #[inline(always)]
-fn bin_each(op: BinOp, a: &[f64], b: &[f64], out: &mut [f64]) {
+fn bin_each(op: BinOp, a: Opnd, b: Opnd, out: &mut [f64]) {
     macro_rules! arms { ($($v:ident)*) => { match op { $(BinOp::$v => {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) { *o = BinOp::$v.apply(x, y); }
+        with_vals!(a, |xa| with_vals!(b, |xb| {
+            for ((o, x), y) in out.iter_mut().zip(xa).zip(xb) { *o = BinOp::$v.apply(x, y); }
+        }))
     })* } } }
     arms!(Add Sub Mul Div Min Max Pow)
 }
 
 /// Apply one unary operator pointwise over a piece; see [`bin_each`].
 #[inline(always)]
-fn un_each(op: UnaryOp, a: &[f64], out: &mut [f64]) {
+fn un_each(op: UnaryOp, a: Opnd, out: &mut [f64]) {
     macro_rules! arms { ($($v:ident)*) => { match op { $(UnaryOp::$v => {
-        for (o, &x) in out.iter_mut().zip(a) { *o = UnaryOp::$v.apply(x); }
+        with_vals!(a, |xa| for (o, x) in out.iter_mut().zip(xa) { *o = UnaryOp::$v.apply(x); })
     })* } } }
     arms!(Neg Abs Sqrt Exp Ln Recip Sin Cos)
 }
@@ -872,12 +915,15 @@ fn eval_stmt_lanes<const R: usize>(
 const W: usize = 64;
 
 /// The wide path's stack state: a register file of `W`-point registers
-/// (8 KiB), two operand buffers and the instruction being evaluated.
+/// (8.5 KiB), one more than a tape may name, and two buffers for
+/// `Coord` operands. `map` renames each logical register to a physical
+/// one; the one it leaves out, `spare`, takes the next result.
 struct Wide {
-    regs: [[f64; W]; MAX_LANE_REGS],
+    regs: [[f64; W]; MAX_LANE_REGS + 1],
+    map: [usize; MAX_LANE_REGS],
+    spare: usize,
     a: [f64; W],
     b: [f64; W],
-    out: [f64; W],
 }
 
 /// `n` consecutive points of a unit-stride row segment, `off` elements
@@ -892,69 +938,81 @@ struct Piece<'a, const R: usize> {
 }
 
 impl<const R: usize> Piece<'_, R> {
-    /// Resolve one operand over the piece: a register (`Prev` is the
-    /// register `prev` the previous instruction wrote) by reference,
-    /// anything else into `buf`. Mirrors [`load_lanes`], widened.
+    /// Resolve one operand over the piece where it lives: physical
+    /// register `reg(p)` for a register (`Prev` is the physical register
+    /// `prev`), the piece's cells for a `Read`, the value for a `Const`;
+    /// only a `Coord` is filled, into `buf`. Mirrors [`load_lanes`],
+    /// widened.
     #[inline(always)]
     fn operand<'r>(
-        &self,
+        &'r self,
         s: Src,
-        regs: &'r [[f64; W]; MAX_LANE_REGS],
+        reg: impl Fn(usize) -> &'r [f64; W],
+        map: &[usize; MAX_LANE_REGS],
         prev: usize,
         buf: &'r mut [f64; W],
-    ) -> &'r [f64] {
-        let buf = &mut buf[..self.n];
+    ) -> Opnd<'r> {
+        let n = self.n;
         match s {
-            Src::Reg(r) => return &regs[r as usize & LREG_MASK][..self.n],
-            Src::Prev => return &regs[prev][..self.n],
-            Src::Const(c) => buf.fill(c),
+            Src::Reg(r) => Opnd::Vals(&reg(map[r as usize & LREG_MASK])[..n]),
+            Src::Prev => Opnd::Vals(&reg(prev)[..n]),
+            Src::Const(c) => Opnd::Splat(c),
             Src::Read(i) => {
                 let at = (self.cur[i as usize] + self.off) as usize;
-                for (x, c) in buf.iter_mut().zip(&self.rslices[i as usize][at..at + self.n]) {
-                    *x = c.get();
-                }
+                Opnd::Cells(&self.rslices[i as usize][at..at + n])
             }
             Src::Coord(k) => {
                 let (b, dl) = (self.coords[k as usize], self.cdelta[k as usize]);
-                for (l, x) in buf.iter_mut().enumerate() {
+                for (l, x) in buf[..n].iter_mut().enumerate() {
                     *x = b + l as f64 * dl;
                 }
+                Opnd::Vals(&buf[..n])
             }
         }
-        buf
     }
 
-    /// One statement tape over the piece, into `w.out`; the wide
-    /// analogue of [`eval_stmt_lanes`], whose last instruction likewise
-    /// writes no register.
+    /// One statement tape over the piece; returns its values, held in
+    /// the spare register. Every instruction computes into the spare;
+    /// each but the last then swaps it with its destination in `map`,
+    /// so no result is copied. The wide analogue of
+    /// [`eval_stmt_lanes`], whose last instruction likewise writes no
+    /// register.
     #[inline(always)]
-    fn eval(&self, sk: &StmtKernel, w: &mut Wide) {
+    fn eval<'w>(&self, sk: &StmtKernel, w: &'w mut Wide) -> &'w [f64] {
         let n = self.n;
-        let Some(last) = sk.instrs.len().checked_sub(1) else {
-            let v = self.operand(sk.result, &w.regs, 0, &mut w.a);
-            w.out[..n].copy_from_slice(v);
-            return;
-        };
+        let last = sk.instrs.len().saturating_sub(1);
         let mut prev = 0;
-        for (i, ins) in sk.instrs.iter().enumerate() {
-            let dst = match *ins {
-                Instr::Bin { op, dst, a, b } => {
-                    let va = self.operand(a, &w.regs, prev, &mut w.a);
-                    let vb = self.operand(b, &w.regs, prev, &mut w.b);
-                    bin_each(op, va, vb, &mut w.out[..n]);
+        for i in 0..sk.instrs.len().max(1) {
+            let spare = w.spare;
+            let (lo, rest) = w.regs.split_at_mut(spare);
+            let (out, hi) = rest.split_first_mut().expect("the spare is a register");
+            let out = &mut out[..n];
+            let reg = |p: usize| if p < spare { &lo[p] } else { &hi[p - spare - 1] };
+            let dst = match sk.instrs.get(i) {
+                Some(&Instr::Bin { op, dst, a, b }) => {
+                    let va = self.operand(a, reg, &w.map, prev, &mut w.a);
+                    let vb = self.operand(b, reg, &w.map, prev, &mut w.b);
+                    bin_each(op, va, vb, out);
                     dst
                 }
-                Instr::Un { op, dst, a } => {
-                    let va = self.operand(a, &w.regs, prev, &mut w.a);
-                    un_each(op, va, &mut w.out[..n]);
+                Some(&Instr::Un { op, dst, a }) => {
+                    let va = self.operand(a, reg, &w.map, prev, &mut w.a);
+                    un_each(op, va, out);
                     dst
+                }
+                // An empty tape: its result is a leaf operand.
+                None => {
+                    let v = self.operand(sk.result, reg, &w.map, prev, &mut w.a);
+                    with_vals!(v, |x| out.iter_mut().zip(x).for_each(|(o, x)| *o = x));
+                    0
                 }
             };
             if i < last {
-                prev = dst as usize & LREG_MASK;
-                w.regs[prev][..n].copy_from_slice(&w.out[..n]);
+                prev = spare;
+                std::mem::swap(&mut w.map[dst as usize & LREG_MASK], &mut w.spare);
             }
         }
+        &w.regs[w.spare][..n]
     }
 }
 

@@ -389,7 +389,9 @@ impl<const R: usize> WavefrontPlan<R> {
     ///
     /// * a model's `b` narrower than the lane strip would put every
     ///   point of every tile on the scalar remainder, so it becomes
-    ///   [`LANES`];
+    ///   [`LANES`]; when the lane blocks move as unit-stride slices, a
+    ///   model's `b` rounds to the nearest multiple of [`LANES`] (at
+    ///   least [`LANES`]), so no column of a whole tile runs there;
     /// * when the lane blocks move as unit-stride slices and their rows
     ///   lie at least [`PAGE_BYTES`] apart, Model2 also prices a model's
     ///   tile's row starts, [`ROW_START`] element costs per row, as part
@@ -433,7 +435,11 @@ impl<const R: usize> WavefrontPlan<R> {
         let mut fitted = self.clone();
         let row_bytes = runner.lane_row_bytes(shapes, &self.order);
         let paged = row_bytes.is_some_and(|bytes| bytes >= PAGE_BYTES);
-        let mut b = if modelled { self.block.max(LANES) } else { self.block };
+        let mut b = match (modelled, row_bytes) {
+            (false, _) => self.block,
+            (true, None) => self.block.max(LANES),
+            (true, Some(_)) => ((self.block + LANES / 2) / LANES * LANES).clamp(LANES, extent),
+        };
         let mut start = 0.0;
         if modelled && paged {
             let ctx = self.block_ctx(*machine)?;
@@ -877,16 +883,17 @@ pub(crate) mod tests {
         assert_eq!((fit(4).block, fit(4).order.order), (40, [0, 1]));
 
         // Rows under a page apart (2,416 bytes): one sweep runs Model2's
-        // plan, but a chunk is cut on its own DAG with no row-start price
-        // and, wider than the lane strip, walks with the lane dimension
-        // innermost.
+        // plan, its 39 rounded to whole lane blocks (39 would put 7 of
+        // every 39 columns on the scalar remainder), but a chunk is cut
+        // on its own DAG with no row-start price and, wider than the
+        // lane strip, walks with the lane dimension innermost.
         let (p, nest) = relax_nest(12, 300);
         let (runner, shapes) = (NestRunner::auto(&nest), p.shapes());
         let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &model2, &t3e()).unwrap();
         let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps);
-        let chunk = fit(4).unwrap();
+        let (one, chunk) = (fit(1).unwrap(), fit(4).unwrap());
         assert_eq!((plan.block, plan.order.order), (39, [1, 0]));
-        assert_eq!(fit(1), None);
+        assert_eq!((one.block, one.order.order), (40, [1, 0]));
         assert_eq!((chunk.block, chunk.order.order), (80, [0, 1]));
         let makespan = |b: usize| {
             let mut cut = plan.clone();

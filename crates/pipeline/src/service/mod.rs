@@ -1827,7 +1827,7 @@ mod tests {
         // Rows under a page apart: a chunk is cut on its own DAG too.
         let unpaged = relax_nest(12, 300);
         let (one, chunk) = (prep(&core, &unpaged, 1), prep(&core, &unpaged, 4));
-        assert_eq!((one.plan.block, chunk.plan.block), (39, 80));
+        assert_eq!((one.plan.block, chunk.plan.block), (40, 80));
 
         // Through the loop door: the barrier ablation pays a fill every
         // sweep, so it keeps the one-sweep width.

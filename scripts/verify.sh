@@ -25,9 +25,12 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo
-echo "== tests (offline): every workspace member, then the benchmark package =="
+echo "== tests (offline): every workspace member, the benchmark package, the kernels optimised =="
 cargo test -q --offline --workspace
 cargo test -q --offline --manifest-path bench/Cargo.toml
+# The kernels' bit-identity and allocation pins again, on the optimised
+# (autovectorised) code the benchmark and the binaries run.
+cargo test -q --offline --release --test kernel_differential --test kernel_allocs
 
 echo
 echo "== clippy (all targets, warnings are errors) =="

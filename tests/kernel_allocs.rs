@@ -159,6 +159,29 @@ fn wide_segment_tile_allocates_nothing() {
     assert_eq!(allocs, 0, "allocations in one wide-segment tile");
 }
 
+/// A tape holding all 16 lane registers live, on 200-point row segments:
+/// the wide path renames each result into its spare register.
+#[test]
+fn sixteen_register_wide_tile_allocates_nothing() {
+    let bounds = Region::rect([0, 0], [9, 201]);
+    let mut program = Program::<2>::new();
+    let (a, b) = (program.array("a", bounds), program.array("b", bounds));
+    // Each level holds its left operand in a register while the right
+    // one is evaluated: 15 levels under the recurrence's held term.
+    let mut rhs = Expr::read(b);
+    for k in 1..=15u32 {
+        let left = Expr::read(b) * Expr::lit(0.5 + k as f64) + Expr::lit(1.0);
+        rhs = if k.is_multiple_of(2) { left.min(rhs) } else { left - rhs };
+    }
+    let recur = Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0]);
+    program.stmt(Region::rect([1, 1], [8, 200]), a, recur + rhs);
+    let kernel = TileKernel::compile(&scan_nest(&program)).expect("lowers");
+    assert_eq!(kernel.reg_count(), 16, "every lane register is live");
+    let (allocs, tier, stride, rem) = one_tile(&program, KernelMode::Lanes);
+    assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
+    assert_eq!(allocs, 0, "allocations in one 16-register wide-segment tile");
+}
+
 #[test]
 fn lane_axis_strided_tile_allocates_nothing() {
     let program = tomcatv::build(32).expect("tomcatv lowers").program;

@@ -802,27 +802,84 @@ fn wide_row_segments_are_bit_identical() {
                 ],
             );
             let what = format!("{seg} points, {dir}");
-            let compiled = compile(&prog).unwrap();
-            let nest = compiled.nest(0);
-            let order = &nest.structure.order;
-            assert_eq!(order.order[1], 1, "{what}: the lane dimension is innermost");
-            assert_eq!(order.ascending[0], dir == "north", "{what}");
-
-            let mut reference = init_in_layout(&prog, 11);
-            run_nest_with_sink(nest, &mut reference, &mut NoSink);
-            for mode in [KernelMode::Scalar, KernelMode::Lanes] {
-                let runner = NestRunner::with_mode(nest, mode);
-                let mut got = init_in_layout(&prog, 11);
-                let bound = runner.bind(&got, order);
-                runner.run_tile(nest, bound.as_ref(), nest.region, order, &mut got);
-                for id in 0..reference.len() {
-                    let (x, y) = (reference.get(id), got.get(id));
-                    for p in bounds.iter() {
-                        assert_eq!(x.get(p).to_bits(), y.get(p).to_bits(), "{what} {mode:?} {p}");
-                    }
-                }
-            }
-            lanes_match_interpreter(&what, &prog, "unit", seg as usize..=seg as usize);
+            let ascending = compile(&prog).unwrap().nest(0).structure.order.ascending[0];
+            assert_eq!(ascending, dir == "north", "{what}");
+            wide_segments_match(&what, &prog, seg);
         }
+    }
+}
+
+/// Run `prog`'s one nest, whose rows are `seg` points long, whole on the
+/// scalar tape and on the lane tier, then on the engines tiled one
+/// segment wide: every array must match the interpreter bit for bit.
+fn wide_segments_match(what: &str, prog: &Program<2>, seg: i64) {
+    let compiled = compile(prog).unwrap();
+    let nest = compiled.nest(0);
+    let order = &nest.structure.order;
+    assert_eq!(order.order[1], 1, "{what}: the lane dimension is innermost");
+
+    let mut reference = init_in_layout(prog, 11);
+    run_nest_with_sink(nest, &mut reference, &mut NoSink);
+    for mode in [KernelMode::Scalar, KernelMode::Lanes] {
+        let runner = NestRunner::with_mode(nest, mode);
+        let mut got = init_in_layout(prog, 11);
+        let bound = runner.bind(&got, order);
+        runner.run_tile(nest, bound.as_ref(), nest.region, order, &mut got);
+        for id in 0..reference.len() {
+            let (x, y) = (reference.get(id), got.get(id));
+            for p in x.bounds().iter() {
+                assert_eq!(x.get(p).to_bits(), y.get(p).to_bits(), "{what} {mode:?} {p}");
+            }
+        }
+    }
+    lanes_match_interpreter(what, prog, "unit", seg as usize..=seg as usize);
+}
+
+/// The wide path reads `Read` and `Const` operands where they live and
+/// renames each result into a spare register: a tape holding all 16
+/// lane registers live, run twice per piece so the renaming cycles the
+/// whole register file across pieces and statements; `Const` on either
+/// side and on both; `x * x` as the same cells on both sides and as a
+/// register beside `Prev`; empty tapes whose result is a `Read`, a
+/// `Const` and a `Coord`; and a statement reading, at the same point,
+/// the array the first one wrote.
+#[test]
+fn wide_operands_and_renamed_registers_are_bit_identical() {
+    let rows = 5i64;
+    // Each level holds its left operand in a register while the right
+    // one is evaluated, so `depth` levels keep `depth` registers live.
+    fn held(depth: usize, b: ArrayId) -> Expr<2> {
+        let k = depth as i64;
+        let scale = Expr::lit(0.25 + 0.125 * k as f64);
+        let left = Expr::read_at(b, [0, k % 3]) * scale + Expr::lit(1.0);
+        match depth {
+            0 => Expr::read(b),
+            _ if depth.is_multiple_of(2) => left.min(held(depth - 1, b)),
+            _ => left - held(depth - 1, b),
+        }
+    }
+    for seg in [16i64, 56, 64, 72, 136, 200] {
+        let bounds = Region::rect([0, 0], [rows + 1, seg + 2]);
+        let mut prog = Program::<2>::new();
+        let names = ["a", "b", "c", "d", "e", "f", "g"];
+        let [a, b, c, d, e, f, g] = names.map(|n| prog.array(n, bounds));
+        let b1 = Expr::read(b) + Expr::lit(1.0);
+        prog.scan(
+            Region::rect([1, 1], [rows, seg]),
+            vec![
+                Statement::new(a, Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0]) + held(15, b)),
+                Statement::new(c, held(16, b) / (Expr::read(a) * Expr::read(a) + Expr::lit(1.0))),
+                Statement::new(d, Expr::lit(2.0) - Expr::read(b)),
+                Statement::new(e, Expr::read_at(b, [0, 1]) / Expr::lit(3.0)),
+                Statement::new(f, Expr::lit(2.0) * Expr::lit(0.75) + b1.clone() * b1),
+                Statement::new(g, Expr::read(a)),
+                Statement::new(d, Expr::read(d) + Expr::lit(0.5)),
+                Statement::new(e, Expr::lit(0.5)),
+                Statement::new(f, Expr::IndexVar(1)),
+            ],
+        );
+        let kernel = TileKernel::compile(compile(&prog).unwrap().nest(0)).unwrap();
+        assert_eq!(kernel.reg_count(), 16, "every lane register is live");
+        wide_segments_match(&format!("{seg} points"), &prog, seg);
     }
 }
