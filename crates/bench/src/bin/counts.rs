@@ -12,7 +12,10 @@
 //! width their fused chunk of all their steps runs
 //! (`Session::chunk_plan`, what `LoopStats::block` reports): a chunk
 //! pays its fill once, so on any unit-stride rows the DES of the
-//! chunk's own graph picks it. Run with
+//! chunk's own graph picks it. For `unit` lanes, `wide passes` is how
+//! many passes the lane kernel makes over each piece of a row segment
+//! (`NestRunner::wide_passes`): the instructions left once every
+//! `Const × Read` is folded into its consumer. Run with
 //! `cargo run --release -p wavefront-bench --bin counts`.
 //!
 //! Every row is at the repository defaults: a line of two processors,
@@ -74,6 +77,7 @@ fn main() {
         "lane stride",
         "row bytes",
         "chunk b",
+        "wide passes",
     ]);
     // Per row, the steps of its loop workload (0: not a loop).
     let rows: [(&str, &str, i64, usize); 8] = [
@@ -127,6 +131,9 @@ fn main() {
                 0 => "-".to_string(),
                 _ => session.chunk_plan(steps).expect("plans").block.to_string(),
             },
+            runner
+                .wide_passes(&shapes, &plan.order)
+                .map_or("-".to_string(), |n| n.to_string()),
         ]);
     }
     table.print();

@@ -994,6 +994,23 @@ impl<const R: usize> NestRunner<R> {
         k.bind_for(|id| shapes[id], order, Some(plan)).lanes.map(|lb| lb.stride_class())
     }
 
+    /// Passes the wide path makes over each piece of a row segment, over
+    /// arrays as for [`NestRunner::lane_stride`]: the instructions left
+    /// once each `Const × Read` is folded into its consumer, summed over
+    /// statements (an empty tape makes one, its store). `None` unless
+    /// the lanes are `"unit"`-stride.
+    pub fn wide_passes(
+        &self,
+        shapes: &[(Region<R>, Layout)],
+        order: &LoopStructureOrder<R>,
+    ) -> Option<usize> {
+        let NestRunner::Lanes(_, plan) = self else {
+            return None;
+        };
+        let passes = plan.wide.iter().map(|ws| ws.instrs.len().max(1)).sum();
+        (self.lane_stride(shapes, order)? == "unit").then_some(passes)
+    }
+
     /// How far apart, in bytes, two rows of a `"unit"`-stride lane plan
     /// lie over arrays of the given bounds and layouts (as for
     /// [`NestRunner::lane_stride`]): the smallest stride, over every
@@ -1055,8 +1072,8 @@ impl<const R: usize> NestRunner<R> {
         shapes: &[(Region<R>, Layout)],
     ) {
         match (self, bound) {
-            (NestRunner::Lanes(k, _), Some(b)) => {
-                crate::kernel_lanes::run_lanes_cells(k, b, region, arrays)
+            (NestRunner::Lanes(k, plan), Some(b)) => {
+                crate::kernel_lanes::run_lanes_cells(k, plan, b, region, arrays)
             }
             (NestRunner::Compiled(k, _), Some(b)) => k.run_bound_cells(b, region, arrays),
             _ => crate::exec::run_nest_region_cells(nest, region, order, arrays, shapes),

@@ -10,7 +10,8 @@
 //! a time. This module picks a *lane direction* per nest at plan time
 //! ([`plan_lanes`]) and executes the same tape over `[f64; LANES]` lane
 //! arrays in fixed-width unrolled loops — a shape the autovectorizer
-//! turns into SIMD when the lane stride is contiguous, and that still
+//! turns into SIMD when the lane stride is contiguous (2-wide SSE2 on
+//! the default build, which targets baseline x86-64), and that still
 //! buys instruction-level parallelism (eight independent dependence
 //! chains in flight) when it is not.
 //!
@@ -41,13 +42,17 @@
 //! A lane block pays one tape dispatch for its eight points. When the
 //! lane dimension is the sweep's innermost loop, every cursor is
 //! unit-stride and a row segment spans two lane blocks or more, the
-//! sweep runs the whole segment instead, in pieces of up to 64 points:
-//! each instruction matches its operator and operand kinds once, then
-//! loops over the piece, reading each operand where it lives (a
-//! register, the checked slice of a read, a constant) and writing its
-//! result into a spare register that is then renamed, not copied, into
-//! its destination. Strided and diagonal lanes, one-block segments and
-//! the remainder slab keep the eight-point blocks.
+//! sweep runs the whole segment instead, in pieces of up to 64 points,
+//! on a tape of its own: the scalar tape with each `Const × Read`
+//! folded into its consumer (`fold`, once per nest, in the
+//! [`LanePlan`]). Each instruction matches its operator and operand
+//! kinds once, then loops over the piece, reading each operand where it
+//! lives (a register, the checked slice of a read, a constant, a read
+//! scaled by a folded constant) and writing its result into a spare
+//! register that is then renamed, not copied, into its destination; a
+//! statement's last instruction writes straight into the destination's
+//! cells. Strided and diagonal lanes, one-block segments and the
+//! remainder slab keep the eight-point blocks and the scalar tape.
 //!
 //! Everything a tile call needs that depends only on the store's
 //! geometry and the lane shape — each cursor's array, lane delta and
@@ -61,11 +66,17 @@
 //! only reorders *independent* points, so results are bitwise identical
 //! to the scalar tape and the interpreter. A piece of a row segment is
 //! a lane block of up to 64 points along a dimension no dependence
-//! crosses, so the same argument holds at any length; its reads still
-//! happen instruction by instruction and its one store after the last,
-//! and renaming only permutes which buffer holds a register. The
-//! differential fuzz harness in `tests/kernel_differential.rs` enforces
-//! this.
+//! crosses, so the same argument holds at any length. Its folded tape
+//! keeps every point's operators and operand values: a folded read
+//! computes `k·x` inside its consumer's loop, and for a `k` that is not
+//! NaN `k·x` and `x·k` are the same bits. Its reads happen instruction
+//! by instruction; the last instruction stores each point as it
+//! computes it, and since the lane dimension carries no dependence,
+//! anti-dependences included ([`plan_lanes`] rule 2), a statement reads
+//! its destination's row segment only at the point being written,
+//! before writing it. Renaming only permutes which buffer holds a
+//! register. The differential fuzz harness in
+//! `tests/kernel_differential.rs` enforces this.
 //!
 //! A nest the lane lowering refuses (every direction carried, or a tape
 //! needing more than [`MAX_LANE_REGS`] registers) runs on the scalar
@@ -79,10 +90,11 @@ use crate::expr::{BinOp, UnaryOp};
 use crate::kernel::{BoundKernel, Instr, LaneCause, Scratch, Src, StmtKernel, TileKernel};
 use crate::region::{LoopStructureOrder, Region};
 
-/// Lane width: grid points evaluated per tape step. Eight `f64`s fill
-/// one AVX-512 register or two AVX2 registers — wide enough to hide the
-/// recurrence latency the scalar tape serializes on, small enough that
-/// diagonal segments and tile edges don't drown in remainder work.
+/// Lane width: grid points evaluated per tape step. The default build
+/// targets baseline x86-64, so eight `f64`s are four 2-wide SSE2
+/// registers — wide enough to hide the recurrence latency the scalar
+/// tape serializes on, small enough that diagonal segments and tile
+/// edges don't drown in remainder work.
 pub const LANES: usize = 8;
 
 /// Maximum registers a tape may use and still lane-lower. Each lane
@@ -120,13 +132,16 @@ pub enum LaneShape {
     },
 }
 
-/// The lane lowering of one nest: which direction the sweep blocks.
-/// Pure data, `Send + Sync`, computed once per nest at plan time and
-/// shared by all workers (like the [`TileKernel`] it accompanies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The lane lowering of one nest: which direction the sweep blocks, and
+/// the folded tape the wide path runs. Pure data, `Send + Sync`,
+/// computed once per nest at plan time and shared by all workers (like
+/// the [`TileKernel`] it accompanies).
+#[derive(Debug, Clone, PartialEq)]
 pub struct LanePlan {
     /// The chosen lane direction.
     pub shape: LaneShape,
+    /// Per statement, the tape the wide path runs (`fold`).
+    pub(crate) wide: Vec<WideStmt>,
 }
 
 impl LanePlan {
@@ -161,13 +176,14 @@ pub fn plan_lanes<const R: usize>(
     if kernel.reg_count() > MAX_LANE_REGS {
         return Err(LaneCause::WideTape);
     }
+    let wide = kernel.stmts.iter().map(fold).collect();
     let order = &nest.structure.order;
     // Innermost loop position first: its dimension is usually the
     // layout's unit-stride one, giving contiguous lane loads.
     for pos in (0..R).rev() {
         let d = order.order[pos];
         if nest.constraints.iter().all(|c| c.vector[d] == 0) {
-            return Ok(LanePlan { shape: LaneShape::Axis { dim: d } });
+            return Ok(LanePlan { shape: LaneShape::Axis { dim: d }, wide });
         }
     }
     if R >= 2 {
@@ -181,7 +197,7 @@ pub fn plan_lanes<const R: usize>(
             s >= 1
         });
         if plane_ok {
-            return Ok(LanePlan { shape: LaneShape::Wavefront { p: R - 2, q: R - 1 } });
+            return Ok(LanePlan { shape: LaneShape::Wavefront { p: R - 2, q: R - 1 }, wide });
         }
     }
     Err(LaneCause::Carried)
@@ -249,6 +265,7 @@ impl LaneBinding {
 /// [`TileKernel::run_bound_cells`] either way.
 pub(crate) fn run_lanes_cells<const R: usize>(
     kernel: &TileKernel<R>,
+    plan: &LanePlan,
     bk: &BoundKernel<R>,
     region: Region<R>,
     arrays: &[&[Cell<f64>]],
@@ -258,7 +275,7 @@ pub(crate) fn run_lanes_cells<const R: usize>(
     }
     let lb = bk.lanes.as_ref().expect("a lane-tier runner binds its lane plan");
     match lb.shape {
-        LaneShape::Axis { dim } => run_axis(kernel, bk, lb, dim, region, arrays),
+        LaneShape::Axis { dim } => run_axis(kernel, &plan.wide, bk, lb, dim, region, arrays),
         LaneShape::Wavefront { p, q } => run_wavefront(kernel, bk, lb, p, q, region, arrays),
     }
 }
@@ -269,6 +286,7 @@ pub(crate) fn run_lanes_cells<const R: usize>(
 /// `d`, so the two parts are independent.
 fn run_axis<const R: usize>(
     kernel: &TileKernel<R>,
+    wide: &[WideStmt],
     bk: &BoundKernel<R>,
     lb: &LaneBinding,
     d: usize,
@@ -281,7 +299,7 @@ fn run_axis<const R: usize>(
     let rhi = region.hi();
     let strip = region.slab(d, rlo[d], rlo[d] + full - 1);
     if full >= 2 * LANES as i64 && d == bk.order[R - 1] && lb.unit() {
-        wide_rows(kernel, bk, d, strip, arrays);
+        wide_rows(kernel, wide, bk, d, strip, arrays);
     } else if full > 0 {
         axis_sweep(kernel, bk, lb, d, strip, arrays);
     }
@@ -416,11 +434,12 @@ fn axis_sweep<const R: usize>(
 /// The wide path of an axis sweep: lanes along `d`, the innermost loop,
 /// unit-stride for every cursor, and `region.extent(d)` a multiple of
 /// [`LANES`] of at least two lane blocks. Each row segment runs in
-/// pieces of up to `W` points. Out of line, so [`run_axis`]'s frame
-/// does not carry `Wide`.
+/// pieces of up to `W` points, on the folded tape `wide`. Out of line,
+/// so [`run_axis`]'s frame does not carry `Wide`.
 #[inline(never)]
 fn wide_rows<const R: usize>(
     kernel: &TileKernel<R>,
+    wide: &[WideStmt],
     bk: &BoundKernel<R>,
     d: usize,
     region: Region<R>,
@@ -446,12 +465,9 @@ fn wide_rows<const R: usize>(
             let n = W.min(seg - off);
             coords[d] = (lo + off as i64) as f64;
             let piece = Piece { rslices, cur, off: off as i64, n, coords, cdelta: &cdelta };
-            for (j, sk) in kernel.stmts.iter().enumerate() {
-                let v = piece.eval(sk, &mut w);
+            for (j, ws) in wide.iter().enumerate() {
                 let at = (cur[bk.reads + j] + off as i64) as usize;
-                for (c, &x) in wslices[j][at..at + n].iter().zip(v) {
-                    c.set(x);
-                }
+                piece.eval(ws, &mut w, &wslices[j][at..at + n]);
             }
         }
     });
@@ -701,11 +717,13 @@ fn load_lanes<const R: usize>(
 }
 
 /// One operand of an instruction over a piece, where it lives: a
-/// register's (or `Prev`'s) values, a `Read`'s cells, or a `Const`.
+/// register's (or `Prev`'s) values, a `Read`'s cells, a `Const`, or a
+/// folded read's cells and the constant it scales them by.
 enum Opnd<'a> {
     Vals(&'a [f64]),
     Cells(&'a [Cell<f64>]),
     Splat(f64),
+    Scaled(f64, &'a [Cell<f64>]),
 }
 
 /// Bind `$x` to an iterator over the values of operand `$o`, then
@@ -725,8 +743,18 @@ macro_rules! with_vals {
                 let $x = std::iter::repeat(k);
                 $body
             }
+            Opnd::Scaled(k, c) => {
+                let $x = c.iter().map(move |c| k * c.get());
+                $body
+            }
         }
     };
+}
+
+/// Store `vals` into `out`, one cell per value.
+#[inline(always)]
+fn put(out: &[Cell<f64>], vals: impl Iterator<Item = f64>) {
+    out.iter().zip(vals).for_each(|(o, x)| o.set(x));
 }
 
 /// Apply one binary operator pointwise over a piece of a row segment.
@@ -735,10 +763,10 @@ macro_rules! with_vals {
 /// operator, so per-point results are bitwise identical to the scalar
 /// tape.
 #[inline(always)]
-fn bin_each(op: BinOp, a: Opnd, b: Opnd, out: &mut [f64]) {
+fn bin_each(op: BinOp, a: Opnd, b: Opnd, out: &[Cell<f64>]) {
     macro_rules! arms { ($($v:ident)*) => { match op { $(BinOp::$v => {
         with_vals!(a, |xa| with_vals!(b, |xb| {
-            for ((o, x), y) in out.iter_mut().zip(xa).zip(xb) { *o = BinOp::$v.apply(x, y); }
+            put(out, xa.zip(xb).map(|(x, y)| BinOp::$v.apply(x, y)))
         }))
     })* } } }
     arms!(Add Sub Mul Div Min Max Pow)
@@ -746,9 +774,9 @@ fn bin_each(op: BinOp, a: Opnd, b: Opnd, out: &mut [f64]) {
 
 /// Apply one unary operator pointwise over a piece; see [`bin_each`].
 #[inline(always)]
-fn un_each(op: UnaryOp, a: Opnd, out: &mut [f64]) {
+fn un_each(op: UnaryOp, a: Opnd, out: &[Cell<f64>]) {
     macro_rules! arms { ($($v:ident)*) => { match op { $(UnaryOp::$v => {
-        with_vals!(a, |xa| for (o, x) in out.iter_mut().zip(xa) { *o = UnaryOp::$v.apply(x); })
+        with_vals!(a, |xa| put(out, xa.map(|x| UnaryOp::$v.apply(x))))
     })* } } }
     arms!(Neg Abs Sqrt Exp Ln Recip Sin Cos)
 }
@@ -940,13 +968,15 @@ struct Piece<'a, const R: usize> {
 impl<const R: usize> Piece<'_, R> {
     /// Resolve one operand over the piece where it lives: physical
     /// register `reg(p)` for a register (`Prev` is the physical register
-    /// `prev`), the piece's cells for a `Read`, the value for a `Const`;
-    /// only a `Coord` is filled, into `buf`. Mirrors [`load_lanes`],
-    /// widened.
+    /// `prev`), the piece's cells for a `Read` (scaled by `scale` when
+    /// folded), the value for a `Const`; only a `Coord` is filled, into
+    /// `buf`. Mirrors [`load_lanes`], widened.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn operand<'r>(
         &'r self,
         s: Src,
+        scale: Option<f64>,
         reg: impl Fn(usize) -> &'r [f64; W],
         map: &[usize; MAX_LANE_REGS],
         prev: usize,
@@ -959,7 +989,11 @@ impl<const R: usize> Piece<'_, R> {
             Src::Const(c) => Opnd::Splat(c),
             Src::Read(i) => {
                 let at = (self.cur[i as usize] + self.off) as usize;
-                Opnd::Cells(&self.rslices[i as usize][at..at + n])
+                let cells = &self.rslices[i as usize][at..at + n];
+                match scale {
+                    Some(k) => Opnd::Scaled(k, cells),
+                    None => Opnd::Cells(cells),
+                }
             }
             Src::Coord(k) => {
                 let (b, dl) = (self.coords[k as usize], self.cdelta[k as usize]);
@@ -971,40 +1005,38 @@ impl<const R: usize> Piece<'_, R> {
         }
     }
 
-    /// One statement tape over the piece; returns its values, held in
-    /// the spare register. Every instruction computes into the spare;
-    /// each but the last then swaps it with its destination in `map`,
-    /// so no result is copied. The wide analogue of
-    /// [`eval_stmt_lanes`], whose last instruction likewise writes no
-    /// register.
+    /// One statement's folded tape over the piece, its values stored
+    /// into `row`, the destination's cells. Each instruction but the
+    /// last computes into the spare register, then swaps it with its
+    /// destination in `map`, so no result is copied; the last computes
+    /// straight into `row`. The wide analogue of [`eval_stmt_lanes`].
     #[inline(always)]
-    fn eval<'w>(&self, sk: &StmtKernel, w: &'w mut Wide) -> &'w [f64] {
+    fn eval(&self, ws: &WideStmt, w: &mut Wide, row: &[Cell<f64>]) {
         let n = self.n;
-        let last = sk.instrs.len().saturating_sub(1);
+        let Some(last) = ws.instrs.len().checked_sub(1) else {
+            // An empty tape: its result is a leaf operand.
+            let (s, scale) = ws.result;
+            let v = self.operand(s, scale, |p| &w.regs[p], &w.map, 0, &mut w.a);
+            return with_vals!(v, |x| put(row, x));
+        };
         let mut prev = 0;
-        for i in 0..sk.instrs.len().max(1) {
+        for (i, &(ins, [ka, kb])) in ws.instrs.iter().enumerate() {
             let spare = w.spare;
             let (lo, rest) = w.regs.split_at_mut(spare);
             let (out, hi) = rest.split_first_mut().expect("the spare is a register");
-            let out = &mut out[..n];
+            let out = if i < last { Cell::from_mut(&mut out[..n]).as_slice_of_cells() } else { row };
             let reg = |p: usize| if p < spare { &lo[p] } else { &hi[p - spare - 1] };
-            let dst = match sk.instrs.get(i) {
-                Some(&Instr::Bin { op, dst, a, b }) => {
-                    let va = self.operand(a, reg, &w.map, prev, &mut w.a);
-                    let vb = self.operand(b, reg, &w.map, prev, &mut w.b);
+            let dst = match ins {
+                Instr::Bin { op, dst, a, b } => {
+                    let va = self.operand(a, ka, reg, &w.map, prev, &mut w.a);
+                    let vb = self.operand(b, kb, reg, &w.map, prev, &mut w.b);
                     bin_each(op, va, vb, out);
                     dst
                 }
-                Some(&Instr::Un { op, dst, a }) => {
-                    let va = self.operand(a, reg, &w.map, prev, &mut w.a);
+                Instr::Un { op, dst, a } => {
+                    let va = self.operand(a, ka, reg, &w.map, prev, &mut w.a);
                     un_each(op, va, out);
                     dst
-                }
-                // An empty tape: its result is a leaf operand.
-                None => {
-                    let v = self.operand(sk.result, reg, &w.map, prev, &mut w.a);
-                    with_vals!(v, |x| out.iter_mut().zip(x).for_each(|(o, x)| *o = x));
-                    0
                 }
             };
             if i < last {
@@ -1012,7 +1044,68 @@ impl<const R: usize> Piece<'_, R> {
                 std::mem::swap(&mut w.map[dst as usize & LREG_MASK], &mut w.spare);
             }
         }
-        &w.regs[w.spare][..n]
+    }
+}
+
+/// One statement of the wide path's tape (see [`fold`]).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct WideStmt {
+    /// The instructions left, each with the constants its `a` and `b`
+    /// operands scale a folded `Read` by.
+    pub(crate) instrs: Vec<(Instr, [Option<f64>; 2])>,
+    /// The statement's value when no instruction is left.
+    result: (Src, Option<f64>),
+}
+
+/// The wide path's tape of one statement: its scalar tape with every
+/// `Const × Read` (either order, the constant not NaN) deleted, and its
+/// one consumer — a tape is a tree, so the first later operand naming
+/// its value: `Prev` right after it, its register after that — reading
+/// the `Read` scaled by the constant instead. For a constant that is not
+/// NaN, `k·x` and `x·k` are the same bits. A folded root, which has no
+/// consumer, leaves an empty tape whose result is the scaled read.
+fn fold(sk: &StmtKernel) -> WideStmt {
+    let mut instrs: Vec<_> = sk.instrs.iter().map(|&ins| (ins, [None; 2])).collect();
+    let mut result = (sk.result, None);
+    let mut i = 0;
+    while i < instrs.len() {
+        let (dst, scaled) = match instrs[i] {
+            (Instr::Bin { op: BinOp::Mul, dst, a: Src::Const(k), b: Src::Read(r) }, [_, None])
+            | (Instr::Bin { op: BinOp::Mul, dst, a: Src::Read(r), b: Src::Const(k) }, [None, _])
+                if !k.is_nan() =>
+            {
+                (dst, (Src::Read(r), Some(k)))
+            }
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        let consumer = instrs[i + 1..].iter_mut().enumerate().find_map(|(j, (ins, scale))| {
+            let neg = matches!(ins, Instr::Un { op: UnaryOp::Neg, .. });
+            let names = |s: &&mut Src| **s == Src::Reg(dst) || (j == 0 && **s == Src::Prev);
+            operands(ins).into_iter().zip(scale).find_map(|(s, sc)| Some((neg, s.filter(names)?, sc)))
+        });
+        match consumer {
+            // LLVM may rewrite `-(k·x)` as `(−k)·x`, which flips a NaN's
+            // sign: a `Neg` reads its operand from a register.
+            Some((true, ..)) => {
+                i += 1;
+                continue;
+            }
+            Some((false, s, sc)) => (*s, *sc) = scaled,
+            None => result = scaled,
+        }
+        instrs.remove(i);
+    }
+    WideStmt { instrs, result }
+}
+
+/// An instruction's operands, `a` then `b`.
+fn operands(ins: &mut Instr) -> [Option<&mut Src>; 2] {
+    match ins {
+        Instr::Bin { a, b, .. } => [Some(a), Some(b)],
+        Instr::Un { a, .. } => [Some(a), None],
     }
 }
 

@@ -29,8 +29,10 @@ echo "== tests (offline): every workspace member, the benchmark package, the ker
 cargo test -q --offline --workspace
 cargo test -q --offline --manifest-path bench/Cargo.toml
 # The kernels' bit-identity and allocation pins again, on the optimised
-# (autovectorised) code the benchmark and the binaries run.
-cargo test -q --offline --release --test kernel_differential --test kernel_allocs
+# (autovectorised) code the benchmark and the binaries run, and the
+# engines' equivalence and the resident loops through both engines there.
+cargo test -q --offline --release --test kernel_differential --test kernel_allocs \
+    --test parallel_equivalence --test timestep --test timestep_steady
 
 echo
 echo "== clippy (all targets, warnings are errors) =="

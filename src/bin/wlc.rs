@@ -1040,9 +1040,13 @@ fn check<const R: usize>(
         let shape = match (runner.kernel(), runner.lane_plan()) {
             (Some(kern), plan) => {
                 let stride = runner.lane_stride(&shapes, &nest.structure.order);
+                let passes = runner
+                    .wide_passes(&shapes, &nest.structure.order)
+                    .map(|n| format!(", {n} wide pass{}", if n == 1 { "" } else { "es" }))
+                    .unwrap_or_default();
                 let lanes = plan
                     .zip(stride)
-                    .map(|(p, stride)| format!(", {}, {stride} stride", p.describe()))
+                    .map(|(p, stride)| format!(", {}, {stride} stride{passes}", p.describe()))
                     .unwrap_or_default();
                 format!(
                     " ({} instrs, {} regs, {} reads{lanes})",

@@ -29,6 +29,8 @@ fn check_reports_the_lane_stride() {
     for (args, want) in [
         (vec![programs("tomcatv.wf")], "axis dim 0, unit stride"),
         (vec![programs("tomcatv.wf")], "axis dim 1, strided stride"),
+        // Only unit-stride lanes take the wide path: its passes per piece.
+        (vec![programs("tomcatv.wf")], "axis dim 0, unit stride, 5 wide passes"),
         (
             vec![
                 programs("sweep_octant.wf"),

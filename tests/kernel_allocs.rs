@@ -182,6 +182,32 @@ fn sixteen_register_wide_tile_allocates_nothing() {
     assert_eq!(allocs, 0, "allocations in one 16-register wide-segment tile");
 }
 
+/// The wide path's folded tape on 200-point row segments: `Const × Read`
+/// reads scaled inside their consumers, a tape folded empty, and each
+/// statement's last instruction stored straight into its row.
+#[test]
+fn folded_wide_tile_allocates_nothing() {
+    let bounds = Region::rect([0, 0], [9, 201]);
+    let mut program = Program::<2>::new();
+    let [a, b, c] = ["a", "b", "c"].map(|n| program.array(n, bounds));
+    let recur = Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0]) + Expr::read(b) * Expr::lit(0.25);
+    program.scan(
+        Region::rect([1, 1], [8, 200]),
+        vec![Statement::new(a, recur), Statement::new(c, Expr::lit(0.75) * Expr::read(a))],
+    );
+    let nest = scan_nest(&program);
+    let shapes: Vec<(Region<2>, Layout)> = Store::new(&program)
+        .arrays()
+        .iter()
+        .map(|a| (a.bounds(), a.layout()))
+        .collect();
+    let passes = NestRunner::auto(&nest).wide_passes(&shapes, &nest.structure.order);
+    assert_eq!(passes, Some(2), "one pass a statement: both reads folded, then none left");
+    let (allocs, tier, stride, rem) = one_tile(&program, KernelMode::Lanes);
+    assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
+    assert_eq!(allocs, 0, "allocations in one folded wide-segment tile");
+}
+
 #[test]
 fn lane_axis_strided_tile_allocates_nothing() {
     let program = tomcatv::build(32).expect("tomcatv lowers").program;

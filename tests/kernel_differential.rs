@@ -607,13 +607,18 @@ fn init_in_layout(p: &Program<2>, seed: u64) -> Store<2> {
     store
 }
 
+/// A store of a program's arrays, filled from a seed.
+type Init = fn(&Program<2>, u64) -> Store<2>;
+
 /// Run `prog`'s one nest on the lane tier standalone, then on Seq and
 /// Threads over two and three processors under `Fixed(b)` for every `b`
-/// in `blocks`: every array must match the interpreter bit for bit, and
-/// the runner must report the lane `stride` class.
+/// in `blocks`, each from the store `init` fills: every array must
+/// match the interpreter bit for bit, and the runner must report the
+/// lane `stride` class.
 fn lanes_match_interpreter(
     what: &str,
     prog: &Program<2>,
+    init: Init,
     stride: &str,
     blocks: std::ops::RangeInclusive<usize>,
 ) {
@@ -622,7 +627,7 @@ fn lanes_match_interpreter(
     let runner = NestRunner::auto(nest);
     assert_eq!(runner.tier(), KernelTier::Lanes, "{what}");
 
-    let mut reference = init_in_layout(prog, 7);
+    let mut reference = init(prog, 7);
     run_nest_with_sink(nest, &mut reference, &mut NoSink);
     let same = |got: &Store<2>, how: &str| {
         for id in 0..reference.len() {
@@ -635,7 +640,7 @@ fn lanes_match_interpreter(
         }
     };
 
-    let mut direct = init_in_layout(prog, 7);
+    let mut direct = init(prog, 7);
     let shapes: Vec<(Region<2>, Layout)> = direct
         .arrays()
         .iter()
@@ -656,7 +661,7 @@ fn lanes_match_interpreter(
     for b in blocks {
         for p in [2, 3] {
             for kind in [EngineKind::Seq, EngineKind::Threads] {
-                let mut got = init_in_layout(prog, 7);
+                let mut got = init(prog, 7);
                 Session::new(prog, nest)
                     .procs(p)
                     .block(BlockPolicy::Fixed(b))
@@ -693,7 +698,13 @@ fn mixed_stride_lane_blocks_are_bit_identical() {
                 + Expr::lit(0.25) * Expr::read(b)
                 - Expr::read_at(a, [0, 0]) * Expr::lit(0.125),
         );
-        lanes_match_interpreter(&format!("a {wl:?}, b {rl:?}"), &prog, "strided", 3..=9);
+        lanes_match_interpreter(
+            &format!("a {wl:?}, b {rl:?}"),
+            &prog,
+            init_in_layout,
+            "strided",
+            3..=9,
+        );
     }
 }
 
@@ -714,7 +725,7 @@ fn unit_stride_lanes_under_every_block_size() {
             + Expr::lit(0.4) * Expr::read(curr)
             + Expr::lit(0.1) * Expr::read_at(curr, [0, 1]),
     );
-    lanes_match_interpreter("relax", &prog, "unit", 1..=17);
+    lanes_match_interpreter("relax", &prog, init_in_layout, "unit", 1..=17);
 }
 
 /// Two statements chained at one point on unit-stride lanes: the second
@@ -737,7 +748,7 @@ fn same_point_chain_on_unit_stride_lanes() {
             ),
         ],
     );
-    lanes_match_interpreter("chain", &prog, "unit", 4..=9);
+    lanes_match_interpreter("chain", &prog, init_in_layout, "unit", 4..=9);
 }
 
 /// A nest with more cursors (39: 38 read slots and one write) than a
@@ -755,7 +766,7 @@ fn a_nest_past_the_stack_cursor_cap_still_matches() {
         rhs = rhs + Expr::lit(0.01 * (k + 19) as f64) * Expr::read_at(b, [0, k]);
     }
     prog.stmt(Region::rect([2, 20], [n - 1, n + 19]), a, rhs);
-    lanes_match_interpreter("wide", &prog, "unit", 5..=5);
+    lanes_match_interpreter("wide", &prog, init_in_layout, "unit", 5..=5);
 }
 
 /// Unit-stride row segments of 16 to 200 points, which the lane
@@ -804,35 +815,36 @@ fn wide_row_segments_are_bit_identical() {
             let what = format!("{seg} points, {dir}");
             let ascending = compile(&prog).unwrap().nest(0).structure.order.ascending[0];
             assert_eq!(ascending, dir == "north", "{what}");
-            wide_segments_match(&what, &prog, seg);
+            wide_segments_match(&what, &prog, init_in_layout, seg);
         }
     }
 }
 
 /// Run `prog`'s one nest, whose rows are `seg` points long, whole on the
 /// scalar tape and on the lane tier, then on the engines tiled one
-/// segment wide: every array must match the interpreter bit for bit.
-fn wide_segments_match(what: &str, prog: &Program<2>, seg: i64) {
+/// segment wide, each from the store `init` fills: every array must
+/// match the interpreter bit for bit.
+fn wide_segments_match(what: &str, prog: &Program<2>, init: Init, seg: i64) {
     let compiled = compile(prog).unwrap();
     let nest = compiled.nest(0);
     let order = &nest.structure.order;
     assert_eq!(order.order[1], 1, "{what}: the lane dimension is innermost");
 
-    let mut reference = init_in_layout(prog, 11);
+    let mut reference = init(prog, 11);
     run_nest_with_sink(nest, &mut reference, &mut NoSink);
     for mode in [KernelMode::Scalar, KernelMode::Lanes] {
         let runner = NestRunner::with_mode(nest, mode);
-        let mut got = init_in_layout(prog, 11);
+        let mut got = init(prog, 11);
         let bound = runner.bind(&got, order);
         runner.run_tile(nest, bound.as_ref(), nest.region, order, &mut got);
         for id in 0..reference.len() {
             let (x, y) = (reference.get(id), got.get(id));
             for p in x.bounds().iter() {
-                assert_eq!(x.get(p).to_bits(), y.get(p).to_bits(), "{what} {mode:?} {p}");
+                assert_eq!(x.get(p).to_bits(), y.get(p).to_bits(), "{what} {mode:?} array {id} {p}");
             }
         }
     }
-    lanes_match_interpreter(what, prog, "unit", seg as usize..=seg as usize);
+    lanes_match_interpreter(what, prog, init, "unit", seg as usize..=seg as usize);
 }
 
 /// The wide path reads `Read` and `Const` operands where they live and
@@ -880,6 +892,181 @@ fn wide_operands_and_renamed_registers_are_bit_identical() {
         );
         let kernel = TileKernel::compile(compile(&prog).unwrap().nest(0)).unwrap();
         assert_eq!(kernel.reg_count(), 16, "every lane register is live");
-        wide_segments_match(&format!("{seg} points"), &prog, seg);
+        wide_segments_match(&format!("{seg} points"), &prog, init_in_layout, seg);
     }
+}
+
+/// A NaN with a payload, the constant no fold may take.
+const NAN_PAYLOAD: u64 = 0x7ff8_0000_0000_0bad;
+/// The NaN x86 arithmetic makes (`inf − inf`, `0 · inf`): the one NaN
+/// array `b` holds, so every NaN in `b`'s columns has these bits.
+const NAN_DEFAULT: u64 = 0xfff8_0000_0000_0000;
+/// Constants folded into their consumers: both zeros, both infinities,
+/// two subnormals and two ordinary values.
+const FOLDED: [f64; 8] = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, -2.5e-310, 0.75, -1.5];
+
+/// [`init_store`]'s values moved into `[0.25, 1.25)`, never zero, written
+/// in place, then special values planted in the first three arrays, each
+/// in its own columns so no two NaNs of different bits ever meet (IEEE
+/// leaves open which one an operator returns): array 0 (`b`) takes
+/// [`NAN_DEFAULT`], ±0, ±inf and a subnormal in columns 1 (mod 5);
+/// array 1 (`c`) a NaN with a payload and subnormals in columns 3 (mod
+/// 5); array 2 (`e`) ±0, ±inf and subnormals, no NaN, in columns 2 (mod
+/// 5).
+fn init_special(p: &Program<2>, seed: u64) -> Store<2> {
+    let specials: [&[f64]; 3] = [
+        &[f64::from_bits(NAN_DEFAULT), 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1e-310],
+        &[f64::from_bits(0x7ff8_0000_0000_1234), 5e-324, -3e-320],
+        &[0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, -1e-315],
+    ];
+    let mut store = init_in_layout(p, seed);
+    for id in 0..store.len() {
+        let a = store.get_mut(id);
+        for q in a.bounds().iter() {
+            let v = match specials.get(id) {
+                Some(s) if q[1].rem_euclid(5) == [1, 3, 2][id] => {
+                    s[(q[0] + q[1] / 5).rem_euclid(s.len() as i64) as usize]
+                }
+                _ => 0.25 + a.get(q),
+            };
+            a.set(q, v);
+        }
+    }
+    store
+}
+
+/// A scan over `rows` rows of `seg` points, on arrays `b`, `c` and `e`:
+/// a recurrence down the rows (one wide pass), then `d_i := rhs_i`, one
+/// fresh destination each.
+fn fresh_destinations(rows: i64, seg: i64, rhs: &[Expr<2>]) -> Program<2> {
+    let bounds = Region::rect([0, 0], [rows + 1, seg + 1]);
+    let mut prog = Program::<2>::new();
+    for name in ["b", "c", "e"] {
+        prog.array(name, bounds);
+    }
+    let w = prog.array("w", bounds);
+    let down = Expr::lit(0.5) * Expr::read_primed_at(w, [-1, 0]) + Expr::lit(0.25) * Expr::read(0);
+    let stmts = std::iter::once(Statement::new(w, down))
+        .chain(
+            rhs.iter()
+                .enumerate()
+                .map(|(i, e)| Statement::new(prog.array(format!("d{i}"), bounds), e.clone())),
+        )
+        .collect();
+    prog.scan(Region::rect([1, 1], [rows, seg]), stmts);
+    prog
+}
+
+/// The wide path deletes each `Const × Read` (either order, the constant
+/// not NaN) and reads its `Read` scaled inside the consumer's loop, and
+/// stores each statement's last instruction straight into the
+/// destination's cells. Folded reads as the left, right and both
+/// operands of every binary operator and under every unary one, `x * x`
+/// from one folded read, folded tapes left empty, ±0, ±inf, subnormal
+/// and NaN constants and inputs, the destination read folded at the
+/// point it writes and at the row above, and a statement reading what
+/// the one before wrote: against the interpreter and the scalar tape,
+/// then on Seq and Threads over two and three cells, at segments of 16
+/// to 200 points. A NaN constant stays unfolded: the wide path's pass
+/// count says so.
+#[test]
+fn folded_reads_and_in_place_stores_are_bit_identical() {
+    let rows = 5i64;
+    let (b, c, e) = (|| Expr::read(0), || Expr::read(1), || Expr::read(2));
+    let k = Expr::lit;
+    let nan = || Expr::lit(f64::from_bits(NAN_PAYLOAD));
+    let binops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Min, BinOp::Max, BinOp::Pow];
+    let bin = |op, x: Expr<2>, y: Expr<2>| Expr::Binary(op, Box::new(x), Box::new(y));
+    let mut cases: Vec<(String, Vec<Expr<2>>, usize)> = binops
+        .iter()
+        .map(|&op| {
+            let mut rhs = Vec::new();
+            for f in FOLDED {
+                rhs.push(bin(op, k(f) * b(), c()));
+                rhs.push(bin(op, c(), b() * k(f)));
+                rhs.push(bin(op, b() * k(f), k(0.75) * c()));
+            }
+            let x = k(-1.5) * b();
+            rhs.push(x.clone() * x);
+            let passes = 1 + rhs.len();
+            (format!("{op:?}"), rhs, passes)
+        })
+        .collect();
+    let unary = [
+        UnaryOp::Neg,
+        UnaryOp::Abs,
+        UnaryOp::Sqrt,
+        UnaryOp::Exp,
+        UnaryOp::Ln,
+        UnaryOp::Recip,
+        UnaryOp::Sin,
+        UnaryOp::Cos,
+    ];
+    let rhs: Vec<Expr<2>> = unary
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &op)| {
+            let (f, g) = (FOLDED[i], FOLDED[(i + 3) % FOLDED.len()]);
+            [(k(f) * b()).unary(op), (b() * k(g)).unary(op)]
+        })
+        .collect();
+    // A `Neg` keeps its operand in a register: two passes each.
+    let passes = 1 + rhs.len() + 2;
+    cases.push(("unary".into(), rhs, passes));
+    let rhs = vec![
+        k(0.5) * b(),
+        b() * k(-0.0),
+        nan() * e() + e(),
+        e() * nan(),
+        e() * nan() - k(0.5) * e(),
+    ];
+    // One pass per statement, the recurrence's included, and one more
+    // for each NaN-scaled read kept as its own instruction.
+    cases.push(("empty and NaN".into(), rhs, 1 + 5 + 2));
+
+    for seg in [16i64, 64, 72, 200] {
+        for (what, rhs, passes) in &cases {
+            let prog = fresh_destinations(rows, seg, rhs);
+            let what = format!("{what}, {seg} points");
+            assert_wide_passes(&what, &prog, *passes);
+            wide_segments_match(&what, &prog, init_special, seg);
+        }
+
+        // The destination read folded at the point it writes and at the
+        // row above; the second statement reads, folded, what the first
+        // wrote.
+        let bounds = Region::rect([0, 0], [rows + 1, seg + 1]);
+        let mut prog = Program::<2>::new();
+        let [b, c, _e, a, r, s] = ["b", "c", "e", "a", "r", "s"].map(|n| prog.array(n, bounds));
+        prog.scan(
+            Region::rect([1, 1], [rows, seg]),
+            vec![
+                Statement::new(
+                    a,
+                    k(0.5) * Expr::read_primed_at(a, [-1, 0])
+                        + k(0.25) * Expr::read(a)
+                        + Expr::read(b) * k(0.125),
+                ),
+                Statement::new(r, k(0.75) * Expr::read(b) - Expr::read(c) * k(0.5)),
+                Statement::new(s, k(0.25) * Expr::read(r) + Expr::read(r) * k(2.0)),
+            ],
+        );
+        let what = format!("recurrence and chain, {seg} points");
+        assert_wide_passes(&what, &prog, 2 + 1 + 1);
+        wide_segments_match(&what, &prog, init_special, seg);
+    }
+}
+
+/// `prog`'s one nest runs `passes` passes over each piece on the wide
+/// path.
+fn assert_wide_passes(what: &str, prog: &Program<2>, passes: usize) {
+    let compiled = compile(prog).unwrap();
+    let nest = compiled.nest(0);
+    let shapes: Vec<(Region<2>, Layout)> = Store::new(prog)
+        .arrays()
+        .iter()
+        .map(|a| (a.bounds(), a.layout()))
+        .collect();
+    let runner = NestRunner::auto(nest);
+    assert_eq!(runner.wide_passes(&shapes, &nest.structure.order), Some(passes), "{what}");
 }
