@@ -9,10 +9,13 @@
 //! is how far apart their rows lie, and from a page (4,096 bytes) on
 //! the engines run wider tiles than Model2's (`WavefrontPlan::fit`
 //! prices each row start). For the two loop workloads, `chunk b` is the
-//! width their fused chunk of all their steps runs
-//! (`Session::chunk_plan`, what `LoopStats::block` reports): a chunk
-//! pays its fill once, so on any unit-stride rows the DES of the
-//! chunk's own graph picks it. For `unit` lanes, `wide passes` is how
+//! width their fused chunk of all their steps runs under their
+//! `next`/`curr` swap (`Session::chunk_plan`, what `LoopStats::block`
+//! reports): a chunk pays its fill once, so on any unit-stride rows the
+//! DES of the chunk's own graph picks it; `drain lag` is how many
+//! sweeps back that graph's drain edges point (2 under the swap: the
+//! buffer a sweep overwrites was last read by another cell two sweeps
+//! before). For `unit` lanes, `wide passes` is how
 //! many passes the lane kernel makes over each piece of a row segment
 //! (`NestRunner::wide_passes`): the instructions left once every
 //! `Const × Read` is folded into its consumer. Run with
@@ -77,9 +80,11 @@ fn main() {
         "lane stride",
         "row bytes",
         "chunk b",
+        "drain lag",
         "wide passes",
     ]);
-    // Per row, the steps of its loop workload (0: not a loop).
+    // Per row, the steps of its loop workload (0: not a loop), which
+    // swaps `next` and `curr` between steps.
     let rows: [(&str, &str, i64, usize); 8] = [
         ("sweep_large", "tomcatv", 1448, 0),
         ("jobs_small", "fig3", 136, 0),
@@ -109,6 +114,14 @@ fn main() {
             }
         }
         let share = elems.scalar as f64 / (elems.lanes + elems.scalar).max(1) as f64;
+        let swap = [("next", "curr"), ("curr", "next")];
+        let (chunk_b, lag) = match steps {
+            0 => ("-".to_string(), "-".to_string()),
+            _ => {
+                let (chunk, lag) = session.chunk_plan(steps, &swap).expect("plans");
+                (chunk.block.to_string(), lag.to_string())
+            }
+        };
         let shapes = lowered.program.shapes();
         let stride = runner.lane_stride(&shapes, &plan.order).unwrap_or("-");
         let row_bytes = runner
@@ -127,10 +140,8 @@ fn main() {
             format!("{share:.4}"),
             stride.to_string(),
             row_bytes,
-            match steps {
-                0 => "-".to_string(),
-                _ => session.chunk_plan(steps).expect("plans").block.to_string(),
-            },
+            chunk_b,
+            lag,
             runner
                 .wide_passes(&shapes, &plan.order)
                 .map_or("-".to_string(), |n| n.to_string()),

@@ -37,11 +37,15 @@ use crate::telemetry::{
 /// upstream cell of each of its in-edges, each a boundary message
 /// carrying exactly the elements the threaded engine's post stands for
 /// ([`WavefrontPlan::msg_elems`] of the sender's owned region), and,
-/// from the second sweep on, on tile `reach[j]` of sweep `s − 1` of
-/// each of its readers: the drain, an ordering edge with no message.
-/// One sweep is the plan's one-shot DAG.
-pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>, sweeps: usize) -> Vec<SimTask> {
-    let graph = TileGraph::new(plan, sweeps);
+/// from sweep `lag` on, on tile `reach[j]` of sweep `s − lag` of each
+/// of its readers: the drain ([`TileGraph::lag`]), an ordering edge
+/// with no message. One sweep is the plan's one-shot DAG.
+pub(crate) fn plan_dag<const R: usize>(
+    plan: &WavefrontPlan<R>,
+    sweeps: usize,
+    lag: usize,
+) -> Vec<SimTask> {
+    let graph = TileGraph::new(plan, sweeps, lag);
     let (nc, nt) = (graph.cells.len(), plan.tiles.len());
     let at = |s: usize, i: usize, j: usize| (s * nc + i) * nt + j;
     let mut tasks = Vec::with_capacity(sweeps * nc * nt);
@@ -58,8 +62,8 @@ pub(crate) fn plan_dag<const R: usize>(plan: &WavefrontPlan<R>, sweeps: usize) -
                     task: at(s, up.cell, j),
                     elems: plan.msg_elems(graph.owned[up.cell], tile, up.axis),
                 });
-                let drain = graph.readers[i].iter().filter(|_| s > 0).map(|&r| Dep {
-                    task: at(s - 1, r, graph.reach[j]),
+                let drain = graph.readers[i].iter().filter(|_| s >= lag).map(|&r| Dep {
+                    task: at(s - lag, r, graph.reach[j]),
                     elems: 0,
                 });
                 // The task runs on the actual grid rank (not the wave-order
@@ -135,7 +139,7 @@ pub(crate) fn simulate_plan_collected<const R: usize>(
     params: &MachineParams,
     collector: &mut dyn Collector,
 ) -> SimResult {
-    let tasks = plan_dag(plan, 1);
+    let tasks = plan_dag(plan, 1, 1);
     let procs = plan.procs();
     if !collector.enabled() {
         return simulate(&tasks, params, procs);
@@ -220,7 +224,7 @@ fn nest_stage<const R: usize>(
 ) -> Stage {
     match WavefrontPlan::build(nest, topology, policy, params) {
         Ok(plan) => Stage {
-            tasks: plan_dag(&plan, 1),
+            tasks: plan_dag(&plan, 1, 1),
             procs: plan.procs(),
             sim: NestSim {
                 pipelined: plan.is_pipelined(),
@@ -480,7 +484,7 @@ mod tests {
             let plan =
                 WavefrontPlan::build(nest, JobTopology::line(p), &BlockPolicy::Fixed(b), &params)
                     .unwrap();
-            let sim = simulate(&plan_dag(&plan, 1), &params, p).makespan;
+            let sim = simulate(&plan_dag(&plan, 1, 1), &params, p).makespan;
             let model = PipeModel::new(n - 1, p, params.alpha, params.beta).t_pipe(b as f64);
             // The closed-form model serializes the whole message chain
             // with the computation, while the simulator overlaps them, so
@@ -517,13 +521,42 @@ mod tests {
             for (b, want) in [(8, 2.0 * k * tile(8)), (4, (2.0 * k + 1.0) * tile(4))] {
                 let policy = BlockPolicy::Fixed(b);
                 let plan = WavefrontPlan::build(nest, line(2), &policy, &free).unwrap();
-                let dag = plan_dag(&plan, sweeps);
+                let dag = plan_dag(&plan, sweeps, 1);
                 assert_eq!(dag.len(), sweeps * 2 * plan.tiles.len());
-                assert_eq!(dag[..2 * plan.tiles.len()], plan_dag(&plan, 1), "sweep 0 is one sweep");
+                let one = plan_dag(&plan, 1, 1);
+                assert_eq!(dag[..2 * plan.tiles.len()], one, "sweep 0 is one sweep");
                 let makespan = simulate(&dag, &free, 2).makespan;
                 assert_eq!(makespan, want, "b = {b}, {sweeps} sweeps");
             }
         }
+    }
+
+    /// A drain edge at the run's lag points at the same reader's task
+    /// `lag − 1` sweeps earlier than one at lag 1, so the DES finishes
+    /// no later: over every plan of the legality sweep and every
+    /// rotation it fuses with, and strictly earlier on some.
+    #[test]
+    fn a_longer_drain_lag_never_slows_a_plan() {
+        use crate::exec_threads::{drain_lag, legality_plans, rotation_fusible, SWEEP_ROTATIONS};
+        fn check<const R: usize>(seeds: u64, n: i64, faster: &mut usize) {
+            let params = t3e();
+            legality_plans::<R>(seeds, n, |c, plan, label| {
+                for rotate in SWEEP_ROTATIONS.iter().filter(|r| rotation_fusible(&c.nest, r)) {
+                    let lag = drain_lag(&c.nest, rotate);
+                    let makespan = |at| {
+                        let dag = plan_dag(plan, lag + 2, at);
+                        simulate(&dag, &params, plan.procs()).makespan
+                    };
+                    let (at_lag, at_one) = (makespan(lag), makespan(1));
+                    assert!(at_lag <= at_one, "{label}, rotate {rotate:?}: {at_lag} > {at_one}");
+                    *faster += usize::from(at_lag < at_one);
+                }
+            });
+        }
+        let mut faster = 0;
+        check::<2>(2500, 5, &mut faster);
+        check::<3>(1500, 3, &mut faster);
+        assert!(faster >= 1000, "plans the lag sped up: {faster}");
     }
 
     #[test]
@@ -675,7 +708,7 @@ mod tests {
         let makespan = |mesh, policy: &BlockPolicy| {
             let plan =
                 WavefrontPlan::build(&nest, JobTopology::mesh(mesh), policy, &params).unwrap();
-            simulate(&plan_dag(&plan, 1), &params, plan.procs()).makespan
+            simulate(&plan_dag(&plan, 1, 1), &params, plan.procs()).makespan
         };
         let t_pipe = makespan([4, 4], &BlockPolicy::Model2);
         let t_naive = makespan([4, 4], &BlockPolicy::FullPortion);

@@ -9,13 +9,15 @@
 //! cell waits until its upstream neighbours have completed the tile it
 //! is about to start (the *flow* wait of the paper's pipelined
 //! implementation, Figure 4(b)), and when sweeps repeat an upstream cell
-//! waits until every cell that reads its rows has finished reading them
-//! in the previous sweep (the *drain* wait). Both are the edges of the
-//! plan's [`TileGraph`], read once at launch: the DES and the traffic
-//! prediction read the same graph. One post per tile stands for the
-//! boundary message on each out-edge, and is recorded as that message,
-//! so observed traffic equals [`WavefrontPlan::predicted_traffic`]
-//! exactly. With
+//! about to overwrite a tile in sweep `s` waits until every cell that
+//! reads its rows has finished reading them in sweep `s − L` (the
+//! *drain* wait), where `L` ([`TileGraph::lag`], [`drain_lag`]) is how
+//! many rotation steps a written buffer takes to come back into a
+//! written array. Both are the edges of the plan's [`TileGraph`], read
+//! once at launch: the DES and the traffic prediction read the same
+//! graph. One post per tile stands for the boundary message on each
+//! out-edge, and is recorded as that message, so observed traffic
+//! equals [`WavefrontPlan::predicted_traffic`] exactly. With
 //! [`crate::schedule::BlockPolicy::FullPortion`] the same code
 //! degenerates to the naive schedule of Figure 4(a).
 //!
@@ -95,8 +97,9 @@ enum WorkerEv {
         wait_start: f64,
         at: f64,
     },
-    /// A drain wait: the cell held back until the previous sweep's
-    /// readers of its rows were done. A stall with no message to it.
+    /// A drain wait: the cell held back until the readers of its rows
+    /// were done with them in sweep `s − L`. A stall with no message to
+    /// it.
     Held { start: f64, end: f64 },
 }
 
@@ -141,7 +144,7 @@ pub(crate) fn prepare<const R: usize>(
     written.sort_unstable();
     written.dedup();
     let runner = NestRunner::with_mode(nest, cfg.kernel_mode);
-    let plan = match plan.fit(&cfg.block, &cfg.machine, &runner, shapes, 1) {
+    let plan = match plan.fit(&cfg.block, &cfg.machine, &runner, shapes, 1, 1) {
         Some(fitted) => Arc::new(fitted),
         None => Arc::clone(plan),
     };
@@ -149,18 +152,20 @@ pub(crate) fn prepare<const R: usize>(
 }
 
 impl<const R: usize> NestPrep<R> {
-    /// The preparation a pipelined chunk of `sweeps` fused sweeps runs:
-    /// this one-sweep preparation's kernel with `model`, the plan it was
-    /// fitted from, fitted for the chunk ([`WavefrontPlan::fit`]) — or
-    /// this preparation itself when the chunk's plan is the sweep's.
+    /// The preparation a pipelined chunk of `sweeps` fused sweeps at
+    /// drain lag `lag` ([`drain_lag`]) runs: this one-sweep
+    /// preparation's kernel with `model`, the plan it was fitted from,
+    /// fitted for the chunk ([`WavefrontPlan::fit`]) — or this
+    /// preparation itself when the chunk's plan is the sweep's.
     pub(crate) fn chunk(
         self: &Arc<Self>,
         model: &WavefrontPlan<R>,
         cfg: &SessionConfig,
         shapes: &[(Region<R>, Layout)],
         sweeps: usize,
+        lag: usize,
     ) -> Arc<Self> {
-        match model.fit(&cfg.block, &cfg.machine, &self.runner, shapes, sweeps) {
+        match model.fit(&cfg.block, &cfg.machine, &self.runner, shapes, sweeps, lag) {
             Some(plan) if plan != *self.plan => Arc::new(NestPrep {
                 written: self.written.clone(),
                 runner: self.runner.clone(),
@@ -217,6 +222,36 @@ pub(crate) fn rotation_fusible<const R: usize>(
     })
 }
 
+/// How many sweeps back the drain edges of a fused run of `nest` point
+/// ([`TileGraph::lag`]), buffers renamed by `rotate` between sweeps: the
+/// fewest rotation steps that carry a written array's buffer back into a
+/// written array. 2 for a swap of a written array with a read one, `k`
+/// for a `k`-cycle through one written array, 1 with no rotation.
+///
+/// Sound for the bodies [`rotation_fusible`] accepts: other cells read a
+/// cell's rows only through primed reads of written arrays (the compiler
+/// refuses any other primed read) and reads of arrays the loop never
+/// changes, so a buffer sweep `s` overwrites was last read across cells
+/// while bound to a written array, at sweep `s − L` or earlier.
+pub(crate) fn drain_lag<const R: usize>(
+    nest: &CompiledNest<R>,
+    rotate: &[(ArrayId, ArrayId)],
+) -> usize {
+    // Where one rotation step moves the buffer in slot `id`.
+    let step = |id: ArrayId| rotate.iter().find(|&&(from, _)| from == id).map_or(id, |&(_, to)| to);
+    // A rotation is a permutation, so a written buffer is back in a
+    // written array within `rotate.len()` steps; were it not, lag 1, the
+    // most conservative, stands.
+    let back = |mut at: ArrayId| {
+        let steps = (1..=rotate.len().max(1)).find(|_| {
+            at = step(at);
+            writes(nest, at)
+        });
+        steps.unwrap_or(1)
+    };
+    nest.stmts.iter().map(|s| back(s.lhs)).min().unwrap_or(1)
+}
+
 /// Whether a statement of `nest` assigns to array `id`.
 fn writes<const R: usize>(nest: &CompiledNest<R>, id: ArrayId) -> bool {
     nest.stmts.iter().any(|s| s.lhs == id)
@@ -240,7 +275,8 @@ fn writes<const R: usize>(nest: &CompiledNest<R>, id: ArrayId) -> bool {
 ///   shift along an axis that carries no link;
 /// * across sweeps (`iters > 1`) [`rotation_fusible`] leaves only the
 ///   first kind, and the drain wait orders each overwrite after the
-///   previous sweep's reads (see [`TileGraph::readers`]).
+///   reads of sweep `s − L` (see [`TileGraph::readers`] and
+///   [`drain_lag`]).
 ///
 /// [`WavefrontPlan::build`] puts the tile dimension outermost and
 /// refuses nests whose constraints (anti-dependences included) do not
@@ -361,8 +397,8 @@ struct Await {
     on: Arc<Progress>,
     /// `Some(axis)`: the upstream neighbour along `axis` must have
     /// completed the *same* tile (flow). `None`: a reader of this cell's
-    /// rows must have finished with them in the *previous* sweep
-    /// (drain).
+    /// rows must have finished with them in sweep `s − L`, `L` the
+    /// graph's [`TileGraph::lag`] (drain).
     flow: Option<usize>,
 }
 
@@ -399,7 +435,7 @@ fn run_cell<const R: usize>(
         evs: ctx.enabled.then(Vec::new),
     };
     let plan = &ctx.prep.plan;
-    let tiles = plan.tiles.len();
+    let (tiles, lag) = (plan.tiles.len(), ctx.graph.lag);
     let mut sent = 0usize;
     let mut spans: Vec<(f64, f64)> = Vec::with_capacity(ctx.iters);
     for it in 0..ctx.iters {
@@ -418,8 +454,8 @@ fn run_cell<const R: usize>(
             for a in &links.awaits {
                 let target = match a.flow {
                     Some(_) => it * tiles + ti + 1,
-                    None if it == 0 => continue,
-                    None => (it - 1) * tiles + ctx.graph.reach[ti] + 1,
+                    None if it < lag => continue,
+                    None => (it - lag) * tiles + ctx.graph.reach[ti] + 1,
                 };
                 let start = rec.stamp();
                 a.on.wait(target as u64).expect(CASCADE);
@@ -702,7 +738,7 @@ pub(crate) fn launch_threaded<const R: usize>(
         "a rotation renames buffers between arrays of one bounds and layout"
     );
     // Only cells owning data participate: the graph's nodes.
-    let graph = Arc::new(TileGraph::new(plan, iters));
+    let graph = Arc::new(TileGraph::new(plan, iters, drain_lag(nest, rotate)));
     let n = graph.cells.len();
     if n == 0 {
         done(Ended {
@@ -819,8 +855,10 @@ pub(crate) fn launch_threaded<const R: usize>(
                 //   writer's tile — directly or through the chain of
                 //   flow edges — or (anti) before its own post, which
                 //   the writer's flow wait lets it start after; across
-                //   sweeps, a cell overwrites a tile only after the
-                //   drain wait on every reader of its rows.
+                //   sweeps, a cell overwrites a tile in sweep `s` only
+                //   after the drain wait on every reader of its rows in
+                //   sweep `s − L`, the last in which another cell can
+                //   have read that buffer (`drain_lag`).
                 //   `in_place_legal`, asserted at the top of
                 //   `launch_threaded`, holds exactly when these cover
                 //   every cross-cell access of the nest under the plan;
@@ -1023,6 +1061,8 @@ pub(crate) mod test_hooks {
 
 #[cfg(test)]
 mod handoff_tests;
+#[cfg(test)]
+pub(crate) use handoff_tests::{legality_plans, SWEEP_ROTATIONS};
 
 #[cfg(test)]
 /// The config under which [`prepare`] keeps a plan's width `b`, lowered

@@ -21,19 +21,20 @@ fn t3e() -> wavefront_machine::MachineParams {
     wavefront_machine::cray_t3e()
 }
 
-/// A two-array program `next := f(next', next, curr)`: `next` is swept
-/// with the given primed shifts; its own old value and `curr` are read
-/// pointwise, so the body fuses with and without a `next`/`curr` swap
-/// and — the old value being an input — no sweep repeats the one
-/// before, so a boundary read one sweep late is a wrong result.
-struct Case<const R: usize> {
+/// A three-array program `next := f(next', next, curr, spare)`: `next`
+/// is swept with the given primed shifts; its own old value, `curr` and
+/// `spare` are read pointwise, so the body fuses under any rotation of
+/// the three and — the old value being an input — no sweep repeats the
+/// one before, so a boundary read one sweep late is a wrong result.
+pub(crate) struct Case<const R: usize> {
     program: Program<R>,
-    nest: CompiledNest<R>,
+    pub(crate) nest: CompiledNest<R>,
     topology: JobTopology,
 }
 
 const NEXT: ArrayId = 0;
 const CURR: ArrayId = 1;
+const SPARE: ArrayId = 2;
 
 fn case<const R: usize>(
     bounds: Region<R>,
@@ -42,11 +43,12 @@ fn case<const R: usize>(
     topology: JobTopology,
 ) -> Case<R> {
     let mut program = Program::<R>::new();
-    let next = program.array("next", bounds);
-    let curr = program.array("curr", bounds);
-    assert_eq!((next, curr), (NEXT, CURR));
-    let mut rhs =
-        Expr::lit(0.25) * Expr::read(curr) + Expr::lit(0.3) * Expr::read(next) + Expr::lit(1.0);
+    let [next, curr, spare] = ["next", "curr", "spare"].map(|name| program.array(name, bounds));
+    assert_eq!((next, curr, spare), (NEXT, CURR, SPARE));
+    let mut rhs = Expr::lit(0.25) * Expr::read(curr)
+        + Expr::lit(0.3) * Expr::read(next)
+        + Expr::lit(0.125) * Expr::read(spare)
+        + Expr::lit(1.0);
     for (k, s) in shifts.iter().enumerate() {
         rhs = rhs + Expr::lit(0.5 / (k + 1) as f64) * Expr::read_primed_at(next, *s);
     }
@@ -56,6 +58,57 @@ fn case<const R: usize>(
         program,
         nest,
         topology,
+    }
+}
+
+/// `c` with a second statement, `curr := 0.5·curr + 0.25·next`, after
+/// the first: both arrays of a `next`/`curr` swap are then written, and
+/// the buffer a cell's neighbours read through `next'` in one sweep is
+/// overwritten as `curr` in the next.
+fn writing_curr<const R: usize>(c: Case<R>) -> Case<R> {
+    let mut program = Program::<R>::new();
+    for a in c.program.arrays() {
+        program.array_with_layout(a.name.clone(), a.bounds, a.layout);
+    }
+    let Some(ProgramOp::Block(mut block)) = c.program.ops().first().cloned() else {
+        unreachable!("a case is one scan block");
+    };
+    let rhs = Expr::lit(0.5) * Expr::read(CURR) + Expr::lit(0.25) * Expr::read(NEXT);
+    block.stmts.push(Statement::new(CURR, rhs));
+    program.push_block(block);
+    let nest = compile(&program).unwrap().nest(0).clone();
+    Case { program, nest, ..c }
+}
+
+/// How a chaos run renames its buffers between sweeps, and the drain lag
+/// that gives ([`drain_lag`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rotation {
+    /// No rotation: lag 1.
+    None,
+    /// `next` and `curr` swapped, only `next` written: lag 2.
+    Swap,
+    /// `next` → `curr` → `spare` → `next`, only `next` written: lag 3.
+    Cycle,
+    /// The swap over [`writing_curr`]'s body, both arrays written: lag 1.
+    WrittenSwap,
+}
+
+impl Rotation {
+    fn pairs(self) -> &'static [(ArrayId, ArrayId)] {
+        match self {
+            Rotation::None => &[],
+            Rotation::Swap | Rotation::WrittenSwap => &[(NEXT, CURR), (CURR, NEXT)],
+            Rotation::Cycle => &[(NEXT, CURR), (CURR, SPARE), (SPARE, NEXT)],
+        }
+    }
+
+    fn lag(self) -> usize {
+        match self {
+            Rotation::None | Rotation::WrittenSwap => 1,
+            Rotation::Swap => 2,
+            Rotation::Cycle => 3,
+        }
     }
 }
 
@@ -276,27 +329,25 @@ fn unpaged(p: usize) -> Case<2> {
 
 /// One seeded chaos run of `c` planned by `policy`, twice over on one
 /// pool (see [`engine_pair`]), under the plan the executing engines run
-/// for a chunk of `iters` sweeps: every post delayed, every wait
-/// followed by a delay, both results compared with the reference. Every
-/// fourth single-sweep seed traces its first run and checks the causal
-/// invariants.
+/// for a chunk of `iters` sweeps renamed by `rotation`: every post
+/// delayed, every wait followed by a delay, both results compared with
+/// the reference. Every fourth single-sweep seed traces its first run
+/// and checks the causal invariants.
 #[allow(clippy::too_many_arguments)]
 fn chaos_run<const R: usize>(
     seed: u64,
     c: Case<R>,
     policy: BlockPolicy,
     iters: usize,
-    rotated: bool,
+    rotation: Rotation,
     skew: Skew,
     kernel_mode: KernelMode,
 ) {
-    let rotate: &[(ArrayId, ArrayId)] = if rotated {
-        &[(NEXT, CURR), (CURR, NEXT)]
-    } else {
-        &[]
-    };
+    let c = if rotation == Rotation::WrittenSwap { writing_curr(c) } else { c };
+    let rotate = rotation.pairs();
+    assert_eq!(drain_lag(&c.nest, rotate), rotation.lag(), "{rotation:?}");
     let label = format!(
-        "seed {seed}: {:?} {policy:?} iters={iters} rotate={rotated} skew={skew:?} {kernel_mode:?}",
+        "seed {seed}: {:?} {policy:?} iters={iters} {rotation:?} skew={skew:?} {kernel_mode:?}",
         c.topology
     );
     let traced = iters == 1 && seed.is_multiple_of(4);
@@ -308,7 +359,8 @@ fn chaos_run<const R: usize>(
             let plan = Arc::new(WavefrontPlan::build(&c.nest, c.topology, &policy, &t3e()).unwrap());
             let cfg = SessionConfig { block: policy, kernel_mode, ..SessionConfig::default() };
             let (nest, shapes) = (Arc::new(c.nest.clone()), c.program.shapes());
-            let prep = Arc::new(prepare(&nest, &plan, &cfg, &shapes)).chunk(&plan, &cfg, &shapes, iters);
+            let prep = Arc::new(prepare(&nest, &plan, &cfg, &shapes));
+            let prep = prep.chunk(&plan, &cfg, &shapes, iters, rotation.lag());
             let cells = prep.plan.active_cells().len();
             let drag: test_hooks::TileHook = Arc::new(move |cell, _| {
                 let steps = match skew {
@@ -376,15 +428,18 @@ fn chaos_run<const R: usize>(
 
 #[test]
 fn chaos_seeds_never_change_a_result_or_hang() {
-    // 10 placements x b x iters x rotation = 80 configurations; 320
+    // 10 placements x b x iters x rotation = 160 configurations; 640
     // seeds walk through all of them four times, skewed neither way,
-    // downstream, upstream, and neither way again. Every fourth seed
-    // runs on the interpreter, the choice shifted by one with each pass:
-    // each placement meets it in one of the four, with every b, sweep
-    // count and rotation. The paged and unpaged placements are planned
-    // by Model2, not by b, so their chunks of five sweeps run the width
-    // the DES of their own graph picks.
-    for seed in 0..320u64 {
+    // downstream, upstream, and neither way again. The rotations are
+    // none, a swap, a three-buffer cycle and a swap of two written
+    // arrays: drain lags 1, 2, 3 and 1. Every fourth seed runs on the
+    // interpreter, the choice shifted by one with each pass: each
+    // placement meets it in one of the four, with every b, sweep count
+    // and rotation. The paged and unpaged placements are planned by
+    // Model2, not by b, so their chunks of five sweeps run the width the
+    // DES of their own graph picks.
+    let rotations = [Rotation::None, Rotation::Swap, Rotation::Cycle, Rotation::WrittenSwap];
+    for seed in 0..640u64 {
         let mut pick = seed as usize;
         let mut take = |n: usize| {
             let v = pick % n;
@@ -394,9 +449,9 @@ fn chaos_seeds_never_change_a_result_or_hang() {
         let placement = take(10);
         let b = BlockPolicy::Fixed([1, 5][take(2)]);
         let iters = [1, 5][take(2)];
-        let rotated = take(2) == 1;
+        let rotated = rotations[take(4)];
         let skew = [Skew::None, Skew::Downstream, Skew::Upstream, Skew::None][take(4)];
-        let mode = if (seed + seed / 80) % 4 == 3 {
+        let mode = if (seed + seed / 160) % 4 == 3 {
             KernelMode::Interpreted
         } else {
             KernelMode::Lanes
@@ -516,19 +571,22 @@ fn topologies<const R: usize>() -> Vec<JobTopology> {
 }
 
 /// The race-freedom oracle behind obligation (2) of `launch_threaded`'s
-/// SAFETY argument, by brute force: over `sweeps` sweeps of `c.nest`
-/// under `plan`, buffers renamed by `rotate` between sweeps, any two
-/// tiles on different cells that touch one element, at least one of
-/// them writing it, are ordered by the plan's `TileGraph` — its flow and
-/// drain edges, closed under each cell's tile order.
+/// SAFETY argument, by brute force: over the sweeps of `c.nest` under
+/// `plan`, buffers renamed by `rotate` between sweeps, any two tiles on
+/// different cells that touch one element, at least one of them writing
+/// it, are ordered by the plan's `TileGraph` at the run's drain lag `L`
+/// ([`drain_lag`]) — its flow and drain edges, closed under each cell's
+/// tile order. A body [`rotation_fusible`] accepts runs `L + 2` sweeps,
+/// so sweeps `L` and `L + 1` both have drain edges; any other, one.
 fn assert_race_free<const R: usize>(
     c: &Case<R>,
     plan: &WavefrontPlan<R>,
-    sweeps: usize,
     rotate: &[(ArrayId, ArrayId)],
     label: &str,
 ) {
-    let graph = TileGraph::new(plan, sweeps);
+    let lag = drain_lag(&c.nest, rotate);
+    let sweeps = if rotation_fusible(&c.nest, rotate) { lag + 2 } else { 1 };
+    let graph = TileGraph::new(plan, sweeps, lag);
     let (cells, nt) = (graph.cells.len(), plan.tiles.len());
     // Node `(s, t, c)`: cell `c` runs tile `t` of sweep `s`. Every edge
     // points to a higher number, so numbering order is topological.
@@ -546,9 +604,9 @@ fn assert_race_free<const R: usize>(
                     (_, 0) => preds.push(node(s - 1, nt - 1, c)),
                     _ => preds.push(node(s, t - 1, c)),
                 }
-                if s > 0 {
-                    let drain = graph.readers[c].iter().map(|&r| node(s - 1, graph.reach[t], r));
-                    preds.extend(drain);
+                if s >= graph.lag {
+                    let back = s - graph.lag;
+                    preds.extend(graph.readers[c].iter().map(|&r| node(back, graph.reach[t], r)));
                 }
                 let v = node(s, t, c);
                 for p in preds {
@@ -627,10 +685,23 @@ fn assert_race_free<const R: usize>(
     }
 }
 
-/// The legality sweep at one rank: returns (nests compiled, plans
-/// accepted, plans run).
-fn sweep_rank<const R: usize>(seeds: u64, n: i64, workers: &WorkerPool) -> (usize, usize, usize) {
-    let (mut nests, mut plans, mut runs) = (0, 0, 0);
+/// The rotations the legality sweep runs every scan under, where
+/// [`rotation_fusible`] lets it fuse: none, a `u`/`v` swap, and the
+/// cycle `u` → `v` → `w` → `u`. Over scans writing `u`, `v` or both they
+/// give drain lags 1, 2 and 3.
+pub(crate) const SWEEP_ROTATIONS: [&[(ArrayId, ArrayId)]; 3] =
+    [&[], &[(0, 1), (1, 0)], &[(0, 1), (1, 2), (2, 0)]];
+
+/// Every plan of the legality sweep at one rank: for each of `seeds`
+/// random scans of size `n` that compiles, every topology and policy the
+/// planner accepts, handed to `f` with a label. Returns the number of
+/// scans that compiled.
+pub(crate) fn legality_plans<const R: usize>(
+    seeds: u64,
+    n: i64,
+    mut f: impl FnMut(&Case<R>, &WavefrontPlan<R>, &str),
+) -> usize {
+    let mut nests = 0;
     for seed in 0..seeds {
         let mut rng = SplitMix64::new(seed);
         let Some(mut c) = random_scan::<R>(&mut rng, n) else {
@@ -644,60 +715,71 @@ fn sweep_rank<const R: usize>(seeds: u64, n: i64, workers: &WorkerPool) -> (usiz
                 BlockPolicy::Fixed(3),
                 BlockPolicy::FullPortion,
             ] {
-                let Ok(plan) = WavefrontPlan::build(&c.nest, topology, &policy, &t3e()) else {
-                    continue;
-                };
-                plans += 1;
-                let label = format!("rank {R} seed {seed}: {topology:?} {policy:?}");
-                assert!(
-                    in_place_legal(&c.nest, &plan),
-                    "{label}: the planner made a plan the engine refuses"
-                );
-                // Two sweeps check the first one's edges too.
-                let rotated = [(0, 1), (1, 0)];
-                let sweeps = if rotation_fusible(&c.nest, &[]) { 2 } else { 1 };
-                assert_race_free(&c, &plan, sweeps, &[], &label);
-                if rotation_fusible(&c.nest, &rotated) {
-                    assert_race_free(&c, &plan, 2, &rotated, &label);
+                if let Ok(plan) = WavefrontPlan::build(&c.nest, topology, &policy, &t3e()) {
+                    f(&c, &plan, &format!("rank {R} seed {seed}: {topology:?} {policy:?}"));
                 }
-                if plans % 7 != 0 {
-                    continue;
-                }
-                runs += 1;
-                let mode = [KernelMode::Lanes, KernelMode::Interpreted][runs % 2];
-                let mut store = init(&c.program);
-                run_on(
-                    workers,
-                    &c,
-                    &plan,
-                    &mut store,
-                    1,
-                    &[],
-                    mode,
-                    &mut NoopCollector,
-                );
-                assert_same(&store, &reference(&c, 1, &[]), &label);
             }
         }
     }
-    (nests, plans, runs)
+    nests
+}
+
+/// The legality sweep at one rank: returns (nests compiled, plans
+/// accepted, plans run) and, per drain lag, the fused runs the oracle
+/// checked at it.
+fn sweep_rank<const R: usize>(
+    seeds: u64,
+    n: i64,
+    workers: &WorkerPool,
+) -> (usize, usize, usize, [usize; 4]) {
+    let (mut plans, mut runs, mut lags) = (0, 0, [0; 4]);
+    let nests = legality_plans::<R>(seeds, n, |c, plan, label| {
+        plans += 1;
+        assert!(
+            in_place_legal(&c.nest, plan),
+            "{label}: the planner made a plan the engine refuses"
+        );
+        for rotate in SWEEP_ROTATIONS {
+            let fused = rotation_fusible(&c.nest, rotate);
+            if fused {
+                lags[drain_lag(&c.nest, rotate)] += 1;
+            }
+            if fused || rotate.is_empty() {
+                assert_race_free(c, plan, rotate, label);
+            }
+        }
+        if plans % 7 != 0 {
+            return;
+        }
+        runs += 1;
+        let mode = [KernelMode::Lanes, KernelMode::Interpreted][runs % 2];
+        let mut store = init(&c.program);
+        run_on(workers, c, plan, &mut store, 1, &[], mode, &mut NoopCollector);
+        assert_same(&store, &reference(c, 1, &[]), label);
+    });
+    (nests, plans, runs, lags)
 }
 
 /// The property the engine's soundness rests on now that there is no
 /// second exchange: **every** plan `WavefrontPlan::build` accepts passes
-/// `in_place_legal`. Should a seed ever fail here, the fix is a typed
-/// planner refusal (`ConflictingDependences`), not another engine.
+/// `in_place_legal`, and its `TileGraph` orders every conflicting pair
+/// of accesses under each rotation it fuses with, at that rotation's
+/// drain lag. Should a seed ever fail here, the fix is a typed planner
+/// refusal (`ConflictingDependences`), not another engine.
 #[test]
 fn every_plan_the_planner_accepts_is_legal_in_place() {
     let workers = WorkerPool::new();
-    let (n2, p2, r2) = sweep_rank::<2>(2500, 5, &workers);
-    let (n3, p3, r3) = sweep_rank::<3>(1500, 3, &workers);
+    let (n2, p2, r2, l2) = sweep_rank::<2>(2500, 5, &workers);
+    let (n3, p3, r3, l3) = sweep_rank::<3>(1500, 3, &workers);
     assert!(r2 + r3 >= 2000, "plans run: {r2} + {r3}");
     // Not vacuous: most seeds must still compile and plan (3,618 nests
     // and 18,228 plans when written, 6,924 of them with an unprimed
-    // shifted read of a written array).
+    // shifted read of a written array), and the oracle meets every lag.
     assert!(n2 + n3 >= 3000, "nests compiled: {n2} + {n3}");
     assert!(p2 + p3 >= 15_000, "plans accepted: {p2} + {p3}");
+    for lag in 1..=3 {
+        assert!(l2[lag] + l3[lag] >= 1000, "fused runs at lag {lag}: {l2:?} {l3:?}");
+    }
 }
 
 /// `execute_threaded` on a run it must refuse: the caller sees a panic,

@@ -9,8 +9,10 @@
 //! completed, numbered globally across sweeps (`sweep · tiles + tile`),
 //! and every link of that cell, in both directions, reads it: downstream
 //! neighbours as *flow* progress, upstream neighbours as the *drain*
-//! progress of the previous sweep. The scheduler moves no data
-//! (Pipeflow's join counters, PAPERS.md).
+//! progress of sweep `s − L`, `L` the run's drain lag (the rotation
+//! keeps a written buffer out of the written arrays for `L − 1` sweeps,
+//! `TileGraph::lag`). The scheduler moves no data (Pipeflow's join
+//! counters, PAPERS.md).
 //!
 //! * [`Progress::post`] is a `Release` store: everything the poster
 //!   wrote before it happens-before whatever a waiter does after the

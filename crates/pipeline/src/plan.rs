@@ -360,7 +360,7 @@ impl<const R: usize> WavefrontPlan<R> {
         match tile_dim.zip(plan.block_ctx(*params)) {
             Some((k, ctx)) => {
                 let block = match policy.candidates(ctx.n_orth) {
-                    Some(widths) => plan.fastest(k, widths, params, 1, 0.0),
+                    Some(widths) => plan.fastest(k, widths, params, 1, 1, 0.0),
                     None => policy.resolve(&ctx),
                 };
                 plan.cut(k, block);
@@ -400,8 +400,9 @@ impl<const R: usize> WavefrontPlan<R> {
     /// * on unit-stride lanes, a chunk of several sweeps pays its fill
     ///   once but every per-tile cost once per sweep, so its width is the
     ///   one among those giving 1 to that one-sweep tile count tiles,
-    ///   each rounded up to [`LANES`], whose `sweeps`-sweep DAG the DES
-    ///   runs fastest on `machine`; on page-strided rows every tile of
+    ///   each rounded up to [`LANES`], whose `sweeps`-sweep DAG at drain
+    ///   lag `lag` ([`TileGraph::lag`]) the DES runs fastest on
+    ///   `machine`; on page-strided rows every tile of
     ///   every cell costs its row starts on top of its points: a row
     ///   start is paid where a tile runs, not where a message lands;
     /// * on page-strided rows, and in such a chunk cut wider than
@@ -421,6 +422,7 @@ impl<const R: usize> WavefrontPlan<R> {
         runner: &NestRunner<R>,
         shapes: &[(Region<R>, Layout)],
         sweeps: usize,
+        lag: usize,
     ) -> Option<Self> {
         let k = self.tile_dim?;
         let modelled = !matches!(policy, BlockPolicy::Fixed(_) | BlockPolicy::FullPortion);
@@ -456,7 +458,7 @@ impl<const R: usize> WavefrontPlan<R> {
                 .map(|t| extent.div_ceil(t).next_multiple_of(LANES).min(extent))
                 .collect();
             widths.dedup();
-            b = fitted.fastest(k, widths, machine, sweeps, start);
+            b = fitted.fastest(k, widths, machine, sweeps, lag, start);
         }
         if paged || chunk && b > LANES {
             let at = fitted.order.order.iter().position(|&d| d == k)?;
@@ -469,9 +471,10 @@ impl<const R: usize> WavefrontPlan<R> {
         Some(fitted)
     }
 
-    /// The width among `widths` whose plan, run for `sweeps` sweeps with
-    /// `start` added to the cost of every tile of every cell, the DES
-    /// runs fastest on `params` — the first on a tie. A one-sweep
+    /// The width among `widths` whose plan, run for `sweeps` sweeps at
+    /// drain lag `lag` with `start` added to the cost of every tile of
+    /// every cell, the DES runs fastest on `params` — the first on a
+    /// tie. A one-sweep
     /// candidate with no `start` is priced exactly as `Session::estimate`
     /// prices `Fixed(b)`. Past the fill every sweep adds the same time,
     /// so at most one sweep per candidate and processor is simulated and
@@ -483,6 +486,7 @@ impl<const R: usize> WavefrontPlan<R> {
         widths: Vec<usize>,
         params: &MachineParams,
         sweeps: usize,
+        lag: usize,
         start: f64,
     ) -> usize {
         let simulated = sweeps.min(widths.len() + self.procs());
@@ -490,7 +494,7 @@ impl<const R: usize> WavefrontPlan<R> {
         let mut best = (f64::INFINITY, widths[0]);
         for b in widths {
             self.cut(k, b);
-            let mut dag = plan_dag(self, simulated);
+            let mut dag = plan_dag(self, simulated, lag);
             dag.iter_mut().for_each(|task| task.cost += start);
             let finish = simulate(&dag, params, self.procs()).finish;
             // Tasks are listed sweep-major, so the first `s` sweeps end
@@ -627,7 +631,7 @@ impl<const R: usize> WavefrontPlan<R> {
     /// [`Self::msg_elems`]. The engines must observe precisely these
     /// counts.
     pub fn predicted_traffic(&self) -> crate::telemetry::Prediction {
-        let graph = TileGraph::new(self, 1);
+        let graph = TileGraph::new(self, 1, 1);
         let mut messages = 0usize;
         let mut elements = 0usize;
         for (owned, outs) in graph.owned.iter().zip(&graph.outs) {
@@ -697,9 +701,9 @@ pub(crate) struct Link {
 ///   when it carries communicated arrays, between two adjacent active
 ///   cells: a comm-less axis orders nothing, and a rank that owns no
 ///   data neither computes nor relays;
-/// * **drain** — from the second sweep on, a cell overwrites tile `t`
-///   only after each of its `readers` has run tile `reach[t]` of the
-///   previous sweep.
+/// * **drain** — from sweep `lag` on, a cell overwrites tile `t` of
+///   sweep `s` only after each of its `readers` has run tile `reach[t]`
+///   of sweep `s − lag`.
 #[derive(Debug)]
 pub(crate) struct TileGraph<const R: usize> {
     /// The active cells' ranks, in wave order.
@@ -712,23 +716,27 @@ pub(crate) struct TileGraph<const R: usize> {
     /// Per cell, its flow out-edges in axis order: the downstream cells
     /// its tile `j` releases, one boundary message each.
     pub(crate) outs: Vec<Vec<Link>>,
-    /// Per cell, the cells that read its rows (none for one sweep):
+    /// Per cell, the cells that read its rows (none if `sweeps ≤ lag`):
     /// every other cell some shifted read of a written array
     /// ([`WavefrontPlan::reads`]) reaches it from. Immediate neighbours
     /// in the usual case; further cells when a cell owns fewer rows than
     /// a boundary is thick, diagonal ones when a read crosses both axes
     /// of a mesh.
     pub(crate) readers: Vec<Vec<usize>>,
-    /// Per tile, the last tile whose reads reach its columns (none for
-    /// one sweep): a read shifted along the tile dimension (a diagonal
-    /// primed read) makes tile `t + 1` of a neighbour read tile `t`'s
-    /// columns, so the drain wait for `t` is widened to it.
+    /// Per tile, the last tile whose reads reach its columns (none when
+    /// `readers` is): a read shifted along the tile dimension (a
+    /// diagonal primed read) makes tile `t + 1` of a neighbour read tile
+    /// `t`'s columns, so the drain wait for `t` is widened to it.
     pub(crate) reach: Vec<usize>,
+    /// How many sweeps back a drain edge points, at least 1
+    /// (`exec_threads::drain_lag`, which says why that is sound).
+    pub(crate) lag: usize,
 }
 
 impl<const R: usize> TileGraph<R> {
-    /// The graph of `plan` run for `sweeps` sweeps.
-    pub(crate) fn new(plan: &WavefrontPlan<R>, sweeps: usize) -> Self {
+    /// The graph of `plan` run for `sweeps` sweeps at drain lag `lag`.
+    pub(crate) fn new(plan: &WavefrontPlan<R>, sweeps: usize, lag: usize) -> Self {
+        let drained = sweeps > lag;
         let cells = plan.active_cells();
         let owned: Vec<Region<R>> = cells.iter().map(|&c| plan.dist.owned(c)).collect();
         let mut index = vec![None; plan.procs()];
@@ -758,7 +766,7 @@ impl<const R: usize> TileGraph<R> {
         };
         let readers = (0..cells.len())
             .map(|c| {
-                let reads = |&r: &usize| sweeps > 1 && r != c && reads_from(&owned[r], &owned[c]);
+                let reads = |&r: &usize| drained && r != c && reads_from(&owned[r], &owned[c]);
                 (0..cells.len()).filter(reads).collect()
             })
             .collect();
@@ -766,7 +774,8 @@ impl<const R: usize> TileGraph<R> {
             ins: cells.iter().map(|&rank| links(rank, -1)).collect(),
             outs: cells.iter().map(|&rank| links(rank, 1)).collect(),
             readers,
-            reach: if sweeps > 1 { plan.drain_reach() } else { Vec::new() },
+            reach: if drained { plan.drain_reach() } else { Vec::new() },
+            lag,
             cells,
             owned,
         }
@@ -852,13 +861,13 @@ pub(crate) mod tests {
         let (runner, shapes) = (NestRunner::auto(&nest), p.shapes());
         let model2 = BlockPolicy::Model2;
         let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &model2, &t3e()).unwrap();
-        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps).unwrap();
+        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps, 1).unwrap();
         let one = fit(1);
         assert_eq!((one.block, one.tiles.len(), one.order.order), (128, 6, [0, 1]));
         let makespan = |b: usize, sweeps: usize| {
             let mut cut = one.clone();
             cut.cut(1, b);
-            let mut dag = plan_dag(&cut, sweeps);
+            let mut dag = plan_dag(&cut, sweeps, 1);
             dag.iter_mut().for_each(|task| task.cost += 6.0 * ROW_START * plan.work);
             simulate(&dag, &t3e(), 2).makespan
         };
@@ -879,7 +888,7 @@ pub(crate) mod tests {
         // A programmer's b keeps its width at any chunk length.
         let fixed = BlockPolicy::Fixed(40);
         let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &fixed, &t3e()).unwrap();
-        let fit = |sweeps| plan.fit(&fixed, &t3e(), &runner, &shapes, sweeps).unwrap();
+        let fit = |sweeps| plan.fit(&fixed, &t3e(), &runner, &shapes, sweeps, 1).unwrap();
         assert_eq!((fit(4).block, fit(4).order.order), (40, [0, 1]));
 
         // Rows under a page apart (2,416 bytes): one sweep runs Model2's
@@ -890,7 +899,7 @@ pub(crate) mod tests {
         let (p, nest) = relax_nest(12, 300);
         let (runner, shapes) = (NestRunner::auto(&nest), p.shapes());
         let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &model2, &t3e()).unwrap();
-        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps);
+        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps, 1);
         let (one, chunk) = (fit(1).unwrap(), fit(4).unwrap());
         assert_eq!((plan.block, plan.order.order), (39, [1, 0]));
         assert_eq!((one.block, one.order.order), (40, [1, 0]));
@@ -898,7 +907,7 @@ pub(crate) mod tests {
         let makespan = |b: usize| {
             let mut cut = plan.clone();
             cut.cut(1, b);
-            simulate(&plan_dag(&cut, 4), &t3e(), 2).makespan
+            simulate(&plan_dag(&cut, 4, 1), &t3e(), 2).makespan
         };
         for tiles in 1..=300usize.div_ceil(plan.block) {
             let b = 300usize.div_ceil(tiles).next_multiple_of(LANES).min(300);
@@ -910,7 +919,7 @@ pub(crate) mod tests {
         let (p, nest) = tomcatv_nest(66);
         let (runner, shapes) = (NestRunner::auto(&nest), p.shapes());
         let plan = WavefrontPlan::build(&nest, JobTopology::line(2), &model2, &t3e()).unwrap();
-        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps);
+        let fit = |sweeps| plan.fit(&model2, &t3e(), &runner, &shapes, sweeps, 1);
         for sweeps in [2, 4, 60] {
             assert_eq!(fit(sweeps), fit(1), "{sweeps} sweeps");
         }
@@ -1026,7 +1035,7 @@ pub(crate) mod tests {
         let (_p, nest) = tomcatv_nest(34);
         let plan =
             WavefrontPlan::build(&nest, JobTopology::line(4), &BlockPolicy::Fixed(4), &t3e()).unwrap();
-        let graph = TileGraph::new(&plan, 1);
+        let graph = TileGraph::new(&plan, 1, 1);
         assert_eq!(graph.cells, [0, 1, 2, 3]);
         assert!(graph.ins[0].is_empty());
         for c in 1..4 {
@@ -1042,7 +1051,7 @@ pub(crate) mod tests {
         let (_p, nest) = tomcatv_nest(10);
         let plan =
             WavefrontPlan::build(&nest, JobTopology::line(16), &BlockPolicy::Fixed(2), &t3e()).unwrap();
-        let graph = TileGraph::new(&plan, 1);
+        let graph = TileGraph::new(&plan, 1, 1);
         assert_eq!(graph.cells, (0..7).collect::<Vec<_>>());
         assert!(graph.outs[6].is_empty());
         let links = plan.axes[0].comm.len();
@@ -1181,7 +1190,7 @@ pub(crate) mod tests {
         let (_p, nest) = sweep_nest(9);
         let plan = mesh_plan(&nest, [3, 3], 2);
         let grid = plan.dist.grid();
-        let graph = TileGraph::new(&plan, 1);
+        let graph = TileGraph::new(&plan, 1, 1);
         let order = &graph.cells;
         assert_eq!(order[0], grid.rank_of([0, 0, 0]));
         assert_eq!(*order.last().unwrap(), grid.rank_of([2, 2, 0]));

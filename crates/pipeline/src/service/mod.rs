@@ -76,7 +76,7 @@ use wavefront_core::region::Region;
 
 use crate::error::{AdmissionReason, PipelineError};
 use crate::exec_sim::simulate_plan_collected;
-use crate::exec_threads::{execute_threaded, launch_threaded, prepare, Done, NestPrep};
+use crate::exec_threads::{drain_lag, execute_threaded, launch_threaded, prepare, Done, NestPrep};
 use crate::plan::WavefrontPlan;
 use crate::session::{RunOutcome, SessionConfig};
 use crate::telemetry::json::JsonObj;
@@ -144,11 +144,16 @@ impl<const R: usize> NestSource<'_, R> {
 /// One cached compilation: the nest it was compiled against, the
 /// model's plan (what the simulator runs), and the lazily-built kernel
 /// preparation with the plan the executing engines run (simulator jobs
-/// never force the kernel lowering).
+/// never force the kernel lowering), and the pipelined loop chunks'
+/// preparations fitted from it.
 struct Entry<const R: usize> {
     nest: Arc<CompiledNest<R>>,
     plan: Arc<WavefrontPlan<R>>,
     prep: OnceLock<Arc<NestPrep<R>>>,
+    /// Fitted chunk preparations with their sweeps and drain lag, the
+    /// newest last: at most two, as a loop runs at most two chunk
+    /// lengths (`check_every` and the shorter last chunk).
+    chunks: Mutex<Vec<(usize, usize, Arc<NestPrep<R>>)>>,
 }
 
 impl<const R: usize> Entry<R> {
@@ -160,6 +165,30 @@ impl<const R: usize> Entry<R> {
         Arc::clone(self.prep.get_or_init(|| {
             Arc::new(prepare(&self.nest, &self.plan, cfg, &program.shapes()))
         }))
+    }
+
+    /// The preparation a pipelined chunk of `sweeps` sweeps, buffers
+    /// renamed by `rotate` between them, runs ([`NestPrep::chunk`]),
+    /// fitted once per `(sweeps, drain lag)` and kept: a warm chunk runs
+    /// no DES.
+    fn chunk(
+        &self,
+        cfg: &SessionConfig,
+        program: &Program<R>,
+        sweeps: usize,
+        rotate: &[(usize, usize)],
+    ) -> Arc<NestPrep<R>> {
+        let lag = drain_lag(&self.nest, rotate);
+        let mut chunks = self.chunks.lock().expect("a chunk fit does not panic");
+        if let Some((.., prep)) = chunks.iter().find(|c| (c.0, c.1) == (sweeps, lag)) {
+            return Arc::clone(prep);
+        }
+        let prep = self.prep(cfg, program).chunk(&self.plan, cfg, &program.shapes(), sweeps, lag);
+        if chunks.len() == 2 {
+            chunks.remove(0);
+        }
+        chunks.push((sweeps, lag, Arc::clone(&prep)));
+        prep
     }
 }
 
@@ -270,6 +299,7 @@ impl ExecCore {
                 nest,
                 plan,
                 prep: OnceLock::new(),
+                chunks: Mutex::new(Vec::new()),
             }))
         };
         if !self.caching {
@@ -300,10 +330,12 @@ impl ExecCore {
     }
 
     /// Look the job's plan up (or build it) and, for the engines that
-    /// execute data, lower its kernel and fit the plan for `sweeps`
-    /// pipelined sweeps: everything a run needs but the store. An
-    /// executing engine without a store is refused here, after the
-    /// lookup and before the lowering.
+    /// execute data, lower its kernel and fit the plan for the loop
+    /// chunk `chunk` when it pipelines several sweeps: everything a run
+    /// needs but the store. A barrier chunk pays a fill every sweep, as
+    /// one sweep does, so it runs the one-sweep plan. An executing
+    /// engine without a store is refused here, after the lookup and
+    /// before the lowering.
     #[allow(clippy::too_many_arguments)]
     fn prepare<const R: usize>(
         &self,
@@ -314,7 +346,7 @@ impl ExecCore {
         hsig: &str,
         kind: EngineKind,
         has_store: bool,
-        sweeps: usize,
+        chunk: Option<&LoopExec>,
     ) -> Result<Prepared<R>, PipelineError> {
         let prep_start = Instant::now();
         let (entry, cache_ev) = self.entry(program, nest, topology, cfg, hsig)?;
@@ -325,10 +357,10 @@ impl ExecCore {
         } else if !has_store {
             return Err(PipelineError::MissingStore);
         } else {
-            let mut prep = entry.prep(cfg, program);
-            if sweeps > 1 {
-                prep = prep.chunk(&entry.plan, cfg, &program.shapes(), sweeps);
-            }
+            let prep = match chunk.filter(|lx| lx.pipelined && lx.iters > 1) {
+                Some(lx) => entry.chunk(cfg, program, lx.iters, &lx.rotate),
+                None => entry.prep(cfg, program),
+            };
             self.count_kernel(&prep.runner);
             Some(prep)
         };
@@ -371,7 +403,8 @@ impl ExecCore {
         collector: &mut dyn Collector,
         kind: EngineKind,
     ) -> Result<RunOutcome, PipelineError> {
-        let prepared = self.prepare(program, &nest, topology, cfg, "", kind, store.is_some(), 1)?;
+        let has_store = store.is_some();
+        let prepared = self.prepare(program, &nest, topology, cfg, "", kind, has_store, None)?;
         Ok(prepared.run_joined(&self.pool, cfg, store, collector))
     }
 }
@@ -1366,9 +1399,6 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
         loop_exec,
         trace: trace.then(TraceCollector::new),
     };
-    // A pipelined chunk runs the plan fitted to its sweeps; a barrier
-    // chunk pays a fill every sweep, as one sweep does.
-    let sweeps = job.loop_exec.as_ref().filter(|lx| lx.pipelined).map_or(1, |lx| lx.iters);
     let core = &shared.core;
     let prepared = checked.and_then(|()| {
         let nest = NestSource::Shared(&nest);
@@ -1380,7 +1410,7 @@ fn start_job<const R: usize>(shared: &Shared<R>, mut spec: JobSpec<R>, settle: S
             &hsig,
             engine,
             store.is_some(),
-            sweeps,
+            job.loop_exec.as_ref(),
         )
     });
     job.settle.looked_up();
@@ -1799,19 +1829,29 @@ mod tests {
     use crate::schedule::BlockPolicy;
     use crate::session::Session;
 
+    /// The preparation `core` hands a pipelined chunk of `sweeps` sweeps
+    /// of `nest` on a line of two, buffers renamed by `rotate`.
+    fn chunk_prep(
+        core: &ExecCore,
+        (p, nest): &(Program<2>, CompiledNest<2>),
+        sweeps: usize,
+        rotate: &[(usize, usize)],
+    ) -> Arc<NestPrep<2>> {
+        let (cfg, line) = (SessionConfig::default(), JobTopology::line(2));
+        let nest = NestSource::Borrowed(nest);
+        let chunk = LoopExec { iters: sweeps, rotate: rotate.to_vec(), pipelined: true };
+        let threads = EngineKind::Threads;
+        let prepared = core.prepare(p, &nest, line, &cfg, "", threads, true, Some(&chunk));
+        prepared.unwrap().prep.expect("an executing engine")
+    }
+
     /// A pipelined fused chunk runs its own width, on rows a page or
     /// more apart and on rows under a page apart; one sweep and a
     /// barrier chunk run the one-sweep preparation itself.
     #[test]
     fn a_chunk_runs_the_width_of_its_own_des() {
         use crate::plan::tests::relax_nest;
-        let prep = |core: &ExecCore, (p, nest): &(Program<2>, CompiledNest<2>), sweeps| {
-            let (cfg, line) = (SessionConfig::default(), JobTopology::line(2));
-            let nest = NestSource::Borrowed(nest);
-            let threads = EngineKind::Threads;
-            let prepared = core.prepare(p, &nest, line, &cfg, "", threads, true, sweeps);
-            prepared.unwrap().prep.expect("an executing engine")
-        };
+        let prep = |core: &ExecCore, nest: &_, sweeps| chunk_prep(core, nest, sweeps, &[]);
         let core = ExecCore::new(4);
         let paged = relax_nest(12, 700);
         let one = prep(&core, &paged, 1);
@@ -1850,6 +1890,32 @@ mod tests {
             assert!(stats.fused, "pipelined = {pipelined}");
             assert_eq!(stats.block, block, "pipelined = {pipelined}");
         }
+    }
+
+    /// A cached entry fits each pipelined chunk once per `(sweeps, drain
+    /// lag)`: the second fused op of a loop gets the first one's
+    /// preparation, and so does the next loop's, so a warm chunk runs no
+    /// DES. It keeps the two chunk lengths a loop runs, and a third key
+    /// evicts the older.
+    #[test]
+    fn a_cached_entry_fits_each_chunk_once() {
+        use crate::plan::tests::relax_nest;
+        let core = ExecCore::new(4);
+        let relax = relax_nest(12, 300);
+        let swap = [(0, 1), (1, 0)];
+        let prep = |sweeps, rotate: &[(usize, usize)]| chunk_prep(&core, &relax, sweeps, rotate);
+        let first = prep(200, &swap);
+        assert!(Arc::ptr_eq(&first, &prep(200, &swap)), "the second op");
+        // The shorter last chunk of a `check_every` loop is a second key.
+        let last = prep(7, &swap);
+        assert!(Arc::ptr_eq(&first, &prep(200, &swap)));
+        assert!(Arc::ptr_eq(&last, &prep(7, &swap)));
+        // No rotation: the same length at lag 1 is a third, and evicts
+        // the older of the two.
+        let unrotated = prep(200, &[]);
+        assert!(Arc::ptr_eq(&unrotated, &prep(200, &[])));
+        assert!(Arc::ptr_eq(&last, &prep(7, &swap)));
+        assert!(!Arc::ptr_eq(&first, &prep(200, &swap)), "evicted, fitted afresh");
     }
 
     /// `a := a'@(−1, 0) · 0.5 + a · 0.25 + 1` on 12×12: a wave down the

@@ -18,7 +18,8 @@
 //! [`WorkerPool::wait_idle`] sees an idle worker and an empty queue, so
 //! one job's drain runs under the next one's fill. The tasks of one job
 //! wait on each other — a cell on its upstream neighbours' tiles (flow),
-//! and across sweeps on the readers of its rows (drain), which may have
+//! and across sweeps on the readers of its rows in sweep `s − L` (drain,
+//! `L` the run's drain lag), which may have
 //! been queued *after* it, as in a descending wave. That cannot deadlock,
 //! because of three facts:
 //!

@@ -48,6 +48,7 @@ use wavefront_core::exec::CompiledProgram;
 
 use crate::error::PipelineError;
 use crate::exec_sim::{simulate_nest, simulate_program, NestSim, ProgramSim};
+use crate::exec_threads::drain_lag;
 use crate::plan::{JobTopology, WavefrontPlan};
 use crate::schedule::BlockPolicy;
 use crate::service::{ExecCore, NestSource};
@@ -240,21 +241,35 @@ impl<'a, const R: usize> Session<'a, R> {
     /// [`Session::estimate`] and `run(EngineKind::Sim)` price the
     /// model's plan, [`WavefrontPlan::build`].
     pub fn plan(&self) -> Result<WavefrontPlan<R>, PipelineError> {
-        self.chunk_plan(1)
+        self.chunk_plan(1, &[]).map(|(plan, _)| plan)
     }
 
     /// The plan a pipelined fused loop chunk of `sweeps` sweeps of this
     /// session's nest runs on the threaded engine, as a service loop
-    /// runs it: a chunk pays its fill once, so on unit-stride lanes its
-    /// width is fitted to its own sweeps (see [`LoopStats::block`]).
+    /// rotating its buffers by `rotate` (`(from, to)` array names, as
+    /// [`LoopSpecBuilder::rotate`] takes them) runs it, and the chunk's
+    /// drain lag: how many sweeps back a cell's drain wait points. A
+    /// chunk pays its fill once, so on unit-stride lanes its width is
+    /// fitted to its own sweeps at that lag (see [`LoopStats::block`]).
     ///
     /// [`LoopStats::block`]: crate::service::LoopStats::block
-    pub fn chunk_plan(&self, sweeps: usize) -> Result<WavefrontPlan<R>, PipelineError> {
+    /// [`LoopSpecBuilder::rotate`]: crate::service::LoopSpecBuilder::rotate
+    pub fn chunk_plan(
+        &self,
+        sweeps: usize,
+        rotate: &[(&str, &str)],
+    ) -> Result<(WavefrontPlan<R>, usize), PipelineError> {
+        let id = |name| self.program.find(name).ok_or_else(|| PipelineError::InvalidLoop {
+            reason: format!("the rotation names `{name}`, which the program does not declare"),
+        });
+        let rotate: Result<Vec<_>, _> = rotate.iter().map(|&(f, t)| Ok((id(f)?, id(t)?))).collect();
+        let lag = drain_lag(self.nest, &rotate?);
         let plan =
             WavefrontPlan::build(self.nest, self.topology, &self.cfg.block, &self.cfg.machine)?;
         let runner = NestRunner::with_mode(self.nest, self.cfg.kernel_mode);
         let shapes = self.program.shapes();
-        Ok(plan.fit(&self.cfg.block, &self.cfg.machine, &runner, &shapes, sweeps).unwrap_or(plan))
+        let fitted = plan.fit(&self.cfg.block, &self.cfg.machine, &runner, &shapes, sweeps, lag);
+        Ok((fitted.unwrap_or(plan), lag))
     }
 
     /// Estimate this session's nest on the DES cost model without

@@ -25,7 +25,7 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo
-echo "== tests (offline): every workspace member, the benchmark package, the kernels optimised =="
+echo "== tests (offline): every workspace member, the benchmark package, the kernels and the engine hand-off optimised =="
 cargo test -q --offline --workspace
 cargo test -q --offline --manifest-path bench/Cargo.toml
 # The kernels' bit-identity and allocation pins again, on the optimised
@@ -33,6 +33,10 @@ cargo test -q --offline --manifest-path bench/Cargo.toml
 # engines' equivalence and the resident loops through both engines there.
 cargo test -q --offline --release --test kernel_differential --test kernel_allocs \
     --test parallel_equivalence --test timestep --test timestep_steady
+# The threaded engine's own safety net on the optimised code: the chaos
+# seeds (every rotation and drain lag), the legality sweep and its race
+# oracle, the refusals and the worker panics.
+cargo test -q --offline --release -p wavefront-pipeline --lib exec_threads
 
 echo
 echo "== clippy (all targets, warnings are errors) =="

@@ -554,8 +554,9 @@ fn executing_engines_widen_tiles_over_page_strided_rows() {
             "p = {procs}: the lane dimension runs innermost"
         );
         assert!(satisfies(&nest.constraints, &fitted.order), "p = {procs}");
-        let chunk = session().chunk_plan(steps).unwrap();
-        assert_eq!(chunk.block, chunk_b, "p = {procs}");
+        let swap = [("next", "curr"), ("curr", "next")];
+        let (chunk, lag) = session().chunk_plan(steps, &swap).unwrap();
+        assert_eq!((chunk.block, lag), (chunk_b, 2), "p = {procs}");
 
         for kind in [EngineKind::Seq, EngineKind::Threads] {
             let ctx = format!("p = {procs} {kind:?}");

@@ -4,7 +4,8 @@
 //! Every loop variant must be **bit-identical** to hand-chained
 //! sequential `Session` runs on a private store: the fused Tomcatv
 //! loop across all three kernel tiers, a double-buffered relaxation
-//! (fused rotation, the per-step fallback, and the barrier ablation),
+//! (fused rotation, the per-step fallback, and the barrier ablation), a
+//! fused three-buffer cycle (its drain waits three sweeps back),
 //! the same three regimes on 2x2 and 2x1 processor meshes, and a
 //! SWEEP3D two-octant DAG chain across every scheduler. Misuse
 //! — freed handles, aliased rotations, written arrays left out of the
@@ -328,6 +329,92 @@ fn barrier_ablation_is_bit_identical_with_zero_overlap() {
         let got = service.read(&fb[name]).expect("final binding readable");
         let id = case.program.find(name).unwrap();
         assert_bits("diffuse barrier", name, &got, want.get(id));
+    }
+}
+
+/// A three-buffer cycle `next` → `curr` → `prev` → `next` over the
+/// relaxation `next := 0.5·next'@north + 0.3·curr + 0.1·prev +
+/// 0.1·load@east`: `next` is the only written buffer, so the buffer a
+/// step overwrites was last read across cells three steps before, and
+/// the fused chunk's drain waits reach that far back. It fuses into one
+/// chunk and matches one `Session` per step, the buffers cycled between
+/// steps, bit for bit at every phase of the cycle.
+#[test]
+fn a_three_buffer_cycle_fuses_and_matches_cycled_sessions() {
+    let n = 16;
+    let bounds = Region::rect([0, 0], [n + 1, n + 1]);
+    let mut prog = Program::<2>::new();
+    let [next, curr, prev, load] = ["next", "curr", "prev", "load"].map(|a| prog.array(a, bounds));
+    prog.stmt(
+        Region::rect([2, 2], [n - 1, n - 1]),
+        next,
+        Expr::lit(0.5) * Expr::read_primed_at(next, [-1, 0])
+            + Expr::lit(0.3) * Expr::read(curr)
+            + Expr::lit(0.1) * Expr::read(prev)
+            + Expr::lit(0.1) * Expr::read_at(load, [0, 1]),
+    );
+    let nest = Arc::new(compile(&prog).expect("the cycle compiles").nest(0).clone());
+    let prog = Arc::new(prog);
+    let mut initial = Store::new(&prog);
+    for id in 0..initial.len() {
+        let b = initial.get(id).bounds();
+        *initial.get_mut(id) =
+            DenseArray::from_fn(b, |q| ((q[0] * 31 + q[1] * 7 + id as i64 * 5) % 97) as f64 / 97.0);
+    }
+    let cycle = [(next, curr), (curr, prev), (prev, next)];
+    let session = Session::new(&prog, &nest).procs(4).block(BlockPolicy::Fixed(4));
+    let (chunk, lag) =
+        session.chunk_plan(7, &[("next", "curr"), ("curr", "prev"), ("prev", "next")]).unwrap();
+    assert_eq!((chunk.block, lag), (4, 3));
+    let unknown = session.chunk_plan(7, &[("next", "vorpal"), ("vorpal", "next")]);
+    assert!(matches!(expect_err(unknown), PipelineError::InvalidLoop { .. }));
+    for steps in [5, 6, 7] {
+        let mut want = initial.clone();
+        for step in 0..steps {
+            Session::new(&prog, &nest)
+                .procs(4)
+                .block(BlockPolicy::Fixed(4))
+                .machine(cray_t3e())
+                .store(&mut want)
+                .run(EngineKind::Threads)
+                .expect("reference step runs");
+            if step + 1 < steps {
+                let moved: Vec<DenseArray<2>> =
+                    cycle.iter().map(|&(from, _)| want.get(from).clone()).collect();
+                for (&(_, to), buffer) in cycle.iter().zip(moved) {
+                    *want.get_mut(to) = buffer;
+                }
+            }
+        }
+        let service: WavefrontService<2> = WavefrontService::new();
+        let handles: HashMap<String, ArrayHandle<2>> =
+            service.import_store(&prog, initial.clone()).into_iter().collect();
+        let body = JobSpec::builder(Arc::clone(&prog), Arc::clone(&nest))
+            .line(4)
+            .block(BlockPolicy::Fixed(4))
+            .machine(cray_t3e())
+            .engine(EngineKind::Threads)
+            .output_handle("next", &handles["next"])
+            .output_handle("curr", &handles["curr"])
+            .output_handle("prev", &handles["prev"])
+            .input_handle("load", &handles["load"]);
+        let spec = LoopSpec::builder()
+            .job(body.build().expect("valid body"))
+            .steps(steps)
+            .rotate("next", "curr")
+            .rotate("curr", "prev")
+            .rotate("prev", "next")
+            .build()
+            .expect("valid loop");
+        let out = service.submit_loop(spec).wait().expect("loop runs");
+        assert!(out.stats.fused, "a pointwise cycle fuses");
+        assert_eq!((out.stats.chunks, out.steps_run), (1, steps));
+        let fb: HashMap<String, ArrayHandle<2>> = out.final_bindings.into_iter().collect();
+        for name in ["next", "curr", "prev", "load"] {
+            let got = service.read(&fb[name]).expect("final binding readable");
+            let id = prog.find(name).unwrap();
+            assert_bits(&format!("3-cycle steps={steps}"), name, &got, want.get(id));
+        }
     }
 }
 
