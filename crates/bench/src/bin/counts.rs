@@ -18,7 +18,10 @@
 //! before). For `unit` lanes, `wide passes` is how
 //! many passes the lane kernel makes over each piece of a row segment
 //! (`NestRunner::wide_passes`): the instructions left once every
-//! `Const × Read` is folded into its consumer. Run with
+//! `Const × Read` is folded into its consumer, and `wide piece` how
+//! many points each piece holds (`NestRunner::wide_piece`): as many as
+//! the kernel's register file holds of each physical register the
+//! folded tape uses, so a row segment that short runs as one. Run with
 //! `cargo run --release -p wavefront-bench --bin counts`.
 //!
 //! Every row is at the repository defaults: a line of two processors,
@@ -82,6 +85,7 @@ fn main() {
         "chunk b",
         "drain lag",
         "wide passes",
+        "wide piece",
     ]);
     // Per row, the steps of its loop workload (0: not a loop), which
     // swaps `next` and `curr` between steps.
@@ -124,9 +128,7 @@ fn main() {
         };
         let shapes = lowered.program.shapes();
         let stride = runner.lane_stride(&shapes, &plan.order).unwrap_or("-");
-        let row_bytes = runner
-            .lane_row_bytes(&shapes, &plan.order)
-            .map_or("-".to_string(), |b| b.to_string());
+        let dash = |n: Option<usize>| n.map_or("-".to_string(), |n| n.to_string());
         table.row(&[
             workload.to_string(),
             program.to_string(),
@@ -139,12 +141,11 @@ fn main() {
             elems.interpreted.to_string(),
             format!("{share:.4}"),
             stride.to_string(),
-            row_bytes,
+            dash(runner.lane_row_bytes(&shapes, &plan.order)),
             chunk_b,
             lag,
-            runner
-                .wide_passes(&shapes, &plan.order)
-                .map_or("-".to_string(), |n| n.to_string()),
+            dash(runner.wide_passes(&shapes, &plan.order)),
+            dash(runner.wide_piece(&shapes, &plan.order)),
         ]);
     }
     table.print();

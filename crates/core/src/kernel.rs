@@ -1011,6 +1011,21 @@ impl<const R: usize> NestRunner<R> {
         (self.lane_stride(shapes, order)? == "unit").then_some(passes)
     }
 
+    /// Points per piece of a row segment on the wide path, over arrays as
+    /// for [`NestRunner::lane_stride`]: as many as its register file
+    /// holds of each physical register the folded tapes use. `None`
+    /// unless the lanes are `"unit"`-stride.
+    pub fn wide_piece(
+        &self,
+        shapes: &[(Region<R>, Layout)],
+        order: &LoopStructureOrder<R>,
+    ) -> Option<usize> {
+        let NestRunner::Lanes(_, plan) = self else {
+            return None;
+        };
+        (self.lane_stride(shapes, order)? == "unit").then_some(plan.piece)
+    }
+
     /// How far apart, in bytes, two rows of a `"unit"`-stride lane plan
     /// lie over arrays of the given bounds and layouts (as for
     /// [`NestRunner::lane_stride`]): the smallest stride, over every

@@ -42,17 +42,19 @@
 //! A lane block pays one tape dispatch for its eight points. When the
 //! lane dimension is the sweep's innermost loop, every cursor is
 //! unit-stride and a row segment spans two lane blocks or more, the
-//! sweep runs the whole segment instead, in pieces of up to 64 points,
-//! on a tape of its own: the scalar tape with each `Const × Read`
-//! folded into its consumer (`fold`, once per nest, in the
-//! [`LanePlan`]). Each instruction matches its operator and operand
-//! kinds once, then loops over the piece, reading each operand where it
-//! lives (a register, the checked slice of a read, a constant, a read
-//! scaled by a folded constant) and writing its result into a spare
-//! register that is then renamed, not copied, into its destination; a
-//! statement's last instruction writes straight into the destination's
-//! cells. Strided and diagonal lanes, one-block segments and the
-//! remainder slab keep the eight-point blocks and the scalar tape.
+//! sweep runs the whole segment instead, on a tape of its own: the
+//! scalar tape with each `Const × Read` folded into its consumer and
+//! each instruction's physical registers fixed (`fold`, once per nest,
+//! in the [`LanePlan`]). The segment runs in pieces as long as the
+//! register file holds for the registers the tapes use: 1,088 points
+//! for one register, 64 for the 17 of the widest tape. Each instruction
+//! matches its operator and operand kinds once, then loops over the
+//! piece, reading each operand where it lives (a register, the checked
+//! slice of a read, a constant, a read scaled by a folded constant, a
+//! coordinate) and writing its result into its register; a statement's
+//! last instruction writes straight into the destination's cells.
+//! Strided and diagonal lanes, one-block segments and the remainder
+//! slab keep the eight-point blocks and the scalar tape.
 //!
 //! Everything a tile call needs that depends only on the store's
 //! geometry and the lane shape — each cursor's array, lane delta and
@@ -65,8 +67,8 @@
 //! point — no re-association, no fused multiply-add — and lane blocking
 //! only reorders *independent* points, so results are bitwise identical
 //! to the scalar tape and the interpreter. A piece of a row segment is
-//! a lane block of up to 64 points along a dimension no dependence
-//! crosses, so the same argument holds at any length. Its folded tape
+//! a lane block along a dimension no dependence crosses, so the same
+//! argument holds at any length. Its folded tape
 //! keeps every point's operators and operand values: a folded read
 //! computes `k·x` inside its consumer's loop, and for a `k` that is not
 //! NaN `k·x` and `x·k` are the same bits. Its reads happen instruction
@@ -74,8 +76,9 @@
 //! computes it, and since the lane dimension carries no dependence,
 //! anti-dependences included ([`plan_lanes`] rule 2), a statement reads
 //! its destination's row segment only at the point being written,
-//! before writing it. Renaming only permutes which buffer holds a
-//! register. The differential fuzz harness in
+//! before writing it. No result is written over a value a later
+//! instruction reads, its own operands included. The differential fuzz
+//! harness in
 //! `tests/kernel_differential.rs` enforces this.
 //!
 //! A nest the lane lowering refuses (every direction carried, or a tape
@@ -142,6 +145,9 @@ pub struct LanePlan {
     pub shape: LaneShape,
     /// Per statement, the tape the wide path runs (`fold`).
     pub(crate) wide: Vec<WideStmt>,
+    /// Points per piece of a row segment on the wide path: as many as
+    /// [`WIDE_BUDGET`] holds of each register the folded tapes use.
+    pub(crate) piece: usize,
 }
 
 impl LanePlan {
@@ -176,14 +182,17 @@ pub fn plan_lanes<const R: usize>(
     if kernel.reg_count() > MAX_LANE_REGS {
         return Err(LaneCause::WideTape);
     }
-    let wide = kernel.stmts.iter().map(fold).collect();
+    let wide: Vec<WideStmt> = kernel.stmts.iter().map(fold).collect();
+    let regs = wide.iter().map(|ws| ws.regs).max().unwrap_or(0).max(1);
+    let piece = WIDE_BUDGET / regs / LANES * LANES;
+    let plan = |shape| Ok(LanePlan { shape, wide, piece });
     let order = &nest.structure.order;
     // Innermost loop position first: its dimension is usually the
     // layout's unit-stride one, giving contiguous lane loads.
     for pos in (0..R).rev() {
         let d = order.order[pos];
         if nest.constraints.iter().all(|c| c.vector[d] == 0) {
-            return Ok(LanePlan { shape: LaneShape::Axis { dim: d }, wide });
+            return plan(LaneShape::Axis { dim: d });
         }
     }
     if R >= 2 {
@@ -197,7 +206,7 @@ pub fn plan_lanes<const R: usize>(
             s >= 1
         });
         if plane_ok {
-            return Ok(LanePlan { shape: LaneShape::Wavefront { p: R - 2, q: R - 1 }, wide });
+            return plan(LaneShape::Wavefront { p: R - 2, q: R - 1 });
         }
     }
     Err(LaneCause::Carried)
@@ -275,7 +284,7 @@ pub(crate) fn run_lanes_cells<const R: usize>(
     }
     let lb = bk.lanes.as_ref().expect("a lane-tier runner binds its lane plan");
     match lb.shape {
-        LaneShape::Axis { dim } => run_axis(kernel, &plan.wide, bk, lb, dim, region, arrays),
+        LaneShape::Axis { dim } => run_axis(kernel, plan, bk, lb, dim, region, arrays),
         LaneShape::Wavefront { p, q } => run_wavefront(kernel, bk, lb, p, q, region, arrays),
     }
 }
@@ -286,7 +295,7 @@ pub(crate) fn run_lanes_cells<const R: usize>(
 /// `d`, so the two parts are independent.
 fn run_axis<const R: usize>(
     kernel: &TileKernel<R>,
-    wide: &[WideStmt],
+    plan: &LanePlan,
     bk: &BoundKernel<R>,
     lb: &LaneBinding,
     d: usize,
@@ -299,7 +308,7 @@ fn run_axis<const R: usize>(
     let rhi = region.hi();
     let strip = region.slab(d, rlo[d], rlo[d] + full - 1);
     if full >= 2 * LANES as i64 && d == bk.order[R - 1] && lb.unit() {
-        wide_rows(kernel, wide, bk, d, strip, arrays);
+        wide_rows(kernel, plan, bk, d, strip, arrays);
     } else if full > 0 {
         axis_sweep(kernel, bk, lb, d, strip, arrays);
     }
@@ -434,12 +443,13 @@ fn axis_sweep<const R: usize>(
 /// The wide path of an axis sweep: lanes along `d`, the innermost loop,
 /// unit-stride for every cursor, and `region.extent(d)` a multiple of
 /// [`LANES`] of at least two lane blocks. Each row segment runs in
-/// pieces of up to `W` points, on the folded tape `wide`. Out of line,
-/// so [`run_axis`]'s frame does not carry `Wide`.
+/// pieces of up to `plan.piece` points, on the folded tapes
+/// `plan.wide`. Out of line, so [`run_axis`]'s frame does not carry the
+/// register file.
 #[inline(never)]
 fn wide_rows<const R: usize>(
     kernel: &TileKernel<R>,
-    wide: &[WideStmt],
+    plan: &LanePlan,
     bk: &BoundKernel<R>,
     d: usize,
     region: Region<R>,
@@ -451,24 +461,23 @@ fn wide_rows<const R: usize>(
     let cur = &mut *cur;
     let mut cdelta = [0.0f64; R];
     cdelta[d] = 1.0;
-    let (lo, seg) = (region.lo()[d], region.extent(d) as usize);
-    let mut w = Wide {
-        regs: [[0.0; W]; MAX_LANE_REGS + 1],
-        map: std::array::from_fn(|r| r),
-        spare: MAX_LANE_REGS,
-        a: [0.0; W],
-        b: [0.0; W],
-    };
+    let (lo, seg, len) = (region.lo()[d], region.extent(d) as usize, plan.piece);
+    let mut regs = [0.0; WIDE_BUDGET];
+    let regs = Cell::from_mut(&mut regs[..]).as_slice_of_cells();
     walk_rows(kernel, bk, d, region, |p, coords| {
         bk.seat(p, cur);
-        for off in (0..seg).step_by(W) {
-            let n = W.min(seg - off);
+        // Not `step_by(len)`: its set-up divides by `len` on every row.
+        let mut off = 0;
+        while off < seg {
+            let n = len.min(seg - off);
             coords[d] = (lo + off as i64) as f64;
-            let piece = Piece { rslices, cur, off: off as i64, n, coords, cdelta: &cdelta };
-            for (j, ws) in wide.iter().enumerate() {
+            let piece =
+                Piece { rslices, cur, off: off as i64, n, regs, len, coords, cdelta: &cdelta };
+            for (j, ws) in plan.wide.iter().enumerate() {
                 let at = (cur[bk.reads + j] + off as i64) as usize;
-                piece.eval(ws, &mut w, &wslices[j][at..at + n]);
+                piece.eval(ws, &wslices[j][at..at + n]);
             }
+            off += n;
         }
     });
 }
@@ -717,13 +726,14 @@ fn load_lanes<const R: usize>(
 }
 
 /// One operand of an instruction over a piece, where it lives: a
-/// register's (or `Prev`'s) values, a `Read`'s cells, a `Const`, or a
-/// folded read's cells and the constant it scales them by.
+/// register's or a `Read`'s cells, a `Const`, a folded read's cells and
+/// the constant it scales them by, or a `Coord`'s first value and its
+/// step from one point to the next.
 enum Opnd<'a> {
-    Vals(&'a [f64]),
     Cells(&'a [Cell<f64>]),
     Splat(f64),
     Scaled(f64, &'a [Cell<f64>]),
+    Ramp(f64, f64),
 }
 
 /// Bind `$x` to an iterator over the values of operand `$o`, then
@@ -731,10 +741,6 @@ enum Opnd<'a> {
 macro_rules! with_vals {
     ($o:expr, |$x:ident| $body:expr) => {
         match $o {
-            Opnd::Vals(v) => {
-                let $x = v.iter().copied();
-                $body
-            }
             Opnd::Cells(c) => {
                 let $x = c.iter().map(Cell::get);
                 $body
@@ -745,6 +751,10 @@ macro_rules! with_vals {
             }
             Opnd::Scaled(k, c) => {
                 let $x = c.iter().map(move |c| k * c.get());
+                $body
+            }
+            Opnd::Ramp(b, dl) => {
+                let $x = (0..).map(move |l: usize| b + l as f64 * dl);
                 $body
             }
         }
@@ -937,111 +947,77 @@ fn eval_stmt_lanes<const R: usize>(
     }
 }
 
-/// Points per piece of a unit-stride row segment on the wide path: each
-/// instruction matches its operator once per piece, then loops over up
-/// to `W` points.
-const W: usize = 64;
-
-/// The wide path's stack state: a register file of `W`-point registers
-/// (8.5 KiB), one more than a tape may name, and two buffers for
-/// `Coord` operands. `map` renames each logical register to a physical
-/// one; the one it leaves out, `spare`, takes the next result.
-struct Wide {
-    regs: [[f64; W]; MAX_LANE_REGS + 1],
-    map: [usize; MAX_LANE_REGS],
-    spare: usize,
-    a: [f64; W],
-    b: [f64; W],
-}
+/// The wide path's register file, in `f64`s (8.5 KiB of stack): the
+/// 64-point pieces of the widest tape [`plan_lanes`] admits, whose
+/// [`MAX_LANE_REGS`] registers may all hold values when an instruction
+/// needs one more for its result. A tape using fewer registers runs
+/// longer pieces in the same space ([`LanePlan::piece`]).
+const WIDE_BUDGET: usize = 64 * (MAX_LANE_REGS + 1);
 
 /// `n` consecutive points of a unit-stride row segment, `off` elements
-/// past the cursors `cur`.
+/// past the cursors `cur`, and the register file they run in.
 struct Piece<'a, const R: usize> {
     rslices: &'a [&'a [Cell<f64>]],
     cur: &'a [i64],
     off: i64,
     n: usize,
+    /// Register `p` is the piece's `n` cells from `p · len`.
+    regs: &'a [Cell<f64>],
+    len: usize,
     coords: &'a [f64; R],
     cdelta: &'a [f64; R],
 }
 
 impl<const R: usize> Piece<'_, R> {
-    /// Resolve one operand over the piece where it lives: physical
-    /// register `reg(p)` for a register (`Prev` is the physical register
-    /// `prev`), the piece's cells for a `Read` (scaled by `scale` when
-    /// folded), the value for a `Const`; only a `Coord` is filled, into
-    /// `buf`. Mirrors [`load_lanes`], widened.
+    /// Physical register `p`'s cells.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn operand<'r>(
-        &'r self,
-        s: Src,
-        scale: Option<f64>,
-        reg: impl Fn(usize) -> &'r [f64; W],
-        map: &[usize; MAX_LANE_REGS],
-        prev: usize,
-        buf: &'r mut [f64; W],
-    ) -> Opnd<'r> {
-        let n = self.n;
+    fn reg(&self, p: u16) -> &[Cell<f64>] {
+        let at = p as usize * self.len;
+        &self.regs[at..at + self.n]
+    }
+
+    /// Resolve one operand over the piece where it lives: a register's
+    /// cells, the piece's cells for a `Read` (scaled by `scale` when
+    /// folded), the value for a `Const`, the first value and step for a
+    /// `Coord`. Mirrors [`load_lanes`], widened.
+    #[inline(always)]
+    fn operand(&self, s: Src, scale: Option<f64>) -> Opnd<'_> {
         match s {
-            Src::Reg(r) => Opnd::Vals(&reg(map[r as usize & LREG_MASK])[..n]),
-            Src::Prev => Opnd::Vals(&reg(prev)[..n]),
+            Src::Reg(p) => Opnd::Cells(self.reg(p)),
+            Src::Prev => unreachable!("`fold` names the register of every `Prev`"),
             Src::Const(c) => Opnd::Splat(c),
             Src::Read(i) => {
                 let at = (self.cur[i as usize] + self.off) as usize;
-                let cells = &self.rslices[i as usize][at..at + n];
+                let cells = &self.rslices[i as usize][at..at + self.n];
                 match scale {
                     Some(k) => Opnd::Scaled(k, cells),
                     None => Opnd::Cells(cells),
                 }
             }
-            Src::Coord(k) => {
-                let (b, dl) = (self.coords[k as usize], self.cdelta[k as usize]);
-                for (l, x) in buf[..n].iter_mut().enumerate() {
-                    *x = b + l as f64 * dl;
-                }
-                Opnd::Vals(&buf[..n])
-            }
+            Src::Coord(k) => Opnd::Ramp(self.coords[k as usize], self.cdelta[k as usize]),
         }
     }
 
     /// One statement's folded tape over the piece, its values stored
     /// into `row`, the destination's cells. Each instruction but the
-    /// last computes into the spare register, then swaps it with its
-    /// destination in `map`, so no result is copied; the last computes
-    /// straight into `row`. The wide analogue of [`eval_stmt_lanes`].
+    /// last computes into the physical register `fold` gave it; the last
+    /// computes straight into `row`. The wide analogue of
+    /// [`eval_stmt_lanes`].
     #[inline(always)]
-    fn eval(&self, ws: &WideStmt, w: &mut Wide, row: &[Cell<f64>]) {
-        let n = self.n;
+    fn eval(&self, ws: &WideStmt, row: &[Cell<f64>]) {
         let Some(last) = ws.instrs.len().checked_sub(1) else {
             // An empty tape: its result is a leaf operand.
             let (s, scale) = ws.result;
-            let v = self.operand(s, scale, |p| &w.regs[p], &w.map, 0, &mut w.a);
-            return with_vals!(v, |x| put(row, x));
+            return with_vals!(self.operand(s, scale), |x| put(row, x));
         };
-        let mut prev = 0;
         for (i, &(ins, [ka, kb])) in ws.instrs.iter().enumerate() {
-            let spare = w.spare;
-            let (lo, rest) = w.regs.split_at_mut(spare);
-            let (out, hi) = rest.split_first_mut().expect("the spare is a register");
-            let out = if i < last { Cell::from_mut(&mut out[..n]).as_slice_of_cells() } else { row };
-            let reg = |p: usize| if p < spare { &lo[p] } else { &hi[p - spare - 1] };
-            let dst = match ins {
-                Instr::Bin { op, dst, a, b } => {
-                    let va = self.operand(a, ka, reg, &w.map, prev, &mut w.a);
-                    let vb = self.operand(b, kb, reg, &w.map, prev, &mut w.b);
-                    bin_each(op, va, vb, out);
-                    dst
+            let (Instr::Bin { dst, .. } | Instr::Un { dst, .. }) = ins;
+            let out = if i < last { self.reg(dst) } else { row };
+            match ins {
+                Instr::Bin { op, a, b, .. } => {
+                    bin_each(op, self.operand(a, ka), self.operand(b, kb), out)
                 }
-                Instr::Un { op, dst, a } => {
-                    let va = self.operand(a, ka, reg, &w.map, prev, &mut w.a);
-                    un_each(op, va, out);
-                    dst
-                }
-            };
-            if i < last {
-                prev = spare;
-                std::mem::swap(&mut w.map[dst as usize & LREG_MASK], &mut w.spare);
+                Instr::Un { op, a, .. } => un_each(op, self.operand(a, ka), out),
             }
         }
     }
@@ -1055,6 +1031,8 @@ pub(crate) struct WideStmt {
     pub(crate) instrs: Vec<(Instr, [Option<f64>; 2])>,
     /// The statement's value when no instruction is left.
     result: (Src, Option<f64>),
+    /// Physical registers the instructions use ([`assign`]).
+    regs: usize,
 }
 
 /// The wide path's tape of one statement: its scalar tape with every
@@ -1063,7 +1041,8 @@ pub(crate) struct WideStmt {
 /// its value: `Prev` right after it, its register after that — reading
 /// the `Read` scaled by the constant instead. For a constant that is not
 /// NaN, `k·x` and `x·k` are the same bits. A folded root, which has no
-/// consumer, leaves an empty tape whose result is the scaled read.
+/// consumer, leaves an empty tape whose result is the scaled read. The
+/// instructions left then get their physical registers ([`assign`]).
 fn fold(sk: &StmtKernel) -> WideStmt {
     let mut instrs: Vec<_> = sk.instrs.iter().map(|&ins| (ins, [None; 2])).collect();
     let mut result = (sk.result, None);
@@ -1098,7 +1077,37 @@ fn fold(sk: &StmtKernel) -> WideStmt {
         }
         instrs.remove(i);
     }
-    WideStmt { instrs, result }
+    let regs = assign(&mut instrs);
+    WideStmt { instrs, result, regs }
+}
+
+/// Fix a folded tape's registers, once: each instruction but the last
+/// writes the lowest physical register that holds no named register's
+/// value, so never one of its own operands, and every `Reg` and `Prev`
+/// operand then names the physical register its value lives in. No
+/// value lives across pieces, so every piece starts from this one
+/// assignment. Returns how many physical registers the tape uses: at
+/// most one more than it names.
+fn assign(instrs: &mut [(Instr, [Option<f64>; 2])]) -> usize {
+    let mut held = [None; MAX_LANE_REGS];
+    let (mut prev, mut used) = (0, 0);
+    let last = instrs.len().saturating_sub(1);
+    for (i, (ins, _)) in instrs.iter_mut().enumerate() {
+        for s in operands(ins).into_iter().flatten() {
+            match *s {
+                Src::Reg(r) => *s = Src::Reg(held[r as usize & LREG_MASK].expect("written first")),
+                Src::Prev => *s = Src::Reg(prev),
+                _ => {}
+            }
+        }
+        if i < last {
+            let (Instr::Bin { dst, .. } | Instr::Un { dst, .. }) = ins;
+            let out = (0..).find(|p| !held.contains(&Some(*p))).expect("a free register");
+            held[*dst as usize & LREG_MASK] = Some(out);
+            (*dst, prev, used) = (out, out, used.max(out as usize + 1));
+        }
+    }
+    used
 }
 
 /// An instruction's operands, `a` then `b`.

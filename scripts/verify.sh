@@ -159,9 +159,9 @@ pub_lines=$(grep -rE '^\s*pub ' crates/pipeline/src | wc -l)
 unsafe_blocks=$(find crates src -name '*.rs' -not -name '*_tests.rs' -not -path '*/tests/*' -print0 |
     xargs -0 awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
         !t && !/^[[:space:]]*\/\// && /unsafe[[:space:]]*\{/ { n++ } END { print n + 0 }')
-# The threaded engine's shipped lines: everything above its test modules.
-engine_lines=$(awk '/^#\[cfg\(test\)\]/ { t = NR } /^mod / { print t - 1; exit }' \
-    crates/pipeline/src/exec_threads.rs)
+# The threaded engine's shipped lines: everything above its first
+# top-level `#[cfg(test)]`.
+engine_lines=$(awk '/^#\[cfg\(test\)\]/ { print NR - 1; exit }' crates/pipeline/src/exec_threads.rs)
 # The service control plane's shipped lines: each file up to its first
 # top-level `#[cfg(test)]`.
 service_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' \

@@ -153,33 +153,66 @@ fn wide_lane_innermost_tile_allocates_nothing() {
 
 #[test]
 fn wide_segment_tile_allocates_nothing() {
-    // 200 columns: each row runs as pieces of 64, 64, 64 and 8 points.
+    // 200 columns: each row runs as one piece.
     let (allocs, tier, stride, rem) = one_tile(&relax(200), KernelMode::Lanes);
     assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
     assert_eq!(allocs, 0, "allocations in one wide-segment tile");
 }
 
-/// A tape holding all 16 lane registers live, on 200-point row segments:
-/// the wide path renames each result into its spare register.
-#[test]
-fn sixteen_register_wide_tile_allocates_nothing() {
-    let bounds = Region::rect([0, 0], [9, 201]);
+/// A tape holding all 16 lane registers live, on row segments of `cols`
+/// points: 15 levels under the recurrence's held term.
+fn sixteen_registers(cols: i64) -> Program<2> {
+    let bounds = Region::rect([0, 0], [9, cols + 1]);
     let mut program = Program::<2>::new();
     let (a, b) = (program.array("a", bounds), program.array("b", bounds));
     // Each level holds its left operand in a register while the right
-    // one is evaluated: 15 levels under the recurrence's held term.
+    // one is evaluated.
     let mut rhs = Expr::read(b);
     for k in 1..=15u32 {
         let left = Expr::read(b) * Expr::lit(0.5 + k as f64) + Expr::lit(1.0);
         rhs = if k.is_multiple_of(2) { left.min(rhs) } else { left - rhs };
     }
     let recur = Expr::lit(0.5) * Expr::read_primed_at(a, [-1, 0]);
-    program.stmt(Region::rect([1, 1], [8, 200]), a, recur + rhs);
+    program.stmt(Region::rect([1, 1], [8, cols]), a, recur + rhs);
     let kernel = TileKernel::compile(&scan_nest(&program)).expect("lowers");
     assert_eq!(kernel.reg_count(), 16, "every lane register is live");
-    let (allocs, tier, stride, rem) = one_tile(&program, KernelMode::Lanes);
+    program
+}
+
+/// The 16-register tape on 200-point row segments.
+#[test]
+fn sixteen_register_wide_tile_allocates_nothing() {
+    let (allocs, tier, stride, rem) = one_tile(&sixteen_registers(200), KernelMode::Lanes);
     assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0));
     assert_eq!(allocs, 0, "allocations in one 16-register wide-segment tile");
+}
+
+/// Rows of 1,024 points: relax's tape, which needs one physical
+/// register and so runs each row as one piece, and the 16-register
+/// tape, which runs them in pieces of 64.
+#[test]
+fn kilo_point_rows_allocate_nothing() {
+    let relax = compile_str::<2>(
+        "const r = 8; const n = 8;
+         region Big = [0..r+1, 0..n+1]; region Inner = [1..r, 1..n];
+         direction north = (-1, 0); direction east = (0, 1);
+         var next, curr, load : [Big] float;
+         [Inner] next := 0.5 * next'@north + 0.4 * curr + 0.1 * load@east;",
+        &[("r", 8), ("n", 1024)],
+        Layout::RowMajor,
+    )
+    .expect("relax lowers")
+    .program;
+    let cases = [("relax", relax, 1088), ("16 registers", sixteen_registers(1024), 64)];
+    for (what, program, piece) in cases {
+        let nest = scan_nest(&program);
+        let order = &nest.structure.order;
+        let runner = NestRunner::auto(&nest);
+        assert_eq!(runner.wide_piece(&program.shapes(), order), Some(piece), "{what}");
+        let (allocs, tier, stride, rem) = one_tile(&program, KernelMode::Lanes);
+        assert_eq!((tier, stride, rem), (KernelTier::Lanes, Some("unit"), 0), "{what}");
+        assert_eq!(allocs, 0, "allocations in one tile of 1,024-point rows: {what}");
+    }
 }
 
 /// The wide path's folded tape on 200-point row segments: `Const × Read`

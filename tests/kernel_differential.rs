@@ -769,9 +769,9 @@ fn a_nest_past_the_stack_cursor_cap_still_matches() {
     lanes_match_interpreter("wide", &prog, init_in_layout, "unit", 5..=5);
 }
 
-/// Unit-stride row segments of 16 to 200 points, which the lane
-/// executor runs in pieces of up to 64: pieces below, at, past and not a
-/// multiple of that width. Two statements chained at one point cover
+/// Unit-stride row segments of 16 to 200 points, each one piece of the
+/// up to 272 points this tape's four physical registers allow, cut as
+/// the tile falls. Two statements chained at one point cover
 /// every binary and unary operator and both coordinates, over a row
 /// recurrence that ascends (`north`) and one that descends (`south`).
 /// Standalone, the lane tier must match the interpreter and the scalar
@@ -813,7 +813,10 @@ fn wide_row_segments_are_bit_identical() {
                 ],
             );
             let what = format!("{seg} points, {dir}");
-            let ascending = compile(&prog).unwrap().nest(0).structure.order.ascending[0];
+            let nest = compile(&prog).unwrap().nest(0).clone();
+            let piece = NestRunner::auto(&nest).wide_piece(&prog.shapes(), &nest.structure.order);
+            assert_eq!(piece, Some(272), "{what}: four physical registers");
+            let ascending = nest.structure.order.ascending[0];
             assert_eq!(ascending, dir == "north", "{what}");
             wide_segments_match(&what, &prog, init_in_layout, seg);
         }
@@ -848,10 +851,10 @@ fn wide_segments_match(what: &str, prog: &Program<2>, init: Init, seg: i64) {
 }
 
 /// The wide path reads `Read` and `Const` operands where they live and
-/// renames each result into a spare register: a tape holding all 16
-/// lane registers live, run twice per piece so the renaming cycles the
-/// whole register file across pieces and statements; `Const` on either
-/// side and on both; `x * x` as the same cells on both sides and as a
+/// writes each result into the register `fold` fixed for it: a tape
+/// holding all 16 lane registers live (17 physical registers, the
+/// whole file), next to another of 15 in the same piece; `Const` on
+/// either side and on both; `x * x` as the same cells on both sides and as a
 /// register beside `Prev`; empty tapes whose result is a `Read`, a
 /// `Const` and a `Coord`; and a statement reading, at the same point,
 /// the array the first one wrote.
@@ -890,8 +893,11 @@ fn wide_operands_and_renamed_registers_are_bit_identical() {
                 Statement::new(f, Expr::IndexVar(1)),
             ],
         );
-        let kernel = TileKernel::compile(compile(&prog).unwrap().nest(0)).unwrap();
+        let nest = compile(&prog).unwrap().nest(0).clone();
+        let kernel = TileKernel::compile(&nest).unwrap();
         assert_eq!(kernel.reg_count(), 16, "every lane register is live");
+        let piece = NestRunner::auto(&nest).wide_piece(&prog.shapes(), &nest.structure.order);
+        assert_eq!(piece, Some(64), "17 physical registers: the whole file");
         wide_segments_match(&format!("{seg} points"), &prog, init_in_layout, seg);
     }
 }
@@ -1069,4 +1075,56 @@ fn assert_wide_passes(what: &str, prog: &Program<2>, passes: usize) {
         .collect();
     let runner = NestRunner::auto(nest);
     assert_eq!(runner.wide_passes(&shapes, &nest.structure.order), Some(passes), "{what}");
+}
+
+/// Unit-stride row segments of 65 to 1,100 points, which the lane
+/// executor runs in pieces as long as its register file holds: 1,088
+/// points on a tape that needs one physical register, 360 on one that
+/// names 2 registers, 120 on 8, 64 on 16 (each holding every named
+/// register while one more takes a result; a tape reading coordinates
+/// too, which need no register of their own), 1,088 on a tape folded
+/// empty. Each tape is one
+/// statement after a recurrence down the rows; against the interpreter
+/// and the scalar tape, then on Seq and Threads over two and three
+/// cells, tiled one segment wide.
+#[test]
+fn long_segments_run_in_pieces_the_registers_allow() {
+    let rows = 4i64;
+    let (b, c) = (|| Expr::read(0), || Expr::read(1));
+    // Each level holds its left operand in a register while the right
+    // one is evaluated, so `depth` levels name `depth` registers.
+    fn held(depth: usize) -> Expr<2> {
+        let k = depth as i64;
+        let scale = Expr::lit(0.25 + 0.125 * k as f64);
+        let left = Expr::read_at(0, [0, k % 2]) * scale + Expr::lit(1.0);
+        match depth {
+            0 => Expr::read(1),
+            _ if depth.is_multiple_of(2) => left.min(held(depth - 1)),
+            _ => left - held(depth - 1),
+        }
+    }
+    let (i, j) = (|| Expr::IndexVar(0), || Expr::IndexVar(1));
+    let coords = (j() + b()) * (i() - c()) / (j() + Expr::lit(1.0));
+    let cases: [(&str, Expr<2>, usize, usize); 6] = [
+        ("1 register", held(1), 1, 1088),
+        ("2 registers", held(2), 2, 360),
+        ("8 registers", held(8), 8, 120),
+        ("16 registers", held(16), 16, 64),
+        ("coordinates", coords, 2, 360),
+        ("empty", Expr::lit(0.75) * b(), 0, 1088),
+    ];
+    for seg in [65i64, 127, 128, 129, 544, 545, 1100] {
+        for (what, rhs, regs, piece) in &cases {
+            let prog = fresh_destinations(rows, seg, std::slice::from_ref(rhs));
+            let what = format!("{what}, {seg} points");
+            let nest = compile(&prog).unwrap().nest(0).clone();
+            let kernel = TileKernel::compile(&nest).unwrap();
+            // The recurrence's own tape names two registers.
+            assert_eq!(kernel.reg_count(), 2.max(*regs), "{what}: registers named");
+            let shapes: Vec<(Region<2>, Layout)> = prog.shapes();
+            let got = NestRunner::auto(&nest).wide_piece(&shapes, &nest.structure.order);
+            assert_eq!(got, Some(*piece), "{what}: points per piece");
+            wide_segments_match(&what, &prog, init_in_layout, seg);
+        }
+    }
 }
